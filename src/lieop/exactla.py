@@ -17,6 +17,8 @@ from .errors import DimensionMismatch, Singular
 
 def q(x):
     """Normalize a scalar: Fractions with denominator 1 become ints."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     if isinstance(x, int):

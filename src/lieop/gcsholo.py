@@ -10,13 +10,17 @@ the exhaustive agreement sweeps call them tens of millions of times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DimensionMismatch, InvalidGCS, NotAntisymmetric, NotComplexPair,
     NotComplexStructure, NotOOperator, OracleDisagreement,
 )
-from .exactla import Matrix, invert
-from .liecore import Representation, LieAlgebra, as_matrix, coadjoint, direct_sum_map, semidirect
+from .exactla import Matrix, invert, vec_add, vec_sub
+from .liecore import (
+    LieAlgebra, Representation, _unit, as_matrix, coadjoint, contract,
+    direct_sum_map, semidirect,
+)
 from .onstruct import is_on_structure, is_pn_structure
 from .ooper import Bivector, is_o_operator, o_residual, r_sharp
 
@@ -37,8 +41,7 @@ def _gcs_ctx(rep: Representation):
     cache = getattr(rep, "_gcs_ctx", None)
     if cache is None:
         d, m = rep.algebra.dim, rep.dim_m
-        cache = (d, m, semidirect(rep).c, rep.algebra.c,
-                 tuple(a.entries for a in rep.action))
+        cache = (d, m, semidirect(rep).c, rep.algebra.c, rep.t)
         rep._gcs_ctx = cache
     return cache
 
@@ -70,48 +73,18 @@ def gcs_check_direct(rep: Representation, N, T, sigma, S, report=False):
                 if not report:
                     return False
                 defects["almost_complex"].append((i, j, s))
+    # [Ju, Jv] - [u, v] = J([Ju, v] + [u, Jv]) on basis pairs u < v
     cols = list(zip(*J))
-    for u in range(n):
+    units = [_unit(n, u) for u in rng_n]
+    for u in rng_n:
         ju = cols[u]
         for v in range(u + 1, n):
             jv = cols[v]
-            lhs = [0] * n
-            for a in range(n):
-                xa = ju[a]
-                if xa:
-                    ca = c[a]
-                    for b in range(n):
-                        yb = jv[b]
-                        if yb:
-                            row = ca[b]
-                            for k in range(n):
-                                if row[k]:
-                                    lhs[k] += xa * yb * row[k]
-            for k in range(n):
-                lhs[k] -= c[u][v][k]
-            inner = [0] * n
-            for a in range(n):
-                xa = ju[a]
-                if xa:
-                    row = c[a][v]
-                    for k in range(n):
-                        if row[k]:
-                            inner[k] += xa * row[k]
-            for b in range(n):
-                yb = jv[b]
-                if yb:
-                    row = c[u][b]
-                    for k in range(n):
-                        if row[k]:
-                            inner[k] += yb * row[k]
-            bad = False
-            for i in range(n):
-                s = lhs[i] - sum(J[i][k] * inner[k] for k in range(n))
-                if s:
-                    bad = True
-                    if not report:
-                        return False
-            if bad and report:
+            lhs = vec_sub(contract(c, n, ju, jv), c[u][v])
+            inner = vec_add(contract(c, n, ju, units[v]), contract(c, n, units[u], jv))
+            if any(lhs[i] != sum(J[i][k] * inner[k] for k in rng_n) for i in rng_n):
+                if not report:
+                    return False
                 defects["integrability"].append((u, v))
     ok = not defects["almost_complex"] and not defects["integrability"]
     return (ok, defects) if report else ok
@@ -122,7 +95,7 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
 
     Must give the same verdict as gcs_check_direct on every input.
     """
-    d, m, _, gc, act = _gcs_ctx(rep)
+    d, m, _, gc, at = _gcs_ctx(rep)
     Nr = _rows(N, (d, d))
     Tr = _rows(T, (d, m))
     Gr = _rows(sigma, (m, d))
@@ -215,60 +188,31 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
         if 54 in failed:
             break
 
-    def bracket(x, y):
-        out = [0] * d
-        for a in rng_d:
-            xa = x[a]
-            if xa:
-                ca = gc[a]
-                for b in rng_d:
-                    yb = y[b]
-                    if yb:
-                        row = ca[b]
-                        for k in rng_d:
-                            if row[k]:
-                                out[k] += xa * yb * row[k]
-        return out
-
-    def action(x, mm):
-        out = [0] * m
-        for a in rng_d:
-            xa = x[a]
-            if xa:
-                rows = act[a]
-                for r in rng_m:
-                    s = sum(rows[r][t] * mm[t] for t in rng_m)
-                    if s:
-                        out[r] += xa * s
-        return out
+    bracket = partial(contract, gc, d)
+    action = partial(contract, at, m)
 
     def mat_vec(rows, v):
-        return [sum(row[t] * v[t] for t in range(len(v))) for row in rows]
+        return tuple(sum(row[t] * v[t] for t in range(len(v))) for row in rows)
 
     ncols = list(zip(*Nr))
     tcols = list(zip(*Tr))
     gcols = list(zip(*Gr))
     scols = list(zip(*Sr))
 
-    units_m = [tuple(1 if t == b else 0 for t in range(m)) for b in range(m)]
-    units_d = [tuple(1 if t == a else 0 for t in range(d)) for a in range(d)]
+    units_m = [_unit(m, b) for b in rng_m]
+    units_d = [_unit(d, a) for a in rng_d]
 
-    def mbracket(i, j):
-        # [m_i, m_j]^T = T(m_i) . m_j - T(m_j) . m_i
-        return [a - b for a, b in zip(action(tcols[i], units_m[j]),
-                                      action(tcols[j], units_m[i]))]
-
-    # (56) T([m,n]^T) = [Tm, Tn]; (57) S([m,n]^T) = Tm.Sn - Tn.Sm
+    # (56) T([m,n]^T) = [Tm, Tn]; (57) S([m,n]^T) = Tm.Sn - Tn.Sm,
+    # where [m_i, m_j]^T = T(m_i) . m_j - T(m_j) . m_i
     for i in range(m):
         for j in range(i + 1, m):
-            mb = mbracket(i, j)
+            mb = vec_sub(action(tcols[i], units_m[j]), action(tcols[j], units_m[i]))
             if mat_vec(Tr, mb) != bracket(tcols[i], tcols[j]):
                 if 56 not in failed:
                     failed.append(56)
                 if not report:
                     return False
-            rhs = [a - b for a, b in zip(action(tcols[i], scols[j]),
-                                         action(tcols[j], scols[i]))]
+            rhs = vec_sub(action(tcols[i], scols[j]), action(tcols[j], scols[i]))
             if mat_vec(Sr, mb) != rhs:
                 if 57 not in failed:
                     failed.append(57)
@@ -281,18 +225,16 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
         for b in range(m):
             tm = tcols[b]
             em = units_m[b]
-            inner = [p - q for p, q in zip(action(nx, em), action(ex, scols[b]))]
-            lhs58 = [p - q for p, q in zip(bracket(nx, tm),
-                                           mat_vec(Nr, bracket(ex, tm)))]
+            inner = vec_sub(action(nx, em), action(ex, scols[b]))
+            lhs58 = vec_sub(bracket(nx, tm), mat_vec(Nr, bracket(ex, tm)))
             if lhs58 != mat_vec(Tr, inner):
                 if 58 not in failed:
                     failed.append(58)
                 if not report:
                     return False
-            lhs59 = [p - q for p, q in zip(mat_vec(Gr, bracket(tm, ex)),
-                                           action(tm, gcols[a]))]
-            rhs59 = [p + q - r for p, q, r in zip(
-                action(ex, em), action(nx, scols[b]), mat_vec(Sr, inner))]
+            lhs59 = vec_sub(mat_vec(Gr, bracket(tm, ex)), action(tm, gcols[a]))
+            rhs59 = vec_sub(vec_add(action(ex, em), action(nx, scols[b])),
+                            mat_vec(Sr, inner))
             if lhs59 != rhs59:
                 if 59 not in failed:
                     failed.append(59)
@@ -303,19 +245,17 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
         for b in range(a + 1, d):
             nx, ny = ncols[a], ncols[b]
             ex, ey = units_d[a], units_d[b]
-            mixed = [p + q for p, q in zip(bracket(nx, ey), bracket(ex, ny))]
-            sig_skew = [p - q for p, q in zip(action(ex, gcols[b]),
-                                              action(ey, gcols[a]))]
-            lhs60 = [p - q - r for p, q, r in zip(
-                bracket(nx, ny), gc[a][b], mat_vec(Nr, mixed))]
+            mixed = vec_add(bracket(nx, ey), bracket(ex, ny))
+            sig_skew = vec_sub(action(ex, gcols[b]), action(ey, gcols[a]))
+            lhs60 = vec_sub(vec_sub(bracket(nx, ny), gc[a][b]), mat_vec(Nr, mixed))
             if lhs60 != mat_vec(Tr, sig_skew):
                 if 60 not in failed:
                     failed.append(60)
                 if not report:
                     return False
-            lhs61 = [p - q - r for p, q, r in zip(
-                action(nx, gcols[b]), action(ny, gcols[a]), mat_vec(Gr, mixed))]
-            if lhs61 != [-x for x in mat_vec(Sr, sig_skew)]:
+            lhs61 = vec_sub(vec_sub(action(nx, gcols[b]), action(ny, gcols[a])),
+                            mat_vec(Gr, mixed))
+            if lhs61 != tuple(-x for x in mat_vec(Sr, sig_skew)):
                 if 61 not in failed:
                     failed.append(61)
                 if not report:
@@ -372,10 +312,10 @@ def is_complex_structure(g: LieAlgebra, I) -> bool:
         return False
     for i in range(g.dim):
         ii = I.col(i)
-        ei = tuple(1 if k == i else 0 for k in range(g.dim))
+        ei = _unit(g.dim, i)
         for j in range(i + 1, g.dim):
             ij = I.col(j)
-            ej = tuple(1 if k == j else 0 for k in range(g.dim))
+            ej = _unit(g.dim, j)
             lhs = g.bracket_vec(ii, ij)
             mixed = tuple(a + b for a, b in zip(g.bracket_vec(ii, ej),
                                                 g.bracket_vec(ei, ij)))
@@ -390,9 +330,9 @@ def module_complex_defect(rep: Representation, I: Matrix, IM: Matrix):
     g = rep.algebra
     for i in range(g.dim):
         ii = I.col(i)
-        ei = tuple(1 if k == i else 0 for k in range(g.dim))
+        ei = _unit(g.dim, i)
         for b in range(rep.dim_m):
-            em = tuple(1 if k == b else 0 for k in range(rep.dim_m))
+            em = _unit(rep.dim_m, b)
             lhs = rep.act(ii, IM.col(b))
             mixed = tuple(a + b2 for a, b2 in zip(rep.act(ii, em),
                                                   rep.act(ei, IM.col(b))))
@@ -456,9 +396,9 @@ def gcs_lie_check(g: LieAlgebra, N, r: Bivector, sigma2) -> bool:
     orthogonal = True
     for u in range(2 * d):
         ju = J.col(u)
-        eu = tuple(1 if k == u else 0 for k in range(2 * d))
+        eu = _unit(2 * d, u)
         for v in range(u, 2 * d):
-            ev = tuple(1 if k == v else 0 for k in range(2 * d))
+            ev = _unit(2 * d, v)
             if _pairing(ju, J.col(v), d) != _pairing(eu, ev, d):
                 orthogonal = False
                 break

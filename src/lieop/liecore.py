@@ -2,8 +2,10 @@
 
 Everything is finite dimensional over the exact rationals.  A Lie algebra is a
 structure-constant tensor c[i][j] = coefficient vector of [e_i, e_j]; a module
-is one action matrix per basis vector.  All validators run exactly on every
-basis tuple, so an accepted object genuinely satisfies its axioms.
+is one action matrix per basis vector, also kept as the tensor
+t[i][b] = e_i . f_b.  Every bracket and action is evaluated by `contract`.  All
+validators run exactly on every basis tuple, so an accepted object genuinely
+satisfies its axioms.
 """
 
 from __future__ import annotations
@@ -16,8 +18,62 @@ from .errors import (
 )
 from .exactla import (
     Matrix, is_zero_vec, kernel, q, rank, rref, solve_linear, vec, vec_add,
-    vec_scale, vec_zero,
+    vec_scale, vec_sub, vec_zero,
 )
+
+
+def _unit(n, i):
+    return tuple(1 if k == i else 0 for k in range(n))
+
+
+def contract(t, n, x, y):
+    """sum_{a,b} x_a y_b t[a][b] for a tensor t whose entries are length-n vectors.
+
+    This is the one bilinear kernel behind every bracket, action and product:
+    t is a structure tensor c[a][b] = [e_a, e_b], an action tensor
+    t[a][b] = e_a . f_b or a product tensor.  Zero coefficients of x, y and t
+    are skipped.
+    """
+    out = [0] * n
+    for a, xa in enumerate(x):
+        if xa:
+            ta = t[a]
+            for b, yb in enumerate(y):
+                if yb:
+                    s = xa * yb
+                    for k, v in enumerate(ta[b]):
+                        if v:
+                            out[k] += s * v
+    return tuple(q(v) for v in out)
+
+
+def action_tensor(mats):
+    """t[a][b] = e_a . f_b, the columns of one action matrix per basis vector."""
+    return tuple(tuple(a.col(b) for b in range(a.cols)) for a in mats)
+
+
+def block_tensor(ca, cb, t1, t2):
+    """Bracket tensor on a + b (a first) with [x, u] = x .1 u - u .2 x.
+
+    ca and cb are the structure tensors of a and b, t1[x][u] = x .1 u and
+    t2[u][x] = u .2 x the action tensors of each on the other; the inverse of
+    splitting a twilled algebra into its blocks.
+    """
+    da, db = len(ca), len(cb)
+    n = da + db
+    za, zb = vec_zero(da), vec_zero(db)
+    c = [[None] * n for _ in range(n)]
+    for i in range(da):
+        for j in range(da):
+            c[i][j] = ca[i][j] + zb
+        for u in range(db):
+            v = tuple(-x for x in t2[u][i]) + t1[i][u]
+            c[i][da + u] = v
+            c[da + u][i] = tuple(-x for x in v)
+    for u in range(db):
+        for w in range(db):
+            c[da + u][da + w] = za + cb[u][w]
+    return c
 
 
 class LieAlgebra:
@@ -68,35 +124,15 @@ class LieAlgebra:
 
     def jacobi_defect(self, i, j, k):
         """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]."""
-        t1 = self.bracket_basis_vec(i, self.c[j][k])
-        t2 = self.bracket_basis_vec(j, self.c[k][i])
-        t3 = self.bracket_basis_vec(k, self.c[i][j])
+        d, c = self.dim, self.c
+        t1 = contract(c, d, _unit(d, i), c[j][k])
+        t2 = contract(c, d, _unit(d, j), c[k][i])
+        t3 = contract(c, d, _unit(d, k), c[i][j])
         return vec_add(vec_add(t1, t2), t3)
-
-    def bracket_basis_vec(self, i, y):
-        out = [0] * self.dim
-        ci = self.c[i]
-        for j, yj in enumerate(y):
-            if yj:
-                row = ci[j]
-                for k, v in enumerate(row):
-                    if v:
-                        out[k] += yj * v
-        return tuple(q(x) for x in out)
 
     def bracket_vec(self, x, y):
         """[x, y] for coordinate vectors x, y."""
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                ci = self.c[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        row = ci[j]
-                        for k, v in enumerate(row):
-                            if v:
-                                out[k] += xi * yj * v
-        return tuple(q(v) for v in out)
+        return contract(self.c, self.dim, x, y)
 
     def bracket_tensor_equal(self, other) -> bool:
         return self.dim == other.dim and self.c == other.c
@@ -108,14 +144,11 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim})"
 
 
-def lie_algebra_new(dim, bracket, basis_names=None) -> LieAlgebra:
-    return LieAlgebra(dim, bracket, basis_names=basis_names)
-
-
 class Representation:
-    """A Lie algebra action on a module, one matrix per basis vector."""
+    """A Lie algebra action on a module: one matrix per basis vector, and the
+    same action as the tensor t[a][b] = e_a . f_b in the format of LieAlgebra.c."""
 
-    __slots__ = ("algebra", "dim_m", "action", "_semidirect", "_dual", "_gcs_ctx")
+    __slots__ = ("algebra", "dim_m", "action", "t", "_semidirect", "_dual", "_gcs_ctx")
 
     def __init__(self, algebra: LieAlgebra, dim_m, action):
         self.algebra = algebra
@@ -128,18 +161,23 @@ class Representation:
             if a.shape() != (dim_m, dim_m):
                 raise DimensionMismatch("action matrix shape mismatch")
         self.action = mats
+        self.t = action_tensor(mats)
         self._semidirect = None
         self._dual = None
         self._validate()
 
     def _validate(self):
-        g = self.algebra
+        """[e_i, e_j] . f_b = e_i . (e_j . f_b) - e_j . (e_i . f_b), column by column."""
+        g, t, m = self.algebra, self.t, self.dim_m
+        e = [_unit(g.dim, i) for i in range(g.dim)]
+        f = [_unit(m, b) for b in range(m)]
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                lhs = self.rho(g.c[i][j])
-                rhs = self.action[i] * self.action[j] - self.action[j] * self.action[i]
-                if lhs != rhs:
-                    raise RepViolation(i, j, rhs - lhs)
+                cols = [vec_sub(vec_sub(contract(t, m, e[i], t[j][b]), contract(t, m, e[j], t[i][b])),
+                                contract(t, m, g.c[i][j], f[b]))
+                        for b in range(m)]
+                if not all(is_zero_vec(col) for col in cols):
+                    raise RepViolation(i, j, Matrix.from_cols(cols))
 
     def rho(self, x) -> Matrix:
         """Matrix of the action of the algebra element with coordinates x."""
@@ -151,24 +189,13 @@ class Representation:
 
     def act(self, x, m):
         """x • m for coordinate vectors."""
-        out = [0] * self.dim_m
-        for i, xi in enumerate(x):
-            if xi:
-                mi = self.action[i].apply(m)
-                for k, v in enumerate(mi):
-                    if v:
-                        out[k] += xi * v
-        return tuple(q(v) for v in out)
+        return contract(self.t, self.dim_m, x, m)
 
     def act_basis(self, i, m):
         return self.action[i].apply(m)
 
     def __repr__(self):
         return f"Representation(dim_g={self.algebra.dim}, dim_m={self.dim_m})"
-
-
-def representation_new(algebra, dim_m, action) -> Representation:
-    return Representation(algebra, dim_m, action)
 
 
 def adjoint(g: LieAlgebra) -> Representation:
@@ -198,25 +225,12 @@ def trivial_rep(g: LieAlgebra, dim_m) -> Representation:
 
 def semidirect(rep: Representation) -> LieAlgebra:
     """Semi-direct product on g + M: [(x,m),(y,n)] = ([x,y], x•n - y•m)."""
-    if rep._semidirect is not None:
-        return rep._semidirect
-    g = rep.algebra
-    d, m = g.dim, rep.dim_m
-    n = d + m
-    c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            for k, v in enumerate(g.c[i][j]):
-                c[i][j][k] = v
-    for i in range(d):
-        for b in range(m):
-            col = rep.action[i].col(b)
-            for k, v in enumerate(col):
-                c[i][d + b][d + k] = v
-                c[d + b][i][d + k] = -v
-    out = LieAlgebra(n, c)
-    rep._semidirect = out
-    return out
+    if rep._semidirect is None:
+        d, m = rep.algebra.dim, rep.dim_m
+        abelian = ((vec_zero(m),) * m,) * m
+        inert = ((vec_zero(d),) * d,) * m
+        rep._semidirect = LieAlgebra(d + m, block_tensor(rep.algebra.c, abelian, rep.t, inert))
+    return rep._semidirect
 
 
 class Subspace:
@@ -307,7 +321,7 @@ def is_ideal(g: LieAlgebra, W: Subspace):
     if W.ambient_dim != g.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
     for i in range(g.dim):
-        ei = tuple(1 if k == i else 0 for k in range(g.dim))
+        ei = _unit(g.dim, i)
         for w in W.basis:
             if not W.contains(g.bracket_vec(ei, w)):
                 return False, (ei, w)
@@ -363,12 +377,10 @@ def quotient(h: LieAlgebra, W: Subspace) -> Quotient:
         row = [0] * d
         # pi(x) reads the complement coordinates of x reduced modulo W
         for j in range(d):
-            ej = tuple(1 if t == j else 0 for t in range(d))
-            row[j] = W.reduce(ej)[ci]
+            row[j] = W.reduce(_unit(d, j))[ci]
         proj_rows.append(row)
     projection = Matrix(proj_rows) if k else Matrix([], cols=d)
-    section = Matrix.from_cols([
-        tuple(1 if t == ci else 0 for t in range(d)) for ci in comp]) \
+    section = Matrix.from_cols([_unit(d, ci) for ci in comp]) \
         if k else Matrix([()] * d, cols=0)
     c = [[[0] * k for _ in range(k)] for _ in range(k)]
     for a in range(k):
@@ -380,8 +392,7 @@ def quotient(h: LieAlgebra, W: Subspace) -> Quotient:
     alg = LieAlgebra(k, c)
     for i in range(d):
         for j in range(i + 1, d):
-            ei = tuple(1 if t == i else 0 for t in range(d))
-            ej = tuple(1 if t == j else 0 for t in range(d))
+            ei, ej = _unit(d, i), _unit(d, j)
             lhs = projection.apply(h.bracket_vec(ei, ej))
             rhs = alg.bracket_vec(projection.apply(ei), projection.apply(ej))
             if lhs != rhs:
@@ -455,7 +466,7 @@ def graph_subspace(T: Matrix, offset_first=True) -> Subspace:
     basis = []
     for b in range(cols):
         col = T.col(b)
-        unit = tuple(1 if t == b else 0 for t in range(cols))
+        unit = _unit(cols, b)
         basis.append(col + unit if offset_first else unit + col)
     return Subspace(rows + cols, basis)
 

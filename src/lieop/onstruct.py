@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DimensionMismatch, JacobiViolation, NotAntisymmetric, NotCompatible,
@@ -18,17 +19,13 @@ from .errors import (
 )
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, as_matrix, coadjoint, direct_sum_map,
-    dual_rep, semidirect,
+    LieAlgebra, Representation, _unit, action_tensor, as_matrix, coadjoint,
+    contract, direct_sum_map, dual_rep, semidirect,
 )
 from .ooper import (
     Bivector, are_compatible, bivector_from_sharp, compatibility_defect,
     ind_bracket_vec, is_o_operator, is_r_matrix, r_sharp,
 )
-
-
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def is_nijenhuis(g: LieAlgebra, N):
@@ -53,23 +50,11 @@ def deformed_tensor(g_c, dim, N: Matrix):
     """Structure tensor of [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] over any bracket tensor."""
     c = [[None] * dim for _ in range(dim)]
     cols = [N.col(i) for i in range(dim)]
-
-    def bracket(x, y):
-        out = [0] * dim
-        for a, xa in enumerate(x):
-            if xa:
-                row = g_c[a]
-                for b, yb in enumerate(y):
-                    if yb:
-                        for k, v in enumerate(row[b]):
-                            if v:
-                                out[k] += xa * yb * v
-        return tuple(out)
-
     for i in range(dim):
         for j in range(dim):
             ei, ej = _unit(dim, i), _unit(dim, j)
-            v = vec_sub(vec_add(bracket(cols[i], ej), bracket(ei, cols[j])),
+            v = vec_sub(vec_add(contract(g_c, dim, cols[i], ej),
+                                contract(g_c, dim, ei, cols[j])),
                         N.apply(g_c[i][j]))
             c[i][j] = list(v)
     return c
@@ -148,18 +133,8 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
     g = rep.algebra
     dim, m = g.dim, rep.dim_m
     c1 = d.bracket1
-
-    def br1(x, y):
-        out = [0] * dim
-        for a, xa in enumerate(x):
-            if xa:
-                for b, yb in enumerate(y):
-                    if yb:
-                        for k, v in enumerate(c1[a][b]):
-                            if v:
-                                out[k] += xa * yb * v
-        return tuple(out)
-
+    br1 = partial(contract, c1, dim)
+    act1 = partial(contract, action_tensor(d.action1), m)
     for i in range(dim):
         for j in range(dim):
             if tuple(c1[i][j]) != tuple(-x for x in c1[j][i]):
@@ -186,16 +161,6 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
                     br1(ek, br1(ei, ej)))
                 if not is_zero_vec(total):
                     return False, "bracket1_jacobi"
-
-    def act1(x, mm):
-        out = [0] * m
-        for a, xa in enumerate(x):
-            if xa:
-                col = d.action1[a].apply(mm)
-                for k, v in enumerate(col):
-                    if v:
-                        out[k] += xa * v
-        return tuple(out)
 
     for i in range(dim):
         for j in range(i + 1, dim):

@@ -24,14 +24,10 @@ from .exactla import (
     vec_scale, vec_sub, vec_zero,
 )
 from .liecore import (
-    LieAlgebra, Representation, Subspace, as_matrix, graph_subspace,
-    intersect, is_ideal, is_subalgebra, quotient, restrict_to_subalgebra,
-    semidirect,
+    LieAlgebra, Representation, Subspace, _unit, as_matrix, contract,
+    graph_subspace, intersect, is_ideal, is_subalgebra, quotient,
+    restrict_to_subalgebra, semidirect,
 )
-
-
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def o_residual(rep: Representation, T):
@@ -509,32 +505,12 @@ class PreLieProduct:
         return self.p[i][j]
 
     def prod_vec(self, x, y):
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        for k, v in enumerate(self.p[i][j]):
-                            if v:
-                                out[k] += xi * yj * v
-        return tuple(q(v) for v in out)
+        return contract(self.p, self.dim, x, y)
 
     def add(self, other):
         return PreLieProduct(self.dim, [
             [vec_add(self.p[i][j], other.p[i][j]) for j in range(self.dim)]
             for i in range(self.dim)])
-
-
-def _prod(p, dim, x, y):
-    out = [0] * dim
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    for k, v in enumerate(p[i][j]):
-                        if v:
-                            out[k] += xi * yj * v
-    return tuple(q(v) for v in out)
 
 
 def pre_lie_defect_tensor(dim, p):
@@ -543,10 +519,10 @@ def pre_lie_defect_tensor(dim, p):
         for j in range(dim):
             for k in range(dim):
                 ei, ej, ek = _unit(dim, i), _unit(dim, j), _unit(dim, k)
-                lhs = vec_sub(_prod(p, dim, _prod(p, dim, ei, ej), ek),
-                              _prod(p, dim, ei, _prod(p, dim, ej, ek)))
-                rhs = vec_sub(_prod(p, dim, _prod(p, dim, ej, ei), ek),
-                              _prod(p, dim, ej, _prod(p, dim, ei, ek)))
+                lhs = vec_sub(contract(p, dim, contract(p, dim, ei, ej), ek),
+                              contract(p, dim, ei, contract(p, dim, ej, ek)))
+                rhs = vec_sub(contract(p, dim, contract(p, dim, ej, ei), ek),
+                              contract(p, dim, ej, contract(p, dim, ei, ek)))
                 if lhs != rhs:
                     return (i, j, k)
     return None

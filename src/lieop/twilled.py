@@ -19,14 +19,11 @@ from .errors import (
 )
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, Subspace, as_matrix, check_complementary,
+    LieAlgebra, Representation, Subspace, _unit, as_matrix, block_tensor,
+    check_complementary,
 )
 from .onstruct import ONStructure, is_on_structure
-from .ooper import ind_bracket_vec, induced_lie, is_o_operator, o_residual
-
-
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
+from .ooper import induced_lie, is_o_operator, o_residual
 
 
 @dataclass
@@ -134,31 +131,10 @@ def twilled_from_o(rep: Representation, T) -> TwilledLieAlgebra:
     T = as_matrix(T)
     if not is_o_operator(rep, T):
         raise NotOOperator(o_residual(rep, T))
-    g = rep.algebra
-    d, m = g.dim, rep.dim_m
+    d, m = rep.algebra.dim, rep.dim_m
     bar = bar_action(rep, T)
-    n = d + m
-    c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            for k, v in enumerate(g.c[i][j]):
-                c[i][j][k] = v
-    for i in range(d):
-        for b in range(m):
-            gpart = vec_scale(-1, bar.action[b].col(i))
-            mpart = rep.act_basis(i, _unit(m, b))
-            for k, v in enumerate(gpart):
-                c[i][d + b][k] = v
-                c[d + b][i][k] = -v
-            for k, v in enumerate(mpart):
-                c[i][d + b][d + k] = v
-                c[d + b][i][d + k] = -v
-    for a in range(m):
-        for b in range(m):
-            br = ind_bracket_vec(rep, T, _unit(m, a), _unit(m, b))
-            for k, v in enumerate(br):
-                c[d + a][d + b][d + k] = v
-    return _from_block_total(LieAlgebra(n, c), d, m)
+    total = LieAlgebra(d + m, block_tensor(rep.algebra.c, bar.algebra.c, rep.t, bar.t))
+    return _from_block_total(total, d, m)
 
 
 def _omega_matrix(tw: TwilledLieAlgebra, omega) -> Matrix:
@@ -309,8 +285,7 @@ def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
     ok, defects = strong_mc_check(tw, omega)
     if not ok:
         raise NotStrongMC(defects)
-    g = rep.algebra
-    d, m = g.dim, rep.dim_m
+    d, m = rep.algebra.dim, rep.dim_m
     bar = bar_action(rep, T)
     if not is_o_operator(bar, omega):
         raise OracleDisagreement("omega structures",
@@ -325,28 +300,7 @@ def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
                                 omega.apply(bar.action[j].col(i))))
         mats.append(Matrix.from_cols(cols))
     action_omega = Representation(g_omega, m, mats)
-    n = d + m
-    c = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(d):
-        for j in range(d):
-            for k, v in enumerate(g_omega.c[i][j]):
-                c[i][j][k] = v
-    for i in range(d):
-        for b in range(m):
-            gpart = vec_scale(-1, bar.action[b].col(i))
-            mpart = action_omega.action[i].col(b)
-            for k, v in enumerate(gpart):
-                c[i][d + b][k] = v
-                c[d + b][i][k] = -v
-            for k, v in enumerate(mpart):
-                c[i][d + b][d + k] = v
-                c[d + b][i][d + k] = -v
-    for a in range(m):
-        for b in range(m):
-            br = ind_bracket_vec(rep, T, _unit(m, a), _unit(m, b))
-            for k, v in enumerate(br):
-                c[d + a][d + b][d + k] = v
-    big = LieAlgebra(n, c)
+    big = LieAlgebra(d + m, block_tensor(g_omega.c, mt.c, action_omega.t, bar.t))
     # the swapped splitting M^T join g^Omega carries T as a strong MC solution
     swapped = swap(_from_block_total(big, d, m))
     ok, _ = strong_mc_check(swapped, T)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from lieop import ooper, twilled
 from lieop.cli import Workspace, build_report, main
+from lieop.errors import OracleDisagreement
 from lieop.fixtures import bundle_json
 
 
@@ -148,9 +150,6 @@ def test_report_determinism(bundle_file, capsys):
     code2, out2 = run(capsys, "report", "--input", bundle_file, "--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2
-    code3, out3 = run(capsys, "report", "--input", bundle_file, "--format", "json",
-                      "--jobs", "4")
-    assert out3 == out1
     code4, out4 = run(capsys, "report", "--input", bundle_file, "--format", "text")
     assert code4 == 0 and out4.count("suite ") == 3
 
@@ -171,3 +170,62 @@ def test_empty_workspace_report(tmp_path, capsys):
     code, out = run(capsys, "report", "--input", str(p), "--format", "json")
     assert code == 0
     assert json.loads(out)["objects"] == {}
+
+
+@pytest.mark.parametrize("doc", [
+    {"objects": []},
+    {"objects": {"g": 3}},
+    {"objects": {"g": {"kind": "lie_algebra", "dim": -1}}},
+], ids=["objects-not-a-map", "entry-not-a-map", "negative-dim"])
+def test_malformed_document_is_a_structural_error(doc, tmp_path, capsys):
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "validate", "--input", str(p))
+    assert code == 2
+    assert out.startswith("error:")
+
+
+def _flip(monkeypatch, module, name):
+    route = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: not route(*args))
+
+
+@pytest.mark.parametrize("route,suite", [
+    ("graph_check", "o_operator_graph_oracle"),
+    ("is_r_matrix", "cybe_coadjoint_oracle"),
+])
+def test_report_suites_count_disagreements(route, suite, monkeypatch):
+    doc = json.loads(bundle_json())
+    doc["objects"] = {n: raw for n, raw in doc["objects"].items()
+                      if raw["kind"] in ("lie_algebra", "representation")}
+    ws = Workspace.load([doc])
+    _flip(monkeypatch, ooper, route)
+    counts = build_report(ws)["suites"][suite]
+    assert counts["agree"] < counts["total"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["report"], ["check", "o-operator", "aff1_adj_T"],
+])
+def test_oracle_disagreement_in_a_command_exits_3(argv, bundle_file, monkeypatch, capsys):
+    _flip(monkeypatch, ooper, "graph_check")
+    code, out = run(capsys, *argv, "--input", bundle_file)
+    assert code == 3
+    assert "oracle disagreement" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["report"], ["check", "o-operator", "aff1_adj_T"],
+    ["derive", "induced-lie", "aff1_adj_T"],
+])
+def test_oracle_disagreement_on_load_exits_3(argv, bundle_file, tmp_path, monkeypatch,
+                                             capsys):
+    def broken(*args):
+        raise OracleDisagreement("twilled splitting", "injected")
+    monkeypatch.setattr(twilled, "twilled_new", broken)
+    if argv[0] == "derive":
+        argv = argv + ["--output", str(tmp_path / "out.json")]
+    code, out = run(capsys, *argv, "--input", bundle_file)
+    assert code == 3
+    assert not (tmp_path / "out.json").exists()
+    assert "oracle disagreement in twilled splitting" in out

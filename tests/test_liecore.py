@@ -1,13 +1,15 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lieop.errors import (
     JacobiViolation, NotIdeal, NotSubalgebra, RepViolation, SkewViolation,
 )
-from lieop.exactla import Matrix
+from lieop.exactla import Matrix, vec_add, vec_scale, vec_zero
 from lieop.liecore import (
     LieAlgebra, LinMap, Representation, Subspace, adjoint, annihilator,
-    coadjoint, dual_rep, intersect, is_ideal, is_subalgebra, quotient,
+    coadjoint, contract, dual_rep, intersect, is_ideal, is_subalgebra, quotient,
     restrict_to_subalgebra, semidirect, trivial_rep,
 )
 
@@ -216,3 +218,41 @@ def test_random_skew_tensors_have_zero_diagonal_when_accepted(flat):
         assert g.c[i][i] == (0, 0, 0)
     # semidirect of the adjoint action revalidates Jacobi in higher dimension
     semidirect(adjoint(g))
+
+
+def reference_contract(t, n, x, y):
+    """The plain double sum of x_a y_b t[a][b], no zero skipping."""
+    out = vec_zero(n)
+    for a, xa in enumerate(x):
+        for b, yb in enumerate(y):
+            out = vec_add(out, vec_scale(xa * yb, t[a][b]))
+    return out
+
+
+# zero-heavy exact scalars, so drawn tensors and arguments are sparse
+sparse_scalars = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                           st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def contraction_cases(draw):
+    da, db, n = (draw(st.integers(0, 4)) for _ in range(3))
+    vector = st.lists(sparse_scalars, min_size=n, max_size=n).map(tuple)
+    t = tuple(tuple(draw(vector) for _ in range(db)) for _ in range(da))
+    x = tuple(draw(st.lists(sparse_scalars, min_size=da, max_size=da)))
+    y = tuple(draw(st.lists(sparse_scalars, min_size=db, max_size=db)))
+    return t, n, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(contraction_cases())
+@example(case=((((), ()),), 0, (1,), (2, Fraction(1, 3))))               # n = 0
+@example(case=((((0, 0), (0, 0)), ((0, 0), (0, 0))), 2, (1, Fraction(1, 2)), (3, -1)))
+@example(case=((((1, 2), (Fraction(1, 2), 0)), ((0, -1), (3, 3))), 2, (0, 0), (0, 0)))
+@example(case=((((Fraction(1, 2),),),), 1, (2,), (1,)))  # a Fraction sum that is an int
+def test_contract_matches_reference_double_sum(case):
+    t, n, x, y = case
+    got = contract(t, n, x, y)
+    assert got == reference_contract(t, n, x, y)
+    assert len(got) == n
+    assert all(type(v) is int or v.denominator != 1 for v in got)
