@@ -322,7 +322,7 @@ def check_entry(ws: Workspace, entry: Entry):
         return onstruct.is_pn_structure(g, r, n), ""
     if kind == "pre_lie":
         dim, tensor = value
-        bad = ooper.pre_lie_defect_tensor(dim, tensor)
+        bad = ooper.pre_lie_defect_tensor(dim, liecore.sparse(tensor))
         return bad is None, "" if bad is None else f"identity fails at triple {bad}"
     if kind == "gcs_module":
         rep, n, t, sigma, s = value
@@ -417,6 +417,8 @@ def _emit_rep(rep: Representation, algebra_name, out):
 
 def run_derive(ws: Workspace, kind, args):
     """Returns ({name: json}, dependency names to copy verbatim)."""
+    if kind in DERIVE_KINDS and len(args) != DERIVE_KINDS[kind]:
+        raise WorkspaceError(f"derive {kind} takes {DERIVE_KINDS[kind]} argument(s)")
     new = {}
     deps = set()
 
@@ -479,9 +481,11 @@ def run_derive(ws: Workspace, kind, args):
             "kind": "subspace", "ambient": rep.dim_m,
             "basis": [vector_to_json(v) for v in red.module_basis]}
     elif kind == "hierarchy":
-        depth, name = int(args[0]), args[1]
+        depth, name = args
+        if not depth.isdecimal():
+            raise WorkspaceError(f"hierarchy depth must be a non-negative integer, got {depth!r}")
         rep, t, n, s = dep(name).value
-        ts = onstruct.hierarchy(rep, t, n, s, depth)
+        ts = onstruct.hierarchy(rep, t, n, s, int(depth))
         for k, tk in enumerate(ts):
             new[f"{name}__t{k}"] = {
                 "kind": "o_operator", "rep_ref": ws.get(name).raw["rep_ref"],
@@ -566,11 +570,14 @@ def run_derive(ws: Workspace, kind, args):
     return new, deps
 
 
-DERIVE_KINDS = ("induced-lie", "gauge", "reduce", "hierarchy",
-                "deformed-bracket", "tilde-action", "twilled-from-o",
-                "on-from-mc", "mc-from-on", "on-from-pair", "gcs-from-o",
-                "pre-lie-from-o", "opposite-gcs", "semidirect", "dual",
-                "adjoint", "coadjoint")
+# derive kind -> number of positional arguments
+DERIVE_KINDS = {
+    "induced-lie": 1, "gauge": 2, "reduce": 4, "hierarchy": 2,
+    "deformed-bracket": 1, "tilde-action": 1, "twilled-from-o": 1,
+    "on-from-mc": 2, "mc-from-on": 1, "on-from-pair": 2, "gcs-from-o": 1,
+    "pre-lie-from-o": 1, "opposite-gcs": 1, "semidirect": 1, "dual": 1,
+    "adjoint": 1, "coadjoint": 1,
+}
 
 
 # ---------------------------------------------------------------------------

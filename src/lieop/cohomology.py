@@ -203,9 +203,8 @@ def one_cocycle_basis(rep: Representation):
                 for r in range(m):
                     row[r * d + j] += rep.action[i][t, r]
                     row[r * d + i] -= rep.action[j][t, r]
-                for cidx, coeff in enumerate(g.c[i][j]):
-                    if coeff:
-                        row[t * d + cidx] -= coeff
+                for cidx, coeff in g.s[i][j]:
+                    row[t * d + cidx] -= coeff
                 rows.append(row)
     if not rows:
         basis = [tuple(1 if t == s else 0 for t in range(nvar)) for s in range(nvar)]

@@ -1,10 +1,12 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Scalars are Python ints or ``fractions.Fraction`` in lowest terms; the two mix
 freely and integer values are kept as ints so the common all-integer paths stay
 fast.  Everything is immutable after construction and all functions are pure.
-Row reduction uses first-nonzero pivoting with lowest-row-index tie-breaking,
-so outputs are reproducible byte for byte.
+Matrices are dense, but `Matrix.apply` skips zero coordinates and each step of
+`rref` touches only the pivot row's nonzero columns.  Row reduction uses
+first-nonzero pivoting with lowest-row-index tie-breaking, so outputs are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ class Matrix:
         """Matrix times column vector, returned as a tuple."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"{self.shape()} applied to vector of length {len(v)}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        nz = [(k, x) for k, x in enumerate(v) if x]
+        return tuple(sum(row[k] * x for k, x in nz) for row in self.entries)
 
     def transpose(self):
         if self.rows == 0:
@@ -218,13 +221,16 @@ def rref(rows):
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-        p = m[r][c]
-        if p != 1:
-            m[r] = [q(Fraction(x) / p) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [q(a - f * b) for a, b in zip(m[i], m[r])]
+        row = m[r]
+        p = row[c]
+        nz = [(k, x if p == 1 else q(Fraction(x) / p)) for k, x in enumerate(row) if x != 0]
+        for k, x in nz:
+            row[k] = x
+        for i, other in enumerate(m):
+            f = other[c]
+            if i != r and f != 0:
+                for k, b in nz:
+                    other[k] = q(other[k] - f * b)
         pivots.append(c)
         r += 1
         if r == nrows:

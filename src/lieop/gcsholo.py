@@ -40,8 +40,8 @@ def _rows(x, shape=None):
 def _gcs_ctx(rep: Representation):
     cache = getattr(rep, "_gcs_ctx", None)
     if cache is None:
-        d, m = rep.algebra.dim, rep.dim_m
-        cache = (d, m, semidirect(rep).c, rep.algebra.c, rep.t)
+        g, sd = rep.algebra, semidirect(rep)
+        cache = (g.dim, rep.dim_m, sd.c, sd.s, g.c, g.s, rep.s)
         rep._gcs_ctx = cache
     return cache
 
@@ -51,7 +51,7 @@ def gcs_check_direct(rep: Representation, N, T, sigma, S, report=False):
 
     With report=False the check stops at the first nonzero residual.
     """
-    d, m, c, _, _ = _gcs_ctx(rep)
+    d, m, c, cs, _, _, _ = _gcs_ctx(rep)
     n = d + m
     Nr = _rows(N, (d, d))
     Tr = _rows(T, (d, m))
@@ -80,8 +80,8 @@ def gcs_check_direct(rep: Representation, N, T, sigma, S, report=False):
         ju = cols[u]
         for v in range(u + 1, n):
             jv = cols[v]
-            lhs = vec_sub(contract(c, n, ju, jv), c[u][v])
-            inner = vec_add(contract(c, n, ju, units[v]), contract(c, n, units[u], jv))
+            lhs = vec_sub(contract(cs, n, ju, jv), c[u][v])
+            inner = vec_add(contract(cs, n, ju, units[v]), contract(cs, n, units[u], jv))
             if any(lhs[i] != sum(J[i][k] * inner[k] for k in rng_n) for i in rng_n):
                 if not report:
                     return False
@@ -95,7 +95,7 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
 
     Must give the same verdict as gcs_check_direct on every input.
     """
-    d, m, _, gc, at = _gcs_ctx(rep)
+    d, m, _, _, gc, gs, acts = _gcs_ctx(rep)
     Nr = _rows(N, (d, d))
     Tr = _rows(T, (d, m))
     Gr = _rows(sigma, (m, d))
@@ -188,8 +188,8 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
         if 54 in failed:
             break
 
-    bracket = partial(contract, gc, d)
-    action = partial(contract, at, m)
+    bracket = partial(contract, gs, d)
+    action = partial(contract, acts, m)
 
     def mat_vec(rows, v):
         return tuple(sum(row[t] * v[t] for t in range(len(v))) for row in rows)

@@ -3,7 +3,9 @@
 Everything is finite dimensional over the exact rationals.  A Lie algebra is a
 structure-constant tensor c[i][j] = coefficient vector of [e_i, e_j]; a module
 is one action matrix per basis vector, also kept as the tensor
-t[i][b] = e_i . f_b.  Every bracket and action is evaluated by `contract`.  All
+t[i][b] = e_i . f_b.  Each tensor is kept dense (`c`, `t`) and sparse (`s`,
+the nonzero (k, value) pairs of each entry).  `contract` and the validators
+read only the sparse form, so their work grows with the nonzero constants.  All
 validators run exactly on every basis tuple, so an accepted object genuinely
 satisfies its axioms.
 """
@@ -18,7 +20,7 @@ from .errors import (
 )
 from .exactla import (
     Matrix, is_zero_vec, kernel, q, rank, rref, solve_linear, vec, vec_add,
-    vec_scale, vec_sub, vec_zero,
+    vec_scale, vec_zero,
 )
 
 
@@ -26,25 +28,43 @@ def _unit(n, i):
     return tuple(1 if k == i else 0 for k in range(n))
 
 
-def contract(t, n, x, y):
-    """sum_{a,b} x_a y_b t[a][b] for a tensor t whose entries are length-n vectors.
+def sparse(t):
+    """s[a][b] = the nonzero (k, v) pairs of the vector t[a][b]."""
+    return tuple(tuple(tuple((k, v) for k, v in enumerate(tab) if v) for tab in ta)
+                 for ta in t)
+
+
+def _dense(acc, n):
+    """The length-n vector of a {coordinate: value} accumulator, normalised."""
+    out = [0] * n
+    for k, v in acc.items():
+        out[k] = q(v)
+    return tuple(out)
+
+
+def _add_rows(acc, scale, pairs, rows):
+    """acc += scale * sum of v * rows[l] over the (l, v) in pairs; rows are sparse."""
+    for l, v in pairs:
+        f = scale * v
+        for k, w in rows[l]:
+            acc[k] = acc.get(k, 0) + f * w
+
+
+def contract(s, n, x, y):
+    """sum_{a,b} x_a y_b t[a][b] as a length-n vector, for s = sparse(t).
 
     This is the one bilinear kernel behind every bracket, action and product:
     t is a structure tensor c[a][b] = [e_a, e_b], an action tensor
-    t[a][b] = e_a . f_b or a product tensor.  Zero coefficients of x, y and t
-    are skipped.
+    t[a][b] = e_a . f_b or a product tensor.  Only the nonzero entries of x, y
+    and t are visited, and only the output coordinates they reach are
+    normalised with q.
     """
-    out = [0] * n
+    ys = [(b, yb) for b, yb in enumerate(y) if yb]
+    acc = {}
     for a, xa in enumerate(x):
         if xa:
-            ta = t[a]
-            for b, yb in enumerate(y):
-                if yb:
-                    s = xa * yb
-                    for k, v in enumerate(ta[b]):
-                        if v:
-                            out[k] += s * v
-    return tuple(q(v) for v in out)
+            _add_rows(acc, xa, ys, s[a])
+    return _dense(acc, n)
 
 
 def action_tensor(mats):
@@ -79,7 +99,7 @@ def block_tensor(ca, cb, t1, t2):
 class LieAlgebra:
     """A Lie algebra given by its structure constants, validated on construction."""
 
-    __slots__ = ("dim", "c", "basis_names", "_adjoint")
+    __slots__ = ("dim", "c", "s", "basis_names", "_adjoint")
 
     def __init__(self, dim, bracket, basis_names=None):
         self.dim = dim
@@ -89,6 +109,7 @@ class LieAlgebra:
                 if len(c[i][j]) != dim:
                     raise DimensionMismatch("bracket tensor is not dim^3")
         self.c = c
+        self.s = sparse(c)
         self.basis_names = tuple(basis_names) if basis_names else None
         self._adjoint = None
         self._validate()
@@ -108,31 +129,30 @@ class LieAlgebra:
         return LieAlgebra(dim, c, basis_names=basis_names)
 
     def _validate(self):
-        d = self.dim
-        c = self.c
+        d, c, s = self.dim, self.c, self.s
         for i in range(d):
             for j in range(i, d):
-                for k in range(d):
-                    if c[i][j][k] != -c[j][i][k]:
-                        raise SkewViolation(i, j, k)
+                if s[i][j] != tuple((k, -v) for k, v in s[j][i]):
+                    k = next(k for k in range(d) if c[i][j][k] != -c[j][i][k])
+                    raise SkewViolation(i, j, k)
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
                     defect = self.jacobi_defect(i, j, k)
-                    if not is_zero_vec(defect):
+                    if any(defect):
                         raise JacobiViolation(i, j, k, defect)
 
     def jacobi_defect(self, i, j, k):
         """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]."""
-        d, c = self.dim, self.c
-        t1 = contract(c, d, _unit(d, i), c[j][k])
-        t2 = contract(c, d, _unit(d, j), c[k][i])
-        t3 = contract(c, d, _unit(d, k), c[i][j])
-        return vec_add(vec_add(t1, t2), t3)
+        s = self.s
+        acc = {}
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            _add_rows(acc, 1, s[v][w], s[u])
+        return _dense(acc, self.dim)
 
     def bracket_vec(self, x, y):
         """[x, y] for coordinate vectors x, y."""
-        return contract(self.c, self.dim, x, y)
+        return contract(self.s, self.dim, x, y)
 
     def bracket_tensor_equal(self, other) -> bool:
         return self.dim == other.dim and self.c == other.c
@@ -146,9 +166,10 @@ class LieAlgebra:
 
 class Representation:
     """A Lie algebra action on a module: one matrix per basis vector, and the
-    same action as the tensor t[a][b] = e_a . f_b in the format of LieAlgebra.c."""
+    same action as the tensor t[a][b] = e_a . f_b in the format of LieAlgebra.c,
+    with its sparse form s."""
 
-    __slots__ = ("algebra", "dim_m", "action", "t", "_semidirect", "_dual", "_gcs_ctx")
+    __slots__ = ("algebra", "dim_m", "action", "t", "s", "_semidirect", "_dual", "_gcs_ctx")
 
     def __init__(self, algebra: LieAlgebra, dim_m, action):
         self.algebra = algebra
@@ -162,22 +183,25 @@ class Representation:
                 raise DimensionMismatch("action matrix shape mismatch")
         self.action = mats
         self.t = action_tensor(mats)
+        self.s = sparse(self.t)
         self._semidirect = None
         self._dual = None
         self._validate()
 
     def _validate(self):
         """[e_i, e_j] . f_b = e_i . (e_j . f_b) - e_j . (e_i . f_b), column by column."""
-        g, t, m = self.algebra, self.t, self.dim_m
-        e = [_unit(g.dim, i) for i in range(g.dim)]
-        f = [_unit(m, b) for b in range(m)]
+        g, s, m = self.algebra, self.s, self.dim_m
+        # by_col[b][k] = e_k . f_b, the rows that [e_i, e_j] . f_b combines
+        by_col = [tuple(sk[b] for sk in s) for b in range(m)]
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
-                cols = [vec_sub(vec_sub(contract(t, m, e[i], t[j][b]), contract(t, m, e[j], t[i][b])),
-                                contract(t, m, g.c[i][j], f[b]))
-                        for b in range(m)]
-                if not all(is_zero_vec(col) for col in cols):
-                    raise RepViolation(i, j, Matrix.from_cols(cols))
+                cols = [{} for _ in range(m)]
+                for b, acc in enumerate(cols):
+                    _add_rows(acc, 1, s[j][b], s[i])
+                    _add_rows(acc, -1, s[i][b], s[j])
+                    _add_rows(acc, -1, g.s[i][j], by_col[b])
+                if any(any(acc.values()) for acc in cols):
+                    raise RepViolation(i, j, Matrix.from_cols([_dense(acc, m) for acc in cols]))
 
     def rho(self, x) -> Matrix:
         """Matrix of the action of the algebra element with coordinates x."""
@@ -189,7 +213,7 @@ class Representation:
 
     def act(self, x, m):
         """x • m for coordinate vectors."""
-        return contract(self.t, self.dim_m, x, m)
+        return contract(self.s, self.dim_m, x, m)
 
     def act_basis(self, i, m):
         return self.action[i].apply(m)

@@ -20,7 +20,7 @@ from .errors import (
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_sub
 from .liecore import (
     LieAlgebra, Representation, _unit, action_tensor, as_matrix, coadjoint,
-    contract, direct_sum_map, dual_rep, semidirect,
+    contract, direct_sum_map, dual_rep, semidirect, sparse,
 )
 from .ooper import (
     Bivector, are_compatible, bivector_from_sharp, compatibility_defect,
@@ -49,12 +49,13 @@ def is_nijenhuis(g: LieAlgebra, N):
 def deformed_tensor(g_c, dim, N: Matrix):
     """Structure tensor of [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] over any bracket tensor."""
     c = [[None] * dim for _ in range(dim)]
+    g_s = sparse(g_c)
     cols = [N.col(i) for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             ei, ej = _unit(dim, i), _unit(dim, j)
-            v = vec_sub(vec_add(contract(g_c, dim, cols[i], ej),
-                                contract(g_c, dim, ei, cols[j])),
+            v = vec_sub(vec_add(contract(g_s, dim, cols[i], ej),
+                                contract(g_s, dim, ei, cols[j])),
                         N.apply(g_c[i][j]))
             c[i][j] = list(v)
     return c
@@ -133,8 +134,8 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
     g = rep.algebra
     dim, m = g.dim, rep.dim_m
     c1 = d.bracket1
-    br1 = partial(contract, c1, dim)
-    act1 = partial(contract, action_tensor(d.action1), m)
+    br1 = partial(contract, sparse(c1), dim)
+    act1 = partial(contract, sparse(action_tensor(d.action1)), m)
     for i in range(dim):
         for j in range(dim):
             if tuple(c1[i][j]) != tuple(-x for x in c1[j][i]):

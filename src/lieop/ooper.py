@@ -26,7 +26,7 @@ from .exactla import (
 from .liecore import (
     LieAlgebra, Representation, Subspace, _unit, as_matrix, contract,
     graph_subspace, intersect, is_ideal, is_subalgebra, quotient,
-    restrict_to_subalgebra, semidirect,
+    restrict_to_subalgebra, semidirect, sparse,
 )
 
 
@@ -222,7 +222,7 @@ def _schouten_mono(g: LieAlgebra, A, B):
     """Schouten bracket of wedge monomials via the biderivation rules."""
     p, qd = len(A), len(B)
     if p == 1 and qd == 1:
-        return {(k,): c for k, c in enumerate(g.c[A[0]][B[0]]) if c}
+        return {(k,): c for k, c in g.s[A[0]][B[0]]}
     if qd >= 2:
         j, rest = B[0], B[1:]
         out = {}
@@ -486,7 +486,7 @@ def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:
 class PreLieProduct:
     """A left pre-Lie product on a coordinate space, validated exactly."""
 
-    __slots__ = ("dim", "p")
+    __slots__ = ("dim", "p", "s")
 
     def __init__(self, dim, tensor):
         p = tuple(tuple(tuple(q(x) for x in tensor[i][j]) for j in range(dim))
@@ -497,7 +497,8 @@ class PreLieProduct:
                     raise DimensionMismatch("pre-Lie tensor is not dim^3")
         self.dim = dim
         self.p = p
-        bad = pre_lie_defect_tensor(dim, p)
+        self.s = sparse(p)
+        bad = pre_lie_defect_tensor(dim, self.s)
         if bad is not None:
             raise NotPreLie(bad)
 
@@ -505,7 +506,7 @@ class PreLieProduct:
         return self.p[i][j]
 
     def prod_vec(self, x, y):
-        return contract(self.p, self.dim, x, y)
+        return contract(self.s, self.dim, x, y)
 
     def add(self, other):
         return PreLieProduct(self.dim, [
@@ -514,7 +515,7 @@ class PreLieProduct:
 
 
 def pre_lie_defect_tensor(dim, p):
-    """First basis triple violating the left pre-Lie identity, or None."""
+    """First basis triple violating the left pre-Lie identity, or None; p is sparse."""
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
@@ -567,7 +568,7 @@ def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:
         if not direct:
             break
     sum_tensor = [[vec_add(p1.p[i][j], p2.p[i][j]) for j in range(d)] for i in range(d)]
-    via_sum = pre_lie_defect_tensor(d, sum_tensor) is None
+    via_sum = pre_lie_defect_tensor(d, sparse(sum_tensor)) is None
     if direct != via_sum:
         raise OracleDisagreement("pre-Lie compatibility",
                                  f"identity={direct} sum={via_sum}")

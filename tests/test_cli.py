@@ -145,6 +145,21 @@ def test_derive_precondition_error(bundle_file, tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["hierarchy", "x", "aff1_on"],
+    ["induced-lie", "aff1_adj_T", "extra"],
+    ["gauge", "aff1_adj_T"],
+], ids=["hierarchy-depth-not-an-integer", "induced-lie-extra-argument",
+        "gauge-missing-argument"])
+def test_derive_bad_arguments_are_errors(args, bundle_file, tmp_path, capsys):
+    out_path = tmp_path / "never.json"
+    code, out = run(capsys, "derive", *args, "--input", bundle_file,
+                    "--output", str(out_path))
+    assert code == 2
+    assert out.startswith("error:") and out.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_report_determinism(bundle_file, capsys):
     code1, out1 = run(capsys, "report", "--input", bundle_file, "--format", "json")
     code2, out2 = run(capsys, "report", "--input", bundle_file, "--format", "json")

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lieop.errors import DimensionMismatch, Singular
 from lieop.exactla import (
-    Matrix, column_space_equal, invert, kernel, parse_scalar, q, rank,
+    Matrix, column_space_equal, invert, kernel, parse_scalar, q, rank, rref,
     scalar_str, solve_linear,
 )
 
@@ -140,3 +140,59 @@ def test_column_space_equality(A, P):
     except Singular:
         return
     assert column_space_equal(A, A * P)
+
+
+def reference_rref(rows):
+    """Plain dense Gauss-Jordan: first nonzero pivot, lowest row first."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        m[r] = [x / p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(q(x) for x in row) for row in m[:r]], pivots
+
+
+# zero-heavy exact scalars, so drawn matrices have zero rows and columns
+sparse_scalars = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
+                           st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def sparse_rows(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    return [tuple(draw(st.lists(sparse_scalars, min_size=cols, max_size=cols)))
+            for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows())
+@example(rows=[])                                        # 0 x n
+@example(rows=[(0, Fraction(3, 2), 0, 3)])               # 1 x n
+@example(rows=[(0, 0, 0), (0, 2, 0), (0, 0, 0)])         # zero rows and columns
+def test_rref_matches_dense_gauss_jordan(rows):
+    got = rref(rows)
+    want = reference_rref(rows)
+    assert repr(got) == repr(want)  # same values and the same int/Fraction types
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_rows(), st.data())
+def test_apply_matches_dense_row_sums(rows, data):
+    cols = len(rows[0]) if rows else data.draw(st.integers(0, 4))
+    A = Matrix(rows, cols=cols)
+    v = tuple(data.draw(st.lists(sparse_scalars, min_size=cols, max_size=cols)))
+    got = A.apply(v)
+    assert got == tuple(sum(a * b for a, b in zip(row, v)) for row in A.entries)
+    assert len(got) == A.rows

@@ -10,7 +10,7 @@ from lieop.exactla import Matrix, vec_add, vec_scale, vec_zero
 from lieop.liecore import (
     LieAlgebra, LinMap, Representation, Subspace, adjoint, annihilator,
     coadjoint, contract, dual_rep, intersect, is_ideal, is_subalgebra, quotient,
-    restrict_to_subalgebra, semidirect, trivial_rep,
+    restrict_to_subalgebra, semidirect, sparse, trivial_rep,
 )
 
 
@@ -252,7 +252,103 @@ def contraction_cases(draw):
 @example(case=((((Fraction(1, 2),),),), 1, (2,), (1,)))  # a Fraction sum that is an int
 def test_contract_matches_reference_double_sum(case):
     t, n, x, y = case
-    got = contract(t, n, x, y)
+    got = contract(sparse(t), n, x, y)
     assert got == reference_contract(t, n, x, y)
     assert len(got) == n
     assert all(type(v) is int or v.denominator != 1 for v in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(contraction_cases())
+@example(case=((((), ()),), 0, (1,), (2, 3)))                             # n = 0
+@example(case=((((0, 0), (0, 0)), ((0, 0), (0, 0))), 2, (1, 0), (0, 1)))  # all zero
+def test_sparse_holds_only_nonzeros_and_expands_back(case):
+    t, n = case[0], case[1]
+    s = sparse(t)
+    assert len(s) == len(t) and all(len(sa) == len(ta) for sa, ta in zip(s, t))
+    for sa in s:
+        for pairs in sa:
+            assert all(v != 0 for _, v in pairs)
+            assert [k for k, _ in pairs] == sorted({k for k, _ in pairs})
+    expanded = tuple(tuple(tuple(dict(pairs).get(k, 0) for k in range(n)) for pairs in sa)
+                     for sa in s)
+    assert expanded == t
+
+
+def reference_jacobi_violation(d, c):
+    """First triple i < j < k with a nonzero Jacobi sum, by plain loops over c."""
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                total = [0] * d
+                for a, bc in ((i, c[j][k]), (j, c[k][i]), (k, c[i][j])):
+                    for l in range(d):
+                        for m in range(d):
+                            total[m] += bc[l] * c[a][l][m]
+                if any(total):
+                    return (i, j, k), tuple(total)
+    return None
+
+
+@st.composite
+def skew_tensors(draw):
+    d = draw(st.integers(3, 5))
+    entries = {(i, j): tuple(draw(st.lists(sparse_scalars, min_size=d, max_size=d)))
+               for i in range(d) for j in range(i + 1, d)}
+    return d, entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_tensors())
+def test_jacobi_witness_matches_reference_triple_loop(case):
+    d, entries = case
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (i, j), v in entries.items():
+        c[i][j] = list(v)
+        c[j][i] = [-x for x in v]
+    want = reference_jacobi_violation(d, c)
+    if want is None:
+        LieAlgebra.from_brackets(d, entries)
+        return
+    with pytest.raises(JacobiViolation) as ei:
+        LieAlgebra.from_brackets(d, entries)
+    assert ei.value.indices == want[0]
+    assert ei.value.defect == want[1]
+
+
+def reference_rep_violation(g, mats):
+    """First pair i < j with rho_i rho_j - rho_j rho_i != rho([e_i, e_j]), by
+    dense Matrix products, and that difference."""
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            defect = mats[i] * mats[j] - mats[j] * mats[i]
+            for k, v in enumerate(g.c[i][j]):
+                defect = defect - mats[k].scale(v)
+            if not defect.is_zero():
+                return (i, j), defect
+    return None
+
+
+@st.composite
+def actions(draw):
+    g = draw(st.sampled_from([ab(2), aff1(), h3(), sl2()]))
+    m = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-2, 2),
+                      st.fractions(-2, 2, max_denominator=3))
+    mats = [Matrix([[draw(entry) for _ in range(m)] for _ in range(m)])
+            for _ in range(g.dim)]
+    return g, m, mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(actions())
+def test_rep_witness_matches_reference_matrix_products(case):
+    g, m, mats = case
+    want = reference_rep_violation(g, mats)
+    if want is None:
+        Representation(g, m, mats)
+        return
+    with pytest.raises(RepViolation) as ei:
+        Representation(g, m, mats)
+    assert ei.value.indices == want[0]
+    assert ei.value.defect == want[1]
