@@ -3,7 +3,9 @@ brackets (shuffle bracket on self-valued cochains, derived bracket) that drive
 the Maurer-Cartan checks.
 
 A degree-n cochain stores one target vector per strictly increasing basis
-index tuple; evaluation elsewhere is the alternating extension.
+index tuple; evaluation elsewhere is the alternating extension.  Evaluation on
+a vector accumulates only the nonzero entries of the values its nonzero
+coordinates reach, and the 1-cocycle system row-reduces only its nonzero rows.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatch, LieOpError
-from .exactla import Matrix, is_zero_vec, kernel, q, vec, vec_add, vec_scale, vec_zero
+from .exactla import (
+    Matrix, _kernel_from_rref, is_zero_vec, q, rref, vec, vec_add, vec_scale, vec_zero,
+)
 from .liecore import LieAlgebra, Representation
 
 
@@ -84,11 +88,18 @@ class Cochain:
 
     def eval_first_vec(self, x, rest):
         """Evaluate on (x, e_{rest[0]}, ...) with a vector in the first slot."""
-        out = vec_zero(self.target_dim)
+        rest = tuple(rest)
+        acc = {}
         for k, xk in enumerate(x):
             if xk:
-                out = vec_add(out, vec_scale(xk, self.eval_indices((k,) + tuple(rest))))
-        return out
+                sign, order = _normalize((k,) + rest)  # order is None on repeats
+                for i, a in enumerate(self.values.get(order, ())):
+                    if a:
+                        acc[i] = acc.get(i, 0) + sign * xk * a
+        out = [0] * self.target_dim
+        for i, v in acc.items():
+            out[i] = q(v)
+        return tuple(out)
 
     def eval_vectors(self, vectors):
         """Full multilinear alternating evaluation on coordinate vectors."""
@@ -200,20 +211,18 @@ def one_cocycle_basis(rep: Representation):
         for j in range(i + 1, d):
             for t in range(m):
                 row = [0] * nvar
-                for r in range(m):
-                    row[r * d + j] += rep.action[i][t, r]
-                    row[r * d + i] -= rep.action[j][t, r]
+                for r, a in rep.action[i].sparse_rows()[t]:
+                    row[r * d + j] += a
+                for r, a in rep.action[j].sparse_rows()[t]:
+                    row[r * d + i] -= a
                 for cidx, coeff in g.s[i][j]:
                     row[t * d + cidx] -= coeff
-                rows.append(row)
-    if not rows:
-        basis = [tuple(1 if t == s else 0 for t in range(nvar)) for s in range(nvar)]
-    else:
-        basis = kernel(Matrix(rows))
-    out = []
-    for v in basis:
-        out.append(Matrix([[v[r * d + c] for c in range(d)] for r in range(m)]))
-    return out
+                if any(row):
+                    rows.append(row)
+    # the RREF of a row space is unique, so zero rows change nothing
+    red, pivots = rref(rows)
+    basis = _kernel_from_rref(red, pivots, nvar)
+    return [Matrix([[v[r * d + c] for c in range(d)] for r in range(m)]) for v in basis]
 
 
 def _self_valued(P: Cochain):
@@ -241,8 +250,8 @@ def circle_product(P: Cochain, Q: Cochain) -> Cochain:
         for first in combinations(positions, qdeg + 1):
             restpos = tuple(t for t in positions if t not in first)
             sign = _perm_sign(first + restpos)
-            inner = Q.value(tuple(idx[t] for t in first))
-            if is_zero_vec(inner):
+            inner = Q.values.get(tuple(idx[t] for t in first))
+            if inner is None:
                 continue
             term = P.eval_first_vec(inner, tuple(idx[t] for t in restpos))
             if not is_zero_vec(term):

@@ -3,10 +3,11 @@
 Scalars are Python ints or ``fractions.Fraction`` in lowest terms; the two mix
 freely and integer values are kept as ints so the common all-integer paths stay
 fast.  Everything is immutable after construction and all functions are pure.
-Matrices are dense, but `Matrix.apply` skips zero coordinates and each step of
-`rref` touches only the pivot row's nonzero columns.  Row reduction uses
-first-nonzero pivoting with lowest-row-index tie-breaking, so outputs are
-reproducible byte for byte.
+Matrices are stored dense, but `Matrix.apply` and matrix products skip zeros:
+they walk the nonzero `(index, value)` pairs of each column or row, built on
+first use, and each step of `rref` touches only the pivot row's nonzero
+columns.  Row reduction uses first-nonzero pivoting with lowest-row-index
+tie-breaking, so outputs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, Singular
+from .errors import DimensionMismatch, Singular, WorkspaceError
 
 
 def q(x):
@@ -29,7 +30,9 @@ def q(x):
 
 
 def parse_scalar(s):
-    """Parse "p" or "p/q" into an exact scalar."""
+    """Parse "p" or "p/q" (or an int) into an exact scalar; floats and bools are refused."""
+    if type(s) is bool or isinstance(s, float):
+        raise WorkspaceError(f"scalar {s!r} is not an integer or a \"p/q\" string")
     if isinstance(s, int):
         return s
     try:
@@ -70,7 +73,8 @@ def is_zero_vec(u) -> bool:
 class Matrix:
     """Immutable dense matrix with exact rational entries (row-major)."""
 
-    __slots__ = ("rows", "cols", "entries")
+    # _srows/_scols cache sparse_rows()/sparse_cols(), built on first use
+    __slots__ = ("rows", "cols", "entries", "_srows", "_scols")
 
     def __init__(self, entries, cols=None):
         rows = tuple(tuple(q(x) for x in row) for row in entries)
@@ -80,6 +84,7 @@ class Matrix:
             if len(row) != self.cols:
                 raise DimensionMismatch("ragged rows")
         self.entries = rows
+        self._srows = self._scols = None
 
     @staticmethod
     def zeros(rows, cols=None):
@@ -146,9 +151,16 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape()} * {other.shape()}")
-            bt = list(zip(*other.entries))
-            return Matrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                           for row in self.entries])
+            right = other.sparse_rows()
+            out = []
+            for row in self.entries:
+                acc = [0] * other.cols
+                for k, a in enumerate(row):
+                    if a:
+                        for j, b in right[k]:
+                            acc[j] += a * b
+                out.append(acc)
+            return Matrix(out, cols=other.cols)
         return self.scale(other)
 
     def __rmul__(self, c):
@@ -158,8 +170,25 @@ class Matrix:
         """Matrix times column vector, returned as a tuple."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"{self.shape()} applied to vector of length {len(v)}")
-        nz = [(k, x) for k, x in enumerate(v) if x]
-        return tuple(sum(row[k] * x for k, x in nz) for row in self.entries)
+        out = [0] * self.rows
+        scols = self.sparse_cols()
+        for k, x in enumerate(v):
+            if x:
+                for i, a in scols[k]:
+                    out[i] += a * x
+        return tuple(out)
+
+    def sparse_rows(self):
+        """Per row, the tuple of its nonzero (column, value) pairs."""
+        if self._srows is None:
+            self._srows = _nonzeros(self.entries)
+        return self._srows
+
+    def sparse_cols(self):
+        """Per column, the tuple of its nonzero (row, value) pairs."""
+        if self._scols is None:
+            self._scols = _nonzeros(self.col(j) for j in range(self.cols))
+        return self._scols
 
     def transpose(self):
         if self.rows == 0:
@@ -198,6 +227,10 @@ class Matrix:
     def _same_shape(self, other):
         if self.shape() != other.shape():
             raise DimensionMismatch(f"{self.shape()} vs {other.shape()}")
+
+
+def _nonzeros(lines):
+    return tuple(tuple((k, a) for k, a in enumerate(line) if a) for line in lines)
 
 
 def rref(rows):

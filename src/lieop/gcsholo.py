@@ -25,16 +25,21 @@ from .onstruct import is_on_structure, is_pn_structure
 from .ooper import Bivector, is_o_operator, o_residual, r_sharp
 
 
-def _rows(x, shape=None):
-    if isinstance(x, Matrix):
-        rows = x.entries
-    elif type(x) is tuple:
-        rows = x
-    else:
-        rows = tuple(tuple(v for v in row) for row in x)
-    if shape is not None and (len(rows), len(rows[0]) if rows else 0) != shape:
-        raise DimensionMismatch(f"component has shape {(len(rows), len(rows[0]) if rows else 0)}, wanted {shape}")
-    return rows
+def _rows(x, shape):
+    """The rows of a block component, checked against its (rows, cols) shape."""
+    if type(x) is not tuple:
+        if isinstance(x, Matrix):
+            if x.shape() != shape:
+                raise DimensionMismatch(f"component has shape {x.shape()}, wanted {shape}")
+            return x.entries
+        x = tuple(tuple(row) for row in x)
+    nr, nc = shape
+    if len(x) != nr:
+        raise DimensionMismatch(f"component has {len(x)} rows, wanted shape {shape}")
+    for row in x:
+        if len(row) != nc:
+            raise DimensionMismatch(f"component has a row of length {len(row)}, wanted shape {shape}")
+    return x
 
 
 def _gcs_ctx(rep: Representation):
@@ -195,8 +200,9 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
         return tuple(sum(row[t] * v[t] for t in range(len(v))) for row in rows)
 
     ncols = list(zip(*Nr))
-    tcols = list(zip(*Tr))
-    gcols = list(zip(*Gr))
+    # a block with no rows (d = 0 or m = 0) still has its empty columns
+    tcols = list(zip(*Tr)) or [()] * m
+    gcols = list(zip(*Gr)) or [()] * d
     scols = list(zip(*Sr))
 
     units_m = [_unit(m, b) for b in rng_m]

@@ -244,3 +244,16 @@ def test_oracle_disagreement_on_load_exits_3(argv, bundle_file, tmp_path, monkey
     assert code == 3
     assert not (tmp_path / "out.json").exists()
     assert "oracle disagreement in twilled splitting" in out
+
+
+@pytest.mark.parametrize("scalar", [0.5, 2.0, True, False],
+                         ids=["float", "integral-float", "true", "false"])
+def test_json_float_and_bool_scalars_are_structural_errors(scalar, tmp_path, capsys):
+    doc = {"objects": {"g": {"kind": "lie_algebra", "dim": 2,
+                             "brackets": [[0, 1, ["0", scalar]]]}}}
+    p = tmp_path / "scalars.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "validate", "--input", str(p))
+    assert code == 2
+    assert out.startswith("error:")
+    assert "is not an integer" in out

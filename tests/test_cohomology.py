@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieop.errors import DimensionMismatch, JacobiViolation
-from lieop.exactla import Matrix
+from lieop.exactla import Matrix, kernel, q
+from lieop.fixtures import standard_fixtures
 from lieop.liecore import LieAlgebra, adjoint, coadjoint, trivial_rep
 from lieop.cohomology import (
     Cochain, bracket_cochain, ce_differential, circle_product, is_cocycle,
@@ -151,3 +153,68 @@ def test_shape_guards():
         Cochain(1, 2, 2, {(0, 1): (1, 0)})
     with pytest.raises(DimensionMismatch):
         circle_product(Cochain.zero(1, 2, 2), Cochain.zero(1, 3, 3))
+
+
+# zero-heavy exact scalars, so drawn cochains and vectors are sparse
+sparse_scalars = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
+                           st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def cochain_and_arguments(draw):
+    source, target = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    degree = draw(st.integers(1, max(1, source)))
+    vals = {idx: draw(st.lists(sparse_scalars, min_size=target, max_size=target))
+            for idx in combinations(range(source), degree)}
+    f = Cochain(degree, source, target, vals)
+    x = draw(st.lists(sparse_scalars, min_size=source, max_size=source))
+    # repeated and unsorted indices exercise the alternating extension
+    rest = draw(st.lists(st.integers(0, source - 1), min_size=degree - 1,
+                         max_size=degree - 1)) if source else []
+    return f, tuple(x), tuple(rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cochain_and_arguments())
+def test_eval_first_vec_matches_sum_of_basis_evaluations(case):
+    f, x, rest = case
+    want = [0] * f.target_dim
+    for k, xk in enumerate(x):
+        val = f.eval_indices((k,) + rest)
+        for i in range(f.target_dim):
+            want[i] += xk * val[i]
+    assert repr(f.eval_first_vec(x, rest)) == repr(tuple(q(v) for v in want))
+
+
+def reference_cocycle_basis(rep):
+    """Kernel of the full dense 1-cocycle system, zero rows included."""
+    g, d, m = rep.algebra, rep.algebra.dim, rep.dim_m
+    rows = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            for t in range(m):
+                row = [0] * (m * d)
+                for r in range(m):
+                    row[r * d + j] += rep.action[i][t, r]
+                    row[r * d + i] -= rep.action[j][t, r]
+                for c in range(d):
+                    row[t * d + c] -= g.c[i][j][c]
+                rows.append(row)
+    basis = kernel(Matrix(rows, cols=m * d)) if rows else \
+        [tuple(int(s == t) for t in range(m * d)) for s in range(m * d)]
+    return [Matrix([[v[r * d + c] for c in range(d)] for r in range(m)], cols=d)
+            for v in basis]
+
+
+# every fixture module, plus a system with no rows and one with no unknowns
+COCYCLE_REPS = {**standard_fixtures()[1],
+                "ab1_triv2": trivial_rep(LieAlgebra(1, [[[0]]]), 2),
+                "sl2_triv0": trivial_rep(sl2(), 0)}
+
+
+@pytest.mark.parametrize("name", sorted(COCYCLE_REPS))
+def test_one_cocycle_basis_matches_kernel_of_full_system(name):
+    rep = COCYCLE_REPS[name]
+    got, want = one_cocycle_basis(rep), reference_cocycle_basis(rep)
+    assert repr(got) == repr(want)
+    assert [b.shape() for b in got] == [b.shape() for b in want]

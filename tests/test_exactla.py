@@ -196,3 +196,31 @@ def test_apply_matches_dense_row_sums(rows, data):
     got = A.apply(v)
     assert got == tuple(sum(a * b for a, b in zip(row, v)) for row in A.entries)
     assert len(got) == A.rows
+
+
+def reference_product(A, B):
+    """A B as a plain triple sum over every index, zeros included."""
+    return Matrix([[sum(A[i, k] * B[k, j] for k in range(A.cols)) for j in range(B.cols)]
+                   for i in range(A.rows)], cols=B.cols)
+
+
+@st.composite
+def sparse_matrix_pairs(draw):
+    n, k, m = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+
+    def block(rows, cols):
+        return Matrix([draw(st.lists(sparse_scalars, min_size=cols, max_size=cols))
+                       for _ in range(rows)], cols=cols)
+    return block(n, k), block(k, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrix_pairs())
+@example(pair=(Matrix.zeros(2, 0), Matrix.zeros(0, 3)))  # empty inner dimension
+@example(pair=(Matrix.zeros(0, 2), Matrix.zeros(2, 3)))  # no rows on the left
+@example(pair=(Matrix.zeros(2, 3), Matrix.zeros(3, 0)))  # no columns on the right
+def test_product_matches_dense_triple_sum(pair):
+    A, B = pair
+    got, want = A * B, reference_product(A, B)
+    assert got.shape() == want.shape() == (A.rows, B.cols)
+    assert repr(got) == repr(want)  # same values and the same int/Fraction types

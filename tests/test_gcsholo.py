@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lieop.errors import (
-    InvalidGCS, NotComplexPair, NotComplexStructure, NotOOperator, Singular,
+    DimensionMismatch, InvalidGCS, NotComplexPair, NotComplexStructure, NotOOperator, Singular,
 )
 from lieop.exactla import Matrix, invert, is_zero_vec
 from lieop.liecore import (
@@ -224,3 +224,23 @@ def test_holomorphic_r_exhaustive_ab2():
             verdict = is_holomorphic_r(g, j, rr, ri)
             # on ab2 the intertwining forces r_I = 0, hence r_R = 0
             assert verdict == (a == 0 and b == 0)
+
+
+@pytest.mark.parametrize("N", [((0, -1), (1,)), ((0, -1), (1, 0, 5))],
+                         ids=["short-row", "long-row"])
+def test_ragged_component_is_a_shape_error(N):
+    rep = adjoint(aff1())
+    z = ((0, 0), (0, 0))
+    for route in (gcs_check_direct, gcs_check_components):
+        with pytest.raises(DimensionMismatch):
+            route(rep, N, z, z, z)
+
+
+def test_empty_blocks_on_a_zero_dim_algebra():
+    rep = trivial_rep(ab(0), 2)
+    N, T, sigma = Matrix.zeros(0, 0), Matrix.zeros(0, 2), Matrix.zeros(2, 0)
+    for route in (gcs_check_direct, gcs_check_components):
+        # a complex structure on the trivial module M is a GCS on 0 + M
+        assert route(rep, N, T, sigma, K)
+        assert route(rep, (), (), ((), ()), K)
+        assert not route(rep, N, T, sigma, Matrix.identity(2))
