@@ -11,7 +11,7 @@ the real forms of holomorphic r-matrices and O-operators.
 from .errors import LieOpError, OracleDisagreement, Singular
 from .exactla import Matrix, invert, kernel, rank, solve_linear
 from .liecore import (
-    LieAlgebra, LinMap, Representation, Subspace, adjoint, annihilator,
+    LieAlgebra, Representation, Subspace, adjoint, annihilator,
     coadjoint, dual_rep, intersect, is_ideal, is_subalgebra, quotient,
     semidirect, trivial_rep,
 )

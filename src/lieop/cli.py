@@ -13,9 +13,10 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import cohomology, gcsholo, liecore, onstruct, ooper, twilled
-from .errors import LieOpError, OracleDisagreement, WorkspaceError
+from .errors import DimensionMismatch, LieOpError, OracleDisagreement, WorkspaceError
 from .exactla import Matrix, is_zero_vec, parse_scalar, scalar_str
 from .liecore import LieAlgebra, Representation, Subspace
 from .onstruct import DeformationData
@@ -87,7 +88,12 @@ def triples_to_json(dim, tensor):
 def triples_from_json(dim, triples, skew=False):
     c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, coeffs in triples:
+        for k in (i, j):
+            if type(k) is not int or not 0 <= k < dim:
+                raise WorkspaceError(f"triple index {k!r} is not an integer in [0, {dim})")
         v = vector_from_json(coeffs)
+        if len(v) != dim:
+            raise WorkspaceError(f"triple ({i}, {j}) has {len(v)} coefficients, expected {dim}")
         c[i][j] = list(v)
         if skew:
             c[j][i] = [-x for x in v]
@@ -146,7 +152,6 @@ class Workspace:
                 except (LieOpError, KeyError, ValueError, TypeError) as exc:
                     if isinstance(exc, OracleDisagreement):
                         raise
-                    from .errors import DimensionMismatch
                     if isinstance(exc, (KeyError, ValueError, TypeError,
                                         WorkspaceError, DimensionMismatch)):
                         structural = True
@@ -183,7 +188,7 @@ class Workspace:
 
     def _build(self, kind, raw):
         dim = raw.get("dim", 0)
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:
             raise WorkspaceError(f"dim must be a non-negative integer, got {dim!r}")
         if kind == "lie_algebra":
             return lie_algebra_from_json(raw)
@@ -614,7 +619,6 @@ def _suite_oracles(ws: Workspace, seed):
     dsq_total = dsq_ok = 0
     for _, rep in reps:
         for degree in (0, 1):
-            from itertools import combinations
             vals = {idx: tuple(rng.randint(-2, 2) for _ in range(rep.dim_m))
                     for idx in combinations(range(rep.algebra.dim), degree)}
             f = cohomology.Cochain(degree, rep.algebra.dim, rep.dim_m, vals)

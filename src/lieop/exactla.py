@@ -221,9 +221,6 @@ class Matrix:
             raise DimensionMismatch("vstack col mismatch")
         return Matrix(self.entries + other.entries)
 
-    def to_lists(self):
-        return [list(r) for r in self.entries]
-
     def _same_shape(self, other):
         if self.shape() != other.shape():
             raise DimensionMismatch(f"{self.shape()} vs {other.shape()}")

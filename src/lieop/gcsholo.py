@@ -5,6 +5,10 @@ holomorphic O-operators.
 The two GCS checkers (block map on the semi-direct product vs the ten
 component identities) are an oracle pair and are written to short-circuit:
 the exhaustive agreement sweeps call them tens of millions of times.
+
+A complex structure is a Nijenhuis operator I with I^2 = -id, and a complex
+structure (I, I_M) on a module is the Nijenhuis structure (I, -I_M) with
+I_M^2 = -id; both are read from the Nijenhuis codings in `onstruct`.
 """
 
 from __future__ import annotations
@@ -14,15 +18,17 @@ from functools import partial
 
 from .errors import (
     DimensionMismatch, InvalidGCS, NotAntisymmetric, NotComplexPair,
-    NotComplexStructure, NotOOperator, OracleDisagreement,
+    NotComplexStructure, OracleDisagreement,
 )
 from .exactla import Matrix, invert, vec_add, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, _unit, as_matrix, coadjoint, contract,
+    LieAlgebra, Representation, _unit, coadjoint, contract,
     direct_sum_map, semidirect,
 )
-from .onstruct import is_on_structure, is_pn_structure
-from .ooper import Bivector, is_o_operator, o_residual, r_sharp
+from .onstruct import (
+    is_nijenhuis, is_on_structure, is_pn_structure, nijenhuis_structure_defect,
+)
+from .ooper import Bivector, OOperator, is_o_operator, r_sharp
 
 
 def _rows(x, shape):
@@ -301,60 +307,35 @@ def opposite_gcs(j: GCSModule) -> GCSModule:
 
 def gcs_from_invertible_o(rep: Representation, T) -> GCSModule:
     """J = (0, T; -T^{-1}, 0) for an invertible O-operator."""
-    T = as_matrix(T)
-    if not is_o_operator(rep, T):
-        raise NotOOperator(o_residual(rep, T))
+    OOperator(rep, T)
     tinv = invert(T)
     d, m = rep.algebra.dim, rep.dim_m
     return GCSModule(rep, Matrix.zeros(d), T, -tinv, Matrix.zeros(m))
 
 
 def is_complex_structure(g: LieAlgebra, I) -> bool:
-    """I^2 = -id and [Ix, Iy] - [x, y] - I([Ix, y] + [x, Iy]) = 0."""
-    I = as_matrix(I)
+    """I^2 = -id and I is a Nijenhuis operator, which given I^2 = -id reads
+    [Ix, Iy] - [x, y] - I([Ix, y] + [x, Iy]) = 0."""
     if I.shape() != (g.dim, g.dim):
         raise DimensionMismatch("complex structure must be an endomorphism")
-    if not ((I * I) + Matrix.identity(g.dim)).is_zero():
-        return False
-    for i in range(g.dim):
-        ii = I.col(i)
-        ei = _unit(g.dim, i)
-        for j in range(i + 1, g.dim):
-            ij = I.col(j)
-            ej = _unit(g.dim, j)
-            lhs = g.bracket_vec(ii, ij)
-            mixed = tuple(a + b for a, b in zip(g.bracket_vec(ii, ej),
-                                                g.bracket_vec(ei, ij)))
-            rhs = tuple(a + b for a, b in zip(g.c[i][j], I.apply(mixed)))
-            if lhs != rhs:
-                return False
-    return True
+    return _squares_to_minus_id(I, g.dim) and is_nijenhuis(g, I)[0]
 
 
-def module_complex_defect(rep: Representation, I: Matrix, IM: Matrix):
-    """First failure of I(x).I_M(m) - x.m - I_M(I(x).m + x.I_M(m)) = 0."""
-    g = rep.algebra
-    for i in range(g.dim):
-        ii = I.col(i)
-        ei = _unit(g.dim, i)
-        for b in range(rep.dim_m):
-            em = _unit(rep.dim_m, b)
-            lhs = rep.act(ii, IM.col(b))
-            mixed = tuple(a + b2 for a, b2 in zip(rep.act(ii, em),
-                                                  rep.act(ei, IM.col(b))))
-            rhs = tuple(a + b2 for a, b2 in zip(rep.act(ei, em), IM.apply(mixed)))
-            if lhs != rhs:
-                return (i, b)
-    return None
+def _squares_to_minus_id(I: Matrix, n) -> bool:
+    """I^2 = -id_n; an I that is not n x n raises DimensionMismatch."""
+    return ((I * I) + Matrix.identity(n)).is_zero()
 
 
 def is_module_complex_pair(rep: Representation, I, IM) -> bool:
     """(I, I_M) is a complex structure on the module; oracle-checked against
-    I + I_M on the semi-direct product."""
-    I, IM = as_matrix(I), as_matrix(IM)
-    direct = (is_complex_structure(rep.algebra, I)
-              and ((IM * IM) + Matrix.identity(rep.dim_m)).is_zero()
-              and module_complex_defect(rep, I, IM) is None)
+    I + I_M on the semi-direct product.
+
+    Given I_M^2 = -id, the module identity
+    I(x).I_M(m) - x.m - I_M(I(x).m + x.I_M(m)) = 0 is the Nijenhuis-structure
+    identity of the pair (I, -I_M).
+    """
+    direct = (is_complex_structure(rep.algebra, I) and _squares_to_minus_id(IM, rep.dim_m)
+              and nijenhuis_structure_defect(rep, I, -IM) is None)
     oracle = is_complex_structure(semidirect(rep), direct_sum_map(I, IM))
     if direct != oracle:
         raise OracleDisagreement("module complex pair",
@@ -364,7 +345,6 @@ def is_module_complex_pair(rep: Representation, I, IM) -> bool:
 
 def gcs_from_complex(rep: Representation, I, IM) -> GCSModule:
     """J = (I, 0; 0, I_M), i.e. S = -I_M."""
-    I, IM = as_matrix(I), as_matrix(IM)
     if not is_module_complex_pair(rep, I, IM):
         raise NotComplexPair("input pair is not a module complex structure")
     d, m = rep.algebra.dim, rep.dim_m
@@ -382,11 +362,10 @@ def gcs_lie_check(g: LieAlgebra, N, r: Bivector, sigma2) -> bool:
     The verdict is delegated to the coadjoint-module block check; pairing
     orthogonality is re-verified independently and must agree.
     """
-    N = as_matrix(N)
     if isinstance(sigma2, Bivector):
         sig = Matrix(sigma2.m)
     else:
-        sig = as_matrix(sigma2)
+        sig = sigma2
         if not sig.is_antisymmetric():
             raise NotAntisymmetric("sigma must be an antisymmetric 2-form")
     if r.dim != g.dim or sig.shape() != (g.dim, g.dim):
@@ -418,7 +397,6 @@ def gcs_lie_check(g: LieAlgebra, N, r: Bivector, sigma2) -> bool:
 
 def is_holomorphic_o(rep: Representation, J, JM, TR, TI) -> bool:
     """(T_I, J, J_M) an ON-structure with T_R = T_I J_M."""
-    J, JM, TR, TI = as_matrix(J), as_matrix(JM), as_matrix(TR), as_matrix(TI)
     if not is_module_complex_pair(rep, J, JM):
         raise NotComplexPair("the pair (J, J_M) is not a module complex structure")
     ok = is_on_structure(rep, TI, J, JM)[0] and TR == TI * JM
@@ -433,7 +411,6 @@ def is_holomorphic_o(rep: Representation, J, JM, TR, TI) -> bool:
 
 def is_holomorphic_r(g: LieAlgebra, J, rr: Bivector, ri: Bivector) -> bool:
     """PN-structure route vs generalized-complex route; both must agree."""
-    J = as_matrix(J)
     if not is_complex_structure(g, J):
         raise NotComplexStructure("J is not a complex structure")
     if rr.dim != g.dim or ri.dim != g.dim:

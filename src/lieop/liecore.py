@@ -99,9 +99,9 @@ def block_tensor(ca, cb, t1, t2):
 class LieAlgebra:
     """A Lie algebra given by its structure constants, validated on construction."""
 
-    __slots__ = ("dim", "c", "s", "basis_names", "_adjoint")
+    __slots__ = ("dim", "c", "s", "_adjoint")
 
-    def __init__(self, dim, bracket, basis_names=None):
+    def __init__(self, dim, bracket):
         self.dim = dim
         c = tuple(tuple(vec(bracket[i][j]) for j in range(dim)) for i in range(dim))
         for i in range(dim):
@@ -110,12 +110,11 @@ class LieAlgebra:
                     raise DimensionMismatch("bracket tensor is not dim^3")
         self.c = c
         self.s = sparse(c)
-        self.basis_names = tuple(basis_names) if basis_names else None
         self._adjoint = None
         self._validate()
 
     @staticmethod
-    def from_brackets(dim, entries, basis_names=None):
+    def from_brackets(dim, entries):
         """Build from sparse {(i, j): coefficient vector} with i < j.
 
         The j < i values are filled in by skew symmetry.
@@ -126,7 +125,7 @@ class LieAlgebra:
                 raise DimensionMismatch(f"bad bracket index pair ({i}, {j})")
             c[i][j] = list(v)
             c[j][i] = [-q(x) for x in v]
-        return LieAlgebra(dim, c, basis_names=basis_names)
+        return LieAlgebra(dim, c)
 
     def _validate(self):
         d, c, s = self.dim, self.c, self.s
@@ -454,45 +453,10 @@ def intersect(W1: Subspace, W2: Subspace) -> Subspace:
     return Subspace.span(W1.ambient_dim, vecs)
 
 
-ROLE_DIMS = {"module", "algebra", "dual-module", "dual-algebra"}
-
-
-@dataclass(frozen=True)
-class LinMap:
-    """A matrix with declared domain/codomain roles relative to a module."""
-
-    matrix: Matrix
-    source_role: str = "module"
-    target_role: str = "algebra"
-
-    def __post_init__(self):
-        if self.source_role not in ROLE_DIMS or self.target_role not in ROLE_DIMS:
-            raise ValueError(f"unknown role in {self.source_role} -> {self.target_role}")
-
-    def check_roles(self, rep: Representation):
-        dims = {"module": rep.dim_m, "algebra": rep.algebra.dim,
-                "dual-module": rep.dim_m, "dual-algebra": rep.algebra.dim}
-        want = (dims[self.target_role], dims[self.source_role])
-        if self.matrix.shape() != want:
-            raise DimensionMismatch(
-                f"LinMap {self.source_role} -> {self.target_role} needs shape {want}, "
-                f"got {self.matrix.shape()}")
-        return self
-
-
-def as_matrix(x) -> Matrix:
-    return x.matrix if isinstance(x, LinMap) else x
-
-
-def graph_subspace(T: Matrix, offset_first=True) -> Subspace:
+def graph_subspace(T: Matrix) -> Subspace:
     """Graph {(T m, m)} inside the (target + source)-dimensional space."""
     rows, cols = T.shape()
-    basis = []
-    for b in range(cols):
-        col = T.col(b)
-        unit = _unit(cols, b)
-        basis.append(col + unit if offset_first else unit + col)
-    return Subspace(rows + cols, basis)
+    return Subspace(rows + cols, [T.col(b) + _unit(cols, b) for b in range(cols)])
 
 
 def direct_sum_map(A: Matrix, B: Matrix) -> Matrix:

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, _unit, action_tensor, as_matrix, coadjoint,
+    LieAlgebra, Representation, _unit, action_tensor, coadjoint,
     contract, direct_sum_map, dual_rep, semidirect, sparse,
 )
 from .ooper import (
@@ -30,7 +30,6 @@ from .ooper import (
 
 def is_nijenhuis(g: LieAlgebra, N):
     """[Nx, Ny] = N([Nx, y] + [x, Ny] - N[x, y]) on all basis pairs."""
-    N = as_matrix(N)
     if N.shape() != (g.dim, g.dim):
         raise DimensionMismatch("Nijenhuis candidate must be an endomorphism")
     for i in range(g.dim):
@@ -63,7 +62,6 @@ def deformed_tensor(g_c, dim, N: Matrix):
 
 def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
     """The Lie algebra (g, [.,.]_N) of a Nijenhuis operator."""
-    N = as_matrix(N)
     ok, defect = is_nijenhuis(g, N)
     if not ok:
         raise NotNijenhuis(defect)
@@ -79,7 +77,6 @@ def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
 def nijenhuis_power_props(g: LieAlgebra, N, kmax: int) -> dict:
     """Power properties: N^k Nijenhuis, iterated deformations collapse, and
     random linear combinations of deformed brackets satisfy Jacobi."""
-    N = as_matrix(N)
     ok, defect = is_nijenhuis(g, N)
     if not ok:
         raise NotNijenhuis(defect)
@@ -205,7 +202,6 @@ def deformation_pair_defect(rep: Representation, N: Matrix, S: Matrix):
 def trivial_deformation_from(rep: Representation, N, S) -> DeformationData:
     """The trivial deformation generated by a Nijenhuis operator N and an S
     compatible with it on the module side."""
-    N, S = as_matrix(N), as_matrix(S)
     g = rep.algebra
     ok, defect = is_nijenhuis(g, N)
     if not ok:
@@ -252,7 +248,6 @@ def nijenhuis_structure_defect(rep: Representation, N: Matrix, S: Matrix):
 
 def is_nijenhuis_structure(rep: Representation, N, S) -> bool:
     """Direct identity check against the dual semi-direct Nijenhuis lift."""
-    N, S = as_matrix(N), as_matrix(S)
     direct = is_nijenhuis(rep.algebra, N)[0] and \
         nijenhuis_structure_defect(rep, N, S) is None
     sd = semidirect(dual_rep(rep))
@@ -266,9 +261,13 @@ def is_nijenhuis_structure(rep: Representation, N, S) -> bool:
 
 def tilde_action(rep: Representation, N, S) -> Representation:
     """x ~. m = N(x).m - x.S(m) + S(x.m) as a module over (g, [.,.]_N)."""
-    N, S = as_matrix(N), as_matrix(S)
     if not is_nijenhuis_structure(rep, N, S):
         raise NotNijenhuisStructure("tilde action needs a Nijenhuis structure")
+    return _tilde_module(rep, N, S)
+
+
+def _tilde_module(rep: Representation, N, S) -> Representation:
+    """The module of tilde_action, for a pair already known to be a Nijenhuis structure."""
     deformed = deformed_bracket(rep.algebra, N)
     mats = [rep.rho(N.col(i)) - rep.action[i] * S + S * rep.action[i]
             for i in range(rep.algebra.dim)]
@@ -285,28 +284,27 @@ def deformed_module_bracket(rep: Representation, T: Matrix, S: Matrix, m_idx, n_
         S.apply(ind_bracket_vec(rep, T, em, en)))
 
 
+def _brackets_agree(rep: Representation, T, N, S) -> bool:
+    """[m, n]^{NT} = [m, n]^T_S on all basis pairs: the bracket clause shared by
+    ON-structures and PN-structures."""
+    nt = N * T
+    m = rep.dim_m
+    return all(ind_bracket_vec(rep, nt, _unit(m, i), _unit(m, j))
+               == deformed_module_bracket(rep, T, S, i, j)
+               for i in range(m) for j in range(i + 1, m))
+
+
 def is_on_structure(rep: Representation, T, N, S):
     """Clause-by-clause ON-structure verdict with a defect report."""
-    T, N, S = as_matrix(T), as_matrix(N), as_matrix(S)
     report = {}
     report["o_operator"] = is_o_operator(rep, T)
     report["nijenhuis_structure"] = is_nijenhuis_structure(rep, N, S)
     report["intertwine"] = (N * T == T * S)
-    nt = N * T
-    m = rep.dim_m
-    brackets_ok = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = ind_bracket_vec(rep, nt, _unit(m, i), _unit(m, j))
-            if lhs != deformed_module_bracket(rep, T, S, i, j):
-                brackets_ok = False
-                break
-        if not brackets_ok:
-            break
-    report["bracket_equality"] = brackets_ok
+    report["bracket_equality"] = _brackets_agree(rep, T, N, S)
     verdict = all(report.values())
     if verdict:
-        tilde = tilde_action(rep, N, S)
+        m = rep.dim_m
+        tilde = _tilde_module(rep, N, S)
         for i in range(m):
             for j in range(i + 1, m):
                 ei, ej = _unit(m, i), _unit(m, j)
@@ -336,10 +334,7 @@ class ONStructure:
 def hierarchy(rep: Representation, T, N, S, kmax: int):
     """T_k = N^k T = T S^k for k <= kmax, with every theorem-backed identity
     (operators, pairwise compatibility, deformed-bracket relations) verified."""
-    T, N, S = as_matrix(T), as_matrix(N), as_matrix(S)
-    ok, report = is_on_structure(rep, T, N, S)
-    if not ok:
-        raise NotONStructure(report)
+    ONStructure(rep, T, N, S)
     g = rep.algebra
     m = rep.dim_m
     npow = [Matrix.identity(g.dim)]
@@ -395,7 +390,6 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
 
 def on_from_compatible_pair(rep: Representation, T1, T2) -> ONStructure:
     """(T2, T1 T2^{-1}, T2^{-1} T1) from a compatible pair with T2 invertible."""
-    T1, T2 = as_matrix(T1), as_matrix(T2)
     if not are_compatible(rep, T1, T2):
         raise NotCompatible(compatibility_defect(rep, T1, T2))
     t2inv = invert(T2)
@@ -404,22 +398,12 @@ def on_from_compatible_pair(rep: Representation, T1, T2) -> ONStructure:
 
 def is_pn_structure(g: LieAlgebra, r: Bivector, N) -> bool:
     """Direct PN clauses against the coadjoint ON-structure characterization."""
-    N = as_matrix(N)
     rsh = r_sharp(r)
     co = coadjoint(g)
-    direct = is_r_matrix(g, r) and is_nijenhuis(g, N)[0] and N * rsh == rsh * N.transpose()
-    if direct:
-        nstar = N.transpose()
-        nrsh = N * rsh
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                lhs = ind_bracket_vec(co, nrsh, _unit(g.dim, i), _unit(g.dim, j))
-                if lhs != deformed_module_bracket(co, rsh, nstar, i, j):
-                    direct = False
-                    break
-            if not direct:
-                break
-    oracle = is_on_structure(co, rsh, N, N.transpose())[0]
+    nstar = N.transpose()
+    direct = (is_r_matrix(g, r) and is_nijenhuis(g, N)[0] and N * rsh == rsh * nstar
+              and _brackets_agree(co, rsh, N, nstar))
+    oracle = is_on_structure(co, rsh, N, nstar)[0]
     if direct != oracle:
         raise OracleDisagreement("pn structure", f"direct={direct} coadjoint_on={oracle}")
     return direct
@@ -428,7 +412,6 @@ def is_pn_structure(g: LieAlgebra, r: Bivector, N) -> bool:
 def pn_hierarchy(g: LieAlgebra, r: Bivector, N, kmax: int):
     """Bivectors r_k with (r_k)^sharp = N^k r^sharp, all classical r-matrices
     and pairwise compatible."""
-    N = as_matrix(N)
     if not is_pn_structure(g, r, N):
         raise NotPN("input pair is not a PN-structure")
     out = []

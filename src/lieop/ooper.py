@@ -3,6 +3,11 @@ induced Lie structures, r-matrices via the Schouten bracket, gauge
 transformations by 1-cocycles, Marsden-Ratiu style reduction, compatible
 pairs, and the associated pre-Lie products.
 
+The O-identity is coded once (`_o_sides`); `o_residual`, `is_o_operator` and
+the validating `OOperator` all read it.  The Schouten square [r, r] is computed
+from its coordinate formula over the nonzero structure constants, not through
+the coadjoint module, so it stays an independent route to the r-matrix verdict.
+
 Wherever an independent second route to the same verdict exists (graph
 subalgebra, coadjoint O-operator, sum-of-operators), both are computed and a
 disagreement raises: those pairs are bug traps, not user errors.
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 from .cohomology import Cochain, is_cocycle
 from .errors import (
-    DimensionMismatch, ImageEscapesH, NotAdmissible, NotCocycle,
+    DimensionMismatch, ImageEscapesH, NotAdmissible, NotAntisymmetric, NotCocycle,
     NotCompatible, NotIdeal, NotOOperator, NotPreLie, NotStable,
     NotSubalgebra, OracleDisagreement, QuotientError, Singular,
 )
@@ -24,43 +29,35 @@ from .exactla import (
     vec_scale, vec_sub, vec_zero,
 )
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _unit, as_matrix, contract,
+    LieAlgebra, Representation, Subspace, _unit, coadjoint, contract,
     graph_subspace, intersect, is_ideal, is_subalgebra, quotient,
     restrict_to_subalgebra, semidirect, sparse,
 )
 
 
-def o_residual(rep: Representation, T):
-    """Defect [Tm, Tn] - T(Tm.n - Tn.m) for every basis pair m < n."""
-    T = as_matrix(T)
-    _check_t_shape(rep, T)
-    g = rep.algebra
-    out = {}
-    for i in range(rep.dim_m):
-        ti = T.col(i)
-        for j in range(i + 1, rep.dim_m):
-            tj = T.col(j)
-            lhs = g.bracket_vec(ti, tj)
-            inner = vec_sub(rep.act(ti, _unit(rep.dim_m, j)),
-                            rep.act(tj, _unit(rep.dim_m, i)))
-            out[(i, j)] = vec_sub(lhs, T.apply(inner))
-    return out
-
-
-def is_o_operator(rep: Representation, T) -> bool:
-    T = as_matrix(T)
+def _o_sides(rep: Representation, T):
+    """((i, j), [Tm_i, Tm_j], T(Tm_i . m_j - Tm_j . m_i)) for every basis pair i < j:
+    the one coding of the O-identity, read lazily so a verdict can stop early."""
     _check_t_shape(rep, T)
     g = rep.algebra
     m = rep.dim_m
     cols = [T.col(i) for i in range(m)]
+    units = [_unit(m, i) for i in range(m)]
     for i in range(m):
         ti = cols[i]
         for j in range(i + 1, m):
             tj = cols[j]
-            inner = vec_sub(rep.act(ti, _unit(m, j)), rep.act(tj, _unit(m, i)))
-            if g.bracket_vec(ti, tj) != T.apply(inner):
-                return False
-    return True
+            inner = vec_sub(rep.act(ti, units[j]), rep.act(tj, units[i]))
+            yield (i, j), g.bracket_vec(ti, tj), T.apply(inner)
+
+
+def o_residual(rep: Representation, T):
+    """Defect [Tm, Tn] - T(Tm.n - Tn.m) for every basis pair m < n."""
+    return {key: vec_sub(lhs, rhs) for key, lhs, rhs in _o_sides(rep, T)}
+
+
+def is_o_operator(rep: Representation, T) -> bool:
+    return all(lhs == rhs for _, lhs, rhs in _o_sides(rep, T))
 
 
 def _check_t_shape(rep, T):
@@ -88,9 +85,7 @@ def ind_bracket_vec(rep: Representation, T: Matrix, m, n):
 
 def induced_lie(rep: Representation, T) -> LieAlgebra:
     """The Lie algebra M^T carried by the module of an O-operator."""
-    T = as_matrix(T)
-    if not is_o_operator(rep, T):
-        raise NotOOperator(o_residual(rep, T))
+    OOperator(rep, T)
     m = rep.dim_m
     c = [[list(ind_bracket_vec(rep, T, _unit(m, i), _unit(m, j)))
           for j in range(m)] for i in range(m)]
@@ -99,7 +94,6 @@ def induced_lie(rep: Representation, T) -> LieAlgebra:
 
 def graph_check(rep: Representation, T) -> bool:
     """Whether Gr(T) = {(Tm, m)} is a subalgebra of the semi-direct product."""
-    T = as_matrix(T)
     _check_t_shape(rep, T)
     s = semidirect(rep)
     return is_subalgebra(s, graph_subspace(T))[0]
@@ -117,7 +111,6 @@ def graph_oracle(rep: Representation, T) -> bool:
 
 def structure_report(rep: Representation, T) -> dict:
     """Kernel-is-ideal and image-is-subalgebra flags for a valid O-operator."""
-    T = as_matrix(T)
     mt = induced_lie(rep, T)
     ker = Subspace(rep.dim_m, kernel(T))
     image = Subspace.span(rep.algebra.dim, [T.col(j) for j in range(rep.dim_m)])
@@ -189,73 +182,38 @@ def r_sharp(r: Bivector) -> Matrix:
 def bivector_from_sharp(M: Matrix) -> Bivector:
     """Recover the bivector whose sharp map is M; M must be antisymmetric."""
     if not M.is_antisymmetric():
-        from .errors import NotAntisymmetric
         raise NotAntisymmetric("sharp matrix is not antisymmetric")
     return Bivector(M.rows, M.transpose().entries)
 
 
-def _wedge_merge(left, right):
-    """(sign, sorted tuple) for concatenated wedge monomials, None on repeats."""
-    merged = left + right
-    if len(set(merged)) != len(merged):
-        return None
-    sign = 1
-    arr = list(merged)
-    for a in range(len(arr)):
-        for b in range(a + 1, len(arr)):
-            if arr[a] > arr[b]:
-                sign = -sign
-    return sign, tuple(sorted(arr))
-
-
-def _accum(out, mono, coeff):
-    if coeff:
-        prev = out.get(mono, 0)
-        tot = q(prev + coeff)
-        if tot:
-            out[mono] = tot
-        elif mono in out:
-            del out[mono]
-
-
-def _schouten_mono(g: LieAlgebra, A, B):
-    """Schouten bracket of wedge monomials via the biderivation rules."""
-    p, qd = len(A), len(B)
-    if p == 1 and qd == 1:
-        return {(k,): c for k, c in g.s[A[0]][B[0]]}
-    if qd >= 2:
-        j, rest = B[0], B[1:]
-        out = {}
-        for mono, coeff in _schouten_mono(g, A, (j,)).items():
-            w = _wedge_merge(mono, rest)
-            if w:
-                _accum(out, w[1], w[0] * coeff)
-        sgn = -1 if (p - 1) % 2 else 1
-        for mono, coeff in _schouten_mono(g, A, rest).items():
-            w = _wedge_merge((j,), mono)
-            if w:
-                _accum(out, w[1], sgn * w[0] * coeff)
-        return out
-    # qd == 1 < p: graded skew [P, Q] = -(-1)^{(p-1)(q-1)} [Q, P] with q = 1
-    return {m: q(-c) for m, c in _schouten_mono(g, B, A).items()}
-
-
-def schouten(g: LieAlgebra, P: dict, Q: dict) -> dict:
-    """Bilinear extension of the monomial Schouten bracket."""
-    out = {}
-    for ma, ca in P.items():
-        for mb, cb in Q.items():
-            for mono, coeff in _schouten_mono(g, ma, mb).items():
-                _accum(out, mono, ca * cb * coeff)
-    return out
-
-
 def schouten_self(g: LieAlgebra, r: Bivector) -> dict:
-    """[r, r] in wedge^3 g as {increasing triple: coefficient}."""
+    """[r, r] in wedge^3 g as {increasing triple: coefficient}.
+
+    [r, r]^{abc} = 2 (T^{abc} + T^{bca} + T^{cab}) with
+    T^{xyz} = sum_{i,j} r^{xi} r^{yj} c_{ij}^z; only the nonzero structure
+    constants and the nonzero entries of columns i and j of r are visited.
+    """
     if r.dim != g.dim:
         raise DimensionMismatch("bivector lives on a different algebra")
-    mv = {(i, j): v for (i, j), v in r.pairs().items()}
-    return schouten(g, mv, mv)
+    cols = [[(x, row[i]) for x, row in enumerate(r.m) if row[i]] for i in range(r.dim)]
+    T = {}
+    for i, si in enumerate(g.s):
+        for j, sij in enumerate(si):
+            if not (sij and cols[i] and cols[j]):
+                continue
+            for x, u in cols[i]:
+                for y, v in cols[j]:
+                    if x != y:
+                        f = u * v
+                        for z, c in sij:
+                            if z != x and z != y:
+                                T[(x, y, z)] = T.get((x, y, z), 0) + f * c
+    out = {}
+    for a, b, c in sorted({tuple(sorted(key)) for key in T}):
+        coeff = q(2 * (T.get((a, b, c), 0) + T.get((b, c, a), 0) + T.get((c, a, b), 0)))
+        if coeff:
+            out[(a, b, c)] = coeff
+    return out
 
 
 def is_r_matrix(g: LieAlgebra, r: Bivector) -> bool:
@@ -264,7 +222,6 @@ def is_r_matrix(g: LieAlgebra, r: Bivector) -> bool:
 
 def lemma_r_equiv(g: LieAlgebra, r: Bivector) -> bool:
     """CYBE via Schouten expansion vs r-sharp as a coadjoint O-operator."""
-    from .liecore import coadjoint
     via_schouten = is_r_matrix(g, r)
     via_coadjoint = is_o_operator(coadjoint(g), r_sharp(r))
     if via_schouten != via_coadjoint:
@@ -280,9 +237,7 @@ def lemma_r_equiv(g: LieAlgebra, r: Bivector) -> bool:
 
 def gauge_transform(rep: Representation, T, B) -> Matrix:
     """T_B = T (id + B T)^{-1} for a T-admissible 1-cocycle B."""
-    T, B = as_matrix(T), as_matrix(B)
-    if not is_o_operator(rep, T):
-        raise NotOOperator(o_residual(rep, T))
+    OOperator(rep, T)
     ok, defect = is_cocycle(rep, Cochain.from_linmap(B))
     if not ok:
         raise NotCocycle(defect)
@@ -301,7 +256,6 @@ def gauge_transform(rep: Representation, T, B) -> Matrix:
 
 def gauge_iso_check(rep: Representation, T, B) -> bool:
     """(id + BT) intertwines [.,.]^T with [.,.]^{T_B} on all basis pairs."""
-    T, B = as_matrix(T), as_matrix(B)
     tb = gauge_transform(rep, T, B)
     phi = Matrix.identity(rep.dim_m) + B * T
     m = rep.dim_m
@@ -336,10 +290,8 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
     Every hypothesis is checked, in order: h subalgebra, N an h-submodule,
     E cap h an ideal of h, and T((E cap h)^0_N) inside h.
     """
-    T = as_matrix(T)
     g = rep.algebra
-    if not is_o_operator(rep, T):
-        raise NotOOperator(o_residual(rep, T))
+    OOperator(rep, T)
     try:
         h_alg, h_basis = restrict_to_subalgebra(g, h)
     except NotSubalgebra as exc:
@@ -403,8 +355,7 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
     for a in module_basis:
         tbar_cols.append(qt.projection.apply(hsub.coords(T.apply(a))))
     reduced_T = Matrix.from_cols(tbar_cols) if tbar_cols else Matrix([()] * k, cols=0)
-    if not is_o_operator(reduced_rep, reduced_T):
-        raise NotOOperator(o_residual(reduced_rep, reduced_T))
+    OOperator(reduced_rep, reduced_T)
     # defining property of reducibility: Tbar(m) . n = T(m) . n on A
     na = len(module_basis)
     for i in range(na):
@@ -427,10 +378,8 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
 
 def compatibility_defect(rep: Representation, T1, T2):
     """Residual of the mixed identity for every basis pair m < n."""
-    T1, T2 = as_matrix(T1), as_matrix(T2)
     for T in (T1, T2):
-        if not is_o_operator(rep, T):
-            raise NotOOperator(o_residual(rep, T))
+        OOperator(rep, T)
     g = rep.algebra
     m = rep.dim_m
     out = {}
@@ -449,7 +398,6 @@ def compatibility_defect(rep: Representation, T1, T2):
 
 def are_compatible(rep: Representation, T1, T2) -> bool:
     """Mixed-identity verdict, cross-checked against sums and random combinations."""
-    T1, T2 = as_matrix(T1), as_matrix(T2)
     defects = compatibility_defect(rep, T1, T2)
     direct = all(is_zero_vec(v) for v in defects.values())
     via_sum = is_o_operator(rep, T1 + T2)
@@ -468,7 +416,6 @@ def are_compatible(rep: Representation, T1, T2) -> bool:
 
 def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:
     """N = T1 T2^{-1} for a compatible pair with T2 invertible."""
-    T1, T2 = as_matrix(T1), as_matrix(T2)
     if not are_compatible(rep, T1, T2):
         raise NotCompatible(compatibility_defect(rep, T1, T2))
     n = T1 * invert(T2)
@@ -531,9 +478,7 @@ def pre_lie_defect_tensor(dim, p):
 
 def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
     """m box n = T(m) . n."""
-    T = as_matrix(T)
-    if not is_o_operator(rep, T):
-        raise NotOOperator(o_residual(rep, T))
+    OOperator(rep, T)
     m = rep.dim_m
     tensor = [[list(rep.act(T.col(i), _unit(m, j))) for j in range(m)]
               for i in range(m)]

@@ -2,8 +2,9 @@
 algebra attached to an O-operator, and (strong) Maurer-Cartan solutions.
 
 Maurer-Cartan residuals are always computed twice: once from the explicit
-bilinear formula and once through the Chevalley-Eilenberg differential and the
-derived bracket.  The two grids must agree entry for entry.
+bilinear formula, as its cocycle part plus its quadratic part, and once through
+the Chevalley-Eilenberg differential and the derived bracket.  The two grids
+must agree entry for entry.
 """
 
 from __future__ import annotations
@@ -13,17 +14,14 @@ from fractions import Fraction
 from itertools import product
 
 from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, one_cocycle_basis
-from .errors import (
-    DimensionMismatch, NotOOperator, NotStrongMC, NotSubalgebra,
-    OracleDisagreement,
-)
+from .errors import DimensionMismatch, NotStrongMC, NotSubalgebra, OracleDisagreement
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _unit, as_matrix, block_tensor,
+    LieAlgebra, Representation, Subspace, _unit, block_tensor,
     check_complementary,
 )
-from .onstruct import ONStructure, is_on_structure
-from .ooper import induced_lie, is_o_operator, o_residual
+from .onstruct import ONStructure
+from .ooper import OOperator, induced_lie, is_o_operator
 
 
 @dataclass
@@ -109,9 +107,7 @@ def swap(tw: TwilledLieAlgebra) -> TwilledLieAlgebra:
 
 def bar_action(rep: Representation, T) -> Representation:
     """m bar. x = [T(m), x] + T(x . m): the module Lie algebra M^T acting on g."""
-    T = as_matrix(T)
-    if not is_o_operator(rep, T):
-        raise NotOOperator(o_residual(rep, T))
+    OOperator(rep, T)
     g = rep.algebra
     mt = induced_lie(rep, T)
     mats = []
@@ -128,44 +124,23 @@ def bar_action(rep: Representation, T) -> Representation:
 
 def twilled_from_o(rep: Representation, T) -> TwilledLieAlgebra:
     """The twilled algebra g joined with M^T along the bar action."""
-    T = as_matrix(T)
-    if not is_o_operator(rep, T):
-        raise NotOOperator(o_residual(rep, T))
+    OOperator(rep, T)
     d, m = rep.algebra.dim, rep.dim_m
     bar = bar_action(rep, T)
     total = LieAlgebra(d + m, block_tensor(rep.algebra.c, bar.algebra.c, rep.t, bar.t))
     return _from_block_total(total, d, m)
 
 
-def _omega_matrix(tw: TwilledLieAlgebra, omega) -> Matrix:
-    omega = as_matrix(omega)
+def _check_omega_shape(tw: TwilledLieAlgebra, omega):
     if omega.shape() != (tw.dim_b, tw.dim_a):
         raise DimensionMismatch(
             f"solution candidate must map a to b, got {omega.shape()}")
-    return omega
-
-
-def mc_residual(tw: TwilledLieAlgebra, omega) -> dict:
-    """Explicit Maurer-Cartan residual per a-basis pair."""
-    omega = _omega_matrix(tw, omega)
-    out = {}
-    da = tw.dim_a
-    for i in range(da):
-        for j in range(i + 1, da):
-            oi, oj = omega.col(i), omega.col(j)
-            ei, ej = _unit(da, i), _unit(da, j)
-            lhs = vec_add(tw.b_algebra.bracket_vec(oi, oj),
-                          vec_sub(tw.action1.act(ei, oj), tw.action1.act(ej, oi)))
-            inner = vec_sub(tw.action2.act(oi, ej), tw.action2.act(oj, ei))
-            rhs = vec_add(omega.apply(inner), omega.apply(tw.a_algebra.c[i][j]))
-            out[(i, j)] = vec_sub(lhs, rhs)
-    return out
 
 
 def cocycle_residual(tw: TwilledLieAlgebra, omega) -> dict:
     """Defect of Omega([x,y]) = x .1 Omega(y) - y .1 Omega(x) per pair,
     oriented as the Chevalley-Eilenberg differential."""
-    omega = _omega_matrix(tw, omega)
+    _check_omega_shape(tw, omega)
     out = {}
     da = tw.dim_a
     for i in range(da):
@@ -178,7 +153,7 @@ def cocycle_residual(tw: TwilledLieAlgebra, omega) -> dict:
 
 def quadratic_residual(tw: TwilledLieAlgebra, omega) -> dict:
     """Residual of [Om x, Om y] = Omega(Om x .2 y - Om y .2 x) per pair."""
-    omega = _omega_matrix(tw, omega)
+    _check_omega_shape(tw, omega)
     out = {}
     da = tw.dim_a
     for i in range(da):
@@ -206,9 +181,11 @@ def _cohomology_grids(tw: TwilledLieAlgebra, omega: Matrix):
 
 
 def mc_check(tw: TwilledLieAlgebra, omega):
-    """Maurer-Cartan verdict with per-pair defects, oracle-checked."""
-    omega = _omega_matrix(tw, omega)
-    direct = mc_residual(tw, omega)
+    """Maurer-Cartan verdict with per-pair defects, oracle-checked: the explicit
+    residual is the cocycle part plus the quadratic part of each pair."""
+    lin = cocycle_residual(tw, omega)
+    quad = quadratic_residual(tw, omega)
+    direct = {key: vec_add(lin[key], quad[key]) for key in lin}
     grid_d, grid_q = _cohomology_grids(tw, omega)
     half = Fraction(1, 2)
     for key, val in direct.items():
@@ -222,7 +199,6 @@ def mc_check(tw: TwilledLieAlgebra, omega):
 def strong_mc_check(tw: TwilledLieAlgebra, omega):
     """Strong Maurer-Cartan verdict: cocycle and quadratic parts vanish
     separately; both parts oracle-checked against the cohomology route."""
-    omega = _omega_matrix(tw, omega)
     lin = cocycle_residual(tw, omega)
     quad = quadratic_residual(tw, omega)
     grid_d, grid_q = _cohomology_grids(tw, omega)
@@ -241,7 +217,6 @@ def find_strong_mc(rep: Representation, T, coeffs=(-2, -1, 0, 1, 2), limit=None)
     """Strong Maurer-Cartan solutions on the twilled algebra of an O-operator,
     found by solving the linear cocycle equation and filtering the quadratic
     one over small integer combinations of the kernel basis."""
-    T = as_matrix(T)
     tw = twilled_from_o(rep, T)
     basis = one_cocycle_basis(rep)
     found = []
@@ -279,9 +254,7 @@ class OmegaStructures:
 def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
     """The deformed algebra on g, its module structure on M, and the big
     bracket on g + M induced by a strong Maurer-Cartan solution."""
-    T = as_matrix(T)
     tw = twilled_from_o(rep, T)
-    omega = _omega_matrix(tw, omega)
     ok, defects = strong_mc_check(tw, omega)
     if not ok:
         raise NotStrongMC(defects)
@@ -315,9 +288,7 @@ def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
 
 def on_from_strong_mc(rep: Representation, T, omega) -> ONStructure:
     """(T, N = T Omega, S = Omega T) from a strong Maurer-Cartan solution."""
-    T = as_matrix(T)
     tw = twilled_from_o(rep, T)
-    omega = _omega_matrix(tw, omega)
     ok, defects = strong_mc_check(tw, omega)
     if not ok:
         raise NotStrongMC(defects)
@@ -326,11 +297,7 @@ def on_from_strong_mc(rep: Representation, T, omega) -> ONStructure:
 
 def strong_mc_from_on(rep: Representation, T, N, S) -> Matrix:
     """Omega = T^{-1} N = S T^{-1} for an ON-structure with invertible T."""
-    T, N, S = as_matrix(T), as_matrix(N), as_matrix(S)
-    ok, report = is_on_structure(rep, T, N, S)
-    if not ok:
-        from .errors import NotONStructure
-        raise NotONStructure(report)
+    ONStructure(rep, T, N, S)
     tinv = invert(T)
     omega = tinv * N
     if omega != S * tinv:

@@ -257,3 +257,40 @@ def test_json_float_and_bool_scalars_are_structural_errors(scalar, tmp_path, cap
     assert code == 2
     assert out.startswith("error:")
     assert "is not an integer" in out
+
+
+def _load_error(tmp_path, capsys, objects, *extra_inputs):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"objects": objects}), encoding="utf-8")
+    code, out = run(capsys, "validate", "--input", *extra_inputs, str(p))
+    lines = out.splitlines()
+    # the load error, then one line for the one bad object
+    assert code == 2 and len(lines) == 2, out
+    assert lines[0].startswith("error:")
+    return lines[1]
+
+
+@pytest.mark.parametrize("triple", [
+    [0, 5, ["1", "0"]], [-1, 0, ["1", "0"]], [True, 0, ["1", "0"]], [0, "1", ["1", "0"]],
+], ids=["index-past-dim", "negative-index", "boolean-index", "string-index"])
+@pytest.mark.parametrize("kind", ["pre_lie", "deformation"])
+def test_bad_triple_index_is_a_structural_error(kind, triple, bundle_file, tmp_path, capsys):
+    if kind == "pre_lie":
+        raw = {"kind": "pre_lie", "dim": 2, "products": [triple]}
+    else:
+        raw = {"kind": "deformation", "rep_ref": "aff1_adj", "bracket1": [triple],
+               "action1": [[["0", "0"], ["0", "0"]]] * 2}
+    line = _load_error(tmp_path, capsys, {"bad": raw}, bundle_file)
+    assert line.startswith("  bad: WorkspaceError: triple index")
+
+
+def test_wrong_triple_length_is_a_structural_error(tmp_path, capsys):
+    raw = {"kind": "pre_lie", "dim": 2, "products": [[0, 1, ["1", "0", "1"]]]}
+    line = _load_error(tmp_path, capsys, {"bad": raw})
+    assert "has 3 coefficients, expected 2" in line
+
+
+@pytest.mark.parametrize("kind", ["lie_algebra", "pre_lie"])
+def test_boolean_dim_is_a_structural_error(kind, tmp_path, capsys):
+    line = _load_error(tmp_path, capsys, {"bad": {"kind": kind, "dim": True}})
+    assert "dim must be a non-negative integer, got True" in line

@@ -244,3 +244,44 @@ def test_empty_blocks_on_a_zero_dim_algebra():
         assert route(rep, N, T, sigma, K)
         assert route(rep, (), (), ((), ()), K)
         assert not route(rep, N, T, sigma, Matrix.identity(2))
+
+
+def _module_complex_identity(rep, I, IM):
+    """I(x).I_M(m) - x.m - I_M(I(x).m + x.I_M(m)) = 0 on all basis pairs."""
+    for i in range(rep.algebra.dim):
+        x = tuple(int(k == i) for k in range(rep.algebra.dim))
+        for b in range(rep.dim_m):
+            m = tuple(int(k == b) for k in range(rep.dim_m))
+            mixed = [u + v for u, v in zip(rep.act(I.col(i), m), rep.act(x, IM.col(b)))]
+            rhs = [u + v for u, v in zip(rep.act(x, m), IM.apply(mixed))]
+            if list(rep.act(I.col(i), IM.col(b))) != rhs:
+                return False
+    return True
+
+
+def _random_complex_structure(rng):
+    """P K P^{-1} for a random invertible integer P."""
+    while True:
+        P = Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+        try:
+            return P * K * invert(P)
+        except Singular:
+            pass
+
+
+def test_module_complex_pair_on_conjugated_complex_structures():
+    """Random conjugates of K on the aff1 and ab2 modules: both verdicts of the
+    module identity, read through the Nijenhuis-structure identity of (I, -I_M),
+    run against the semi-direct oracle and match a plain reference loop."""
+    rng = random.Random(20)
+    modules = [trivial_rep(ab(2), 2), adjoint(aff1()), coadjoint(aff1()),
+               trivial_rep(aff1(), 2)]
+    seen = set()
+    for rep in modules:
+        for _ in range(60):
+            I, IM = _random_complex_structure(rng), _random_complex_structure(rng)
+            verdict = is_module_complex_pair(rep, I, IM)
+            assert is_complex_structure(rep.algebra, I)
+            assert verdict == _module_complex_identity(rep, I, IM)
+            seen.add(verdict)
+    assert seen == {True, False}

@@ -8,7 +8,7 @@ from lieop.errors import (
 )
 from lieop.exactla import Matrix, vec_add, vec_scale, vec_zero
 from lieop.liecore import (
-    LieAlgebra, LinMap, Representation, Subspace, adjoint, annihilator,
+    LieAlgebra, Representation, Subspace, adjoint, annihilator,
     coadjoint, contract, dual_rep, intersect, is_ideal, is_subalgebra, quotient,
     restrict_to_subalgebra, semidirect, sparse, trivial_rep,
 )
@@ -183,13 +183,6 @@ def test_intersect():
     assert intersect(W, Subspace.zero(3)).dim() == 0
     other = Subspace(3, [e(3, 1), e(3, 2)])
     assert intersect(W, other) == Subspace(3, [e(3, 1)])
-
-
-def test_linmap_roles():
-    rep = adjoint(aff1())
-    LinMap(Matrix.zeros(2), "module", "algebra").check_roles(rep)
-    with pytest.raises(Exception):
-        LinMap(Matrix.zeros(3, 2), "module", "algebra").check_roles(rep)
 
 
 def test_dim_zero_everywhere():

@@ -171,6 +171,18 @@ def test_on_structure_examples():
         ONStructure(co, COADJ_T2, Matrix.diag((1, 2)), Matrix.diag((2, 1)))
 
 
+def test_bracket_clause_alone_rejects():
+    """T an O-operator, (N, S) a Nijenhuis structure and NT = TS, yet
+    [m, n]^{NT} != [m, n]^T_S: the bracket clause alone decides the verdict."""
+    rep = adjoint(sl2())
+    T = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    S = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    ok, report = is_on_structure(rep, T, Matrix.zeros(3), S)
+    assert not ok
+    assert report == {"o_operator": True, "nijenhuis_structure": True,
+                      "intertwine": True, "bracket_equality": False}
+
+
 def test_on_from_compatible_pair_trivial():
     co = coadjoint(aff1())
     on0 = on_from_compatible_pair(co, Matrix.zeros(2), COADJ_T2)

@@ -1,13 +1,16 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieop.errors import (
     ImageEscapesH, NotAdmissible, NotCocycle, NotOOperator, NotPreLie,
     NotStable, Singular,
 )
 from lieop.exactla import Matrix, invert, is_zero_vec
+from lieop.fixtures import standard_fixtures
 from lieop.liecore import (
     LieAlgebra, Subspace, adjoint, coadjoint, trivial_rep,
 )
@@ -328,3 +331,46 @@ def test_zero_dimensional_module():
     assert is_o_operator(rep, t)
     assert induced_lie(rep, t).dim == 0
     assert graph_check(rep, t)
+
+
+def gl(n):
+    """gl(n) in the basis E_ij (index i*n + j): [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    d = n * n
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if j == k:
+            c[i * n + j][k * n + l][i * n + l] += 1
+        if l == i:
+            c[i * n + j][k * n + l][k * n + j] -= 1
+    return LieAlgebra(d, c)
+
+
+CYBE_ALGEBRAS = sorted(standard_fixtures()[0].items()) + [("gl2", gl(2))]
+
+
+def _signed_entry(br, a, b, c):
+    """[r, r]^{abc} for any index triple: antisymmetric, 0 on repeated indices."""
+    if len({a, b, c}) < 3:
+        return 0
+    triple = (a, b, c)
+    inversions = sum(triple[x] > triple[y] for x in range(3) for y in range(x + 1, 3))
+    return (-1) ** inversions * br.get(tuple(sorted(triple)), 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_coadjoint_o_residual_is_half_the_schouten_bracket(data):
+    """The O-identity defect of r-sharp on the coadjoint module, pair (a, b) and
+    coordinate c, is half of [r, r]^{abc}: the coordinate formula for [r, r] is
+    pinned by value against the independent coadjoint route."""
+    _, g = data.draw(st.sampled_from(CYBE_ALGEBRAS))
+    n = g.dim
+    coeff = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=4))
+    pairs = {(i, j): data.draw(coeff) for i in range(n) for j in range(i + 1, n)}
+    r = Bivector.from_pairs(n, pairs)
+    br = schouten_self(g, r)
+    assert all(a < b < c and v for (a, b, c), v in br.items())
+    residual = o_residual(coadjoint(g), r_sharp(r))
+    for (a, b), defect in residual.items():
+        for c in range(n):
+            assert defect[c] == Fraction(1, 2) * _signed_entry(br, a, b, c)
