@@ -2,8 +2,16 @@
 and constructions, and emit deterministic machine-readable reports.
 
 One document format: a top-level "objects" map from names to typed entries.
-All rationals travel as strings ("p" or "p/q"); matrices are row-major arrays
-of such strings; sparse tensors use [i, j, [coefficients]] triples.
+`KINDS` is that format: for each kind, its fields in order, each a key and one
+parser, and `DUMP` holds each parser's serialiser.  Loading (`Workspace.load`),
+writing (`emit`), `derive` and the fuzz test all read it.  All rationals travel
+as strings ("p" or "p/q"); matrices are row-major arrays of such strings;
+sparse tensors use [i, j, coefficients] triples, and a sparse field may be
+omitted (it is then zero).  The same rules hold for every field: an array is a
+JSON array, never a string or a map; an index is a JSON integer in range and a
+count a non-negative JSON integer, never a boolean; a reference is an object
+name; a count beside a reference that fixes it must agree with it; and a
+missing or unknown key is an error.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import cohomology, gcsholo, liecore, onstruct, ooper, twilled
 from .errors import DimensionMismatch, LieOpError, OracleDisagreement, WorkspaceError
@@ -24,80 +33,235 @@ from .ooper import Bivector
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding helpers
+# the workspace format
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(m: Matrix):
     return [[scalar_str(x) for x in row] for row in m.entries]
 
 
-def matrix_from_json(rows, shape=None) -> Matrix:
-    m = Matrix([[parse_scalar(x) for x in row] for row in rows],
-               cols=shape[1] if shape and not rows else None)
-    if shape is not None and m.shape() != tuple(shape):
-        raise WorkspaceError(f"matrix has shape {m.shape()}, expected {tuple(shape)}")
-    return m
-
-
 def vector_to_json(v):
     return [scalar_str(x) for x in v]
 
 
-def vector_from_json(row):
-    return tuple(parse_scalar(x) for x in row)
+def _list(x, what):
+    """x itself if it is a JSON array: a string or a map is never read as one."""
+    if not isinstance(x, list):
+        raise WorkspaceError(f"{what} must be a list, got {x!r}")
+    return x
 
 
-def brackets_to_json(g: LieAlgebra):
-    out = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            if not is_zero_vec(g.c[i][j]):
-                out.append([i, j, vector_to_json(g.c[i][j])])
+def _coeffs(x, n, what):
+    v = tuple(parse_scalar(a) for a in _list(x, what))
+    if len(v) != n:
+        raise WorkspaceError(f"{what} has {len(v)} coefficients, expected {n}")
+    return v
+
+
+def _index(k, n, what):
+    if type(k) is not int or not 0 <= k < n:
+        raise WorkspaceError(f"{what} index {k!r} is not an integer in [0, {n})")
+    return k
+
+
+# Each parser is called as parse(ws, dims, key, x, *args): x is the field's
+# JSON value, and dims maps the letters g, m, a, b, k to the dims that earlier
+# fields of the same object set.
+
+def count(ws, dims, key, x, name):
+    """A non-negative integer, the dim `name`."""
+    if type(x) is not int or x < 0:
+        raise WorkspaceError(f"{key} must be a non-negative integer, got {x!r}")
+    if dims.setdefault(name, x) != x:
+        raise WorkspaceError(f"{key} is {x}, but the referenced object has {dims[name]}")
+    return x
+
+
+# the dims that an object of each referenceable kind lends to later fields
+_LENDS = {
+    "lie_algebra": lambda g: {"g": g.dim},
+    "representation": lambda rep: {"g": rep.algebra.dim, "m": rep.dim_m},
+    "twilled": lambda tw: {"a": tw.dim_a, "b": tw.dim_b},
+}
+
+
+def ref(ws, dims, key, x, kind):
+    """The name of an object of `kind`, which loads earlier; gives its value."""
+    if not isinstance(x, str):
+        raise WorkspaceError(f"{key} must be an object name, got {x!r}")
+    value = ws.get(x, kind).value
+    dims.update(_LENDS[kind](value))
+    return value
+
+
+def matrix(ws, dims, key, x, shape=""):
+    """A matrix of shape (dims[shape[0]], dims[shape[1]]); any shape if ""."""
+    want = tuple(dims[c] for c in shape)
+    m = Matrix([[parse_scalar(a) for a in _list(row, "matrix row")] for row in _list(x, key)],
+               cols=want[1] if want else None)
+    if want and m.shape() != want:
+        raise WorkspaceError(f"matrix has shape {m.shape()}, expected {want}")
+    return m
+
+
+def matrices(ws, dims, key, x, shape):
+    return [matrix(ws, dims, key, m, shape) for m in _list(x, key)]
+
+
+def vectors(ws, dims, key, x, n):
+    return [_coeffs(v, dims[n], "vector") for v in _list(x, key)]
+
+
+def _table(key, x, n, upper, skew, vector):
+    """The n x n table of [i, j, c] items, c a length-n vector or a scalar.
+    With `upper` each item needs i < j and each pair may appear once; with
+    `skew` the item also sets [j][i] to -c."""
+    zero = (0,) * n if vector else 0
+    t = [[zero] * n for _ in range(n)]
+    seen = set()
+    for i, j, c in _list(x, key):
+        for k in (i, j):
+            _index(k, n, "triple")
+        if upper:
+            if not i < j:
+                raise WorkspaceError(f"triple ({i}, {j}) needs i < j")
+            if (i, j) in seen:
+                raise WorkspaceError(f"triple ({i}, {j}) appears twice")
+            seen.add((i, j))
+        v = _coeffs(c, n, f"triple ({i}, {j})") if vector else parse_scalar(c)
+        t[i][j] = v
+        if skew:
+            t[j][i] = tuple(-a for a in v) if vector else -v
+    return t
+
+
+def brackets(ws, dims, key, x, n):
+    """Bracket triples [i, j, [e_i, e_j]] with i < j; [e_j, e_i] by skew symmetry."""
+    return _table(key, x, dims[n], upper=True, skew=True, vector=True)
+
+
+def bivector(ws, dims, key, x, n):
+    """Bivector entries [i, j, r^{ij}] with i < j."""
+    return Bivector(dims[n], _table(key, x, dims[n], upper=True, skew=True, vector=False))
+
+
+def triples(ws, dims, key, x, n):
+    """Product triples [i, j, e_i e_j], any pair; the last of a repeat wins."""
+    return _table(key, x, dims[n], upper=False, skew=False, vector=True)
+
+
+def skew_triples(ws, dims, key, x, n):
+    """Triples as for `triples`, each also setting [j][i] to minus its vector."""
+    return _table(key, x, dims[n], upper=False, skew=True, vector=True)
+
+
+def values(ws, dims, key, x, n, m):
+    """Cochain values [[i_1, ..., i_k], vector of length dims[m]]."""
+    out = {}
+    for idx, v in _list(x, key):
+        idx = tuple(_index(i, dims[n], "cochain") for i in _list(idx, "index tuple"))
+        if idx in out:
+            raise WorkspaceError(f"cochain index tuple {idx} appears twice")
+        out[idx] = _coeffs(v, dims[m], f"value at {idx}")
     return out
+
+
+SPARSE = (brackets, bivector, triples, skew_triples, values)
+
+
+def _dump_table(t, upper):
+    n = len(t)
+    return [[i, j, vector_to_json(t[i][j])] for i in range(n)
+            for j in range(i + 1 if upper else 0, n) if not is_zero_vec(t[i][j])]
+
+
+# the one serialiser of each parser: DUMP[parse](parse(..., x, ...)) == x for
+# x in canonical form (sorted, without zero entries)
+DUMP = {
+    count: lambda x: x,
+    ref: lambda name: name,
+    matrix: matrix_to_json,
+    matrices: lambda ms: [matrix_to_json(m) for m in ms],
+    vectors: lambda vs: [vector_to_json(v) for v in vs],
+    brackets: lambda t: _dump_table(t, upper=True),
+    bivector: lambda r: [[i, j, scalar_str(v)] for (i, j), v in sorted(r.pairs().items())],
+    triples: lambda t: _dump_table(t, upper=False),
+    skew_triples: lambda t: _dump_table(t, upper=False),
+    values: lambda vals: [[list(i), vector_to_json(v)] for i, v in sorted(vals.items())],
+}
+
+
+class Field(NamedTuple):
+    key: str
+    parse: object
+    args: tuple = ()
+    optional: bool = False  # a missing optional reference loads as None
+
+
+def _f(key, parse, *args):
+    return Field(key, parse, args)
+
+
+_ALG = _f("algebra_ref", ref, "lie_algebra")
+_REP = _f("rep_ref", ref, "representation")
+
+# kind -> its fields, in load order and in the argument order of `emit`; kinds
+# load in this order, so a reference names a kind above its own
+KINDS = {
+    "lie_algebra": (_f("dim", count, "g"), _f("brackets", brackets, "g")),
+    "subspace": (_f("ambient", count, "g"), _f("basis", vectors, "g")),
+    "representation": (_ALG, _f("dim", count, "m"), _f("actions", matrices, "mm")),
+    "linmap": (_f("matrix", matrix),),
+    "bivector": (_ALG._replace(optional=True), _f("dim", count, "g"),
+                 _f("entries", bivector, "g")),
+    "cochain": (_f("degree", count, "k"), _f("source_dim", count, "g"),
+                _f("target_dim", count, "m"), _f("values", values, "g", "m")),
+    "o_operator": (_REP, _f("matrix", matrix, "gm")),
+    "nijenhuis": (_ALG, _f("matrix", matrix, "gg")),
+    "nijenhuis_structure": (_REP, _f("n", matrix, "gg"), _f("s", matrix, "mm")),
+    "on_structure": (_REP, _f("t", matrix, "gm"), _f("n", matrix, "gg"),
+                     _f("s", matrix, "mm")),
+    "pn_structure": (_ALG, _f("r", bivector, "g"), _f("n", matrix, "gg")),
+    "pre_lie": (_f("dim", count, "g"), _f("products", triples, "g")),
+    "gcs_module": (_REP, _f("n", matrix, "gg"), _f("t", matrix, "gm"),
+                   _f("sigma", matrix, "mg"), _f("s", matrix, "mm")),
+    "gcs_lie": (_ALG, _f("n", matrix, "gg"), _f("r", bivector, "g"),
+                _f("sigma2", bivector, "g")),
+    "complex_pair": (_REP, _f("i", matrix, "gg"), _f("i_m", matrix, "mm")),
+    "holo_o": (_REP, _f("j", matrix, "gg"), _f("j_m", matrix, "mm"),
+               _f("t_r", matrix, "gm"), _f("t_i", matrix, "gm")),
+    "holo_r": (_ALG, _f("j", matrix, "gg"), _f("r_r", bivector, "g"),
+               _f("r_i", bivector, "g")),
+    "deformation": (_REP, _f("bracket1", skew_triples, "g"),
+                    _f("action1", matrices, "mm")),
+    "twilled": (_f("total_ref", ref, "lie_algebra"), _f("a_basis", vectors, "g"),
+                _f("b_basis", vectors, "g")),
+    "mc_solution": (_f("twilled_ref", ref, "twilled"), _f("omega", matrix, "ba")),
+}
+
+# how a kind's value is made from its field values, where it is not their tuple
+_MAKE = {
+    "lie_algebra": LieAlgebra,
+    "subspace": Subspace,
+    "representation": Representation,
+    "linmap": lambda m: m,
+    "bivector": lambda g, dim, r: (g, r),
+    "cochain": cohomology.Cochain,
+    "deformation": lambda rep, bracket1, action1: (
+        rep, DeformationData.build(rep.algebra.dim, rep.dim_m, bracket1, action1)),
+    "twilled": lambda total, a, b: twilled.twilled_new(
+        total, Subspace(total.dim, a), Subspace(total.dim, b)),
+}
+
+
+def emit(kind, *field_values):
+    """The JSON entry of a `kind` object from its field values, in KINDS order."""
+    return {"kind": kind, **{f.key: DUMP[f.parse](v)
+                             for f, v in zip(KINDS[kind], field_values, strict=True)}}
 
 
 def lie_algebra_to_json(g: LieAlgebra):
-    return {"kind": "lie_algebra", "dim": g.dim, "brackets": brackets_to_json(g)}
-
-
-def lie_algebra_from_json(raw) -> LieAlgebra:
-    dim = raw["dim"]
-    entries = {}
-    for i, j, coeffs in raw.get("brackets", []):
-        entries[(i, j)] = vector_from_json(coeffs)
-    return LieAlgebra.from_brackets(dim, entries)
-
-
-def bivector_entries_to_json(r: Bivector):
-    return [[i, j, scalar_str(v)] for (i, j), v in sorted(r.pairs().items())]
-
-
-def bivector_from_entries(dim, entries) -> Bivector:
-    return Bivector.from_pairs(dim, {(i, j): parse_scalar(v) for i, j, v in entries})
-
-
-def triples_to_json(dim, tensor):
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            if not is_zero_vec(tensor[i][j]):
-                out.append([i, j, vector_to_json(tensor[i][j])])
-    return out
-
-
-def triples_from_json(dim, triples, skew=False):
-    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, coeffs in triples:
-        for k in (i, j):
-            if type(k) is not int or not 0 <= k < dim:
-                raise WorkspaceError(f"triple index {k!r} is not an integer in [0, {dim})")
-        v = vector_from_json(coeffs)
-        if len(v) != dim:
-            raise WorkspaceError(f"triple ({i}, {j}) has {len(v)} coefficients, expected {dim}")
-        c[i][j] = list(v)
-        if skew:
-            c[j][i] = [-x for x in v]
-    return c
+    return emit("lie_algebra", g.dim, g.c)
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +274,6 @@ class Entry:
     kind: str
     raw: dict
     value: object
-
-
-_BUILD_ORDER = ("lie_algebra", "subspace", "representation", "linmap",
-                "bivector", "cochain", "o_operator", "nijenhuis",
-                "nijenhuis_structure", "on_structure", "pn_structure",
-                "pre_lie", "gcs_module", "gcs_lie", "complex_pair", "holo_o",
-                "holo_r", "deformation", "twilled", "mc_solution")
 
 
 class Workspace:
@@ -141,7 +298,7 @@ class Workspace:
                 raws[name] = raw
         defects = []
         structural = False
-        for kind in _BUILD_ORDER:
+        for kind in KINDS:
             for name in sorted(raws):
                 raw = raws[name]
                 if raw.get("kind") != kind:
@@ -157,9 +314,10 @@ class Workspace:
                         structural = True
                     defects.append((name, f"{type(exc).__name__}: {exc}"))
         for name in sorted(raws):
-            if raws[name].get("kind") not in _BUILD_ORDER:
+            kind = raws[name].get("kind")
+            if not isinstance(kind, str) or kind not in KINDS:
                 structural = True
-                defects.append((name, f"unknown object kind {raws[name].get('kind')!r}"))
+                defects.append((name, f"unknown object kind {kind!r}"))
         if defects:
             err = WorkspaceError("workspace failed to load", defects)
             err.structural = structural
@@ -183,102 +341,23 @@ class Workspace:
                 f"object {name!r} has kind {entry.kind}, expected {kind}")
         return entry
 
-    def _ref(self, raw, key, kind):
-        return self.get(raw[key], kind).value
-
     def _build(self, kind, raw):
-        dim = raw.get("dim", 0)
-        if type(dim) is not int or dim < 0:
-            raise WorkspaceError(f"dim must be a non-negative integer, got {dim!r}")
-        if kind == "lie_algebra":
-            return lie_algebra_from_json(raw)
-        if kind == "subspace":
-            return Subspace(raw["ambient"], [vector_from_json(v) for v in raw["basis"]])
-        if kind == "representation":
-            g = self._ref(raw, "algebra_ref", "lie_algebra")
-            dim = raw["dim"]
-            mats = [matrix_from_json(m, (dim, dim)) for m in raw["actions"]]
-            return Representation(g, dim, mats)
-        if kind == "linmap":
-            return matrix_from_json(raw["matrix"])
-        if kind == "bivector":
-            g = self._ref(raw, "algebra_ref", "lie_algebra") if "algebra_ref" in raw else None
-            dim = raw["dim"] if g is None else g.dim
-            return (g, bivector_from_entries(dim, raw.get("entries", [])))
-        if kind == "cochain":
-            values = {tuple(idx): vector_from_json(v) for idx, v in raw.get("values", [])}
-            return cohomology.Cochain(raw["degree"], raw["source_dim"],
-                                      raw["target_dim"], values)
-        if kind == "o_operator":
-            rep = self._ref(raw, "rep_ref", "representation")
-            return (rep, matrix_from_json(raw["matrix"], (rep.algebra.dim, rep.dim_m)))
-        if kind == "nijenhuis":
-            g = self._ref(raw, "algebra_ref", "lie_algebra")
-            return (g, matrix_from_json(raw["matrix"], (g.dim, g.dim)))
-        if kind == "nijenhuis_structure":
-            rep = self._ref(raw, "rep_ref", "representation")
-            return (rep,
-                    matrix_from_json(raw["n"], (rep.algebra.dim, rep.algebra.dim)),
-                    matrix_from_json(raw["s"], (rep.dim_m, rep.dim_m)))
-        if kind == "on_structure":
-            rep = self._ref(raw, "rep_ref", "representation")
-            return (rep,
-                    matrix_from_json(raw["t"], (rep.algebra.dim, rep.dim_m)),
-                    matrix_from_json(raw["n"], (rep.algebra.dim, rep.algebra.dim)),
-                    matrix_from_json(raw["s"], (rep.dim_m, rep.dim_m)))
-        if kind == "pn_structure":
-            g = self._ref(raw, "algebra_ref", "lie_algebra")
-            return (g, bivector_from_entries(g.dim, raw.get("r", [])),
-                    matrix_from_json(raw["n"], (g.dim, g.dim)))
-        if kind == "pre_lie":
-            dim = raw["dim"]
-            return (dim, triples_from_json(dim, raw.get("products", [])))
-        if kind == "gcs_module":
-            rep = self._ref(raw, "rep_ref", "representation")
-            d, m = rep.algebra.dim, rep.dim_m
-            return (rep, matrix_from_json(raw["n"], (d, d)),
-                    matrix_from_json(raw["t"], (d, m)),
-                    matrix_from_json(raw["sigma"], (m, d)),
-                    matrix_from_json(raw["s"], (m, m)))
-        if kind == "gcs_lie":
-            g = self._ref(raw, "algebra_ref", "lie_algebra")
-            sig = bivector_from_entries(g.dim, raw.get("sigma2", []))
-            return (g, matrix_from_json(raw["n"], (g.dim, g.dim)),
-                    bivector_from_entries(g.dim, raw.get("r", [])),
-                    Matrix(sig.m))
-        if kind == "complex_pair":
-            rep = self._ref(raw, "rep_ref", "representation")
-            return (rep,
-                    matrix_from_json(raw["i"], (rep.algebra.dim, rep.algebra.dim)),
-                    matrix_from_json(raw["i_m"], (rep.dim_m, rep.dim_m)))
-        if kind == "holo_o":
-            rep = self._ref(raw, "rep_ref", "representation")
-            d, m = rep.algebra.dim, rep.dim_m
-            return (rep, matrix_from_json(raw["j"], (d, d)),
-                    matrix_from_json(raw["j_m"], (m, m)),
-                    matrix_from_json(raw["t_r"], (d, m)),
-                    matrix_from_json(raw["t_i"], (d, m)))
-        if kind == "holo_r":
-            g = self._ref(raw, "algebra_ref", "lie_algebra")
-            return (g, matrix_from_json(raw["j"], (g.dim, g.dim)),
-                    bivector_from_entries(g.dim, raw.get("r_r", [])),
-                    bivector_from_entries(g.dim, raw.get("r_i", [])))
-        if kind == "deformation":
-            rep = self._ref(raw, "rep_ref", "representation")
-            g = rep.algebra
-            bracket1 = triples_from_json(g.dim, raw.get("bracket1", []), skew=True)
-            action1 = [matrix_from_json(m, (rep.dim_m, rep.dim_m))
-                       for m in raw["action1"]]
-            return (rep, DeformationData.build(g.dim, rep.dim_m, bracket1, action1))
-        if kind == "twilled":
-            total = self._ref(raw, "total_ref", "lie_algebra")
-            a = Subspace(total.dim, [vector_from_json(v) for v in raw["a_basis"]])
-            b = Subspace(total.dim, [vector_from_json(v) for v in raw["b_basis"]])
-            return twilled.twilled_new(total, a, b)
-        if kind == "mc_solution":
-            tw = self._ref(raw, "twilled_ref", "twilled")
-            return (tw, matrix_from_json(raw["omega"], (tw.dim_b, tw.dim_a)))
-        raise WorkspaceError(f"unknown object kind {kind!r}")
+        fields = KINDS[kind]
+        unknown = sorted(set(raw) - {"kind"} - {f.key for f in fields})
+        if unknown:
+            raise WorkspaceError(f"unknown key {unknown[0]!r} for kind {kind}")
+        dims, vals = {}, []
+        for f in fields:
+            if f.key in raw:
+                vals.append(f.parse(self, dims, f.key, raw[f.key], *f.args))
+            elif f.parse in SPARSE:
+                vals.append(f.parse(self, dims, f.key, [], *f.args))
+            elif f.optional:
+                vals.append(None)
+            else:
+                raise WorkspaceError(f"missing key {f.key!r}")
+        make = _MAKE.get(kind)
+        return make(*vals) if make else tuple(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +494,6 @@ def run_check(ws: Workspace, kind, names):
 # derivations
 # ---------------------------------------------------------------------------
 
-def _emit_rep(rep: Representation, algebra_name, out):
-    return {"kind": "representation", "algebra_ref": algebra_name,
-            "dim": rep.dim_m, "actions": [matrix_to_json(a) for a in rep.action]}
-
-
 def run_derive(ws: Workspace, kind, args):
     """Returns ({name: json}, dependency names to copy verbatim)."""
     if kind in DERIVE_KINDS and len(args) != DERIVE_KINDS[kind]:
@@ -427,149 +501,116 @@ def run_derive(ws: Workspace, kind, args):
     new = {}
     deps = set()
 
-    def dep(name):
+    def dep(name, kind=None):
         deps.add(name)
-        entry = ws.get(name)
-        for key in ("algebra_ref", "rep_ref", "total_ref", "twilled_ref"):
-            if key in entry.raw:
-                dep(entry.raw[key])
+        entry = ws.get(name, kind)
+        for f in KINDS[entry.kind]:
+            if f.parse is ref and f.key in entry.raw:
+                dep(entry.raw[f.key])
         return entry
+
+    def emit_twilled(name, tw):
+        basis = Matrix.identity(tw.dim_a + tw.dim_b).entries
+        new[f"{name}__total"] = lie_algebra_to_json(tw.total)
+        new[f"{name}__twilled"] = emit("twilled", f"{name}__total",
+                                       basis[:tw.dim_a], basis[tw.dim_a:])
 
     if kind == "induced-lie":
         (name,) = args
-        rep, t = dep(name).value
-        out = ooper.induced_lie(rep, t)
-        new[f"{name}__induced"] = lie_algebra_to_json(out)
+        rep, t = dep(name, "o_operator").value
+        new[f"{name}__induced"] = lie_algebra_to_json(ooper.induced_lie(rep, t))
     elif kind == "semidirect":
         (name,) = args
-        rep = dep(name).value
+        rep = dep(name, "representation").value
         new[f"{name}__semidirect"] = lie_algebra_to_json(liecore.semidirect(rep))
     elif kind == "adjoint":
         (name,) = args
-        g = dep(name).value
-        new[f"{name}__adjoint"] = _emit_rep(liecore.adjoint(g), name, new)
+        rep = liecore.adjoint(dep(name, "lie_algebra").value)
+        new[f"{name}__adjoint"] = emit("representation", name, rep.dim_m, rep.action)
     elif kind == "coadjoint":
         (name,) = args
-        g = dep(name).value
-        new[f"{name}__coadjoint"] = _emit_rep(liecore.coadjoint(g), name, new)
+        rep = liecore.coadjoint(dep(name, "lie_algebra").value)
+        new[f"{name}__coadjoint"] = emit("representation", name, rep.dim_m, rep.action)
     elif kind == "dual":
         (name,) = args
-        entry = dep(name)
-        rep = entry.value
-        new[f"{name}__dual"] = _emit_rep(liecore.dual_rep(rep),
-                                         entry.raw["algebra_ref"], new)
+        entry = dep(name, "representation")
+        rep = liecore.dual_rep(entry.value)
+        new[f"{name}__dual"] = emit("representation", entry.raw["algebra_ref"],
+                                    rep.dim_m, rep.action)
     elif kind == "deformed-bracket":
         (name,) = args
-        g, n = dep(name).value
+        g, n = dep(name, "nijenhuis").value
         new[f"{name}__deformed"] = lie_algebra_to_json(onstruct.deformed_bracket(g, n))
     elif kind == "gauge":
         tname, bname = args
-        rep, t = dep(tname).value
-        b = dep(bname).value
-        tb = ooper.gauge_transform(rep, t, b)
-        new[f"{tname}__gauge__{bname}"] = {
-            "kind": "o_operator", "rep_ref": ws.get(tname).raw["rep_ref"],
-            "matrix": matrix_to_json(tb)}
+        entry = dep(tname, "o_operator")
+        tb = ooper.gauge_transform(*entry.value, dep(bname, "linmap").value)
+        new[f"{tname}__gauge__{bname}"] = emit("o_operator", entry.raw["rep_ref"], tb)
     elif kind == "reduce":
         tname, hname, ename, nname = args
-        rep, t = dep(tname).value
-        h = dep(hname).value
-        e = dep(ename).value
-        nsub = dep(nname).value
+        rep, t = dep(tname, "o_operator").value
+        h, e, nsub = (dep(n, "subspace").value for n in (hname, ename, nname))
         red = ooper.mr_reduce(rep, t, h, e, nsub)
         base = f"{tname}__reduced"
         new[f"{base}_algebra"] = lie_algebra_to_json(red.quotient.algebra)
-        new[f"{base}_rep"] = _emit_rep(red.reduced_rep, f"{base}_algebra", new)
-        new[base] = {"kind": "o_operator", "rep_ref": f"{base}_rep",
-                     "matrix": matrix_to_json(red.reduced_T)}
-        new[f"{base}_module"] = {
-            "kind": "subspace", "ambient": rep.dim_m,
-            "basis": [vector_to_json(v) for v in red.module_basis]}
+        new[f"{base}_rep"] = emit("representation", f"{base}_algebra",
+                                  red.reduced_rep.dim_m, red.reduced_rep.action)
+        new[base] = emit("o_operator", f"{base}_rep", red.reduced_T)
+        new[f"{base}_module"] = emit("subspace", rep.dim_m, red.module_basis)
     elif kind == "hierarchy":
         depth, name = args
         if not depth.isdecimal():
             raise WorkspaceError(f"hierarchy depth must be a non-negative integer, got {depth!r}")
-        rep, t, n, s = dep(name).value
-        ts = onstruct.hierarchy(rep, t, n, s, int(depth))
-        for k, tk in enumerate(ts):
-            new[f"{name}__t{k}"] = {
-                "kind": "o_operator", "rep_ref": ws.get(name).raw["rep_ref"],
-                "matrix": matrix_to_json(tk)}
+        entry = dep(name, "on_structure")
+        for k, tk in enumerate(onstruct.hierarchy(*entry.value, int(depth))):
+            new[f"{name}__t{k}"] = emit("o_operator", entry.raw["rep_ref"], tk)
     elif kind == "tilde-action":
         (name,) = args
-        rep, n, s = dep(name).value
-        tilde = onstruct.tilde_action(rep, n, s)
+        tilde = onstruct.tilde_action(*dep(name, "nijenhuis_structure").value)
         new[f"{name}__deformed_algebra"] = lie_algebra_to_json(tilde.algebra)
-        new[f"{name}__tilde"] = _emit_rep(tilde, f"{name}__deformed_algebra", new)
+        new[f"{name}__tilde"] = emit("representation", f"{name}__deformed_algebra",
+                                     tilde.dim_m, tilde.action)
     elif kind == "twilled-from-o":
         (name,) = args
-        rep, t = dep(name).value
-        tw = twilled.twilled_from_o(rep, t)
-        new[f"{name}__total"] = lie_algebra_to_json(tw.total)
-        d = tw.dim_a + tw.dim_b
-        ident = Matrix.identity(d)
-        new[f"{name}__twilled"] = {
-            "kind": "twilled", "total_ref": f"{name}__total",
-            "a_basis": [vector_to_json(ident.row(i)) for i in range(tw.dim_a)],
-            "b_basis": [vector_to_json(ident.row(tw.dim_a + i)) for i in range(tw.dim_b)]}
+        emit_twilled(name, twilled.twilled_from_o(*dep(name, "o_operator").value))
     elif kind == "on-from-pair":
         n1, n2 = args
-        rep, t1 = dep(n1).value
-        rep2, t2 = dep(n2).value
+        entry = dep(n1, "o_operator")
+        rep, t1 = entry.value
+        rep2, t2 = dep(n2, "o_operator").value
         if rep is not rep2:
             raise WorkspaceError("operators live over different modules")
         on = onstruct.on_from_compatible_pair(rep, t1, t2)
-        new[f"{n2}__on"] = {
-            "kind": "on_structure", "rep_ref": ws.get(n1).raw["rep_ref"],
-            "t": matrix_to_json(on.T), "n": matrix_to_json(on.N),
-            "s": matrix_to_json(on.S)}
+        new[f"{n2}__on"] = emit("on_structure", entry.raw["rep_ref"], on.T, on.N, on.S)
     elif kind == "on-from-mc":
         tname, mcname = args
-        rep, t = dep(tname).value
-        mc_entry = dep(mcname)
-        _, omega = mc_entry.value
-        on = twilled.on_from_strong_mc(rep, t, omega)
-        new[f"{tname}__on_from_mc"] = {
-            "kind": "on_structure", "rep_ref": ws.get(tname).raw["rep_ref"],
-            "t": matrix_to_json(on.T), "n": matrix_to_json(on.N),
-            "s": matrix_to_json(on.S)}
+        entry = dep(tname, "o_operator")
+        _, omega = dep(mcname, "mc_solution").value
+        on = twilled.on_from_strong_mc(*entry.value, omega)
+        new[f"{tname}__on_from_mc"] = emit("on_structure", entry.raw["rep_ref"],
+                                           on.T, on.N, on.S)
     elif kind == "mc-from-on":
         (name,) = args
-        rep, t, n, s = dep(name).value
+        rep, t, n, s = dep(name, "on_structure").value
         omega = twilled.strong_mc_from_on(rep, t, n, s)
-        tw = twilled.twilled_from_o(rep, t)
-        new[f"{name}__total"] = lie_algebra_to_json(tw.total)
-        d = tw.dim_a + tw.dim_b
-        ident = Matrix.identity(d)
-        new[f"{name}__twilled"] = {
-            "kind": "twilled", "total_ref": f"{name}__total",
-            "a_basis": [vector_to_json(ident.row(i)) for i in range(tw.dim_a)],
-            "b_basis": [vector_to_json(ident.row(tw.dim_a + i)) for i in range(tw.dim_b)]}
-        new[f"{name}__mc"] = {"kind": "mc_solution", "twilled_ref": f"{name}__twilled",
-                              "omega": matrix_to_json(omega)}
+        emit_twilled(name, twilled.twilled_from_o(rep, t))
+        new[f"{name}__mc"] = emit("mc_solution", f"{name}__twilled", omega)
     elif kind == "gcs-from-o":
         (name,) = args
-        rep, t = dep(name).value
-        j = gcsholo.gcs_from_invertible_o(rep, t)
-        new[f"{name}__gcs"] = {
-            "kind": "gcs_module", "rep_ref": ws.get(name).raw["rep_ref"],
-            "n": matrix_to_json(j.N), "t": matrix_to_json(j.T),
-            "sigma": matrix_to_json(j.sigma), "s": matrix_to_json(j.S)}
+        entry = dep(name, "o_operator")
+        j = gcsholo.gcs_from_invertible_o(*entry.value)
+        new[f"{name}__gcs"] = emit("gcs_module", entry.raw["rep_ref"],
+                                   j.N, j.T, j.sigma, j.S)
     elif kind == "opposite-gcs":
         (name,) = args
-        entry = dep(name)
-        rep, n, t, sigma, s = entry.value
-        j = gcsholo.opposite_gcs(gcsholo.GCSModule(rep, n, t, sigma, s))
-        new[f"{name}__opposite"] = {
-            "kind": "gcs_module", "rep_ref": entry.raw["rep_ref"],
-            "n": matrix_to_json(j.N), "t": matrix_to_json(j.T),
-            "sigma": matrix_to_json(j.sigma), "s": matrix_to_json(j.S)}
+        entry = dep(name, "gcs_module")
+        j = gcsholo.opposite_gcs(gcsholo.GCSModule(*entry.value))
+        new[f"{name}__opposite"] = emit("gcs_module", entry.raw["rep_ref"],
+                                        j.N, j.T, j.sigma, j.S)
     elif kind == "pre-lie-from-o":
         (name,) = args
-        rep, t = dep(name).value
-        p = ooper.pre_lie_from_o(rep, t)
-        new[f"{name}__prelie"] = {"kind": "pre_lie", "dim": p.dim,
-                                  "products": triples_to_json(p.dim, p.p)}
+        p = ooper.pre_lie_from_o(*dep(name, "o_operator").value)
+        new[f"{name}__prelie"] = emit("pre_lie", p.dim, p.p)
     else:
         raise WorkspaceError(f"unknown derive kind {kind!r}")
     return new, deps

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .cli import (
-    bivector_entries_to_json, lie_algebra_to_json, matrix_to_json,
-    triples_to_json, vector_to_json,
-)
+from .cli import emit, lie_algebra_to_json
 from .exactla import Matrix
 from .liecore import LieAlgebra, Representation, adjoint, coadjoint, trivial_rep
 from .onstruct import on_from_compatible_pair, trivial_deformation_from
@@ -109,140 +106,72 @@ def bundle() -> dict:
     objects = {}
     for name, g in algebras.items():
         objects[name] = lie_algebra_to_json(g)
-    rep_algebra = {"ab2_triv2": "ab2", "aff1_adj": "aff1", "aff1_coadj": "aff1",
-                   "aff1_triv2": "aff1", "h3_adj": "h3", "h3_coadj": "h3",
-                   "h3_rep2": "h3", "sl2_adj": "sl2", "sl2_coadj": "sl2"}
-    for name, rep in reps.items():
-        objects[name] = {"kind": "representation", "algebra_ref": rep_algebra[name],
-                         "dim": rep.dim_m,
-                         "actions": [matrix_to_json(a) for a in rep.action]}
+    for name, rep in reps.items():  # a module's name starts with its algebra's
+        objects[name] = emit("representation", name.split("_")[0], rep.dim_m, rep.action)
     for name, (rep_name, t) in o_ops.items():
-        objects[name] = {"kind": "o_operator", "rep_ref": rep_name,
-                         "matrix": matrix_to_json(t)}
+        objects[name] = emit("o_operator", rep_name, t)
 
-    objects["aff1_r"] = {"kind": "bivector", "algebra_ref": "aff1", "dim": 2,
-                         "entries": bivector_entries_to_json(
-                             Bivector.from_pairs(2, {(0, 1): 1}))}
-    objects["h3_r"] = {"kind": "bivector", "algebra_ref": "h3", "dim": 3,
-                       "entries": bivector_entries_to_json(
-                           Bivector.from_pairs(3, {(0, 2): 1}))}
-    objects["sl2_r"] = {"kind": "bivector", "algebra_ref": "sl2", "dim": 3,
-                        "entries": bivector_entries_to_json(
-                            Bivector.from_pairs(3, {(0, 1): 1}))}
+    for g, dim, pair in (("aff1", 2, (0, 1)), ("h3", 3, (0, 2)), ("sl2", 3, (0, 1))):
+        objects[f"{g}_r"] = emit("bivector", g, dim, Bivector.from_pairs(dim, {pair: 1}))
 
-    objects["aff1_adj_B"] = {"kind": "linmap", "matrix": matrix_to_json(AFF1_ADJ_B)}
-    objects["aff1_coadj_B"] = {"kind": "linmap", "matrix": matrix_to_json(AFF1_COADJ_B)}
+    objects["aff1_adj_B"] = emit("linmap", AFF1_ADJ_B)
+    objects["aff1_coadj_B"] = emit("linmap", AFF1_COADJ_B)
 
-    objects["aff1_N"] = {"kind": "nijenhuis", "algebra_ref": "aff1",
-                         "matrix": matrix_to_json(AFF1_N)}
-    objects["h3_N"] = {"kind": "nijenhuis", "algebra_ref": "h3",
-                       "matrix": matrix_to_json(H3_N)}
-    objects["sl2_N"] = {"kind": "nijenhuis", "algebra_ref": "sl2",
-                        "matrix": matrix_to_json(SL2_N)}
+    objects["aff1_N"] = emit("nijenhuis", "aff1", AFF1_N)
+    objects["h3_N"] = emit("nijenhuis", "h3", H3_N)
+    objects["sl2_N"] = emit("nijenhuis", "sl2", SL2_N)
 
-    objects["aff1_ns"] = {"kind": "nijenhuis_structure", "rep_ref": "aff1_adj",
-                          "n": matrix_to_json(AFF1_N),
-                          "s": matrix_to_json(AFF1_NS_S)}
-    objects["h3_ns"] = {"kind": "nijenhuis_structure", "rep_ref": "h3_coadj",
-                        "n": matrix_to_json(H3_N),
-                        "s": matrix_to_json(H3_N.transpose())}
+    objects["aff1_ns"] = emit("nijenhuis_structure", "aff1_adj", AFF1_N, AFF1_NS_S)
+    objects["h3_ns"] = emit("nijenhuis_structure", "h3_coadj", H3_N, H3_N.transpose())
 
     on_aff1 = on_from_compatible_pair(reps["aff1_coadj"], AFF1_COADJ_T1, AFF1_COADJ_T2)
     on_h3 = on_from_compatible_pair(reps["h3_adj"], H3_ADJ_T1, H3_ADJ_T2)
-    objects["aff1_on"] = {"kind": "on_structure", "rep_ref": "aff1_coadj",
-                          "t": matrix_to_json(on_aff1.T),
-                          "n": matrix_to_json(on_aff1.N),
-                          "s": matrix_to_json(on_aff1.S)}
-    objects["h3_on"] = {"kind": "on_structure", "rep_ref": "h3_adj",
-                        "t": matrix_to_json(on_h3.T),
-                        "n": matrix_to_json(on_h3.N),
-                        "s": matrix_to_json(on_h3.S)}
-    objects["aff1_on_id"] = {"kind": "on_structure", "rep_ref": "aff1_adj",
-                             "t": matrix_to_json(AFF1_ADJ_T),
-                             "n": matrix_to_json(Matrix.identity(2)),
-                             "s": matrix_to_json(Matrix.identity(2))}
+    objects["aff1_on"] = emit("on_structure", "aff1_coadj", on_aff1.T, on_aff1.N, on_aff1.S)
+    objects["h3_on"] = emit("on_structure", "h3_adj", on_h3.T, on_h3.N, on_h3.S)
+    objects["aff1_on_id"] = emit("on_structure", "aff1_adj", AFF1_ADJ_T,
+                                 Matrix.identity(2), Matrix.identity(2))
 
-    objects["h3_pn"] = {"kind": "pn_structure", "algebra_ref": "h3",
-                        "r": bivector_entries_to_json(Bivector.from_pairs(3, {(0, 2): 1})),
-                        "n": matrix_to_json(H3_N)}
+    objects["h3_pn"] = emit("pn_structure", "h3", Bivector.from_pairs(3, {(0, 2): 1}), H3_N)
 
     prelie = pre_lie_from_o(reps["aff1_coadj"], AFF1_COADJ_T2)
-    objects["aff1_prelie"] = {"kind": "pre_lie", "dim": 2,
-                              "products": triples_to_json(2, prelie.p)}
+    objects["aff1_prelie"] = emit("pre_lie", 2, prelie.p)
 
     deform = trivial_deformation_from(reps["aff1_adj"], AFF1_N, AFF1_DEFORM_S)
-    objects["aff1_deform"] = {
-        "kind": "deformation", "rep_ref": "aff1_adj",
-        "bracket1": triples_to_json(2, deform.bracket1),
-        "action1": [matrix_to_json(m) for m in deform.action1]}
+    objects["aff1_deform"] = emit("deformation", "aff1_adj", deform.bracket1, deform.action1)
 
     tw = twilled_from_o(reps["aff1_adj"], AFF1_ADJ_T)
     objects["aff1_tw_total"] = lie_algebra_to_json(tw.total)
-    ident4 = Matrix.identity(4)
-    objects["aff1_tw"] = {
-        "kind": "twilled", "total_ref": "aff1_tw_total",
-        "a_basis": [vector_to_json(ident4.row(i)) for i in range(2)],
-        "b_basis": [vector_to_json(ident4.row(2 + i)) for i in range(2)]}
-    objects["h3_tw"] = {
-        "kind": "twilled", "total_ref": "h3",
-        "a_basis": [vector_to_json((1, 0, 0)), vector_to_json((0, 0, 1))],
-        "b_basis": [vector_to_json((0, 1, 0))]}
+    ident4 = Matrix.identity(4).entries
+    objects["aff1_tw"] = emit("twilled", "aff1_tw_total", ident4[:2], ident4[2:])
+    objects["h3_tw"] = emit("twilled", "h3", [(1, 0, 0), (0, 0, 1)], [(0, 1, 0)])
 
-    objects["aff1_mc"] = {"kind": "mc_solution", "twilled_ref": "aff1_tw",
-                          "omega": matrix_to_json(AFF1_ADJ_OMEGA)}
+    objects["aff1_mc"] = emit("mc_solution", "aff1_tw", AFF1_ADJ_OMEGA)
 
-    objects["aff1_gcs"] = {
-        "kind": "gcs_module", "rep_ref": "aff1_coadj",
-        "n": matrix_to_json(Matrix.zeros(2)),
-        "t": matrix_to_json(AFF1_COADJ_T2),
-        "sigma": matrix_to_json(Matrix([[0, -1], [1, 0]])),
-        "s": matrix_to_json(Matrix.zeros(2))}
-    objects["ab2_gcs"] = {
-        "kind": "gcs_module", "rep_ref": "ab2_triv2",
-        "n": matrix_to_json(ROT),
-        "t": matrix_to_json(Matrix.zeros(2)),
-        "sigma": matrix_to_json(Matrix.zeros(2)),
-        "s": matrix_to_json(-ROT)}
+    zero2 = Matrix.zeros(2)
+    objects["aff1_gcs"] = emit("gcs_module", "aff1_coadj", zero2, AFF1_COADJ_T2, ROT, zero2)
+    objects["ab2_gcs"] = emit("gcs_module", "ab2_triv2", ROT, zero2, zero2, -ROT)
 
-    objects["ab2_gcslie"] = {
-        "kind": "gcs_lie", "algebra_ref": "ab2",
-        "n": matrix_to_json(Matrix.zeros(2)),
-        "r": bivector_entries_to_json(Bivector.from_pairs(2, {(0, 1): 1})),
-        "sigma2": bivector_entries_to_json(Bivector.from_pairs(2, {(0, 1): 1}))}
-    objects["ab2_gcslie_cx"] = {
-        "kind": "gcs_lie", "algebra_ref": "ab2",
-        "n": matrix_to_json(ROT), "r": [], "sigma2": []}
+    r01 = Bivector.from_pairs(2, {(0, 1): 1})
+    objects["ab2_gcslie"] = emit("gcs_lie", "ab2", zero2, r01, r01)
+    r0 = Bivector.from_pairs(2, {})
+    objects["ab2_gcslie_cx"] = emit("gcs_lie", "ab2", ROT, r0, r0)
 
-    objects["ab2_cx"] = {"kind": "complex_pair", "rep_ref": "ab2_triv2",
-                         "i": matrix_to_json(ROT), "i_m": matrix_to_json(ROT)}
-    objects["aff1_cx"] = {"kind": "complex_pair", "rep_ref": "aff1_coadj",
-                          "i": matrix_to_json(ROT), "i_m": matrix_to_json(ROT)}
+    objects["ab2_cx"] = emit("complex_pair", "ab2_triv2", ROT, ROT)
+    objects["aff1_cx"] = emit("complex_pair", "aff1_coadj", ROT, ROT)
 
-    objects["ab2_holo_o"] = {
-        "kind": "holo_o", "rep_ref": "ab2_triv2",
-        "j": matrix_to_json(ROT), "j_m": matrix_to_json(ROT),
-        "t_r": matrix_to_json(ROT), "t_i": matrix_to_json(Matrix.identity(2))}
+    objects["ab2_holo_o"] = emit("holo_o", "ab2_triv2", ROT, ROT, ROT, Matrix.identity(2))
 
     ri = bivector_from_sharp(HOLO4_SHARP_I)
     rr = bivector_from_sharp(HOLO4_SHARP_I * J4.transpose())
-    objects["ab4_holo_r"] = {
-        "kind": "holo_r", "algebra_ref": "ab4", "j": matrix_to_json(J4),
-        "r_r": bivector_entries_to_json(rr),
-        "r_i": bivector_entries_to_json(ri)}
+    objects["ab4_holo_r"] = emit("holo_r", "ab4", J4, rr, ri)
 
-    objects["h3_center"] = {"kind": "subspace", "ambient": 3,
-                            "basis": [vector_to_json((0, 0, 1))]}
-    objects["h3_sub"] = {"kind": "subspace", "ambient": 3,
-                         "basis": [vector_to_json((1, 0, 0)), vector_to_json((0, 0, 1))]}
-    objects["h3_submod"] = {"kind": "subspace", "ambient": 3,
-                            "basis": [vector_to_json((0, 1, 0)), vector_to_json((0, 0, 1))]}
-    objects["h3_full"] = {"kind": "subspace", "ambient": 3,
-                          "basis": [vector_to_json(v) for v in Matrix.identity(3).entries]}
-    objects["h3_zero"] = {"kind": "subspace", "ambient": 3, "basis": []}
+    objects["h3_center"] = emit("subspace", 3, [(0, 0, 1)])
+    objects["h3_sub"] = emit("subspace", 3, [(1, 0, 0), (0, 0, 1)])
+    objects["h3_submod"] = emit("subspace", 3, [(0, 1, 0), (0, 0, 1)])
+    objects["h3_full"] = emit("subspace", 3, Matrix.identity(3).entries)
+    objects["h3_zero"] = emit("subspace", 3, [])
 
-    objects["h3_cochain"] = {"kind": "cochain", "degree": 2, "source_dim": 3,
-                             "target_dim": 3,
-                             "values": [[[0, 1], vector_to_json((0, 0, 1))]]}
+    objects["h3_cochain"] = emit("cochain", 2, 3, 3, {(0, 1): (0, 0, 1)})
     return {"objects": objects}
 
 

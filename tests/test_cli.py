@@ -149,8 +149,12 @@ def test_derive_precondition_error(bundle_file, tmp_path, capsys):
     ["hierarchy", "x", "aff1_on"],
     ["induced-lie", "aff1_adj_T", "extra"],
     ["gauge", "aff1_adj_T"],
+    ["twilled-from-o", "aff1_on"],
+    ["induced-lie", "aff1_N"],
+    ["adjoint", "aff1_adj"],
 ], ids=["hierarchy-depth-not-an-integer", "induced-lie-extra-argument",
-        "gauge-missing-argument"])
+        "gauge-missing-argument", "on-structure-for-an-o-operator",
+        "nijenhuis-for-an-o-operator", "representation-for-an-algebra"])
 def test_derive_bad_arguments_are_errors(args, bundle_file, tmp_path, capsys):
     out_path = tmp_path / "never.json"
     code, out = run(capsys, "derive", *args, "--input", bundle_file,
@@ -191,7 +195,11 @@ def test_empty_workspace_report(tmp_path, capsys):
     {"objects": []},
     {"objects": {"g": 3}},
     {"objects": {"g": {"kind": "lie_algebra", "dim": -1}}},
-], ids=["objects-not-a-map", "entry-not-a-map", "negative-dim"])
+    {"objects": {"g": {"kind": ["lie_algebra"], "dim": 1}}},
+    {"objects": {"g": {"kind": "lie_algebra", "dim": 1, "bracket": []}}},
+    {"objects": {"g": {"kind": "lie_algebra"}}},
+], ids=["objects-not-a-map", "entry-not-a-map", "negative-dim", "list-kind",
+        "unknown-key", "missing-key"])
 def test_malformed_document_is_a_structural_error(doc, tmp_path, capsys):
     p = tmp_path / "malformed.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
@@ -294,3 +302,81 @@ def test_wrong_triple_length_is_a_structural_error(tmp_path, capsys):
 def test_boolean_dim_is_a_structural_error(kind, tmp_path, capsys):
     line = _load_error(tmp_path, capsys, {"bad": {"kind": kind, "dim": True}})
     assert "dim must be a non-negative integer, got True" in line
+
+
+_Z2 = [["0", "0"], ["0", "0"]]
+
+
+def _sparse_object(field, item):
+    """One object over a dim-2 algebra `g` whose i < j pair field `field` holds `item`."""
+    return {
+        "brackets": {"kind": "lie_algebra", "dim": 2, "brackets": [item[:2] + [["1", "0"]]]},
+        "entries": {"kind": "bivector", "dim": 2, "entries": [item]},
+        "r": {"kind": "pn_structure", "algebra_ref": "g", "r": [item], "n": _Z2},
+        "sigma2": {"kind": "gcs_lie", "algebra_ref": "g", "n": _Z2, "sigma2": [item]},
+        "r_r": {"kind": "holo_r", "algebra_ref": "g", "j": _Z2, "r_r": [item]},
+        "r_i": {"kind": "holo_r", "algebra_ref": "g", "j": _Z2, "r_i": [item]},
+        "values": {"kind": "cochain", "degree": 1, "source_dim": 2, "target_dim": 1,
+                   "values": [[item[:1], ["1"]]]},
+    }[field]
+
+
+_G2 = {"kind": "lie_algebra", "dim": 2}
+
+
+@pytest.mark.parametrize("index", [True, -1, 2, "1"],
+                         ids=["boolean", "negative", "past-dim", "string"])
+@pytest.mark.parametrize("field", ["brackets", "entries", "r", "sigma2", "r_i", "values"])
+def test_badly_typed_index_is_a_structural_error(field, index, tmp_path, capsys):
+    bad = _sparse_object(field, [index, 1, "1"])
+    line = _load_error(tmp_path, capsys, {"g": _G2, "bad": bad})
+    assert f"index {index!r} is not an integer in [0, 2)" in line
+
+
+@pytest.mark.parametrize("value", [True, -1, "2"], ids=["boolean", "negative", "string"])
+@pytest.mark.parametrize("kind,key", [
+    ("subspace", "ambient"), ("cochain", "degree"), ("cochain", "source_dim"),
+    ("cochain", "target_dim"),
+])
+def test_badly_typed_count_is_a_structural_error(kind, key, value, tmp_path, capsys):
+    raw = ({"kind": "subspace", "ambient": 2, "basis": []} if kind == "subspace" else
+           {"kind": "cochain", "degree": 1, "source_dim": 2, "target_dim": 1})
+    raw[key] = value
+    line = _load_error(tmp_path, capsys, {"bad": raw})
+    assert f"{key} must be a non-negative integer, got {value!r}" in line
+
+
+@pytest.mark.parametrize("field", ["brackets", "entries", "r", "sigma2", "r_r", "r_i"])
+def test_repeated_pair_is_a_structural_error(field, tmp_path, capsys):
+    bad = _sparse_object(field, [0, 1, "1"])
+    items = bad[field]
+    items.append(list(items[0]))
+    line = _load_error(tmp_path, capsys, {"g": _G2, "bad": bad})
+    assert "triple (0, 1) appears twice" in line
+
+
+def test_bivector_dim_must_match_its_algebra(tmp_path, capsys):
+    bad = {"kind": "bivector", "algebra_ref": "g", "dim": 3, "entries": []}
+    line = _load_error(tmp_path, capsys, {"g": _G2, "bad": bad})
+    assert "dim is 3, but the referenced object has 2" in line
+
+
+@pytest.mark.parametrize("name", [["g"], {"g": 1}, 2, None])
+def test_non_string_reference_is_a_structural_error(name, tmp_path, capsys):
+    bad = {"kind": "nijenhuis", "algebra_ref": name, "matrix": _Z2}
+    line = _load_error(tmp_path, capsys, {"g": _G2, "bad": bad})
+    assert f"algebra_ref must be an object name, got {name!r}" in line
+
+
+@pytest.mark.parametrize("raw,what", [
+    ({"kind": "lie_algebra", "dim": 2, "brackets": ""}, "brackets"),
+    ({"kind": "lie_algebra", "dim": 2, "brackets": [[0, 1, "01"]]}, "triple (0, 1)"),
+    ({"kind": "subspace", "ambient": 2, "basis": ["01"]}, "vector"),
+    ({"kind": "linmap", "matrix": "01"}, "matrix"),
+    ({"kind": "linmap", "matrix": ["01", "10"]}, "matrix row"),
+    ({"kind": "cochain", "degree": 0, "source_dim": 1, "target_dim": 1,
+      "values": [[{}, ["1"]]]}, "index tuple"),
+], ids=["sparse-field", "coefficients", "vector", "matrix", "matrix-row", "index-tuple"])
+def test_string_or_map_for_a_list_is_a_structural_error(raw, what, tmp_path, capsys):
+    line = _load_error(tmp_path, capsys, {"bad": raw})
+    assert f"{what} must be a list, got" in line

@@ -1,6 +1,6 @@
 import importlib.resources as resources
 
-from lieop.cli import Workspace, build_report
+from lieop.cli import KINDS, Workspace, build_report
 from lieop.exactla import invert
 from lieop.fixtures import (
     AFF1_ADJ_OMEGA, AFF1_ADJ_T, AFF1_COADJ_T2, AFF1_N, H3_N, SL2_N,
@@ -16,6 +16,11 @@ def test_bundle_all_objects_validate():
     report = build_report(ws, seed=0)
     bad = {n: o for n, o in report["objects"].items() if not o["valid"]}
     assert not bad
+
+
+def test_bundle_objects_carry_exactly_their_kinds_fields():
+    for name, raw in bundle()["objects"].items():
+        assert set(raw) - {"kind"} == {f.key for f in KINDS[raw["kind"]]}, name
 
 
 def test_shipped_bundle_file_matches_generator():
