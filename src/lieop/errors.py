@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and `oracle`, the one place
+where two routes to a verdict are compared."""
 
 
 class LieOpError(Exception):
@@ -147,6 +148,16 @@ class OracleDisagreement(LieOpError):
         super().__init__(f"oracle disagreement in {what}: {detail}")
         self.what = what
         self.detail = detail
+
+
+def oracle(what, a, b, detail, **fields):
+    """Return `a` when the two routes agree (a == b); otherwise raise
+    OracleDisagreement(what, ...).  The detail template is formatted with a, b
+    and `fields` only when it raises.  Every route comparison in the library
+    goes through here."""
+    if a == b:
+        return a
+    raise OracleDisagreement(what, detail.format(a=a, b=b, **fields))
 
 
 class WorkspaceError(LieOpError):

@@ -3,8 +3,9 @@ structures, and the real-form checks for holomorphic r-matrices and
 holomorphic O-operators.
 
 The two GCS checkers (block map on the semi-direct product vs the ten
-component identities) are an oracle pair and are written to short-circuit:
-the exhaustive agreement sweeps call them tens of millions of times.
+component identities) are an oracle pair, compared through `errors.oracle`,
+and are written to short-circuit: the exhaustive agreement sweeps call them
+tens of millions of times.
 
 A complex structure is a Nijenhuis operator I with I^2 = -id, and a complex
 structure (I, I_M) on a module is the Nijenhuis structure (I, -I_M) with
@@ -18,7 +19,7 @@ from functools import partial
 
 from .errors import (
     DimensionMismatch, InvalidGCS, NotAntisymmetric, NotComplexPair,
-    NotComplexStructure, OracleDisagreement,
+    NotComplexStructure, oracle,
 )
 from .exactla import Matrix, invert, vec_add, vec_sub
 from .liecore import (
@@ -57,11 +58,9 @@ def _gcs_ctx(rep: Representation):
     return cache
 
 
-def gcs_check_direct(rep: Representation, N, T, sigma, S, report=False):
-    """J = [[N, T], [sigma, -S]] is almost complex and integrable on g + M.
-
-    With report=False the check stops at the first nonzero residual.
-    """
+def gcs_check_direct(rep: Representation, N, T, sigma, S) -> bool:
+    """J = [[N, T], [sigma, -S]] is almost complex and integrable on g + M;
+    stops at the first nonzero residual."""
     d, m, c, cs, _, _, _ = _gcs_ctx(rep)
     n = d + m
     Nr = _rows(N, (d, d))
@@ -70,7 +69,6 @@ def gcs_check_direct(rep: Representation, N, T, sigma, S, report=False):
     Sr = _rows(S, (m, m))
     J = [Nr[i] + Tr[i] for i in range(d)]
     J += [Gr[i] + tuple(-v for v in Sr[i]) for i in range(m)]
-    defects = {"almost_complex": [], "integrability": []}
     rng_n = range(n)
     for i in rng_n:
         ji = J[i]
@@ -81,9 +79,7 @@ def gcs_check_direct(rep: Representation, N, T, sigma, S, report=False):
                 if a:
                     s += a * J[k][j]
             if s:
-                if not report:
-                    return False
-                defects["almost_complex"].append((i, j, s))
+                return False
     # [Ju, Jv] - [u, v] = J([Ju, v] + [u, Jv]) on basis pairs u < v
     cols = list(zip(*J))
     units = [_unit(n, u) for u in rng_n]
@@ -94,11 +90,8 @@ def gcs_check_direct(rep: Representation, N, T, sigma, S, report=False):
             lhs = vec_sub(contract(cs, n, ju, jv), c[u][v])
             inner = vec_add(contract(cs, n, ju, units[v]), contract(cs, n, units[u], jv))
             if any(lhs[i] != sum(J[i][k] * inner[k] for k in rng_n) for i in rng_n):
-                if not report:
-                    return False
-                defects["integrability"].append((u, v))
-    ok = not defects["almost_complex"] and not defects["integrability"]
-    return (ok, defects) if report else ok
+                return False
+    return True
 
 
 def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
@@ -277,12 +270,8 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
 
 def gcs_oracle(rep: Representation, N, T, sigma, S) -> bool:
     """Both GCS checks; raises if they ever disagree."""
-    direct = gcs_check_direct(rep, N, T, sigma, S)
-    comps = gcs_check_components(rep, N, T, sigma, S)
-    if direct != comps:
-        raise OracleDisagreement("gcs characterization",
-                                 f"direct={direct} components={comps}")
-    return direct
+    return oracle("gcs characterization", gcs_check_direct(rep, N, T, sigma, S),
+                  gcs_check_components(rep, N, T, sigma, S), "direct={a} components={b}")
 
 
 @dataclass(frozen=True)
@@ -336,11 +325,9 @@ def is_module_complex_pair(rep: Representation, I, IM) -> bool:
     """
     direct = (is_complex_structure(rep.algebra, I) and _squares_to_minus_id(IM, rep.dim_m)
               and nijenhuis_structure_defect(rep, I, -IM) is None)
-    oracle = is_complex_structure(semidirect(rep), direct_sum_map(I, IM))
-    if direct != oracle:
-        raise OracleDisagreement("module complex pair",
-                                 f"direct={direct} semidirect={oracle}")
-    return direct
+    return oracle("module complex pair", direct,
+                  is_complex_structure(semidirect(rep), direct_sum_map(I, IM)),
+                  "direct={a} semidirect={b}")
 
 
 def gcs_from_complex(rep: Representation, I, IM) -> GCSModule:
@@ -359,8 +346,8 @@ def _pairing(u, v, d):
 def gcs_lie_check(g: LieAlgebra, N, r: Bivector, sigma2) -> bool:
     """Generalized complex structure (N, r, sigma) on a Lie algebra.
 
-    The verdict is delegated to the coadjoint-module block check; pairing
-    orthogonality is re-verified independently and must agree.
+    The verdict is delegated to the coadjoint-module block check; when it
+    passes, pairing orthogonality is re-verified independently and must hold.
     """
     if isinstance(sigma2, Bivector):
         sig = Matrix(sigma2.m)
@@ -374,25 +361,17 @@ def gcs_lie_check(g: LieAlgebra, N, r: Bivector, sigma2) -> bool:
     flat = sig.transpose()
     co = coadjoint(g)
     verdict = gcs_check_direct(co, N, sharp, flat, N.transpose())
-    d = g.dim
-    rows = [N.row(i) + sharp.row(i) for i in range(d)]
-    rows += [flat.row(i) + tuple(-v for v in N.transpose().row(i)) for i in range(d)]
-    J = Matrix(rows, cols=2 * d)
-    orthogonal = True
-    for u in range(2 * d):
-        ju = J.col(u)
-        eu = _unit(2 * d, u)
-        for v in range(u, 2 * d):
-            ev = _unit(2 * d, v)
-            if _pairing(ju, J.col(v), d) != _pairing(eu, ev, d):
-                orthogonal = False
-                break
-        if not orthogonal:
-            break
-    if verdict and not orthogonal:
-        raise OracleDisagreement("gcs on lie algebra",
-                                 "block form passed but breaks the pairing")
-    return verdict and orthogonal
+    if verdict:
+        d = g.dim
+        rows = [N.row(i) + sharp.row(i) for i in range(d)]
+        rows += [flat.row(i) + tuple(-v for v in N.transpose().row(i)) for i in range(d)]
+        J = Matrix(rows, cols=2 * d)
+        orthogonal = all(_pairing(J.col(u), J.col(v), d)
+                         == _pairing(_unit(2 * d, u), _unit(2 * d, v), d)
+                         for u in range(2 * d) for v in range(u, 2 * d))
+        oracle("gcs on lie algebra", orthogonal, True,
+               "block form passed but breaks the pairing")
+    return verdict
 
 
 def is_holomorphic_o(rep: Representation, J, JM, TR, TI) -> bool:
@@ -401,11 +380,9 @@ def is_holomorphic_o(rep: Representation, J, JM, TR, TI) -> bool:
         raise NotComplexPair("the pair (J, J_M) is not a module complex structure")
     ok = is_on_structure(rep, TI, J, JM)[0] and TR == TI * JM
     if ok:
-        if TR != J * TI:
-            raise OracleDisagreement("holomorphic o-operator", "T_R != J T_I")
-        if not (is_o_operator(rep, TR) and is_o_operator(rep, TI)):
-            raise OracleDisagreement("holomorphic o-operator",
-                                     "components fail the O-identity")
+        oracle("holomorphic o-operator", TR, J * TI, "T_R != J T_I")
+        oracle("holomorphic o-operator", is_o_operator(rep, TR) and is_o_operator(rep, TI),
+               True, "components fail the O-identity")
     return ok
 
 
@@ -419,7 +396,4 @@ def is_holomorphic_r(g: LieAlgebra, J, rr: Bivector, ri: Bivector) -> bool:
     via_pn = is_pn_structure(g, ri, J) and sharp_identity
     zero_sigma = Matrix.zeros(g.dim)
     via_gcs = gcs_lie_check(g, J, ri, zero_sigma) and sharp_identity
-    if via_pn != via_gcs:
-        raise OracleDisagreement("holomorphic r-matrix",
-                                 f"pn={via_pn} gcs={via_gcs}")
-    return via_pn
+    return oracle("holomorphic r-matrix", via_pn, via_gcs, "pn={a} gcs={b}")

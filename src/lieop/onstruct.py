@@ -2,8 +2,8 @@
 ON-structures with their compatible hierarchies, and PN-structures.
 
 Nijenhuis structures and PN-structures are double-checked against their
-semi-direct / coadjoint characterizations; a mismatch between the two routes
-aborts, since sign conventions are the main hazard in this corner.
+semi-direct / coadjoint characterizations through `errors.oracle`, since sign
+conventions are the main hazard in this corner.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from functools import partial
 
 from .errors import (
     DimensionMismatch, JacobiViolation, NotAntisymmetric, NotCompatible,
-    NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN,
-    OracleDisagreement,
+    NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, oracle,
 )
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_sub
 from .liecore import (
@@ -65,13 +64,7 @@ def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
     ok, defect = is_nijenhuis(g, N)
     if not ok:
         raise NotNijenhuis(defect)
-    out = LieAlgebra(g.dim, deformed_tensor(g.c, g.dim, N))
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            if N.apply(out.c[i][j]) != g.bracket_vec(N.col(i), N.col(j)):
-                raise OracleDisagreement("deformed bracket",
-                                         "N is not a morphism onto the original bracket")
-    return out
+    return LieAlgebra(g.dim, deformed_tensor(g.c, g.dim, N))
 
 
 def nijenhuis_power_props(g: LieAlgebra, N, kmax: int) -> dict:
@@ -215,17 +208,10 @@ def trivial_deformation_from(rep: Representation, N, S) -> DeformationData:
                for i in range(g.dim)]
     d = DeformationData.build(g.dim, rep.dim_m, bracket1, action1)
     ok, which = is_infinitesimal_deformation(rep, d)
-    if not ok:
-        raise OracleDisagreement("trivial deformation", f"condition {which} failed")
+    oracle("trivial deformation", ok, True, "condition {which} failed", which=which)
     for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            if N.apply(d.bracket1[i][j]) != g.bracket_vec(N.col(i), N.col(j)):
-                raise OracleDisagreement("trivial deformation", "triviality (8)")
-    for i in range(g.dim):
-        lhs = S * d.action1[i]
-        rhs = rep.rho(N.col(i)) * S
-        if lhs != rhs:
-            raise OracleDisagreement("trivial deformation", "triviality (10)")
+        oracle("trivial deformation", S * d.action1[i], rep.rho(N.col(i)) * S,
+               "triviality (10)")
     return d
 
 
@@ -252,11 +238,8 @@ def is_nijenhuis_structure(rep: Representation, N, S) -> bool:
         nijenhuis_structure_defect(rep, N, S) is None
     sd = semidirect(dual_rep(rep))
     lifted = direct_sum_map(N, S.transpose())
-    oracle = is_nijenhuis(sd, lifted)[0]
-    if direct != oracle:
-        raise OracleDisagreement("nijenhuis structure",
-                                 f"direct={direct} semidirect={oracle}")
-    return direct
+    return oracle("nijenhuis structure", direct, is_nijenhuis(sd, lifted)[0],
+                  "direct={a} semidirect={b}")
 
 
 def tilde_action(rep: Representation, N, S) -> Representation:
@@ -308,11 +291,10 @@ def is_on_structure(rep: Representation, T, N, S):
         for i in range(m):
             for j in range(i + 1, m):
                 ei, ej = _unit(m, i), _unit(m, j)
-                via_tilde = vec_sub(tilde.act(T.col(i), ej), tilde.act(T.col(j), ei))
-                if via_tilde != deformed_module_bracket(rep, T, S, i, j):
-                    raise OracleDisagreement("on structure",
-                                             "tilde bracket disagrees with S-deformed bracket")
-        report["tilde_bracket_agrees"] = True
+                oracle("on structure",
+                       vec_sub(tilde.act(T.col(i), ej), tilde.act(T.col(j), ei)),
+                       deformed_module_bracket(rep, T, S, i, j),
+                       "tilde bracket disagrees with S-deformed bracket")
     return verdict, report
 
 
@@ -344,16 +326,13 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
         spow.append(spow[-1] * S)
     ts = []
     for k in range(kmax + 1):
-        tk = npow[k] * T
-        if tk != T * spow[k]:
-            raise OracleDisagreement("hierarchy", f"N^{k} T != T S^{k}")
-        if not is_o_operator(rep, tk):
-            raise OracleDisagreement("hierarchy", f"T_{k} failed the O-identity")
+        tk = oracle("hierarchy", npow[k] * T, T * spow[k], "N^{k} T != T S^{k}", k=k)
+        oracle("hierarchy", is_o_operator(rep, tk), True, "T_{k} failed the O-identity", k=k)
         ts.append(tk)
     for k in range(kmax + 1):
         for l in range(k + 1, kmax + 1):
-            if not are_compatible(rep, ts[k], ts[l]):
-                raise OracleDisagreement("hierarchy", f"T_{k} and T_{l} incompatible")
+            oracle("hierarchy", are_compatible(rep, ts[k], ts[l]), True,
+                   "T_{k} and T_{l} incompatible", k=k, l=l)
     # deformed-bracket identities for k + l <= kmax
     for k in range(kmax + 1):
         for l in range(kmax + 1 - k):
@@ -362,29 +341,24 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
                 for j in range(i + 1, m):
                     ei, ej = _unit(m, i), _unit(m, j)
                     skl = deformed_module_bracket(rep, T, spow[k + l], i, j)
-                    lhs = ts[k].apply(skl)
                     a = ts[k].col(i)
                     b = ts[k].col(j)
                     rhs = vec_sub(
                         vec_add(g.bracket_vec(nl.apply(a), b),
                                 g.bracket_vec(a, nl.apply(b))),
                         nl.apply(g.bracket_vec(a, b)))
-                    if lhs != rhs:
-                        raise OracleDisagreement(
-                            "hierarchy", f"bracket identity (k={k}, l={l}) failed")
-                    via_tkl = ind_bracket_vec(rep, ts[k + l], ei, ej)
-                    if via_tkl != skl:
-                        raise OracleDisagreement(
-                            "hierarchy", f"operator bracket (k+l={k + l}) != S-deformed")
+                    oracle("hierarchy", ts[k].apply(skl), rhs,
+                           "bracket identity (k={k}, l={l}) failed", k=k, l=l)
+                    via_tkl = oracle("hierarchy", ind_bracket_vec(rep, ts[k + l], ei, ej), skl,
+                                     "operator bracket (k+l={kl}) != S-deformed", kl=k + l)
                     # the form the compatibility argument rests on: the
                     # T_{k+l}-bracket is the S^l-deformation of the T_k one
                     via_gen = vec_sub(
                         vec_add(ind_bracket_vec(rep, ts[k], spow[l].col(i), ej),
                                 ind_bracket_vec(rep, ts[k], ei, spow[l].col(j))),
                         spow[l].apply(ind_bracket_vec(rep, ts[k], ei, ej)))
-                    if via_tkl != via_gen:
-                        raise OracleDisagreement(
-                            "hierarchy", f"deformation identity (k={k}, l={l}) failed")
+                    oracle("hierarchy", via_tkl, via_gen,
+                           "deformation identity (k={k}, l={l}) failed", k=k, l=l)
     return ts
 
 
@@ -403,10 +377,8 @@ def is_pn_structure(g: LieAlgebra, r: Bivector, N) -> bool:
     nstar = N.transpose()
     direct = (is_r_matrix(g, r) and is_nijenhuis(g, N)[0] and N * rsh == rsh * nstar
               and _brackets_agree(co, rsh, N, nstar))
-    oracle = is_on_structure(co, rsh, N, nstar)[0]
-    if direct != oracle:
-        raise OracleDisagreement("pn structure", f"direct={direct} coadjoint_on={oracle}")
-    return direct
+    return oracle("pn structure", direct, is_on_structure(co, rsh, N, nstar)[0],
+                  "direct={a} coadjoint_on={b}")
 
 
 def pn_hierarchy(g: LieAlgebra, r: Bivector, N, kmax: int):
@@ -422,13 +394,11 @@ def pn_hierarchy(g: LieAlgebra, r: Bivector, N, kmax: int):
         if not mk.is_antisymmetric():
             raise NotAntisymmetric(f"N^{k} r_sharp is not induced by a bivector")
         rk = bivector_from_sharp(mk)
-        if not is_r_matrix(g, rk):
-            raise OracleDisagreement("pn hierarchy", f"r_{k} is not an r-matrix")
+        oracle("pn hierarchy", is_r_matrix(g, rk), True, "r_{k} is not an r-matrix", k=k)
         out.append(rk)
         acc = acc * N
-    for a in range(len(out)):
-        for b in range(a + 1, len(out)):
-            if not is_r_matrix(g, out[a].add(out[b])):
-                raise OracleDisagreement("pn hierarchy",
-                                         f"r_{a} + r_{b} is not an r-matrix")
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            oracle("pn hierarchy", is_r_matrix(g, out[i].add(out[j])), True,
+                   "r_{i} + r_{j} is not an r-matrix", i=i, j=j)
     return out

@@ -9,8 +9,8 @@ from its coordinate formula over the nonzero structure constants, not through
 the coadjoint module, so it stays an independent route to the r-matrix verdict.
 
 Wherever an independent second route to the same verdict exists (graph
-subalgebra, coadjoint O-operator, sum-of-operators), both are computed and a
-disagreement raises: those pairs are bug traps, not user errors.
+subalgebra, coadjoint O-operator, sum-of-operators), both are computed and
+compared through `errors.oracle`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .cohomology import Cochain, is_cocycle
 from .errors import (
     DimensionMismatch, ImageEscapesH, NotAdmissible, NotAntisymmetric, NotCocycle,
     NotCompatible, NotIdeal, NotOOperator, NotPreLie, NotStable,
-    NotSubalgebra, OracleDisagreement, QuotientError, Singular,
+    NotSubalgebra, QuotientError, Singular, oracle,
 )
 from .exactla import (
     Matrix, column_space_equal, invert, is_zero_vec, kernel, q, vec_add,
@@ -101,12 +101,8 @@ def graph_check(rep: Representation, T) -> bool:
 
 def graph_oracle(rep: Representation, T) -> bool:
     """is_o_operator computed both directly and through the graph; must agree."""
-    direct = is_o_operator(rep, T)
-    via_graph = graph_check(rep, T)
-    if direct != via_graph:
-        raise OracleDisagreement("o-operator graph characterization",
-                                 f"direct={direct} graph={via_graph}")
-    return direct
+    return oracle("o-operator graph characterization", is_o_operator(rep, T),
+                  graph_check(rep, T), "direct={a} graph={b}")
 
 
 def structure_report(rep: Representation, T) -> dict:
@@ -222,13 +218,9 @@ def is_r_matrix(g: LieAlgebra, r: Bivector) -> bool:
 
 def lemma_r_equiv(g: LieAlgebra, r: Bivector) -> bool:
     """CYBE via Schouten expansion vs r-sharp as a coadjoint O-operator."""
-    via_schouten = is_r_matrix(g, r)
-    via_coadjoint = is_o_operator(coadjoint(g), r_sharp(r))
-    if via_schouten != via_coadjoint:
-        raise OracleDisagreement(
-            "classical r-matrix characterization",
-            f"schouten={via_schouten} coadjoint={via_coadjoint} r={r!r}")
-    return via_schouten
+    return oracle("classical r-matrix characterization", is_r_matrix(g, r),
+                  is_o_operator(coadjoint(g), r_sharp(r)),
+                  "schouten={a} coadjoint={b} r={r!r}", r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +239,8 @@ def gauge_transform(rep: Representation, T, B) -> Matrix:
     except Singular as exc:
         raise NotAdmissible("id + B T is singular") from exc
     tb = T * phi_inv
-    if not is_o_operator(rep, tb):
-        raise OracleDisagreement("gauge transform", "T_B failed the O-identity")
-    if not column_space_equal(T, tb):
-        raise OracleDisagreement("gauge transform", "im(T_B) differs from im(T)")
+    oracle("gauge transform", is_o_operator(rep, tb), True, "T_B failed the O-identity")
+    oracle("gauge transform", column_space_equal(T, tb), True, "im(T_B) differs from im(T)")
     return tb
 
 
@@ -365,10 +355,9 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
             for cf, a in zip(via_quot, module_basis):
                 if cf:
                     lhs = vec_add(lhs, vec_scale(cf, a))
-            rhs = rep.act(T.apply(module_basis[i]), module_basis[j])
-            if lhs != rhs:
-                raise OracleDisagreement(
-                    "reduction action compatibility", f"pair ({i},{j})")
+            oracle("reduction action compatibility", lhs,
+                   rep.act(T.apply(module_basis[i]), module_basis[j]), "pair ({i},{j})",
+                   i=i, j=j)
     return MRReduction(h_alg, h_basis, qt, tuple(module_basis), reduced_rep, reduced_T)
 
 
@@ -400,17 +389,13 @@ def are_compatible(rep: Representation, T1, T2) -> bool:
     """Mixed-identity verdict, cross-checked against sums and random combinations."""
     defects = compatibility_defect(rep, T1, T2)
     direct = all(is_zero_vec(v) for v in defects.values())
-    via_sum = is_o_operator(rep, T1 + T2)
-    if direct != via_sum:
-        raise OracleDisagreement("compatibility", f"identity={direct} sum={via_sum}")
+    oracle("compatibility", direct, is_o_operator(rep, T1 + T2), "identity={a} sum={b}")
     rng = random.Random(20240)
     for _ in range(5):
         mu = rng.randint(1, 7)
         lam = rng.choice([-3, -2, -1, 1, 2, 3])
-        combo = is_o_operator(rep, T1.scale(mu) + T2.scale(lam))
-        if combo != direct:
-            raise OracleDisagreement(
-                "compatibility", f"combination mu={mu} lam={lam} broke equivalence")
+        oracle("compatibility", direct, is_o_operator(rep, T1.scale(mu) + T2.scale(lam)),
+               "combination mu={mu} lam={lam} broke equivalence", mu=mu, lam=lam)
     return direct
 
 
@@ -421,8 +406,7 @@ def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:
     n = T1 * invert(T2)
     from .onstruct import is_nijenhuis
     ok, defect = is_nijenhuis(rep.algebra, n)
-    if not ok:
-        raise OracleDisagreement("nijenhuis from compatible pair", defect)
+    oracle("nijenhuis from compatible pair", ok, True, "{defect}", defect=defect)
     return n
 
 
@@ -513,8 +497,5 @@ def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:
         if not direct:
             break
     sum_tensor = [[vec_add(p1.p[i][j], p2.p[i][j]) for j in range(d)] for i in range(d)]
-    via_sum = pre_lie_defect_tensor(d, sparse(sum_tensor)) is None
-    if direct != via_sum:
-        raise OracleDisagreement("pre-Lie compatibility",
-                                 f"identity={direct} sum={via_sum}")
-    return direct
+    return oracle("pre-Lie compatibility", direct,
+                  pre_lie_defect_tensor(d, sparse(sum_tensor)) is None, "identity={a} sum={b}")

@@ -2,19 +2,18 @@
 algebra attached to an O-operator, and (strong) Maurer-Cartan solutions.
 
 Maurer-Cartan residuals are always computed twice: once from the explicit
-bilinear formula, as its cocycle part plus its quadratic part, and once through
-the Chevalley-Eilenberg differential and the derived bracket.  The two grids
-must agree entry for entry.
+bilinear formula, as its cocycle part and its quadratic part, and once through
+the Chevalley-Eilenberg differential and the derived bracket.  `_mc_parts`
+compares each part with its grid through `errors.oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, one_cocycle_basis
-from .errors import DimensionMismatch, NotStrongMC, NotSubalgebra, OracleDisagreement
+from .errors import DimensionMismatch, NotStrongMC, NotSubalgebra, oracle
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale, vec_sub
 from .liecore import (
     LieAlgebra, Representation, Subspace, _unit, block_tensor,
@@ -180,33 +179,32 @@ def _cohomology_grids(tw: TwilledLieAlgebra, omega: Matrix):
     return grid_d, grid_q
 
 
-def mc_check(tw: TwilledLieAlgebra, omega):
-    """Maurer-Cartan verdict with per-pair defects, oracle-checked: the explicit
-    residual is the cocycle part plus the quadratic part of each pair."""
+def _mc_parts(tw: TwilledLieAlgebra, omega):
+    """(cocycle part, quadratic part) of the explicit residual per pair, each
+    oracle-checked against its cohomology grid: d_CE Omega and
+    [Omega, Omega]_{mu2} = 2 x quadratic part."""
     lin = cocycle_residual(tw, omega)
     quad = quadratic_residual(tw, omega)
-    direct = {key: vec_add(lin[key], quad[key]) for key in lin}
     grid_d, grid_q = _cohomology_grids(tw, omega)
-    half = Fraction(1, 2)
-    for key, val in direct.items():
-        abstract = vec_add(grid_d[key], vec_scale(half, grid_q[key]))
-        if abstract != val:
-            raise OracleDisagreement("maurer-cartan residual",
-                                     f"pair {key}: explicit {val} vs derived {abstract}")
+    for key in lin:
+        oracle("strong mc cocycle residual", grid_d[key], lin[key], "pair {key}", key=key)
+        oracle("strong mc quadratic residual", grid_q[key], vec_scale(2, quad[key]),
+               "pair {key}", key=key)
+    return lin, quad
+
+
+def mc_check(tw: TwilledLieAlgebra, omega):
+    """Maurer-Cartan verdict with per-pair defects: the explicit residual is
+    the cocycle part plus the quadratic part of each pair."""
+    lin, quad = _mc_parts(tw, omega)
+    direct = {key: vec_add(lin[key], quad[key]) for key in lin}
     return all(is_zero_vec(v) for v in direct.values()), direct
 
 
 def strong_mc_check(tw: TwilledLieAlgebra, omega):
     """Strong Maurer-Cartan verdict: cocycle and quadratic parts vanish
-    separately; both parts oracle-checked against the cohomology route."""
-    lin = cocycle_residual(tw, omega)
-    quad = quadratic_residual(tw, omega)
-    grid_d, grid_q = _cohomology_grids(tw, omega)
-    for key in lin:
-        if grid_d[key] != lin[key]:
-            raise OracleDisagreement("strong mc cocycle residual", f"pair {key}")
-        if grid_q[key] != vec_scale(2, quad[key]):
-            raise OracleDisagreement("strong mc quadratic residual", f"pair {key}")
+    separately."""
+    lin, quad = _mc_parts(tw, omega)
     verdict = all(is_zero_vec(v) for v in lin.values()) and \
         all(is_zero_vec(v) for v in quad.values())
     defects = {k: (lin[k], quad[k]) for k in lin}
@@ -230,10 +228,8 @@ def find_strong_mc(rep: Representation, T, coeffs=(-2, -1, 0, 1, 2), limit=None)
             continue
         seen.add(omega.entries)
         if all(is_zero_vec(v) for v in quadratic_residual(tw, omega).values()):
-            ok, _ = strong_mc_check(tw, omega)
-            if not ok:
-                raise OracleDisagreement("strong mc search",
-                                         "filtered candidate failed the full check")
+            oracle("strong mc search", strong_mc_check(tw, omega)[0], True,
+                   "filtered candidate failed the full check")
             found.append(omega)
             if limit is not None and len(found) >= limit:
                 break
@@ -260,9 +256,8 @@ def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
         raise NotStrongMC(defects)
     d, m = rep.algebra.dim, rep.dim_m
     bar = bar_action(rep, T)
-    if not is_o_operator(bar, omega):
-        raise OracleDisagreement("omega structures",
-                                 "strong MC solution is not an O-operator over M^T")
+    oracle("omega structures", is_o_operator(bar, omega), True,
+           "strong MC solution is not an O-operator over M^T")
     g_omega = induced_lie(bar, omega)
     mt = bar.algebra
     mats = []
@@ -276,13 +271,10 @@ def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
     big = LieAlgebra(d + m, block_tensor(g_omega.c, mt.c, action_omega.t, bar.t))
     # the swapped splitting M^T join g^Omega carries T as a strong MC solution
     swapped = swap(_from_block_total(big, d, m))
-    ok, _ = strong_mc_check(swapped, T)
-    if not ok:
-        raise OracleDisagreement("omega structures",
-                                 "T fails the strong MC equation on the swapped algebra")
-    if not is_o_operator(action_omega, T):
-        raise OracleDisagreement("omega structures",
-                                 "T fails the O-identity over the deformed action")
+    oracle("omega structures", strong_mc_check(swapped, T)[0], True,
+           "T fails the strong MC equation on the swapped algebra")
+    oracle("omega structures", is_o_operator(action_omega, T), True,
+           "T fails the O-identity over the deformed action")
     return OmegaStructures(tw, bar, g_omega, action_omega, big)
 
 
@@ -299,12 +291,9 @@ def strong_mc_from_on(rep: Representation, T, N, S) -> Matrix:
     """Omega = T^{-1} N = S T^{-1} for an ON-structure with invertible T."""
     ONStructure(rep, T, N, S)
     tinv = invert(T)
-    omega = tinv * N
-    if omega != S * tinv:
-        raise OracleDisagreement("strong mc from on", "T^{-1} N != S T^{-1}")
+    omega = oracle("strong mc from on", tinv * N, S * tinv, "T^{{-1}} N != S T^{{-1}}")
     tw = twilled_from_o(rep, T)
     ok, defects = strong_mc_check(tw, omega)
-    if not ok:
-        raise OracleDisagreement("strong mc from on",
-                                 f"induced solution failed the strong check: {defects}")
+    oracle("strong mc from on", ok, True,
+           "induced solution failed the strong check: {defects}", defects=defects)
     return omega

@@ -1,0 +1,98 @@
+"""The one oracle helper: every two-route verdict raises through it, and no
+module but errors.py constructs OracleDisagreement."""
+
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+import lieop
+from lieop import gcsholo, onstruct, ooper, twilled
+from lieop.cli import Workspace
+from lieop.errors import OracleDisagreement, oracle
+from lieop.fixtures import bundle_json
+
+
+@pytest.fixture(scope="module")
+def ws():
+    return Workspace.load([json.loads(bundle_json())])
+
+
+def _flip(route):
+    return lambda *args: not route(*args)
+
+
+def _shift(route):
+    """A residual route whose every entry is off by one."""
+    return lambda *args: {k: tuple(x + 1 for x in v) for k, v in route(*args).items()}
+
+
+def _values(*names):
+    return lambda ws: sum((tuple(ws.entries[n].value) for n in names), ())
+
+
+# (module, route patched, how, args from the bundle, verdict, the site's `what`)
+SITES = [
+    (ooper, "graph_check", _flip, _values("aff1_adj_T"), ooper.graph_oracle,
+     "o-operator graph characterization"),
+    (ooper, "is_r_matrix", _flip, _values("aff1_r"), ooper.lemma_r_equiv,
+     "classical r-matrix characterization"),
+    (onstruct, "nijenhuis_structure_defect", _flip, _values("aff1_ns"),
+     onstruct.is_nijenhuis_structure, "nijenhuis structure"),
+    (onstruct, "is_r_matrix", _flip, _values("h3_pn"), onstruct.is_pn_structure,
+     "pn structure"),
+    (gcsholo, "gcs_check_components", _flip, _values("aff1_gcs"), gcsholo.gcs_oracle,
+     "gcs characterization"),
+    (gcsholo, "nijenhuis_structure_defect", _flip, _values("aff1_cx"),
+     gcsholo.is_module_complex_pair, "module complex pair"),
+    (gcsholo, "is_pn_structure", _flip, _values("ab4_holo_r"), gcsholo.is_holomorphic_r,
+     "holomorphic r-matrix"),
+    (ooper, "compatibility_defect", lambda route: lambda *args: {(0, 1): (1,)},
+     lambda ws: ws.entries["aff1_coadj_T1"].value + ws.entries["aff1_coadj_T2"].value[1:],
+     ooper.are_compatible, "compatibility"),
+    (ooper, "pre_lie_defect_tensor", _flip,
+     lambda ws: (ooper.PreLieProduct(*ws.entries["aff1_prelie"].value),) * 2,
+     ooper.pre_lie_compatible, "pre-Lie compatibility"),
+    (twilled, "cocycle_residual", _shift, _values("aff1_mc"), twilled.mc_check,
+     "strong mc cocycle residual"),
+    (twilled, "quadratic_residual", _shift, _values("aff1_mc"), twilled.strong_mc_check,
+     "strong mc quadratic residual"),
+]
+
+
+@pytest.mark.parametrize("module,name,patch,args,verdict,what", SITES,
+                         ids=[site[-2].__name__ + "-" + site[1] for site in SITES])
+def test_flipped_route_raises_with_the_site_name(ws, monkeypatch, module, name, patch,
+                                                 args, verdict, what):
+    args = args(ws)
+    assert verdict(*args)
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    with pytest.raises(OracleDisagreement) as exc:
+        verdict(*args)
+    assert exc.value.what == what
+
+
+def test_oracle_returns_the_first_route_and_formats_only_on_raise():
+    assert oracle("same", (1, 2), (1, 2), "{missing}") == (1, 2)
+    with pytest.raises(OracleDisagreement, match=r"in pair: direct=1 other=2 at 5"):
+        oracle("pair", 1, 2, "direct={a} other={b} at {k}", k=5)
+
+
+def _constructions(path):
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        target = node.func if isinstance(node, ast.Call) else \
+            node.exc if isinstance(node, ast.Raise) else None
+        name = getattr(target, "id", None) or getattr(target, "attr", None)
+        if name == "OracleDisagreement":
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_only_errors_constructs_oracle_disagreement():
+    src = Path(lieop.__file__).parent
+    assert _constructions(src / "errors.py")
+    offenders = [site for path in sorted(src.glob("*.py")) if path.name != "errors.py"
+                 for site in _constructions(path)]
+    assert offenders == []
