@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, LieOpError
 from .exactla import (
     Matrix, _kernel_from_rref, is_zero_vec, q, rref, vec, vec_add, vec_scale, vec_zero,
 )
-from .liecore import LieAlgebra, Representation
+from .liecore import LieAlgebra, Representation, block_tensor
 
 
 def _perm_sign(seq):
@@ -334,23 +334,14 @@ def derived_bracket(mu2: Cochain, P: Cochain, Q: Cochain, dim_a, dim_b) -> Cocha
 
 
 def build_mu2(dim_a, dim_b, b_algebra: LieAlgebra, action2: Representation) -> Cochain:
-    """Multiplication cochain of b acting on a (bracket of b plus the action)."""
+    """Multiplication cochain of b acting on a: the block bracket on a + b with
+    a abelian and acting trivially, read as a degree-2 cochain."""
     if b_algebra.dim != dim_b or action2.algebra.dim != dim_b:
         raise DimensionMismatch("mu2 pieces do not match the splitting")
     if action2.dim_m != dim_a:
         raise DimensionMismatch("action2 must act on the a block")
+    abelian = ((vec_zero(dim_a),) * dim_a,) * dim_a
+    inert = ((vec_zero(dim_b),) * dim_b,) * dim_a
+    c = block_tensor(abelian, b_algebra.c, inert, action2.t)
     d = dim_a + dim_b
-    vals = {}
-    for i in range(dim_a):
-        for b in range(dim_b):
-            col = action2.action[b].col(i)
-            v = vec_scale(-1, col) + vec_zero(dim_b)
-            if not is_zero_vec(v):
-                vals[(i, dim_a + b)] = v
-    for s in range(dim_b):
-        for t in range(s + 1, dim_b):
-            br = b_algebra.c[s][t]
-            v = vec_zero(dim_a) + br
-            if not is_zero_vec(v):
-                vals[(dim_a + s, dim_a + t)] = v
-    return Cochain(2, d, d, vals)
+    return Cochain(2, d, d, {(i, j): c[i][j] for i in range(d) for j in range(i + 1, d)})

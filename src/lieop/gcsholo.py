@@ -49,19 +49,11 @@ def _rows(x, shape):
     return x
 
 
-def _gcs_ctx(rep: Representation):
-    cache = getattr(rep, "_gcs_ctx", None)
-    if cache is None:
-        g, sd = rep.algebra, semidirect(rep)
-        cache = (g.dim, rep.dim_m, sd.c, sd.s, g.c, g.s, rep.s)
-        rep._gcs_ctx = cache
-    return cache
-
-
 def gcs_check_direct(rep: Representation, N, T, sigma, S) -> bool:
     """J = [[N, T], [sigma, -S]] is almost complex and integrable on g + M;
     stops at the first nonzero residual."""
-    d, m, c, cs, _, _, _ = _gcs_ctx(rep)
+    sd = semidirect(rep)
+    d, m, c, cs = rep.algebra.dim, rep.dim_m, sd.c, sd.s
     n = d + m
     Nr = _rows(N, (d, d))
     Tr = _rows(T, (d, m))
@@ -99,7 +91,8 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
 
     Must give the same verdict as gcs_check_direct on every input.
     """
-    d, m, _, _, gc, gs, acts = _gcs_ctx(rep)
+    g = rep.algebra
+    d, m, gc, gs, acts = g.dim, rep.dim_m, g.c, g.s, rep.s
     Nr = _rows(N, (d, d))
     Tr = _rows(T, (d, m))
     Gr = _rows(sigma, (m, d))

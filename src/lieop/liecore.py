@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch, JacobiViolation, NotComplementary, NotIdeal,
-    NotSubalgebra, RepViolation, SkewViolation,
+    NotSubalgebra, RepViolation, SkewViolation, oracle,
 )
 from .exactla import (
     Matrix, is_zero_vec, kernel, q, rank, rref, solve_linear, vec, vec_add,
@@ -168,12 +168,11 @@ class Representation:
     same action as the tensor t[a][b] = e_a . f_b in the format of LieAlgebra.c,
     with its sparse form s."""
 
-    __slots__ = ("algebra", "dim_m", "action", "t", "s", "_semidirect", "_dual", "_gcs_ctx")
+    __slots__ = ("algebra", "dim_m", "action", "t", "s", "_semidirect", "_dual")
 
     def __init__(self, algebra: LieAlgebra, dim_m, action):
         self.algebra = algebra
         self.dim_m = dim_m
-        self._gcs_ctx = None
         mats = tuple(a if isinstance(a, Matrix) else Matrix(a) for a in action)
         if len(mats) != algebra.dim:
             raise DimensionMismatch("one action matrix per algebra basis vector required")
@@ -413,13 +412,13 @@ def quotient(h: LieAlgebra, W: Subspace) -> Quotient:
             for t, v in enumerate(pr):
                 c[a][b][t] = v
     alg = LieAlgebra(k, c)
+    # W is an ideal, so the projection is a homomorphism
     for i in range(d):
         for j in range(i + 1, d):
             ei, ej = _unit(d, i), _unit(d, j)
-            lhs = projection.apply(h.bracket_vec(ei, ej))
-            rhs = alg.bracket_vec(projection.apply(ei), projection.apply(ej))
-            if lhs != rhs:
-                raise NotIdeal((ei, ej))
+            oracle("quotient", projection.apply(h.bracket_vec(ei, ej)),
+                   alg.bracket_vec(projection.apply(ei), projection.apply(ej)),
+                   "projection is not a homomorphism on pair ({i}, {j})", i=i, j=j)
     return Quotient(alg, projection, section, comp)
 
 

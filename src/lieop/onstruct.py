@@ -250,10 +250,12 @@ def tilde_action(rep: Representation, N, S) -> Representation:
 
 
 def _tilde_module(rep: Representation, N, S) -> Representation:
-    """The module of tilde_action, for a pair already known to be a Nijenhuis structure."""
-    deformed = deformed_bracket(rep.algebra, N)
+    """The module of tilde_action, for a pair already known to be a Nijenhuis
+    structure, so N is Nijenhuis and [.,.]_N needs no second check."""
+    g = rep.algebra
+    deformed = LieAlgebra(g.dim, deformed_tensor(g.c, g.dim, N))
     mats = [rep.rho(N.col(i)) - rep.action[i] * S + S * rep.action[i]
-            for i in range(rep.algebra.dim)]
+            for i in range(g.dim)]
     return Representation(deformed, rep.dim_m, mats)
 
 
@@ -373,12 +375,11 @@ def on_from_compatible_pair(rep: Representation, T1, T2) -> ONStructure:
 def is_pn_structure(g: LieAlgebra, r: Bivector, N) -> bool:
     """Direct PN clauses against the coadjoint ON-structure characterization."""
     rsh = r_sharp(r)
-    co = coadjoint(g)
-    nstar = N.transpose()
-    direct = (is_r_matrix(g, r) and is_nijenhuis(g, N)[0] and N * rsh == rsh * nstar
-              and _brackets_agree(co, rsh, N, nstar))
-    return oracle("pn structure", direct, is_on_structure(co, rsh, N, nstar)[0],
-                  "direct={a} coadjoint_on={b}")
+    on, report = is_on_structure(coadjoint(g), rsh, N, N.transpose())
+    # the intertwining and bracket clauses are the ON-structure's own
+    direct = (is_r_matrix(g, r) and is_nijenhuis(g, N)[0] and report["intertwine"]
+              and report["bracket_equality"])
+    return oracle("pn structure", direct, on, "direct={a} coadjoint_on={b}")
 
 
 def pn_hierarchy(g: LieAlgebra, r: Bivector, N, kmax: int):

@@ -305,9 +305,10 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
         for x in eh.basis:
             cols = []
             for nb in N.basis:
+                # x lies in h, and N was checked h-stable above
                 coords = N.coords(rep.act(x, nb))
-                if coords is None:
-                    raise NotStable((x, nb))
+                oracle("mr reduction", coords is not None, True,
+                       "E cap h does not preserve N at {w}", w=(x, nb))
                 cols.append(coords)
             sys_rows.extend(Matrix.from_cols(cols).entries)
         a_coords = kernel(Matrix(sys_rows))
@@ -335,9 +336,10 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
         cols = []
         for a in module_basis:
             image = rep.act(y, a)
+            # E cap h is an ideal of h, so h preserves its annihilator
             coords = A.coords(image)
-            if coords is None:
-                raise QuotientError("induced action does not preserve the annihilator")
+            oracle("mr reduction", coords is not None, True,
+                   "induced action does not preserve the annihilator at {w}", w=(y, a))
             cols.append(coords)
         mats.append(Matrix.from_cols(cols) if cols else Matrix([], cols=0))
     reduced_rep = Representation(qt.algebra, len(module_basis), mats)

@@ -1,6 +1,11 @@
 """Twilled Lie algebras (complementary pairs of subalgebras), the twilled
 algebra attached to an O-operator, and (strong) Maurer-Cartan solutions.
 
+`join` is the one builder: it glues two mutually acting algebras into their
+twilled algebra, and `twilled_from_o`, `swap` and `omega_structures` all go
+through it.  `twilled_new` is the one splitter: it reads the blocks and the
+two actions off an arbitrary algebra with a chosen pair of subalgebras.
+
 Maurer-Cartan residuals are always computed twice: once from the explicit
 bilinear formula, as its cocycle part and its quadratic part, and once through
 the Chevalley-Eilenberg differential and the derived bracket.  `_mc_parts`
@@ -20,7 +25,7 @@ from .liecore import (
     check_complementary,
 )
 from .onstruct import ONStructure
-from .ooper import OOperator, induced_lie, is_o_operator
+from .ooper import induced_lie, is_o_operator
 
 
 @dataclass
@@ -37,76 +42,62 @@ class TwilledLieAlgebra:
     action2: Representation   # b acting on a
 
 
-def _from_block_total(total: LieAlgebra, da: int, db: int) -> TwilledLieAlgebra:
-    """Split a block-coordinate Lie algebra on a + b and validate all parts."""
-    d = total.dim
-    if da + db != d:
-        raise DimensionMismatch("block sizes do not add up")
+def join(action1: Representation, action2: Representation) -> TwilledLieAlgebra:
+    """The twilled algebra a + b of a acting on b (action1) and b acting on a
+    (action2), with [x, u] = x .1 u - u .2 x.  The Jacobi check of the total is
+    the matched-pair check; the parts are the inputs themselves."""
+    a, b = action1.algebra, action2.algebra
+    if action1.dim_m != b.dim or action2.dim_m != a.dim:
+        raise DimensionMismatch("each algebra must act on the other")
+    total = LieAlgebra(a.dim + b.dim, block_tensor(a.c, b.c, action1.t, action2.t))
+    return TwilledLieAlgebra(total, a.dim, b.dim, a, b, action1, action2)
+
+
+def twilled_new(total: LieAlgebra, a: Subspace, b: Subspace) -> TwilledLieAlgebra:
+    """Split a Lie algebra along two complementary subalgebras, in the block
+    basis of a followed by b."""
+    check_complementary(total.dim, a, b)
+    basis = list(a.rref_rows) + list(b.rref_rows)
+    P = Matrix.from_cols(basis)
+    Pinv = invert(P)
+    d, da, db = total.dim, a.dim(), b.dim()
+    c = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            c[i][j] = Pinv.apply(total.bracket_vec(basis[i], basis[j]))
     for i in range(da):
         for j in range(da):
-            if any(x != 0 for x in total.c[i][j][da:]):
+            if any(x != 0 for x in c[i][j][da:]):
                 raise NotSubalgebra(witness=(i, j), which="a")
     for i in range(db):
         for j in range(db):
-            if any(x != 0 for x in total.c[da + i][da + j][:da]):
+            if any(x != 0 for x in c[da + i][da + j][:da]):
                 raise NotSubalgebra(witness=(i, j), which="b")
-    a_alg = LieAlgebra(da, [[list(total.c[i][j][:da]) for j in range(da)]
+    a_alg = LieAlgebra(da, [[c[i][j][:da] for j in range(da)]
                             for i in range(da)])
-    b_alg = LieAlgebra(db, [[list(total.c[da + i][da + j][da:]) for j in range(db)]
+    b_alg = LieAlgebra(db, [[c[da + i][da + j][da:] for j in range(db)]
                             for i in range(db)])
     # [x, u] = x .1 u - u .2 x for x in a, u in b
     act1 = []
     for i in range(da):
         act1.append(Matrix.from_cols(
-            [total.c[i][da + u][da:] for u in range(db)]) if db else Matrix([]))
+            [c[i][da + u][da:] for u in range(db)]) if db else Matrix([]))
     act2 = []
     for u in range(db):
         act2.append(Matrix.from_cols(
-            [tuple(-x for x in total.c[i][da + u][:da]) for i in range(da)])
+            [tuple(-x for x in c[i][da + u][:da]) for i in range(da)])
             if da else Matrix([]))
-    action1 = Representation(a_alg, db, act1)
-    action2 = Representation(b_alg, da, act2)
-    return TwilledLieAlgebra(total, da, db, a_alg, b_alg, action1, action2)
-
-
-def twilled_new(total: LieAlgebra, a: Subspace, b: Subspace) -> TwilledLieAlgebra:
-    """Split a Lie algebra along two complementary subalgebras."""
-    check_complementary(total.dim, a, b)
-    basis = list(a.rref_rows) + list(b.rref_rows)
-    P = Matrix.from_cols(basis)
-    Pinv = invert(P)
-    d = total.dim
-    c = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            c[i][j] = list(Pinv.apply(total.bracket_vec(basis[i], basis[j])))
-    return _from_block_total(LieAlgebra(d, c), a.dim(), b.dim())
+    return join(Representation(a_alg, db, act1), Representation(b_alg, da, act2))
 
 
 def swap(tw: TwilledLieAlgebra) -> TwilledLieAlgebra:
     """The same twilled algebra with the two blocks exchanged."""
-    da, db = tw.dim_a, tw.dim_b
-    d = da + db
-    perm = list(range(da, d)) + list(range(da))
-
-    def old(i):
-        return perm[i]
-
-    inv = [0] * d
-    for newi, oldi in enumerate(perm):
-        inv[oldi] = newi
-    c = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            v = tw.total.c[old(i)][old(j)]
-            for k, x in enumerate(v):
-                c[i][j][inv[k]] = x
-    return _from_block_total(LieAlgebra(d, c), db, da)
+    return join(tw.action2, tw.action1)
 
 
 def bar_action(rep: Representation, T) -> Representation:
-    """m bar. x = [T(m), x] + T(x . m): the module Lie algebra M^T acting on g."""
-    OOperator(rep, T)
+    """m bar. x = [T(m), x] + T(x . m): the module Lie algebra M^T acting on g;
+    `induced_lie` checks that T is an O-operator."""
     g = rep.algebra
     mt = induced_lie(rep, T)
     mats = []
@@ -123,11 +114,7 @@ def bar_action(rep: Representation, T) -> Representation:
 
 def twilled_from_o(rep: Representation, T) -> TwilledLieAlgebra:
     """The twilled algebra g joined with M^T along the bar action."""
-    OOperator(rep, T)
-    d, m = rep.algebra.dim, rep.dim_m
-    bar = bar_action(rep, T)
-    total = LieAlgebra(d + m, block_tensor(rep.algebra.c, bar.algebra.c, rep.t, bar.t))
-    return _from_block_total(total, d, m)
+    return join(rep, bar_action(rep, T))
 
 
 def _check_omega_shape(tw: TwilledLieAlgebra, omega):
@@ -248,29 +235,19 @@ class OmegaStructures:
 
 
 def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
-    """The deformed algebra on g, its module structure on M, and the big
-    bracket on g + M induced by a strong Maurer-Cartan solution."""
+    """The deformed algebra g^Omega, its module structure on M, and the big
+    bracket on g + M induced by a strong Maurer-Cartan solution: Omega is an
+    O-operator over the bar module, and its twilled algebra is M^T + g^Omega."""
     tw = twilled_from_o(rep, T)
     ok, defects = strong_mc_check(tw, omega)
     if not ok:
         raise NotStrongMC(defects)
-    d, m = rep.algebra.dim, rep.dim_m
-    bar = bar_action(rep, T)
+    bar = tw.action2
     oracle("omega structures", is_o_operator(bar, omega), True,
            "strong MC solution is not an O-operator over M^T")
-    g_omega = induced_lie(bar, omega)
-    mt = bar.algebra
-    mats = []
-    for i in range(d):
-        cols = []
-        for j in range(m):
-            cols.append(vec_add(mt.bracket_vec(omega.col(i), _unit(m, j)),
-                                omega.apply(bar.action[j].col(i))))
-        mats.append(Matrix.from_cols(cols))
-    action_omega = Representation(g_omega, m, mats)
-    big = LieAlgebra(d + m, block_tensor(g_omega.c, mt.c, action_omega.t, bar.t))
-    # the swapped splitting M^T join g^Omega carries T as a strong MC solution
-    swapped = swap(_from_block_total(big, d, m))
+    swapped = twilled_from_o(bar, omega)
+    g_omega, action_omega = swapped.b_algebra, swapped.action2
+    big = swap(swapped).total
     oracle("omega structures", strong_mc_check(swapped, T)[0], True,
            "T fails the strong MC equation on the swapped algebra")
     oracle("omega structures", is_o_operator(action_omega, T), True,

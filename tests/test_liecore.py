@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lieop import liecore
 from lieop.errors import (
-    JacobiViolation, NotIdeal, NotSubalgebra, RepViolation, SkewViolation,
+    JacobiViolation, NotIdeal, NotSubalgebra, OracleDisagreement, RepViolation,
+    SkewViolation,
 )
 from lieop.exactla import Matrix, vec_add, vec_scale, vec_zero
 from lieop.liecore import (
@@ -148,6 +150,14 @@ def test_quotient_projection_is_morphism():
             rhs = qt.algebra.bracket_vec(
                 qt.projection.apply(e(3, i)), qt.projection.apply(e(3, j)))
             assert lhs == rhs
+
+
+def test_quotient_homomorphism_check_is_an_oracle(monkeypatch):
+    """Once is_ideal has passed, a projection that is not a homomorphism is a
+    library bug, not an input error."""
+    monkeypatch.setattr(liecore, "is_ideal", lambda g, W: (True, None))
+    with pytest.raises(OracleDisagreement, match="quotient"):
+        quotient(aff1(), Subspace(2, [(1, 0)]))
 
 
 def test_annihilator():

@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from lieop import onstruct
+from lieop.cli import Workspace
 from lieop.errors import (
     NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, Singular,
 )
 from lieop.exactla import Matrix
+from lieop.fixtures import bundle
 from lieop.liecore import LieAlgebra, adjoint, coadjoint
 from lieop.ooper import Bivector, is_o_operator, is_r_matrix
 from lieop.onstruct import (
@@ -268,3 +271,32 @@ def test_pn_hierarchy():
     assert all(is_r_matrix(g, rk) for rk in rs)
     with pytest.raises(NotPN):
         pn_hierarchy(g, r, Matrix.diag((2, 1, 1)), 2)
+
+
+def _count_calls(monkeypatch, name, keep):
+    """Wrap onstruct.<name> and record the arguments of the calls `keep` accepts."""
+    seen = []
+    original = getattr(onstruct, name)
+
+    def counted(*args):
+        if keep(*args):
+            seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(onstruct, name, counted)
+    return seen
+
+
+def test_on_check_runs_nijenhuis_on_the_algebra_once(monkeypatch):
+    rep, T, N, S = Workspace.load([bundle()]).get("h3_on", "on_structure").value
+    on_g = _count_calls(monkeypatch, "is_nijenhuis",
+                        lambda g, M: g is rep.algebra and M == N)
+    ok, _ = is_on_structure(rep, T, N, S)
+    assert ok and len(on_g) == 1
+
+
+def test_pn_check_runs_the_shared_bracket_clause_once(monkeypatch):
+    g, r, N = Workspace.load([bundle()]).get("h3_pn", "pn_structure").value
+    calls = _count_calls(monkeypatch, "_brackets_agree", lambda *args: True)
+    assert is_pn_structure(g, r, N)
+    assert len(calls) == 1

@@ -5,7 +5,8 @@ import pytest
 from lieop.errors import (
     NotComplementary, NotOOperator, NotStrongMC, NotSubalgebra,
 )
-from lieop.exactla import Matrix
+from lieop.exactla import Matrix, vec_add
+from lieop.fixtures import standard_fixtures
 from lieop.liecore import LieAlgebra, Subspace, adjoint, coadjoint, semidirect, trivial_rep
 from lieop.onstruct import ONStructure, hierarchy, on_from_compatible_pair
 from lieop.ooper import is_o_operator
@@ -85,12 +86,23 @@ def test_twilled_from_o_passes_generic_validation():
     assert all(a == b for a, b in zip(again.action2.action, tw.action2.action))
 
 
+def _parts(tw):
+    return (tw.total.c, tw.dim_a, tw.dim_b, tw.a_algebra.c, tw.b_algebra.c,
+            tw.action1.action, tw.action2.action)
+
+
 def test_swap_involution():
-    rep = adjoint(aff1())
-    tw = twilled_from_o(rep, AFF1_T)
-    back = swap(swap(tw))
-    assert back.total.bracket_tensor_equal(tw.total)
-    assert (swap(tw).dim_a, swap(tw).dim_b) == (tw.dim_b, tw.dim_a)
+    """swap is an involution, and swap(tw) equals twilled_new of the same
+    total with b's basis first, in the total and in all four parts."""
+    _, reps, o_ops = standard_fixtures()
+    for name, (rep_name, t) in sorted(o_ops.items()):
+        tw = twilled_from_o(reps[rep_name], t)
+        assert _parts(swap(swap(tw))) == _parts(tw), name
+        units = Matrix.identity(tw.dim_a + tw.dim_b).entries
+        d = len(units)
+        split = twilled_new(tw.total, Subspace(d, units[tw.dim_a:]),
+                            Subspace(d, units[:tw.dim_a]))
+        assert _parts(swap(tw)) == _parts(split), name
 
 
 def test_mc_trivial_cases():
@@ -138,6 +150,17 @@ def test_mc_weak_vs_strong():
     assert weak_only > 0
 
 
+def _reference_action_omega(rep, T, omega):
+    """x . m = [Omega x, m]^T + Omega(m bar. x), one matrix per basis vector of g."""
+    bar = bar_action(rep, T)
+    d, m = rep.algebra.dim, rep.dim_m
+    units = Matrix.identity(m).entries
+    return tuple(Matrix.from_cols([
+        vec_add(bar.algebra.bracket_vec(omega.col(i), units[j]),
+                omega.apply(bar.action[j].col(i)))
+        for j in range(m)]) for i in range(d))
+
+
 def test_find_strong_mc_and_structures():
     rep = adjoint(aff1())
     sols = find_strong_mc(rep, AFF1_T)
@@ -147,6 +170,18 @@ def test_find_strong_mc_and_structures():
         assert bundle.big_bracket.dim == 4
         on = on_from_strong_mc(rep, AFF1_T, om)
         assert on.N == AFF1_T * om and on.S == om * AFF1_T
+
+
+def test_omega_action_matches_reference_formula():
+    _, reps, o_ops = standard_fixtures()
+    nonzero = 0
+    for name, (rep_name, t) in sorted(o_ops.items()):
+        rep = reps[rep_name]
+        for om in find_strong_mc(rep, t, coeffs=(-1, 0, 1), limit=6):
+            got = omega_structures(rep, t, om).action_omega.action
+            assert got == _reference_action_omega(rep, t, om), name
+            nonzero += any(not a.is_zero() for a in got)
+    assert nonzero
 
 
 def test_omega_zero_collapses_big_bracket():
