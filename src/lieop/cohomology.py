@@ -5,7 +5,11 @@ the Maurer-Cartan checks.
 A degree-n cochain stores one target vector per strictly increasing basis
 index tuple; evaluation elsewhere is the alternating extension.  Evaluation on
 a vector accumulates only the nonzero entries of the values its nonzero
-coordinates reach, and the 1-cocycle system row-reduces only its nonzero rows.
+coordinates reach, and the 1-cocycle system is built and row-reduced as
+sparse rows.  The circle product, and with it the shuffle and derived
+brackets, pairs each nonzero coordinate of a value of one operand with the
+values of the other that take that coordinate as an argument, so its work
+follows the nonzeros rather than the index tuples of the output.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import combinations
 
 from .errors import DimensionMismatch, LieOpError
 from .exactla import (
-    Matrix, _kernel_from_rref, is_zero_vec, q, rref, vec, vec_add, vec_scale, vec_zero,
+    Matrix, _kernel_from_rref, is_zero_vec, q, rref_maps, vec, vec_add, vec_scale, vec_zero,
 )
 from .liecore import LieAlgebra, Representation, block_tensor
 
@@ -210,17 +214,18 @@ def one_cocycle_basis(rep: Representation):
     for i in range(d):
         for j in range(i + 1, d):
             for t in range(m):
-                row = [0] * nvar
+                row = {}
                 for r, a in rep.action[i].sparse_rows()[t]:
-                    row[r * d + j] += a
+                    row[r * d + j] = row.get(r * d + j, 0) + a
                 for r, a in rep.action[j].sparse_rows()[t]:
-                    row[r * d + i] -= a
+                    row[r * d + i] = row.get(r * d + i, 0) - a
                 for cidx, coeff in g.s[i][j]:
-                    row[t * d + cidx] -= coeff
-                if any(row):
+                    row[t * d + cidx] = row.get(t * d + cidx, 0) - coeff
+                row = {k: x for k, x in row.items() if x}
+                if row:
                     rows.append(row)
     # the RREF of a row space is unique, so zero rows change nothing
-    red, pivots = rref(rows)
+    red, pivots = rref_maps(rows, nvar)
     basis = _kernel_from_rref(red, pivots, nvar)
     return [Matrix([[v[r * d + c] for c in range(d)] for r in range(m)]) for v in basis]
 
@@ -233,32 +238,47 @@ def _self_valued(P: Cochain):
 
 
 def circle_product(P: Cochain, Q: Cochain) -> Cochain:
-    """P o Q over (q+1, p)-shuffles with the shuffle sign."""
+    """P o Q over (q+1, p)-shuffles with the shuffle sign:
+    (P o Q)(x_1..x_n) = sum sign(J, R) P(Q(x_J), x_R) over J + R = 1..n.
+
+    Only nonzeros are visited: each nonzero coordinate k of a value Q(e_J)
+    meets the values of P that take e_k as an argument, and pairs whose other
+    arguments R avoid J land on the merged index J u R.
+    """
     _self_valued(P)
     _self_valued(Q)
     if P.source_dim != Q.source_dim:
         raise DimensionMismatch("operands live on different spaces")
     d = P.source_dim
-    p, qdeg = P.degree - 1, Q.degree - 1
-    n = p + qdeg + 1
-    out = {}
-    if n > d:
-        return Cochain.zero(n, d, d)
-    positions = tuple(range(n))
-    for idx in combinations(range(d), n):
-        total = vec_zero(d)
-        for first in combinations(positions, qdeg + 1):
-            restpos = tuple(t for t in positions if t not in first)
-            sign = _perm_sign(first + restpos)
-            inner = Q.values.get(tuple(idx[t] for t in first))
-            if inner is None:
+    n = P.degree + Q.degree - 1
+    # k -> (rest, (-1)^position of k, nonzero (coordinate, value) pairs)
+    by_arg = {}
+    for idx, val in P.values.items():
+        nz = [(t, x) for t, x in enumerate(val) if x]
+        for a, k in enumerate(idx):
+            by_arg.setdefault(k, []).append((idx[:a] + idx[a + 1:], -1 if a % 2 else 1, nz))
+    acc = {}
+    for first, inner in Q.values.items():
+        taken = set(first)
+        for k, y in enumerate(inner):
+            if not y or k not in by_arg:
                 continue
-            term = P.eval_first_vec(inner, tuple(idx[t] for t in restpos))
-            if not is_zero_vec(term):
-                total = vec_add(total, vec_scale(sign, term))
-        if not is_zero_vec(total):
-            out[idx] = total
-    return Cochain(n, d, d, out)
+            for rest, sign, nz in by_arg[k]:
+                if not taken.isdisjoint(rest):
+                    continue
+                merged = first + rest
+                coeff = _perm_sign(merged) * sign * y
+                out = acc.setdefault(tuple(sorted(merged)), {})
+                for t, x in nz:
+                    out[t] = out.get(t, 0) + coeff * x
+    values = {}
+    for idx in sorted(acc):
+        v = [0] * d
+        for t, x in acc[idx].items():
+            v[t] = q(x)
+        if any(v):
+            values[idx] = v
+    return Cochain(n, d, d, values)
 
 
 def nr_bracket(P: Cochain, Q: Cochain) -> Cochain:
@@ -305,8 +325,10 @@ def lift_to_total(P: Cochain, dim_a, dim_b) -> Cochain:
 def restrict_to_blocks(R: Cochain, dim_a, dim_b) -> Cochain:
     """Inverse of lift_to_total on results of derived brackets."""
     out = {}
-    for idx in combinations(range(dim_a), R.degree):
-        v = R.value(idx)
+    for idx in sorted(R.values):
+        if idx and idx[-1] >= dim_a:
+            continue
+        v = R.values[idx]
         if any(x != 0 for x in v[:dim_a]):
             raise LieOpError("derived bracket value escapes the b block")
         if not is_zero_vec(v[dim_a:]):

@@ -5,9 +5,10 @@ freely and integer values are kept as ints so the common all-integer paths stay
 fast.  Everything is immutable after construction and all functions are pure.
 Matrices are stored dense, but `Matrix.apply` and matrix products skip zeros:
 they walk the nonzero `(index, value)` pairs of each column or row, built on
-first use, and each step of `rref` touches only the pivot row's nonzero
-columns.  Row reduction uses first-nonzero pivoting with lowest-row-index
-tie-breaking, so outputs are reproducible byte for byte.
+first use.  Row reduction keeps its rows as {column: value} maps and reaches
+the rows to clear through a column index, so it touches only nonzeros; the
+RREF is unique, so outputs are reproducible byte for byte.  Integer strings
+parse straight through `int`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ def parse_scalar(s):
         raise WorkspaceError(f"scalar {s!r} is not an integer or a \"p/q\" string")
     if isinstance(s, int):
         return s
+    if type(s) is str and s.isascii() and (s[1:] if s[:1] == "-" else s).isdecimal():
+        return int(s)
     try:
         return q(Fraction(str(s)))
     except ZeroDivisionError:
@@ -231,41 +234,63 @@ def _nonzeros(lines):
 
 
 def rref(rows):
-    """Reduced row echelon form of a list of row tuples.
+    """Reduced row echelon form of a list of row tuples; see `rref_maps`."""
+    return rref_maps([{k: x for k, x in enumerate(row) if x != 0} for row in rows],
+                     len(rows[0]) if rows else 0)
 
-    Returns (rref_rows, pivot_columns) with zero rows dropped.  Pivoting takes
-    the first nonzero entry scanning down from the lowest row index.
+
+def rref_maps(rows, ncols):
+    """Reduced row echelon form of rows given as {column: nonzero value} maps.
+
+    Returns (rref_rows, pivot_columns): dense tuples in pivot-column order,
+    with zero rows dropped.  Beside the maps it keeps an index from each
+    column to the rows that have it.  For each column in turn the pivot is
+    the unpivoted row with the fewest nonzeros, the lowest row index on ties,
+    and the column is cleared through the index from every other row, pivoted
+    or not.  The RREF of a row space is unique, so the pivot choice never
+    shows in the result.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
+    m = [dict(row) for row in rows]
+    at = [set() for _ in range(ncols)]  # column -> rows with a nonzero there
+    for i, row in enumerate(m):
+        for k in row:
+            at[k].add(i)
+    pivots, order, done = [], [], set()
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+        live = [i for i in at[c] if i not in done]
+        if not live:
             continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
+        r = min(live, key=lambda i: (len(m[i]), i))
         row = m[r]
         p = row[c]
-        nz = [(k, x if p == 1 else q(Fraction(x) / p)) for k, x in enumerate(row) if x != 0]
-        for k, x in nz:
-            row[k] = x
-        for i, other in enumerate(m):
+        if p != 1:
+            for k, x in row.items():
+                row[k] = q(Fraction(x) / p)
+        for i in list(at[c]):
+            if i == r:
+                continue
+            other = m[i]
             f = other[c]
-            if i != r and f != 0:
-                for k, b in nz:
-                    other[k] = q(other[k] - f * b)
+            for k, b in row.items():
+                x = q(other.get(k, 0) - f * b)
+                if x:
+                    other[k] = x
+                    at[k].add(i)
+                else:
+                    del other[k]
+                    at[k].discard(i)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        order.append(r)
+        done.add(r)
+        if len(done) == len(m):
             break
-    return [tuple(q(x) for x in row) for row in m[:r]], pivots
+    out = []
+    for r in order:
+        dense = [0] * ncols
+        for k, x in m[r].items():
+            dense[k] = q(x)
+        out.append(tuple(dense))
+    return out, pivots
 
 
 @dataclass

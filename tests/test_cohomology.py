@@ -2,15 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lieop.errors import DimensionMismatch, JacobiViolation
-from lieop.exactla import Matrix, kernel, q
+from lieop.exactla import Matrix, is_zero_vec, kernel, q, vec_add, vec_scale, vec_zero
 from lieop.fixtures import standard_fixtures
 from lieop.liecore import LieAlgebra, adjoint, coadjoint, trivial_rep
 from lieop.cohomology import (
-    Cochain, bracket_cochain, ce_differential, circle_product, is_cocycle,
-    lie_tensor_from_cochain, nr_bracket, one_cocycle_basis,
+    Cochain, _perm_sign, bracket_cochain, ce_differential, circle_product,
+    derived_bracket, is_cocycle, lie_tensor_from_cochain, nr_bracket,
+    one_cocycle_basis,
 )
 
 
@@ -218,3 +219,83 @@ def test_one_cocycle_basis_matches_kernel_of_full_system(name):
     got, want = one_cocycle_basis(rep), reference_cocycle_basis(rep)
     assert repr(got) == repr(want)
     assert [b.shape() for b in got] == [b.shape() for b in want]
+
+
+def reference_circle_product(P, Q):
+    """P o Q summed over every output index tuple and every shuffle."""
+    d = P.source_dim
+    p, qdeg = P.degree - 1, Q.degree - 1
+    n = p + qdeg + 1
+    out = {}
+    if n > d:
+        return Cochain.zero(n, d, d)
+    positions = tuple(range(n))
+    for idx in combinations(range(d), n):
+        total = vec_zero(d)
+        for first in combinations(positions, qdeg + 1):
+            restpos = tuple(t for t in positions if t not in first)
+            sign = _perm_sign(first + restpos)
+            inner = Q.values.get(tuple(idx[t] for t in first))
+            if inner is None:
+                continue
+            term = P.eval_first_vec(inner, tuple(idx[t] for t in restpos))
+            if not is_zero_vec(term):
+                total = vec_add(total, vec_scale(sign, term))
+        if not is_zero_vec(total):
+            out[idx] = total
+    return Cochain(n, d, d, out)
+
+
+@st.composite
+def sparse_self_valued(draw, dim, degree):
+    """A self-valued cochain with a few (possibly zero) values."""
+    keys = list(combinations(range(dim), degree))
+    if not keys:
+        return Cochain.zero(degree, dim, dim)
+    vals = draw(st.dictionaries(
+        st.sampled_from(keys), st.lists(sparse_scalars, min_size=dim, max_size=dim),
+        max_size=4))
+    return Cochain(degree, dim, dim, vals)
+
+
+@st.composite
+def circle_operands(draw):
+    dim = draw(st.integers(0, 6))
+    return (draw(sparse_self_valued(dim, draw(st.integers(1, 3)))),
+            draw(sparse_self_valued(dim, draw(st.integers(1, 3)))))
+
+
+def _same_cochain(got, want):
+    assert (got.degree, got.source_dim, got.target_dim) == \
+        (want.degree, want.source_dim, want.target_dim)
+    assert repr(got.values) == repr(want.values)  # values, int/Fraction types, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(circle_operands())
+@example(ops=(Cochain.zero(1, 0, 0), Cochain.zero(3, 0, 0)))             # dim 0
+@example(ops=(Cochain.zero(2, 3, 3), Cochain(1, 3, 3, {(0,): (1, 0, 2)})))  # zero P
+@example(ops=(Cochain(2, 3, 3, {(0, 1): (0, 0, 1)}), Cochain.zero(2, 3, 3)))  # zero Q
+@example(ops=(Cochain(3, 4, 4, {(0, 1, 2): (1, 0, 0, 1)}),                 # n = 5 > d = 4
+              Cochain(3, 4, 4, {(1, 2, 3): (1, 1, 0, 0)})))
+def test_circle_product_matches_all_index_reference(ops):
+    P, Q = ops
+    _same_cochain(circle_product(P, Q), reference_circle_product(P, Q))
+
+
+def test_circle_product_work_follows_the_nonzeros():
+    # the all-index reference would visit C(300, 3), about 4.5M, index triples
+    d = 300
+    P = Cochain(2, d, d, {(40, 120): (0,) * 299 + (5,)})
+    Q = Cochain(2, d, d, {(10, 250): (0,) * 40 + (3,) + (0,) * 259})
+    # P(Q(e10, e250), e120) = 15 e299 on the shuffle (10, 250 | 120) of sign -1
+    got = circle_product(P, Q)
+    assert got == Cochain(3, d, d, {(10, 120, 250): (0,) * 299 + (-15,)})
+
+
+def test_derived_bracket_of_zero_mu2_on_a_large_split_is_zero():
+    da = db = 32
+    rng = random.Random(11)
+    P = random_cochain(rng, 1, da, db)
+    got = derived_bracket(Cochain.zero(2, da + db, da + db), P, P, da, db)
+    assert got == Cochain.zero(2, da, db)

@@ -224,3 +224,28 @@ def test_product_matches_dense_triple_sum(pair):
     got, want = A * B, reference_product(A, B)
     assert got.shape() == want.shape() == (A.rows, B.cols)
     assert repr(got) == repr(want)  # same values and the same int/Fraction types
+
+
+def _parsed_or_error(parse, s):
+    try:
+        x = parse(s)
+    except Exception as exc:  # the exception class is compared
+        return type(exc)
+    return type(x), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers().map(str) | st.from_regex(r"-?[0-9]{1,30}", fullmatch=True))
+@example(s="+1")
+@example(s=" 1")
+@example(s="1_000")
+@example(s="-0")
+@example(s="007")
+@example(s="٣")  # ARABIC-INDIC DIGIT THREE
+@example(s="1.5")
+@example(s="-")
+@example(s="--1")
+@example(s="")
+def test_parse_scalar_matches_fraction_parsing(s):
+    assert _parsed_or_error(parse_scalar, s) == \
+        _parsed_or_error(lambda t: q(Fraction(t)), s)

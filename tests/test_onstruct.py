@@ -300,3 +300,25 @@ def test_pn_check_runs_the_shared_bracket_clause_once(monkeypatch):
     calls = _count_calls(monkeypatch, "_brackets_agree", lambda *args: True)
     assert is_pn_structure(g, r, N)
     assert len(calls) == 1
+
+
+def test_pn_check_runs_nijenhuis_on_the_algebra_once(monkeypatch):
+    g, r, N = Workspace.load([bundle()]).get("h3_pn", "pn_structure").value
+    on_g = _count_calls(monkeypatch, "is_nijenhuis", lambda h, M: h is g and M == N)
+    assert is_pn_structure(g, r, N)
+    assert len(on_g) == 1
+
+
+def test_nijenhuis_richardson_coding_matches_is_nijenhuis():
+    # every endomorphism of a 2-dimensional Lie algebra is Nijenhuis, so the
+    # False verdicts come from h3 and sl2
+    rng = random.Random(5)
+    seen = set()
+    for g in (LieAlgebra.from_brackets(2, {}), aff1(), h3(), sl2()):
+        for _ in range(150):
+            N = Matrix([[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(g.dim)]
+                        for _ in range(g.dim)])
+            verdict = is_nijenhuis(g, N)[0]
+            assert onstruct.is_nijenhuis_nr(g, N) == verdict, (g, N)
+            seen.add(verdict)
+    assert seen == {True, False}

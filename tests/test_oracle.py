@@ -42,6 +42,8 @@ SITES = [
      onstruct.is_nijenhuis_structure, "nijenhuis structure"),
     (onstruct, "is_r_matrix", _flip, _values("h3_pn"), onstruct.is_pn_structure,
      "pn structure"),
+    (onstruct, "is_nijenhuis_nr", _flip, _values("h3_pn"), onstruct.is_pn_structure,
+     "pn structure"),
     (gcsholo, "gcs_check_components", _flip, _values("aff1_gcs"), gcsholo.gcs_oracle,
      "gcs characterization"),
     (gcsholo, "nijenhuis_structure_defect", _flip, _values("aff1_cx"),
