@@ -3,9 +3,14 @@ structures, and the real-form checks for holomorphic r-matrices and
 holomorphic O-operators.
 
 The two GCS checkers (block map on the semi-direct product vs the ten
-component identities) are an oracle pair, compared through `errors.oracle`,
-and are written to short-circuit: the exhaustive agreement sweeps call them
-tens of millions of times.
+component identities) are an oracle pair, compared through `errors.oracle`.
+Both reject as early as the algebra allows: almost every tuple fails the
+g x g block of J^2 = -id, N^2 + T sigma = -id, which reads neither S nor
+the module action, so each route checks it first and stops at the first
+nonzero residual.  For sweeps with (N, T) fixed, `gcs_direct_grid` and
+`gcs_components_grid` run a route over every (sigma, S) of a product in one
+call: what reads only (N, T) runs once, the g x g block once per sigma.
+They share each identity's code with the single-tuple checks.
 
 A complex structure is a Nijenhuis operator I with I^2 = -id, and a complex
 structure (I, I_M) on a module is the Nijenhuis structure (I, -I_M) with
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 
 from .errors import (
     DimensionMismatch, InvalidGCS, NotAntisymmetric, NotComplexPair,
@@ -33,7 +39,10 @@ from .ooper import Bivector, OOperator, is_o_operator, r_sharp
 
 
 def _rows(x, shape):
-    """The rows of a block component, checked against its (rows, cols) shape."""
+    """The rows of a block component, checked against its (rows, cols) shape.
+
+    A tuple is the fast path: its rows are used as they are, tuples or not.
+    """
     if type(x) is not tuple:
         if isinstance(x, Matrix):
             if x.shape() != shape:
@@ -49,195 +58,191 @@ def _rows(x, shape):
     return x
 
 
-def gcs_check_direct(rep: Representation, N, T, sigma, S) -> bool:
-    """J = [[N, T], [sigma, -S]] is almost complex and integrable on g + M;
-    stops at the first nonzero residual."""
-    sd = semidirect(rep)
-    d, m, c, cs = rep.algebra.dim, rep.dim_m, sd.c, sd.s
-    n = d + m
-    Nr = _rows(N, (d, d))
-    Tr = _rows(T, (d, m))
-    Gr = _rows(sigma, (m, d))
-    Sr = _rows(S, (m, m))
-    J = [Nr[i] + Tr[i] for i in range(d)]
-    J += [Gr[i] + tuple(-v for v in Sr[i]) for i in range(m)]
-    rng_n = range(n)
-    for i in rng_n:
-        ji = J[i]
-        for j in rng_n:
+def _units(n):
+    return [_unit(n, u) for u in range(n)]
+
+
+def _neg(rows):
+    return tuple(tuple(-v for v in row) for row in rows)
+
+
+def _mat_vec(rows, v):
+    return tuple(sum(map(mul, row, v)) for row in rows)
+
+
+def _j_square_gg(Nr, Tr, Gr, d):
+    """J J = -id on the g x g block, which reads N, T and sigma only.
+
+    Row i of J is N's row i then T's; J's first d columns, read row by row,
+    are N's rows then sigma's.
+    """
+    left = Nr + Gr
+    rng = range(len(left))
+    for i in range(d):
+        ji = (*Nr[i], *Tr[i])
+        for j in range(d):
             s = 1 if i == j else 0
-            for k in rng_n:
+            for k in rng:
+                a = ji[k]
+                if a:
+                    s += a * left[k][j]
+            if s:
+                return False
+    return True
+
+
+def _direct_tail(sd, units, top, Gr, Sr):
+    """The rest of J J = -id, then integrability, once the g x g block holds;
+    top holds J's first d rows."""
+    d = len(top)
+    J = top + [(*g, *s) for g, s in zip(Gr, _neg(Sr))]
+    rng = range(len(J))
+    for i, ji in enumerate(J):
+        for j in range(d if i < d else 0, len(J)):
+            s = 1 if i == j else 0
+            for k in rng:
                 a = ji[k]
                 if a:
                     s += a * J[k][j]
             if s:
                 return False
-    # [Ju, Jv] - [u, v] = J([Ju, v] + [u, Jv]) on basis pairs u < v
+    return _j_integrable(sd, units, J)
+
+
+def _j_integrable(sd, units, J):
+    """[Ju, Jv] - [u, v] = J([Ju, v] + [u, Jv]) on basis pairs u < v of g + M."""
+    n, c, cs = sd.dim, sd.c, sd.s
     cols = list(zip(*J))
-    units = [_unit(n, u) for u in rng_n]
-    for u in rng_n:
+    for u in range(n):
         ju = cols[u]
         for v in range(u + 1, n):
             jv = cols[v]
             lhs = vec_sub(contract(cs, n, ju, jv), c[u][v])
             inner = vec_add(contract(cs, n, ju, units[v]), contract(cs, n, units[u], jv))
-            if any(lhs[i] != sum(J[i][k] * inner[k] for k in rng_n) for i in rng_n):
+            if lhs != _mat_vec(J, inner):
                 return False
     return True
 
 
-def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
-    """The ten structure-component identities, numbered 52..61.
+def gcs_check_direct(rep: Representation, N, T, sigma, S) -> bool:
+    """J = [[N, T], [sigma, -S]] is almost complex and integrable on g + M.
 
-    Must give the same verdict as gcs_check_direct on every input.
+    The g x g block of J J, which does not read S, goes first; every check
+    stops at the first nonzero residual.
     """
+    d, m = rep.algebra.dim, rep.dim_m
+    Nr, Tr = _rows(N, (d, d)), _rows(T, (d, m))
+    Gr, Sr = _rows(sigma, (m, d)), _rows(S, (m, m))
+    if not _j_square_gg(Nr, Tr, Gr, d):
+        return False
+    top = [(*a, *b) for a, b in zip(Nr, Tr)]
+    return _direct_tail(semidirect(rep), _units(d + m), top, Gr, Sr)
+
+
+def gcs_direct_grid(rep: Representation, N, T, sigmas, Ss) -> list:
+    """gcs_check_direct on each (sigma, S) of itertools.product(sigmas, Ss),
+    in that order: what reads only (N, T) runs once, the g x g block once
+    per sigma."""
+    d, m = rep.algebra.dim, rep.dim_m
+    Nr, Tr = _rows(N, (d, d)), _rows(T, (d, m))
+    Gs = [_rows(g, (m, d)) for g in sigmas]
+    Srs = [_rows(s, (m, m)) for s in Ss]
+    top = [(*a, *b) for a, b in zip(Nr, Tr)]
+    sd, units = semidirect(rep), _units(d + m)
+    out = []
+    for Gr in Gs:
+        if _j_square_gg(Nr, Tr, Gr, d):
+            out += [_direct_tail(sd, units, top, Gr, Sr) for Sr in Srs]
+        else:
+            out += [False] * len(Srs)
+    return out
+
+
+def _product_sum_is(A, B, C, D, cols, eye):
+    """A B + C D = -eye id, row by row; stops at the first entry that differs."""
+    rng_b, rng_d = range(len(B)), range(len(D))
+    for i in range(len(A)):
+        ai, ci = A[i], C[i]
+        for j in range(cols):
+            s = eye if i == j else 0
+            for k in rng_b:
+                a = ai[k]
+                if a:
+                    s += a * B[k][j]
+            for k in rng_d:
+                a = ci[k]
+                if a:
+                    s += a * D[k][j]
+            if s:
+                return False
+    return True
+
+
+def _noted(failed, num, report):
+    """Notes identity num as failed; whether the check stops there."""
+    if num not in failed:
+        failed.append(num)
+    return not report
+
+
+def _s_blocks(Nr, negN, Tr, Gr, Sr, failed, report):
+    """(52) T S - N T = 0, (55) S^2 + sigma T = -id and (54) S sigma - sigma N
+    = 0, in that order: the identities of J J = -id that read S.  False when
+    the check stops."""
+    d, m = len(Nr), len(Sr)
+    for num, blocks in ((52, (Tr, Sr, negN, Tr, m, 0)), (55, (Sr, Sr, Gr, Tr, m, 1)),
+                        (54, (Sr, Gr, Gr, negN, d, 0))):
+        if not _product_sum_is(*blocks) and _noted(failed, num, report):
+            return False
+    return True
+
+
+def _t_context(rep, Nr, Tr):
+    """What (56)-(61) read from (rep, N, T) alone, with (56)
+    T([m,n]^T) = [Tm, Tn] decided per basis pair i < j of M, where
+    [m_i, m_j]^T = T(m_i) . m_j - T(m_j) . m_i."""
     g = rep.algebra
-    d, m, gc, gs, acts = g.dim, rep.dim_m, g.c, g.s, rep.s
-    Nr = _rows(N, (d, d))
-    Tr = _rows(T, (d, m))
-    Gr = _rows(sigma, (m, d))
-    Sr = _rows(S, (m, m))
-    failed = []
-
-    def done():
-        return (not failed, failed) if report else not failed
-
-    rng_d = range(d)
-    rng_m = range(m)
-    # (53) N^2 + T sigma = -id: cheapest rejector, row-major
-    for i in rng_d:
-        ni, ti = Nr[i], Tr[i]
-        for j in rng_d:
-            s = 1 if i == j else 0
-            for k in rng_d:
-                a = ni[k]
-                if a:
-                    s += a * Nr[k][j]
-            for k in rng_m:
-                a = ti[k]
-                if a:
-                    s += a * Gr[k][j]
-            if s:
-                failed.append(53)
-                if not report:
-                    return False
-                break
-        if failed:
-            break
-    # (52) N T = T S
-    for i in rng_d:
-        ni, ti = Nr[i], Tr[i]
-        for j in rng_m:
-            s = 0
-            for k in rng_d:
-                a = ni[k]
-                if a:
-                    s += a * Tr[k][j]
-            for k in rng_m:
-                a = ti[k]
-                if a:
-                    s -= a * Sr[k][j]
-            if s:
-                failed.append(52)
-                if not report:
-                    return False
-                break
-        if 52 in failed:
-            break
-    # (55) S^2 + sigma T = -id
-    for i in rng_m:
-        si, gi = Sr[i], Gr[i]
-        for j in rng_m:
-            s = 1 if i == j else 0
-            for k in rng_m:
-                a = si[k]
-                if a:
-                    s += a * Sr[k][j]
-            for k in rng_d:
-                a = gi[k]
-                if a:
-                    s += a * Tr[k][j]
-            if s:
-                failed.append(55)
-                if not report:
-                    return False
-                break
-        if 55 in failed:
-            break
-    # (54) S sigma = sigma N
-    for i in rng_m:
-        si, gi = Sr[i], Gr[i]
-        for j in rng_d:
-            s = 0
-            for k in rng_m:
-                a = si[k]
-                if a:
-                    s += a * Gr[k][j]
-            for k in rng_d:
-                a = gi[k]
-                if a:
-                    s -= a * Nr[k][j]
-            if s:
-                failed.append(54)
-                if not report:
-                    return False
-                break
-        if 54 in failed:
-            break
-
-    bracket = partial(contract, gs, d)
-    action = partial(contract, acts, m)
-
-    def mat_vec(rows, v):
-        return tuple(sum(row[t] * v[t] for t in range(len(v))) for row in rows)
-
-    ncols = list(zip(*Nr))
-    # a block with no rows (d = 0 or m = 0) still has its empty columns
+    d, m = g.dim, rep.dim_m
+    bracket = partial(contract, g.s, d)
+    action = partial(contract, rep.s, m)
+    # a block with no rows (d = 0) still has its empty columns
     tcols = list(zip(*Tr)) or [()] * m
-    gcols = list(zip(*Gr)) or [()] * d
-    scols = list(zip(*Sr))
-
-    units_m = [_unit(m, b) for b in rng_m]
-    units_d = [_unit(d, a) for a in rng_d]
-
-    # (56) T([m,n]^T) = [Tm, Tn]; (57) S([m,n]^T) = Tm.Sn - Tn.Sm,
-    # where [m_i, m_j]^T = T(m_i) . m_j - T(m_j) . m_i
+    units_m = _units(m)
+    pairs = []
     for i in range(m):
         for j in range(i + 1, m):
             mb = vec_sub(action(tcols[i], units_m[j]), action(tcols[j], units_m[i]))
-            if mat_vec(Tr, mb) != bracket(tcols[i], tcols[j]):
-                if 56 not in failed:
-                    failed.append(56)
-                if not report:
-                    return False
-            rhs = vec_sub(action(tcols[i], scols[j]), action(tcols[j], scols[i]))
-            if mat_vec(Sr, mb) != rhs:
-                if 57 not in failed:
-                    failed.append(57)
-                if not report:
-                    return False
+            pairs.append((i, j, mb, _mat_vec(Tr, mb) == bracket(tcols[i], tcols[j])))
+    return g.c, bracket, action, list(zip(*Nr)), tcols, _units(d), units_m, pairs
+
+
+def _components_tail(ctx, Nr, Tr, Gr, Sr, failed, report):
+    """(56)-(61), once (52)-(55) are decided; whether none failed."""
+    gc, bracket, action, ncols, tcols, units_d, units_m, pairs = ctx
+    d, m = len(units_d), len(units_m)
+    gcols = list(zip(*Gr)) or [()] * d
+    scols = list(zip(*Sr))
+    # (56) T([m,n]^T) = [Tm, Tn]; (57) S([m,n]^T) = Tm.Sn - Tn.Sm
+    for i, j, mb, holds56 in pairs:
+        if not holds56 and _noted(failed, 56, report):
+            return False
+        rhs = vec_sub(action(tcols[i], scols[j]), action(tcols[j], scols[i]))
+        if _mat_vec(Sr, mb) != rhs and _noted(failed, 57, report):
+            return False
     # (58), (59): one algebra and one module argument
     for a in range(d):
-        nx = ncols[a]
-        ex = units_d[a]
+        nx, ex = ncols[a], units_d[a]
         for b in range(m):
-            tm = tcols[b]
-            em = units_m[b]
+            tm, em = tcols[b], units_m[b]
             inner = vec_sub(action(nx, em), action(ex, scols[b]))
-            lhs58 = vec_sub(bracket(nx, tm), mat_vec(Nr, bracket(ex, tm)))
-            if lhs58 != mat_vec(Tr, inner):
-                if 58 not in failed:
-                    failed.append(58)
-                if not report:
-                    return False
-            lhs59 = vec_sub(mat_vec(Gr, bracket(tm, ex)), action(tm, gcols[a]))
+            lhs58 = vec_sub(bracket(nx, tm), _mat_vec(Nr, bracket(ex, tm)))
+            if lhs58 != _mat_vec(Tr, inner) and _noted(failed, 58, report):
+                return False
+            lhs59 = vec_sub(_mat_vec(Gr, bracket(tm, ex)), action(tm, gcols[a]))
             rhs59 = vec_sub(vec_add(action(ex, em), action(nx, scols[b])),
-                            mat_vec(Sr, inner))
-            if lhs59 != rhs59:
-                if 59 not in failed:
-                    failed.append(59)
-                if not report:
-                    return False
+                            _mat_vec(Sr, inner))
+            if lhs59 != rhs59 and _noted(failed, 59, report):
+                return False
     # (60), (61): two algebra arguments
     for a in range(d):
         for b in range(a + 1, d):
@@ -245,20 +250,59 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
             ex, ey = units_d[a], units_d[b]
             mixed = vec_add(bracket(nx, ey), bracket(ex, ny))
             sig_skew = vec_sub(action(ex, gcols[b]), action(ey, gcols[a]))
-            lhs60 = vec_sub(vec_sub(bracket(nx, ny), gc[a][b]), mat_vec(Nr, mixed))
-            if lhs60 != mat_vec(Tr, sig_skew):
-                if 60 not in failed:
-                    failed.append(60)
-                if not report:
-                    return False
+            lhs60 = vec_sub(vec_sub(bracket(nx, ny), gc[a][b]), _mat_vec(Nr, mixed))
+            if lhs60 != _mat_vec(Tr, sig_skew) and _noted(failed, 60, report):
+                return False
             lhs61 = vec_sub(vec_sub(action(nx, gcols[b]), action(ny, gcols[a])),
-                            mat_vec(Gr, mixed))
-            if lhs61 != tuple(-x for x in mat_vec(Sr, sig_skew)):
-                if 61 not in failed:
-                    failed.append(61)
-                if not report:
-                    return False
-    return done()
+                            _mat_vec(Gr, mixed))
+            if (lhs61 != tuple(-x for x in _mat_vec(Sr, sig_skew))
+                    and _noted(failed, 61, report)):
+                return False
+    return not failed
+
+
+def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
+    """The ten structure-component identities, numbered 52..61, checked in
+    the order (53), (52), (55), (54), (56), ..., (61).
+
+    Must give the same verdict as gcs_check_direct on every input.  With
+    report=True every identity runs, and the result is (verdict, the failed
+    identities in that order).
+    """
+    d, m = rep.algebra.dim, rep.dim_m
+    Nr, Tr = _rows(N, (d, d)), _rows(T, (d, m))
+    Gr, Sr = _rows(sigma, (m, d)), _rows(S, (m, m))
+    failed = []
+    # (53) N^2 + T sigma = -id: the g x g block, the cheapest rejector
+    if not _product_sum_is(Nr, Nr, Tr, Gr, d, 1):
+        if not report:
+            return False
+        failed.append(53)
+    ok = (_s_blocks(Nr, _neg(Nr), Tr, Gr, Sr, failed, report)
+          and _components_tail(_t_context(rep, Nr, Tr), Nr, Tr, Gr, Sr, failed, report))
+    return (ok, failed) if report else ok
+
+
+def gcs_components_grid(rep: Representation, N, T, sigmas, Ss) -> list:
+    """gcs_check_components on each (sigma, S) of itertools.product(sigmas, Ss),
+    in that order: what reads only (N, T), (56) among it, runs once, and
+    (53) once per sigma."""
+    d, m = rep.algebra.dim, rep.dim_m
+    Nr, Tr = _rows(N, (d, d)), _rows(T, (d, m))
+    Gs = [_rows(g, (m, d)) for g in sigmas]
+    Srs = [_rows(s, (m, m)) for s in Ss]
+    ctx = _t_context(rep, Nr, Tr)
+    if not all(holds56 for *_, holds56 in ctx[-1]):
+        return [False] * (len(Gs) * len(Srs))
+    negN = _neg(Nr)
+    out = []
+    for Gr in Gs:
+        if _product_sum_is(Nr, Nr, Tr, Gr, d, 1):
+            out += [_s_blocks(Nr, negN, Tr, Gr, Sr, [], False)
+                    and _components_tail(ctx, Nr, Tr, Gr, Sr, [], False) for Sr in Srs]
+        else:
+            out += [False] * len(Srs)
+    return out
 
 
 def gcs_oracle(rep: Representation, N, T, sigma, S) -> bool:

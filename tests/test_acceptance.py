@@ -18,9 +18,10 @@ from lieop.fixtures import (
     AFF1_ADJ_OMEGA, AFF1_ADJ_T, AFF1_N, H3_ADJ_T, H3_N, SL2_N,
     standard_fixtures,
 )
+from lieop import gcsholo
 from lieop.gcsholo import (
-    gcs_check_components, gcs_check_direct, is_complex_structure,
-    is_holomorphic_r,
+    gcs_check_components, gcs_check_direct, gcs_components_grid, gcs_direct_grid,
+    is_complex_structure, is_holomorphic_r,
 )
 from lieop.liecore import Subspace
 from lieop.onstruct import hierarchy, nijenhuis_power_props, on_from_compatible_pair
@@ -78,21 +79,34 @@ def test_criterion_01_o_operator_graph_oracle():
           f"{disagreements} disagreements, {elapsed:.1f}s")
 
 
+BLOCKS_22 = [(t[0:2], t[2:4]) for t in itertools.product((-1, 0, 1), repeat=4)]
+
+
+def _compare_slice(rep, n_blk, t_blk, blocks):
+    """Both grid routes on every (sigma, S) of one (N, T) slice, tuple by tuple:
+    (tuples, direct-valid, components-valid, disagreements)."""
+    direct = gcs_direct_grid(rep, n_blk, t_blk, blocks, blocks)
+    comps = gcs_components_grid(rep, n_blk, t_blk, blocks, blocks)
+    split = 0 if direct == comps else sum(a != b for a, b in zip(direct, comps, strict=True))
+    return len(direct), direct.count(True), comps.count(True), split
+
+
 def test_criterion_02_gcs_oracle_exhaustive():
     rep22 = REPS["aff1_adj"]
-    blocks = [(t[0:2], t[2:4]) for t in itertools.product((-1, 0, 1), repeat=4)]
-    disagreements = 0
-    valid = 0
+    tuples = disagreements = valid = 0
+    valid_slices = {}
     t0 = time.monotonic()
-    for n_blk in blocks:
-        for t_blk in blocks:
-            for g_blk in blocks:
-                for s_blk in blocks:
-                    a = gcs_check_direct(rep22, n_blk, t_blk, g_blk, s_blk)
-                    if a != gcs_check_components(rep22, n_blk, t_blk, g_blk, s_blk):
-                        disagreements += 1
-                    valid += a
+    for n_idx, n_blk in enumerate(BLOCKS_22):
+        for t_idx, t_blk in enumerate(BLOCKS_22):
+            count, ok, _, split = _compare_slice(rep22, n_blk, t_blk, BLOCKS_22)
+            tuples += count
+            disagreements += split
+            valid += ok
+            if ok:
+                valid_slices[n_idx, t_idx] = ok
     exhaustive_elapsed = time.monotonic() - t0
+    exhaustive_ok = (tuples == 3 ** 16 and disagreements == 0 and valid == 18
+                     and valid_slices == {(34, 40): 9, (46, 40): 9})
     rep32 = REPS["h3_rep2"]
     rng = random.Random(202)
     for _ in range(250):
@@ -103,10 +117,21 @@ def test_criterion_02_gcs_oracle_exhaustive():
         a = gcs_check_direct(rep32, n_blk, t_blk, g_blk, s_blk)
         if a != gcs_check_components(rep32, n_blk, t_blk, g_blk, s_blk):
             disagreements += 1
-    _line(2, disagreements == 0,
-          f"GCS oracle: 3^16 exhaustive at (2,2) in {exhaustive_elapsed:.0f}s "
-          f"({valid} valid) plus 250 random at (3,2); "
+    _line(2, exhaustive_ok and disagreements == 0,
+          f"GCS oracle: {tuples} tuples exhaustive at (2,2) in {exhaustive_elapsed:.0f}s "
+          f"({valid} valid, by slice {valid_slices}) plus 250 random at (3,2); "
           f"{disagreements} disagreements")
+
+
+def test_criterion_02_sees_a_route_that_skips_integrability(monkeypatch):
+    """Slice (34, 40) has 18 tuples with J^2 = -id and 9 integrable ones, so a
+    direct route that skips integrability must split from the components route
+    on 9 tuples: the early rejection the grids share hides neither route."""
+    rep22 = REPS["aff1_adj"]
+    n_blk, t_blk = BLOCKS_22[34], BLOCKS_22[40]
+    assert _compare_slice(rep22, n_blk, t_blk, BLOCKS_22) == (6561, 9, 9, 0)
+    monkeypatch.setattr(gcsholo, "_j_integrable", lambda *args: True)
+    assert _compare_slice(rep22, n_blk, t_blk, BLOCKS_22) == (6561, 18, 9, 9)
 
 
 def test_criterion_03_cybe_oracle_exhaustive():

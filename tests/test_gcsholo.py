@@ -7,15 +7,17 @@ from lieop.errors import (
     DimensionMismatch, InvalidGCS, NotComplexPair, NotComplexStructure, NotOOperator, Singular,
 )
 from lieop.exactla import Matrix, invert, is_zero_vec
+from lieop.fixtures import h3_rep2
 from lieop.liecore import (
     LieAlgebra, Subspace, adjoint, coadjoint, is_subalgebra, semidirect,
     trivial_rep,
 )
 from lieop.ooper import Bivector, bivector_from_sharp, o_residual
 from lieop.gcsholo import (
-    GCSModule, gcs_check_components, gcs_check_direct, gcs_from_complex,
-    gcs_from_invertible_o, gcs_lie_check, gcs_oracle, is_complex_structure,
-    is_holomorphic_o, is_holomorphic_r, is_module_complex_pair, opposite_gcs,
+    GCSModule, gcs_check_components, gcs_check_direct, gcs_components_grid,
+    gcs_direct_grid, gcs_from_complex, gcs_from_invertible_o, gcs_lie_check,
+    gcs_oracle, is_complex_structure, is_holomorphic_o, is_holomorphic_r,
+    is_module_complex_pair, opposite_gcs,
 )
 
 
@@ -224,24 +226,93 @@ def test_holomorphic_r_exhaustive_ab2():
             assert verdict == (a == 0 and b == 0)
 
 
-@pytest.mark.parametrize("N", [((0, -1), (1,)), ((0, -1), (1, 0, 5))],
-                         ids=["short-row", "long-row"])
-def test_ragged_component_is_a_shape_error(N):
+def _grid_of_one(grid):
+    return lambda rep, N, T, sigma, S: grid(rep, N, T, [sigma], [S])[0]
+
+
+ROUTES = (gcs_check_direct, gcs_check_components,
+          _grid_of_one(gcs_direct_grid), _grid_of_one(gcs_components_grid))
+
+_Z2 = ((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("blocks", [
+    (((0, -1), (1,)), _Z2, _Z2, _Z2),
+    (((0, -1), (1, 0, 5)), _Z2, _Z2, _Z2),
+    # N = T = 0 fails the g x g block N^2 + T sigma = -id, which never reads S
+    (_Z2, _Z2, _Z2, ((0, -1), (1,))),
+], ids=["short-row", "long-row", "ragged-S-rejected-sigma"])
+def test_ragged_component_is_a_shape_error(blocks):
     rep = adjoint(aff1())
-    z = ((0, 0), (0, 0))
-    for route in (gcs_check_direct, gcs_check_components):
+    for route in ROUTES:
         with pytest.raises(DimensionMismatch):
-            route(rep, N, z, z, z)
+            route(rep, *blocks)
 
 
 def test_empty_blocks_on_a_zero_dim_algebra():
     rep = trivial_rep(ab(0), 2)
     N, T, sigma = Matrix.zeros(0, 0), Matrix.zeros(0, 2), Matrix.zeros(2, 0)
-    for route in (gcs_check_direct, gcs_check_components):
+    for route in ROUTES:
         # a complex structure on the trivial module M is a GCS on 0 + M
         assert route(rep, N, T, sigma, K)
         assert route(rep, (), (), ((), ()), K)
         assert not route(rep, N, T, sigma, Matrix.identity(2))
+
+
+def _random_block(rng, rows, cols):
+    return tuple(tuple(rng.randint(-1, 1) for _ in range(cols)) for _ in range(rows))
+
+
+def _as_input(rng, block, cols):
+    """The block as a Matrix, a list of lists, a tuple of lists or a tuple of
+    tuples."""
+    form = rng.randrange(4)
+    if form == 0:
+        return Matrix(block, cols=cols)
+    if form == 1:
+        return [list(row) for row in block]
+    return tuple(list(row) for row in block) if form == 2 else block
+
+
+def test_grids_match_the_single_tuple_checks():
+    """Each grid is the single-tuple check on every (sigma, S) of
+    product(sigmas, Ss), for random {-1, 0, 1} blocks around known GCSs, in
+    every input form the checks take."""
+    rng = random.Random(10)
+    co = coadjoint(aff1())
+    j = gcs_from_invertible_o(co, TINV)
+    rot, z = ((0, -1), (1, 0)), _Z2
+    # (rep, known GCSs as (N, T, sigma, S)); h3 + M has odd dimension, so none
+    cases = [
+        (adjoint(aff1()), [(rot, z, z, ((0, 1), (-1, 0)))]),
+        (h3_rep2(), []),
+        (co, [tuple(x.entries for x in (j.N, j.T, j.sigma, j.S)),
+              (K.entries, z, z, (-K).entries)]),
+        (trivial_rep(ab(0), 2), [((), (), ((), ()), K.entries)]),
+    ]
+    seen = {gcs_direct_grid: set(), gcs_components_grid: set()}
+    for rep, known in cases:
+        d, m = rep.algebra.dim, rep.dim_m
+        for trial in range(12):
+            if known and trial % 2:
+                N, T, sigma, S = known[trial // 2 % len(known)]
+            else:
+                N, T, sigma, S = (_random_block(rng, d, d), _random_block(rng, d, m),
+                                  _random_block(rng, m, d), _random_block(rng, m, m))
+            sigmas = [sigma] + [_random_block(rng, m, d) for _ in range(3)]
+            Ss = [S] + [_random_block(rng, m, m) for _ in range(3)]
+            rng.shuffle(sigmas)
+            rng.shuffle(Ss)
+            N, T = _as_input(rng, N, d), _as_input(rng, T, m)
+            sigmas = [_as_input(rng, x, d) for x in sigmas]
+            Ss = [_as_input(rng, x, m) for x in Ss]
+            pairs = list(itertools.product(sigmas, Ss))
+            for grid, single in ((gcs_direct_grid, gcs_check_direct),
+                                 (gcs_components_grid, gcs_check_components)):
+                verdicts = grid(rep, N, T, sigmas, Ss)
+                assert verdicts == [single(rep, N, T, g, s) for g, s in pairs]
+                seen[grid].update(verdicts)
+    assert all(verdicts == {True, False} for verdicts in seen.values())
 
 
 def _module_complex_identity(rep, I, IM):
