@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import cohomology, gcsholo, liecore, onstruct, ooper, twilled
-from .errors import DimensionMismatch, LieOpError, OracleDisagreement, WorkspaceError
+from .errors import DimensionMismatch, LieOpError, OracleDisagreement, WorkspaceError, oracle
 from .exactla import Matrix, is_zero_vec, parse_scalar, scalar_str
 from .liecore import LieAlgebra, Representation, Subspace
 from .onstruct import DeformationData
@@ -410,11 +410,10 @@ def check_entry(ws: Workspace, entry: Entry):
         return bad is None, "" if bad is None else f"identity fails at triple {bad}"
     if kind == "gcs_module":
         rep, n, t, sigma, s = value
-        verdict = gcsholo.gcs_oracle(rep, n, t, sigma, s)
-        if verdict:
-            return True, ""
-        _, failed = gcsholo.gcs_check_components(rep, n, t, sigma, s, report=True)
-        return False, f"failed identities: {failed}"
+        ok, failed = gcsholo.gcs_check_components(rep, n, t, sigma, s, report=True)
+        verdict = oracle("gcs characterization", gcsholo.gcs_check_direct(rep, n, t, sigma, s),
+                         ok, "direct={a} components={b}")
+        return verdict, "" if verdict else f"failed identities: {failed}"
     if kind == "gcs_lie":
         g, n, r, sigma2 = value
         return gcsholo.gcs_lie_check(g, n, r, sigma2), ""

@@ -289,11 +289,11 @@ def nr_bracket(P: Cochain, Q: Cochain) -> Cochain:
     return pq.sub(qp) if (p * qdeg) % 2 == 0 else pq.add(qp)
 
 
-def bracket_cochain(g: LieAlgebra) -> Cochain:
-    """The Lie bracket of g as a degree-2 self-valued cochain."""
-    return Cochain(2, g.dim, g.dim, {
-        (i, j): g.c[i][j]
-        for i in range(g.dim) for j in range(i + 1, g.dim)})
+def bracket_cochain(c) -> Cochain:
+    """A skew bracket, given by its structure tensor c[i][j] = [e_i, e_j], as a
+    degree-2 self-valued cochain."""
+    d = len(c)
+    return Cochain(2, d, d, {(i, j): c[i][j] for i in range(d) for j in range(i + 1, d)})
 
 
 def lie_tensor_from_cochain(mu: Cochain):
@@ -364,6 +364,4 @@ def build_mu2(dim_a, dim_b, b_algebra: LieAlgebra, action2: Representation) -> C
         raise DimensionMismatch("action2 must act on the a block")
     abelian = ((vec_zero(dim_a),) * dim_a,) * dim_a
     inert = ((vec_zero(dim_b),) * dim_b,) * dim_a
-    c = block_tensor(abelian, b_algebra.c, inert, action2.t)
-    d = dim_a + dim_b
-    return Cochain(2, d, d, {(i, j): c[i][j] for i in range(d) for j in range(i + 1, d)})
+    return bracket_cochain(block_tensor(abelian, b_algebra.c, inert, action2.t))

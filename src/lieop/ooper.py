@@ -15,7 +15,6 @@ compared through `errors.oracle`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .cohomology import Cochain, is_cocycle
@@ -388,17 +387,11 @@ def compatibility_defect(rep: Representation, T1, T2):
 
 
 def are_compatible(rep: Representation, T1, T2) -> bool:
-    """Mixed-identity verdict, cross-checked against sums and random combinations."""
+    """Mixed-identity verdict against T1 + T2 being an O-operator.  T1 and T2 are
+    O-operators, so by polarization the sum decides every mu T1 + lam T2."""
     defects = compatibility_defect(rep, T1, T2)
     direct = all(is_zero_vec(v) for v in defects.values())
-    oracle("compatibility", direct, is_o_operator(rep, T1 + T2), "identity={a} sum={b}")
-    rng = random.Random(20240)
-    for _ in range(5):
-        mu = rng.randint(1, 7)
-        lam = rng.choice([-3, -2, -1, 1, 2, 3])
-        oracle("compatibility", direct, is_o_operator(rep, T1.scale(mu) + T2.scale(lam)),
-               "combination mu={mu} lam={lam} broke equivalence", mu=mu, lam=lam)
-    return direct
+    return oracle("compatibility", direct, is_o_operator(rep, T1 + T2), "identity={a} sum={b}")
 
 
 def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:

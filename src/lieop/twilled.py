@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, one_cocycle_basis
-from .errors import DimensionMismatch, NotStrongMC, NotSubalgebra, oracle
+from .errors import DimensionMismatch, NotOOperator, NotStrongMC, NotSubalgebra, oracle
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale, vec_sub
 from .liecore import (
     LieAlgebra, Representation, Subspace, _unit, block_tensor,
@@ -243,9 +243,10 @@ def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
     if not ok:
         raise NotStrongMC(defects)
     bar = tw.action2
-    oracle("omega structures", is_o_operator(bar, omega), True,
-           "strong MC solution is not an O-operator over M^T")
-    swapped = twilled_from_o(bar, omega)
+    try:  # induced_lie checks Omega's O-identity over M^T, once
+        swapped = twilled_from_o(bar, omega)
+    except NotOOperator:  # against the theorem's True, so the oracle raises
+        oracle("omega structures", False, True, "strong MC solution is not an O-operator over M^T")
     g_omega, action_omega = swapped.b_algebra, swapped.action2
     big = swap(swapped).total
     oracle("omega structures", strong_mc_check(swapped, T)[0], True,

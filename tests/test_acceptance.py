@@ -283,8 +283,9 @@ def test_criterion_09_nijenhuis_tower():
         assert all(report.values()), (g_name, report)
         towers += 1
     _line(9, towers == 3,
-          "Nijenhuis towers: powers, iterated deformations, and random "
-          "bracket combinations all pass to k = 3")
+          "Nijenhuis towers: powers, iterated deformations, and the mixed "
+          "Jacobi term of each bracket pair, by triples and by the NR bracket, "
+          "all pass to k = 3")
 
 
 def test_criterion_10_delta_squared_zero():

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from lieop import ooper, twilled
+from lieop import gcsholo, ooper, twilled
 from lieop.cli import Workspace, build_report, main
 from lieop.errors import OracleDisagreement
 from lieop.fixtures import bundle_json
@@ -66,6 +67,34 @@ def test_check_invalid_gcs_names_identity(bundle_file, tmp_path, capsys):
                     "--input", bundle_file, str(p))
     assert code == 1
     assert "53" in out
+
+
+def test_check_invalid_gcs_runs_each_route_once(bundle_file, tmp_path, capsys, monkeypatch):
+    rng = random.Random(3)
+
+    def entries():
+        return [[str(rng.choice((-1, 0, 1))) for _ in range(3)] for _ in range(3)]
+
+    bad = {"objects": {"J0": {"kind": "gcs_module", "rep_ref": "h3_adj", "n": entries(),
+                              "t": entries(), "sigma": entries(), "s": entries()}}}
+    p = tmp_path / "random_gcs.json"
+    p.write_text(json.dumps(bad), encoding="utf-8")
+    calls = []
+    direct, components = gcsholo.gcs_check_direct, gcsholo.gcs_check_components
+
+    def counted_direct(*args):
+        calls.append("direct")
+        return direct(*args)
+
+    def counted_components(*args, report=False):
+        calls.append("components report" if report else "components")
+        return components(*args, report=report)
+
+    monkeypatch.setattr(gcsholo, "gcs_check_direct", counted_direct)
+    monkeypatch.setattr(gcsholo, "gcs_check_components", counted_components)
+    code, out = run(capsys, "check", "gcs", "J0", "--input", bundle_file, str(p))
+    assert code == 1 and "failed identities: [" in out
+    assert sorted(calls) == ["components report", "direct"]
 
 
 def test_check_missing_name(bundle_file, capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lieop import onstruct
+from lieop import onstruct, ooper
 from lieop.cli import Workspace
 from lieop.errors import (
     NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, Singular,
@@ -236,6 +236,24 @@ def test_hierarchy_on_h3():
     on = on_from_compatible_pair(rep, t1, t2)
     ts = hierarchy(rep, on.T, on.N, on.S, 3)
     assert len(ts) == 4
+
+
+def test_hierarchy_o_identity_count(monkeypatch):
+    ws = Workspace.load([bundle()])
+    calls = []
+    original = ooper.is_o_operator
+
+    def counted(rep, T):
+        calls.append(T)
+        return original(rep, T)
+
+    monkeypatch.setattr(ooper, "is_o_operator", counted)
+    monkeypatch.setattr(onstruct, "is_o_operator", counted)
+    for name in ("aff1_on", "aff1_on_id", "h3_on"):
+        assert len(hierarchy(*ws.get(name, "on_structure").value, 6)) == 7
+    # per structure: the ON check, the 7 members, and T_k, T_l, T_k + T_l
+    # for each of the 21 pairs
+    assert len(calls) == 3 * (1 + 7 + 3 * 21) == 213
 
 
 def test_pn_structure():

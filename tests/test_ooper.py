@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lieop import ooper
 from lieop.errors import (
     ImageEscapesH, NotAdmissible, NotCocycle, NotOOperator, NotPreLie,
     NotStable, Singular,
@@ -235,6 +236,19 @@ def test_compatibility_examples():
     assert are_compatible(co, COADJ_T1, COADJ_T2)
     defects = compatibility_defect(co, COADJ_T1, COADJ_T2)
     assert all(is_zero_vec(v) for v in defects.values())
+
+
+def test_are_compatible_evaluates_each_o_identity_once(monkeypatch):
+    calls = []
+    original = ooper.is_o_operator
+
+    def counted(rep, T):
+        calls.append(T)
+        return original(rep, T)
+
+    monkeypatch.setattr(ooper, "is_o_operator", counted)
+    assert are_compatible(coadjoint(aff1()), COADJ_T1, COADJ_T2)
+    assert calls == [COADJ_T1, COADJ_T2, COADJ_T1 + COADJ_T2]
 
 
 def test_incompatible_pair_exists():

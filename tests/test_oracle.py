@@ -11,7 +11,7 @@ import lieop
 from lieop import gcsholo, onstruct, ooper, twilled
 from lieop.cli import Workspace
 from lieop.errors import OracleDisagreement, oracle
-from lieop.fixtures import bundle_json
+from lieop.fixtures import AFF1_ADJ_OMEGA, bundle_json
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,11 @@ def _flip(route):
 def _shift(route):
     """A residual route whose every entry is off by one."""
     return lambda *args: {k: tuple(x + 1 for x in v) for k, v in route(*args).items()}
+
+
+def _flip_on(matrix):
+    """Flip a route only on the calls whose last argument is `matrix`."""
+    return lambda route: lambda *args: (args[-1] == matrix) != route(*args)
 
 
 def _values(*names):
@@ -56,6 +61,11 @@ SITES = [
     (ooper, "pre_lie_defect_tensor", _flip,
      lambda ws: (ooper.PreLieProduct(*ws.entries["aff1_prelie"].value),) * 2,
      ooper.pre_lie_compatible, "pre-Lie compatibility"),
+    (onstruct, "mixed_jacobi_defect", _flip, lambda ws: ws.entries["sl2_N"].value + (3,),
+     onstruct.nijenhuis_power_props, "nijenhuis power combinations"),
+    (ooper, "is_o_operator", _flip_on(AFF1_ADJ_OMEGA),
+     lambda ws: ws.entries["aff1_adj_T"].value + (AFF1_ADJ_OMEGA,),
+     twilled.omega_structures, "omega structures"),
     (twilled, "cocycle_residual", _shift, _values("aff1_mc"), twilled.mc_check,
      "strong mc cocycle residual"),
     (twilled, "quadratic_residual", _shift, _values("aff1_mc"), twilled.strong_mc_check,
@@ -97,4 +107,22 @@ def test_only_errors_constructs_oracle_disagreement():
     assert _constructions(src / "errors.py")
     offenders = [site for path in sorted(src.glob("*.py")) if path.name != "errors.py"
                  for site in _constructions(path)]
+    assert offenders == []
+
+
+def _imported_modules(path):
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_the_cli_imports_random():
+    src = Path(lieop.__file__).parent
+    assert "random" in _imported_modules(src / "cli.py")
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if path.name != "cli.py" and "random" in _imported_modules(path)]
     assert offenders == []

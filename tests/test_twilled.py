@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from lieop import ooper, twilled
 from lieop.errors import (
     NotComplementary, NotOOperator, NotStrongMC, NotSubalgebra,
 )
 from lieop.exactla import Matrix, vec_add
-from lieop.fixtures import standard_fixtures
+from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_ADJ_T, standard_fixtures
 from lieop.liecore import LieAlgebra, Subspace, adjoint, coadjoint, semidirect, trivial_rep
 from lieop.onstruct import ONStructure, hierarchy, on_from_compatible_pair
 from lieop.ooper import is_o_operator
@@ -201,6 +202,21 @@ def test_omega_zero_collapses_big_bracket():
                 tuple(1 if k == 2 + j else 0 for k in range(4)))
             expected = tuple(-x for x in bundle.bar_rep.action[j].col(i)) + (0, 0)
             assert mixed == expected
+
+
+def test_omega_structures_checks_omega_over_the_bar_module_once(monkeypatch):
+    calls = []
+    original = ooper.is_o_operator
+
+    def counted(rep, T):
+        if T == AFF1_ADJ_OMEGA:
+            calls.append(rep)
+        return original(rep, T)
+
+    monkeypatch.setattr(ooper, "is_o_operator", counted)
+    monkeypatch.setattr(twilled, "is_o_operator", counted)
+    out = omega_structures(adjoint(aff1()), AFF1_ADJ_T, AFF1_ADJ_OMEGA)
+    assert len(calls) == 1 and calls[0] is out.bar_rep
 
 
 def test_not_strong_mc_raises():
