@@ -5,9 +5,12 @@ structure-constant tensor c[i][j] = coefficient vector of [e_i, e_j]; a module
 is one action matrix per basis vector, also kept as the tensor
 t[i][b] = e_i . f_b.  Each tensor is kept dense (`c`, `t`) and sparse (`s`,
 the nonzero (k, value) pairs of each entry).  `contract` and the validators
-read only the sparse form, so their work grows with the nonzero constants.  All
-validators run exactly on every basis tuple, so an accepted object genuinely
-satisfies its axioms.
+read only the sparse form, so their work grows with the nonzero constants.  The
+identities quadratic in a bracket read one cyclic form, `cyclic_form`:
+C(a, b) sums a(e_u, b(e_v, e_w)) over the cyclic orders of a triple, C(s, s) is
+the Jacobiator and C(a, b) + C(b, a) the mixed term of compatible brackets,
+Nijenhuis towers and module deformations.  All validators run exactly on every
+basis tuple, so an accepted object genuinely satisfies its axioms.
 """
 
 from __future__ import annotations
@@ -50,6 +53,15 @@ def _add_rows(acc, scale, pairs, rows):
             acc[k] = acc.get(k, 0) + f * w
 
 
+def cyclic_form(acc, a, b, i, j, k):
+    """acc += C(a, b)(e_i, e_j, e_k), the sum of a(e_u, b(e_v, e_w)) over the
+    cyclic orders (u, v, w) of (i, j, k), for sparse tensors a and b.  C(s, s) is
+    the Jacobiator of s; C(a, b) + C(b, a) is the mixed term of that of a + b."""
+    for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+        _add_rows(acc, 1, b[v][w], a[u])
+    return acc
+
+
 def contract(s, n, x, y):
     """sum_{a,b} x_a y_b t[a][b] as a length-n vector, for s = sparse(t).
 
@@ -85,7 +97,7 @@ def block_tensor(ca, cb, t1, t2):
     c = [[None] * n for _ in range(n)]
     for i in range(da):
         for j in range(da):
-            c[i][j] = ca[i][j] + zb
+            c[i][j] = tuple(ca[i][j]) + zb
         for u in range(db):
             v = tuple(-x for x in t2[u][i]) + t1[i][u]
             c[i][da + u] = v
@@ -137,17 +149,12 @@ class LieAlgebra:
         for i in range(d):
             for j in range(i + 1, d):
                 for k in range(j + 1, d):
-                    defect = self.jacobi_defect(i, j, k)
-                    if any(defect):
-                        raise JacobiViolation(i, j, k, defect)
+                    if any(cyclic_form({}, s, s, i, j, k).values()):
+                        raise JacobiViolation(i, j, k, self.jacobi_defect(i, j, k))
 
     def jacobi_defect(self, i, j, k):
-        """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]."""
-        s = self.s
-        acc = {}
-        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-            _add_rows(acc, 1, s[v][w], s[u])
-        return _dense(acc, self.dim)
+        """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]], that is C(s, s)."""
+        return _dense(cyclic_form({}, self.s, self.s, i, j, k), self.dim)
 
     def bracket_vec(self, x, y):
         """[x, y] for coordinate vectors x, y."""
@@ -245,13 +252,17 @@ def trivial_rep(g: LieAlgebra, dim_m) -> Representation:
     return Representation(g, dim_m, [Matrix.zeros(dim_m) for _ in range(g.dim)])
 
 
+def semidirect_tensor(c, t, m):
+    """[(x,m),(y,n)] = (c(x,y), t(x,n) - t(y,m)) on g + M, with dim M = m."""
+    d = len(c)
+    return block_tensor(c, ((vec_zero(m),) * m,) * m, t, ((vec_zero(d),) * d,) * m)
+
+
 def semidirect(rep: Representation) -> LieAlgebra:
     """Semi-direct product on g + M: [(x,m),(y,n)] = ([x,y], x•n - y•m)."""
     if rep._semidirect is None:
-        d, m = rep.algebra.dim, rep.dim_m
-        abelian = ((vec_zero(m),) * m,) * m
-        inert = ((vec_zero(d),) * d,) * m
-        rep._semidirect = LieAlgebra(d + m, block_tensor(rep.algebra.c, abelian, rep.t, inert))
+        rep._semidirect = LieAlgebra(rep.algebra.dim + rep.dim_m,
+                                     semidirect_tensor(rep.algebra.c, rep.t, rep.dim_m))
     return rep._semidirect
 
 

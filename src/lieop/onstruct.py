@@ -9,7 +9,6 @@ conventions are the main hazard in this corner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 from .cohomology import Cochain, bracket_cochain, nr_bracket
@@ -17,14 +16,15 @@ from .errors import (
     DimensionMismatch, NotAntisymmetric, NotCompatible,
     NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, oracle,
 )
-from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_sub
+from .exactla import Matrix, invert, vec_add, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, _unit, action_tensor, coadjoint,
-    contract, direct_sum_map, dual_rep, semidirect, sparse,
+    LieAlgebra, Representation, _unit, action_tensor, coadjoint, contract,
+    cyclic_form, direct_sum_map, dual_rep, semidirect, semidirect_tensor, sparse,
 )
 from .ooper import (
     Bivector, are_compatible, bivector_from_sharp, compatibility_defect,
-    ind_bracket_vec, is_o_operator, is_r_matrix, r_sharp,
+    compatibility_oracle, ind_bracket_vec, is_o_operator, is_r_matrix, mixed_residual,
+    r_sharp,
 )
 
 
@@ -77,17 +77,18 @@ def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
     return LieAlgebra(g.dim, deformed_tensor(g.c, g.dim, N))
 
 
+def _mixed(a, b, i, j, k):
+    """C(a, b) + C(b, a) on one basis triple, for sparse tensors a and b."""
+    return cyclic_form(cyclic_form({}, a, b, i, j, k), b, a, i, j, k)
+
+
 def mixed_jacobi_defect(dim, a, b):
-    """First basis triple i < j < k where the cyclic sum of a(x, b(y, z)) +
-    b(x, a(y, z)) is nonzero, or None, for skew bracket tensors a and b: the
-    mu lam term of the Jacobiator of mu a + lam b."""
+    """First basis triple i < j < k where C(a, b) + C(b, a) is nonzero, or None,
+    for skew bracket tensors a and b: the mu lam term of the Jacobiator of
+    mu a + lam b."""
     a_s, b_s = sparse(a), sparse(b)
-    for i, j, k in combinations(range(dim), 3):
-        terms = [contract(s, dim, _unit(dim, u), t[v][w]) for s, t in ((a_s, b), (b_s, a))
-                 for u, v, w in ((i, j, k), (j, k, i), (k, i, j))]
-        if any(map(sum, zip(*terms))):
-            return (i, j, k)
-    return None
+    return next((t for t in combinations(range(dim), 3) if any(_mixed(a_s, b_s, *t).values())),
+                None)
 
 
 def nijenhuis_power_props(g: LieAlgebra, N, kmax: int) -> dict:
@@ -137,59 +138,30 @@ class DeformationData:
 
 def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
     """The four coefficient conditions, checked in order; returns
-    (verdict, name of the first failed condition or None)."""
-    g = rep.algebra
-    dim, m = g.dim, rep.dim_m
+    (verdict, name of the first failed condition or None).
+
+    They are the Jacobi identity of mu + t mu1, the bracket on g + M of the
+    deformed module (mu of g + M, mu1 of (bracket1, action1)): the t term
+    C(mu, mu1) + C(mu1, mu) and the t^2 term C(mu1, mu1), on triples in g and
+    on triples (x, y, m).  Triples with two indices in M vanish identically.
+    """
+    dim, m = rep.algebra.dim, rep.dim_m
     c1 = d.bracket1
-    br1 = partial(contract, sparse(c1), dim)
-    act1 = partial(contract, sparse(action_tensor(d.action1)), m)
     for i in range(dim):
         for j in range(dim):
             if tuple(c1[i][j]) != tuple(-x for x in c1[j][i]):
                 return False, "bracket1_skew"
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                ei, ej, ek = _unit(dim, i), _unit(dim, j), _unit(dim, k)
-                total = vec_add(
-                    vec_add(g.bracket_vec(ei, br1(ej, ek)),
-                            g.bracket_vec(ej, br1(ek, ei))),
-                    g.bracket_vec(ek, br1(ei, ej)))
-                total = vec_add(total, vec_add(
-                    vec_add(br1(ei, g.c[j][k]), br1(ej, g.c[k][i])),
-                    br1(ek, g.c[i][j])))
-                if not is_zero_vec(total):
-                    return False, "two_cocycle"
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                ei, ej, ek = _unit(dim, i), _unit(dim, j), _unit(dim, k)
-                total = vec_add(
-                    vec_add(br1(ei, br1(ej, ek)), br1(ej, br1(ek, ei))),
-                    br1(ek, br1(ei, ej)))
-                if not is_zero_vec(total):
-                    return False, "bracket1_jacobi"
-
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ei, ej = _unit(dim, i), _unit(dim, j)
-            for t in range(m):
-                mt = _unit(m, t)
-                lhs = act1(br1(ei, ej), mt)
-                rhs = vec_sub(act1(ei, act1(ej, mt)), act1(ej, act1(ei, mt)))
-                if lhs != rhs:
-                    return False, "action1_rep"
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ei, ej = _unit(dim, i), _unit(dim, j)
-            for t in range(m):
-                mt = _unit(m, t)
-                lhs = vec_add(act1(g.c[i][j], mt), rep.act(br1(ei, ej), mt))
-                rhs = vec_add(
-                    vec_sub(rep.act(ei, act1(ej, mt)), rep.act(ej, act1(ei, mt))),
-                    vec_sub(act1(ei, rep.act(ej, mt)), act1(ej, rep.act(ei, mt))))
-                if lhs != rhs:
-                    return False, "mixed_module"
+    mu = semidirect(rep).s
+    mu1 = sparse(semidirect_tensor(c1, action_tensor(d.action1), m))
+    in_g = list(combinations(range(dim), 3))
+    with_m = [(i, j, dim + t) for i, j in combinations(range(dim), 2) for t in range(m)]
+    # the mixed term of (mu1, mu1) is 2 C(mu1, mu1)
+    for name, a, b, triples in (("two_cocycle", mu, mu1, in_g),
+                                ("bracket1_jacobi", mu1, mu1, in_g),
+                                ("action1_rep", mu1, mu1, with_m),
+                                ("mixed_module", mu, mu1, with_m)):
+        if any(any(_mixed(a, b, *t).values()) for t in triples):
+            return False, name
     return True, None
 
 
@@ -346,38 +318,41 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
     ts = []
     for k in range(kmax + 1):
         tk = oracle("hierarchy", npow[k] * T, T * spow[k], "N^{k} T != T S^{k}", k=k)
-        oracle("hierarchy", is_o_operator(rep, tk), True, "T_{k} failed the O-identity", k=k)
+        if k:  # T_0 = T was checked by ONStructure
+            oracle("hierarchy", is_o_operator(rep, tk), True, "T_{k} failed the O-identity", k=k)
         ts.append(tk)
     for k in range(kmax + 1):
         for l in range(k + 1, kmax + 1):
-            oracle("hierarchy", are_compatible(rep, ts[k], ts[l]), True,
-                   "T_{k} and T_{l} incompatible", k=k, l=l)
+            compatible = compatibility_oracle(rep, ts[k], ts[l], mixed_residual(rep, ts[k], ts[l]))
+            oracle("hierarchy", compatible, True, "T_{k} and T_{l} incompatible", k=k, l=l)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    # the T_s-bracket is the S^s-deformed T-bracket, for each s <= kmax
+    sdef = [{(i, j): oracle("hierarchy", ind_bracket_vec(rep, ts[s], _unit(m, i), _unit(m, j)),
+                            deformed_module_bracket(rep, T, spow[s], i, j),
+                            "operator bracket (k+l={kl}) != S-deformed", kl=s)
+             for i, j in pairs} for s in range(kmax + 1)]
     # deformed-bracket identities for k + l <= kmax
     for k in range(kmax + 1):
         for l in range(kmax + 1 - k):
             nl = npow[l]
-            for i in range(m):
-                for j in range(i + 1, m):
-                    ei, ej = _unit(m, i), _unit(m, j)
-                    skl = deformed_module_bracket(rep, T, spow[k + l], i, j)
-                    a = ts[k].col(i)
-                    b = ts[k].col(j)
-                    rhs = vec_sub(
-                        vec_add(g.bracket_vec(nl.apply(a), b),
-                                g.bracket_vec(a, nl.apply(b))),
-                        nl.apply(g.bracket_vec(a, b)))
-                    oracle("hierarchy", ts[k].apply(skl), rhs,
-                           "bracket identity (k={k}, l={l}) failed", k=k, l=l)
-                    via_tkl = oracle("hierarchy", ind_bracket_vec(rep, ts[k + l], ei, ej), skl,
-                                     "operator bracket (k+l={kl}) != S-deformed", kl=k + l)
-                    # the form the compatibility argument rests on: the
-                    # T_{k+l}-bracket is the S^l-deformation of the T_k one
-                    via_gen = vec_sub(
-                        vec_add(ind_bracket_vec(rep, ts[k], spow[l].col(i), ej),
-                                ind_bracket_vec(rep, ts[k], ei, spow[l].col(j))),
-                        spow[l].apply(ind_bracket_vec(rep, ts[k], ei, ej)))
-                    oracle("hierarchy", via_tkl, via_gen,
-                           "deformation identity (k={k}, l={l}) failed", k=k, l=l)
+            for i, j in pairs:
+                ei, ej = _unit(m, i), _unit(m, j)
+                skl = sdef[k + l][(i, j)]
+                a = ts[k].col(i)
+                b = ts[k].col(j)
+                rhs = vec_sub(
+                    vec_add(g.bracket_vec(nl.apply(a), b), g.bracket_vec(a, nl.apply(b))),
+                    nl.apply(g.bracket_vec(a, b)))
+                oracle("hierarchy", ts[k].apply(skl), rhs,
+                       "bracket identity (k={k}, l={l}) failed", k=k, l=l)
+                # the form the compatibility argument rests on: the
+                # T_{k+l}-bracket is the S^l-deformation of the T_k one
+                via_gen = vec_sub(
+                    vec_add(ind_bracket_vec(rep, ts[k], spow[l].col(i), ej),
+                            ind_bracket_vec(rep, ts[k], ei, spow[l].col(j))),
+                    spow[l].apply(ind_bracket_vec(rep, ts[k], ei, ej)))
+                oracle("hierarchy", skl, via_gen,
+                       "deformation identity (k={k}, l={l}) failed", k=k, l=l)
     return ts
 
 

@@ -28,9 +28,8 @@ from .exactla import (
     vec_scale, vec_sub, vec_zero,
 )
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _unit, coadjoint, contract,
-    graph_subspace, intersect, is_ideal, is_subalgebra, quotient,
-    restrict_to_subalgebra, semidirect, sparse,
+    LieAlgebra, Representation, Subspace, _add_rows, _unit, coadjoint, graph_subspace,
+    intersect, is_ideal, is_subalgebra, quotient, restrict_to_subalgebra, semidirect, sparse,
 )
 
 
@@ -366,10 +365,9 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
 # compatible pairs
 # ---------------------------------------------------------------------------
 
-def compatibility_defect(rep: Representation, T1, T2):
-    """Residual of the mixed identity for every basis pair m < n."""
-    for T in (T1, T2):
-        OOperator(rep, T)
+def mixed_residual(rep: Representation, T1, T2):
+    """Residual [T1 m, T2 n] + [T2 m, T1 n] - T1(T2 m.n - T2 n.m) - T2(T1 m.n - T1 n.m)
+    for every basis pair m < n: the mixed term of the O-identity of T1 + T2."""
     g = rep.algebra
     m = rep.dim_m
     out = {}
@@ -386,12 +384,23 @@ def compatibility_defect(rep: Representation, T1, T2):
     return out
 
 
-def are_compatible(rep: Representation, T1, T2) -> bool:
-    """Mixed-identity verdict against T1 + T2 being an O-operator.  T1 and T2 are
-    O-operators, so by polarization the sum decides every mu T1 + lam T2."""
-    defects = compatibility_defect(rep, T1, T2)
+def compatibility_defect(rep: Representation, T1, T2):
+    """The mixed residual of two O-operators, each validated first."""
+    for T in (T1, T2):
+        OOperator(rep, T)
+    return mixed_residual(rep, T1, T2)
+
+
+def compatibility_oracle(rep: Representation, T1, T2, defects) -> bool:
+    """The mixed residual `defects` of two O-operators against T1 + T2 being one;
+    by polarization the sum decides every mu T1 + lam T2."""
     direct = all(is_zero_vec(v) for v in defects.values())
     return oracle("compatibility", direct, is_o_operator(rep, T1 + T2), "identity={a} sum={b}")
+
+
+def are_compatible(rep: Representation, T1, T2) -> bool:
+    """Compatibility of two O-operators, validated first."""
+    return compatibility_oracle(rep, T1, T2, compatibility_defect(rep, T1, T2))
 
 
 def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:
@@ -410,9 +419,10 @@ def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:
 # ---------------------------------------------------------------------------
 
 class PreLieProduct:
-    """A left pre-Lie product on a coordinate space, validated exactly."""
+    """A left pre-Lie product on a coordinate space, validated exactly; `s` is
+    its sparse tensor and `t` the transpose rows, t[k][l] = s[l][k]."""
 
-    __slots__ = ("dim", "p", "s")
+    __slots__ = ("dim", "p", "s", "t")
 
     def __init__(self, dim, tensor):
         p = tuple(tuple(tuple(q(x) for x in tensor[i][j]) for j in range(dim))
@@ -424,6 +434,7 @@ class PreLieProduct:
         self.dim = dim
         self.p = p
         self.s = sparse(p)
+        self.t = tuple(zip(*self.s))
         bad = pre_lie_defect_tensor(dim, self.s)
         if bad is not None:
             raise NotPreLie(bad)
@@ -431,28 +442,34 @@ class PreLieProduct:
     def prod_basis(self, i, j):
         return self.p[i][j]
 
-    def prod_vec(self, x, y):
-        return contract(self.s, self.dim, x, y)
-
     def add(self, other):
         return PreLieProduct(self.dim, [
             [vec_add(self.p[i][j], other.p[i][j]) for j in range(self.dim)]
             for i in range(self.dim)])
 
 
+def associator_form(acc, a, at, b, i, j, k):
+    """acc += A(a, b)(e_i, e_j, e_k) = (e_i e_j)e_k - e_i(e_j e_k) - (e_j e_i)e_k
+    + e_j(e_i e_k), a the outer and b the inner sparse product, at the transpose
+    rows of a.  A(p, p) is the pre-Lie identity; A(a, b) + A(b, a) its mixed term."""
+    _add_rows(acc, 1, b[i][j], at[k])
+    _add_rows(acc, -1, b[j][k], a[i])
+    _add_rows(acc, -1, b[j][i], at[k])
+    _add_rows(acc, 1, b[i][k], a[j])
+    return acc
+
+
+def _triples(dim):
+    """(i, j, k) in the order of the full cube, i < j: A vanishes at i = j and
+    is skew in (i, j), so the first violating triple of the cube has i < j."""
+    return ((i, j, k) for i in range(dim) for j in range(i + 1, dim) for k in range(dim))
+
+
 def pre_lie_defect_tensor(dim, p):
     """First basis triple violating the left pre-Lie identity, or None; p is sparse."""
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                ei, ej, ek = _unit(dim, i), _unit(dim, j), _unit(dim, k)
-                lhs = vec_sub(contract(p, dim, contract(p, dim, ei, ej), ek),
-                              contract(p, dim, ei, contract(p, dim, ej, ek)))
-                rhs = vec_sub(contract(p, dim, contract(p, dim, ej, ei), ek),
-                              contract(p, dim, ej, contract(p, dim, ei, ek)))
-                if lhs != rhs:
-                    return (i, j, k)
-    return None
+    pt = tuple(zip(*p))
+    return next((t for t in _triples(dim) if any(associator_form({}, p, pt, p, *t).values())),
+                None)
 
 
 def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
@@ -465,32 +482,14 @@ def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
 
 
 def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:
-    """Mixed identity on all triples, cross-checked against the sum product."""
+    """The mixed identity A(p1, p2) + A(p2, p1) on all triples, cross-checked
+    against the sum product being pre-Lie."""
     if p1.dim != p2.dim:
         raise DimensionMismatch("pre-Lie products on different spaces")
     d = p1.dim
-    direct = True
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                x, y, z = _unit(d, i), _unit(d, j), _unit(d, k)
-                lhs = vec_add(
-                    vec_sub(p2.prod_vec(p1.prod_vec(x, y), z),
-                            p1.prod_vec(x, p2.prod_vec(y, z))),
-                    vec_sub(p1.prod_vec(p2.prod_vec(x, y), z),
-                            p2.prod_vec(x, p1.prod_vec(y, z))))
-                rhs = vec_add(
-                    vec_sub(p2.prod_vec(p1.prod_vec(y, x), z),
-                            p1.prod_vec(y, p2.prod_vec(x, z))),
-                    vec_sub(p1.prod_vec(p2.prod_vec(y, x), z),
-                            p2.prod_vec(y, p1.prod_vec(x, z))))
-                if lhs != rhs:
-                    direct = False
-                    break
-            if not direct:
-                break
-        if not direct:
-            break
+    direct = not any(any(associator_form(associator_form({}, p1.s, p1.t, p2.s, *t),
+                                         p2.s, p2.t, p1.s, *t).values())
+                     for t in _triples(d))
     sum_tensor = [[vec_add(p1.p[i][j], p2.p[i][j]) for j in range(d)] for i in range(d)]
     return oracle("pre-Lie compatibility", direct,
                   pre_lie_defect_tensor(d, sparse(sum_tensor)) is None, "identity={a} sum={b}")

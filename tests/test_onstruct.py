@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -8,9 +10,11 @@ from lieop.cli import Workspace
 from lieop.errors import (
     NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, Singular,
 )
-from lieop.exactla import Matrix
+from lieop.exactla import Matrix, is_zero_vec, vec_add, vec_sub
 from lieop.fixtures import bundle
-from lieop.liecore import LieAlgebra, adjoint, coadjoint
+from lieop.liecore import (
+    LieAlgebra, _unit, action_tensor, adjoint, coadjoint, contract, sparse,
+)
 from lieop.ooper import Bivector, is_o_operator, is_r_matrix
 from lieop.onstruct import (
     DeformationData, ONStructure, deformed_bracket, hierarchy,
@@ -58,12 +62,25 @@ def test_deformed_bracket():
         deformed_bracket(sl2(), Matrix.diag((2, 1, 1)))
 
 
+def aff1_tw_total():
+    return LieAlgebra.from_brackets(4, {
+        (0, 1): (0, 1, 0, 0), (0, 2): (0, 1, 0, 0), (0, 3): (0, 0, 0, 1),
+        (1, 2): (0, 0, 0, -1)})
+
+
+# its tower has a nonzero C(a, b) half, so a mixed Jacobi term read from one
+# half alone disagrees with the Nijenhuis-Richardson route; the diagonal N
+# below make both halves vanish
+AFF1_TW_N = Matrix([[-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 1, 0]])
+
+
 def test_power_props():
     for g, n in ((aff1(), Matrix.identity(2)),
                  (aff1(), Matrix.zeros(2)),
                  (aff1(), AFF1_N),
                  (h3(), Matrix.diag((2, 1, 2))),
-                 (sl2(), Matrix.diag((1, 1, 2)))):
+                 (sl2(), Matrix.diag((1, 1, 2))),
+                 (aff1_tw_total(), AFF1_TW_N)):
         rpt = nijenhuis_power_props(g, n, 3)
         assert all(rpt.values()), (g, n, rpt)
 
@@ -95,6 +112,99 @@ def test_infinitesimal_deformation_rejects_junk():
     d2 = DeformationData.build(3, 3, mixed_bad, [Matrix.zeros(3)] * 3)
     ok, which = is_infinitesimal_deformation(rep, d2)
     assert not ok and which == "mixed_module"
+
+
+def reference_infinitesimal_deformation(rep, d):
+    """The four coefficient conditions as four plain loops over basis vectors."""
+    g = rep.algebra
+    dim, m = g.dim, rep.dim_m
+    c1 = d.bracket1
+    br1 = partial(contract, sparse(c1), dim)
+    act1 = partial(contract, sparse(action_tensor(d.action1)), m)
+    for i in range(dim):
+        for j in range(dim):
+            if tuple(c1[i][j]) != tuple(-x for x in c1[j][i]):
+                return False, "bracket1_skew"
+    for i, j, k in itertools.combinations(range(dim), 3):
+        ei, ej, ek = _unit(dim, i), _unit(dim, j), _unit(dim, k)
+        total = vec_add(
+            vec_add(g.bracket_vec(ei, br1(ej, ek)), g.bracket_vec(ej, br1(ek, ei))),
+            g.bracket_vec(ek, br1(ei, ej)))
+        total = vec_add(total, vec_add(
+            vec_add(br1(ei, g.c[j][k]), br1(ej, g.c[k][i])), br1(ek, g.c[i][j])))
+        if not is_zero_vec(total):
+            return False, "two_cocycle"
+    for i, j, k in itertools.combinations(range(dim), 3):
+        ei, ej, ek = _unit(dim, i), _unit(dim, j), _unit(dim, k)
+        total = vec_add(vec_add(br1(ei, br1(ej, ek)), br1(ej, br1(ek, ei))),
+                        br1(ek, br1(ei, ej)))
+        if not is_zero_vec(total):
+            return False, "bracket1_jacobi"
+    for i, j in itertools.combinations(range(dim), 2):
+        ei, ej = _unit(dim, i), _unit(dim, j)
+        for t in range(m):
+            mt = _unit(m, t)
+            lhs = act1(br1(ei, ej), mt)
+            rhs = vec_sub(act1(ei, act1(ej, mt)), act1(ej, act1(ei, mt)))
+            if lhs != rhs:
+                return False, "action1_rep"
+    for i, j in itertools.combinations(range(dim), 2):
+        ei, ej = _unit(dim, i), _unit(dim, j)
+        for t in range(m):
+            mt = _unit(m, t)
+            lhs = vec_add(act1(g.c[i][j], mt), rep.act(br1(ei, ej), mt))
+            rhs = vec_add(
+                vec_sub(rep.act(ei, act1(ej, mt)), rep.act(ej, act1(ei, mt))),
+                vec_sub(act1(ei, rep.act(ej, mt)), act1(ej, rep.act(ei, mt))))
+            if lhs != rhs:
+                return False, "mixed_module"
+    return True, None
+
+
+def _random_deformation(rng, rep):
+    """bracket1 a multiple of the bracket, a random skew tensor, zero, or zero but
+    one entry; action1 a multiple of the action, one random matrix, or all random."""
+    dim, m = rep.algebra.dim, rep.dim_m
+
+    def small():
+        return rng.choice((-1, 1, 0, 0, 0, 0))
+
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    mode = rng.randrange(4)
+    if mode == 0:
+        lam = rng.choice((0, 1, -2))
+        c = [[[lam * x for x in rep.algebra.c[i][j]] for j in range(dim)] for i in range(dim)]
+    elif mode == 1:
+        for i, j in itertools.combinations(range(dim), 2):
+            c[i][j] = [small() for _ in range(dim)]
+            c[j][i] = [-x for x in c[i][j]]
+    elif mode == 2:
+        c[rng.randrange(dim)][rng.randrange(dim)] = [small() for _ in range(dim)]
+    mode = rng.randrange(3)
+    if mode == 0:
+        acts = [a.scale(rng.choice((0, 1, -2))) for a in rep.action]
+    else:
+        acts = [Matrix([[small() for _ in range(m)] for _ in range(m)]) for _ in range(dim)]
+        if mode == 1:
+            keep = rng.randrange(dim)
+            acts = [a if k == keep else Matrix.zeros(m) for k, a in enumerate(acts)]
+    return DeformationData.build(dim, m, c, acts)
+
+
+def test_infinitesimal_deformation_matches_reference_loops():
+    ws = Workspace.load([bundle()])
+    reps = [e.value for e in ws.entries.values() if e.kind == "representation"]
+    rng = random.Random(12)
+    seen = Counter()
+    for _ in range(600):
+        rep = rng.choice(reps)
+        d = _random_deformation(rng, rep)
+        want = reference_infinitesimal_deformation(rep, d)
+        assert is_infinitesimal_deformation(rep, d) == want
+        seen[want] += 1
+    assert set(seen) == {(True, None), (False, "bracket1_skew"), (False, "two_cocycle"),
+                         (False, "bracket1_jacobi"), (False, "action1_rep"),
+                         (False, "mixed_module")}, seen
 
 
 def test_trivial_deformation_from():
@@ -251,9 +361,9 @@ def test_hierarchy_o_identity_count(monkeypatch):
     monkeypatch.setattr(onstruct, "is_o_operator", counted)
     for name in ("aff1_on", "aff1_on_id", "h3_on"):
         assert len(hierarchy(*ws.get(name, "on_structure").value, 6)) == 7
-    # per structure: the ON check, the 7 members, and T_k, T_l, T_k + T_l
-    # for each of the 21 pairs
-    assert len(calls) == 3 * (1 + 7 + 3 * 21) == 213
+    # per structure: the ON check (T_0), the 6 members T_1..T_6, and T_k + T_l
+    # for each of the 21 pairs; no member is checked twice
+    assert len(calls) == 3 * (1 + 6 + 21) == 84
 
 
 def test_pn_structure():

@@ -10,10 +10,11 @@ from lieop.errors import (
     ImageEscapesH, NotAdmissible, NotCocycle, NotOOperator, NotPreLie,
     NotStable, Singular,
 )
-from lieop.exactla import Matrix, invert, is_zero_vec
-from lieop.fixtures import standard_fixtures
+from lieop.cli import Workspace
+from lieop.exactla import Matrix, invert, is_zero_vec, vec_sub
+from lieop.fixtures import bundle, standard_fixtures
 from lieop.liecore import (
-    LieAlgebra, Subspace, adjoint, coadjoint, trivial_rep,
+    LieAlgebra, Subspace, _unit, adjoint, coadjoint, contract, sparse, trivial_rep,
 )
 from lieop.cohomology import one_cocycle_basis
 from lieop.ooper import (
@@ -336,6 +337,48 @@ def test_pre_lie_compatibility():
     assert pre_lie_compatible(p1, zero)
     assert pre_lie_compatible(p1, p1)
     assert pre_lie_compatible(p1, p2)  # theorem: compatible pair gives compatible products
+
+
+def reference_pre_lie_defect(dim, p):
+    """First triple of the full cube violating the left pre-Lie identity, by
+    nested contractions of basis vectors; p is sparse."""
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                ei, ej, ek = _unit(dim, i), _unit(dim, j), _unit(dim, k)
+                lhs = vec_sub(contract(p, dim, contract(p, dim, ei, ej), ek),
+                              contract(p, dim, ei, contract(p, dim, ej, ek)))
+                rhs = vec_sub(contract(p, dim, contract(p, dim, ej, ei), ek),
+                              contract(p, dim, ej, contract(p, dim, ei, ek)))
+                if lhs != rhs:
+                    return (i, j, k)
+    return None
+
+
+def test_pre_lie_defect_matches_reference_loop():
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        d = rng.randint(1, 4)
+        density = rng.choice((0.05, 0.1, 0.2, 0.4))
+        p = sparse([[[rng.choice((-1, 1, 2)) if rng.random() < density else 0
+                      for _ in range(d)] for _ in range(d)] for _ in range(d)])
+        want = reference_pre_lie_defect(d, p)
+        assert ooper.pre_lie_defect_tensor(d, p) == want
+        seen[want is None] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_pre_lie_compatible_on_bundle_pairs():
+    # every ordered pair of one dimension among the bundle's pre-Lie products
+    # and those of its O-operators; the oracle compares with the sum product
+    ws = Workspace.load([bundle()])
+    prods = [pre_lie_from_o(*e.value) for e in ws.entries.values() if e.kind == "o_operator"]
+    prods += [ooper.PreLieProduct(*e.value) for e in ws.entries.values()
+              if e.kind == "pre_lie"]
+    verdicts = [pre_lie_compatible(p1, p2) for p1 in prods for p2 in prods
+                if p1.dim == p2.dim]
+    assert (len(verdicts), verdicts.count(True)) == (41, 21)
 
 
 def test_zero_dimensional_module():
