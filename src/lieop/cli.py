@@ -701,15 +701,14 @@ def _parser():
     p = argparse.ArgumentParser(prog="lieop", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, output=False):
+    def common(sp, report=False):
         sp.add_argument("--input", nargs="+", required=True, metavar="FILE")
-        sp.add_argument("--format", choices=("json", "text"), default="text")
-        sp.add_argument("--seed", type=int, default=0)
-        if output:
-            sp.add_argument("--output", required=True, metavar="FILE")
+        if report:
+            sp.add_argument("--format", choices=("json", "text"), default="text")
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("validate", help="validate every object in the workspace")
-    common(sp)
+    common(sp, report=True)
     sp = sub.add_parser("check", help="run one verification")
     sp.add_argument("kind", choices=sorted(CHECK_KINDS))
     sp.add_argument("names", nargs="+")
@@ -717,9 +716,10 @@ def _parser():
     sp = sub.add_parser("derive", help="run one construction and write results")
     sp.add_argument("kind", choices=sorted(DERIVE_KINDS))
     sp.add_argument("args", nargs="+")
-    common(sp, output=True)
-    sp = sub.add_parser("report", help="consolidated deterministic summary")
     common(sp)
+    sp.add_argument("--output", required=True, metavar="FILE")
+    sp = sub.add_parser("report", help="consolidated deterministic summary")
+    common(sp, report=True)
     return p
 
 
@@ -745,7 +745,7 @@ def _run(args):
         if args.command == "validate" and not getattr(exc, "structural", True):
             return 1
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         sys.stdout.write(f"error: {exc}\n")
         return 2
 
@@ -780,9 +780,13 @@ def _run(args):
             doc["objects"][name] = ws.get(name).raw
         doc["objects"].update({k: new[k] for k in sorted(new)})
         Workspace.load([doc])  # round-trip: outputs must re-validate
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+                fh.write("\n")
+        except OSError as exc:
+            sys.stdout.write(f"error: {exc}\n")
+            return 2
         sys.stdout.write(f"wrote {len(new)} object(s) to {args.output}\n")
         return 0
 

@@ -37,6 +37,11 @@ def sparse(t):
                  for ta in t)
 
 
+def dense(s, n):
+    """The tensor t of s = sparse(t), each entry a length-n vector."""
+    return tuple(tuple(_dense(dict(sab), n) for sab in sa) for sa in s)
+
+
 def _dense(acc, n):
     """The length-n vector of a {coordinate: value} accumulator, normalised."""
     out = [0] * n
@@ -173,9 +178,10 @@ class LieAlgebra:
 class Representation:
     """A Lie algebra action on a module: one matrix per basis vector, and the
     same action as the tensor t[a][b] = e_a . f_b in the format of LieAlgebra.c,
-    with its sparse form s."""
+    with its sparse form s and the same rows by module basis vector,
+    by_col[b][a] = s[a][b]."""
 
-    __slots__ = ("algebra", "dim_m", "action", "t", "s", "_semidirect", "_dual")
+    __slots__ = ("algebra", "dim_m", "action", "t", "s", "by_col", "_semidirect", "_dual")
 
     def __init__(self, algebra: LieAlgebra, dim_m, action):
         self.algebra = algebra
@@ -189,15 +195,14 @@ class Representation:
         self.action = mats
         self.t = action_tensor(mats)
         self.s = sparse(self.t)
+        self.by_col = tuple(tuple(sa[b] for sa in self.s) for b in range(dim_m))
         self._semidirect = None
         self._dual = None
         self._validate()
 
     def _validate(self):
         """[e_i, e_j] . f_b = e_i . (e_j . f_b) - e_j . (e_i . f_b), column by column."""
-        g, s, m = self.algebra, self.s, self.dim_m
-        # by_col[b][k] = e_k . f_b, the rows that [e_i, e_j] . f_b combines
-        by_col = [tuple(sk[b] for sk in s) for b in range(m)]
+        g, s, m, by_col = self.algebra, self.s, self.dim_m, self.by_col
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
                 cols = [{} for _ in range(m)]

@@ -18,12 +18,12 @@ from .errors import (
 )
 from .exactla import Matrix, invert, vec_add, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, _unit, action_tensor, coadjoint, contract,
-    cyclic_form, direct_sum_map, dual_rep, semidirect, semidirect_tensor, sparse,
+    LieAlgebra, Representation, _add_rows, _dense, _unit, action_tensor, coadjoint,
+    contract, cyclic_form, direct_sum_map, dual_rep, semidirect, semidirect_tensor, sparse,
 )
 from .ooper import (
     Bivector, are_compatible, bivector_from_sharp, compatibility_defect,
-    compatibility_oracle, ind_bracket_vec, is_o_operator, is_r_matrix, mixed_residual,
+    compatibility_oracle, induced_tensor, is_o_operator, is_r_matrix, mixed_residual,
     r_sharp,
 )
 
@@ -56,16 +56,16 @@ def is_nijenhuis_nr(g: LieAlgebra, N) -> bool:
 
 def deformed_tensor(g_c, dim, N: Matrix):
     """Structure tensor of [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] over any bracket tensor."""
+    s = sparse(g_c)
+    by_second, cols = tuple(zip(*s)), N.sparse_cols()
     c = [[None] * dim for _ in range(dim)]
-    g_s = sparse(g_c)
-    cols = [N.col(i) for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            ei, ej = _unit(dim, i), _unit(dim, j)
-            v = vec_sub(vec_add(contract(g_s, dim, cols[i], ej),
-                                contract(g_s, dim, ei, cols[j])),
-                        N.apply(g_c[i][j]))
-            c[i][j] = list(v)
+            acc = {}
+            _add_rows(acc, 1, cols[i], by_second[j])
+            _add_rows(acc, 1, cols[j], s[i])
+            _add_rows(acc, -1, s[i][j], cols)
+            c[i][j] = _dense(acc, dim)
     return c
 
 
@@ -248,24 +248,10 @@ def _tilde_module(rep: Representation, N, S) -> Representation:
     return Representation(deformed, rep.dim_m, mats)
 
 
-def deformed_module_bracket(rep: Representation, T: Matrix, S: Matrix, m_idx, n_idx):
-    """[m, n]^T_S = [Sm, n]^T + [m, Sn]^T - S([m, n]^T) on basis indices."""
-    m = rep.dim_m
-    em, en = _unit(m, m_idx), _unit(m, n_idx)
-    return vec_sub(
-        vec_add(ind_bracket_vec(rep, T, S.col(m_idx), en),
-                ind_bracket_vec(rep, T, em, S.col(n_idx))),
-        S.apply(ind_bracket_vec(rep, T, em, en)))
-
-
 def _brackets_agree(rep: Representation, T, N, S) -> bool:
-    """[m, n]^{NT} = [m, n]^T_S on all basis pairs: the bracket clause shared by
+    """[.,.]^{NT} is the S-deformation of [.,.]^T: the bracket clause shared by
     ON-structures and PN-structures."""
-    nt = N * T
-    m = rep.dim_m
-    return all(ind_bracket_vec(rep, nt, _unit(m, i), _unit(m, j))
-               == deformed_module_bracket(rep, T, S, i, j)
-               for i in range(m) for j in range(i + 1, m))
+    return induced_tensor(rep, N * T) == deformed_tensor(induced_tensor(rep, T), rep.dim_m, S)
 
 
 def is_on_structure(rep: Representation, T, N, S):
@@ -277,15 +263,9 @@ def is_on_structure(rep: Representation, T, N, S):
     report["bracket_equality"] = _brackets_agree(rep, T, N, S)
     verdict = all(report.values())
     if verdict:
-        m = rep.dim_m
-        tilde = _tilde_module(rep, N, S)
-        for i in range(m):
-            for j in range(i + 1, m):
-                ei, ej = _unit(m, i), _unit(m, j)
-                oracle("on structure",
-                       vec_sub(tilde.act(T.col(i), ej), tilde.act(T.col(j), ei)),
-                       deformed_module_bracket(rep, T, S, i, j),
-                       "tilde bracket disagrees with S-deformed bracket")
+        oracle("on structure", induced_tensor(_tilde_module(rep, N, S), T),
+               deformed_tensor(induced_tensor(rep, T), rep.dim_m, S),
+               "tilde bracket disagrees with S-deformed bracket")
     return verdict, report
 
 
@@ -325,33 +305,24 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
         for l in range(k + 1, kmax + 1):
             compatible = compatibility_oracle(rep, ts[k], ts[l], mixed_residual(rep, ts[k], ts[l]))
             oracle("hierarchy", compatible, True, "T_{k} and T_{l} incompatible", k=k, l=l)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    brackets = [induced_tensor(rep, t) for t in ts]
     # the T_s-bracket is the S^s-deformed T-bracket, for each s <= kmax
-    sdef = [{(i, j): oracle("hierarchy", ind_bracket_vec(rep, ts[s], _unit(m, i), _unit(m, j)),
-                            deformed_module_bracket(rep, T, spow[s], i, j),
-                            "operator bracket (k+l={kl}) != S-deformed", kl=s)
-             for i, j in pairs} for s in range(kmax + 1)]
-    # deformed-bracket identities for k + l <= kmax
     for k in range(kmax + 1):
+        oracle("hierarchy", brackets[k], deformed_tensor(brackets[0], m, spow[k]),
+               "operator bracket (k+l={kl}) != S-deformed", kl=k)
+    g_brackets = [sparse(deformed_tensor(g.c, g.dim, p)) for p in npow]
+    pairs = list(combinations(range(m), 2))
+    for k in range(kmax + 1):
+        cols = [ts[k].col(i) for i in range(m)]
         for l in range(kmax + 1 - k):
-            nl = npow[l]
-            for i, j in pairs:
-                ei, ej = _unit(m, i), _unit(m, j)
-                skl = sdef[k + l][(i, j)]
-                a = ts[k].col(i)
-                b = ts[k].col(j)
-                rhs = vec_sub(
-                    vec_add(g.bracket_vec(nl.apply(a), b), g.bracket_vec(a, nl.apply(b))),
-                    nl.apply(g.bracket_vec(a, b)))
-                oracle("hierarchy", ts[k].apply(skl), rhs,
-                       "bracket identity (k={k}, l={l}) failed", k=k, l=l)
-                # the form the compatibility argument rests on: the
-                # T_{k+l}-bracket is the S^l-deformation of the T_k one
-                via_gen = vec_sub(
-                    vec_add(ind_bracket_vec(rep, ts[k], spow[l].col(i), ej),
-                            ind_bracket_vec(rep, ts[k], ei, spow[l].col(j))),
-                    spow[l].apply(ind_bracket_vec(rep, ts[k], ei, ej)))
-                oracle("hierarchy", skl, via_gen,
+            # T_k [m, n]^{T_{k+l}} = [T_k m, T_k n]_{N^l}
+            oracle("hierarchy", [ts[k].apply(brackets[k + l][i][j]) for i, j in pairs],
+                   [contract(g_brackets[l], g.dim, cols[i], cols[j]) for i, j in pairs],
+                   "bracket identity (k={k}, l={l}) failed", k=k, l=l)
+            # the form the compatibility argument rests on: the T_{k+l}-bracket
+            # is the S^l-deformation of the T_k one (at k = 0, the check above)
+            if k:
+                oracle("hierarchy", brackets[k + l], deformed_tensor(brackets[k], m, spow[l]),
                        "deformation identity (k={k}, l={l}) failed", k=k, l=l)
     return ts
 

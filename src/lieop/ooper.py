@@ -3,10 +3,15 @@ induced Lie structures, r-matrices via the Schouten bracket, gauge
 transformations by 1-cocycles, Marsden-Ratiu style reduction, compatible
 pairs, and the associated pre-Lie products.
 
-The O-identity is coded once (`_o_sides`); `o_residual`, `is_o_operator` and
-the validating `OOperator` all read it.  The Schouten square [r, r] is computed
-from its coordinate formula over the nonzero structure constants, not through
-the coadjoint module, so it stays an independent route to the r-matrix verdict.
+The O-identity is coded once, as the form O(A, B)(m, n) = [Am, Bn] - A([m, n]^B)
+of `o_form`, read from the sparse rows P[i][j] = T(m_i) . m_j of `o_product`:
+O(T, T) is the O-identity that `o_residual`, `is_o_operator` and the validating
+`OOperator` read, and O(T1, T2) + O(T2, T1) the mixed term of compatible pairs.
+P is also the pre-Lie product of T, and P - P^t the bracket tensor of M^T
+(`induced_tensor`), which every bracket fact about M^T compares.  The Schouten
+square [r, r] is computed from its coordinate formula over the nonzero structure
+constants, not through the coadjoint module, so it stays an independent route
+to the r-matrix verdict.
 
 Wherever an independent second route to the same verdict exists (graph
 subalgebra, coadjoint O-operator, sum-of-operators), both are computed and
@@ -16,6 +21,7 @@ compared through `errors.oracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cohomology import Cochain, is_cocycle
 from .errors import (
@@ -24,38 +30,60 @@ from .errors import (
     NotSubalgebra, QuotientError, Singular, oracle,
 )
 from .exactla import (
-    Matrix, column_space_equal, invert, is_zero_vec, kernel, q, vec_add,
+    Matrix, column_space_equal, invert, is_zero_vec, kernel, q, vec, vec_add,
     vec_scale, vec_sub, vec_zero,
 )
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _add_rows, _unit, coadjoint, graph_subspace,
-    intersect, is_ideal, is_subalgebra, quotient, restrict_to_subalgebra, semidirect, sparse,
+    LieAlgebra, Representation, Subspace, _add_rows, _dense, _unit, coadjoint, contract,
+    dense, graph_subspace, intersect, is_ideal, is_subalgebra, quotient,
+    restrict_to_subalgebra, semidirect, sparse,
 )
 
 
-def _o_sides(rep: Representation, T):
-    """((i, j), [Tm_i, Tm_j], T(Tm_i . m_j - Tm_j . m_i)) for every basis pair i < j:
-    the one coding of the O-identity, read lazily so a verdict can stop early."""
+def o_product(rep: Representation, T):
+    """The sparse rows P[i][j] = T(m_i) . m_j, the pre-Lie product of T."""
     _check_t_shape(rep, T)
-    g = rep.algebra
+    out = []
+    for ti in T.sparse_cols():
+        row = []
+        for rows in rep.by_col:
+            acc = {}
+            _add_rows(acc, 1, ti, rows)
+            row.append(tuple((k, v) for k, v in acc.items() if v))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def o_form(acc, g, A, B, P_B, i, j):
+    """acc += O(A, B)(m_i, m_j) = [A m_i, B m_j] - A([m_i, m_j]^B), for P_B the
+    o_product of B.  O(T, T) is the O-identity of T; O(A, B) + O(B, A) is the
+    mixed term of that of A + B."""
+    a, bj = A.sparse_cols(), B.sparse_cols()[j]
+    for k, v in a[i]:
+        _add_rows(acc, v, bj, g.s[k])
+    _add_rows(acc, -1, P_B[i][j], a)
+    _add_rows(acc, 1, P_B[j][i], a)
+    return acc
+
+
+def _o_sides(rep: Representation, T):
+    """((i, j), O(T, T)(m_i, m_j)) for every basis pair i < j, read lazily so a
+    verdict can stop early."""
+    g, p = rep.algebra, o_product(rep, T)
     m = rep.dim_m
-    cols = [T.col(i) for i in range(m)]
-    units = [_unit(m, i) for i in range(m)]
     for i in range(m):
-        ti = cols[i]
         for j in range(i + 1, m):
-            tj = cols[j]
-            inner = vec_sub(rep.act(ti, units[j]), rep.act(tj, units[i]))
-            yield (i, j), g.bracket_vec(ti, tj), T.apply(inner)
+            yield (i, j), o_form({}, g, T, T, p, i, j)
 
 
 def o_residual(rep: Representation, T):
     """Defect [Tm, Tn] - T(Tm.n - Tn.m) for every basis pair m < n."""
-    return {key: vec_sub(lhs, rhs) for key, lhs, rhs in _o_sides(rep, T)}
+    d = rep.algebra.dim
+    return {key: _dense(acc, d) for key, acc in _o_sides(rep, T)}
 
 
 def is_o_operator(rep: Representation, T) -> bool:
-    return all(lhs == rhs for _, lhs, rhs in _o_sides(rep, T))
+    return not any(any(acc.values()) for _, acc in _o_sides(rep, T))
 
 
 def _check_t_shape(rep, T):
@@ -76,18 +104,17 @@ class OOperator:
             raise NotOOperator(o_residual(self.rep, self.T))
 
 
-def ind_bracket_vec(rep: Representation, T: Matrix, m, n):
-    """[m, n]^T = T(m) . n - T(n) . m on coordinate vectors."""
-    return vec_sub(rep.act(T.apply(m), n), rep.act(T.apply(n), m))
+def induced_tensor(rep: Representation, T):
+    """The bracket tensor of M^T, [m_i, m_j]^T = P[i][j] - P[j][i] for P the
+    o_product of T; not validated."""
+    p, m = dense(o_product(rep, T), rep.dim_m), rep.dim_m
+    return [[vec(vec_sub(p[i][j], p[j][i])) for j in range(m)] for i in range(m)]
 
 
 def induced_lie(rep: Representation, T) -> LieAlgebra:
     """The Lie algebra M^T carried by the module of an O-operator."""
     OOperator(rep, T)
-    m = rep.dim_m
-    c = [[list(ind_bracket_vec(rep, T, _unit(m, i), _unit(m, j)))
-          for j in range(m)] for i in range(m)]
-    return LieAlgebra(m, c)
+    return LieAlgebra(rep.dim_m, induced_tensor(rep, T))
 
 
 def graph_check(rep: Representation, T) -> bool:
@@ -243,17 +270,13 @@ def gauge_transform(rep: Representation, T, B) -> Matrix:
 
 
 def gauge_iso_check(rep: Representation, T, B) -> bool:
-    """(id + BT) intertwines [.,.]^T with [.,.]^{T_B} on all basis pairs."""
+    """phi = id + BT maps [.,.]^T onto [.,.]^{T_B}: phi [m, n]^T = [phi m, phi n]^{T_B}."""
     tb = gauge_transform(rep, T, B)
-    phi = Matrix.identity(rep.dim_m) + B * T
     m = rep.dim_m
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = phi.apply(ind_bracket_vec(rep, T, _unit(m, i), _unit(m, j)))
-            rhs = ind_bracket_vec(rep, tb, phi.col(i), phi.col(j))
-            if lhs != rhs:
-                return False
-    return True
+    phi = Matrix.identity(m) + B * T
+    ct, ctb = induced_tensor(rep, T), sparse(induced_tensor(rep, tb))
+    return all(phi.apply(ct[i][j]) == contract(ctb, m, phi.col(i), phi.col(j))
+               for i, j in combinations(range(m), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +369,17 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
         tbar_cols.append(qt.projection.apply(hsub.coords(T.apply(a))))
     reduced_T = Matrix.from_cols(tbar_cols) if tbar_cols else Matrix([()] * k, cols=0)
     OOperator(reduced_rep, reduced_T)
-    # defining property of reducibility: Tbar(m) . n = T(m) . n on A
-    na = len(module_basis)
-    for i in range(na):
-        for j in range(na):
-            via_quot = reduced_rep.act(reduced_T.col(i), _unit(na, j))
-            lhs = vec_zero(rep.dim_m)
-            for cf, a in zip(via_quot, module_basis):
-                if cf:
-                    lhs = vec_add(lhs, vec_scale(cf, a))
-            oracle("reduction action compatibility", lhs,
-                   rep.act(T.apply(module_basis[i]), module_basis[j]), "pair ({i},{j})",
-                   i=i, j=j)
+    # defining property of reducibility: Tbar(m) . n = T(m) . n on A, the
+    # pre-Lie products of Tbar and of T, the first read through the basis of A
+    p = o_product(rep, T)
+    a_rows = tuple(tuple((k, v) for k, v in enumerate(a) if v) for a in module_basis)
+    for i, row in enumerate(o_product(reduced_rep, reduced_T)):
+        for j, pij in enumerate(row):
+            lhs = {}
+            _add_rows(lhs, 1, pij, a_rows)
+            oracle("reduction action compatibility", _dense(lhs, rep.dim_m),
+                   contract(p, rep.dim_m, module_basis[i], module_basis[j]),
+                   "pair ({i},{j})", i=i, j=j)
     return MRReduction(h_alg, h_basis, qt, tuple(module_basis), reduced_rep, reduced_T)
 
 
@@ -366,22 +388,12 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
 # ---------------------------------------------------------------------------
 
 def mixed_residual(rep: Representation, T1, T2):
-    """Residual [T1 m, T2 n] + [T2 m, T1 n] - T1(T2 m.n - T2 n.m) - T2(T1 m.n - T1 n.m)
-    for every basis pair m < n: the mixed term of the O-identity of T1 + T2."""
-    g = rep.algebra
-    m = rep.dim_m
-    out = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            ei, ej = _unit(m, i), _unit(m, j)
-            t1i, t1j = T1.col(i), T1.col(j)
-            t2i, t2j = T2.col(i), T2.col(j)
-            lhs = vec_add(g.bracket_vec(t1i, t2j), g.bracket_vec(t2i, t1j))
-            rhs = vec_add(
-                T1.apply(vec_sub(rep.act(t2i, ej), rep.act(t2j, ei))),
-                T2.apply(vec_sub(rep.act(t1i, ej), rep.act(t1j, ei))))
-            out[(i, j)] = vec_sub(lhs, rhs)
-    return out
+    """O(T1, T2) + O(T2, T1) for every basis pair m < n: the mixed term of the
+    O-identity of T1 + T2."""
+    g, m = rep.algebra, rep.dim_m
+    p1, p2 = o_product(rep, T1), o_product(rep, T2)
+    return {(i, j): _dense(o_form(o_form({}, g, T1, T2, p2, i, j), g, T2, T1, p1, i, j), g.dim)
+            for i in range(m) for j in range(i + 1, m)}
 
 
 def compatibility_defect(rep: Representation, T1, T2):
@@ -475,10 +487,7 @@ def pre_lie_defect_tensor(dim, p):
 def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
     """m box n = T(m) . n."""
     OOperator(rep, T)
-    m = rep.dim_m
-    tensor = [[list(rep.act(T.col(i), _unit(m, j))) for j in range(m)]
-              for i in range(m)]
-    return PreLieProduct(m, tensor)
+    return PreLieProduct(rep.dim_m, dense(o_product(rep, T), rep.dim_m))
 
 
 def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:

@@ -9,7 +9,10 @@ two actions off an arbitrary algebra with a chosen pair of subalgebras.
 Maurer-Cartan residuals are always computed twice: once from the explicit
 bilinear formula, as its cocycle part and its quadratic part, and once through
 the Chevalley-Eilenberg differential and the derived bracket.  `_mc_parts`
-compares each part with its grid through `errors.oracle`.
+compares each part with its grid through `errors.oracle`.  The quadratic part
+is the O-identity of Omega over the second action (b acting on a), so it is
+`ooper.o_residual` there, and the strong MC search filters with
+`ooper.is_o_operator`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .liecore import (
     check_complementary,
 )
 from .onstruct import ONStructure
-from .ooper import induced_lie, is_o_operator
+from .ooper import induced_lie, is_o_operator, o_residual
 
 
 @dataclass
@@ -117,16 +120,12 @@ def twilled_from_o(rep: Representation, T) -> TwilledLieAlgebra:
     return join(rep, bar_action(rep, T))
 
 
-def _check_omega_shape(tw: TwilledLieAlgebra, omega):
-    if omega.shape() != (tw.dim_b, tw.dim_a):
-        raise DimensionMismatch(
-            f"solution candidate must map a to b, got {omega.shape()}")
-
-
 def cocycle_residual(tw: TwilledLieAlgebra, omega) -> dict:
     """Defect of Omega([x,y]) = x .1 Omega(y) - y .1 Omega(x) per pair,
     oriented as the Chevalley-Eilenberg differential."""
-    _check_omega_shape(tw, omega)
+    if omega.shape() != (tw.dim_b, tw.dim_a):
+        raise DimensionMismatch(
+            f"solution candidate must map a to b, got {omega.shape()}")
     out = {}
     da = tw.dim_a
     for i in range(da):
@@ -134,21 +133,6 @@ def cocycle_residual(tw: TwilledLieAlgebra, omega) -> dict:
             acted = vec_sub(tw.action1.act(_unit(da, i), omega.col(j)),
                             tw.action1.act(_unit(da, j), omega.col(i)))
             out[(i, j)] = vec_sub(acted, omega.apply(tw.a_algebra.c[i][j]))
-    return out
-
-
-def quadratic_residual(tw: TwilledLieAlgebra, omega) -> dict:
-    """Residual of [Om x, Om y] = Omega(Om x .2 y - Om y .2 x) per pair."""
-    _check_omega_shape(tw, omega)
-    out = {}
-    da = tw.dim_a
-    for i in range(da):
-        for j in range(i + 1, da):
-            oi, oj = omega.col(i), omega.col(j)
-            lhs = tw.b_algebra.bracket_vec(oi, oj)
-            inner = vec_sub(tw.action2.act(oi, _unit(da, j)),
-                            tw.action2.act(oj, _unit(da, i)))
-            out[(i, j)] = vec_sub(lhs, omega.apply(inner))
     return out
 
 
@@ -171,7 +155,7 @@ def _mc_parts(tw: TwilledLieAlgebra, omega):
     oracle-checked against its cohomology grid: d_CE Omega and
     [Omega, Omega]_{mu2} = 2 x quadratic part."""
     lin = cocycle_residual(tw, omega)
-    quad = quadratic_residual(tw, omega)
+    quad = o_residual(tw.action2, omega)
     grid_d, grid_q = _cohomology_grids(tw, omega)
     for key in lin:
         oracle("strong mc cocycle residual", grid_d[key], lin[key], "pair {key}", key=key)
@@ -214,7 +198,7 @@ def find_strong_mc(rep: Representation, T, coeffs=(-2, -1, 0, 1, 2), limit=None)
         if omega.entries in seen:
             continue
         seen.add(omega.entries)
-        if all(is_zero_vec(v) for v in quadratic_residual(tw, omega).values()):
+        if is_o_operator(tw.action2, omega):
             oracle("strong mc search", strong_mc_check(tw, omega)[0], True,
                    "filtered candidate failed the full check")
             found.append(omega)

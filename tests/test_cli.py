@@ -409,3 +409,32 @@ def test_non_string_reference_is_a_structural_error(name, tmp_path, capsys):
 def test_string_or_map_for_a_list_is_a_structural_error(raw, what, tmp_path, capsys):
     line = _load_error(tmp_path, capsys, {"bad": raw})
     assert f"{what} must be a list, got" in line
+
+
+def test_input_that_is_not_utf8_is_an_error(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"objects": {"\xe9": {}}}')
+    code, out = run(capsys, "validate", "--input", str(p))
+    assert code == 2
+    assert out.startswith("error:") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_derive_output_is_an_error(where, bundle_file, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+    code, out = run(capsys, "derive", "induced-lie", "aff1_adj_T", "--input", bundle_file,
+                    "--output", str(out_path))
+    assert code == 2
+    assert out.startswith("error:") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "o-operator", "aff1_adj_T", "--format", "json"],
+    ["check", "o-operator", "aff1_adj_T", "--seed", "9"],
+    ["derive", "induced-lie", "aff1_adj_T", "--output", "never.json", "--format", "json"],
+], ids=["check-format", "check-seed", "derive-format"])
+def test_report_options_are_usage_errors_elsewhere(argv, bundle_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", bundle_file])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

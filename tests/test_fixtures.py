@@ -1,10 +1,8 @@
-import importlib.resources as resources
-
 from lieop.cli import KINDS, Workspace, build_report
 from lieop.exactla import invert
 from lieop.fixtures import (
     AFF1_ADJ_OMEGA, AFF1_ADJ_T, AFF1_COADJ_T2, AFF1_N, H3_N, SL2_N,
-    bundle, bundle_json, standard_fixtures,
+    bundle, standard_fixtures,
 )
 from lieop.onstruct import is_nijenhuis
 from lieop.ooper import is_o_operator
@@ -21,11 +19,6 @@ def test_bundle_all_objects_validate():
 def test_bundle_objects_carry_exactly_their_kinds_fields():
     for name, raw in bundle()["objects"].items():
         assert set(raw) - {"kind"} == {f.key for f in KINDS[raw["kind"]]}, name
-
-
-def test_shipped_bundle_file_matches_generator():
-    data = resources.files("lieop").joinpath("data/bundle.json").read_text("utf-8")
-    assert data == bundle_json()
 
 
 def test_o_operator_fixtures():

@@ -11,12 +11,13 @@ from lieop.errors import (
     NotStable, Singular,
 )
 from lieop.cli import Workspace
-from lieop.exactla import Matrix, invert, is_zero_vec, vec_sub
+from lieop.exactla import Matrix, invert, is_zero_vec, vec_add, vec_sub
 from lieop.fixtures import bundle, standard_fixtures
 from lieop.liecore import (
     LieAlgebra, Subspace, _unit, adjoint, coadjoint, contract, sparse, trivial_rep,
 )
 from lieop.cohomology import one_cocycle_basis
+from lieop.onstruct import _brackets_agree, deformed_tensor
 from lieop.ooper import (
     Bivector, OOperator, are_compatible, bivector_from_sharp,
     compatibility_defect, gauge_iso_check, gauge_transform, graph_check,
@@ -367,6 +368,101 @@ def test_pre_lie_defect_matches_reference_loop():
         assert ooper.pre_lie_defect_tensor(d, p) == want
         seen[want is None] += 1
     assert min(seen.values()) > 0, seen
+
+
+def reference_o_residual(rep, T):
+    """The O-identity [Tm_i, Tm_j] - T(Tm_i . m_j - Tm_j . m_i) as a plain loop
+    over basis pairs i < j."""
+    g, m = rep.algebra, rep.dim_m
+    out = {}
+    for i, j in itertools.combinations(range(m), 2):
+        ti, tj = T.col(i), T.col(j)
+        inner = vec_sub(rep.act(ti, _unit(m, j)), rep.act(tj, _unit(m, i)))
+        out[(i, j)] = vec_sub(g.bracket_vec(ti, tj), T.apply(inner))
+    return out
+
+
+def reference_mixed_residual(rep, T1, T2):
+    """[T1 m, T2 n] + [T2 m, T1 n] - T1(T2 m.n - T2 n.m) - T2(T1 m.n - T1 n.m) as a
+    plain loop over basis pairs m < n."""
+    g, m = rep.algebra, rep.dim_m
+    out = {}
+    for i, j in itertools.combinations(range(m), 2):
+        ei, ej = _unit(m, i), _unit(m, j)
+        t1i, t1j, t2i, t2j = T1.col(i), T1.col(j), T2.col(i), T2.col(j)
+        lhs = vec_add(g.bracket_vec(t1i, t2j), g.bracket_vec(t2i, t1j))
+        rhs = vec_add(T1.apply(vec_sub(rep.act(t2i, ej), rep.act(t2j, ei))),
+                      T2.apply(vec_sub(rep.act(t1i, ej), rep.act(t1j, ei))))
+        out[(i, j)] = vec_sub(lhs, rhs)
+    return out
+
+
+def reference_ind_bracket(rep, T, x, y):
+    """[x, y]^T = T(x) . y - T(y) . x on coordinate vectors."""
+    return vec_sub(rep.act(T.apply(x), y), rep.act(T.apply(y), x))
+
+
+def reference_deformed_module_bracket(rep, T, S):
+    """[m, n]^T_S = [Sm, n]^T + [m, Sn]^T - S([m, n]^T) on every basis pair."""
+    m = rep.dim_m
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            ei, ej = _unit(m, i), _unit(m, j)
+            row.append(vec_sub(vec_add(reference_ind_bracket(rep, T, S.col(i), ej),
+                                       reference_ind_bracket(rep, T, ei, S.col(j))),
+                               S.apply(reference_ind_bracket(rep, T, ei, ej))))
+        out.append(row)
+    return out
+
+
+def test_o_form_and_induced_tensor_match_reference_loops():
+    """O(T, T), O(T1, T2) + O(T2, T1), the tensor of M^T and its S-deformation,
+    and the ON bracket clause, each against its plain basis loop on the bundle."""
+    ws = Workspace.load([bundle()])
+    reps = [e.value for e in ws.entries.values() if e.kind == "representation"]
+    known = [e.value for e in ws.entries.values() if e.kind == "o_operator"]
+    rng = random.Random(13)
+
+    def operator(rep):
+        ours = [t for r, t in known if r is rep]
+        mode = rng.randrange(4)
+        if mode == 0 and ours:
+            return rng.choice(ours).scale(rng.choice((1, -1, 2)))
+        if mode == 1:
+            return Matrix.zeros(rep.algebra.dim, rep.dim_m)
+        return Matrix([[rng.choice((-1, 0, 0, 0, 1)) for _ in range(rep.dim_m)]
+                       for _ in range(rep.algebra.dim)])
+
+    seen = {"o": set(), "mixed": set(), "clause": set()}
+    for _ in range(500):
+        rep = rng.choice(reps)
+        m, d = rep.dim_m, rep.algebra.dim
+        t1, t2 = operator(rep), operator(rep)
+        want = reference_o_residual(rep, t1)
+        assert o_residual(rep, t1) == want
+        assert is_o_operator(rep, t1) == all(is_zero_vec(v) for v in want.values())
+        seen["o"].add(is_o_operator(rep, t1))
+        want = reference_mixed_residual(rep, t1, t2)
+        assert ooper.mixed_residual(rep, t1, t2) == want
+        seen["mixed"].add(all(is_zero_vec(v) for v in want.values()))
+        bracket = ooper.induced_tensor(rep, t1)
+        assert bracket == [[reference_ind_bracket(rep, t1, _unit(m, i), _unit(m, j))
+                            for j in range(m)] for i in range(m)]
+        lam = rng.choice((0, 1, 2))
+        if rng.randrange(2):
+            n, s = Matrix.identity(d).scale(lam), Matrix.identity(m).scale(lam)
+        else:
+            n = Matrix([[rng.choice((-1, 0, 0, 1)) for _ in range(d)] for _ in range(d)])
+            s = Matrix([[rng.choice((-1, 0, 0, 1)) for _ in range(m)] for _ in range(m)])
+        deformed = reference_deformed_module_bracket(rep, t1, s)
+        assert deformed_tensor(bracket, m, s) == deformed
+        clause = all(reference_ind_bracket(rep, n * t1, _unit(m, i), _unit(m, j))
+                     == deformed[i][j] for i, j in itertools.combinations(range(m), 2))
+        assert _brackets_agree(rep, t1, n, s) == clause
+        seen["clause"].add(clause)
+    assert all(v == {True, False} for v in seen.values()), seen
 
 
 def test_pre_lie_compatible_on_bundle_pairs():

@@ -12,6 +12,7 @@ from lieop import gcsholo, onstruct, ooper, twilled
 from lieop.cli import Workspace
 from lieop.errors import OracleDisagreement, oracle
 from lieop.fixtures import AFF1_ADJ_OMEGA, bundle_json
+from lieop.liecore import trivial_rep
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,16 @@ def _flip(route):
 def _shift(route):
     """A residual route whose every entry is off by one."""
     return lambda *args: {k: tuple(x + 1 for x in v) for k, v in route(*args).items()}
+
+
+def _shift_vector(route):
+    """A vector route whose every coordinate is off by one."""
+    return lambda *args: tuple(x + 1 for x in route(*args))
+
+
+def _trivial_module(route):
+    """A module route that keeps the algebra but drops the action."""
+    return lambda rep, *args: trivial_rep(route(rep, *args).algebra, rep.dim_m)
 
 
 def _flip_on(matrix):
@@ -68,8 +79,12 @@ SITES = [
      twilled.omega_structures, "omega structures"),
     (twilled, "cocycle_residual", _shift, _values("aff1_mc"), twilled.mc_check,
      "strong mc cocycle residual"),
-    (twilled, "quadratic_residual", _shift, _values("aff1_mc"), twilled.strong_mc_check,
+    (twilled, "o_residual", _shift, _values("aff1_mc"), twilled.strong_mc_check,
      "strong mc quadratic residual"),
+    (onstruct, "_tilde_module", _trivial_module, _values("h3_on"), onstruct.is_on_structure,
+     "on structure"),
+    (onstruct, "contract", _shift_vector, lambda ws: ws.entries["h3_on"].value + (2,),
+     onstruct.hierarchy, "hierarchy"),
 ]
 
 
