@@ -558,8 +558,9 @@ def run_derive(ws: Workspace, kind, args):
         new[f"{base}_module"] = emit("subspace", rep.dim_m, red.module_basis)
     elif kind == "hierarchy":
         depth, name = args
-        if not depth.isdecimal():
-            raise WorkspaceError(f"hierarchy depth must be a non-negative integer, got {depth!r}")
+        if depth not in {str(k) for k in range(MAX_HIERARCHY_DEPTH + 1)}:
+            raise WorkspaceError(
+                f"hierarchy depth must be an integer in [0, {MAX_HIERARCHY_DEPTH}], got {depth!r}")
         entry = dep(name, "on_structure")
         for k, tk in enumerate(onstruct.hierarchy(*entry.value, int(depth))):
             new[f"{name}__t{k}"] = emit("o_operator", entry.raw["rep_ref"], tk)
@@ -623,6 +624,8 @@ DERIVE_KINDS = {
     "pre-lie-from-o": 1, "opposite-gcs": 1, "semidirect": 1, "dual": 1,
     "adjoint": 1, "coadjoint": 1,
 }
+# the deepest `derive hierarchy`: its work grows faster than the square of the depth
+MAX_HIERARCHY_DEPTH = 64
 
 
 # ---------------------------------------------------------------------------

@@ -165,20 +165,25 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
     return True, None
 
 
+def _pair_defect(rep: Representation, N: Matrix, S: Matrix, rhs):
+    """First (i, t, lhs - rhs) with lhs = N(x).S(m) != rhs(x, Nx, m, Sm) on the
+    basis pairs x = e_i, m = m_t, or None."""
+    g, m = rep.algebra, rep.dim_m
+    for i in range(g.dim):
+        ei, ni = _unit(g.dim, i), N.col(i)
+        for t in range(m):
+            st = S.col(t)
+            lhs, r = rep.act(ni, st), rhs(ei, ni, _unit(m, t), st)
+            if lhs != r:
+                return (i, t, vec_sub(lhs, r))
+    return None
+
+
 def deformation_pair_defect(rep: Representation, N: Matrix, S: Matrix):
     """Defect of N(x).S(m) = S(Nx.m + x.Sm - S(x.m)) on basis pairs."""
-    g = rep.algebra
-    for i in range(g.dim):
-        ni = N.col(i)
-        for t in range(rep.dim_m):
-            mt = _unit(rep.dim_m, t)
-            st = S.col(t)
-            lhs = rep.act(ni, st)
-            rhs = S.apply(vec_sub(vec_add(rep.act(ni, mt), rep.act(_unit(g.dim, i), st)),
-                                  S.apply(rep.act(_unit(g.dim, i), mt))))
-            if lhs != rhs:
-                return (i, t, vec_sub(lhs, rhs))
-    return None
+    act = rep.act
+    return _pair_defect(rep, N, S, lambda x, nx, m, sm: S.apply(
+        vec_sub(vec_add(act(nx, m), act(x, sm)), S.apply(act(x, m)))))
 
 
 def trivial_deformation_from(rep: Representation, N, S) -> DeformationData:
@@ -206,19 +211,9 @@ def trivial_deformation_from(rep: Representation, N, S) -> DeformationData:
 
 def nijenhuis_structure_defect(rep: Representation, N: Matrix, S: Matrix):
     """Defect of N(x).S(m) = S(Nx.m) + x.S^2 m - S(x.Sm) on basis pairs."""
-    g = rep.algebra
-    s2 = S * S
-    for i in range(g.dim):
-        ni = N.col(i)
-        ei = _unit(g.dim, i)
-        for t in range(rep.dim_m):
-            mt = _unit(rep.dim_m, t)
-            lhs = rep.act(ni, S.col(t))
-            rhs = vec_sub(vec_add(S.apply(rep.act(ni, mt)), rep.act(ei, s2.col(t))),
-                          S.apply(rep.act(ei, S.col(t))))
-            if lhs != rhs:
-                return (i, t, vec_sub(lhs, rhs))
-    return None
+    act = rep.act
+    return _pair_defect(rep, N, S, lambda x, nx, m, sm: vec_sub(
+        vec_add(S.apply(act(nx, m)), act(x, S.apply(sm))), S.apply(act(x, sm))))
 
 
 def is_nijenhuis_structure(rep: Representation, N, S) -> bool:
@@ -248,10 +243,10 @@ def _tilde_module(rep: Representation, N, S) -> Representation:
     return Representation(deformed, rep.dim_m, mats)
 
 
-def _brackets_agree(rep: Representation, T, N, S) -> bool:
-    """[.,.]^{NT} is the S-deformation of [.,.]^T: the bracket clause shared by
-    ON-structures and PN-structures."""
-    return induced_tensor(rep, N * T) == deformed_tensor(induced_tensor(rep, T), rep.dim_m, S)
+def _brackets_agree(rep: Representation, T, N, deformed) -> bool:
+    """[.,.]^{NT} is `deformed`, the S-deformation of [.,.]^T: the bracket clause
+    shared by ON-structures and PN-structures."""
+    return induced_tensor(rep, N * T) == deformed
 
 
 def is_on_structure(rep: Representation, T, N, S):
@@ -260,11 +255,11 @@ def is_on_structure(rep: Representation, T, N, S):
     report["o_operator"] = is_o_operator(rep, T)
     report["nijenhuis_structure"] = is_nijenhuis_structure(rep, N, S)
     report["intertwine"] = (N * T == T * S)
-    report["bracket_equality"] = _brackets_agree(rep, T, N, S)
+    deformed = deformed_tensor(induced_tensor(rep, T), rep.dim_m, S)
+    report["bracket_equality"] = _brackets_agree(rep, T, N, deformed)
     verdict = all(report.values())
     if verdict:
-        oracle("on structure", induced_tensor(_tilde_module(rep, N, S), T),
-               deformed_tensor(induced_tensor(rep, T), rep.dim_m, S),
+        oracle("on structure", induced_tensor(_tilde_module(rep, N, S), T), deformed,
                "tilde bracket disagrees with S-deformed bracket")
     return verdict, report
 

@@ -35,7 +35,7 @@ from .exactla import (
 )
 from .liecore import (
     LieAlgebra, Representation, Subspace, _add_rows, _dense, _unit, coadjoint, contract,
-    dense, graph_subspace, intersect, is_ideal, is_subalgebra, quotient,
+    dense, intersect, is_ideal, is_subalgebra, quotient,
     restrict_to_subalgebra, semidirect, sparse,
 )
 
@@ -118,10 +118,14 @@ def induced_lie(rep: Representation, T) -> LieAlgebra:
 
 
 def graph_check(rep: Representation, T) -> bool:
-    """Whether Gr(T) = {(Tm, m)} is a subalgebra of the semi-direct product."""
+    """Whether Gr(T) = {(Tm, m)} is a subalgebra of the semi-direct product: the
+    bracket (x, n) of each two basis vectors (T m_b, m_b), (T m_c, m_c) of the
+    graph lies in it exactly when x = Tn."""
     _check_t_shape(rep, T)
-    s = semidirect(rep)
-    return is_subalgebra(s, graph_subspace(T))[0]
+    s, d, m = semidirect(rep), rep.algebra.dim, rep.dim_m
+    gens = [T.col(b) + _unit(m, b) for b in range(m)]
+    brackets = (s.bracket_vec(gens[b], gens[c]) for b, c in combinations(range(m), 2))
+    return all(T.apply(v[d:]) == v[:d] for v in brackets)
 
 
 def graph_oracle(rep: Representation, T) -> bool:

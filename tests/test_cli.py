@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lieop import gcsholo, ooper, twilled
-from lieop.cli import Workspace, build_report, main
+from lieop.cli import MAX_HIERARCHY_DEPTH, Workspace, build_report, main
 from lieop.errors import OracleDisagreement
 from lieop.fixtures import bundle_json
 
@@ -191,6 +191,26 @@ def test_derive_bad_arguments_are_errors(args, bundle_file, tmp_path, capsys):
     assert code == 2
     assert out.startswith("error:") and out.count("\n") == 1
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("depth", [str(MAX_HIERARCHY_DEPTH + 1), "9" * 20, "9" * 5000],
+                         ids=["one-past-the-bound", "20-digit", "5000-digit"])
+def test_hierarchy_depth_past_the_bound_is_an_error(depth, bundle_file, tmp_path, capsys):
+    out_path = tmp_path / "never.json"
+    code, out = run(capsys, "derive", "hierarchy", depth, "h3_on", "--input", bundle_file,
+                    "--output", str(out_path))
+    assert code == 2
+    assert out.startswith("error: hierarchy depth") and out.count("\n") == 1
+    assert not out_path.exists()
+
+
+def test_hierarchy_at_the_depth_bound_is_derived(bundle_file, tmp_path, capsys):
+    out_path = tmp_path / "deepest.json"
+    code, _ = run(capsys, "derive", "hierarchy", str(MAX_HIERARCHY_DEPTH), "aff1_on",
+                  "--input", bundle_file, "--output", str(out_path))
+    assert code == 0
+    doc = json.loads(out_path.read_text(encoding="utf-8"))
+    assert f"aff1_on__t{MAX_HIERARCHY_DEPTH}" in doc["objects"]
 
 
 def test_report_determinism(bundle_file, capsys):

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -317,6 +319,77 @@ def test_jacobi_witness_matches_reference_triple_loop(case):
         LieAlgebra.from_brackets(d, entries)
     assert ei.value.indices == want[0]
     assert ei.value.defect == want[1]
+
+
+def reference_jacobi_check(d, c):
+    """The validator over every triple: the skew check, then the cyclic form on
+    each i < j < k in order; raises as LieAlgebra does."""
+    s = sparse(c)
+    for i in range(d):
+        for j in range(i, d):
+            if s[i][j] != tuple((k, -v) for k, v in s[j][i]):
+                k = next(k for k in range(d) if c[i][j][k] != -c[j][i][k])
+                raise SkewViolation(i, j, k)
+    for i, j, k in itertools.combinations(range(d), 3):
+        acc = liecore.cyclic_form({}, s, s, i, j, k)
+        if any(acc.values()):
+            raise JacobiViolation(i, j, k, liecore._dense(acc, d))
+
+
+def _outcome(build):
+    try:
+        build()
+    except (SkewViolation, JacobiViolation) as exc:
+        return type(exc).__name__, exc.indices, getattr(exc, "defect", None)
+    return "valid"
+
+
+def test_jacobi_check_on_reached_triples_matches_every_triple():
+    """Seeded tensors of dims 2-6 at several densities, some made non-skew:
+    the same verdict, and the same first violating triple and defect."""
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(3000):
+        d = rng.randint(2, 6)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4))
+        c = [[[0] * d for _ in range(d)] for _ in range(d)]
+        for i, j in itertools.combinations(range(d), 2):
+            if rng.random() < p:
+                for k in rng.sample(range(d), rng.randint(1, 2)):
+                    c[i][j][k] = rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
+                c[j][i] = [-x for x in c[i][j]]
+        if rng.random() < 0.1:
+            i, j, k = (rng.randrange(d) for _ in range(3))
+            c[i][j][k] += 1
+        want = _outcome(lambda: reference_jacobi_check(d, c))
+        assert _outcome(lambda: LieAlgebra(d, c)) == want
+        seen.add(want if want == "valid" else want[0])
+    assert seen == {"valid", "SkewViolation", "JacobiViolation"}
+
+
+def gl(n):
+    """gl(n) in the basis E_ab (index a*n + b): [E_ab, E_cd] = d_bc E_ad - d_da E_cb."""
+    d = n * n
+    c = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for a, b, x, y in itertools.product(range(n), repeat=4):
+        if b == x:
+            c[a * n + b][x * n + y][a * n + y] += 1
+        if y == a:
+            c[a * n + b][x * n + y][x * n + b] -= 1
+    return LieAlgebra(d, c)
+
+
+def test_jacobi_check_visits_only_reached_triples(monkeypatch):
+    """No triple of an abelian algebra, and 740 of the 4960 triples of the
+    dim-32 semidirect product of gl(4) on itself."""
+    rep = adjoint(gl(4))
+    calls = []
+    form = liecore.cyclic_form
+    monkeypatch.setattr(liecore, "cyclic_form", lambda *a: calls.append(a[3:]) or form(*a))
+    ab(40)
+    assert calls == []
+    assert semidirect(rep).dim == 32
+    assert len(calls) == len(set(calls)) == 740 and calls == sorted(calls)
 
 
 def reference_rep_violation(g, mats):

@@ -423,6 +423,19 @@ def test_on_check_runs_nijenhuis_on_the_algebra_once(monkeypatch):
     assert ok and len(on_g) == 1
 
 
+def test_on_check_builds_the_s_deformed_bracket_once(monkeypatch):
+    """The bracket clause and the tilde oracle share one S-deformed bracket: two
+    deformed_tensor calls (that one and [.,.]_N for the tilde module) and four
+    pre-Lie products (the O-identity, M^T, M^{NT} and the tilde module's)."""
+    rep, T, N, S = Workspace.load([bundle()]).get("h3_on", "on_structure").value
+    deformed = _count_calls(monkeypatch, "deformed_tensor", lambda *args: True)
+    products = []
+    o_product = ooper.o_product
+    monkeypatch.setattr(ooper, "o_product", lambda *a: products.append(a) or o_product(*a))
+    ok, _ = is_on_structure(rep, T, N, S)
+    assert ok and len(deformed) == 2 and len(products) == 4
+
+
 def test_pn_check_runs_the_shared_bracket_clause_once(monkeypatch):
     g, r, N = Workspace.load([bundle()]).get("h3_pn", "pn_structure").value
     calls = _count_calls(monkeypatch, "_brackets_agree", lambda *args: True)

@@ -14,7 +14,8 @@ from lieop.cli import Workspace
 from lieop.exactla import Matrix, invert, is_zero_vec, vec_add, vec_sub
 from lieop.fixtures import bundle, standard_fixtures
 from lieop.liecore import (
-    LieAlgebra, Subspace, _unit, adjoint, coadjoint, contract, sparse, trivial_rep,
+    LieAlgebra, Subspace, _unit, adjoint, coadjoint, contract, is_subalgebra, semidirect,
+    sparse, trivial_rep,
 )
 from lieop.cohomology import one_cocycle_basis
 from lieop.onstruct import _brackets_agree, deformed_tensor
@@ -82,6 +83,48 @@ def test_graph_oracle_examples():
     assert not graph_check(rep, Matrix.identity(2))
     for T in (Matrix.zeros(2), AFF1_T, Matrix.identity(2)):
         graph_oracle(rep, T)
+
+
+def reference_graph_check(rep, T):
+    """Gr(T) as a row-reduced subspace of the semidirect product, tested by
+    is_subalgebra on its basis pairs."""
+    d, m = rep.algebra.dim, rep.dim_m
+    graph = Subspace(d + m, [T.col(b) + _unit(m, b) for b in range(m)])
+    return is_subalgebra(semidirect(rep), graph)[0]
+
+
+def test_graph_check_matches_row_reduced_graph():
+    """x = Tn on the bracket of each two graph basis vectors against membership in
+    the row-reduced graph, on seeded operators over every bundle representation."""
+    ws = Workspace.load([bundle()])
+    reps = [e.value for e in ws.entries.values() if e.kind == "representation"]
+    known = [e.value for e in ws.entries.values() if e.kind == "o_operator"]
+    rng = random.Random(14)
+    seen = set()
+    for rep in reps:
+        ours = [t for r, t in known if r is rep] + [Matrix.zeros(rep.algebra.dim, rep.dim_m)]
+        for _ in range(40):
+            if rng.randrange(3):
+                t = Matrix([[rng.choice((-1, 0, 0, 0, 1)) for _ in range(rep.dim_m)]
+                            for _ in range(rep.algebra.dim)])
+            else:
+                t = rng.choice(ours).scale(rng.choice((1, -1, 2, Fraction(1, 2))))
+            want = reference_graph_check(rep, t)
+            assert graph_check(rep, t) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_graph_check_does_not_read_the_o_identity(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the graph route read the O-identity coding")
+
+    for name in ("o_product", "o_form", "_o_sides"):
+        monkeypatch.setattr(ooper, name, refuse)
+    rep = adjoint(aff1())
+    assert graph_check(rep, AFF1_T)
+    assert not graph_check(rep, Matrix.identity(2))
+    assert graph_check(coadjoint(aff1()), COADJ_T2)
 
 
 def test_structure_report():
@@ -460,7 +503,7 @@ def test_o_form_and_induced_tensor_match_reference_loops():
         assert deformed_tensor(bracket, m, s) == deformed
         clause = all(reference_ind_bracket(rep, n * t1, _unit(m, i), _unit(m, j))
                      == deformed[i][j] for i, j in itertools.combinations(range(m), 2))
-        assert _brackets_agree(rep, t1, n, s) == clause
+        assert _brackets_agree(rep, t1, n, deformed_tensor(bracket, m, s)) == clause
         seen["clause"].add(clause)
     assert all(v == {True, False} for v in seen.values()), seen
 
