@@ -12,9 +12,10 @@ nonzero residual.  For sweeps with (N, T) fixed, `gcs_direct_grid` and
 call: what reads only (N, T) runs once, the g x g block once per sigma.
 They share each identity's code with the single-tuple checks.
 
-A complex structure is a Nijenhuis operator I with I^2 = -id, and a complex
-structure (I, I_M) on a module is the Nijenhuis structure (I, -I_M) with
-I_M^2 = -id; both are read from the Nijenhuis codings in `onstruct`.
+Integrable = Nijenhuis on g x M: given J J = -id, the direct route checks J
+with `onstruct.is_nijenhuis` on the semi-direct product.  A complex structure
+is a Nijenhuis operator I with I^2 = -id, and a complex structure (I, I_M) on a
+module the Nijenhuis structure (I, -I_M) with I_M^2 = -id.
 """
 
 from __future__ import annotations
@@ -91,11 +92,10 @@ def _j_square_gg(Nr, Tr, Gr, d):
     return True
 
 
-def _direct_tail(sd, units, top, Gr, Sr):
-    """The rest of J J = -id, then integrability, once the g x g block holds;
-    top holds J's first d rows."""
-    d = len(top)
-    J = top + [(*g, *s) for g, s in zip(Gr, _neg(Sr))]
+def _direct_tail(sd, Nr, Tr, Gr, Sr):
+    """The rest of J J = -id, then integrability, once the g x g block holds."""
+    d = len(Nr)
+    J = [(*a, *b) for a, b in zip(Nr, Tr)] + [(*g, *s) for g, s in zip(Gr, _neg(Sr))]
     rng = range(len(J))
     for i, ji in enumerate(J):
         for j in range(d if i < d else 0, len(J)):
@@ -106,22 +106,7 @@ def _direct_tail(sd, units, top, Gr, Sr):
                     s += a * J[k][j]
             if s:
                 return False
-    return _j_integrable(sd, units, J)
-
-
-def _j_integrable(sd, units, J):
-    """[Ju, Jv] - [u, v] = J([Ju, v] + [u, Jv]) on basis pairs u < v of g + M."""
-    n, c, cs = sd.dim, sd.c, sd.s
-    cols = list(zip(*J))
-    for u in range(n):
-        ju = cols[u]
-        for v in range(u + 1, n):
-            jv = cols[v]
-            lhs = vec_sub(contract(cs, n, ju, jv), c[u][v])
-            inner = vec_add(contract(cs, n, ju, units[v]), contract(cs, n, units[u], jv))
-            if lhs != _mat_vec(J, inner):
-                return False
-    return True
+    return is_nijenhuis(sd, Matrix(J))[0]
 
 
 def gcs_check_direct(rep: Representation, N, T, sigma, S) -> bool:
@@ -133,10 +118,7 @@ def gcs_check_direct(rep: Representation, N, T, sigma, S) -> bool:
     d, m = rep.algebra.dim, rep.dim_m
     Nr, Tr = _rows(N, (d, d)), _rows(T, (d, m))
     Gr, Sr = _rows(sigma, (m, d)), _rows(S, (m, m))
-    if not _j_square_gg(Nr, Tr, Gr, d):
-        return False
-    top = [(*a, *b) for a, b in zip(Nr, Tr)]
-    return _direct_tail(semidirect(rep), _units(d + m), top, Gr, Sr)
+    return _j_square_gg(Nr, Tr, Gr, d) and _direct_tail(semidirect(rep), Nr, Tr, Gr, Sr)
 
 
 def gcs_direct_grid(rep: Representation, N, T, sigmas, Ss) -> list:
@@ -147,12 +129,11 @@ def gcs_direct_grid(rep: Representation, N, T, sigmas, Ss) -> list:
     Nr, Tr = _rows(N, (d, d)), _rows(T, (d, m))
     Gs = [_rows(g, (m, d)) for g in sigmas]
     Srs = [_rows(s, (m, m)) for s in Ss]
-    top = [(*a, *b) for a, b in zip(Nr, Tr)]
-    sd, units = semidirect(rep), _units(d + m)
+    sd = semidirect(rep)
     out = []
     for Gr in Gs:
         if _j_square_gg(Nr, Tr, Gr, d):
-            out += [_direct_tail(sd, units, top, Gr, Sr) for Sr in Srs]
+            out += [_direct_tail(sd, Nr, Tr, Gr, Sr) for Sr in Srs]
         else:
             out += [False] * len(Srs)
     return out

@@ -1,6 +1,11 @@
 """Nijenhuis operators and structures, infinitesimal deformations of modules,
 ON-structures with their compatible hierarchies, and PN-structures.
 
+One form, `deformed_form`: s_{A,B}(x, y) = s(Ax, y) + s(x, By) - B s(x, y) for
+a sparse tensor s.  [.,.]_N is s_{N,N}, and over an action tensor s_{N,+-S} is
+rho(Nx) +- [rho(x), S]; each Nijenhuis-type identity is the homomorphism
+identity s(Ax, By) = B s_{A,B}(x, y).
+
 Nijenhuis structures and PN-structures are double-checked against their
 semi-direct / coadjoint characterizations through `errors.oracle`, since sign
 conventions are the main hazard in this corner.
@@ -9,7 +14,7 @@ conventions are the main hazard in this corner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .cohomology import Cochain, bracket_cochain, nr_bracket
 from .errors import (
@@ -28,21 +33,37 @@ from .ooper import (
 )
 
 
+def deformed_form(acc, s, st, a, b, i, j):
+    """acc += s_{A,B}(e_i, e_j) = s(Ae_i, e_j) + s(e_i, Be_j) - B s(e_i, e_j), for s
+    a sparse tensor, st its transpose rows st[j][l] = s[l][j], and a, b the
+    sparse columns of A and B."""
+    _add_rows(acc, 1, a[i], st[j])
+    _add_rows(acc, 1, b[j], s[i])
+    _add_rows(acc, -1, s[i][j], b)
+    return acc
+
+
+def _homomorphism_defect(s, st, A: Matrix, B: Matrix, pairs):
+    """First (i, j, s(Ae_i, Be_j) - B s_{A,B}(e_i, e_j)) that is nonzero over
+    the basis pairs (i, j), or None."""
+    a, b = A.sparse_cols(), B.sparse_cols()
+    for i, j in pairs:
+        acc = {}
+        for k, v in a[i]:
+            _add_rows(acc, v, b[j], s[k])
+        _add_rows(acc, -1, deformed_form({}, s, st, a, b, i, j).items(), b)
+        if any(acc.values()):
+            return i, j, _dense(acc, B.rows)
+    return None
+
+
 def is_nijenhuis(g: LieAlgebra, N):
-    """[Nx, Ny] = N([Nx, y] + [x, Ny] - N[x, y]) on all basis pairs."""
+    """[Nx, Ny] = N([Nx, y] + [x, Ny] - N[x, y]) on all basis pairs x < y."""
     if N.shape() != (g.dim, g.dim):
         raise DimensionMismatch("Nijenhuis candidate must be an endomorphism")
-    for i in range(g.dim):
-        ni = N.col(i)
-        for j in range(i + 1, g.dim):
-            nj = N.col(j)
-            ei, ej = _unit(g.dim, i), _unit(g.dim, j)
-            lhs = g.bracket_vec(ni, nj)
-            inner = vec_sub(vec_add(g.bracket_vec(ni, ej), g.bracket_vec(ei, nj)),
-                            N.apply(g.c[i][j]))
-            if lhs != N.apply(inner):
-                return False, (i, j, vec_sub(lhs, N.apply(inner)))
-    return True, None
+    defect = _homomorphism_defect(g.s, tuple(zip(*g.s)), N, N,
+                                  combinations(range(g.dim), 2))
+    return defect is None, defect
 
 
 def is_nijenhuis_nr(g: LieAlgebra, N) -> bool:
@@ -57,16 +78,9 @@ def is_nijenhuis_nr(g: LieAlgebra, N) -> bool:
 def deformed_tensor(g_c, dim, N: Matrix):
     """Structure tensor of [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] over any bracket tensor."""
     s = sparse(g_c)
-    by_second, cols = tuple(zip(*s)), N.sparse_cols()
-    c = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            acc = {}
-            _add_rows(acc, 1, cols[i], by_second[j])
-            _add_rows(acc, 1, cols[j], s[i])
-            _add_rows(acc, -1, s[i][j], cols)
-            c[i][j] = _dense(acc, dim)
-    return c
+    st, cols = tuple(zip(*s)), N.sparse_cols()
+    return [[_dense(deformed_form({}, s, st, cols, cols, i, j), dim) for j in range(dim)]
+            for i in range(dim)]
 
 
 def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
@@ -165,30 +179,32 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
     return True, None
 
 
-def _pair_defect(rep: Representation, N: Matrix, S: Matrix, rhs):
-    """First (i, t, lhs - rhs) with lhs = N(x).S(m) != rhs(x, Nx, m, Sm) on the
-    basis pairs x = e_i, m = m_t, or None."""
-    g, m = rep.algebra, rep.dim_m
-    for i in range(g.dim):
-        ei, ni = _unit(g.dim, i), N.col(i)
-        for t in range(m):
-            st = S.col(t)
-            lhs, r = rep.act(ni, st), rhs(ei, ni, _unit(m, t), st)
-            if lhs != r:
-                return (i, t, vec_sub(lhs, r))
-    return None
+def _check_pair_shapes(rep: Representation, N, S):
+    """N must be an endomorphism of the algebra and S one of the module."""
+    if N.shape() != (rep.algebra.dim,) * 2 or S.shape() != (rep.dim_m,) * 2:
+        raise DimensionMismatch(f"(N, S) of shapes {N.shape()}, {S.shape()} on {rep}")
+
+
+def deformed_action(rep: Representation, N: Matrix, S: Matrix) -> list:
+    """The action rho(Nx) + [rho(x), S], one matrix per basis vector x: s_{N,S}."""
+    _check_pair_shapes(rep, N, S)
+    a, b, m = N.sparse_cols(), S.sparse_cols(), rep.dim_m
+    return [Matrix.from_cols([_dense(deformed_form({}, rep.s, rep.by_col, a, b, i, t), m)
+                              for t in range(m)]) for i in range(rep.algebra.dim)]
 
 
 def deformation_pair_defect(rep: Representation, N: Matrix, S: Matrix):
-    """Defect of N(x).S(m) = S(Nx.m + x.Sm - S(x.m)) on basis pairs."""
-    act = rep.act
-    return _pair_defect(rep, N, S, lambda x, nx, m, sm: S.apply(
-        vec_sub(vec_add(act(nx, m), act(x, sm)), S.apply(act(x, m)))))
+    """First (i, t, lhs - rhs) of N(x).S(m) = S(Nx.m + x.Sm - S(x.m)) that is
+    nonzero on the basis pairs x = e_i, m = m_t, or None."""
+    _check_pair_shapes(rep, N, S)
+    return _homomorphism_defect(rep.s, rep.by_col, N, S,
+                                product(range(rep.algebra.dim), range(rep.dim_m)))
 
 
 def trivial_deformation_from(rep: Representation, N, S) -> DeformationData:
     """The trivial deformation generated by a Nijenhuis operator N and an S
     compatible with it on the module side."""
+    _check_pair_shapes(rep, N, S)
     g = rep.algebra
     ok, defect = is_nijenhuis(g, N)
     if not ok:
@@ -197,27 +213,31 @@ def trivial_deformation_from(rep: Representation, N, S) -> DeformationData:
     if bad is not None:
         raise NotNijenhuisStructure(
             f"pair fails the deformation compatibility identity at {bad}")
-    bracket1 = deformed_tensor(g.c, g.dim, N)
-    action1 = [rep.rho(N.col(i)) + rep.action[i] * S - S * rep.action[i]
-               for i in range(g.dim)]
-    d = DeformationData.build(g.dim, rep.dim_m, bracket1, action1)
+    d = DeformationData.build(g.dim, rep.dim_m, deformed_tensor(g.c, g.dim, N),
+                              deformed_action(rep, N, S))
     ok, which = is_infinitesimal_deformation(rep, d)
     oracle("trivial deformation", ok, True, "condition {which} failed", which=which)
-    for i in range(g.dim):
-        oracle("trivial deformation", S * d.action1[i], rep.rho(N.col(i)) * S,
-               "triviality (10)")
     return d
 
 
 def nijenhuis_structure_defect(rep: Representation, N: Matrix, S: Matrix):
-    """Defect of N(x).S(m) = S(Nx.m) + x.S^2 m - S(x.Sm) on basis pairs."""
-    act = rep.act
-    return _pair_defect(rep, N, S, lambda x, nx, m, sm: vec_sub(
-        vec_add(S.apply(act(nx, m)), act(x, S.apply(sm))), S.apply(act(x, sm))))
+    """First (i, t, lhs - rhs) of N(x).S(m) = S(Nx.m) + x.S^2 m - S(x.Sm) that is
+    nonzero on the basis pairs x = e_i, m = m_t, or None.  It is coded apart
+    from `deformed_form`, as the direct route of the Nijenhuis-structure oracle."""
+    _check_pair_shapes(rep, N, S)
+    d, m, act = rep.algebra.dim, rep.dim_m, rep.act
+    for i, t in product(range(d), range(m)):
+        ei, ni, mt, st = _unit(d, i), N.col(i), _unit(m, t), S.col(t)
+        lhs = act(ni, st)
+        rhs = vec_sub(vec_add(S.apply(act(ni, mt)), act(ei, S.apply(st))), S.apply(act(ei, st)))
+        if lhs != rhs:
+            return (i, t, vec_sub(lhs, rhs))
+    return None
 
 
 def is_nijenhuis_structure(rep: Representation, N, S) -> bool:
     """Direct identity check against the dual semi-direct Nijenhuis lift."""
+    _check_pair_shapes(rep, N, S)
     direct = is_nijenhuis(rep.algebra, N)[0] and \
         nijenhuis_structure_defect(rep, N, S) is None
     sd = semidirect(dual_rep(rep))
@@ -238,9 +258,7 @@ def _tilde_module(rep: Representation, N, S) -> Representation:
     structure, so N is Nijenhuis and [.,.]_N needs no second check."""
     g = rep.algebra
     deformed = LieAlgebra(g.dim, deformed_tensor(g.c, g.dim, N))
-    mats = [rep.rho(N.col(i)) - rep.action[i] * S + S * rep.action[i]
-            for i in range(g.dim)]
-    return Representation(deformed, rep.dim_m, mats)
+    return Representation(deformed, rep.dim_m, deformed_action(rep, N, -S))
 
 
 def _brackets_agree(rep: Representation, T, N, deformed) -> bool:

@@ -125,12 +125,13 @@ def test_criterion_02_gcs_oracle_exhaustive():
 
 def test_criterion_02_sees_a_route_that_skips_integrability(monkeypatch):
     """Slice (34, 40) has 18 tuples with J^2 = -id and 9 integrable ones, so a
-    direct route that skips integrability must split from the components route
-    on 9 tuples: the early rejection the grids share hides neither route."""
+    direct route that skips integrability (the Nijenhuis check of J on the
+    semi-direct product) must split from the components route on 9 tuples: the
+    early rejection the grids share hides neither route."""
     rep22 = REPS["aff1_adj"]
     n_blk, t_blk = BLOCKS_22[34], BLOCKS_22[40]
     assert _compare_slice(rep22, n_blk, t_blk, BLOCKS_22) == (6561, 9, 9, 0)
-    monkeypatch.setattr(gcsholo, "_j_integrable", lambda *args: True)
+    monkeypatch.setattr(gcsholo, "is_nijenhuis", lambda *args: (True, None))
     assert _compare_slice(rep22, n_blk, t_blk, BLOCKS_22) == (6561, 18, 9, 9)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -8,16 +9,18 @@ import pytest
 from lieop import onstruct, ooper
 from lieop.cli import Workspace
 from lieop.errors import (
-    NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, Singular,
+    DimensionMismatch, NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, Singular,
 )
 from lieop.exactla import Matrix, is_zero_vec, vec_add, vec_sub
-from lieop.fixtures import bundle
+from lieop.fixtures import bundle, h3_rep2
+from lieop.gcsholo import gcs_check_direct
 from lieop.liecore import (
-    LieAlgebra, _unit, action_tensor, adjoint, coadjoint, contract, sparse,
+    LieAlgebra, _unit, action_tensor, adjoint, coadjoint, contract, semidirect, sparse,
 )
 from lieop.ooper import Bivector, is_o_operator, is_r_matrix
 from lieop.onstruct import (
-    DeformationData, ONStructure, deformed_bracket, hierarchy,
+    DeformationData, ONStructure, deformation_pair_defect, deformed_action,
+    deformed_bracket, hierarchy,
     is_infinitesimal_deformation, is_nijenhuis, is_nijenhuis_structure,
     is_on_structure, is_pn_structure, nijenhuis_power_props,
     on_from_compatible_pair, pn_hierarchy, tilde_action,
@@ -463,3 +466,153 @@ def test_nijenhuis_richardson_coding_matches_is_nijenhuis():
             assert onstruct.is_nijenhuis_nr(g, N) == verdict, (g, N)
             seen.add(verdict)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the deformed form against the codings it replaced
+# ---------------------------------------------------------------------------
+
+def reference_is_nijenhuis(g, N):
+    """[Nx, Ny] = N([Nx, y] + [x, Ny] - N[x, y]) from dense brackets, pair by pair."""
+    for i in range(g.dim):
+        ni = N.col(i)
+        for j in range(i + 1, g.dim):
+            nj = N.col(j)
+            ei, ej = _unit(g.dim, i), _unit(g.dim, j)
+            lhs = g.bracket_vec(ni, nj)
+            inner = vec_sub(vec_add(g.bracket_vec(ni, ej), g.bracket_vec(ei, nj)),
+                            N.apply(g.c[i][j]))
+            if lhs != N.apply(inner):
+                return False, (i, j, vec_sub(lhs, N.apply(inner)))
+    return True, None
+
+
+def reference_deformation_pair_defect(rep, N, S):
+    """First (i, t, lhs - rhs) of N(x).S(m) = S(Nx.m + x.Sm - S(x.m)) from dense
+    actions, pair by pair, or None."""
+    g, m, act = rep.algebra, rep.dim_m, rep.act
+    for i in range(g.dim):
+        ei, ni = _unit(g.dim, i), N.col(i)
+        for t in range(m):
+            mt, st = _unit(m, t), S.col(t)
+            lhs = act(ni, st)
+            rhs = S.apply(vec_sub(vec_add(act(ni, mt), act(ei, st)), S.apply(act(ei, mt))))
+            if lhs != rhs:
+                return (i, t, vec_sub(lhs, rhs))
+    return None
+
+
+def reference_deformed_action(rep, N, S):
+    """rho(Nx) + [rho(x), S] for each basis vector x, as Matrix products."""
+    return [rep.rho(N.col(i)) + rep.action[i] * S - S * rep.action[i]
+            for i in range(rep.algebra.dim)]
+
+
+def reference_j_integrable(sd, J):
+    """[Ju, Jv] - [u, v] = J([Ju, v] + [u, Jv]) on basis pairs u < v, from dense
+    brackets: integrability of a J with J J = -id."""
+    n = sd.dim
+    for u in range(n):
+        for v in range(u + 1, n):
+            ju, jv = J.col(u), J.col(v)
+            lhs = vec_sub(sd.bracket_vec(ju, jv), sd.c[u][v])
+            inner = vec_add(sd.bracket_vec(ju, _unit(n, v)), sd.bracket_vec(_unit(n, u), jv))
+            if lhs != J.apply(inner):
+                return False
+    return True
+
+
+def _seeded_matrix(rng, rows, cols):
+    return Matrix([[rng.choice((0, 0, 0, 1, -1, 2, Fraction(1, 2))) for _ in range(cols)]
+                   for _ in range(rows)])
+
+
+def test_is_nijenhuis_matches_the_dense_reference():
+    """Every {-1, 0, 1} endomorphism of aff1 (all Nijenhuis, as on any
+    2-dimensional algebra), then seeded ones on sl2, h3 and a semi-direct
+    product: same verdict and same defect."""
+    cases = [(aff1(), Matrix([flat[:2], flat[2:]]))
+             for flat in itertools.product((-1, 0, 1), repeat=4)]
+    rng = random.Random(31)
+    for g in (sl2(), h3(), semidirect(h3_rep2())):
+        cases += [(g, _seeded_matrix(rng, g.dim, g.dim)) for _ in range(150)]
+    seen = Counter()
+    for g, N in cases:
+        got = is_nijenhuis(g, N)
+        assert got == reference_is_nijenhuis(g, N), (g, N)
+        seen[got[0]] += 1
+    assert set(seen) == {True, False}, seen
+
+
+def test_deformation_pair_and_deformed_action_match_the_matrix_references():
+    """Seeded (N, S) on every bundle module, a quarter of them scalar pairs
+    (lam id, lam id), which satisfy the deformation identity: same defect, and
+    the action rho(Nx) + [rho(x), S] with S and with -S."""
+    ws = Workspace.load([bundle()])
+    reps = [e.value for e in ws.entries.values() if e.kind == "representation"]
+    rng = random.Random(32)
+    seen = Counter()
+    for rep in reps:
+        d, m = rep.algebra.dim, rep.dim_m
+        for _ in range(60):
+            if rng.random() < 0.25:
+                lam = rng.choice((0, 1, -1, 2, Fraction(1, 2)))
+                N, S = Matrix.identity(d).scale(lam), Matrix.identity(m).scale(lam)
+            else:
+                N, S = _seeded_matrix(rng, d, d), _seeded_matrix(rng, m, m)
+            want = reference_deformation_pair_defect(rep, N, S)
+            assert deformation_pair_defect(rep, N, S) == want, (rep, N, S)
+            assert deformed_action(rep, N, S) == reference_deformed_action(rep, N, S)
+            assert deformed_action(rep, N, -S) == reference_deformed_action(rep, N, -S)
+            seen[want is None] += 1
+    assert set(seen) == {True, False}, seen
+
+
+def test_gcs_direct_route_matches_the_dense_integrability_reference():
+    """On the slice (N, T) = ([[0, -1], [1, 0]], 0) of aff1's adjoint module, 18 of the 6561 tuples (sigma, S) give J J = -id and 9 of
+    those an integrable J: gcs_check_direct agrees with J J = -id followed by
+    the dense integrability loop on every tuple."""
+    rep = adjoint(aff1())
+    sd = semidirect(rep)
+    n_blk, t_blk = ((0, -1), (1, 0)), ((0, 0), (0, 0))
+    blocks = [(t[0:2], t[2:4]) for t in itertools.product((-1, 0, 1), repeat=4)]
+    seen = Counter()
+    for sigma, s in itertools.product(blocks, blocks):
+        J = Matrix([n_blk[0] + t_blk[0], n_blk[1] + t_blk[1],
+                    sigma[0] + tuple(-x for x in s[0]), sigma[1] + tuple(-x for x in s[1])])
+        almost = (J * J + Matrix.identity(4)).is_zero()
+        want = almost and reference_j_integrable(sd, J)
+        assert gcs_check_direct(rep, n_blk, t_blk, sigma, s) == want, (sigma, s)
+        seen[almost, want] += 1
+    assert seen == {(False, False): 6561 - 18, (True, False): 9, (True, True): 9}
+
+
+# (module, N shape, S shape): each pair has one operator of the wrong shape
+BAD_SHAPES = [
+    ("aff1_adj", (1, 1), (2, 2)), ("aff1_adj", (2, 3), (2, 2)), ("aff1_adj", (3, 2), (2, 2)),
+    ("aff1_adj", (2, 2), (3, 3)), ("aff1_adj", (2, 2), (2, 3)), ("aff1_adj", (2, 2), (3, 2)),
+    ("h3_rep2", (2, 2), (3, 3)), ("h3_rep2", (3, 3), (3, 3)), ("h3_rep2", (2, 2), (2, 2)),
+]
+
+PAIR_ENTRY_POINTS = {
+    "deformation_pair_defect": deformation_pair_defect,
+    "nijenhuis_structure_defect": onstruct.nijenhuis_structure_defect,
+    "deformed_action": deformed_action,
+    "trivial_deformation_from": trivial_deformation_from,
+    "tilde_action": tilde_action,
+    "is_nijenhuis_structure": is_nijenhuis_structure,
+    "is_on_structure": lambda rep, N, S: is_on_structure(
+        rep, Matrix.zeros(rep.algebra.dim, rep.dim_m), N, S),
+}
+
+
+def _diagonal(shape):
+    return Matrix([[1 if i == j else 0 for j in range(shape[1])] for i in range(shape[0])])
+
+
+@pytest.mark.parametrize("entry", sorted(PAIR_ENTRY_POINTS))
+@pytest.mark.parametrize("rep_name,n_shape,s_shape", BAD_SHAPES)
+def test_mis_shaped_pairs_are_refused_up_front(entry, rep_name, n_shape, s_shape):
+    rep = adjoint(aff1()) if rep_name == "aff1_adj" else h3_rep2()
+    with pytest.raises(DimensionMismatch):
+        PAIR_ENTRY_POINTS[entry](rep, _diagonal(n_shape), _diagonal(s_shape))

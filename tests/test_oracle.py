@@ -11,7 +11,7 @@ import lieop
 from lieop import gcsholo, onstruct, ooper, twilled
 from lieop.cli import Workspace
 from lieop.errors import OracleDisagreement, oracle
-from lieop.fixtures import AFF1_ADJ_OMEGA, bundle_json
+from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_DEFORM_S, AFF1_N, bundle_json
 from lieop.liecore import trivial_rep
 
 
@@ -42,6 +42,11 @@ def _trivial_module(route):
 def _flip_on(matrix):
     """Flip a route only on the calls whose last argument is `matrix`."""
     return lambda route: lambda *args: (args[-1] == matrix) != route(*args)
+
+
+def _flip_verdict(route):
+    """Flip the verdict of a route that returns (verdict, detail)."""
+    return lambda *args: (not route(*args)[0], "flipped")
 
 
 def _values(*names):
@@ -83,6 +88,9 @@ SITES = [
      "strong mc quadratic residual"),
     (onstruct, "_tilde_module", _trivial_module, _values("h3_on"), onstruct.is_on_structure,
      "on structure"),
+    (onstruct, "is_infinitesimal_deformation", _flip_verdict,
+     lambda ws: (ws.entries["aff1_adj"].value, AFF1_N, AFF1_DEFORM_S),
+     onstruct.trivial_deformation_from, "trivial deformation"),
     (onstruct, "contract", _shift_vector, lambda ws: ws.entries["h3_on"].value + (2,),
      onstruct.hierarchy, "hierarchy"),
 ]
@@ -98,6 +106,23 @@ def test_flipped_route_raises_with_the_site_name(ws, monkeypatch, module, name, 
     with pytest.raises(OracleDisagreement) as exc:
         verdict(*args)
     assert exc.value.what == what
+
+
+def test_independent_routes_do_not_read_the_deformed_form(ws, monkeypatch):
+    """The direct Nijenhuis-structure route and the GCS components route stay
+    apart from onstruct.deformed_form, which their oracles' other routes read."""
+    def refuse(*args):
+        raise AssertionError("deformed_form read")
+
+    monkeypatch.setattr(onstruct, "deformed_form", refuse)
+    rep, n, s = ws.entries["aff1_ns"].value
+    with pytest.raises(AssertionError, match="deformed_form read"):
+        onstruct.is_nijenhuis(rep.algebra, n)
+    assert onstruct.nijenhuis_structure_defect(rep, n, s) is None
+    assert onstruct.nijenhuis_structure_defect(rep, n, n) is not None
+    assert gcsholo.gcs_check_components(*ws.entries["aff1_gcs"].value)
+    rep, n, t, sigma, s = ws.entries["aff1_gcs"].value
+    assert not gcsholo.gcs_check_components(rep, n, t, -sigma, s)
 
 
 def test_oracle_returns_the_first_route_and_formats_only_on_raise():
