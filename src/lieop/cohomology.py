@@ -5,10 +5,11 @@ the Maurer-Cartan checks.
 A degree-n cochain stores one target vector per strictly increasing basis
 index tuple; evaluation elsewhere is the alternating extension.  Evaluation on
 a vector accumulates only the nonzero entries of the values its nonzero
-coordinates reach, and the 1-cocycle system is built and row-reduced as
-sparse rows.  The circle product, and with it the shuffle and derived
-brackets, pairs each nonzero coordinate of a value of one operand with the
-values of the other that take that coordinate as an argument, so its work
+coordinates reach.  The Chevalley-Eilenberg differential and the 1-cocycle
+system read the sparse rows of the bracket and the action, and the system is
+row-reduced as sparse rows.  The circle product, and with it the shuffle and
+derived brackets, pairs each nonzero coordinate of a value of one operand with
+the values of the other that take that coordinate as an argument, so its work
 follows the nonzeros rather than the index tuples of the output.
 """
 
@@ -20,7 +21,9 @@ from .errors import DimensionMismatch, LieOpError
 from .exactla import (
     Matrix, _kernel_from_rref, is_zero_vec, q, rref_maps, vec, vec_add, vec_scale, vec_zero,
 )
-from .liecore import LieAlgebra, Representation, block_tensor
+from .liecore import (
+    LieAlgebra, Representation, _add_rows, _dense, block_rows, transpose_rows, zero_rows,
+)
 
 
 def _perm_sign(seq):
@@ -31,6 +34,11 @@ def _perm_sign(seq):
             if seq[a] > seq[b]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def _pairs(v):
+    """The nonzero (index, value) pairs of a vector."""
+    return [(i, x) for i, x in enumerate(v) if x]
 
 
 def _normalize(idxs):
@@ -92,18 +100,17 @@ class Cochain:
 
     def eval_first_vec(self, x, rest):
         """Evaluate on (x, e_{rest[0]}, ...) with a vector in the first slot."""
-        rest = tuple(rest)
-        acc = {}
-        for k, xk in enumerate(x):
-            if xk:
-                sign, order = _normalize((k,) + rest)  # order is None on repeats
-                for i, a in enumerate(self.values.get(order, ())):
-                    if a:
-                        acc[i] = acc.get(i, 0) + sign * xk * a
-        out = [0] * self.target_dim
-        for i, v in acc.items():
-            out[i] = q(v)
-        return tuple(out)
+        return _dense(self.add_first({}, 1, _pairs(x), tuple(rest)), self.target_dim)
+
+    def add_first(self, acc, scale, pairs, rest):
+        """acc += scale * (value on (x, e_{rest[0]}, ...)), for x given by its
+        nonzero (k, x_k) pairs."""
+        for k, xk in pairs:
+            sign, order = _normalize((k,) + rest)  # order is None on repeats
+            f = scale * sign * xk
+            for i, a in _pairs(self.values.get(order, ())):
+                acc[i] = acc.get(i, 0) + f * a
+        return acc
 
     def eval_vectors(self, vectors):
         """Full multilinear alternating evaluation on coordinate vectors."""
@@ -179,23 +186,20 @@ def ce_differential(rep: Representation, f: Cochain) -> Cochain:
     if n + 1 > g.dim:
         return Cochain.zero(n + 1, g.dim, rep.dim_m)
     for idx in combinations(range(g.dim), n + 1):
-        total = vec_zero(rep.dim_m)
+        acc = {}
         for a in range(n + 1):
-            rest = idx[:a] + idx[a + 1:]
-            val = f.value(rest)
-            if not is_zero_vec(val):
-                term = rep.act_basis(idx[a], val)
-                total = vec_add(total, term if a % 2 == 0 else vec_scale(-1, term))
+            val = f.values.get(idx[:a] + idx[a + 1:])
+            if val:
+                _add_rows(acc, -1 if a % 2 else 1, _pairs(val), rep.s[idx[a]])
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
-                br = g.c[idx[a]][idx[b]]
-                if is_zero_vec(br):
-                    continue
-                rest = tuple(x for t, x in enumerate(idx) if t != a and t != b)
-                term = f.eval_first_vec(br, rest)
-                # (-1)^{i+j} for 1-based i, j: even a+b in 0-based positions
-                total = vec_add(total, term if (a + b) % 2 == 0 else vec_scale(-1, term))
-        if not is_zero_vec(total):
+                br = g.s[idx[a]][idx[b]]
+                if br:
+                    rest = tuple(x for t, x in enumerate(idx) if t != a and t != b)
+                    # (-1)^{i+j} for 1-based i, j: even a+b in 0-based positions
+                    f.add_first(acc, -1 if (a + b) % 2 else 1, br, rest)
+        total = _dense(acc, rep.dim_m)
+        if any(total):
             out[idx] = total
     return Cochain(n + 1, g.dim, rep.dim_m, out)
 
@@ -210,14 +214,15 @@ def one_cocycle_basis(rep: Representation):
     g = rep.algebra
     d, m = g.dim, rep.dim_m
     nvar = m * d
+    act_rows = [transpose_rows(sa, m) for sa in rep.s]  # act_rows[i][t]: row t of rho(e_i)
     rows = []
     for i in range(d):
         for j in range(i + 1, d):
             for t in range(m):
                 row = {}
-                for r, a in rep.action[i].sparse_rows()[t]:
+                for r, a in act_rows[i][t]:
                     row[r * d + j] = row.get(r * d + j, 0) + a
-                for r, a in rep.action[j].sparse_rows()[t]:
+                for r, a in act_rows[j][t]:
                     row[r * d + i] = row.get(r * d + i, 0) - a
                 for cidx, coeff in g.s[i][j]:
                     row[t * d + cidx] = row.get(t * d + cidx, 0) - coeff
@@ -289,11 +294,12 @@ def nr_bracket(P: Cochain, Q: Cochain) -> Cochain:
     return pq.sub(qp) if (p * qdeg) % 2 == 0 else pq.add(qp)
 
 
-def bracket_cochain(c) -> Cochain:
-    """A skew bracket, given by its structure tensor c[i][j] = [e_i, e_j], as a
+def bracket_cochain(s) -> Cochain:
+    """A skew bracket, given by the sparse rows s[i][j] of [e_i, e_j], as a
     degree-2 self-valued cochain."""
-    d = len(c)
-    return Cochain(2, d, d, {(i, j): c[i][j] for i in range(d) for j in range(i + 1, d)})
+    d = len(s)
+    return Cochain(2, d, d, {(i, j): _dense(dict(s[i][j]), d)
+                             for i in range(d) for j in range(i + 1, d) if s[i][j]})
 
 
 def lie_tensor_from_cochain(mu: Cochain):
@@ -362,6 +368,5 @@ def build_mu2(dim_a, dim_b, b_algebra: LieAlgebra, action2: Representation) -> C
         raise DimensionMismatch("mu2 pieces do not match the splitting")
     if action2.dim_m != dim_a:
         raise DimensionMismatch("action2 must act on the a block")
-    abelian = ((vec_zero(dim_a),) * dim_a,) * dim_a
-    inert = ((vec_zero(dim_b),) * dim_b,) * dim_a
-    return bracket_cochain(block_tensor(abelian, b_algebra.c, inert, action2.t))
+    return bracket_cochain(block_rows(zero_rows(dim_a, dim_a), b_algebra.s,
+                                      zero_rows(dim_a, dim_b), action2.s))

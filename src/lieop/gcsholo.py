@@ -194,12 +194,12 @@ def _t_context(rep, Nr, Tr):
         for j in range(i + 1, m):
             mb = vec_sub(action(tcols[i], units_m[j]), action(tcols[j], units_m[i]))
             pairs.append((i, j, mb, _mat_vec(Tr, mb) == bracket(tcols[i], tcols[j])))
-    return g.c, bracket, action, list(zip(*Nr)), tcols, _units(d), units_m, pairs
+    return bracket, action, list(zip(*Nr)), tcols, _units(d), units_m, pairs
 
 
 def _components_tail(ctx, Nr, Tr, Gr, Sr, failed, report):
     """(56)-(61), once (52)-(55) are decided; whether none failed."""
-    gc, bracket, action, ncols, tcols, units_d, units_m, pairs = ctx
+    bracket, action, ncols, tcols, units_d, units_m, pairs = ctx
     d, m = len(units_d), len(units_m)
     gcols = list(zip(*Gr)) or [()] * d
     scols = list(zip(*Sr))
@@ -231,7 +231,7 @@ def _components_tail(ctx, Nr, Tr, Gr, Sr, failed, report):
             ex, ey = units_d[a], units_d[b]
             mixed = vec_add(bracket(nx, ey), bracket(ex, ny))
             sig_skew = vec_sub(action(ex, gcols[b]), action(ey, gcols[a]))
-            lhs60 = vec_sub(vec_sub(bracket(nx, ny), gc[a][b]), _mat_vec(Nr, mixed))
+            lhs60 = vec_sub(vec_sub(bracket(nx, ny), bracket(ex, ey)), _mat_vec(Nr, mixed))
             if lhs60 != _mat_vec(Tr, sig_skew) and _noted(failed, 60, report):
                 return False
             lhs61 = vec_sub(vec_sub(action(nx, gcols[b]), action(ny, gcols[a])),

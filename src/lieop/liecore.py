@@ -1,17 +1,24 @@
 """Lie algebras, their modules, and the structural constructions on them.
 
-Everything is finite dimensional over the exact rationals.  A Lie algebra is a
-structure-constant tensor c[i][j] = coefficient vector of [e_i, e_j]; a module
-is one action matrix per basis vector, also kept as the tensor
-t[i][b] = e_i . f_b.  Each tensor is kept dense (`c`, `t`) and sparse (`s`,
-the nonzero (k, value) pairs of each entry).  `contract` and the validators
-read only the sparse form, so their work grows with the nonzero constants.  The
+Everything is finite dimensional over the exact rationals.  A Lie algebra is
+stored only as the sparse rows s[i][j] of its structure constants, the
+nonzero (k, value) pairs of [e_i, e_j]; a module only as the sparse rows
+s[i][b] of its action, the pairs of e_i . f_b, and the same rows by module
+basis vector, by_col[b][i] = s[i][b].  Rows are canonical: coordinates ascend,
+values are normalised by q and zeros are dropped, so two tensors are equal
+exactly when their rows are.  The dense views (`LieAlgebra.c`,
+`Representation.t` and `Representation.action`) are computed from the rows on
+each read, for serialisation and tests.  Every derived algebra and module is
+built from rows: `block_rows` glues two algebras acting on each other (the
+semi-direct product, the twilled algebra, the lifted deformation), `adjoint`
+reuses the algebra's rows and `dual_rep` transposes them.  `contract` and the
+validators read rows only, so their work grows with the nonzero constants.  The
 identities quadratic in a bracket read one cyclic form, `cyclic_form`:
 C(a, b) sums a(e_u, b(e_v, e_w)) over the cyclic orders of a triple, C(s, s) is
 the Jacobiator and C(a, b) + C(b, a) the mixed term of compatible brackets,
 Nijenhuis towers and module deformations.  All validators run exactly on every
-triple a nonzero constant reaches; the rest vanish term by term, so an accepted
-object genuinely satisfies its axioms.
+triple or pair a nonzero constant reaches; the rest vanish term by term, so an
+accepted object genuinely satisfies its axioms.
 """
 
 from __future__ import annotations
@@ -32,10 +39,23 @@ def _unit(n, i):
     return tuple(1 if k == i else 0 for k in range(n))
 
 
+def _nonzero(v):
+    """The canonical row of a vector: its nonzero (k, q(v_k)) pairs."""
+    return tuple((k, q(x)) for k, x in enumerate(v) if x)
+
+
+def _row(acc):
+    """The canonical row of a {coordinate: value} accumulator."""
+    return tuple((k, q(acc[k])) for k in sorted(acc) if acc[k])
+
+
+def _neg(row):
+    return tuple((k, -v) for k, v in row) if row else row
+
+
 def sparse(t):
-    """s[a][b] = the nonzero (k, v) pairs of the vector t[a][b]."""
-    return tuple(tuple(tuple((k, v) for k, v in enumerate(tab) if v) for tab in ta)
-                 for ta in t)
+    """s[a][b] = the nonzero (k, v) pairs of the vector t[a][b], canonical."""
+    return tuple(tuple(_nonzero(tab) for tab in ta) for ta in t)
 
 
 def dense(s, n):
@@ -52,11 +72,19 @@ def _dense(acc, n):
 
 
 def _add_rows(acc, scale, pairs, rows):
-    """acc += scale * sum of v * rows[l] over the (l, v) in pairs; rows are sparse."""
+    """acc += scale * sum of v * rows[l] over the (l, v) in pairs; rows are
+    sparse.  Returns acc."""
     for l, v in pairs:
         f = scale * v
         for k, w in rows[l]:
             acc[k] = acc.get(k, 0) + f * w
+    return acc
+
+
+def _image(cols, row, n):
+    """M x as a length-n vector, for M given by its sparse columns and x by its
+    sparse row."""
+    return _dense(_add_rows({}, 1, row, cols), n)
 
 
 def cyclic_form(acc, a, b, i, j, k):
@@ -85,51 +113,83 @@ def contract(s, n, x, y):
     return _dense(acc, n)
 
 
-def action_tensor(mats):
-    """t[a][b] = e_a . f_b, the columns of one action matrix per basis vector."""
-    return tuple(tuple(a.col(b) for b in range(a.cols)) for a in mats)
+def zero_rows(p, r):
+    """The rows of the zero p x r tensor."""
+    return (((),) * r,) * p
 
 
-def block_tensor(ca, cb, t1, t2):
-    """Bracket tensor on a + b (a first) with [x, u] = x .1 u - u .2 x.
+def block_rows(sa, sb, s1, s2):
+    """The canonical rows of the bracket on a + b (a first) with
+    [x, u] = x .1 u - u .2 x.
 
-    ca and cb are the structure tensors of a and b, t1[x][u] = x .1 u and
-    t2[u][x] = u .2 x the action tensors of each on the other; the inverse of
-    splitting a twilled algebra into its blocks.
+    sa and sb are the rows of the brackets of a and b, s1[x][u] = x .1 u and
+    s2[u][x] = u .2 x the rows of the actions of each on the other; the inverse
+    of splitting a twilled algebra into its blocks.  Rows of canonical inputs
+    stay canonical: the a coordinates come before the shifted b ones.
     """
-    da, db = len(ca), len(cb)
-    n = da + db
-    za, zb = vec_zero(da), vec_zero(db)
-    c = [[None] * n for _ in range(n)]
-    for i in range(da):
-        for j in range(da):
-            c[i][j] = tuple(ca[i][j]) + zb
-        for u in range(db):
-            v = tuple(-x for x in t2[u][i]) + t1[i][u]
-            c[i][da + u] = v
-            c[da + u][i] = tuple(-x for x in v)
-    for u in range(db):
-        for w in range(db):
-            c[da + u][da + w] = za + cb[u][w]
-    return c
+    da, db = len(sa), len(sb)
+
+    def shift(row):
+        return tuple((da + k, v) for k, v in row)
+
+    top = tuple(sa[i] + tuple(_neg(s2[u][i]) + shift(s1[i][u]) for u in range(db))
+                for i in range(da))
+    return top + tuple(tuple(_neg(top[i][da + u]) for i in range(da)) + tuple(map(shift, sb[u]))
+                       for u in range(db))
+
+
+def transpose_rows(cols, n):
+    """The sparse rows of the n-row matrix with sparse columns `cols`:
+    out[t] holds the (r, v) with (t, v) in cols[r], r ascending."""
+    out = [[] for _ in range(n)]
+    for r, col in enumerate(cols):
+        for t, v in col:
+            out[t].append((r, v))
+    return tuple(map(tuple, out))
+
+
+def action_matrices(s, m):
+    """One m x m Matrix per basis vector, with sparse columns s[i]."""
+    mats = []
+    for cols in s:
+        out = [[0] * m for _ in range(m)]
+        for b, col in enumerate(cols):
+            for r, v in col:
+                out[r][b] = v
+        mats.append(Matrix(out, cols=m))
+    return tuple(mats)
 
 
 class LieAlgebra:
-    """A Lie algebra given by its structure constants, validated on construction."""
+    """A Lie algebra given by its structure constants, validated on
+    construction and stored as the canonical sparse rows `s`."""
 
-    __slots__ = ("dim", "c", "s", "_adjoint")
+    __slots__ = ("dim", "s", "_adjoint")
 
     def __init__(self, dim, bracket):
-        self.dim = dim
-        c = tuple(tuple(vec(bracket[i][j]) for j in range(dim)) for i in range(dim))
+        rows = []
         for i in range(dim):
+            row = []
             for j in range(dim):
-                if len(c[i][j]) != dim:
+                v = bracket[i][j]
+                if len(v) != dim:
                     raise DimensionMismatch("bracket tensor is not dim^3")
-        self.c = c
-        self.s = sparse(c)
+                row.append(_nonzero(v))
+            rows.append(tuple(row))
+        self._set(dim, tuple(rows))
+
+    def _set(self, dim, s):
+        self.dim = dim
+        self.s = s
         self._adjoint = None
         self._validate()
+
+    @classmethod
+    def from_rows(cls, dim, s):
+        """The algebra with the canonical rows s, validated like any other."""
+        g = cls.__new__(cls)
+        g._set(dim, s)
+        return g
 
     @staticmethod
     def from_brackets(dim, entries):
@@ -137,20 +197,28 @@ class LieAlgebra:
 
         The j < i values are filled in by skew symmetry.
         """
-        c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        s = [[()] * dim for _ in range(dim)]
         for (i, j), v in entries.items():
             if not 0 <= i < j < dim:
                 raise DimensionMismatch(f"bad bracket index pair ({i}, {j})")
-            c[i][j] = list(v)
-            c[j][i] = [-q(x) for x in v]
-        return LieAlgebra(dim, c)
+            if len(v) != dim:
+                raise DimensionMismatch("bracket tensor is not dim^3")
+            s[i][j] = _nonzero(v)
+            s[j][i] = _neg(s[i][j])
+        return LieAlgebra.from_rows(dim, tuple(map(tuple, s)))
+
+    @property
+    def c(self):
+        """The dense structure tensor c[i][j] = [e_i, e_j], built on each read."""
+        return dense(self.s, self.dim)
 
     def _validate(self):
-        d, c, s = self.dim, self.c, self.s
+        d, s = self.dim, self.s
         for i in range(d):
             for j in range(i, d):
-                if s[i][j] != tuple((k, -v) for k, v in s[j][i]):
-                    k = next(k for k in range(d) if c[i][j][k] != -c[j][i][k])
+                if s[i][j] != _neg(s[j][i]):
+                    a, b = dict(s[i][j]), dict(s[j][i])
+                    k = min(k for k in a.keys() | b.keys() if a.get(k, 0) != -b.get(k, 0))
                     raise SkewViolation(i, j, k)
         # a term s(e_u, s(e_v, e_w)) needs some l in the support of s[v][w] with
         # s[u][l] nonzero; every triple no such term reaches vanishes term by term
@@ -169,46 +237,63 @@ class LieAlgebra:
         """[x, y] for coordinate vectors x, y."""
         return contract(self.s, self.dim, x, y)
 
-    def bracket_tensor_equal(self, other) -> bool:
-        return self.dim == other.dim and self.c == other.c
-
-    def is_abelian(self) -> bool:
-        return all(is_zero_vec(self.c[i][j]) for i in range(self.dim) for j in range(self.dim))
-
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
 
 
 class Representation:
-    """A Lie algebra action on a module: one matrix per basis vector, and the
-    same action as the tensor t[a][b] = e_a . f_b in the format of LieAlgebra.c,
-    with its sparse form s and the same rows by module basis vector,
-    by_col[b][a] = s[a][b]."""
+    """A Lie algebra action on a module, stored as the canonical sparse rows
+    s[a][b] of e_a . f_b (the format of LieAlgebra.s) and the same rows by
+    module basis vector, by_col[b][a] = s[a][b].  The public constructor takes
+    one action matrix per basis vector."""
 
-    __slots__ = ("algebra", "dim_m", "action", "t", "s", "by_col", "_semidirect", "_dual")
+    __slots__ = ("algebra", "dim_m", "s", "by_col", "_semidirect", "_dual")
 
     def __init__(self, algebra: LieAlgebra, dim_m, action):
-        self.algebra = algebra
-        self.dim_m = dim_m
         mats = tuple(a if isinstance(a, Matrix) else Matrix(a) for a in action)
         if len(mats) != algebra.dim:
             raise DimensionMismatch("one action matrix per algebra basis vector required")
         for a in mats:
             if a.shape() != (dim_m, dim_m):
                 raise DimensionMismatch("action matrix shape mismatch")
-        self.action = mats
-        self.t = action_tensor(mats)
-        self.s = sparse(self.t)
-        self.by_col = tuple(tuple(sa[b] for sa in self.s) for b in range(dim_m))
+        self._set(algebra, dim_m, tuple(a.sparse_cols() for a in mats))
+
+    def _set(self, algebra, dim_m, s):
+        self.algebra = algebra
+        self.dim_m = dim_m
+        self.s = s
+        self.by_col = tuple(tuple(sa[b] for sa in s) for b in range(dim_m))
         self._semidirect = None
         self._dual = None
         self._validate()
 
+    @classmethod
+    def from_rows(cls, algebra: LieAlgebra, dim_m, s):
+        """The module with the canonical action rows s, validated like any other."""
+        rep = cls.__new__(cls)
+        rep._set(algebra, dim_m, s)
+        return rep
+
+    @property
+    def t(self):
+        """The dense action tensor t[a][b] = e_a . f_b, built on each read."""
+        return dense(self.s, self.dim_m)
+
+    @property
+    def action(self):
+        """One action matrix per basis vector, built on each read."""
+        return action_matrices(self.s, self.dim_m)
+
     def _validate(self):
-        """[e_i, e_j] . f_b = e_i . (e_j . f_b) - e_j . (e_i . f_b), column by column."""
+        """[e_i, e_j] . f_b = e_i . (e_j . f_b) - e_j . (e_i . f_b), column by
+        column, on the pairs i < j where [e_i, e_j] is nonzero or both e_i and
+        e_j act: on every other pair each term vanishes."""
         g, s, m, by_col = self.algebra, self.s, self.dim_m, self.by_col
+        acts = [any(sa) for sa in s]
         for i in range(g.dim):
             for j in range(i + 1, g.dim):
+                if not (g.s[i][j] or acts[i] and acts[j]):
+                    continue
                 cols = [{} for _ in range(m)]
                 for b, acc in enumerate(cols):
                     _add_rows(acc, 1, s[j][b], s[i])
@@ -218,38 +303,34 @@ class Representation:
                     raise RepViolation(i, j, Matrix.from_cols([_dense(acc, m) for acc in cols]))
 
     def rho(self, x) -> Matrix:
-        """Matrix of the action of the algebra element with coordinates x."""
-        out = Matrix.zeros(self.dim_m)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.action[i].scale(xi)
-        return out
+        """Matrix of the action of the algebra element with coordinates x:
+        column b is the sum of x_i (e_i . f_b)."""
+        xs = [(i, xi) for i, xi in enumerate(x) if xi]
+        return action_matrices(([_add_rows({}, 1, xs, rows).items() for rows in self.by_col],),
+                               self.dim_m)[0]
 
     def act(self, x, m):
         """x • m for coordinate vectors."""
         return contract(self.s, self.dim_m, x, m)
-
-    def act_basis(self, i, m):
-        return self.action[i].apply(m)
 
     def __repr__(self):
         return f"Representation(dim_g={self.algebra.dim}, dim_m={self.dim_m})"
 
 
 def adjoint(g: LieAlgebra) -> Representation:
-    """The algebra acting on itself by ad_x = [x, -]."""
+    """The algebra acting on itself by ad_x = [x, -]: the rows of g as they are."""
     if g._adjoint is None:
-        mats = [Matrix.from_cols([g.c[i][j] for j in range(g.dim)]) if g.dim else Matrix([])
-                for i in range(g.dim)]
-        g._adjoint = Representation(g, g.dim, mats)
+        g._adjoint = Representation.from_rows(g, g.dim, g.s)
     return g._adjoint
 
 
 def dual_rep(rep: Representation) -> Representation:
     """Dual module: <x • a, m> = -<a, x • m>, so matrices are -rho^T."""
     if rep._dual is None:
-        rep._dual = Representation(
-            rep.algebra, rep.dim_m, [(-a).transpose() for a in rep.action])
+        m = rep.dim_m
+        rep._dual = Representation.from_rows(
+            rep.algebra, m, tuple(tuple(_neg(row) for row in transpose_rows(sa, m))
+                                  for sa in rep.s))
     return rep._dual
 
 
@@ -258,20 +339,15 @@ def coadjoint(g: LieAlgebra) -> Representation:
 
 
 def trivial_rep(g: LieAlgebra, dim_m) -> Representation:
-    return Representation(g, dim_m, [Matrix.zeros(dim_m) for _ in range(g.dim)])
-
-
-def semidirect_tensor(c, t, m):
-    """[(x,m),(y,n)] = (c(x,y), t(x,n) - t(y,m)) on g + M, with dim M = m."""
-    d = len(c)
-    return block_tensor(c, ((vec_zero(m),) * m,) * m, t, ((vec_zero(d),) * d,) * m)
+    return Representation.from_rows(g, dim_m, zero_rows(g.dim, dim_m))
 
 
 def semidirect(rep: Representation) -> LieAlgebra:
     """Semi-direct product on g + M: [(x,m),(y,n)] = ([x,y], x•n - y•m)."""
     if rep._semidirect is None:
-        rep._semidirect = LieAlgebra(rep.algebra.dim + rep.dim_m,
-                                     semidirect_tensor(rep.algebra.c, rep.t, rep.dim_m))
+        d, m = rep.algebra.dim, rep.dim_m
+        rep._semidirect = LieAlgebra.from_rows(
+            d + m, block_rows(rep.algebra.s, zero_rows(m, m), rep.s, zero_rows(m, d)))
     return rep._semidirect
 
 
@@ -382,14 +458,9 @@ def restrict_to_subalgebra(g: LieAlgebra, W: Subspace):
     basis = list(W.rref_rows)
     k = len(basis)
     sub = Subspace(g.dim, basis)
-    c = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            br = g.bracket_vec(basis[a], basis[b])
-            coords = sub.coords(br)
-            for t, v in enumerate(coords):
-                c[a][b][t] = v
-    return LieAlgebra(k, c), basis
+    rows = tuple(tuple(_nonzero(sub.coords(g.bracket_vec(basis[a], basis[b])))
+                       for b in range(k)) for a in range(k))
+    return LieAlgebra.from_rows(k, rows), basis
 
 
 @dataclass
@@ -424,14 +495,9 @@ def quotient(h: LieAlgebra, W: Subspace) -> Quotient:
     projection = Matrix(proj_rows) if k else Matrix([], cols=d)
     section = Matrix.from_cols([_unit(d, ci) for ci in comp]) \
         if k else Matrix([()] * d, cols=0)
-    c = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for a in range(k):
-        for b in range(k):
-            br = h.bracket_vec(section.col(a), section.col(b))
-            pr = projection.apply(br)
-            for t, v in enumerate(pr):
-                c[a][b][t] = v
-    alg = LieAlgebra(k, c)
+    rows = tuple(tuple(_nonzero(projection.apply(h.bracket_vec(section.col(a), section.col(b))))
+                       for b in range(k)) for a in range(k))
+    alg = LieAlgebra.from_rows(k, rows)
     # W is an ideal, so the projection is a homomorphism
     for i in range(d):
         for j in range(i + 1, d):

@@ -21,10 +21,11 @@ from .errors import (
     DimensionMismatch, NotAntisymmetric, NotCompatible,
     NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, oracle,
 )
-from .exactla import Matrix, invert, vec_add, vec_sub
+from .exactla import Matrix, invert, vec, vec_add, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, _add_rows, _dense, _unit, action_tensor, coadjoint,
-    contract, cyclic_form, direct_sum_map, dual_rep, semidirect, semidirect_tensor, sparse,
+    LieAlgebra, Representation, _add_rows, _dense, _image, _row, _unit, action_matrices, block_rows,
+    coadjoint, contract, cyclic_form, dense, direct_sum_map, dual_rep, semidirect, sparse,
+    zero_rows,
 )
 from .ooper import (
     Bivector, are_compatible, bivector_from_sharp, compatibility_defect,
@@ -71,16 +72,16 @@ def is_nijenhuis_nr(g: LieAlgebra, N) -> bool:
     bracket of g: the two sides differ by twice the Nijenhuis torsion of N."""
     if N.shape() != (g.dim, g.dim):
         raise DimensionMismatch("Nijenhuis candidate must be an endomorphism")
-    mu, n = bracket_cochain(g.c), Cochain.from_linmap(N)
+    mu, n = bracket_cochain(g.s), Cochain.from_linmap(N)
     return nr_bracket(nr_bracket(mu, n), n) == nr_bracket(mu, Cochain.from_linmap(N * N))
 
 
-def deformed_tensor(g_c, dim, N: Matrix):
-    """Structure tensor of [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] over any bracket tensor."""
-    s = sparse(g_c)
+def deformed_tensor(s, dim, N: Matrix):
+    """The canonical rows of [x,y]_N = [Nx,y] + [x,Ny] - N[x,y] over the rows s of
+    any bracket tensor."""
     st, cols = tuple(zip(*s)), N.sparse_cols()
-    return [[_dense(deformed_form({}, s, st, cols, cols, i, j), dim) for j in range(dim)]
-            for i in range(dim)]
+    return tuple(tuple(_row(deformed_form({}, s, st, cols, cols, i, j)) for j in range(dim))
+                 for i in range(dim))
 
 
 def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
@@ -88,7 +89,7 @@ def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
     ok, defect = is_nijenhuis(g, N)
     if not ok:
         raise NotNijenhuis(defect)
-    return LieAlgebra(g.dim, deformed_tensor(g.c, g.dim, N))
+    return LieAlgebra.from_rows(g.dim, deformed_tensor(g.s, g.dim, N))
 
 
 def _mixed(a, b, i, j, k):
@@ -98,10 +99,9 @@ def _mixed(a, b, i, j, k):
 
 def mixed_jacobi_defect(dim, a, b):
     """First basis triple i < j < k where C(a, b) + C(b, a) is nonzero, or None,
-    for skew bracket tensors a and b: the mu lam term of the Jacobiator of
-    mu a + lam b."""
-    a_s, b_s = sparse(a), sparse(b)
-    return next((t for t in combinations(range(dim), 3) if any(_mixed(a_s, b_s, *t).values())),
+    for the sparse rows a and b of skew bracket tensors: the mu lam term of the
+    Jacobiator of mu a + lam b."""
+    return next((t for t in combinations(range(dim), 3) if any(_mixed(a, b, *t).values())),
                 None)
 
 
@@ -116,7 +116,7 @@ def nijenhuis_power_props(g: LieAlgebra, N, kmax: int) -> dict:
     powers = [Matrix.identity(g.dim)]
     for _ in range(kmax):
         powers.append(powers[-1] * N)
-    tensors = [deformed_tensor(g.c, g.dim, p) for p in powers]
+    tensors = [deformed_tensor(g.s, g.dim, p) for p in powers]
     cochains = [bracket_cochain(t) for t in tensors]
     pairs = [(k, l) for k in range(kmax + 1) for l in range(kmax + 1)]
     return {
@@ -166,7 +166,8 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
             if tuple(c1[i][j]) != tuple(-x for x in c1[j][i]):
                 return False, "bracket1_skew"
     mu = semidirect(rep).s
-    mu1 = sparse(semidirect_tensor(c1, action_tensor(d.action1), m))
+    mu1 = block_rows(sparse(c1), zero_rows(m, m), tuple(a.sparse_cols() for a in d.action1),
+                     zero_rows(m, dim))
     in_g = list(combinations(range(dim), 3))
     with_m = [(i, j, dim + t) for i, j in combinations(range(dim), 2) for t in range(m)]
     # the mixed term of (mu1, mu1) is 2 C(mu1, mu1)
@@ -185,12 +186,12 @@ def _check_pair_shapes(rep: Representation, N, S):
         raise DimensionMismatch(f"(N, S) of shapes {N.shape()}, {S.shape()} on {rep}")
 
 
-def deformed_action(rep: Representation, N: Matrix, S: Matrix) -> list:
-    """The action rho(Nx) + [rho(x), S], one matrix per basis vector x: s_{N,S}."""
+def deformed_action(rep: Representation, N: Matrix, S: Matrix):
+    """The canonical action rows of rho(Nx) + [rho(x), S]: s_{N,S}."""
     _check_pair_shapes(rep, N, S)
     a, b, m = N.sparse_cols(), S.sparse_cols(), rep.dim_m
-    return [Matrix.from_cols([_dense(deformed_form({}, rep.s, rep.by_col, a, b, i, t), m)
-                              for t in range(m)]) for i in range(rep.algebra.dim)]
+    return tuple(tuple(_row(deformed_form({}, rep.s, rep.by_col, a, b, i, t)) for t in range(m))
+                 for i in range(rep.algebra.dim))
 
 
 def deformation_pair_defect(rep: Representation, N: Matrix, S: Matrix):
@@ -213,8 +214,8 @@ def trivial_deformation_from(rep: Representation, N, S) -> DeformationData:
     if bad is not None:
         raise NotNijenhuisStructure(
             f"pair fails the deformation compatibility identity at {bad}")
-    d = DeformationData.build(g.dim, rep.dim_m, deformed_tensor(g.c, g.dim, N),
-                              deformed_action(rep, N, S))
+    d = DeformationData.build(g.dim, rep.dim_m, dense(deformed_tensor(g.s, g.dim, N), g.dim),
+                              action_matrices(deformed_action(rep, N, S), rep.dim_m))
     ok, which = is_infinitesimal_deformation(rep, d)
     oracle("trivial deformation", ok, True, "condition {which} failed", which=which)
     return d
@@ -231,7 +232,7 @@ def nijenhuis_structure_defect(rep: Representation, N: Matrix, S: Matrix):
         lhs = act(ni, st)
         rhs = vec_sub(vec_add(S.apply(act(ni, mt)), act(ei, S.apply(st))), S.apply(act(ei, st)))
         if lhs != rhs:
-            return (i, t, vec_sub(lhs, rhs))
+            return (i, t, vec(vec_sub(lhs, rhs)))
     return None
 
 
@@ -257,8 +258,8 @@ def _tilde_module(rep: Representation, N, S) -> Representation:
     """The module of tilde_action, for a pair already known to be a Nijenhuis
     structure, so N is Nijenhuis and [.,.]_N needs no second check."""
     g = rep.algebra
-    deformed = LieAlgebra(g.dim, deformed_tensor(g.c, g.dim, N))
-    return Representation(deformed, rep.dim_m, deformed_action(rep, N, -S))
+    deformed = LieAlgebra.from_rows(g.dim, deformed_tensor(g.s, g.dim, N))
+    return Representation.from_rows(deformed, rep.dim_m, deformed_action(rep, N, -S))
 
 
 def _brackets_agree(rep: Representation, T, N, deformed) -> bool:
@@ -323,13 +324,13 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
     for k in range(kmax + 1):
         oracle("hierarchy", brackets[k], deformed_tensor(brackets[0], m, spow[k]),
                "operator bracket (k+l={kl}) != S-deformed", kl=k)
-    g_brackets = [sparse(deformed_tensor(g.c, g.dim, p)) for p in npow]
+    g_brackets = [deformed_tensor(g.s, g.dim, p) for p in npow]
     pairs = list(combinations(range(m), 2))
     for k in range(kmax + 1):
-        cols = [ts[k].col(i) for i in range(m)]
+        cols, tcols = [ts[k].col(i) for i in range(m)], ts[k].sparse_cols()
         for l in range(kmax + 1 - k):
             # T_k [m, n]^{T_{k+l}} = [T_k m, T_k n]_{N^l}
-            oracle("hierarchy", [ts[k].apply(brackets[k + l][i][j]) for i, j in pairs],
+            oracle("hierarchy", [_image(tcols, brackets[k + l][i][j], g.dim) for i, j in pairs],
                    [contract(g_brackets[l], g.dim, cols[i], cols[j]) for i, j in pairs],
                    "bracket identity (k={k}, l={l}) failed", k=k, l=l)
             # the form the compatibility argument rests on: the T_{k+l}-bracket

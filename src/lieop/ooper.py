@@ -30,12 +30,11 @@ from .errors import (
     NotSubalgebra, QuotientError, Singular, oracle,
 )
 from .exactla import (
-    Matrix, column_space_equal, invert, is_zero_vec, kernel, q, vec, vec_add,
-    vec_scale, vec_sub, vec_zero,
+    Matrix, column_space_equal, invert, is_zero_vec, kernel, q, vec_add, vec_scale, vec_zero,
 )
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _add_rows, _dense, _unit, coadjoint, contract,
-    dense, intersect, is_ideal, is_subalgebra, quotient,
+    LieAlgebra, Representation, Subspace, _add_rows, _dense, _image, _nonzero, _row, _unit,
+    coadjoint, contract, dense, intersect, is_ideal, is_subalgebra, quotient,
     restrict_to_subalgebra, semidirect, sparse,
 )
 
@@ -66,24 +65,32 @@ def o_form(acc, g, A, B, P_B, i, j):
     return acc
 
 
-def _o_sides(rep: Representation, T):
+def _o_sides(rep: Representation, T, p=None):
     """((i, j), O(T, T)(m_i, m_j)) for every basis pair i < j, read lazily so a
-    verdict can stop early."""
-    g, p = rep.algebra, o_product(rep, T)
+    verdict can stop early; p is the o_product of T, built here when not given."""
+    g, p = rep.algebra, o_product(rep, T) if p is None else p
     m = rep.dim_m
     for i in range(m):
         for j in range(i + 1, m):
             yield (i, j), o_form({}, g, T, T, p, i, j)
 
 
-def o_residual(rep: Representation, T):
+def o_residual(rep: Representation, T, p=None):
     """Defect [Tm, Tn] - T(Tm.n - Tn.m) for every basis pair m < n."""
     d = rep.algebra.dim
-    return {key: _dense(acc, d) for key, acc in _o_sides(rep, T)}
+    return {key: _dense(acc, d) for key, acc in _o_sides(rep, T, p)}
 
 
-def is_o_operator(rep: Representation, T) -> bool:
-    return not any(any(acc.values()) for _, acc in _o_sides(rep, T))
+def is_o_operator(rep: Representation, T, p=None) -> bool:
+    return not any(any(acc.values()) for _, acc in _o_sides(rep, T, p))
+
+
+def _checked_product(rep: Representation, T):
+    """The o_product P of T, once T is checked from P to be an O-operator."""
+    p = o_product(rep, T)
+    if not is_o_operator(rep, T, p):
+        raise NotOOperator(o_residual(rep, T, p))
+    return p
 
 
 def _check_t_shape(rep, T):
@@ -100,21 +107,28 @@ class OOperator:
     T: Matrix
 
     def __post_init__(self):
-        if not is_o_operator(self.rep, self.T):
-            raise NotOOperator(o_residual(self.rep, self.T))
+        _checked_product(self.rep, self.T)
+
+
+def _bracket_rows(p):
+    """The canonical rows of P[i][j] - P[j][i] for the rows P of a product."""
+    def skew(pij, pji):
+        acc = dict(pij)
+        for k, v in pji:
+            acc[k] = acc.get(k, 0) - v
+        return _row(acc)
+    return tuple(tuple(skew(pij, pji) for pij, pji in zip(pi, pj)) for pi, pj in zip(p, zip(*p)))
 
 
 def induced_tensor(rep: Representation, T):
-    """The bracket tensor of M^T, [m_i, m_j]^T = P[i][j] - P[j][i] for P the
-    o_product of T; not validated."""
-    p, m = dense(o_product(rep, T), rep.dim_m), rep.dim_m
-    return [[vec(vec_sub(p[i][j], p[j][i])) for j in range(m)] for i in range(m)]
+    """The canonical rows of the bracket tensor of M^T,
+    [m_i, m_j]^T = P[i][j] - P[j][i] for P the o_product of T; not validated."""
+    return _bracket_rows(o_product(rep, T))
 
 
 def induced_lie(rep: Representation, T) -> LieAlgebra:
     """The Lie algebra M^T carried by the module of an O-operator."""
-    OOperator(rep, T)
-    return LieAlgebra(rep.dim_m, induced_tensor(rep, T))
+    return LieAlgebra.from_rows(rep.dim_m, _bracket_rows(_checked_product(rep, T)))
 
 
 def graph_check(rep: Representation, T) -> bool:
@@ -278,8 +292,8 @@ def gauge_iso_check(rep: Representation, T, B) -> bool:
     tb = gauge_transform(rep, T, B)
     m = rep.dim_m
     phi = Matrix.identity(m) + B * T
-    ct, ctb = induced_tensor(rep, T), sparse(induced_tensor(rep, tb))
-    return all(phi.apply(ct[i][j]) == contract(ctb, m, phi.col(i), phi.col(j))
+    ct, ctb, cols = induced_tensor(rep, T), induced_tensor(rep, tb), phi.sparse_cols()
+    return all(_image(cols, ct[i][j], m) == contract(ctb, m, phi.col(i), phi.col(j))
                for i, j in combinations(range(m), 2))
 
 
@@ -351,7 +365,7 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
             raise ImageEscapesH(a)
     # induced action of the quotient on A through lifts
     k = qt.algebra.dim
-    mats = []
+    rows = []
     for t in range(k):
         lift_h = qt.section.col(t)
         y = vec_zero(g.dim)
@@ -365,9 +379,9 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
             coords = A.coords(image)
             oracle("mr reduction", coords is not None, True,
                    "induced action does not preserve the annihilator at {w}", w=(y, a))
-            cols.append(coords)
-        mats.append(Matrix.from_cols(cols) if cols else Matrix([], cols=0))
-    reduced_rep = Representation(qt.algebra, len(module_basis), mats)
+            cols.append(_nonzero(coords))
+        rows.append(tuple(cols))
+    reduced_rep = Representation.from_rows(qt.algebra, len(module_basis), tuple(rows))
     tbar_cols = []
     for a in module_basis:
         tbar_cols.append(qt.projection.apply(hsub.coords(T.apply(a))))
@@ -490,8 +504,7 @@ def pre_lie_defect_tensor(dim, p):
 
 def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
     """m box n = T(m) . n."""
-    OOperator(rep, T)
-    return PreLieProduct(rep.dim_m, dense(o_product(rep, T), rep.dim_m))
+    return PreLieProduct(rep.dim_m, dense(_checked_product(rep, T), rep.dim_m))
 
 
 def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:

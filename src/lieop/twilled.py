@@ -24,7 +24,7 @@ from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, on
 from .errors import DimensionMismatch, NotOOperator, NotStrongMC, NotSubalgebra, oracle
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _unit, block_tensor,
+    LieAlgebra, Representation, Subspace, _add_rows, _image, _nonzero, _row, _unit, block_rows,
     check_complementary,
 )
 from .onstruct import ONStructure
@@ -52,7 +52,7 @@ def join(action1: Representation, action2: Representation) -> TwilledLieAlgebra:
     a, b = action1.algebra, action2.algebra
     if action1.dim_m != b.dim or action2.dim_m != a.dim:
         raise DimensionMismatch("each algebra must act on the other")
-    total = LieAlgebra(a.dim + b.dim, block_tensor(a.c, b.c, action1.t, action2.t))
+    total = LieAlgebra.from_rows(a.dim + b.dim, block_rows(a.s, b.s, action1.s, action2.s))
     return TwilledLieAlgebra(total, a.dim, b.dim, a, b, action1, action2)
 
 
@@ -61,36 +61,31 @@ def twilled_new(total: LieAlgebra, a: Subspace, b: Subspace) -> TwilledLieAlgebr
     basis of a followed by b."""
     check_complementary(total.dim, a, b)
     basis = list(a.rref_rows) + list(b.rref_rows)
-    P = Matrix.from_cols(basis)
-    Pinv = invert(P)
+    Pinv = invert(Matrix.from_cols(basis))
     d, da, db = total.dim, a.dim(), b.dim()
-    c = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            c[i][j] = Pinv.apply(total.bracket_vec(basis[i], basis[j]))
+    c = [[_nonzero(Pinv.apply(total.bracket_vec(basis[i], basis[j]))) for j in range(d)]
+         for i in range(d)]
     for i in range(da):
         for j in range(da):
-            if any(x != 0 for x in c[i][j][da:]):
+            if c[i][j] and c[i][j][-1][0] >= da:
                 raise NotSubalgebra(witness=(i, j), which="a")
     for i in range(db):
         for j in range(db):
-            if any(x != 0 for x in c[da + i][da + j][:da]):
+            if c[da + i][da + j] and c[da + i][da + j][0][0] < da:
                 raise NotSubalgebra(witness=(i, j), which="b")
-    a_alg = LieAlgebra(da, [[c[i][j][:da] for j in range(da)]
-                            for i in range(da)])
-    b_alg = LieAlgebra(db, [[c[da + i][da + j][da:] for j in range(db)]
-                            for i in range(db)])
+
+    def b_part(row):
+        return tuple((k - da, v) for k, v in row if k >= da)
+
+    a_alg = LieAlgebra.from_rows(da, tuple(tuple(c[i][:da]) for i in range(da)))
+    b_alg = LieAlgebra.from_rows(db, tuple(tuple(b_part(row) for row in c[da + u][da:])
+                                           for u in range(db)))
     # [x, u] = x .1 u - u .2 x for x in a, u in b
-    act1 = []
-    for i in range(da):
-        act1.append(Matrix.from_cols(
-            [c[i][da + u][da:] for u in range(db)]) if db else Matrix([]))
-    act2 = []
-    for u in range(db):
-        act2.append(Matrix.from_cols(
-            [tuple(-x for x in c[i][da + u][:da]) for i in range(da)])
-            if da else Matrix([]))
-    return join(Representation(a_alg, db, act1), Representation(b_alg, da, act2))
+    act1 = tuple(tuple(b_part(row) for row in c[i][da:]) for i in range(da))
+    act2 = tuple(tuple(tuple((k, -v) for k, v in c[i][da + u] if k < da) for i in range(da))
+                 for u in range(db))
+    return join(Representation.from_rows(a_alg, db, act1),
+                Representation.from_rows(b_alg, da, act2))
 
 
 def swap(tw: TwilledLieAlgebra) -> TwilledLieAlgebra:
@@ -103,16 +98,10 @@ def bar_action(rep: Representation, T) -> Representation:
     `induced_lie` checks that T is an O-operator."""
     g = rep.algebra
     mt = induced_lie(rep, T)
-    mats = []
-    for j in range(rep.dim_m):
-        tm = T.col(j)
-        cols = []
-        for i in range(g.dim):
-            xv = _unit(g.dim, i)
-            cols.append(vec_add(g.bracket_vec(tm, xv),
-                                T.apply(rep.act(xv, _unit(rep.dim_m, j)))))
-        mats.append(Matrix.from_cols(cols))
-    return Representation(mt, g.dim, mats)
+    gt, tcols = tuple(zip(*g.s)), T.sparse_cols()
+    rows = tuple(tuple(_row(_add_rows(_add_rows({}, 1, tcols[j], gt[i]), 1, rep.s[i][j], tcols))
+                       for i in range(g.dim)) for j in range(rep.dim_m))
+    return Representation.from_rows(mt, g.dim, rows)
 
 
 def twilled_from_o(rep: Representation, T) -> TwilledLieAlgebra:
@@ -127,12 +116,12 @@ def cocycle_residual(tw: TwilledLieAlgebra, omega) -> dict:
         raise DimensionMismatch(
             f"solution candidate must map a to b, got {omega.shape()}")
     out = {}
-    da = tw.dim_a
+    da, ocols = tw.dim_a, omega.sparse_cols()
     for i in range(da):
         for j in range(i + 1, da):
             acted = vec_sub(tw.action1.act(_unit(da, i), omega.col(j)),
                             tw.action1.act(_unit(da, j), omega.col(i)))
-            out[(i, j)] = vec_sub(acted, omega.apply(tw.a_algebra.c[i][j]))
+            out[(i, j)] = vec_sub(acted, _image(ocols, tw.a_algebra.s[i][j], tw.dim_b))
     return out
 
 

@@ -79,7 +79,7 @@ def test_one_cocycle_basis_aff1_adjoint():
 
 def test_nr_with_zero_and_endomorphisms():
     g = sl2()
-    mu = bracket_cochain(g.c)
+    mu = bracket_cochain(g.s)
     assert nr_bracket(mu, Cochain.zero(2, 3, 3)).is_zero()
     P = Cochain.from_linmap(Matrix([[1, 2, 0], [0, 1, 0], [3, 0, 0]]))
     Q = Cochain.from_linmap(Matrix([[0, 1, 1], [1, 0, 0], [0, 0, 2]]))
@@ -90,7 +90,7 @@ def test_nr_with_zero_and_endomorphisms():
 
 def test_nr_self_bracket_of_lie_bracket_vanishes():
     for g in (aff1(), h3(), sl2()):
-        mu = bracket_cochain(g.c)
+        mu = bracket_cochain(g.s)
         assert nr_bracket(mu, mu).is_zero()
 
 

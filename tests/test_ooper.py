@@ -64,8 +64,8 @@ def test_ooperator_wrapper():
 
 def test_induced_lie():
     rep = adjoint(aff1())
-    assert induced_lie(rep, Matrix.zeros(2)).is_abelian()
-    assert induced_lie(rep, AFF1_T).is_abelian()
+    assert not any(map(any, induced_lie(rep, Matrix.zeros(2)).s))
+    assert not any(map(any, induced_lie(rep, AFF1_T).s))
     co = coadjoint(aff1())
     mt = induced_lie(co, COADJ_T2)
     # invertible O-operators are isomorphisms onto their image
@@ -242,7 +242,7 @@ def test_mr_reduce_ideal_consequence():
     # E = span{e3} is central, so the annihilator is everything
     assert len(red.module_basis) == 3
     assert red.quotient.algebra.dim == 2
-    assert red.quotient.algebra.is_abelian()
+    assert not any(map(any, red.quotient.algebra.s))
     assert not red.reduced_T.is_zero()
 
 
@@ -287,13 +287,34 @@ def test_are_compatible_evaluates_each_o_identity_once(monkeypatch):
     calls = []
     original = ooper.is_o_operator
 
-    def counted(rep, T):
+    def counted(rep, T, *p):
         calls.append(T)
-        return original(rep, T)
+        return original(rep, T, *p)
 
     monkeypatch.setattr(ooper, "is_o_operator", counted)
     assert are_compatible(coadjoint(aff1()), COADJ_T1, COADJ_T2)
     assert calls == [COADJ_T1, COADJ_T2, COADJ_T1 + COADJ_T2]
+
+
+@pytest.mark.parametrize("build", [induced_lie, pre_lie_from_o])
+def test_products_of_an_o_operator_build_its_pre_lie_rows_once(monkeypatch, build):
+    """induced_lie and pre_lie_from_o check the O-identity from the same rows
+    P = o_product(rep, T) they build their result from."""
+    rep, T = Workspace.load([bundle()]).get("aff1_adj_T", "o_operator").value
+    calls = []
+    original = ooper.o_product
+    monkeypatch.setattr(ooper, "o_product", lambda *args: calls.append(args) or original(*args))
+    build(rep, T)
+    assert len(calls) == 1
+
+
+def test_not_o_operator_residual_is_read_from_the_same_rows():
+    rep = coadjoint(h3())
+    T = Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    for build in (induced_lie, pre_lie_from_o, lambda *args: OOperator(*args)):
+        with pytest.raises(NotOOperator) as ei:
+            build(rep, T)
+        assert ei.value.residual == o_residual(rep, T) and not is_o_operator(rep, T)
 
 
 def test_incompatible_pair_exists():
@@ -491,8 +512,8 @@ def test_o_form_and_induced_tensor_match_reference_loops():
         assert ooper.mixed_residual(rep, t1, t2) == want
         seen["mixed"].add(all(is_zero_vec(v) for v in want.values()))
         bracket = ooper.induced_tensor(rep, t1)
-        assert bracket == [[reference_ind_bracket(rep, t1, _unit(m, i), _unit(m, j))
-                            for j in range(m)] for i in range(m)]
+        assert bracket == sparse([[reference_ind_bracket(rep, t1, _unit(m, i), _unit(m, j))
+                                   for j in range(m)] for i in range(m)])
         lam = rng.choice((0, 1, 2))
         if rng.randrange(2):
             n, s = Matrix.identity(d).scale(lam), Matrix.identity(m).scale(lam)
@@ -500,7 +521,7 @@ def test_o_form_and_induced_tensor_match_reference_loops():
             n = Matrix([[rng.choice((-1, 0, 0, 1)) for _ in range(d)] for _ in range(d)])
             s = Matrix([[rng.choice((-1, 0, 0, 1)) for _ in range(m)] for _ in range(m)])
         deformed = reference_deformed_module_bracket(rep, t1, s)
-        assert deformed_tensor(bracket, m, s) == deformed
+        assert deformed_tensor(bracket, m, s) == sparse(deformed)
         clause = all(reference_ind_bracket(rep, n * t1, _unit(m, i), _unit(m, j))
                      == deformed[i][j] for i, j in itertools.combinations(range(m), 2))
         assert _brackets_agree(rep, t1, n, deformed_tensor(bracket, m, s)) == clause

@@ -40,8 +40,8 @@ def _trivial_module(route):
 
 
 def _flip_on(matrix):
-    """Flip a route only on the calls whose last argument is `matrix`."""
-    return lambda route: lambda *args: (args[-1] == matrix) != route(*args)
+    """Flip a route only on the calls whose second argument is `matrix`."""
+    return lambda route: lambda *args: (args[1] == matrix) != route(*args)
 
 
 def _flip_verdict(route):
