@@ -35,8 +35,8 @@ from .twilled import (
     twilled_new,
 )
 from .gcsholo import (
-    GCSModule, gcs_check_components, gcs_check_direct, gcs_from_complex,
-    gcs_from_invertible_o, gcs_lie_check, gcs_oracle, is_complex_structure,
+    GCSModule, gcs_check_components, gcs_check_direct, gcs_components_grid, gcs_direct_grid,
+    gcs_from_complex, gcs_from_invertible_o, gcs_lie_check, gcs_oracle, is_complex_structure,
     is_holomorphic_o, is_holomorphic_r, is_module_complex_pair, opposite_gcs,
 )
 

@@ -610,7 +610,7 @@ def run_derive(ws: Workspace, kind, args):
     elif kind == "pre-lie-from-o":
         (name,) = args
         p = ooper.pre_lie_from_o(*dep(name, "o_operator").value)
-        new[f"{name}__prelie"] = emit("pre_lie", p.dim, p.p)
+        new[f"{name}__prelie"] = emit("pre_lie", p.dim, liecore.dense(p.s, p.dim))
     else:
         raise WorkspaceError(f"unknown derive kind {kind!r}")
     return new, deps

@@ -2,15 +2,17 @@
 brackets (shuffle bracket on self-valued cochains, derived bracket) that drive
 the Maurer-Cartan checks.
 
-A degree-n cochain stores one target vector per strictly increasing basis
-index tuple; evaluation elsewhere is the alternating extension.  Evaluation on
-a vector accumulates only the nonzero entries of the values its nonzero
-coordinates reach.  The Chevalley-Eilenberg differential and the 1-cocycle
-system read the sparse rows of the bracket and the action, and the system is
-row-reduced as sparse rows.  The circle product, and with it the shuffle and
-derived brackets, pairs each nonzero coordinate of a value of one operand with
-the values of the other that take that coordinate as an argument, so its work
-follows the nonzeros rather than the index tuples of the output.
+A degree-n cochain stores its value on each strictly increasing basis index
+tuple as a canonical sparse row, in the format of `LieAlgebra.s`, and stores no
+zero value; evaluation elsewhere is the alternating extension.  Every builder
+here produces rows, and `Cochain.value` is the one dense read.  Evaluation on a
+vector accumulates only the entries of the values its nonzero coordinates
+reach.  The Chevalley-Eilenberg differential and the 1-cocycle system read the
+sparse rows of the bracket and the action, and the system is row-reduced as
+sparse rows.  The circle product, and with it the shuffle and derived brackets,
+pairs each nonzero coordinate of a value of one operand with the values of the
+other that take that coordinate as an argument, so its work follows the
+nonzeros rather than the index tuples of the output.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatch, LieOpError
-from .exactla import (
-    Matrix, _kernel_from_rref, is_zero_vec, q, rref_maps, vec, vec_add, vec_scale, vec_zero,
-)
+from .exactla import Matrix, _kernel_from_rref, rref_maps, vec
 from .liecore import (
-    LieAlgebra, Representation, _add_rows, _dense, block_rows, transpose_rows, zero_rows,
+    LieAlgebra, Representation, _add_rows, _combine, _dense, _nonzero, _row, block_rows,
+    transpose_rows, zero_rows,
 )
 
 
@@ -36,11 +37,6 @@ def _perm_sign(seq):
     return -1 if inv % 2 else 1
 
 
-def _pairs(v):
-    """The nonzero (index, value) pairs of a vector."""
-    return [(i, x) for i, x in enumerate(v) if x]
-
-
 def _normalize(idxs):
     """(sign, sorted tuple) of an index tuple, or (0, None) on repeats."""
     if len(set(idxs)) != len(idxs):
@@ -50,15 +46,13 @@ def _normalize(idxs):
 
 
 class Cochain:
-    """Alternating multilinear map given by values on increasing index tuples."""
+    """Alternating multilinear map given by its values on strictly increasing
+    index tuples; each nonzero value is stored as a canonical sparse row."""
 
     __slots__ = ("degree", "source_dim", "target_dim", "values")
 
     def __init__(self, degree, source_dim, target_dim, values=None):
-        self.degree = degree
-        self.source_dim = source_dim
-        self.target_dim = target_dim
-        vals = {}
+        rows = {}
         for idx, v in (values or {}).items():
             idx = tuple(idx)
             if len(idx) != degree or any(not 0 <= i < source_dim for i in idx):
@@ -68,9 +62,21 @@ class Cochain:
             v = vec(v)
             if len(v) != target_dim:
                 raise DimensionMismatch("cochain value length mismatch")
-            if not is_zero_vec(v):
-                vals[idx] = v
-        self.values = vals
+            rows[idx] = _nonzero(v)
+        self._set(degree, source_dim, target_dim, rows)
+
+    def _set(self, degree, source_dim, target_dim, rows):
+        self.degree = degree
+        self.source_dim = source_dim
+        self.target_dim = target_dim
+        self.values = {idx: row for idx, row in rows.items() if row}
+
+    @classmethod
+    def from_rows(cls, degree, source_dim, target_dim, rows):
+        """The cochain with the canonical rows `rows`; empty rows are dropped."""
+        f = cls.__new__(cls)
+        f._set(degree, source_dim, target_dim, rows)
+        return f
 
     @staticmethod
     def zero(degree, source_dim, target_dim):
@@ -79,28 +85,12 @@ class Cochain:
     @staticmethod
     def from_linmap(M: Matrix):
         """A linear map as a degree-1 cochain."""
-        return Cochain(1, M.cols, M.rows,
-                       {(j,): M.col(j) for j in range(M.cols)})
-
-    def as_matrix(self) -> Matrix:
-        if self.degree != 1:
-            raise DimensionMismatch("only degree-1 cochains are matrices")
-        return Matrix.from_cols([self.value((j,)) for j in range(self.source_dim)]) \
-            if self.source_dim else Matrix([], cols=0)
+        return Cochain.from_rows(1, M.cols, M.rows,
+                                 {(j,): col for j, col in enumerate(M.sparse_cols())})
 
     def value(self, idx):
-        return self.values.get(tuple(idx), vec_zero(self.target_dim))
-
-    def eval_indices(self, idxs):
-        sign, order = _normalize(tuple(idxs))
-        if sign == 0:
-            return vec_zero(self.target_dim)
-        val = self.value(order)
-        return val if sign == 1 else vec_scale(-1, val)
-
-    def eval_first_vec(self, x, rest):
-        """Evaluate on (x, e_{rest[0]}, ...) with a vector in the first slot."""
-        return _dense(self.add_first({}, 1, _pairs(x), tuple(rest)), self.target_dim)
+        """The value on an increasing index tuple as a dense vector."""
+        return _dense(dict(self.values.get(tuple(idx), ())), self.target_dim)
 
     def add_first(self, acc, scale, pairs, rest):
         """acc += scale * (value on (x, e_{rest[0]}, ...)), for x given by its
@@ -108,33 +98,21 @@ class Cochain:
         for k, xk in pairs:
             sign, order = _normalize((k,) + rest)  # order is None on repeats
             f = scale * sign * xk
-            for i, a in _pairs(self.values.get(order, ())):
+            for i, a in self.values.get(order, ()):
                 acc[i] = acc.get(i, 0) + f * a
         return acc
 
-    def eval_vectors(self, vectors):
-        """Full multilinear alternating evaluation on coordinate vectors."""
-        n = self.degree
-        if len(vectors) != n:
-            raise DimensionMismatch("wrong number of arguments")
-        if n == 0:
-            return self.value(())
-        out = vec_zero(self.target_dim)
-        for idx, val in self.values.items():
-            coeff = _det([[vectors[c][r] for c in range(n)] for r in idx])
-            if coeff:
-                out = vec_add(out, vec_scale(coeff, val))
-        return out
+    def _with(self, rows):
+        return Cochain.from_rows(self.degree, self.source_dim, self.target_dim, rows)
 
     def add(self, other):
         self._compat(other)
-        keys = set(self.values) | set(other.values)
-        return Cochain(self.degree, self.source_dim, self.target_dim,
-                       {k: vec_add(self.value(k), other.value(k)) for k in keys})
+        a, b = self.values, other.values
+        return self._with({k: _combine(a.get(k, ()), 1, b.get(k, ()))
+                           for k in sorted(a.keys() | b.keys())})
 
     def scale(self, c):
-        return Cochain(self.degree, self.source_dim, self.target_dim,
-                       {k: vec_scale(c, v) for k, v in self.values.items()})
+        return self._with({k: _combine((), c, v) for k, v in self.values.items()})
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -158,23 +136,6 @@ class Cochain:
                 f"target={self.target_dim}, nonzero={len(self.values)})")
 
 
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return q(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0])
-    total = 0
-    for c in range(n):
-        a = rows[0][c]
-        if a:
-            minor = [r[:c] + r[c + 1:] for r in rows[1:]]
-            total += (a if c % 2 == 0 else -a) * _det(minor)
-    return q(total)
-
-
 def ce_differential(rep: Representation, f: Cochain) -> Cochain:
     """(d f)(x_1..x_{n+1}) = sum_i (-1)^{i+1} x_i . f(..x_i^..)
     + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..x_i^..x_j^..)."""
@@ -188,9 +149,8 @@ def ce_differential(rep: Representation, f: Cochain) -> Cochain:
     for idx in combinations(range(g.dim), n + 1):
         acc = {}
         for a in range(n + 1):
-            val = f.values.get(idx[:a] + idx[a + 1:])
-            if val:
-                _add_rows(acc, -1 if a % 2 else 1, _pairs(val), rep.s[idx[a]])
+            _add_rows(acc, -1 if a % 2 else 1, f.values.get(idx[:a] + idx[a + 1:], ()),
+                      rep.s[idx[a]])
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
                 br = g.s[idx[a]][idx[b]]
@@ -198,10 +158,8 @@ def ce_differential(rep: Representation, f: Cochain) -> Cochain:
                     rest = tuple(x for t, x in enumerate(idx) if t != a and t != b)
                     # (-1)^{i+j} for 1-based i, j: even a+b in 0-based positions
                     f.add_first(acc, -1 if (a + b) % 2 else 1, br, rest)
-        total = _dense(acc, rep.dim_m)
-        if any(total):
-            out[idx] = total
-    return Cochain(n + 1, g.dim, rep.dim_m, out)
+        out[idx] = _row(acc)
+    return Cochain.from_rows(n + 1, g.dim, rep.dim_m, out)
 
 
 def is_cocycle(rep: Representation, f: Cochain):
@@ -256,19 +214,16 @@ def circle_product(P: Cochain, Q: Cochain) -> Cochain:
         raise DimensionMismatch("operands live on different spaces")
     d = P.source_dim
     n = P.degree + Q.degree - 1
-    # k -> (rest, (-1)^position of k, nonzero (coordinate, value) pairs)
+    # k -> (rest, (-1)^position of k, the row of the value)
     by_arg = {}
-    for idx, val in P.values.items():
-        nz = [(t, x) for t, x in enumerate(val) if x]
+    for idx, nz in P.values.items():
         for a, k in enumerate(idx):
             by_arg.setdefault(k, []).append((idx[:a] + idx[a + 1:], -1 if a % 2 else 1, nz))
     acc = {}
     for first, inner in Q.values.items():
         taken = set(first)
-        for k, y in enumerate(inner):
-            if not y or k not in by_arg:
-                continue
-            for rest, sign, nz in by_arg[k]:
+        for k, y in inner:
+            for rest, sign, nz in by_arg.get(k, ()):
                 if not taken.isdisjoint(rest):
                     continue
                 merged = first + rest
@@ -276,14 +231,7 @@ def circle_product(P: Cochain, Q: Cochain) -> Cochain:
                 out = acc.setdefault(tuple(sorted(merged)), {})
                 for t, x in nz:
                     out[t] = out.get(t, 0) + coeff * x
-    values = {}
-    for idx in sorted(acc):
-        v = [0] * d
-        for t, x in acc[idx].items():
-            v[t] = q(x)
-        if any(v):
-            values[idx] = v
-    return Cochain(n, d, d, values)
+    return Cochain.from_rows(n, d, d, {idx: _row(acc[idx]) for idx in sorted(acc)})
 
 
 def nr_bracket(P: Cochain, Q: Cochain) -> Cochain:
@@ -298,21 +246,7 @@ def bracket_cochain(s) -> Cochain:
     """A skew bracket, given by the sparse rows s[i][j] of [e_i, e_j], as a
     degree-2 self-valued cochain."""
     d = len(s)
-    return Cochain(2, d, d, {(i, j): _dense(dict(s[i][j]), d)
-                             for i in range(d) for j in range(i + 1, d) if s[i][j]})
-
-
-def lie_tensor_from_cochain(mu: Cochain):
-    """Structure constants from a degree-2 self-valued cochain (skew completion)."""
-    d = mu.source_dim
-    c = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = mu.value((i, j))
-            for k, x in enumerate(v):
-                c[i][j][k] = x
-                c[j][i][k] = -x
-    return c
+    return Cochain.from_rows(2, d, d, {(i, j): s[i][j] for i in range(d) for j in range(i + 1, d)})
 
 
 def lift_to_total(P: Cochain, dim_a, dim_b) -> Cochain:
@@ -324,8 +258,8 @@ def lift_to_total(P: Cochain, dim_a, dim_b) -> Cochain:
     if P.source_dim != dim_a or P.target_dim != dim_b:
         raise DimensionMismatch("cochain does not match the splitting")
     d = dim_a + dim_b
-    vals = {idx: vec_zero(dim_a) + v for idx, v in P.values.items()}
-    return Cochain(P.degree, d, d, vals)
+    return Cochain.from_rows(P.degree, d, d, {idx: tuple((dim_a + k, v) for k, v in row)
+                                              for idx, row in P.values.items()})
 
 
 def restrict_to_blocks(R: Cochain, dim_a, dim_b) -> Cochain:
@@ -334,12 +268,11 @@ def restrict_to_blocks(R: Cochain, dim_a, dim_b) -> Cochain:
     for idx in sorted(R.values):
         if idx and idx[-1] >= dim_a:
             continue
-        v = R.values[idx]
-        if any(x != 0 for x in v[:dim_a]):
+        row = R.values[idx]
+        if row[0][0] < dim_a:
             raise LieOpError("derived bracket value escapes the b block")
-        if not is_zero_vec(v[dim_a:]):
-            out[idx] = v[dim_a:]
-    return Cochain(R.degree, dim_a, dim_b, out)
+        out[idx] = tuple((k - dim_a, v) for k, v in row)
+    return Cochain.from_rows(R.degree, dim_a, dim_b, out)
 
 
 def derived_bracket(mu2: Cochain, P: Cochain, Q: Cochain, dim_a, dim_b) -> Cochain:

@@ -203,11 +203,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(a == 0 for r in self.entries for a in r)
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == (1 if i == j else 0)
-            for i in range(self.rows) for j in range(self.cols))
-
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
             return False

@@ -12,7 +12,9 @@ import json
 
 from .cli import emit, lie_algebra_to_json
 from .exactla import Matrix
-from .liecore import LieAlgebra, Representation, adjoint, coadjoint, trivial_rep
+from .liecore import (
+    LieAlgebra, Representation, action_matrices, adjoint, coadjoint, dense, trivial_rep,
+)
 from .onstruct import on_from_compatible_pair, trivial_deformation_from
 from .ooper import Bivector, bivector_from_sharp, pre_lie_from_o
 from .twilled import twilled_from_o
@@ -134,10 +136,11 @@ def bundle() -> dict:
     objects["h3_pn"] = emit("pn_structure", "h3", Bivector.from_pairs(3, {(0, 2): 1}), H3_N)
 
     prelie = pre_lie_from_o(reps["aff1_coadj"], AFF1_COADJ_T2)
-    objects["aff1_prelie"] = emit("pre_lie", 2, prelie.p)
+    objects["aff1_prelie"] = emit("pre_lie", 2, dense(prelie.s, 2))
 
     deform = trivial_deformation_from(reps["aff1_adj"], AFF1_N, AFF1_DEFORM_S)
-    objects["aff1_deform"] = emit("deformation", "aff1_adj", deform.bracket1, deform.action1)
+    objects["aff1_deform"] = emit("deformation", "aff1_adj", dense(deform.bracket1, 2),
+                                  action_matrices(deform.action1, 2))
 
     tw = twilled_from_o(reps["aff1_adj"], AFF1_ADJ_T)
     objects["aff1_tw_total"] = lie_algebra_to_json(tw.total)

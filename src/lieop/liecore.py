@@ -53,9 +53,24 @@ def _neg(row):
     return tuple((k, -v) for k, v in row) if row else row
 
 
+def _combine(a, f, b):
+    """The canonical row of a + f b, for rows a and b."""
+    acc = dict(a)
+    for k, v in b:
+        acc[k] = acc.get(k, 0) + f * v
+    return _row(acc)
+
+
 def sparse(t):
     """s[a][b] = the nonzero (k, v) pairs of the vector t[a][b], canonical."""
     return tuple(tuple(_nonzero(tab) for tab in ta) for ta in t)
+
+
+def sparse_cube(dim, t, what):
+    """sparse(t) for a dim x dim x dim tensor t; any other shape is refused."""
+    if len(t) != dim or any(len(ta) != dim or any(len(v) != dim for v in ta) for ta in t):
+        raise DimensionMismatch(f"{what} tensor is not dim^3")
+    return sparse(t)
 
 
 def dense(s, n):
@@ -167,16 +182,7 @@ class LieAlgebra:
     __slots__ = ("dim", "s", "_adjoint")
 
     def __init__(self, dim, bracket):
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                v = bracket[i][j]
-                if len(v) != dim:
-                    raise DimensionMismatch("bracket tensor is not dim^3")
-                row.append(_nonzero(v))
-            rows.append(tuple(row))
-        self._set(dim, tuple(rows))
+        self._set(dim, sparse_cube(dim, bracket, "bracket"))
 
     def _set(self, dim, s):
         self.dim = dim

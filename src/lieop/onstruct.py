@@ -23,14 +23,14 @@ from .errors import (
 )
 from .exactla import Matrix, invert, vec, vec_add, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, _add_rows, _dense, _image, _row, _unit, action_matrices, block_rows,
-    coadjoint, contract, cyclic_form, dense, direct_sum_map, dual_rep, semidirect, sparse,
+    LieAlgebra, Representation, _add_rows, _dense, _image, _neg, _row, _unit, block_rows,
+    coadjoint, contract, cyclic_form, direct_sum_map, dual_rep, semidirect, sparse_cube,
     zero_rows,
 )
 from .ooper import (
-    Bivector, are_compatible, bivector_from_sharp, compatibility_defect,
+    Bivector, _bracket_rows, are_compatible, bivector_from_sharp, compatibility_defect,
     compatibility_oracle, induced_tensor, is_o_operator, is_r_matrix, mixed_residual,
-    r_sharp,
+    o_product, r_sharp,
 )
 
 
@@ -135,19 +135,22 @@ def nijenhuis_power_props(g: LieAlgebra, N, kmax: int) -> dict:
 
 @dataclass
 class DeformationData:
-    """Linear coefficient of a one-parameter deformation of a module."""
+    """Linear coefficient of a one-parameter deformation of a module, as
+    canonical sparse rows: bracket1[i][j] of [e_i, e_j]_1, in the format of
+    LieAlgebra.s, and action1[i][b] of e_i ._1 f_b, in that of
+    Representation.s.  `build` takes the dense tensor and one matrix per basis
+    vector."""
 
-    bracket1: tuple   # dim^3 tensor, skew in the first two slots
-    action1: tuple    # one matrix per algebra basis vector
+    bracket1: tuple
+    action1: tuple
 
     @staticmethod
     def build(dim, dim_m, bracket1, action1):
-        c = tuple(tuple(tuple(x for x in bracket1[i][j]) for j in range(dim))
-                  for i in range(dim))
         mats = tuple(a if isinstance(a, Matrix) else Matrix(a) for a in action1)
         if len(mats) != dim or any(m.shape() != (dim_m, dim_m) for m in mats):
             raise DimensionMismatch("deformation action shape mismatch")
-        return DeformationData(c, mats)
+        return DeformationData(sparse_cube(dim, bracket1, "deformation bracket"),
+                               tuple(a.sparse_cols() for a in mats))
 
 
 def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
@@ -159,15 +162,11 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
     C(mu, mu1) + C(mu1, mu) and the t^2 term C(mu1, mu1), on triples in g and
     on triples (x, y, m).  Triples with two indices in M vanish identically.
     """
-    dim, m = rep.algebra.dim, rep.dim_m
-    c1 = d.bracket1
-    for i in range(dim):
-        for j in range(dim):
-            if tuple(c1[i][j]) != tuple(-x for x in c1[j][i]):
-                return False, "bracket1_skew"
+    dim, m, s1 = rep.algebra.dim, rep.dim_m, d.bracket1
+    if any(s1[i][j] != _neg(s1[j][i]) for i in range(dim) for j in range(dim)):
+        return False, "bracket1_skew"
     mu = semidirect(rep).s
-    mu1 = block_rows(sparse(c1), zero_rows(m, m), tuple(a.sparse_cols() for a in d.action1),
-                     zero_rows(m, dim))
+    mu1 = block_rows(s1, zero_rows(m, m), d.action1, zero_rows(m, dim))
     in_g = list(combinations(range(dim), 3))
     with_m = [(i, j, dim + t) for i, j in combinations(range(dim), 2) for t in range(m)]
     # the mixed term of (mu1, mu1) is 2 C(mu1, mu1)
@@ -214,8 +213,7 @@ def trivial_deformation_from(rep: Representation, N, S) -> DeformationData:
     if bad is not None:
         raise NotNijenhuisStructure(
             f"pair fails the deformation compatibility identity at {bad}")
-    d = DeformationData.build(g.dim, rep.dim_m, dense(deformed_tensor(g.s, g.dim, N), g.dim),
-                              action_matrices(deformed_action(rep, N, S), rep.dim_m))
+    d = DeformationData(deformed_tensor(g.s, g.dim, N), deformed_action(rep, N, S))
     ok, which = is_infinitesimal_deformation(rep, d)
     oracle("trivial deformation", ok, True, "condition {which} failed", which=which)
     return d
@@ -309,17 +307,21 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
     for _ in range(kmax):
         npow.append(npow[-1] * N)
         spow.append(spow[-1] * S)
-    ts = []
+    # each member's o_product is built once and read by every identity below
+    ts, ps = [], []
     for k in range(kmax + 1):
         tk = oracle("hierarchy", npow[k] * T, T * spow[k], "N^{k} T != T S^{k}", k=k)
-        if k:  # T_0 = T was checked by ONStructure
-            oracle("hierarchy", is_o_operator(rep, tk), True, "T_{k} failed the O-identity", k=k)
         ts.append(tk)
+        ps.append(o_product(rep, tk))
+        if k:  # T_0 = T was checked by ONStructure
+            oracle("hierarchy", is_o_operator(rep, tk, ps[k]), True,
+                   "T_{k} failed the O-identity", k=k)
     for k in range(kmax + 1):
         for l in range(k + 1, kmax + 1):
-            compatible = compatibility_oracle(rep, ts[k], ts[l], mixed_residual(rep, ts[k], ts[l]))
+            compatible = compatibility_oracle(rep, ts[k], ts[l],
+                                              mixed_residual(rep, ts[k], ts[l], ps[k], ps[l]))
             oracle("hierarchy", compatible, True, "T_{k} and T_{l} incompatible", k=k, l=l)
-    brackets = [induced_tensor(rep, t) for t in ts]
+    brackets = [_bracket_rows(p) for p in ps]
     # the T_s-bracket is the S^s-deformed T-bracket, for each s <= kmax
     for k in range(kmax + 1):
         oracle("hierarchy", brackets[k], deformed_tensor(brackets[0], m, spow[k]),

@@ -6,7 +6,8 @@ pairs, and the associated pre-Lie products.
 The O-identity is coded once, as the form O(A, B)(m, n) = [Am, Bn] - A([m, n]^B)
 of `o_form`, read from the sparse rows P[i][j] = T(m_i) . m_j of `o_product`:
 O(T, T) is the O-identity that `o_residual`, `is_o_operator` and the validating
-`OOperator` read, and O(T1, T2) + O(T2, T1) the mixed term of compatible pairs.
+`OOperator` read, and O(T1, T2) + O(T2, T1) the mixed term of compatible pairs;
+`OOperator` keeps P, so what is built from a validated operator reads it again.
 P is also the pre-Lie product of T, and P - P^t the bracket tensor of M^T
 (`induced_tensor`), which every bracket fact about M^T compares.  The Schouten
 square [r, r] is computed from its coordinate formula over the nonzero structure
@@ -20,7 +21,7 @@ compared through `errors.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cohomology import Cochain, is_cocycle
@@ -33,9 +34,9 @@ from .exactla import (
     Matrix, column_space_equal, invert, is_zero_vec, kernel, q, vec_add, vec_scale, vec_zero,
 )
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _add_rows, _dense, _image, _nonzero, _row, _unit,
-    coadjoint, contract, dense, intersect, is_ideal, is_subalgebra, quotient,
-    restrict_to_subalgebra, semidirect, sparse,
+    LieAlgebra, Representation, Subspace, _add_rows, _combine, _dense, _image, _nonzero, _row,
+    _unit, coadjoint, contract, intersect, is_ideal, is_subalgebra, quotient,
+    restrict_to_subalgebra, semidirect, sparse_cube,
 )
 
 
@@ -85,14 +86,6 @@ def is_o_operator(rep: Representation, T, p=None) -> bool:
     return not any(any(acc.values()) for _, acc in _o_sides(rep, T, p))
 
 
-def _checked_product(rep: Representation, T):
-    """The o_product P of T, once T is checked from P to be an O-operator."""
-    p = o_product(rep, T)
-    if not is_o_operator(rep, T, p):
-        raise NotOOperator(o_residual(rep, T, p))
-    return p
-
-
 def _check_t_shape(rep, T):
     if T.shape() != (rep.algebra.dim, rep.dim_m):
         raise DimensionMismatch(
@@ -101,23 +94,24 @@ def _check_t_shape(rep, T):
 
 @dataclass(frozen=True)
 class OOperator:
-    """A validated O-operator T : M -> g."""
+    """A validated O-operator T : M -> g with its o_product p, from which the
+    O-identity was checked."""
 
     rep: Representation
     T: Matrix
+    p: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _checked_product(self.rep, self.T)
+        p = o_product(self.rep, self.T)
+        if not is_o_operator(self.rep, self.T, p):
+            raise NotOOperator(o_residual(self.rep, self.T, p))
+        object.__setattr__(self, "p", p)
 
 
 def _bracket_rows(p):
     """The canonical rows of P[i][j] - P[j][i] for the rows P of a product."""
-    def skew(pij, pji):
-        acc = dict(pij)
-        for k, v in pji:
-            acc[k] = acc.get(k, 0) - v
-        return _row(acc)
-    return tuple(tuple(skew(pij, pji) for pij, pji in zip(pi, pj)) for pi, pj in zip(p, zip(*p)))
+    return tuple(tuple(_combine(pij, -1, pji) for pij, pji in zip(pi, pj))
+                 for pi, pj in zip(p, zip(*p)))
 
 
 def induced_tensor(rep: Representation, T):
@@ -128,7 +122,7 @@ def induced_tensor(rep: Representation, T):
 
 def induced_lie(rep: Representation, T) -> LieAlgebra:
     """The Lie algebra M^T carried by the module of an O-operator."""
-    return LieAlgebra.from_rows(rep.dim_m, _bracket_rows(_checked_product(rep, T)))
+    return LieAlgebra.from_rows(rep.dim_m, _bracket_rows(OOperator(rep, T).p))
 
 
 def graph_check(rep: Representation, T) -> bool:
@@ -320,7 +314,7 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
     E cap h an ideal of h, and T((E cap h)^0_N) inside h.
     """
     g = rep.algebra
-    OOperator(rep, T)
+    p = OOperator(rep, T).p
     try:
         h_alg, h_basis = restrict_to_subalgebra(g, h)
     except NotSubalgebra as exc:
@@ -386,12 +380,11 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
     for a in module_basis:
         tbar_cols.append(qt.projection.apply(hsub.coords(T.apply(a))))
     reduced_T = Matrix.from_cols(tbar_cols) if tbar_cols else Matrix([()] * k, cols=0)
-    OOperator(reduced_rep, reduced_T)
+    reduced = OOperator(reduced_rep, reduced_T)
     # defining property of reducibility: Tbar(m) . n = T(m) . n on A, the
     # pre-Lie products of Tbar and of T, the first read through the basis of A
-    p = o_product(rep, T)
     a_rows = tuple(tuple((k, v) for k, v in enumerate(a) if v) for a in module_basis)
-    for i, row in enumerate(o_product(reduced_rep, reduced_T)):
+    for i, row in enumerate(reduced.p):
         for j, pij in enumerate(row):
             lhs = {}
             _add_rows(lhs, 1, pij, a_rows)
@@ -405,20 +398,17 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
 # compatible pairs
 # ---------------------------------------------------------------------------
 
-def mixed_residual(rep: Representation, T1, T2):
+def mixed_residual(rep: Representation, T1, T2, p1, p2):
     """O(T1, T2) + O(T2, T1) for every basis pair m < n: the mixed term of the
-    O-identity of T1 + T2."""
+    O-identity of T1 + T2, for p1 and p2 the o_products of T1 and T2."""
     g, m = rep.algebra, rep.dim_m
-    p1, p2 = o_product(rep, T1), o_product(rep, T2)
     return {(i, j): _dense(o_form(o_form({}, g, T1, T2, p2, i, j), g, T2, T1, p1, i, j), g.dim)
             for i in range(m) for j in range(i + 1, m)}
 
 
 def compatibility_defect(rep: Representation, T1, T2):
     """The mixed residual of two O-operators, each validated first."""
-    for T in (T1, T2):
-        OOperator(rep, T)
-    return mixed_residual(rep, T1, T2)
+    return mixed_residual(rep, T1, T2, OOperator(rep, T1).p, OOperator(rep, T2).p)
 
 
 def compatibility_oracle(rep: Representation, T1, T2, defects) -> bool:
@@ -449,33 +439,30 @@ def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:
 # ---------------------------------------------------------------------------
 
 class PreLieProduct:
-    """A left pre-Lie product on a coordinate space, validated exactly; `s` is
-    its sparse tensor and `t` the transpose rows, t[k][l] = s[l][k]."""
+    """A left pre-Lie product on a coordinate space, validated exactly and
+    stored as the canonical sparse rows `s` of its tensor, s[i][j] = e_i e_j,
+    and the transpose rows, t[k][l] = s[l][k].  The public constructor takes
+    the dense tensor."""
 
-    __slots__ = ("dim", "p", "s", "t")
+    __slots__ = ("dim", "s", "t")
 
     def __init__(self, dim, tensor):
-        p = tuple(tuple(tuple(q(x) for x in tensor[i][j]) for j in range(dim))
-                  for i in range(dim))
-        for i in range(dim):
-            for j in range(dim):
-                if len(p[i][j]) != dim:
-                    raise DimensionMismatch("pre-Lie tensor is not dim^3")
+        self._set(dim, sparse_cube(dim, tensor, "pre-Lie"))
+
+    def _set(self, dim, s):
         self.dim = dim
-        self.p = p
-        self.s = sparse(p)
-        self.t = tuple(zip(*self.s))
-        bad = pre_lie_defect_tensor(dim, self.s)
+        self.s = s
+        self.t = tuple(zip(*s))
+        bad = pre_lie_defect_tensor(dim, s)
         if bad is not None:
             raise NotPreLie(bad)
 
-    def prod_basis(self, i, j):
-        return self.p[i][j]
-
-    def add(self, other):
-        return PreLieProduct(self.dim, [
-            [vec_add(self.p[i][j], other.p[i][j]) for j in range(self.dim)]
-            for i in range(self.dim)])
+    @classmethod
+    def from_rows(cls, dim, s):
+        """The product with the canonical rows s, validated like any other."""
+        p = cls.__new__(cls)
+        p._set(dim, s)
+        return p
 
 
 def associator_form(acc, a, at, b, i, j, k):
@@ -504,7 +491,8 @@ def pre_lie_defect_tensor(dim, p):
 
 def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
     """m box n = T(m) . n."""
-    return PreLieProduct(rep.dim_m, dense(_checked_product(rep, T), rep.dim_m))
+    rows = tuple(tuple(_row(dict(pij)) for pij in pi) for pi in OOperator(rep, T).p)
+    return PreLieProduct.from_rows(rep.dim_m, rows)
 
 
 def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:
@@ -516,6 +504,7 @@ def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:
     direct = not any(any(associator_form(associator_form({}, p1.s, p1.t, p2.s, *t),
                                          p2.s, p2.t, p1.s, *t).values())
                      for t in _triples(d))
-    sum_tensor = [[vec_add(p1.p[i][j], p2.p[i][j]) for j in range(d)] for i in range(d)]
+    sum_rows = tuple(tuple(_combine(a, 1, b) for a, b in zip(r1, r2))
+                     for r1, r2 in zip(p1.s, p2.s))
     return oracle("pre-Lie compatibility", direct,
-                  pre_lie_defect_tensor(d, sparse(sum_tensor)) is None, "identity={a} sum={b}")
+                  pre_lie_defect_tensor(d, sum_rows) is None, "identity={a} sum={b}")

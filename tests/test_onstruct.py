@@ -15,7 +15,7 @@ from lieop.exactla import Matrix, is_zero_vec, vec_add, vec_sub
 from lieop.fixtures import bundle, h3_rep2
 from lieop.gcsholo import gcs_check_direct
 from lieop.liecore import (
-    LieAlgebra, _unit, adjoint, coadjoint, contract, semidirect, sparse,
+    LieAlgebra, _unit, adjoint, coadjoint, contract, dense, semidirect, sparse, zero_rows,
 )
 from lieop.ooper import Bivector, is_o_operator, is_r_matrix
 from lieop.onstruct import (
@@ -99,6 +99,17 @@ def test_infinitesimal_deformation_zero_and_doubling():
     assert is_infinitesimal_deformation(rep, doubling)[0]
 
 
+@pytest.mark.parametrize("bracket1", [
+    [[(0,), (0,)], [(0,), (0,)]],          # vectors of length 1 at dim 2
+    [[(0, 0), (0, 0)]],                    # one row of two
+    [[(0, 0)], [(0, 0)]],                  # two rows of one
+    [[(0, 0, 0), (0, 0)], [(0, 0), (0, 0)]],
+])
+def test_deformation_bracket_must_be_a_cube(bracket1):
+    with pytest.raises(DimensionMismatch):
+        DeformationData.build(2, 2, bracket1, [Matrix.zeros(2)] * 2)
+
+
 def test_infinitesimal_deformation_rejects_junk():
     rep = adjoint(h3())
     # [e2,e3]_1 = e2 breaks the cocycle condition: the cyclic sum picks up [e1,e2]
@@ -121,9 +132,9 @@ def reference_infinitesimal_deformation(rep, d):
     """The four coefficient conditions as four plain loops over basis vectors."""
     g = rep.algebra
     dim, m = g.dim, rep.dim_m
-    c1 = d.bracket1
-    br1 = partial(contract, sparse(c1), dim)
-    act1 = partial(contract, tuple(a.sparse_cols() for a in d.action1), m)
+    c1 = dense(d.bracket1, dim)
+    br1 = partial(contract, d.bracket1, dim)
+    act1 = partial(contract, d.action1, m)
     for i in range(dim):
         for j in range(dim):
             if tuple(c1[i][j]) != tuple(-x for x in c1[j][i]):
@@ -213,10 +224,10 @@ def test_infinitesimal_deformation_matches_reference_loops():
 def test_trivial_deformation_from():
     rep = adjoint(aff1())
     d = trivial_deformation_from(rep, Matrix.identity(2), Matrix.identity(2))
-    assert d.bracket1 == rep.algebra.c
-    assert list(d.action1) == list(rep.action)
+    assert d.bracket1 == rep.algebra.s
+    assert d.action1 == rep.s
     dz = trivial_deformation_from(rep, Matrix.zeros(2), Matrix.zeros(2))
-    assert all(m.is_zero() for m in dz.action1)
+    assert dz.action1 == zero_rows(2, 2)
     s = Matrix([[1, 0], [-1, 1]])
     d2 = trivial_deformation_from(rep, AFF1_N, s)
     assert is_infinitesimal_deformation(rep, d2)[0]
@@ -304,7 +315,7 @@ def test_on_from_compatible_pair_trivial():
     on0 = on_from_compatible_pair(co, Matrix.zeros(2), COADJ_T2)
     assert on0.N.is_zero() and on0.S.is_zero()
     on1 = on_from_compatible_pair(co, COADJ_T2, COADJ_T2)
-    assert on1.N.is_identity() and on1.S.is_identity()
+    assert on1.N == Matrix.identity(2) and on1.S == Matrix.identity(2)
     with pytest.raises(Singular):
         on_from_compatible_pair(co, COADJ_T2, Matrix.zeros(2))
 
@@ -356,9 +367,9 @@ def test_hierarchy_o_identity_count(monkeypatch):
     calls = []
     original = ooper.is_o_operator
 
-    def counted(rep, T):
+    def counted(rep, T, *p):
         calls.append(T)
-        return original(rep, T)
+        return original(rep, T, *p)
 
     monkeypatch.setattr(ooper, "is_o_operator", counted)
     monkeypatch.setattr(onstruct, "is_o_operator", counted)
@@ -367,6 +378,24 @@ def test_hierarchy_o_identity_count(monkeypatch):
     # per structure: the ON check (T_0), the 6 members T_1..T_6, and T_k + T_l
     # for each of the 21 pairs; no member is checked twice
     assert len(calls) == 3 * (1 + 6 + 21) == 84
+
+
+def test_hierarchy_builds_each_member_product_once(monkeypatch):
+    """hierarchy(h3_on, 6) builds 32 o_products: 4 in the ON check, one per
+    member T_0..T_6, read by every mixed residual and bracket, and one for each
+    of the 21 sums T_k + T_l of the compatibility oracle."""
+    args = Workspace.load([bundle()]).get("h3_on", "on_structure").value
+    calls = []
+    original = ooper.o_product
+
+    def counted(*a):
+        calls.append(a)
+        return original(*a)
+
+    monkeypatch.setattr(ooper, "o_product", counted)
+    monkeypatch.setattr(onstruct, "o_product", counted)
+    hierarchy(*args, 6)
+    assert len(calls) == 4 + 7 + 21 == 32
 
 
 def test_pn_structure():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lieop import ooper
 from lieop.errors import (
-    ImageEscapesH, NotAdmissible, NotCocycle, NotOOperator, NotPreLie,
+    DimensionMismatch, ImageEscapesH, NotAdmissible, NotCocycle, NotOOperator, NotPreLie,
     NotStable, Singular,
 )
 from lieop.cli import Workspace
@@ -15,7 +15,7 @@ from lieop.exactla import Matrix, invert, is_zero_vec, vec_add, vec_sub
 from lieop.fixtures import bundle, standard_fixtures
 from lieop.liecore import (
     LieAlgebra, Subspace, _unit, adjoint, coadjoint, contract, is_subalgebra, semidirect,
-    sparse, trivial_rep,
+    sparse, trivial_rep, zero_rows,
 )
 from lieop.cohomology import one_cocycle_basis
 from lieop.onstruct import _brackets_agree, deformed_tensor
@@ -329,7 +329,7 @@ def test_incompatible_pair_exists():
 def test_nijenhuis_from_pair():
     co = coadjoint(aff1())
     assert nijenhuis_from_pair(co, Matrix.zeros(2), COADJ_T2).is_zero()
-    assert nijenhuis_from_pair(co, COADJ_T2, COADJ_T2).is_identity()
+    assert nijenhuis_from_pair(co, COADJ_T2, COADJ_T2) == Matrix.identity(2)
     n = nijenhuis_from_pair(co, COADJ_T1, COADJ_T2)
     assert n == COADJ_T1 * invert(COADJ_T2)
     with pytest.raises(Singular):
@@ -364,13 +364,11 @@ def test_invertible_pair_nijenhuis_equivalence():
 
 def test_pre_lie_from_o():
     rep = adjoint(aff1())
-    zero = pre_lie_from_o(rep, Matrix.zeros(2))
-    assert all(is_zero_vec(zero.p[i][j]) for i in range(2) for j in range(2))
+    assert pre_lie_from_o(rep, Matrix.zeros(2)).s == zero_rows(2, 2)
     p = pre_lie_from_o(rep, AFF1_T)
-    assert p.prod_basis(0, 0) == (0, -1)   # T(e1) . e1 = [e2, e1] = -e2
-    assert p.prod_basis(0, 1) == (0, 0)
-    triv = pre_lie_from_o(trivial_rep(aff1(), 2), Matrix.zeros(2))
-    assert all(is_zero_vec(triv.p[i][j]) for i in range(2) for j in range(2))
+    assert p.s[0][0] == ((1, -1),)   # T(e1) . e1 = [e2, e1] = -e2
+    assert p.s[0][1] == ()
+    assert pre_lie_from_o(trivial_rep(aff1(), 2), Matrix.zeros(2)).s == zero_rows(2, 2)
 
 
 def test_pre_lie_validation():
@@ -378,6 +376,17 @@ def test_pre_lie_validation():
     with pytest.raises(NotPreLie):
         # e1 * e1 = e2, e2 * e1 = e1 fails associator symmetry
         PreLieProduct(2, [[(0, 1), (0, 0)], [(1, 0), (0, 0)]])
+
+
+@pytest.mark.parametrize("tensor", [
+    [[(0, 0), (0, 0)]],                    # one row of two
+    [[(0, 0)], [(0, 0)]],                  # two rows of one
+    [[(0,), (0,)], [(0,), (0,)]],          # vectors of length 1
+    [[(0, 0), (0, 0)], [(0, 0), (0, 0)], [(0, 0), (0, 0)]],
+])
+def test_pre_lie_product_must_be_a_cube(tensor):
+    with pytest.raises(DimensionMismatch):
+        ooper.PreLieProduct(2, tensor)
 
 
 def test_fixture_operators_are_morphisms():
@@ -509,7 +518,8 @@ def test_o_form_and_induced_tensor_match_reference_loops():
         assert is_o_operator(rep, t1) == all(is_zero_vec(v) for v in want.values())
         seen["o"].add(is_o_operator(rep, t1))
         want = reference_mixed_residual(rep, t1, t2)
-        assert ooper.mixed_residual(rep, t1, t2) == want
+        p1, p2 = ooper.o_product(rep, t1), ooper.o_product(rep, t2)
+        assert ooper.mixed_residual(rep, t1, t2, p1, p2) == want
         seen["mixed"].add(all(is_zero_vec(v) for v in want.values()))
         bracket = ooper.induced_tensor(rep, t1)
         assert bracket == sparse([[reference_ind_bracket(rep, t1, _unit(m, i), _unit(m, j))

@@ -1,0 +1,69 @@
+"""Every function and method of the package has a caller in the package or in
+the benchmark: a helper only the tests call is test code living in src/."""
+
+import ast
+from pathlib import Path
+
+import lieop
+
+SRC = Path(lieop.__file__).parent
+PERFBENCH = SRC.parents[1] / "perfbench"
+# `main` is a pyproject script and `write_bundle` is documented in the README
+ALLOWED = {"main", "write_bundle"}
+
+
+class _Names(ast.NodeVisitor):
+    """The functions defined in a module and the names it refers to outside the
+    body of a function of the same name.  An imported name counts, so an export
+    from the package is a reference, and so does a string constant, since the
+    benchmark patches functions by name."""
+
+    def __init__(self):
+        self.defined, self.used, self.inside = [], set(), []
+
+    def _function(self, node):
+        self.defined.append((node.name, node.lineno))
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _function
+
+    def _use(self, name):
+        if name not in self.inside:
+            self.used.add(name)
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        self._use(node.asname or node.name)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str):
+            self._use(node.value)
+
+
+def _scan(paths):
+    defined, used = [], set()
+    for path in paths:
+        names = _Names()
+        names.visit(ast.parse(path.read_text(encoding="utf-8")))
+        defined += [(f"{path.name}:{line}", name) for name, line in names.defined]
+        used |= names.used
+    return defined, used
+
+
+def test_every_function_in_src_has_a_caller_outside_the_tests():
+    src = sorted(SRC.glob("*.py"))
+    defined, used = _scan(src)
+    _, bench_used = _scan(sorted(PERFBENCH.glob("*.py")))
+    assert len(defined) > 100
+    unused = [f"{where} {name}" for where, name in defined
+              if not (name.startswith("__") and name.endswith("__")) and name not in ALLOWED
+              and name not in used | bench_used]
+    assert unused == []
