@@ -28,9 +28,8 @@ from .liecore import (
     zero_rows,
 )
 from .ooper import (
-    Bivector, _bracket_rows, are_compatible, bivector_from_sharp, compatibility_defect,
-    compatibility_oracle, induced_tensor, is_o_operator, is_r_matrix, mixed_residual,
-    o_product, r_sharp,
+    Bivector, _bracket_rows, bivector_from_sharp, compatibility_defect, compatibility_oracle,
+    induced_tensor, is_o_operator, is_r_matrix, mixed_residual, o_product, r_sharp,
 )
 
 
@@ -167,13 +166,14 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
         return False, "bracket1_skew"
     mu = semidirect(rep).s
     mu1 = block_rows(s1, zero_rows(m, m), d.action1, zero_rows(m, dim))
-    in_g = list(combinations(range(dim), 3))
-    with_m = [(i, j, dim + t) for i, j in combinations(range(dim), 2) for t in range(m)]
-    # the mixed term of (mu1, mu1) is 2 C(mu1, mu1)
-    for name, a, b, triples in (("two_cocycle", mu, mu1, in_g),
-                                ("bracket1_jacobi", mu1, mu1, in_g),
-                                ("action1_rep", mu1, mu1, with_m),
-                                ("mixed_module", mu, mu1, with_m)):
+    # the mixed term of (mu1, mu1) is 2 C(mu1, mu1); each condition walks its
+    # triples, in g or (x, y, m), from a fresh generator
+    for name, a, b, with_m in (("two_cocycle", mu, mu1, False),
+                               ("bracket1_jacobi", mu1, mu1, False),
+                               ("action1_rep", mu1, mu1, True),
+                               ("mixed_module", mu, mu1, True)):
+        triples = ((i, j, dim + t) for i, j in combinations(range(dim), 2) for t in range(m)) \
+            if with_m else combinations(range(dim), 3)
         if any(any(_mixed(a, b, *t).values()) for t in triples):
             return False, name
     return True, None
@@ -268,11 +268,11 @@ def _brackets_agree(rep: Representation, T, N, deformed) -> bool:
 
 def is_on_structure(rep: Representation, T, N, S):
     """Clause-by-clause ON-structure verdict with a defect report."""
-    report = {}
-    report["o_operator"] = is_o_operator(rep, T)
+    p, report = o_product(rep, T), {}
+    report["o_operator"] = is_o_operator(rep, T, p)
     report["nijenhuis_structure"] = is_nijenhuis_structure(rep, N, S)
     report["intertwine"] = (N * T == T * S)
-    deformed = deformed_tensor(induced_tensor(rep, T), rep.dim_m, S)
+    deformed = deformed_tensor(_bracket_rows(p), rep.dim_m, S)
     report["bracket_equality"] = _brackets_agree(rep, T, N, deformed)
     verdict = all(report.values())
     if verdict:
@@ -322,10 +322,6 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
                                               mixed_residual(rep, ts[k], ts[l], ps[k], ps[l]))
             oracle("hierarchy", compatible, True, "T_{k} and T_{l} incompatible", k=k, l=l)
     brackets = [_bracket_rows(p) for p in ps]
-    # the T_s-bracket is the S^s-deformed T-bracket, for each s <= kmax
-    for k in range(kmax + 1):
-        oracle("hierarchy", brackets[k], deformed_tensor(brackets[0], m, spow[k]),
-               "operator bracket (k+l={kl}) != S-deformed", kl=k)
     g_brackets = [deformed_tensor(g.s, g.dim, p) for p in npow]
     pairs = list(combinations(range(m), 2))
     for k in range(kmax + 1):
@@ -336,17 +332,17 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
                    [contract(g_brackets[l], g.dim, cols[i], cols[j]) for i, j in pairs],
                    "bracket identity (k={k}, l={l}) failed", k=k, l=l)
             # the form the compatibility argument rests on: the T_{k+l}-bracket
-            # is the S^l-deformation of the T_k one (at k = 0, the check above)
-            if k:
-                oracle("hierarchy", brackets[k + l], deformed_tensor(brackets[k], m, spow[l]),
-                       "deformation identity (k={k}, l={l}) failed", k=k, l=l)
+            # is the S^l-deformation of the T_k one
+            oracle("hierarchy", brackets[k + l], deformed_tensor(brackets[k], m, spow[l]),
+                   "deformation identity (k={k}, l={l}) failed", k=k, l=l)
     return ts
 
 
 def on_from_compatible_pair(rep: Representation, T1, T2) -> ONStructure:
     """(T2, T1 T2^{-1}, T2^{-1} T1) from a compatible pair with T2 invertible."""
-    if not are_compatible(rep, T1, T2):
-        raise NotCompatible(compatibility_defect(rep, T1, T2))
+    defects = compatibility_defect(rep, T1, T2)
+    if not compatibility_oracle(rep, T1, T2, defects):
+        raise NotCompatible(defects)
     t2inv = invert(T2)
     return ONStructure(rep, T2, T1 * t2inv, t2inv * T1)
 

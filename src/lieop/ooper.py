@@ -5,9 +5,10 @@ pairs, and the associated pre-Lie products.
 
 The O-identity is coded once, as the form O(A, B)(m, n) = [Am, Bn] - A([m, n]^B)
 of `o_form`, read from the sparse rows P[i][j] = T(m_i) . m_j of `o_product`:
-O(T, T) is the O-identity that `o_residual`, `is_o_operator` and the validating
-`OOperator` read, and O(T1, T2) + O(T2, T1) the mixed term of compatible pairs;
-`OOperator` keeps P, so what is built from a validated operator reads it again.
+O(T, T) is the O-identity, read on every pair by `o_residual` and up to the first
+failing one by `o_defect` (behind `is_o_operator`, `graph_oracle` and `OOperator`),
+and O(T1, T2) + O(T2, T1) the mixed term of compatible pairs; `OOperator` keeps
+P, so what is built from a validated operator reads it again.
 P is also the pre-Lie product of T, and P - P^t the bracket tensor of M^T
 (`induced_tensor`), which every bracket fact about M^T compares.  The Schouten
 square [r, r] is computed from its coordinate formula over the nonzero structure
@@ -66,24 +67,27 @@ def o_form(acc, g, A, B, P_B, i, j):
     return acc
 
 
-def _o_sides(rep: Representation, T, p=None):
-    """((i, j), O(T, T)(m_i, m_j)) for every basis pair i < j, read lazily so a
-    verdict can stop early; p is the o_product of T, built here when not given."""
-    g, p = rep.algebra, o_product(rep, T) if p is None else p
-    m = rep.dim_m
-    for i in range(m):
-        for j in range(i + 1, m):
-            yield (i, j), o_form({}, g, T, T, p, i, j)
-
-
 def o_residual(rep: Representation, T, p=None):
-    """Defect [Tm, Tn] - T(Tm.n - Tn.m) for every basis pair m < n."""
-    d = rep.algebra.dim
-    return {key: _dense(acc, d) for key, acc in _o_sides(rep, T, p)}
+    """Defect [Tm, Tn] - T(Tm.n - Tn.m) for every basis pair m < n; p is the
+    o_product of T, built here when not given."""
+    g, p = rep.algebra, o_product(rep, T) if p is None else p
+    return {(i, j): _dense(o_form({}, g, T, T, p, i, j), g.dim)
+            for i, j in combinations(range(rep.dim_m), 2)}
+
+
+def o_defect(rep: Representation, T, p=None):
+    """The first basis pair (i, j), i < j, with O(T, T)(m_i, m_j) nonzero and
+    that vector, or None for an O-operator; p as in `o_residual`."""
+    g, p = rep.algebra, o_product(rep, T) if p is None else p
+    for i, j in combinations(range(rep.dim_m), 2):
+        acc = o_form({}, g, T, T, p, i, j)
+        if any(acc.values()):
+            return (i, j), _dense(acc, g.dim)
+    return None
 
 
 def is_o_operator(rep: Representation, T, p=None) -> bool:
-    return not any(any(acc.values()) for _, acc in _o_sides(rep, T, p))
+    return o_defect(rep, T, p) is None
 
 
 def _check_t_shape(rep, T):
@@ -136,10 +140,11 @@ def graph_check(rep: Representation, T) -> bool:
     return all(T.apply(v[d:]) == v[:d] for v in brackets)
 
 
-def graph_oracle(rep: Representation, T) -> bool:
-    """is_o_operator computed both directly and through the graph; must agree."""
-    return oracle("o-operator graph characterization", is_o_operator(rep, T),
-                  graph_check(rep, T), "direct={a} graph={b}")
+def graph_oracle(rep: Representation, T):
+    """(is_o_operator, o_defect) of T, the direct verdict checked against the graph."""
+    defect = o_defect(rep, T)
+    return oracle("o-operator graph characterization", defect is None, graph_check(rep, T),
+                  "direct={a} graph={b}"), defect
 
 
 def structure_report(rep: Representation, T) -> dict:
@@ -425,8 +430,9 @@ def are_compatible(rep: Representation, T1, T2) -> bool:
 
 def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:
     """N = T1 T2^{-1} for a compatible pair with T2 invertible."""
-    if not are_compatible(rep, T1, T2):
-        raise NotCompatible(compatibility_defect(rep, T1, T2))
+    defects = compatibility_defect(rep, T1, T2)
+    if not compatibility_oracle(rep, T1, T2, defects):
+        raise NotCompatible(defects)
     n = T1 * invert(T2)
     from .onstruct import is_nijenhuis
     ok, defect = is_nijenhuis(rep.algebra, n)

@@ -6,7 +6,7 @@ import pytest
 from lieop import gcsholo, ooper, twilled
 from lieop.cli import MAX_HIERARCHY_DEPTH, Workspace, build_report, main
 from lieop.errors import OracleDisagreement
-from lieop.fixtures import bundle_json
+from lieop.fixtures import bundle, bundle_json
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,60 @@ def test_check_invalid_gcs_runs_each_route_once(bundle_file, tmp_path, capsys, m
     code, out = run(capsys, "check", "gcs", "J0", "--input", bundle_file, str(p))
     assert code == 1 and "failed identities: [" in out
     assert sorted(calls) == ["components report", "direct"]
+
+
+def _count(monkeypatch, module, name):
+    """Wrap module.<name> and record the arguments of each call."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def _write(tmp_path, objects, *bundle_names):
+    """A document of `objects` beside the named bundle objects."""
+    p = tmp_path / "extra.json"
+    kept = {n: bundle()["objects"][n] for n in bundle_names}
+    p.write_text(json.dumps({"objects": {**kept, **objects}}), encoding="utf-8")
+    return str(p)
+
+
+def test_check_invalid_o_operator_prints_the_deciding_witness(bundle_file, tmp_path, capsys,
+                                                              monkeypatch):
+    """The witness is the first failing pair of the walk that decided the
+    verdict: no full residual and one pre-Lie product."""
+    p = _write(tmp_path, {"aff1_adj_id": {"kind": "o_operator", "rep_ref": "aff1_adj",
+                                          "matrix": [["1", "0"], ["0", "1"]]}})
+    residuals = _count(monkeypatch, ooper, "o_residual")
+    products = _count(monkeypatch, ooper, "o_product")
+    code, out = run(capsys, "check", "o-operator", "aff1_adj_id", "--input", bundle_file, p)
+    assert code == 1 and out.endswith("invalid first defect at (0, 1): ['0', '-1']\n")
+    assert len(residuals) == 0 and len(products) == 1
+
+
+def test_check_incompatible_pair_computes_the_mixed_residual_once(bundle_file, tmp_path,
+                                                                  capsys, monkeypatch):
+    p = _write(tmp_path, {
+        "t1": {"kind": "o_operator", "rep_ref": "h3_coadj",
+               "matrix": [["0", "0", "-1"], ["0", "0", "-1"], ["0", "-1", "-1"]]},
+        "t2": {"kind": "o_operator", "rep_ref": "h3_coadj",
+               "matrix": [["0", "0", "-1"], ["0", "1", "1"], ["1", "-1", "1"]]}})
+    calls = _count(monkeypatch, ooper, "compatibility_defect")
+    code, out = run(capsys, "check", "compatible", "t1", "t2", "--input", bundle_file, p)
+    assert code == 1 and "first defect at (1, 2)" in out
+    assert len(calls) == 1
+
+
+def test_validate_weak_only_mc_runs_the_mc_routes_once(tmp_path, capsys, monkeypatch):
+    """Strong and weak verdicts come from one strong_mc_check: one derived
+    bracket for a solution that is weak but not strong."""
+    p = _write(tmp_path, {"weak": {"kind": "mc_solution", "twilled_ref": "aff1_tw",
+                                   "omega": [["0", "-1"], ["1", "0"]]}},
+               "aff1_tw", "aff1_tw_total")
+    calls = _count(monkeypatch, twilled, "derived_bracket")
+    code, out = run(capsys, "validate", "--input", p)
+    assert code == 0 and "weak [mc_solution] valid (weak only)" in out
+    assert len(calls) == 1
 
 
 def test_check_missing_name(bundle_file, capsys):

@@ -381,7 +381,7 @@ def test_hierarchy_o_identity_count(monkeypatch):
 
 
 def test_hierarchy_builds_each_member_product_once(monkeypatch):
-    """hierarchy(h3_on, 6) builds 32 o_products: 4 in the ON check, one per
+    """hierarchy(h3_on, 6) builds 31 o_products: 3 in the ON check, one per
     member T_0..T_6, read by every mixed residual and bracket, and one for each
     of the 21 sums T_k + T_l of the compatibility oracle."""
     args = Workspace.load([bundle()]).get("h3_on", "on_structure").value
@@ -395,7 +395,7 @@ def test_hierarchy_builds_each_member_product_once(monkeypatch):
     monkeypatch.setattr(ooper, "o_product", counted)
     monkeypatch.setattr(onstruct, "o_product", counted)
     hierarchy(*args, 6)
-    assert len(calls) == 4 + 7 + 21 == 32
+    assert len(calls) == 3 + 7 + 21 == 31
 
 
 def test_pn_structure():
@@ -457,15 +457,22 @@ def test_on_check_runs_nijenhuis_on_the_algebra_once(monkeypatch):
 
 def test_on_check_builds_the_s_deformed_bracket_once(monkeypatch):
     """The bracket clause and the tilde oracle share one S-deformed bracket: two
-    deformed_tensor calls (that one and [.,.]_N for the tilde module) and four
-    pre-Lie products (the O-identity, M^T, M^{NT} and the tilde module's)."""
+    deformed_tensor calls (that one and [.,.]_N for the tilde module) and three
+    pre-Lie products (T's, read by the O-identity and M^T, M^{NT}'s and the
+    tilde module's)."""
     rep, T, N, S = Workspace.load([bundle()]).get("h3_on", "on_structure").value
     deformed = _count_calls(monkeypatch, "deformed_tensor", lambda *args: True)
     products = []
     o_product = ooper.o_product
-    monkeypatch.setattr(ooper, "o_product", lambda *a: products.append(a) or o_product(*a))
+
+    def counted(*a):
+        products.append(a)
+        return o_product(*a)
+
+    monkeypatch.setattr(ooper, "o_product", counted)
+    monkeypatch.setattr(onstruct, "o_product", counted)
     ok, _ = is_on_structure(rep, T, N, S)
-    assert ok and len(deformed) == 2 and len(products) == 4
+    assert ok and len(deformed) == 2 and len(products) == 3
 
 
 def test_pn_check_runs_the_shared_bracket_clause_once(monkeypatch):

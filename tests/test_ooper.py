@@ -81,8 +81,9 @@ def test_graph_oracle_examples():
     assert graph_check(rep, Matrix.zeros(2))
     assert graph_check(rep, AFF1_T)
     assert not graph_check(rep, Matrix.identity(2))
-    for T in (Matrix.zeros(2), AFF1_T, Matrix.identity(2)):
-        graph_oracle(rep, T)
+    assert graph_oracle(rep, Matrix.zeros(2)) == (True, None)
+    assert graph_oracle(rep, AFF1_T) == (True, None)
+    assert graph_oracle(rep, Matrix.identity(2)) == (False, ((0, 1), (0, -1)))
 
 
 def reference_graph_check(rep, T):
@@ -119,7 +120,7 @@ def test_graph_check_does_not_read_the_o_identity(monkeypatch):
     def refuse(*args):
         raise AssertionError("the graph route read the O-identity coding")
 
-    for name in ("o_product", "o_form", "_o_sides"):
+    for name in ("o_product", "o_form", "o_defect"):
         monkeypatch.setattr(ooper, name, refuse)
     rep = adjoint(aff1())
     assert graph_check(rep, AFF1_T)

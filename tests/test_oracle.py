@@ -166,3 +166,26 @@ def test_only_the_cli_imports_random():
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if path.name != "cli.py" and "random" in _imported_modules(path)]
     assert offenders == []
+
+
+def _referenced_names(func):
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(func) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _functions(path):
+    return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_a_verdict_and_its_witness_come_from_one_evaluation():
+    """The command line prints the witness the library returned with the
+    verdict, and no function decides compatibility and then recomputes the
+    mixed residual it was decided from."""
+    src = Path(lieop.__file__).parent
+    (check_entry,) = [f for f in _functions(src / "cli.py") if f.name == "check_entry"]
+    assert not _referenced_names(check_entry) & {"o_residual", "mc_check"}
+    offenders = [f"{path.name}:{f.name}" for path in sorted(src.glob("*.py"))
+                 for f in _functions(path)
+                 if {"are_compatible", "compatibility_defect"} <= _referenced_names(f)]
+    assert offenders == []
