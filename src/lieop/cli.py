@@ -95,9 +95,11 @@ def ref(ws, dims, key, x, kind):
 
 
 def matrix(ws, dims, key, x, shape=""):
-    """A matrix of shape (dims[shape[0]], dims[shape[1]]); any shape if ""."""
+    """A matrix of shape (dims[shape[0]], dims[shape[1]]); any shape if "".  The
+    string "0", most entries of a sparse operator, is read without parsing."""
     want = tuple(dims[c] for c in shape)
-    m = Matrix([[parse_scalar(a) for a in _list(row, "matrix row")] for row in _list(x, key)],
+    m = Matrix([[0 if a == "0" else parse_scalar(a) for a in _list(row, "matrix row")]
+                for row in _list(x, key)],
                cols=want[1] if want else None)
     if want and m.shape() != want:
         raise WorkspaceError(f"matrix has shape {m.shape()}, expected {want}")
@@ -381,9 +383,8 @@ def check_entry(ws: Workspace, entry: Entry):
         g, r = value
         if g is None:
             return True, "antisymmetry validated on load"
-        verdict = ooper.lemma_r_equiv(g, r)
-        return verdict, "" if verdict else \
-            f"[r,r] has support {sorted(ooper.schouten_self(g, r))}"
+        verdict, support = ooper.r_matrix_defect(g, r)
+        return verdict, "" if verdict else f"[r,r] has support {support}"
     if kind == "o_operator":
         verdict, defect = ooper.graph_oracle(*value)
         return verdict, "" if verdict else _first_defect(dict([defect]))

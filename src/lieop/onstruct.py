@@ -21,11 +21,10 @@ from .errors import (
     DimensionMismatch, NotAntisymmetric, NotCompatible,
     NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, oracle,
 )
-from .exactla import Matrix, invert, vec, vec_add, vec_sub
+from .exactla import Matrix, invert
 from .liecore import (
-    LieAlgebra, Representation, _add_rows, _dense, _image, _neg, _row, _unit, block_rows,
-    coadjoint, contract, cyclic_form, direct_sum_map, dual_rep, semidirect, sparse_cube,
-    zero_rows,
+    LieAlgebra, Representation, _add_rows, _dense, _image, _neg, _row, block_rows, coadjoint,
+    contract, cyclic_form, direct_sum_map, dual_rep, semidirect, sparse_cube, zero_rows,
 )
 from .ooper import (
     Bivector, _bracket_rows, bivector_from_sharp, compatibility_defect, compatibility_oracle,
@@ -222,15 +221,21 @@ def trivial_deformation_from(rep: Representation, N, S) -> DeformationData:
 def nijenhuis_structure_defect(rep: Representation, N: Matrix, S: Matrix):
     """First (i, t, lhs - rhs) of N(x).S(m) = S(Nx.m) + x.S^2 m - S(x.Sm) that is
     nonzero on the basis pairs x = e_i, m = m_t, or None.  It is coded apart
-    from `deformed_form`, as the direct route of the Nijenhuis-structure oracle."""
+    from `deformed_form`, as the direct route of the Nijenhuis-structure oracle:
+    lhs - rhs = sum over (k, n_k) in N e_i of n_k e_k.S m_t
+    + S(e_i.S m_t - N e_i.m_t) - e_i.S^2 m_t, read from the action rows."""
     _check_pair_shapes(rep, N, S)
-    d, m, act = rep.algebra.dim, rep.dim_m, rep.act
-    for i, t in product(range(d), range(m)):
-        ei, ni, mt, st = _unit(d, i), N.col(i), _unit(m, t), S.col(t)
-        lhs = act(ni, st)
-        rhs = vec_sub(vec_add(S.apply(act(ni, mt)), act(ei, S.apply(st))), S.apply(act(ei, st)))
-        if lhs != rhs:
-            return (i, t, vec(vec_sub(lhs, rhs)))
+    s, ncols, scols = rep.s, N.sparse_cols(), S.sparse_cols()
+    s2cols = (S * S).sparse_cols()
+    for i, t in product(range(rep.algebra.dim), range(rep.dim_m)):
+        acc = {}
+        for k, v in ncols[i]:
+            _add_rows(acc, v, scols[t], s[k])
+        inner = _add_rows(_add_rows({}, 1, scols[t], s[i]), -1, ncols[i], rep.by_col[t])
+        _add_rows(acc, 1, inner.items(), scols)
+        _add_rows(acc, -1, s2cols[t], s[i])
+        if any(acc.values()):
+            return i, t, _dense(acc, rep.dim_m)
     return None
 
 

@@ -132,12 +132,19 @@ def induced_lie(rep: Representation, T) -> LieAlgebra:
 def graph_check(rep: Representation, T) -> bool:
     """Whether Gr(T) = {(Tm, m)} is a subalgebra of the semi-direct product: the
     bracket (x, n) of each two basis vectors (T m_b, m_b), (T m_c, m_c) of the
-    graph lies in it exactly when x = Tn."""
+    graph lies in it exactly when x - Tn = 0.  The generators are sparse rows,
+    bracketed through the rows of the semi-direct product."""
     _check_t_shape(rep, T)
-    s, d, m = semidirect(rep), rep.algebra.dim, rep.dim_m
-    gens = [T.col(b) + _unit(m, b) for b in range(m)]
-    brackets = (s.bracket_vec(gens[b], gens[c]) for b, c in combinations(range(m), 2))
-    return all(T.apply(v[d:]) == v[:d] for v in brackets)
+    s, d, tcols = semidirect(rep).s, rep.algebra.dim, T.sparse_cols()
+    gens = [tb + ((d + b, 1),) for b, tb in enumerate(tcols)]
+    for b, c in combinations(range(rep.dim_m), 2):
+        acc = {}
+        for k, v in gens[b]:
+            _add_rows(acc, v, gens[c], s[k])
+        _add_rows(acc, -1, [(k - d, v) for k, v in acc.items() if k >= d], tcols)
+        if any(v for k, v in acc.items() if k < d):
+            return False
+    return True
 
 
 def graph_oracle(rep: Representation, T):
@@ -254,24 +261,34 @@ def schouten_self(g: LieAlgebra, r: Bivector) -> dict:
     return out
 
 
-def is_r_matrix(g: LieAlgebra, r: Bivector) -> bool:
-    return not schouten_self(g, r)
+def is_r_matrix(g: LieAlgebra, r: Bivector, square=None) -> bool:
+    """[r, r] = 0; square is schouten_self(g, r), computed here when not given."""
+    return not (schouten_self(g, r) if square is None else square)
+
+
+def r_matrix_defect(g: LieAlgebra, r: Bivector):
+    """(CYBE verdict, sorted support of [r, r]) from one Schouten square, the
+    verdict checked against r-sharp as a coadjoint O-operator."""
+    square = schouten_self(g, r)
+    verdict = oracle("classical r-matrix characterization", is_r_matrix(g, r, square),
+                     is_o_operator(coadjoint(g), r_sharp(r)),
+                     "schouten={a} coadjoint={b} r={r!r}", r=r)
+    return verdict, sorted(square)
 
 
 def lemma_r_equiv(g: LieAlgebra, r: Bivector) -> bool:
     """CYBE via Schouten expansion vs r-sharp as a coadjoint O-operator."""
-    return oracle("classical r-matrix characterization", is_r_matrix(g, r),
-                  is_o_operator(coadjoint(g), r_sharp(r)),
-                  "schouten={a} coadjoint={b} r={r!r}", r=r)
+    return r_matrix_defect(g, r)[0]
 
 
 # ---------------------------------------------------------------------------
 # gauge transformations
 # ---------------------------------------------------------------------------
 
-def gauge_transform(rep: Representation, T, B) -> Matrix:
-    """T_B = T (id + B T)^{-1} for a T-admissible 1-cocycle B."""
-    OOperator(rep, T)
+def _gauge(rep: Representation, T, B):
+    """(T_B, phi = id + B T, o_product of T, o_product of T_B) for a T-admissible
+    1-cocycle B, with T_B checked to be an O-operator with the image of T."""
+    p = OOperator(rep, T).p
     ok, defect = is_cocycle(rep, Cochain.from_linmap(B))
     if not ok:
         raise NotCocycle(defect)
@@ -281,17 +298,22 @@ def gauge_transform(rep: Representation, T, B) -> Matrix:
     except Singular as exc:
         raise NotAdmissible("id + B T is singular") from exc
     tb = T * phi_inv
-    oracle("gauge transform", is_o_operator(rep, tb), True, "T_B failed the O-identity")
+    p_b = o_product(rep, tb)
+    oracle("gauge transform", is_o_operator(rep, tb, p_b), True, "T_B failed the O-identity")
     oracle("gauge transform", column_space_equal(T, tb), True, "im(T_B) differs from im(T)")
-    return tb
+    return tb, phi, p, p_b
+
+
+def gauge_transform(rep: Representation, T, B) -> Matrix:
+    """T_B = T (id + B T)^{-1} for a T-admissible 1-cocycle B."""
+    return _gauge(rep, T, B)[0]
 
 
 def gauge_iso_check(rep: Representation, T, B) -> bool:
     """phi = id + BT maps [.,.]^T onto [.,.]^{T_B}: phi [m, n]^T = [phi m, phi n]^{T_B}."""
-    tb = gauge_transform(rep, T, B)
+    _, phi, p, p_b = _gauge(rep, T, B)
     m = rep.dim_m
-    phi = Matrix.identity(m) + B * T
-    ct, ctb, cols = induced_tensor(rep, T), induced_tensor(rep, tb), phi.sparse_cols()
+    ct, ctb, cols = _bracket_rows(p), _bracket_rows(p_b), phi.sparse_cols()
     return all(_image(cols, ct[i][j], m) == contract(ctb, m, phi.col(i), phi.col(j))
                for i, j in combinations(range(m), 2))
 
@@ -482,17 +504,30 @@ def associator_form(acc, a, at, b, i, j, k):
     return acc
 
 
-def _triples(dim):
-    """(i, j, k) in the order of the full cube, i < j: A vanishes at i = j and
-    is skew in (i, j), so the first violating triple of the cube has i < j."""
-    return ((i, j, k) for i in range(dim) for j in range(i + 1, dim) for k in range(dim))
+def _associator_triples(dim, a, b):
+    """The triples (i, j, k), i < j, that a term of A(a, b) reaches: b[u][v] has
+    an l with a[l][k] nonzero ({i, j} = {u, v}), or b[u][k] an l with a[x][l]
+    nonzero ({i, j} = {x, u}).  A vanishes at i = j and is skew in (i, j), and
+    on every other triple each term vanishes."""
+    out_of = [[k for k in range(dim) if a[l][k]] for l in range(dim)]
+    into = [[x for x in range(dim) if a[x][l]] for l in range(dim)]
+    found = set()
+    for u in range(dim):
+        for v in range(dim):
+            for l, _ in b[u][v]:
+                if u != v:
+                    found.update((min(u, v), max(u, v), k) for k in out_of[l])
+                found.update((min(x, u), max(x, u), v) for x in into[l] if x != u)
+    return found
 
 
 def pre_lie_defect_tensor(dim, p):
-    """First basis triple violating the left pre-Lie identity, or None; p is sparse."""
+    """First basis triple violating the left pre-Lie identity, or None; p is sparse.
+    Only the reached triples are visited, sorted into the order of the full cube,
+    so the first violating triple of the cube is the one returned."""
     pt = tuple(zip(*p))
-    return next((t for t in _triples(dim) if any(associator_form({}, p, pt, p, *t).values())),
-                None)
+    return next((t for t in sorted(_associator_triples(dim, p, p))
+                 if any(associator_form({}, p, pt, p, *t).values())), None)
 
 
 def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
@@ -507,9 +542,10 @@ def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:
     if p1.dim != p2.dim:
         raise DimensionMismatch("pre-Lie products on different spaces")
     d = p1.dim
+    triples = _associator_triples(d, p1.s, p2.s) | _associator_triples(d, p2.s, p1.s)
     direct = not any(any(associator_form(associator_form({}, p1.s, p1.t, p2.s, *t),
                                          p2.s, p2.t, p1.s, *t).values())
-                     for t in _triples(d))
+                     for t in triples)
     sum_rows = tuple(tuple(_combine(a, 1, b) for a, b in zip(r1, r2))
                      for r1, r2 in zip(p1.s, p2.s))
     return oracle("pre-Lie compatibility", direct,

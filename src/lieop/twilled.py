@@ -22,9 +22,9 @@ from itertools import product
 
 from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, one_cocycle_basis
 from .errors import DimensionMismatch, NotOOperator, NotStrongMC, NotSubalgebra, oracle
-from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale, vec_sub
+from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _add_rows, _image, _nonzero, _row, _unit, block_rows,
+    LieAlgebra, Representation, Subspace, _add_rows, _dense, _nonzero, _row, block_rows,
     check_complementary,
 )
 from .onstruct import ONStructure
@@ -111,17 +111,17 @@ def twilled_from_o(rep: Representation, T) -> TwilledLieAlgebra:
 
 def cocycle_residual(tw: TwilledLieAlgebra, omega) -> dict:
     """Defect of Omega([x,y]) = x .1 Omega(y) - y .1 Omega(x) per pair,
-    oriented as the Chevalley-Eilenberg differential."""
+    oriented as the Chevalley-Eilenberg differential, read from the action rows
+    of a on b, the sparse columns of Omega and the rows of a."""
     if omega.shape() != (tw.dim_b, tw.dim_a):
         raise DimensionMismatch(
             f"solution candidate must map a to b, got {omega.shape()}")
     out = {}
-    da, ocols = tw.dim_a, omega.sparse_cols()
+    da, ocols, s1, sa = tw.dim_a, omega.sparse_cols(), tw.action1.s, tw.a_algebra.s
     for i in range(da):
         for j in range(i + 1, da):
-            acted = vec_sub(tw.action1.act(_unit(da, i), omega.col(j)),
-                            tw.action1.act(_unit(da, j), omega.col(i)))
-            out[(i, j)] = vec_sub(acted, _image(ocols, tw.a_algebra.s[i][j], tw.dim_b))
+            acc = _add_rows(_add_rows({}, 1, ocols[j], s1[i]), -1, ocols[i], s1[j])
+            out[(i, j)] = _dense(_add_rows(acc, -1, sa[i][j], ocols), tw.dim_b)
     return out
 
 

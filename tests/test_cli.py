@@ -151,6 +151,43 @@ def test_validate_weak_only_mc_runs_the_mc_routes_once(tmp_path, capsys, monkeyp
     assert len(calls) == 1
 
 
+def test_check_invalid_bivector_squares_it_once(bundle_file, tmp_path, capsys, monkeypatch):
+    """The verdict and the printed support of [r, r] come from one Schouten square."""
+    p = _write(tmp_path, {"bad_r": {"kind": "bivector", "algebra_ref": "sl2", "dim": 3,
+                                    "entries": [[0, 1, "1"], [1, 2, "1"]]}})
+    calls = _count(monkeypatch, ooper, "schouten_self")
+    code, out = run(capsys, "check", "r-matrix", "bad_r", "--input", bundle_file, p)
+    assert code == 1 and out.endswith("invalid [r,r] has support [(0, 1, 2)]\n")
+    assert len(calls) == 1
+
+
+# A matrix entry and what it loads as: a value, or the exit-2 message.  "0"
+# is read without parse_scalar; every other token is parsed as before.
+ZERO_TOKENS = [
+    ("0", 0), ("-0", 0), ("00", 0), ("0/1", 0), (0, 0), ("0.0", 0),
+    (False, "N: WorkspaceError: scalar False is not an integer or a \"p/q\" string"),
+    (0.0, "N: WorkspaceError: scalar 0.0 is not an integer or a \"p/q\" string"),
+    ("", "N: ValueError: Invalid literal for Fraction: ''"),
+]
+
+
+@pytest.mark.parametrize("token,want", ZERO_TOKENS, ids=[repr(t) for t, _ in ZERO_TOKENS])
+def test_zero_matrix_entries_load_as_before(token, want, tmp_path, capsys):
+    doc = {"objects": {"aff1": bundle()["objects"]["aff1"],
+                       "N": {"kind": "nijenhuis", "algebra_ref": "aff1",
+                             "matrix": [[token, "1"], ["0", "0"]]}}}
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run(capsys, "validate", "--input", str(p))
+    if isinstance(want, str):
+        assert code == 2 and out == f"error: workspace failed to load\n  {want}\n"
+    else:
+        assert code == 0 and "N [nijenhuis] valid" in out
+        entries = Workspace.load([doc]).entries["N"].value[1].entries
+        assert entries == ((want, 1), (0, 0))
+        assert all(type(x) is int for row in entries for x in row)
+
+
 def test_check_missing_name(bundle_file, capsys):
     code, out = run(capsys, "check", "mc", "missing_name", "--input", bundle_file)
     assert code == 2

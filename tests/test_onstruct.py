@@ -11,7 +11,7 @@ from lieop.cli import Workspace
 from lieop.errors import (
     DimensionMismatch, NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, Singular,
 )
-from lieop.exactla import Matrix, is_zero_vec, vec_add, vec_sub
+from lieop.exactla import Matrix, is_zero_vec, vec, vec_add, vec_sub
 from lieop.fixtures import bundle, h3_rep2
 from lieop.gcsholo import gcs_check_direct
 from lieop.liecore import (
@@ -601,6 +601,42 @@ def test_deformation_pair_and_deformed_action_match_the_matrix_references():
             assert deformation_pair_defect(rep, N, S) == want, (rep, N, S)
             assert deformed_action(rep, N, S) == reference_deformed_action(rep, N, S)
             assert deformed_action(rep, N, -S) == reference_deformed_action(rep, N, -S)
+            seen[want is None] += 1
+    assert set(seen) == {True, False}, seen
+
+
+def reference_nijenhuis_structure_defect(rep, N, S):
+    """The retired dense loop: first (i, t, lhs - rhs) of
+    N(x).S(m) = S(Nx.m) + x.S^2 m - S(x.Sm) on unit vectors, or None."""
+    d, m, act = rep.algebra.dim, rep.dim_m, rep.act
+    for i, t in itertools.product(range(d), range(m)):
+        ei, ni, mt, st = _unit(d, i), N.col(i), _unit(m, t), S.col(t)
+        lhs = act(ni, st)
+        rhs = vec_sub(vec_add(S.apply(act(ni, mt)), act(ei, S.apply(st))), S.apply(act(ei, st)))
+        if lhs != rhs:
+            return (i, t, vec(vec_sub(lhs, rhs)))
+    return None
+
+
+def test_nijenhuis_structure_defect_matches_the_dense_loop():
+    """Seeded (N, S) on the 9 bundle modules, a quarter of them (lam id, lam id)
+    or (0, lam id), which satisfy the identity: same first pair, same defect."""
+    ws = Workspace.load([bundle()])
+    reps = [e.value for e in ws.entries.values() if e.kind == "representation"]
+    assert len(reps) == 9
+    rng = random.Random(40)
+    seen = Counter()
+    for rep in reps:
+        d, m = rep.algebra.dim, rep.dim_m
+        for _ in range(60):
+            if rng.random() < 0.25:
+                lam = rng.choice((0, 1, -1, 2, Fraction(1, 2)))
+                N = Matrix.identity(d).scale(rng.choice((0, lam)))
+                S = Matrix.identity(m).scale(lam)
+            else:
+                N, S = _seeded_matrix(rng, d, d), _seeded_matrix(rng, m, m)
+            want = reference_nijenhuis_structure_defect(rep, N, S)
+            assert onstruct.nijenhuis_structure_defect(rep, N, S) == want, (rep, N, S)
             seen[want is None] += 1
     assert set(seen) == {True, False}, seen
 

@@ -187,6 +187,19 @@ def test_gauge_trivial_cases():
     assert gauge_iso_check(rep, AFF1_T, B)
 
 
+def test_gauge_iso_check_reuses_the_two_o_products(monkeypatch):
+    """gauge_iso_check reads the O-products of T and T_B that the transform
+    built: one each."""
+    ws = Workspace.load([bundle()])
+    rep, t = ws.entries["aff1_adj_T"].value
+    b = ws.entries["aff1_adj_B"].value
+    calls = []
+    product = ooper.o_product
+    monkeypatch.setattr(ooper, "o_product", lambda *args: calls.append(args) or product(*args))
+    assert gauge_iso_check(rep, t, b)
+    assert len(calls) == 2
+
+
 def test_gauge_requires_cocycle():
     rep = adjoint(aff1())
     bad = Matrix([[1, 0], [0, 0]])  # a = 1 violates the cocycle equations
@@ -442,6 +455,59 @@ def test_pre_lie_defect_matches_reference_loop():
         assert ooper.pre_lie_defect_tensor(d, p) == want
         seen[want is None] += 1
     assert min(seen.values()) > 0, seen
+
+
+def reference_pre_lie_all_triples(dim, p):
+    """The retired walk: the associator form on every triple i < j, k of the
+    cube, in cube order; p is sparse."""
+    pt = tuple(zip(*p))
+    cube = ((i, j, k) for i in range(dim) for j in range(i + 1, dim) for k in range(dim))
+    return next((t for t in cube if any(ooper.associator_form({}, p, pt, p, *t).values())),
+                None)
+
+
+def reference_mixed_all_triples(p1, p2):
+    """The retired direct route of pre_lie_compatible: A(p1, p2) + A(p2, p1) on
+    every triple i < j, k."""
+    d = p1.dim
+    return not any(any(ooper.associator_form(ooper.associator_form({}, p1.s, p1.t, p2.s, *t),
+                                             p2.s, p2.t, p1.s, *t).values())
+                   for t in itertools.product(range(d), repeat=3) if t[0] < t[1])
+
+
+def test_pre_lie_walk_matches_the_all_triples_loop():
+    """The reached-triple walk returns the first violating triple of the cube,
+    and the mixed identity of two products reads the same on every triple."""
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    valid = {}
+    for _ in range(600):
+        d = rng.randint(1, 7)
+        density = rng.choice((0.02, 0.05, 0.1, 0.2))
+        p = sparse([[[rng.choice((-1, 1, 2)) if rng.random() < density else 0
+                      for _ in range(d)] for _ in range(d)] for _ in range(d)])
+        want = reference_pre_lie_all_triples(d, p)
+        assert ooper.pre_lie_defect_tensor(d, p) == want
+        seen[want is None] += 1
+        if want is None:
+            valid.setdefault(d, []).append(ooper.PreLieProduct.from_rows(d, p))
+    assert min(seen.values()) > 0, seen
+    seen = {True: 0, False: 0}
+    for products in valid.values():
+        for p1, p2 in itertools.combinations(products[:12], 2):
+            want = reference_mixed_all_triples(p1, p2)
+            assert pre_lie_compatible(p1, p2) == want
+            seen[want] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_pre_lie_from_o_on_an_abelian_algebra_visits_no_triple(monkeypatch):
+    g = LieAlgebra.from_rows(100, zero_rows(100, 100))
+    calls = []
+    form = ooper.associator_form
+    monkeypatch.setattr(ooper, "associator_form", lambda *args: calls.append(args) or form(*args))
+    assert pre_lie_from_o(adjoint(g), Matrix.identity(100)).dim == 100
+    assert calls == []
 
 
 def reference_o_residual(rep, T):

@@ -67,3 +67,23 @@ def test_every_function_in_src_has_a_caller_outside_the_tests():
               if not (name.startswith("__") and name.endswith("__")) and name not in ALLOWED
               and name not in used | bench_used]
     assert unused == []
+
+
+# (module file, function): verdict kernels that read sparse rows only
+SPARSE_KERNELS = (("onstruct.py", "nijenhuis_structure_defect"),
+                  ("twilled.py", "cocycle_residual"), ("ooper.py", "graph_check"))
+DENSE_BASIS_NAMES = {"_unit", "act", "apply", "col"}
+
+
+def test_sparse_kernels_name_no_dense_basis_vector_helper():
+    """These kernels read sparse rows through `_add_rows`: none of them names a
+    helper that builds or applies a dense basis vector."""
+    found = {}
+    for filename, name in SPARSE_KERNELS:
+        tree = ast.parse((SRC / filename).read_text(encoding="utf-8"))
+        (func,) = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(func) if isinstance(node, (ast.Name, ast.Attribute))}
+        found[name] = sorted(names & DENSE_BASIS_NAMES)
+    assert found == {name: [] for _, name in SPARSE_KERNELS}

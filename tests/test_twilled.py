@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,9 +7,13 @@ from lieop import ooper, twilled
 from lieop.errors import (
     NotComplementary, NotOOperator, NotStrongMC, NotSubalgebra,
 )
-from lieop.exactla import Matrix, vec_add
-from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_ADJ_T, standard_fixtures
-from lieop.liecore import LieAlgebra, Subspace, adjoint, coadjoint, semidirect, trivial_rep
+from lieop.cli import Workspace
+from lieop.cohomology import one_cocycle_basis
+from lieop.exactla import Matrix, is_zero_vec, vec_add, vec_sub
+from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_ADJ_T, bundle, standard_fixtures
+from lieop.liecore import (
+    LieAlgebra, Subspace, _image, _unit, adjoint, coadjoint, semidirect, trivial_rep,
+)
 from lieop.onstruct import ONStructure, hierarchy, on_from_compatible_pair
 from lieop.ooper import is_o_operator
 from lieop.twilled import (
@@ -16,6 +21,7 @@ from lieop.twilled import (
     on_from_strong_mc, strong_mc_check, strong_mc_from_on, swap,
     twilled_from_o, twilled_new,
 )
+from test_sparse_carriers import gl
 
 
 def aff1():
@@ -131,6 +137,54 @@ def test_mc_oracle_agreement_random():
         mc_check(tw, om)
         strong_mc_check(tw, om)
         mc_check(tw2, Matrix([[rng.randint(-2, 2), rng.randint(-2, 2)]]))
+
+
+def reference_cocycle_residual(tw, omega):
+    """The retired dense loop: x .1 Omega(y) - y .1 Omega(x) - Omega([x, y]) on
+    unit vectors, per pair."""
+    out = {}
+    da, ocols = tw.dim_a, omega.sparse_cols()
+    for i in range(da):
+        for j in range(i + 1, da):
+            acted = vec_sub(tw.action1.act(_unit(da, i), omega.col(j)),
+                            tw.action1.act(_unit(da, j), omega.col(i)))
+            out[(i, j)] = vec_sub(acted, _image(ocols, tw.a_algebra.s[i][j], tw.dim_b))
+    return out
+
+
+def gl3_centre_projection():
+    """gl(3) on itself with T x = (tr x / 3) I, an O-operator."""
+    rep = adjoint(gl(3))
+    diag = (0, 4, 8)
+    return rep, Matrix([[Fraction(1, 3) if k in diag and b in diag else 0 for b in range(9)]
+                        for k in range(9)])
+
+
+def test_cocycle_residual_matches_the_dense_loop():
+    """Seeded Omega over the bundle twilled algebras, the twilled algebra of
+    every bundle O-operator and of the gl(3) centre projection; a third of the
+    draws are integer combinations of 1-cocycles, whose residual vanishes."""
+    ws = Workspace.load([bundle()])
+    tws = [e.value for e in ws.entries.values() if e.kind == "twilled"]
+    tws += [twilled_from_o(*e.value) for e in ws.entries.values() if e.kind == "o_operator"]
+    tws.append(twilled_from_o(*gl3_centre_projection()))
+    assert len(tws) == 11
+    rng = random.Random(44)
+    seen = {True: 0, False: 0}
+    for tw in tws:
+        basis = one_cocycle_basis(tw.action1)
+        for _ in range(30):
+            if basis and rng.random() < 1 / 3:
+                om = Matrix.zeros(tw.dim_b, tw.dim_a)
+                for base in basis:
+                    om = om + base.scale(rng.randint(-2, 2))
+            else:
+                om = Matrix([[rng.choice((0, 0, 1, -1, Fraction(1, 2))) for _ in range(tw.dim_a)]
+                             for _ in range(tw.dim_b)])
+            want = reference_cocycle_residual(tw, om)
+            assert twilled.cocycle_residual(tw, om) == want
+            seen[all(is_zero_vec(v) for v in want.values())] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_mc_weak_vs_strong():
