@@ -733,6 +733,10 @@ def main(argv=None):
         # a library bug, never a verdict on the input: its own exit code
         sys.stdout.write(f"error: {exc}\n")
         return 3
+    except LieOpError as exc:
+        # an input the library refuses, such as a failed precondition
+        sys.stdout.write(f"error: {exc}\n")
+        return 2
 
 
 def _run(args):
@@ -757,26 +761,14 @@ def _run(args):
         return 0 if all(o["valid"] for o in report["objects"].values()) else 1
 
     if args.command == "check":
-        try:
-            verdict, detail = run_check(ws, args.kind, args.names)
-        except OracleDisagreement:
-            raise
-        except LieOpError as exc:
-            sys.stdout.write(f"error: {exc}\n")
-            return 2
+        verdict, detail = run_check(ws, args.kind, args.names)
         word = "valid" if verdict else "invalid"
         suffix = f" {detail}" if detail else ""
         sys.stdout.write(f"{args.kind} {' '.join(args.names)}: {word}{suffix}\n")
         return 0 if verdict else 1
 
     if args.command == "derive":
-        try:
-            new, deps = run_derive(ws, args.kind, args.args)
-        except OracleDisagreement:
-            raise
-        except LieOpError as exc:
-            sys.stdout.write(f"error: {exc}\n")
-            return 2
+        new, deps = run_derive(ws, args.kind, args.args)
         doc = {"objects": {}}
         for name in sorted(deps):
             doc["objects"][name] = ws.get(name).raw

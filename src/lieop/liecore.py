@@ -16,23 +16,22 @@ validators read rows only, so their work grows with the nonzero constants.  The
 identities quadratic in a bracket read one cyclic form, `cyclic_form`:
 C(a, b) sums a(e_u, b(e_v, e_w)) over the cyclic orders of a triple, C(s, s) is
 the Jacobiator and C(a, b) + C(b, a) the mixed term of compatible brackets,
-Nijenhuis towers and module deformations.  All validators run exactly on every
-triple or pair a nonzero constant reaches; the rest vanish term by term, so an
-accepted object genuinely satisfies its axioms.
+Nijenhuis towers and module deformations.  Every map that preserves a bilinear
+map is checked by one morphism form, `morphism_defect`.  All validators run
+exactly on every triple or pair a nonzero constant reaches; the rest vanish term
+by term, so an accepted object genuinely satisfies its axioms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     DimensionMismatch, JacobiViolation, NotComplementary, NotIdeal,
     NotSubalgebra, RepViolation, SkewViolation, oracle,
 )
-from .exactla import (
-    Matrix, is_zero_vec, kernel, q, rank, rref, solve_linear, vec, vec_add,
-    vec_scale, vec_zero,
-)
+from .exactla import Matrix, is_zero_vec, kernel, q, rank, rref, solve_linear, vec, vec_zero
 
 
 def _unit(n, i):
@@ -96,10 +95,24 @@ def _add_rows(acc, scale, pairs, rows):
     return acc
 
 
-def _image(cols, row, n):
-    """M x as a length-n vector, for M given by its sparse columns and x by its
-    sparse row."""
-    return _dense(_add_rows({}, 1, row, cols), n)
+def morphism_defect(dst, A, B, C, src, pairs):
+    """First (i, j, dst(Ae_i, Be_j) - C src(e_i, e_j)) that is nonzero over the
+    basis pairs (i, j), or None.
+
+    This is the one morphism form: C maps src onto dst along A and B.  dst is a
+    sparse tensor, A, B and C are read through their sparse columns, and
+    src(i, j) returns the (k, v) pairs of src(e_i, e_j), so a source computed
+    per pair is only computed up to the first failing one.
+    """
+    a, b, c = A.sparse_cols(), B.sparse_cols(), C.sparse_cols()
+    for i, j in pairs:
+        acc = {}
+        for k, v in a[i]:
+            _add_rows(acc, v, b[j], dst[k])
+        _add_rows(acc, -1, src(i, j), c)
+        if any(acc.values()):
+            return i, j, _dense(acc, C.rows)
+    return None
 
 
 def cyclic_form(acc, a, b, i, j, k):
@@ -505,12 +518,9 @@ def quotient(h: LieAlgebra, W: Subspace) -> Quotient:
                        for b in range(k)) for a in range(k))
     alg = LieAlgebra.from_rows(k, rows)
     # W is an ideal, so the projection is a homomorphism
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei, ej = _unit(d, i), _unit(d, j)
-            oracle("quotient", projection.apply(h.bracket_vec(ei, ej)),
-                   alg.bracket_vec(projection.apply(ei), projection.apply(ej)),
-                   "projection is not a homomorphism on pair ({i}, {j})", i=i, j=j)
+    oracle("quotient", morphism_defect(alg.s, projection, projection, projection,
+                                       lambda i, j: h.s[i][j], combinations(range(d), 2)),
+           None, "projection is not a homomorphism on pair ({a[0]}, {a[1]})")
     return Quotient(alg, projection, section, comp)
 
 
@@ -533,15 +543,8 @@ def intersect(W1: Subspace, W2: Subspace) -> Subspace:
     if W1.dim() == 0 or W2.dim() == 0:
         return Subspace.zero(W1.ambient_dim)
     A = W1.matrix().hstack((-W2.matrix()))
-    vecs = []
-    for kv in kernel(A):
-        coeffs = kv[:W1.dim()]
-        v = vec_zero(W1.ambient_dim)
-        for cfc, bvec in zip(coeffs, W1.basis):
-            if cfc:
-                v = vec_add(v, vec_scale(cfc, bvec))
-        vecs.append(v)
-    return Subspace.span(W1.ambient_dim, vecs)
+    B1 = W1.matrix()
+    return Subspace.span(W1.ambient_dim, [B1.apply(kv[:W1.dim()]) for kv in kernel(A)])
 
 
 def direct_sum_map(A: Matrix, B: Matrix) -> Matrix:

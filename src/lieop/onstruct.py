@@ -23,8 +23,8 @@ from .errors import (
 )
 from .exactla import Matrix, invert
 from .liecore import (
-    LieAlgebra, Representation, _add_rows, _dense, _image, _neg, _row, block_rows, coadjoint,
-    contract, cyclic_form, direct_sum_map, dual_rep, semidirect, sparse_cube, zero_rows,
+    LieAlgebra, Representation, _add_rows, _dense, _neg, _row, block_rows, coadjoint,
+    cyclic_form, direct_sum_map, dual_rep, morphism_defect, semidirect, sparse_cube, zero_rows,
 )
 from .ooper import (
     Bivector, _bracket_rows, bivector_from_sharp, compatibility_defect, compatibility_oracle,
@@ -44,16 +44,11 @@ def deformed_form(acc, s, st, a, b, i, j):
 
 def _homomorphism_defect(s, st, A: Matrix, B: Matrix, pairs):
     """First (i, j, s(Ae_i, Be_j) - B s_{A,B}(e_i, e_j)) that is nonzero over
-    the basis pairs (i, j), or None."""
+    the basis pairs (i, j), or None; s_{A,B} is formed per pair, up to the first
+    failing one."""
     a, b = A.sparse_cols(), B.sparse_cols()
-    for i, j in pairs:
-        acc = {}
-        for k, v in a[i]:
-            _add_rows(acc, v, b[j], s[k])
-        _add_rows(acc, -1, deformed_form({}, s, st, a, b, i, j).items(), b)
-        if any(acc.values()):
-            return i, j, _dense(acc, B.rows)
-    return None
+    return morphism_defect(s, A, B, B, lambda i, j: deformed_form({}, s, st, a, b, i, j).items(),
+                           pairs)
 
 
 def is_nijenhuis(g: LieAlgebra, N):
@@ -328,14 +323,13 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
             oracle("hierarchy", compatible, True, "T_{k} and T_{l} incompatible", k=k, l=l)
     brackets = [_bracket_rows(p) for p in ps]
     g_brackets = [deformed_tensor(g.s, g.dim, p) for p in npow]
-    pairs = list(combinations(range(m), 2))
     for k in range(kmax + 1):
-        cols, tcols = [ts[k].col(i) for i in range(m)], ts[k].sparse_cols()
         for l in range(kmax + 1 - k):
             # T_k [m, n]^{T_{k+l}} = [T_k m, T_k n]_{N^l}
-            oracle("hierarchy", [_image(tcols, brackets[k + l][i][j], g.dim) for i, j in pairs],
-                   [contract(g_brackets[l], g.dim, cols[i], cols[j]) for i, j in pairs],
-                   "bracket identity (k={k}, l={l}) failed", k=k, l=l)
+            oracle("hierarchy", morphism_defect(g_brackets[l], ts[k], ts[k], ts[k],
+                                                lambda i, j: brackets[k + l][i][j],
+                                                combinations(range(m), 2)),
+                   None, "bracket identity (k={k}, l={l}) failed", k=k, l=l)
             # the form the compatibility argument rests on: the T_{k+l}-bracket
             # is the S^l-deformation of the T_k one
             oracle("hierarchy", brackets[k + l], deformed_tensor(brackets[k], m, spow[l]),

@@ -23,7 +23,7 @@ compared through `errors.oracle`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .cohomology import Cochain, is_cocycle
 from .errors import (
@@ -31,12 +31,10 @@ from .errors import (
     NotCompatible, NotIdeal, NotOOperator, NotPreLie, NotStable,
     NotSubalgebra, QuotientError, Singular, oracle,
 )
-from .exactla import (
-    Matrix, column_space_equal, invert, is_zero_vec, kernel, q, vec_add, vec_scale, vec_zero,
-)
+from .exactla import Matrix, column_space_equal, invert, is_zero_vec, kernel, q
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _add_rows, _combine, _dense, _image, _nonzero, _row,
-    _unit, coadjoint, contract, intersect, is_ideal, is_subalgebra, quotient,
+    LieAlgebra, Representation, Subspace, _add_rows, _combine, _dense, _nonzero, _row,
+    annihilator, coadjoint, intersect, is_ideal, is_subalgebra, morphism_defect, quotient,
     restrict_to_subalgebra, semidirect, sparse_cube,
 )
 
@@ -312,10 +310,9 @@ def gauge_transform(rep: Representation, T, B) -> Matrix:
 def gauge_iso_check(rep: Representation, T, B) -> bool:
     """phi = id + BT maps [.,.]^T onto [.,.]^{T_B}: phi [m, n]^T = [phi m, phi n]^{T_B}."""
     _, phi, p, p_b = _gauge(rep, T, B)
-    m = rep.dim_m
-    ct, ctb, cols = _bracket_rows(p), _bracket_rows(p_b), phi.sparse_cols()
-    return all(_image(cols, ct[i][j], m) == contract(ctb, m, phi.col(i), phi.col(j))
-               for i, j in combinations(range(m), 2))
+    ct = _bracket_rows(p)
+    return morphism_defect(_bracket_rows(p_b), phi, phi, phi, lambda i, j: ct[i][j],
+                           combinations(range(rep.dim_m), 2)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -357,42 +354,16 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
         qt = quotient(h_alg, eh_in_h)
     except NotIdeal as exc:
         raise QuotientError("E cap h is not an ideal of h") from exc
-    # annihilator of E cap h inside N, in N coordinates
-    if eh.dim() == 0 or N.dim() == 0:
-        a_coords = [_unit(N.dim(), t) for t in range(N.dim())]
-    else:
-        sys_rows = []
-        for x in eh.basis:
-            cols = []
-            for nb in N.basis:
-                # x lies in h, and N was checked h-stable above
-                coords = N.coords(rep.act(x, nb))
-                oracle("mr reduction", coords is not None, True,
-                       "E cap h does not preserve N at {w}", w=(x, nb))
-                cols.append(coords)
-            sys_rows.extend(Matrix.from_cols(cols).entries)
-        a_coords = kernel(Matrix(sys_rows))
-    module_basis = []
-    for cvec in a_coords:
-        v = vec_zero(rep.dim_m)
-        for cf, nb in zip(cvec, N.basis):
-            if cf:
-                v = vec_add(v, vec_scale(cf, nb))
-        module_basis.append(v)
-    A = Subspace.span(rep.dim_m, module_basis)
+    A = intersect(annihilator(rep, eh), N)
     module_basis = list(A.rref_rows)
     for a in module_basis:
         if not hsub.contains(T.apply(a)):
             raise ImageEscapesH(a)
     # induced action of the quotient on A through lifts
-    k = qt.algebra.dim
+    k, lift = qt.algebra.dim, hsub.matrix()
     rows = []
     for t in range(k):
-        lift_h = qt.section.col(t)
-        y = vec_zero(g.dim)
-        for cf, hb in zip(lift_h, h_basis):
-            if cf:
-                y = vec_add(y, vec_scale(cf, hb))
+        y = lift.apply(qt.section.col(t))
         cols = []
         for a in module_basis:
             image = rep.act(y, a)
@@ -409,15 +380,12 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
     reduced_T = Matrix.from_cols(tbar_cols) if tbar_cols else Matrix([()] * k, cols=0)
     reduced = OOperator(reduced_rep, reduced_T)
     # defining property of reducibility: Tbar(m) . n = T(m) . n on A, the
-    # pre-Lie products of Tbar and of T, the first read through the basis of A
-    a_rows = tuple(tuple((k, v) for k, v in enumerate(a) if v) for a in module_basis)
-    for i, row in enumerate(reduced.p):
-        for j, pij in enumerate(row):
-            lhs = {}
-            _add_rows(lhs, 1, pij, a_rows)
-            oracle("reduction action compatibility", _dense(lhs, rep.dim_m),
-                   contract(p, rep.dim_m, module_basis[i], module_basis[j]),
-                   "pair ({i},{j})", i=i, j=j)
+    # pre-Lie products of Tbar and of T, the inclusion of A a morphism of them
+    iota, d = A.matrix(), len(module_basis)
+    oracle("reduction action compatibility",
+           morphism_defect(p, iota, iota, iota, lambda i, j: reduced.p[i][j],
+                           product(range(d), range(d))),
+           None, "pair ({a[0]},{a[1]})")
     return MRReduction(h_alg, h_basis, qt, tuple(module_basis), reduced_rep, reduced_T)
 
 

@@ -549,3 +549,30 @@ def test_report_options_are_usage_errors_elsewhere(argv, bundle_file, capsys):
         main(argv + ["--input", bundle_file])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+TRIVIAL_AB2 = {
+    "ab2": {"kind": "lie_algebra", "dim": 2, "brackets": []},
+    "ab2_triv2": {"kind": "representation", "algebra_ref": "ab2", "dim": 2,
+                  "actions": [[["0", "0"], ["0", "0"]]] * 2},
+}
+IDENTITY2 = [["1", "0"], ["0", "1"]]
+ZERO2 = [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("kind,entry", [
+    ("holo-o", {"kind": "holo_o", "rep_ref": "ab2_triv2", "j": IDENTITY2,
+                "j_m": [["0", "-1"], ["1", "0"]], "t_r": ZERO2, "t_i": ZERO2}),
+    ("holo-r", {"kind": "holo_r", "algebra_ref": "ab2", "j": IDENTITY2,
+                "r_r": [], "r_i": []}),
+])
+def test_a_failed_holomorphic_precondition_is_an_error_in_every_command(kind, entry, tmp_path,
+                                                                        capsys):
+    """J (or (J, J_M)) is not a complex structure: `check` and the report
+    commands alike exit 2 with the library's message, not a traceback."""
+    p = tmp_path / "holo.json"
+    p.write_text(json.dumps({"objects": {**TRIVIAL_AB2, "bad": entry}}), encoding="utf-8")
+    code, line = run(capsys, "check", kind, "bad", "--input", str(p))
+    assert code == 2 and line.startswith("error: ") and line.count("\n") == 1
+    for argv in (["validate"], ["report"], ["report", "--format", "json"]):
+        assert run(capsys, *argv, "--input", str(p)) == (2, line)

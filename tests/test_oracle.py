@@ -11,7 +11,7 @@ import lieop
 from lieop import gcsholo, onstruct, ooper, twilled
 from lieop.cli import Workspace
 from lieop.errors import OracleDisagreement, oracle
-from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_DEFORM_S, AFF1_N, bundle_json
+from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_DEFORM_S, AFF1_N, H3_ADJ_T2, bundle_json
 from lieop.liecore import trivial_rep
 
 
@@ -29,11 +29,6 @@ def _shift(route):
     return lambda *args: {k: tuple(x + 1 for x in v) for k, v in route(*args).items()}
 
 
-def _shift_vector(route):
-    """A vector route whose every coordinate is off by one."""
-    return lambda *args: tuple(x + 1 for x in route(*args))
-
-
 def _trivial_module(route):
     """A module route that keeps the algebra but drops the action."""
     return lambda rep, *args: trivial_rep(route(rep, *args).algebra, rep.dim_m)
@@ -42,6 +37,12 @@ def _trivial_module(route):
 def _flip_on(matrix):
     """Flip a route only on the calls whose second argument is `matrix`."""
     return lambda route: lambda *args: (args[1] == matrix) != route(*args)
+
+
+def _defect_on(matrix):
+    """A morphism route that reports a defect on the calls whose map A (its
+    second argument) is `matrix`, and runs as it is on all others."""
+    return lambda route: lambda *args: (0, 1, (1,)) if args[1] == matrix else route(*args)
 
 
 def _flip_verdict(route):
@@ -91,8 +92,8 @@ SITES = [
     (onstruct, "is_infinitesimal_deformation", _flip_verdict,
      lambda ws: (ws.entries["aff1_adj"].value, AFF1_N, AFF1_DEFORM_S),
      onstruct.trivial_deformation_from, "trivial deformation"),
-    (onstruct, "contract", _shift_vector, lambda ws: ws.entries["h3_on"].value + (2,),
-     onstruct.hierarchy, "hierarchy"),
+    (onstruct, "morphism_defect", _defect_on(H3_ADJ_T2),
+     lambda ws: ws.entries["h3_on"].value + (2,), onstruct.hierarchy, "hierarchy"),
 ]
 
 

@@ -71,7 +71,9 @@ def test_every_function_in_src_has_a_caller_outside_the_tests():
 
 # (module file, function): verdict kernels that read sparse rows only
 SPARSE_KERNELS = (("onstruct.py", "nijenhuis_structure_defect"),
-                  ("twilled.py", "cocycle_residual"), ("ooper.py", "graph_check"))
+                  ("twilled.py", "cocycle_residual"), ("ooper.py", "graph_check"),
+                  ("liecore.py", "morphism_defect"), ("ooper.py", "gauge_iso_check"),
+                  ("onstruct.py", "hierarchy"))
 DENSE_BASIS_NAMES = {"_unit", "act", "apply", "col"}
 
 

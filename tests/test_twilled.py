@@ -12,7 +12,7 @@ from lieop.cohomology import one_cocycle_basis
 from lieop.exactla import Matrix, is_zero_vec, vec_add, vec_sub
 from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_ADJ_T, bundle, standard_fixtures
 from lieop.liecore import (
-    LieAlgebra, Subspace, _image, _unit, adjoint, coadjoint, semidirect, trivial_rep,
+    LieAlgebra, Subspace, _unit, adjoint, coadjoint, semidirect, trivial_rep,
 )
 from lieop.onstruct import ONStructure, hierarchy, on_from_compatible_pair
 from lieop.ooper import is_o_operator
@@ -143,12 +143,12 @@ def reference_cocycle_residual(tw, omega):
     """The retired dense loop: x .1 Omega(y) - y .1 Omega(x) - Omega([x, y]) on
     unit vectors, per pair."""
     out = {}
-    da, ocols = tw.dim_a, omega.sparse_cols()
+    da = tw.dim_a
     for i in range(da):
         for j in range(i + 1, da):
-            acted = vec_sub(tw.action1.act(_unit(da, i), omega.col(j)),
-                            tw.action1.act(_unit(da, j), omega.col(i)))
-            out[(i, j)] = vec_sub(acted, _image(ocols, tw.a_algebra.s[i][j], tw.dim_b))
+            ei, ej = _unit(da, i), _unit(da, j)
+            acted = vec_sub(tw.action1.act(ei, omega.col(j)), tw.action1.act(ej, omega.col(i)))
+            out[(i, j)] = vec_sub(acted, omega.apply(tw.a_algebra.bracket_vec(ei, ej)))
     return out
 
 
