@@ -4,19 +4,22 @@ and constructions, and emit deterministic machine-readable reports.
 One document format: a top-level "objects" map from names to typed entries.
 `KINDS` is that format: for each kind, its fields in order, each a key and one
 parser, and `DUMP` holds each parser's serialiser.  Loading (`Workspace.load`),
-writing (`emit`), `derive` and the fuzz test all read it.  All rationals travel
-as strings ("p" or "p/q"); matrices are row-major arrays of such strings;
-sparse tensors use [i, j, coefficients] triples, and a sparse field may be
-omitted (it is then zero).  The same rules hold for every field: an array is a
-JSON array, never a string or a map; an index is a JSON integer in range and a
-count a non-negative JSON integer, never a boolean; a reference is an object
-name; a count beside a reference that fixes it must agree with it; and a
-missing or unknown key is an error.
+writing (`emit`, and `write`, its inverse of loading, through which `derive`
+writes every object it makes) and the fuzz test all read it.  Verdicts, `check`
+commands and `derive` kinds are one table each: `VERDICTS`, `CHECKS` and
+`DERIVES`.  All rationals travel as strings ("p" or "p/q"); matrices are
+row-major arrays of such strings; sparse tensors use [i, j, coefficients]
+triples, and a sparse field may be omitted (it is then zero).  The same rules
+hold for every field: an array is a JSON array, never a string or a map; an
+index is a JSON integer in range and a count a non-negative JSON integer, never
+a boolean; a reference is an object name; a count beside a reference that fixes
+it must agree with it; and a missing or unknown key is an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -35,10 +38,6 @@ from .ooper import Bivector
 # ---------------------------------------------------------------------------
 # the workspace format
 # ---------------------------------------------------------------------------
-
-def matrix_to_json(m: Matrix):
-    return [[scalar_str(x) for x in row] for row in m.entries]
-
 
 def vector_to_json(v):
     return [scalar_str(x) for x in v]
@@ -182,8 +181,8 @@ def _dump_table(t, upper):
 DUMP = {
     count: lambda x: x,
     ref: lambda name: name,
-    matrix: matrix_to_json,
-    matrices: lambda ms: [matrix_to_json(m) for m in ms],
+    matrix: lambda m: DUMP[vectors](m.entries),
+    matrices: lambda ms: [DUMP[matrix](m) for m in ms],
     vectors: lambda vs: [vector_to_json(v) for v in vs],
     brackets: lambda t: _dump_table(t, upper=True),
     bivector: lambda r: [[i, j, scalar_str(v)] for (i, j), v in sorted(r.pairs().items())],
@@ -241,18 +240,31 @@ KINDS = {
     "mc_solution": (_f("twilled_ref", ref, "twilled"), _f("omega", matrix, "ba")),
 }
 
-# how a kind's value is made from its field values, where it is not their tuple
+
+def _unmake_twilled(tw):
+    """A twilled value's total is in block coordinates, a first, so its halves
+    are the identity rows split after dim_a."""
+    rows = Matrix.identity(tw.total.dim).entries
+    return tw.total, rows[:tw.dim_a], rows[tw.dim_a:]
+
+
+# kind -> how its value is made from its field values, where it is not their
+# tuple, and the inverse: the field values, in KINDS order, read off the value
 _MAKE = {
-    "lie_algebra": LieAlgebra,
-    "subspace": Subspace,
-    "representation": Representation,
-    "linmap": lambda m: m,
-    "bivector": lambda g, dim, r: (g, r),
-    "cochain": cohomology.Cochain,
-    "deformation": lambda rep, bracket1, action1: (
-        rep, DeformationData.build(rep.algebra.dim, rep.dim_m, bracket1, action1)),
-    "twilled": lambda total, a, b: twilled.twilled_new(
-        total, Subspace(total.dim, a), Subspace(total.dim, b)),
+    "lie_algebra": (LieAlgebra, lambda g: (g.dim, g.c)),
+    "subspace": (Subspace, lambda sub: (sub.ambient_dim, sub.basis)),
+    "representation": (Representation, lambda rep: (rep.algebra, rep.dim_m, rep.action)),
+    "linmap": (lambda m: m, lambda m: (m,)),
+    "bivector": (lambda g, dim, r: (g, r), lambda value: (value[0], value[1].dim, value[1])),
+    "cochain": (cohomology.Cochain, lambda f: (f.degree, f.source_dim, f.target_dim,
+                                               {idx: f.value(idx) for idx in f.values})),
+    "deformation": (
+        lambda rep, bracket1, action1: (
+            rep, DeformationData.build(rep.algebra.dim, rep.dim_m, bracket1, action1)),
+        lambda value: (value[0], liecore.dense(value[1].bracket1, value[0].algebra.dim),
+                       liecore.action_matrices(value[1].action1, value[0].dim_m))),
+    "twilled": (lambda total, a, b: twilled.twilled_new(
+        total, Subspace(total.dim, a), Subspace(total.dim, b)), _unmake_twilled),
 }
 
 
@@ -262,8 +274,17 @@ def emit(kind, *field_values):
                              for f, v in zip(KINDS[kind], field_values, strict=True)}}
 
 
+def write(kind, value, names):
+    """The JSON entry of a `kind` object from its value as Workspace._build
+    makes it: the inverse of _build.  A reference field is written as the name
+    that `names` gives the id of the referenced value."""
+    fields = _MAKE[kind][1](value) if kind in _MAKE else value
+    return emit(kind, *(names[id(v)] if f.parse is ref else v
+                        for f, v in zip(KINDS[kind], fields, strict=True)))
+
+
 def lie_algebra_to_json(g: LieAlgebra):
-    return emit("lie_algebra", g.dim, g.c)
+    return write("lie_algebra", g, {})
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +379,14 @@ class Workspace:
                 vals.append(None)
             else:
                 raise WorkspaceError(f"missing key {f.key!r}")
-        make = _MAKE.get(kind)
-        return make(*vals) if make else tuple(vals)
+        return _MAKE[kind][0](*vals) if kind in _MAKE else tuple(vals)
 
 
 # ---------------------------------------------------------------------------
-# checks
+# verdicts and checks
 # ---------------------------------------------------------------------------
+# Every table entry looks its library routes up through their module when it
+# runs, so a route patched in its module is the route that runs.
 
 def _first_defect(defects):
     """The detail of a failed check: the first nonzero of the per-pair defects
@@ -373,130 +395,230 @@ def _first_defect(defects):
     return f"first defect at {key}: {vector_to_json(defects[key])}"
 
 
-def check_entry(ws: Workspace, entry: Entry):
-    """(verdict, detail) for one object; carriers are valid by construction."""
-    kind, value = entry.kind, entry.value
-    if kind in ("lie_algebra", "subspace", "representation", "cochain",
-                "twilled", "linmap"):
-        return True, "validated on load"
-    if kind == "bivector":
-        g, r = value
-        if g is None:
-            return True, "antisymmetry validated on load"
-        verdict, support = ooper.r_matrix_defect(g, r)
-        return verdict, "" if verdict else f"[r,r] has support {support}"
-    if kind == "o_operator":
-        verdict, defect = ooper.graph_oracle(*value)
-        return verdict, "" if verdict else _first_defect(dict([defect]))
-    if kind == "nijenhuis":
-        g, n = value
-        verdict, defect = onstruct.is_nijenhuis(g, n)
-        return verdict, "" if verdict else f"defect at {defect[:2]}"
-    if kind == "nijenhuis_structure":
-        rep, n, s = value
-        return onstruct.is_nijenhuis_structure(rep, n, s), ""
-    if kind == "on_structure":
-        rep, t, n, s = value
-        verdict, report = onstruct.is_on_structure(rep, t, n, s)
-        failed = [k for k, v in report.items() if not v]
-        return verdict, "" if verdict else f"failed clauses: {failed}"
-    if kind == "pn_structure":
-        g, r, n = value
-        return onstruct.is_pn_structure(g, r, n), ""
-    if kind == "pre_lie":
-        dim, tensor = value
-        bad = ooper.pre_lie_defect_tensor(dim, liecore.sparse(tensor))
-        return bad is None, "" if bad is None else f"identity fails at triple {bad}"
-    if kind == "gcs_module":
-        rep, n, t, sigma, s = value
-        ok, failed = gcsholo.gcs_check_components(rep, n, t, sigma, s, report=True)
-        verdict = oracle("gcs characterization", gcsholo.gcs_check_direct(rep, n, t, sigma, s),
-                         ok, "direct={a} components={b}")
-        return verdict, "" if verdict else f"failed identities: {failed}"
-    if kind == "gcs_lie":
-        g, n, r, sigma2 = value
-        return gcsholo.gcs_lie_check(g, n, r, sigma2), ""
-    if kind == "complex_pair":
-        rep, i, im = value
-        return gcsholo.is_module_complex_pair(rep, i, im), ""
-    if kind == "holo_o":
-        rep, j, jm, tr, ti = value
-        return gcsholo.is_holomorphic_o(rep, j, jm, tr, ti), ""
-    if kind == "holo_r":
-        g, j, rr, ri = value
-        return gcsholo.is_holomorphic_r(g, j, rr, ri), ""
-    if kind == "deformation":
-        rep, d = value
-        verdict, which = onstruct.is_infinitesimal_deformation(rep, d)
-        return verdict, "" if verdict else f"condition {which} fails"
-    if kind == "mc_solution":
-        tw, omega = value
-        verdict, defects = twilled.strong_mc_check(tw, omega)
-        if verdict:
-            return True, "strong"
-        # the cocycle and quadratic parts of each pair sum to its MC residual
-        weak = all(is_zero_vec(vec_add(*parts)) for parts in defects.values())
-        return weak, "weak only" if weak else "not a Maurer-Cartan solution"
-    raise WorkspaceError(f"no validator for kind {kind!r}")
+def _fails(result, say):
+    """(verdict, detail) from a route's (verdict, witness): the detail says
+    the witness of a failed verdict."""
+    verdict, witness = result
+    return verdict, "" if verdict else say(witness)
 
 
-CHECK_KINDS = {
-    "o-operator": ("o_operator", 1),
-    "r-matrix": ("bivector", 1),
-    "compatible": ("o_operator", 2),
-    "nijenhuis": ("nijenhuis", 1),
-    "nijenhuis-structure": ("nijenhuis_structure", 1),
-    "on": ("on_structure", 1),
-    "pn": ("pn_structure", 1),
-    "twilled": ("twilled", 1),
-    "mc": ("mc_solution", 1),
-    "strong-mc": ("mc_solution", 1),
-    "gcs": ("gcs_module", 1),
-    "gcs-lie": ("gcs_lie", 1),
-    "complex": ("complex_pair", 1),
-    "holo-o": ("holo_o", 1),
-    "holo-r": ("holo_r", 1),
-    "pre-lie": ("pre_lie", 1),
+def _loaded(value):
+    return True, "validated on load"
+
+
+def _bivector(value):
+    g, r = value
+    if g is None:
+        return True, "antisymmetry validated on load"
+    return _fails(ooper.r_matrix_defect(g, r), "[r,r] has support {}".format)
+
+
+def _pre_lie(value):
+    dim, tensor = value
+    bad = ooper.pre_lie_defect_tensor(dim, liecore.sparse(tensor))
+    return bad is None, "" if bad is None else f"identity fails at triple {bad}"
+
+
+def _gcs_module(value):
+    ok, failed = gcsholo.gcs_check_components(*value, report=True)
+    verdict = oracle("gcs characterization", gcsholo.gcs_check_direct(*value), ok,
+                     "direct={a} components={b}")
+    return verdict, "" if verdict else f"failed identities: {failed}"
+
+
+def _mc(value):
+    """(strong, weak, MC residual per pair) from one strong_mc_check: the
+    cocycle and quadratic parts of each pair sum to its MC residual."""
+    strong, parts = twilled.strong_mc_check(*value)
+    residual = {key: vec_add(*pair) for key, pair in parts.items()}
+    return strong, all(is_zero_vec(v) for v in residual.values()), residual
+
+
+def _mc_solution(value):
+    strong, weak, _ = _mc(value)
+    if strong:
+        return True, "strong"
+    return weak, "weak only" if weak else "not a Maurer-Cartan solution"
+
+
+# kind -> its verdict on an object's value, as (verdict, detail)
+VERDICTS = {
+    **dict.fromkeys(("lie_algebra", "subspace", "representation", "linmap", "cochain",
+                     "twilled"), _loaded),
+    "bivector": _bivector,
+    "o_operator": lambda value: _fails(ooper.graph_oracle(*value),
+                                       lambda defect: _first_defect(dict([defect]))),
+    "nijenhuis": lambda value: _fails(onstruct.is_nijenhuis(*value),
+                                      lambda defect: f"defect at {defect[:2]}"),
+    "nijenhuis_structure": lambda value: (onstruct.is_nijenhuis_structure(*value), ""),
+    "on_structure": lambda value: _fails(
+        onstruct.is_on_structure(*value),
+        lambda report: f"failed clauses: {[k for k, ok in report.items() if not ok]}"),
+    "pn_structure": lambda value: (onstruct.is_pn_structure(*value), ""),
+    "pre_lie": _pre_lie,
+    "gcs_module": _gcs_module,
+    "gcs_lie": lambda value: (gcsholo.gcs_lie_check(*value), ""),
+    "complex_pair": lambda value: (gcsholo.is_module_complex_pair(*value), ""),
+    "holo_o": lambda value: (gcsholo.is_holomorphic_o(*value), ""),
+    "holo_r": lambda value: (gcsholo.is_holomorphic_r(*value), ""),
+    "deformation": lambda value: _fails(onstruct.is_infinitesimal_deformation(*value),
+                                        "condition {} fails".format),
+    "mc_solution": _mc_solution,
 }
 
 
-def run_check(ws: Workspace, kind, names):
-    expected_kind, arity = CHECK_KINDS[kind]
-    if len(names) != arity:
-        raise WorkspaceError(f"check {kind} takes {arity} object name(s)")
-    entries = [ws.get(n, expected_kind) for n in names]
-    if kind == "compatible":
-        (rep1, t1), (rep2, t2) = entries[0].value, entries[1].value
-        if rep1 is not rep2:
-            raise WorkspaceError("compatible check needs operators over one module")
-        defects = ooper.compatibility_defect(rep1, t1, t2)
-        verdict = ooper.compatibility_oracle(rep1, t1, t2, defects)
-        return verdict, "" if verdict else _first_defect(defects)
-    if kind == "r-matrix":
-        g, r = entries[0].value
-        if g is None:
-            raise WorkspaceError("bivector has no algebra_ref to check against")
-        return check_entry(ws, entries[0])
-    if kind == "mc":
-        tw, omega = entries[0].value
-        verdict, defects = twilled.mc_check(tw, omega)
-        return verdict, "" if verdict else _first_defect(defects)
-    if kind == "strong-mc":
-        tw, omega = entries[0].value
-        verdict, _ = twilled.strong_mc_check(tw, omega)
-        return verdict, ""
-    return check_entry(ws, entries[0])
+def check_entry(ws: Workspace, entry: Entry):
+    """(verdict, detail) for one object: its kind's entry in VERDICTS."""
+    return VERDICTS[entry.kind](entry.value)
+
+
+def _r_matrix(value):
+    if value[0] is None:
+        raise WorkspaceError("bivector has no algebra_ref to check against")
+    return _bivector(value)
+
+
+def _compatible(op1, op2):
+    (rep, t1), (rep2, t2) = op1, op2
+    if rep is not rep2:
+        raise WorkspaceError("compatible check needs operators over one module")
+    defects = ooper.compatibility_defect(rep, t1, t2)
+    verdict = ooper.compatibility_oracle(rep, t1, t2, defects)
+    return verdict, "" if verdict else _first_defect(defects)
+
+
+# check command -> (the kinds of the objects it names, its decision on their
+# values); a command on one object decides it as VERDICTS does, except these
+CHECKS = {
+    **{command: ((kind,), VERDICTS[kind]) for command, kind in (
+        ("o-operator", "o_operator"), ("nijenhuis", "nijenhuis"),
+        ("nijenhuis-structure", "nijenhuis_structure"), ("on", "on_structure"),
+        ("pn", "pn_structure"), ("twilled", "twilled"), ("gcs", "gcs_module"),
+        ("gcs-lie", "gcs_lie"), ("complex", "complex_pair"), ("holo-o", "holo_o"),
+        ("holo-r", "holo_r"), ("pre-lie", "pre_lie"), ("deformation", "deformation"))},
+    "r-matrix": (("bivector",), _r_matrix),
+    "compatible": (("o_operator", "o_operator"), _compatible),
+    "mc": (("mc_solution",), lambda value: _fails(_mc(value)[1:], _first_defect)),
+    "strong-mc": (("mc_solution",), lambda value: (_mc(value)[0], "")),
+}
+
+
+def run_check(ws: Workspace, command, names):
+    kinds, decide = CHECKS[command]
+    if len(names) != len(kinds):
+        raise WorkspaceError(f"check {command} takes {len(kinds)} object name(s)")
+    return decide(*(ws.get(name, kind).value for name, kind in zip(names, kinds)))
 
 
 # ---------------------------------------------------------------------------
 # derivations
 # ---------------------------------------------------------------------------
 
+# the deepest `derive hierarchy`: its work grows faster than the square of the depth
+MAX_HIERARCHY_DEPTH = 64
+
+
+def _depth(arg):
+    """The depth argument of `derive hierarchy`."""
+    if arg not in {str(k) for k in range(MAX_HIERARCHY_DEPTH + 1)}:
+        raise WorkspaceError(
+            f"hierarchy depth must be an integer in [0, {MAX_HIERARCHY_DEPTH}], got {arg!r}")
+    return int(arg)
+
+
+def _fields(x):
+    """A dataclass's field values in order, which is the KINDS order of the
+    kind it carries."""
+    return tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+
+
+def _twilled(name, tw):
+    return {f"{name}__total": ("lie_algebra", tw.total), f"{name}__twilled": ("twilled", tw)}
+
+
+def _reduce(op, h, e, n):
+    rep, t = op.value
+    red = ooper.mr_reduce(rep, t, h.value, e.value, n.value)
+    base = f"{op.name}__reduced"
+    return {f"{base}_algebra": ("lie_algebra", red.quotient.algebra),
+            f"{base}_rep": ("representation", red.reduced_rep),
+            base: ("o_operator", (red.reduced_rep, red.reduced_T)),
+            f"{base}_module": ("subspace", Subspace(rep.dim_m, red.module_basis))}
+
+
+def _tilde_action(ns):
+    tilde = onstruct.tilde_action(*ns.value)
+    return {f"{ns.name}__deformed_algebra": ("lie_algebra", tilde.algebra),
+            f"{ns.name}__tilde": ("representation", tilde)}
+
+
+def _on_from_pair(op1, op2):
+    (rep, t1), (rep2, t2) = op1.value, op2.value
+    if rep is not rep2:
+        raise WorkspaceError("operators live over different modules")
+    on = onstruct.on_from_compatible_pair(rep, t1, t2)
+    return {f"{op2.name}__on": ("on_structure", _fields(on))}
+
+
+def _mc_from_on(on):
+    rep, t, n, s = on.value
+    omega = twilled.strong_mc_from_on(rep, t, n, s)
+    tw = twilled.twilled_from_o(rep, t)
+    return {**_twilled(on.name, tw), f"{on.name}__mc": ("mc_solution", (tw, omega))}
+
+
+def _pre_lie_from_o(op):
+    p = ooper.pre_lie_from_o(*op.value)
+    return {f"{op.name}__prelie": ("pre_lie", (p.dim, liecore.dense(p.s, p.dim)))}
+
+
+# derive kind -> (for each argument, the kind of the object it names or the
+# parser of a plain argument; the construction from the arguments' entries,
+# as {name: (kind, value as Workspace._build makes it)})
+DERIVES = {
+    "induced-lie": (("o_operator",), lambda op: {
+        f"{op.name}__induced": ("lie_algebra", ooper.induced_lie(*op.value))}),
+    "semidirect": (("representation",), lambda rep: {
+        f"{rep.name}__semidirect": ("lie_algebra", liecore.semidirect(rep.value))}),
+    "adjoint": (("lie_algebra",), lambda g: {
+        f"{g.name}__adjoint": ("representation", liecore.adjoint(g.value))}),
+    "coadjoint": (("lie_algebra",), lambda g: {
+        f"{g.name}__coadjoint": ("representation", liecore.coadjoint(g.value))}),
+    "dual": (("representation",), lambda rep: {
+        f"{rep.name}__dual": ("representation", liecore.dual_rep(rep.value))}),
+    "deformed-bracket": (("nijenhuis",), lambda n: {
+        f"{n.name}__deformed": ("lie_algebra", onstruct.deformed_bracket(*n.value))}),
+    "gauge": (("o_operator", "linmap"), lambda op, b: {
+        f"{op.name}__gauge__{b.name}": (
+            "o_operator", (op.value[0], ooper.gauge_transform(*op.value, b.value)))}),
+    "reduce": (("o_operator", "subspace", "subspace", "subspace"), _reduce),
+    "hierarchy": ((_depth, "on_structure"), lambda depth, on: {
+        f"{on.name}__t{k}": ("o_operator", (on.value[0], tk))
+        for k, tk in enumerate(onstruct.hierarchy(*on.value, depth))}),
+    "tilde-action": (("nijenhuis_structure",), _tilde_action),
+    "twilled-from-o": (("o_operator",), lambda op: _twilled(
+        op.name, twilled.twilled_from_o(*op.value))),
+    "on-from-pair": (("o_operator", "o_operator"), _on_from_pair),
+    "on-from-mc": (("o_operator", "mc_solution"), lambda op, mc: {
+        f"{op.name}__on_from_mc": (
+            "on_structure", _fields(twilled.on_from_strong_mc(*op.value, mc.value[1])))}),
+    "mc-from-on": (("on_structure",), _mc_from_on),
+    "gcs-from-o": (("o_operator",), lambda op: {
+        f"{op.name}__gcs": ("gcs_module", _fields(gcsholo.gcs_from_invertible_o(*op.value)))}),
+    "opposite-gcs": (("gcs_module",), lambda j: {
+        f"{j.name}__opposite": (
+            "gcs_module", _fields(gcsholo.opposite_gcs(gcsholo.GCSModule(*j.value))))}),
+    "pre-lie-from-o": (("o_operator",), _pre_lie_from_o),
+}
+
+
 def run_derive(ws: Workspace, kind, args):
     """Returns ({name: json}, dependency names to copy verbatim)."""
-    if kind in DERIVE_KINDS and len(args) != DERIVE_KINDS[kind]:
-        raise WorkspaceError(f"derive {kind} takes {DERIVE_KINDS[kind]} argument(s)")
-    new = {}
+    if kind not in DERIVES:
+        raise WorkspaceError(f"unknown derive kind {kind!r}")
+    kinds, construct = DERIVES[kind]
+    if len(args) != len(kinds):
+        raise WorkspaceError(f"derive {kind} takes {len(kinds)} argument(s)")
     deps = set()
 
     def dep(name, kind=None):
@@ -507,168 +629,55 @@ def run_derive(ws: Workspace, kind, args):
                 dep(entry.raw[f.key])
         return entry
 
-    def emit_twilled(name, tw):
-        basis = Matrix.identity(tw.dim_a + tw.dim_b).entries
-        new[f"{name}__total"] = lie_algebra_to_json(tw.total)
-        new[f"{name}__twilled"] = emit("twilled", f"{name}__total",
-                                       basis[:tw.dim_a], basis[tw.dim_a:])
-
-    if kind == "induced-lie":
-        (name,) = args
-        rep, t = dep(name, "o_operator").value
-        new[f"{name}__induced"] = lie_algebra_to_json(ooper.induced_lie(rep, t))
-    elif kind == "semidirect":
-        (name,) = args
-        rep = dep(name, "representation").value
-        new[f"{name}__semidirect"] = lie_algebra_to_json(liecore.semidirect(rep))
-    elif kind == "adjoint":
-        (name,) = args
-        rep = liecore.adjoint(dep(name, "lie_algebra").value)
-        new[f"{name}__adjoint"] = emit("representation", name, rep.dim_m, rep.action)
-    elif kind == "coadjoint":
-        (name,) = args
-        rep = liecore.coadjoint(dep(name, "lie_algebra").value)
-        new[f"{name}__coadjoint"] = emit("representation", name, rep.dim_m, rep.action)
-    elif kind == "dual":
-        (name,) = args
-        entry = dep(name, "representation")
-        rep = liecore.dual_rep(entry.value)
-        new[f"{name}__dual"] = emit("representation", entry.raw["algebra_ref"],
-                                    rep.dim_m, rep.action)
-    elif kind == "deformed-bracket":
-        (name,) = args
-        g, n = dep(name, "nijenhuis").value
-        new[f"{name}__deformed"] = lie_algebra_to_json(onstruct.deformed_bracket(g, n))
-    elif kind == "gauge":
-        tname, bname = args
-        entry = dep(tname, "o_operator")
-        tb = ooper.gauge_transform(*entry.value, dep(bname, "linmap").value)
-        new[f"{tname}__gauge__{bname}"] = emit("o_operator", entry.raw["rep_ref"], tb)
-    elif kind == "reduce":
-        tname, hname, ename, nname = args
-        rep, t = dep(tname, "o_operator").value
-        h, e, nsub = (dep(n, "subspace").value for n in (hname, ename, nname))
-        red = ooper.mr_reduce(rep, t, h, e, nsub)
-        base = f"{tname}__reduced"
-        new[f"{base}_algebra"] = lie_algebra_to_json(red.quotient.algebra)
-        new[f"{base}_rep"] = emit("representation", f"{base}_algebra",
-                                  red.reduced_rep.dim_m, red.reduced_rep.action)
-        new[base] = emit("o_operator", f"{base}_rep", red.reduced_T)
-        new[f"{base}_module"] = emit("subspace", rep.dim_m, red.module_basis)
-    elif kind == "hierarchy":
-        depth, name = args
-        if depth not in {str(k) for k in range(MAX_HIERARCHY_DEPTH + 1)}:
-            raise WorkspaceError(
-                f"hierarchy depth must be an integer in [0, {MAX_HIERARCHY_DEPTH}], got {depth!r}")
-        entry = dep(name, "on_structure")
-        for k, tk in enumerate(onstruct.hierarchy(*entry.value, int(depth))):
-            new[f"{name}__t{k}"] = emit("o_operator", entry.raw["rep_ref"], tk)
-    elif kind == "tilde-action":
-        (name,) = args
-        tilde = onstruct.tilde_action(*dep(name, "nijenhuis_structure").value)
-        new[f"{name}__deformed_algebra"] = lie_algebra_to_json(tilde.algebra)
-        new[f"{name}__tilde"] = emit("representation", f"{name}__deformed_algebra",
-                                     tilde.dim_m, tilde.action)
-    elif kind == "twilled-from-o":
-        (name,) = args
-        emit_twilled(name, twilled.twilled_from_o(*dep(name, "o_operator").value))
-    elif kind == "on-from-pair":
-        n1, n2 = args
-        entry = dep(n1, "o_operator")
-        rep, t1 = entry.value
-        rep2, t2 = dep(n2, "o_operator").value
-        if rep is not rep2:
-            raise WorkspaceError("operators live over different modules")
-        on = onstruct.on_from_compatible_pair(rep, t1, t2)
-        new[f"{n2}__on"] = emit("on_structure", entry.raw["rep_ref"], on.T, on.N, on.S)
-    elif kind == "on-from-mc":
-        tname, mcname = args
-        entry = dep(tname, "o_operator")
-        _, omega = dep(mcname, "mc_solution").value
-        on = twilled.on_from_strong_mc(*entry.value, omega)
-        new[f"{tname}__on_from_mc"] = emit("on_structure", entry.raw["rep_ref"],
-                                           on.T, on.N, on.S)
-    elif kind == "mc-from-on":
-        (name,) = args
-        rep, t, n, s = dep(name, "on_structure").value
-        omega = twilled.strong_mc_from_on(rep, t, n, s)
-        emit_twilled(name, twilled.twilled_from_o(rep, t))
-        new[f"{name}__mc"] = emit("mc_solution", f"{name}__twilled", omega)
-    elif kind == "gcs-from-o":
-        (name,) = args
-        entry = dep(name, "o_operator")
-        j = gcsholo.gcs_from_invertible_o(*entry.value)
-        new[f"{name}__gcs"] = emit("gcs_module", entry.raw["rep_ref"],
-                                   j.N, j.T, j.sigma, j.S)
-    elif kind == "opposite-gcs":
-        (name,) = args
-        entry = dep(name, "gcs_module")
-        j = gcsholo.opposite_gcs(gcsholo.GCSModule(*entry.value))
-        new[f"{name}__opposite"] = emit("gcs_module", entry.raw["rep_ref"],
-                                        j.N, j.T, j.sigma, j.S)
-    elif kind == "pre-lie-from-o":
-        (name,) = args
-        p = ooper.pre_lie_from_o(*dep(name, "o_operator").value)
-        new[f"{name}__prelie"] = emit("pre_lie", p.dim, liecore.dense(p.s, p.dim))
-    else:
-        raise WorkspaceError(f"unknown derive kind {kind!r}")
+    made = construct(*(dep(arg, kind) if isinstance(kind, str) else kind(arg)
+                       for arg, kind in zip(args, kinds)))
+    # a reference names a workspace object, or one made before it
+    names = {id(entry.value): name for name, entry in ws.entries.items()}
+    new = {}
+    for name, (out_kind, value) in made.items():
+        new[name] = write(out_kind, value, names)
+        names[id(value)] = name
     return new, deps
-
-
-# derive kind -> number of positional arguments
-DERIVE_KINDS = {
-    "induced-lie": 1, "gauge": 2, "reduce": 4, "hierarchy": 2,
-    "deformed-bracket": 1, "tilde-action": 1, "twilled-from-o": 1,
-    "on-from-mc": 2, "mc-from-on": 1, "on-from-pair": 2, "gcs-from-o": 1,
-    "pre-lie-from-o": 1, "opposite-gcs": 1, "semidirect": 1, "dual": 1,
-    "adjoint": 1, "coadjoint": 1,
-}
-# the deepest `derive hierarchy`: its work grows faster than the square of the depth
-MAX_HIERARCHY_DEPTH = 64
 
 
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
 
+def _tally(outcomes):
+    """How many of a suite's outcomes are agreements, of how many."""
+    outcomes = list(outcomes)
+    return {"agree": sum(outcomes), "total": len(outcomes)}
+
+
 def _suite_oracles(ws: Workspace, seed):
     """Small seeded property suites over loaded reps and algebras."""
     rng = random.Random(seed)
-    suites = {}
-    reps = [(n, e.value) for n, e in sorted(ws.entries.items())
-            if e.kind == "representation"]
-    algs = [(n, e.value) for n, e in sorted(ws.entries.items())
-            if e.kind == "lie_algebra"]
-    graph_total = graph_agree = 0
-    for _, rep in reps:
-        for _ in range(10):
-            t = Matrix([[rng.randint(-2, 2) for _ in range(rep.dim_m)]
-                        for _ in range(rep.algebra.dim)])
-            graph_total += 1
-            graph_agree += (ooper.graph_check(rep, t) ==
-                            ooper.is_o_operator(rep, t))
-    suites["o_operator_graph_oracle"] = {"agree": graph_agree, "total": graph_total}
-    cybe_total = cybe_agree = 0
-    for _, g in algs:
-        for _ in range(6):
-            pairs = {(i, j): rng.randint(-1, 1)
-                     for i in range(g.dim) for j in range(i + 1, g.dim)}
-            r = Bivector.from_pairs(g.dim, pairs)
-            cybe_total += 1
-            cybe_agree += (ooper.is_r_matrix(g, r) ==
-                           ooper.is_o_operator(liecore.coadjoint(g), ooper.r_sharp(r)))
-    suites["cybe_coadjoint_oracle"] = {"agree": cybe_agree, "total": cybe_total}
-    dsq_total = dsq_ok = 0
-    for _, rep in reps:
-        for degree in (0, 1):
-            vals = {idx: tuple(rng.randint(-2, 2) for _ in range(rep.dim_m))
-                    for idx in combinations(range(rep.algebra.dim), degree)}
-            f = cohomology.Cochain(degree, rep.algebra.dim, rep.dim_m, vals)
-            dsq_total += 1
-            dsq_ok += cohomology.ce_differential(
-                rep, cohomology.ce_differential(rep, f)).is_zero()
-    suites["ce_differential_squares_to_zero"] = {"agree": dsq_ok, "total": dsq_total}
-    return suites
+    reps = [e.value for _, e in sorted(ws.entries.items()) if e.kind == "representation"]
+    algs = [e.value for _, e in sorted(ws.entries.items()) if e.kind == "lie_algebra"]
+
+    def graph(rep):
+        t = Matrix([[rng.randint(-2, 2) for _ in range(rep.dim_m)]
+                    for _ in range(rep.algebra.dim)])
+        return ooper.graph_check(rep, t) == ooper.is_o_operator(rep, t)
+
+    def cybe(g):
+        r = Bivector.from_pairs(g.dim, {(i, j): rng.randint(-1, 1)
+                                        for i in range(g.dim) for j in range(i + 1, g.dim)})
+        return ooper.is_r_matrix(g, r) == ooper.is_o_operator(liecore.coadjoint(g),
+                                                              ooper.r_sharp(r))
+
+    def d_squared(rep, degree):
+        vals = {idx: tuple(rng.randint(-2, 2) for _ in range(rep.dim_m))
+                for idx in combinations(range(rep.algebra.dim), degree)}
+        f = cohomology.Cochain(degree, rep.algebra.dim, rep.dim_m, vals)
+        return cohomology.ce_differential(rep, cohomology.ce_differential(rep, f)).is_zero()
+
+    # the suites draw from one generator, in this order
+    return {"o_operator_graph_oracle": _tally(graph(rep) for rep in reps for _ in range(10)),
+            "cybe_coadjoint_oracle": _tally(cybe(g) for g in algs for _ in range(6)),
+            "ce_differential_squares_to_zero": _tally(
+                d_squared(rep, degree) for rep in reps for degree in (0, 1))}
 
 
 def build_report(ws: Workspace, seed=0):
@@ -712,11 +721,11 @@ def _parser():
     sp = sub.add_parser("validate", help="validate every object in the workspace")
     common(sp, report=True)
     sp = sub.add_parser("check", help="run one verification")
-    sp.add_argument("kind", choices=sorted(CHECK_KINDS))
+    sp.add_argument("kind", choices=sorted(CHECKS))
     sp.add_argument("names", nargs="+")
     common(sp)
     sp = sub.add_parser("derive", help="run one construction and write results")
-    sp.add_argument("kind", choices=sorted(DERIVE_KINDS))
+    sp.add_argument("kind", choices=sorted(DERIVES))
     sp.add_argument("args", nargs="+")
     common(sp)
     sp.add_argument("--output", required=True, metavar="FILE")
@@ -755,11 +764,6 @@ def _run(args):
         sys.stdout.write(f"error: {exc}\n")
         return 2
 
-    if args.command == "validate":
-        report = build_report(ws, seed=args.seed)
-        sys.stdout.write(render_report(report, args.format))
-        return 0 if all(o["valid"] for o in report["objects"].values()) else 1
-
     if args.command == "check":
         verdict, detail = run_check(ws, args.kind, args.names)
         word = "valid" if verdict else "invalid"
@@ -769,10 +773,7 @@ def _run(args):
 
     if args.command == "derive":
         new, deps = run_derive(ws, args.kind, args.args)
-        doc = {"objects": {}}
-        for name in sorted(deps):
-            doc["objects"][name] = ws.get(name).raw
-        doc["objects"].update({k: new[k] for k in sorted(new)})
+        doc = {"objects": {**{name: ws.get(name).raw for name in deps}, **new}}
         Workspace.load([doc])  # round-trip: outputs must re-validate
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -784,12 +785,11 @@ def _run(args):
         sys.stdout.write(f"wrote {len(new)} object(s) to {args.output}\n")
         return 0
 
-    if args.command == "report":
-        report = build_report(ws, seed=args.seed)
-        sys.stdout.write(render_report(report, args.format))
-        return 0
-
-    return 2
+    # validate and report differ only in their exit code
+    report = build_report(ws, seed=args.seed)
+    sys.stdout.write(render_report(report, args.format))
+    valid = all(o["valid"] for o in report["objects"].values())
+    return 0 if valid or args.command == "report" else 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .cli import emit, lie_algebra_to_json
+from .cli import emit, lie_algebra_to_json, write
 from .exactla import Matrix
 from .liecore import (
     LieAlgebra, Representation, action_matrices, adjoint, coadjoint, dense, trivial_rep,
@@ -144,8 +144,7 @@ def bundle() -> dict:
 
     tw = twilled_from_o(reps["aff1_adj"], AFF1_ADJ_T)
     objects["aff1_tw_total"] = lie_algebra_to_json(tw.total)
-    ident4 = Matrix.identity(4).entries
-    objects["aff1_tw"] = emit("twilled", "aff1_tw_total", ident4[:2], ident4[2:])
+    objects["aff1_tw"] = write("twilled", tw, {id(tw.total): "aff1_tw_total"})
     objects["h3_tw"] = emit("twilled", "h3", [(1, 0, 0), (0, 0, 1)], [(0, 1, 0)])
 
     objects["aff1_mc"] = emit("mc_solution", "aff1_tw", AFF1_ADJ_OMEGA)

@@ -1,9 +1,10 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from lieop import gcsholo, ooper, twilled
+from lieop import cli, gcsholo, ooper, twilled
 from lieop.cli import MAX_HIERARCHY_DEPTH, Workspace, build_report, main
 from lieop.errors import OracleDisagreement
 from lieop.fixtures import bundle, bundle_json
@@ -576,3 +577,73 @@ def test_a_failed_holomorphic_precondition_is_an_error_in_every_command(kind, en
     assert code == 2 and line.startswith("error: ") and line.count("\n") == 1
     for argv in (["validate"], ["report"], ["report", "--format", "json"]):
         assert run(capsys, *argv, "--input", str(p)) == (2, line)
+
+
+def test_every_kind_has_one_verdict_and_every_command_names_kinds():
+    assert set(cli.VERDICTS) == set(cli.KINDS)
+    for kinds, _ in cli.CHECKS.values():
+        assert kinds and set(kinds) <= set(cli.KINDS)
+    for kinds, _ in cli.DERIVES.values():
+        assert kinds and all(k in cli.KINDS or callable(k) for k in kinds)
+
+
+def _choices(command):
+    (sub,) = [a for a in cli._parser()._actions if a.dest == "command"]
+    (kind,) = [a for a in sub.choices[command]._actions if a.dest == "kind"]
+    return kind.choices
+
+
+def test_the_command_line_offers_exactly_the_table_keys():
+    assert _choices("check") == sorted(cli.CHECKS)
+    assert _choices("derive") == sorted(cli.DERIVES)
+
+
+def _readme_list(label):
+    text = " ".join((Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split())
+    listed = text.split(f"{label}: ", 1)[1].split(".", 1)[0]
+    return sorted(item.split("`")[1].split()[0] for item in listed.split(", "))
+
+
+def test_the_readme_lists_the_table_keys():
+    assert _readme_list("Check kinds") == sorted(cli.CHECKS)
+    assert _readme_list("Derive kinds") == sorted(cli.DERIVES)
+
+
+def test_write_is_the_inverse_of_load():
+    """Each bundle object's value writes back to its document entry, a
+    reference as the name of the object it loaded.  A twilled algebra is left
+    out: its value is re-expressed in the block basis of its two parts."""
+    doc = bundle()
+    ws = Workspace.load([doc])
+    names = {id(entry.value): name for name, entry in ws.entries.items()}
+    kinds = set()
+    for name, entry in sorted(ws.entries.items()):
+        if entry.kind != "twilled":
+            assert cli.write(entry.kind, entry.value, names) == doc["objects"][name], name
+            kinds.add(entry.kind)
+    assert kinds == set(cli.KINDS) - {"twilled"}
+
+
+@pytest.mark.parametrize("name,code,detail", [
+    ("aff1_deform", 0, ""), ("bad_deform", 1, " condition action1_rep fails"),
+])
+def test_check_deformation(name, code, detail, bundle_file, tmp_path, capsys):
+    p = _write(tmp_path, {"bad_deform": {
+        "kind": "deformation", "rep_ref": "aff1_adj", "bracket1": [[0, 1, ["1", "0"]]],
+        "action1": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}})
+    word = "valid" if code == 0 else "invalid"
+    assert run(capsys, "check", "deformation", name, "--input", bundle_file, p) == (
+        code, f"deformation {name}: {word}{detail}\n")
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["check", "mc", "weak"],
+                                  ["check", "strong-mc", "weak"]],
+                         ids=["validate", "check-mc", "check-strong-mc"])
+def test_each_mc_reading_runs_one_strong_mc_check(argv, tmp_path, capsys, monkeypatch):
+    p = _write(tmp_path, {"weak": {"kind": "mc_solution", "twilled_ref": "aff1_tw",
+                                   "omega": [["0", "-1"], ["1", "0"]]}},
+               "aff1_tw", "aff1_tw_total")
+    calls = _count(monkeypatch, twilled, "strong_mc_check")
+    code, _ = run(capsys, *argv, "--input", p)
+    assert code == (1 if "strong-mc" in argv else 0)
+    assert len(calls) == 1

@@ -7,7 +7,9 @@ kernels must reproduce their output byte for byte, so a change to any digest
 here is a change of output and needs its own reason.  The invalid-object
 digests pin the detail of each failed check: they were recorded while the
 command line still re-ran each identity to find the witness it prints, and hold
-now that the witness comes from the evaluation that decided the verdict.
+now that the witness comes from the evaluation that decided the verdict.  The
+refusal lines pin each error a check or derive command prints for arguments of
+the wrong number or kind.
 """
 
 import hashlib
@@ -161,3 +163,64 @@ INVALID_RUNS = [
 def test_invalid_object_output_matches_golden(invalid_file, capsys, args, code, digest):
     assert main([*args, "--input", invalid_file]) == code
     assert _sha(capsys.readouterr().out.encode("utf-8")) == digest
+
+
+# `check` on one bundle object of each command that the runs above leave out
+BUNDLE_CHECKS = [
+    (["nijenhuis-structure", "aff1_ns"],
+     "6e9ca7e2193564a8a415e853f715520ba0a7c22d4485bbcea4ebb22abae33ba5"),
+    (["pn", "h3_pn"], "5479a7ff2b84bf7a2b17068f4690d95b56833cc47e37856f5720b6f885d6e01e"),
+    (["twilled", "aff1_tw"], "24dcf6c09cc57fa8edfeb4b83f3fed56cde6e91388db5f7a6f10cbad55b89599"),
+    (["gcs", "aff1_gcs"], "3463b83189003a8b24f13d86f5cedda52d4923b4b2d02be090026adcb09672ad"),
+    (["gcs-lie", "ab2_gcslie"],
+     "cd7fd95e5a6eb670499d172d2abaad8ea5a0451ba39adb54e4aac0f6a7da30c0"),
+    (["complex", "aff1_cx"], "a2836c24e5dc3cf9dceca1d8da5d6840ffc8523b4a70021e27f116699f608aec"),
+    (["holo-o", "ab2_holo_o"],
+     "42f2260e2b540040c12c70e8bc3d27ecbe69f93826eb365beb191ab91b810c77"),
+    (["holo-r", "ab4_holo_r"],
+     "58a0f8caa04eb17d0698c22aee55b571cfd33681321a4fa8b35b35a854fc7dee"),
+]
+
+
+@pytest.mark.parametrize("args,digest", BUNDLE_CHECKS, ids=[run[0][0] for run in BUNDLE_CHECKS])
+def test_bundle_check_output_matches_golden(bundle_file, capsys, args, digest):
+    assert main(["check", *args, "--input", bundle_file]) == 0
+    assert _sha(capsys.readouterr().out.encode("utf-8")) == digest
+
+
+@pytest.fixture(scope="module")
+def refusal_file(tmp_path_factory):
+    free_r = {"kind": "bivector", "dim": 2, "entries": [[0, 1, "1"]]}
+    path = tmp_path_factory.mktemp("golden") / "refusals.json"
+    path.write_text(json.dumps({"objects": {**bundle()["objects"], "free_r": free_r}}),
+                    encoding="utf-8")
+    return str(path)
+
+
+# (arguments, the one line printed): each exits 2 and writes nothing
+REFUSALS = [
+    (["check", "compatible", "aff1_adj_T"], "error: check compatible takes 2 object name(s)"),
+    (["check", "o-operator", "aff1_adj_T", "aff1_coadj_T1"],
+     "error: check o-operator takes 1 object name(s)"),
+    (["check", "o-operator", "aff1_N"],
+     "error: object 'aff1_N' has kind nijenhuis, expected o_operator"),
+    (["check", "compatible", "aff1_adj_T", "aff1_N"],
+     "error: object 'aff1_N' has kind nijenhuis, expected o_operator"),
+    (["check", "r-matrix", "free_r"], "error: bivector has no algebra_ref to check against"),
+    (["check", "compatible", "aff1_adj_T", "aff1_coadj_T1"],
+     "error: compatible check needs operators over one module"),
+    (["derive", "on-from-pair", "aff1_adj_T", "aff1_coadj_T1"],
+     "error: operators live over different modules"),
+    (["derive", "gauge", "aff1_adj_T"], "error: derive gauge takes 2 argument(s)"),
+    (["derive", "hierarchy", "3"], "error: derive hierarchy takes 2 argument(s)"),
+    (["derive", "reduce", "h3_adj_T", "h3_full"], "error: derive reduce takes 4 argument(s)"),
+]
+
+
+@pytest.mark.parametrize("args,line", REFUSALS, ids=["-".join(run[0]) for run in REFUSALS])
+def test_refusal_prints_its_error_line(refusal_file, tmp_path, capsys, args, line):
+    out = tmp_path / "never.json"
+    output = ["--output", str(out)] if args[0] == "derive" else []
+    assert main([*args, "--input", refusal_file, *output]) == 2
+    assert capsys.readouterr().out == line + "\n"
+    assert not out.exists()

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lieop
-from lieop import gcsholo, onstruct, ooper, twilled
+from lieop import cli, errors, gcsholo, liecore, onstruct, ooper, twilled
 from lieop.cli import Workspace
 from lieop.errors import OracleDisagreement, oracle
 from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_DEFORM_S, AFF1_N, H3_ADJ_T2, bundle_json
@@ -181,12 +181,33 @@ def _functions(path):
 
 def test_a_verdict_and_its_witness_come_from_one_evaluation():
     """The command line prints the witness the library returned with the
-    verdict, and no function decides compatibility and then recomputes the
-    mixed residual it was decided from."""
+    verdict: no code in it recomputes an O-identity residual or an MC residual
+    beside the verdict's own evaluation, and no function decides compatibility
+    and then recomputes the mixed residual it was decided from."""
     src = Path(lieop.__file__).parent
-    (check_entry,) = [f for f in _functions(src / "cli.py") if f.name == "check_entry"]
-    assert not _referenced_names(check_entry) & {"o_residual", "mc_check"}
+    cli_module = ast.parse((src / "cli.py").read_text(encoding="utf-8"))
+    assert not _referenced_names(cli_module) & {"o_residual", "mc_check"}
     offenders = [f"{path.name}:{f.name}" for path in sorted(src.glob("*.py"))
                  for f in _functions(path)
                  if {"are_compatible", "compatibility_defect"} <= _referenced_names(f)]
     assert offenders == []
+
+
+# The kinds whose verdict on every bundle object reaches no `errors.oracle`:
+# one-route verdicts, and the carriers that loading validates.  A kind leaves
+# this set when its verdict gains a second route.
+ONE_ROUTE = {"nijenhuis", "pre_lie", "deformation"}
+CARRIERS = {"lie_algebra", "subspace", "representation", "cochain", "twilled", "linmap"}
+
+
+def test_the_verdicts_that_reach_no_oracle(ws, monkeypatch):
+    calls = []
+    for module in (cli, errors, gcsholo, liecore, onstruct, ooper, twilled):
+        monkeypatch.setattr(module, "oracle",
+                            lambda *args, **kw: calls.append(args[0]) or oracle(*args, **kw))
+    reached = {kind: False for kind in cli.KINDS}
+    for _, entry in sorted(ws.entries.items()):
+        before = len(calls)
+        assert cli.check_entry(ws, entry)[0], entry.name
+        reached[entry.kind] |= len(calls) > before
+    assert {kind for kind, hit in reached.items() if not hit} == ONE_ROUTE | CARRIERS
