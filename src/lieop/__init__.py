@@ -9,7 +9,7 @@ the real forms of holomorphic r-matrices and O-operators.
 """
 
 from .errors import LieOpError, OracleDisagreement, Singular
-from .exactla import Matrix, invert, kernel, rank, solve_linear
+from .exactla import Matrix, invert, kernel, rank
 from .liecore import (
     LieAlgebra, Representation, Subspace, adjoint, annihilator,
     coadjoint, dual_rep, intersect, is_ideal, is_subalgebra, quotient,

@@ -13,7 +13,6 @@ parse straight through `int`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, Singular, WorkspaceError
@@ -286,40 +285,6 @@ def rref_maps(rows, ncols):
             dense[k] = q(x)
         out.append(tuple(dense))
     return out, pivots
-
-
-@dataclass
-class LinearSolution:
-    """Outcome of solving A x = b: a particular solution plus a kernel basis."""
-
-    consistent: bool
-    particular: tuple | None
-    kernel: list
-
-    def __iter__(self):
-        yield from (self.consistent, self.particular, self.kernel)
-
-
-def solve_linear(A: Matrix, b) -> LinearSolution:
-    """Solve A x = b exactly.
-
-    Returns a particular solution and an independent kernel basis, or an
-    inconsistent marker.  The answer is deterministic: free variables are the
-    non-pivot columns of the RREF, set to zero in the particular solution.
-    """
-    if A.rows != len(b):
-        raise DimensionMismatch(f"A has {A.rows} rows, b has length {len(b)}")
-    aug = [A.row(i) + (q(b[i]),) for i in range(A.rows)]
-    red, pivots = rref(aug)
-    n = A.cols
-    if n in pivots:
-        return LinearSolution(False, None, [])
-    x = [0] * n
-    for r, c in enumerate(pivots):
-        x[c] = red[r][n]
-    ker = _kernel_from_rref([row[:n] for row in red],
-                            [c for c in pivots if c < n], n)
-    return LinearSolution(True, tuple(x), ker)
 
 
 def _kernel_from_rref(red, pivots, n):

@@ -399,8 +399,8 @@ def is_holomorphic_o(rep: Representation, J, JM, TR, TI) -> bool:
     ok = is_on_structure(rep, TI, J, JM)[0] and TR == TI * JM
     if ok:
         oracle("holomorphic o-operator", TR, J * TI, "T_R != J T_I")
-        oracle("holomorphic o-operator", is_o_operator(rep, TR) and is_o_operator(rep, TI),
-               True, "components fail the O-identity")
+        oracle("holomorphic o-operator", is_o_operator(rep, TR), True,
+               "T_R = J T_I fails the O-identity")
     return ok
 
 

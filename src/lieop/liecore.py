@@ -11,15 +11,17 @@ exactly when their rows are.  The dense views (`LieAlgebra.c`,
 each read, for serialisation and tests.  Every derived algebra and module is
 built from rows: `block_rows` glues two algebras acting on each other (the
 semi-direct product, the twilled algebra, the lifted deformation), `adjoint`
-reuses the algebra's rows and `dual_rep` transposes them.  `contract` and the
-validators read rows only, so their work grows with the nonzero constants.  The
-identities quadratic in a bracket read one cyclic form, `cyclic_form`:
-C(a, b) sums a(e_u, b(e_v, e_w)) over the cyclic orders of a triple, C(s, s) is
-the Jacobiator and C(a, b) + C(b, a) the mixed term of compatible brackets,
-Nijenhuis towers and module deformations.  Every map that preserves a bilinear
-map is checked by one morphism form, `morphism_defect`.  All validators run
-exactly on every triple or pair a nonzero constant reaches; the rest vanish term
-by term, so an accepted object genuinely satisfies its axioms.
+reuses the algebra's rows, `dual_rep` transposes them, and a subalgebra, a
+quotient, a twilled splitting and a reduction read theirs through `transport`.
+`contract` and the validators read rows only, so their work grows with the
+nonzero constants.  The identities quadratic in a bracket read one cyclic form,
+`cyclic_form`: C(a, b) sums a(e_u, b(e_v, e_w)) over the cyclic orders of a
+triple, C(s, s) is the Jacobiator and C(a, b) + C(b, a) the mixed term of
+compatible brackets, Nijenhuis towers and module deformations.  Every map that
+preserves a bilinear map is checked by one morphism form, `morphism_defect`.
+All validators run exactly on every triple or pair a nonzero constant reaches;
+the rest vanish term by term, so an accepted object genuinely satisfies its
+axioms.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     DimensionMismatch, JacobiViolation, NotComplementary, NotIdeal,
     NotSubalgebra, RepViolation, SkewViolation, oracle,
 )
-from .exactla import Matrix, is_zero_vec, kernel, q, rank, rref, solve_linear, vec, vec_zero
+from .exactla import Matrix, is_zero_vec, kernel, q, rank, rref, vec, vec_zero
 
 
 def _unit(n, i):
@@ -115,6 +117,24 @@ def morphism_defect(dst, A, B, C, src, pairs):
     return None
 
 
+def transport(s, A, B, P):
+    """The canonical rows of P s(Ae_a, Be_c) over the columns a of A and c of B:
+    the one change of basis, a bracket or an action s read on the vectors the
+    columns of A and B give and each value read in the new basis by P, the map
+    `morphism_defect` checks.  A, B and P are read through their sparse columns."""
+    a, b, p = A.sparse_cols(), B.sparse_cols(), P.sparse_cols()
+    out = []
+    for col in a:
+        row = []
+        for bc in b:
+            acc = {}
+            for k, v in col:
+                _add_rows(acc, v, bc, s[k])
+            row.append(_row(_add_rows({}, 1, _row(acc), p)))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def cyclic_form(acc, a, b, i, j, k):
     """acc += C(a, b)(e_i, e_j, e_k), the sum of a(e_u, b(e_v, e_w)) over the
     cyclic orders (u, v, w) of (i, j, k), for sparse tensors a and b.  C(s, s) is
@@ -127,11 +147,11 @@ def cyclic_form(acc, a, b, i, j, k):
 def contract(s, n, x, y):
     """sum_{a,b} x_a y_b t[a][b] as a length-n vector, for s = sparse(t).
 
-    This is the one bilinear kernel behind every bracket, action and product:
-    t is a structure tensor c[a][b] = [e_a, e_b], an action tensor
-    t[a][b] = e_a . f_b or a product tensor.  Only the nonzero entries of x, y
-    and t are visited, and only the output coordinates they reach are
-    normalised with q.
+    The bilinear kernel of `bracket_vec` and `act`, which evaluate a bracket
+    or an action on coordinate vectors: t is a structure tensor
+    c[a][b] = [e_a, e_b], an action tensor t[a][b] = e_a . f_b or a product
+    tensor.  Only the nonzero entries of x, y and t are visited, and only the
+    output coordinates they reach are normalised with q.
     """
     ys = [(b, yb) for b, yb in enumerate(y) if yb]
     acc = {}
@@ -418,13 +438,10 @@ class Subspace:
     def contains(self, v) -> bool:
         return is_zero_vec(self.reduce(v))
 
-    def coords(self, v):
-        """Coordinates of v in the declared (not RREF) basis; None if outside."""
-        if not self.basis:
-            return () if is_zero_vec(v) else None
-        A = Matrix.from_cols(list(self.basis))
-        sol = solve_linear(A, v)
-        return sol.particular if sol.consistent else None
+    def pivot_rows(self) -> Matrix:
+        """The map reading a vector of the subspace in the RREF basis: row t
+        picks the t-th pivot coordinate."""
+        return Matrix([_unit(self.ambient_dim, p) for p in self.pivots], cols=self.ambient_dim)
 
     def matrix(self) -> Matrix:
         """Basis vectors as columns."""
@@ -475,11 +492,9 @@ def restrict_to_subalgebra(g: LieAlgebra, W: Subspace):
     if not ok:
         raise NotSubalgebra(witness)
     basis = list(W.rref_rows)
-    k = len(basis)
-    sub = Subspace(g.dim, basis)
-    rows = tuple(tuple(_nonzero(sub.coords(g.bracket_vec(basis[a], basis[b])))
-                       for b in range(k)) for a in range(k))
-    return LieAlgebra.from_rows(k, rows), basis
+    inclusion = Subspace(g.dim, basis).matrix()
+    return LieAlgebra.from_rows(len(basis), transport(g.s, inclusion, inclusion,
+                                                      W.pivot_rows())), basis
 
 
 @dataclass
@@ -504,19 +519,12 @@ def quotient(h: LieAlgebra, W: Subspace) -> Quotient:
     d = h.dim
     comp = tuple(i for i in range(d) if i not in W.pivots)
     k = len(comp)
-    proj_rows = []
-    for ci in comp:
-        row = [0] * d
-        # pi(x) reads the complement coordinates of x reduced modulo W
-        for j in range(d):
-            row[j] = W.reduce(_unit(d, j))[ci]
-        proj_rows.append(row)
-    projection = Matrix(proj_rows) if k else Matrix([], cols=d)
+    # pi(x) reads the complement coordinates of x reduced modulo W
+    reduced = [W.reduce(_unit(d, j)) for j in range(d)]
+    projection = Matrix([[r[ci] for r in reduced] for ci in comp], cols=d)
     section = Matrix.from_cols([_unit(d, ci) for ci in comp]) \
         if k else Matrix([()] * d, cols=0)
-    rows = tuple(tuple(_nonzero(projection.apply(h.bracket_vec(section.col(a), section.col(b))))
-                       for b in range(k)) for a in range(k))
-    alg = LieAlgebra.from_rows(k, rows)
+    alg = LieAlgebra.from_rows(k, transport(h.s, section, section, projection))
     # W is an ideal, so the projection is a homomorphism
     oracle("quotient", morphism_defect(alg.s, projection, projection, projection,
                                        lambda i, j: h.s[i][j], combinations(range(d), 2)),

@@ -33,9 +33,9 @@ from .errors import (
 )
 from .exactla import Matrix, column_space_equal, invert, is_zero_vec, kernel, q
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _add_rows, _combine, _dense, _nonzero, _row,
+    LieAlgebra, Representation, Subspace, _add_rows, _combine, _dense, _row,
     annihilator, coadjoint, intersect, is_ideal, is_subalgebra, morphism_defect, quotient,
-    restrict_to_subalgebra, semidirect, sparse_cube,
+    restrict_to_subalgebra, semidirect, sparse_cube, transport,
 )
 
 
@@ -348,8 +348,8 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
             if not N.contains(rep.act(y, nvec)):
                 raise NotStable((y, nvec))
     eh = intersect(E, h)
-    hsub = Subspace(g.dim, h_basis)
-    eh_in_h = Subspace(h_alg.dim, [hsub.coords(v) for v in eh.basis])
+    hsub, in_h = Subspace(g.dim, h_basis), h.pivot_rows()
+    eh_in_h = Subspace(h_alg.dim, [in_h.apply(v) for v in eh.basis])
     try:
         qt = quotient(h_alg, eh_in_h)
     except NotIdeal as exc:
@@ -359,29 +359,19 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
     for a in module_basis:
         if not hsub.contains(T.apply(a)):
             raise ImageEscapesH(a)
-    # induced action of the quotient on A through lifts
-    k, lift = qt.algebra.dim, hsub.matrix()
-    rows = []
-    for t in range(k):
-        y = lift.apply(qt.section.col(t))
-        cols = []
-        for a in module_basis:
-            image = rep.act(y, a)
-            # E cap h is an ideal of h, so h preserves its annihilator
-            coords = A.coords(image)
-            oracle("mr reduction", coords is not None, True,
-                   "induced action does not preserve the annihilator at {w}", w=(y, a))
-            cols.append(_nonzero(coords))
-        rows.append(tuple(cols))
-    reduced_rep = Representation.from_rows(qt.algebra, len(module_basis), tuple(rows))
-    tbar_cols = []
-    for a in module_basis:
-        tbar_cols.append(qt.projection.apply(hsub.coords(T.apply(a))))
-    reduced_T = Matrix.from_cols(tbar_cols) if tbar_cols else Matrix([()] * k, cols=0)
+    # induced action of the quotient on A through lifts, read in A's basis
+    k, d = qt.algebra.dim, len(module_basis)
+    iota, lift = A.matrix(), hsub.matrix() * qt.section
+    rows = transport(rep.s, lift, iota, A.pivot_rows())
+    # E cap h is an ideal of h, so h preserves its annihilator
+    oracle("mr reduction", morphism_defect(rep.s, lift, iota, iota, lambda t, a: rows[t][a],
+                                           product(range(k), range(d))),
+           None, "induced action does not preserve the annihilator at {a}")
+    reduced_rep = Representation.from_rows(qt.algebra, d, rows)
+    reduced_T = qt.projection * in_h * T * iota
     reduced = OOperator(reduced_rep, reduced_T)
     # defining property of reducibility: Tbar(m) . n = T(m) . n on A, the
     # pre-Lie products of Tbar and of T, the inclusion of A a morphism of them
-    iota, d = A.matrix(), len(module_basis)
     oracle("reduction action compatibility",
            morphism_defect(p, iota, iota, iota, lambda i, j: reduced.p[i][j],
                            product(range(d), range(d))),

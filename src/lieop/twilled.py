@@ -24,8 +24,8 @@ from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, on
 from .errors import DimensionMismatch, NotOOperator, NotStrongMC, NotSubalgebra, oracle
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _add_rows, _dense, _nonzero, _row, block_rows,
-    check_complementary,
+    LieAlgebra, Representation, Subspace, _add_rows, _dense, _row, block_rows,
+    check_complementary, transport,
 )
 from .onstruct import ONStructure
 from .ooper import induced_lie, is_o_operator, o_residual
@@ -60,11 +60,9 @@ def twilled_new(total: LieAlgebra, a: Subspace, b: Subspace) -> TwilledLieAlgebr
     """Split a Lie algebra along two complementary subalgebras, in the block
     basis of a followed by b."""
     check_complementary(total.dim, a, b)
-    basis = list(a.rref_rows) + list(b.rref_rows)
-    Pinv = invert(Matrix.from_cols(basis))
-    d, da, db = total.dim, a.dim(), b.dim()
-    c = [[_nonzero(Pinv.apply(total.bracket_vec(basis[i], basis[j]))) for j in range(d)]
-         for i in range(d)]
+    P = Matrix.from_cols(list(a.rref_rows) + list(b.rref_rows))
+    da, db = a.dim(), b.dim()
+    c = transport(total.s, P, P, invert(P))
     for i in range(da):
         for j in range(da):
             if c[i][j] and c[i][j][-1][0] >= da:
@@ -77,7 +75,7 @@ def twilled_new(total: LieAlgebra, a: Subspace, b: Subspace) -> TwilledLieAlgebr
     def b_part(row):
         return tuple((k - da, v) for k, v in row if k >= da)
 
-    a_alg = LieAlgebra.from_rows(da, tuple(tuple(c[i][:da]) for i in range(da)))
+    a_alg = LieAlgebra.from_rows(da, tuple(c[i][:da] for i in range(da)))
     b_alg = LieAlgebra.from_rows(db, tuple(tuple(b_part(row) for row in c[da + u][da:])
                                            for u in range(db)))
     # [x, u] = x .1 u - u .2 x for x in a, u in b

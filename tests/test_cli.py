@@ -140,6 +140,16 @@ def test_check_incompatible_pair_computes_the_mixed_residual_once(bundle_file, t
     assert len(calls) == 1
 
 
+def test_check_holo_o_decides_the_o_identity_of_t_i_once(monkeypatch):
+    """is_on_structure decides T_I's O-identity; the oracle after it reads T_R only."""
+    ws = Workspace.load([json.loads(bundle_json())])
+    entry = ws.entries["ab2_holo_o"]
+    t_r, t_i = entry.value[3:]
+    calls = _count(monkeypatch, ooper, "o_defect")
+    assert cli.check_entry(ws, entry) == (True, "")
+    assert [args[1] for args in calls] == [t_i, t_r]
+
+
 def test_validate_weak_only_mc_runs_the_mc_routes_once(tmp_path, capsys, monkeypatch):
     """Strong and weak verdicts come from one strong_mc_check: one derived
     bracket for a solution that is weak but not strong."""

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lieop.errors import DimensionMismatch, Singular
+from lieop.errors import Singular
 from lieop.exactla import (
-    Matrix, column_space_equal, invert, kernel, parse_scalar, q, rank, rref,
-    scalar_str, solve_linear,
+    Matrix, column_space_equal, invert, kernel, parse_scalar, q, rank, rref, scalar_str,
 )
 
 
@@ -32,35 +31,6 @@ def test_scalar_normalization():
     assert parse_scalar("-7") == -7
     assert scalar_str(Fraction(-1, 3)) == "-1/3"
     assert scalar_str(Fraction(8, 4)) == "2"
-
-
-def test_solve_identity():
-    sol = solve_linear(Matrix.identity(2), (1, 2))
-    assert sol.consistent and sol.particular == (1, 2) and sol.kernel == []
-
-
-def test_solve_zero_map():
-    sol = solve_linear(Matrix.zeros(2), (0, 0))
-    assert sol.consistent and sol.particular == (0, 0)
-    assert len(sol.kernel) == 2
-
-
-def test_solve_rank_deficient():
-    # hand row-reduction, cross-checked against naive elimination
-    sol = solve_linear(Matrix([[1, 2], [2, 4]]), (1, 2))
-    assert sol.consistent
-    assert sol.particular == (1, 0)
-    assert sol.kernel == [(-2, 1)]
-
-
-def test_solve_inconsistent():
-    sol = solve_linear(Matrix([[1, 2], [2, 4]]), (1, 3))
-    assert not sol.consistent and sol.particular is None
-
-
-def test_solve_shape_guard():
-    with pytest.raises(DimensionMismatch):
-        solve_linear(Matrix.identity(2), (1, 2, 3))
 
 
 def test_invert_examples():
@@ -101,17 +71,6 @@ def test_degenerate_shapes():
     assert E.transpose().shape() == (3, 0)
     assert rank(E) == 0
     assert len(kernel(E)) == 3
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices(3, 3), st.lists(scalars, min_size=3, max_size=3))
-def test_solve_of_consistent_system(A, x):
-    b = A.apply(tuple(x))
-    sol = solve_linear(A, b)
-    assert sol.consistent
-    assert A.apply(sol.particular) == tuple(q(v) for v in b)
-    for v in sol.kernel:
-        assert A.apply(v) == (0, 0, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -162,6 +162,31 @@ def test_quotient_homomorphism_check_is_an_oracle(monkeypatch):
         quotient(aff1(), Subspace(2, [(1, 0)]))
 
 
+def test_quotient_reduces_each_unit_vector_once(monkeypatch):
+    """The projection reads every unit vector reduced modulo W, once each: 3
+    reductions for h3 / span{e3}, beside the 3 of is_ideal."""
+    calls = []
+    reduce = Subspace.reduce
+    monkeypatch.setattr(Subspace, "reduce", lambda W, v: calls.append(v) or reduce(W, v))
+    qt = quotient(h3(), Subspace(3, [e(3, 2)]))
+    assert qt.projection == Matrix([[1, 0, 0], [0, 1, 0]])
+    assert len(calls) == 6 and calls[3:] == [e(3, 0), e(3, 1), e(3, 2)]
+
+
+def test_pivot_rows_read_a_vector_in_the_rref_basis():
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        W = Subspace.span(n, [tuple(rng.randint(-2, 2) for _ in range(n))
+                              for _ in range(rng.randint(0, n))])
+        x = [rng.randint(-3, 3) for _ in W.rref_rows]
+        v = vec_zero(n)
+        for xt, row in zip(x, W.rref_rows):
+            v = vec_add(v, vec_scale(xt, row))
+        assert W.pivot_rows().shape() == (W.dim(), n)
+        assert W.pivot_rows().apply(v) == tuple(x)
+
+
 def test_annihilator():
     g = h3()
     rep = adjoint(g)
@@ -185,7 +210,7 @@ def test_annihilator_carries_quotient_action():
     acted = rep.act(lift, ann.basis[0])
     assert ann.contains(acted)
     # the induced action matrices form a representation of the quotient
-    mat = Matrix([[c for c in ann.coords(acted)]])
+    mat = Matrix([ann.pivot_rows().apply(acted)])
     Representation(qt.algebra, 1, [mat])
 
 

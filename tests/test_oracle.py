@@ -45,6 +45,16 @@ def _defect_on(matrix):
     return lambda route: lambda *args: (0, 1, (1,)) if args[1] == matrix else route(*args)
 
 
+def _shift_first_row(route):
+    """A change of basis whose first row is off by one at coordinate 0."""
+    def shifted(*args):
+        rows = route(*args)
+        first = dict(rows[0][0])
+        first[0] = first.get(0, 0) + 1
+        return ((tuple(sorted(first.items())),) + rows[0][1:],) + rows[1:]
+    return shifted
+
+
 def _flip_verdict(route):
     """Flip the verdict of a route that returns (verdict, detail)."""
     return lambda *args: (not route(*args)[0], "flipped")
@@ -94,6 +104,10 @@ SITES = [
      onstruct.trivial_deformation_from, "trivial deformation"),
     (onstruct, "morphism_defect", _defect_on(H3_ADJ_T2),
      lambda ws: ws.entries["h3_on"].value + (2,), onstruct.hierarchy, "hierarchy"),
+    (ooper, "transport", _shift_first_row,
+     lambda ws: ws.entries["h3_adj_T"].value + tuple(
+         ws.entries[n].value for n in ("h3_full", "h3_zero", "h3_full")),
+     ooper.mr_reduce, "mr reduction"),
 ]
 
 

@@ -73,8 +73,9 @@ def test_every_function_in_src_has_a_caller_outside_the_tests():
 SPARSE_KERNELS = (("onstruct.py", "nijenhuis_structure_defect"),
                   ("twilled.py", "cocycle_residual"), ("ooper.py", "graph_check"),
                   ("liecore.py", "morphism_defect"), ("ooper.py", "gauge_iso_check"),
-                  ("onstruct.py", "hierarchy"))
-DENSE_BASIS_NAMES = {"_unit", "act", "apply", "col"}
+                  ("onstruct.py", "hierarchy"), ("twilled.py", "twilled_new"),
+                  ("liecore.py", "restrict_to_subalgebra"))
+DENSE_BASIS_NAMES = {"_unit", "act", "apply", "bracket_vec", "col", "coords"}
 
 
 def test_sparse_kernels_name_no_dense_basis_vector_helper():
