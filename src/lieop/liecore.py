@@ -15,13 +15,14 @@ reuses the algebra's rows, `dual_rep` transposes them, and a subalgebra, a
 quotient, a twilled splitting and a reduction read theirs through `transport`.
 `contract` and the validators read rows only, so their work grows with the
 nonzero constants.  The identities quadratic in a bracket read one cyclic form,
-`cyclic_form`: C(a, b) sums a(e_u, b(e_v, e_w)) over the cyclic orders of a
-triple, C(s, s) is the Jacobiator and C(a, b) + C(b, a) the mixed term of
-compatible brackets, Nijenhuis towers and module deformations.  Every map that
-preserves a bilinear map is checked by one morphism form, `morphism_defect`.
-All validators run exactly on every triple or pair a nonzero constant reaches;
-the rest vanish term by term, so an accepted object genuinely satisfies its
-axioms.
+`cyclic_form`, on the triples `reached_triples` gives: C(a, b) sums
+a(e_u, b(e_v, e_w)) over the cyclic orders of a triple, C(s, s) is the
+Jacobiator (a module's is that of g + M, which it keeps) and C(a, b) + C(b, a)
+the mixed term of compatible brackets, Nijenhuis towers and module deformations.
+Every map that preserves a bilinear map is checked by one morphism form,
+`morphism_defect`.  All validators run exactly on every triple or pair a nonzero
+constant reaches; the rest vanish term by term, so an accepted object genuinely
+satisfies its axioms.
 """
 
 from __future__ import annotations
@@ -144,6 +145,22 @@ def cyclic_form(acc, a, b, i, j, k):
     return acc
 
 
+def mixed_form(a, b, i, j, k):
+    """C(a, b) + C(b, a) on one basis triple, for sparse tensors a and b."""
+    return cyclic_form(cyclic_form({}, a, b, i, j, k), b, a, i, j, k)
+
+
+def reached_triples(a, b):
+    """The triples i < j < k of distinct indices that a term a(e_u, b(e_v, e_w))
+    of C(a, b) reaches: some l in the support of b[v][w] has a[u][l] nonzero.
+    b must be skew, so the pairs v < w stand for both orders; on every other
+    triple of distinct indices C(a, b) vanishes term by term."""
+    d = len(a)
+    reach = [[u for u in range(d) if a[u][l]] for l in range(d)]
+    return {tuple(sorted((u, v, w))) for v in range(d) for w in range(v + 1, d)
+            for l, _ in b[v][w] for u in reach[l] if u != v and u != w}
+
+
 def contract(s, n, x, y):
     """sum_{a,b} x_a y_b t[a][b] as a length-n vector, for s = sparse(t).
 
@@ -259,12 +276,7 @@ class LieAlgebra:
                     a, b = dict(s[i][j]), dict(s[j][i])
                     k = min(k for k in a.keys() | b.keys() if a.get(k, 0) != -b.get(k, 0))
                     raise SkewViolation(i, j, k)
-        # a term s(e_u, s(e_v, e_w)) needs some l in the support of s[v][w] with
-        # s[u][l] nonzero; every triple no such term reaches vanishes term by term
-        reach = [[u for u in range(d) if s[u][l]] for l in range(d)]
-        triples = {tuple(sorted((u, v, w))) for v in range(d) for w in range(v + 1, d)
-                   for l, _ in s[v][w] for u in reach[l] if u != v and u != w}
-        for i, j, k in sorted(triples):
+        for i, j, k in sorted(reached_triples(s, s)):
             if any(cyclic_form({}, s, s, i, j, k).values()):
                 raise JacobiViolation(i, j, k, self.jacobi_defect(i, j, k))
 
@@ -302,7 +314,6 @@ class Representation:
         self.dim_m = dim_m
         self.s = s
         self.by_col = tuple(tuple(sa[b] for sa in s) for b in range(dim_m))
-        self._semidirect = None
         self._dual = None
         self._validate()
 
@@ -324,22 +335,19 @@ class Representation:
         return action_matrices(self.s, self.dim_m)
 
     def _validate(self):
-        """[e_i, e_j] . f_b = e_i . (e_j . f_b) - e_j . (e_i . f_b), column by
-        column, on the pairs i < j where [e_i, e_j] is nonzero or both e_i and
-        e_j act: on every other pair each term vanishes."""
-        g, s, m, by_col = self.algebra, self.s, self.dim_m, self.by_col
-        acts = [any(sa) for sa in s]
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                if not (g.s[i][j] or acts[i] and acts[j]):
-                    continue
-                cols = [{} for _ in range(m)]
-                for b, acc in enumerate(cols):
-                    _add_rows(acc, 1, s[j][b], s[i])
-                    _add_rows(acc, -1, s[i][b], s[j])
-                    _add_rows(acc, -1, g.s[i][j], by_col[b])
-                if any(any(acc.values()) for acc in cols):
-                    raise RepViolation(i, j, Matrix.from_cols([_dense(acc, m) for acc in cols]))
+        """M is a module exactly when g + M is Lie: that algebra is validated and
+        kept.  It can only fail on a triple (e_i, e_j, f_b), reported on the pair
+        (i, j) with the defect rho_i rho_j - rho_j rho_i - rho([e_i, e_j]), whose
+        column b is the Jacobiator there."""
+        d, m = self.algebra.dim, self.dim_m
+        rows = block_rows(self.algebra.s, zero_rows(m, m), self.s, zero_rows(m, d))
+        try:
+            self._semidirect = LieAlgebra.from_rows(d + m, rows)
+        except JacobiViolation as exc:
+            i, j, _ = exc.indices
+            cols = [cyclic_form({}, rows, rows, i, j, d + b) for b in range(m)]
+            raise RepViolation(i, j, Matrix.from_cols(
+                [_dense({k - d: v for k, v in acc.items()}, m) for acc in cols])) from None
 
     def rho(self, x) -> Matrix:
         """Matrix of the action of the algebra element with coordinates x:
@@ -382,11 +390,8 @@ def trivial_rep(g: LieAlgebra, dim_m) -> Representation:
 
 
 def semidirect(rep: Representation) -> LieAlgebra:
-    """Semi-direct product on g + M: [(x,m),(y,n)] = ([x,y], x•n - y•m)."""
-    if rep._semidirect is None:
-        d, m = rep.algebra.dim, rep.dim_m
-        rep._semidirect = LieAlgebra.from_rows(
-            d + m, block_rows(rep.algebra.s, zero_rows(m, m), rep.s, zero_rows(m, d)))
+    """Semi-direct product on g + M: [(x,m),(y,n)] = ([x,y], x•n - y•m), the
+    algebra that validated the module."""
     return rep._semidirect
 
 
@@ -409,9 +414,15 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim, vectors):
-        """Span of arbitrary (possibly dependent) vectors."""
-        rows, _ = rref([vec(v) for v in vectors]) if vectors else ([], [])
-        return Subspace(ambient_dim, rows)
+        """Span of arbitrary (possibly dependent) vectors, its RREF rows the basis."""
+        vs = [vec(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in vs):
+            raise DimensionMismatch("basis vector length mismatch")
+        rows, pivots = rref(vs) if vs else ([], [])
+        W = Subspace.__new__(Subspace)
+        W.ambient_dim, W.pivots = ambient_dim, tuple(pivots)
+        W.basis = W.rref_rows = tuple(rows)
+        return W
 
     @staticmethod
     def full(ambient_dim):

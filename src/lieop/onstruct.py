@@ -24,7 +24,8 @@ from .errors import (
 from .exactla import Matrix, invert
 from .liecore import (
     LieAlgebra, Representation, _add_rows, _dense, _neg, _row, block_rows, coadjoint,
-    cyclic_form, direct_sum_map, dual_rep, morphism_defect, semidirect, sparse_cube, zero_rows,
+    direct_sum_map, dual_rep, mixed_form, morphism_defect, reached_triples, semidirect,
+    sparse_cube, zero_rows,
 )
 from .ooper import (
     Bivector, _bracket_rows, bivector_from_sharp, compatibility_defect, compatibility_oracle,
@@ -85,17 +86,12 @@ def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
     return LieAlgebra.from_rows(g.dim, deformed_tensor(g.s, g.dim, N))
 
 
-def _mixed(a, b, i, j, k):
-    """C(a, b) + C(b, a) on one basis triple, for sparse tensors a and b."""
-    return cyclic_form(cyclic_form({}, a, b, i, j, k), b, a, i, j, k)
-
-
 def mixed_jacobi_defect(dim, a, b):
     """First basis triple i < j < k where C(a, b) + C(b, a) is nonzero, or None,
     for the sparse rows a and b of skew bracket tensors: the mu lam term of the
     Jacobiator of mu a + lam b."""
-    return next((t for t in combinations(range(dim), 3) if any(_mixed(a, b, *t).values())),
-                None)
+    triples = sorted(reached_triples(a, b) | reached_triples(b, a))
+    return next((t for t in triples if any(mixed_form(a, b, *t).values())), None)
 
 
 def nijenhuis_power_props(g: LieAlgebra, N, kmax: int) -> dict:
@@ -160,15 +156,14 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
         return False, "bracket1_skew"
     mu = semidirect(rep).s
     mu1 = block_rows(s1, zero_rows(m, m), d.action1, zero_rows(m, dim))
-    # the mixed term of (mu1, mu1) is 2 C(mu1, mu1); each condition walks its
-    # triples, in g or (x, y, m), from a fresh generator
-    for name, a, b, with_m in (("two_cocycle", mu, mu1, False),
-                               ("bracket1_jacobi", mu1, mu1, False),
-                               ("action1_rep", mu1, mu1, True),
-                               ("mixed_module", mu, mu1, True)):
-        triples = ((i, j, dim + t) for i, j in combinations(range(dim), 2) for t in range(m)) \
-            if with_m else combinations(range(dim), 3)
-        if any(any(_mixed(a, b, *t).values()) for t in triples):
+    # the mixed term of (mu1, mu1) is 2 C(mu1, mu1); each reached set is built
+    # once and read by the two conditions on it, on triples in g or (x, y, m)
+    mixed, square = reached_triples(mu, mu1) | reached_triples(mu1, mu), reached_triples(mu1, mu1)
+    for name, a, b, triples, with_m in (("two_cocycle", mu, mu1, mixed, False),
+                                        ("bracket1_jacobi", mu1, mu1, square, False),
+                                        ("action1_rep", mu1, mu1, square, True),
+                                        ("mixed_module", mu, mu1, mixed, True)):
+        if any(any(mixed_form(a, b, *t).values()) for t in triples if (t[2] >= dim) == with_m):
             return False, name
     return True, None
 

@@ -13,7 +13,8 @@ P is also the pre-Lie product of T, and P - P^t the bracket tensor of M^T
 (`induced_tensor`), which every bracket fact about M^T compares.  The Schouten
 square [r, r] is computed from its coordinate formula over the nonzero structure
 constants, not through the coadjoint module, so it stays an independent route
-to the r-matrix verdict.
+to the r-matrix verdict.  The pre-Lie identity is the Jacobi identity of the
+commutator algebra acting by left multiplication (`_pre_lie_rows`).
 
 Wherever an independent second route to the same verdict exists (graph
 subalgebra, coadjoint O-operator, sum-of-operators), both are computed and
@@ -34,8 +35,9 @@ from .errors import (
 from .exactla import Matrix, column_space_equal, invert, is_zero_vec, kernel, q
 from .liecore import (
     LieAlgebra, Representation, Subspace, _add_rows, _combine, _dense, _row,
-    annihilator, coadjoint, intersect, is_ideal, is_subalgebra, morphism_defect, quotient,
-    restrict_to_subalgebra, semidirect, sparse_cube, transport,
+    annihilator, block_rows, coadjoint, cyclic_form, intersect, is_ideal, is_subalgebra,
+    mixed_form, morphism_defect, quotient, reached_triples, restrict_to_subalgebra,
+    semidirect, sparse_cube, transport, zero_rows,
 )
 
 
@@ -426,11 +428,10 @@ def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:
 
 class PreLieProduct:
     """A left pre-Lie product on a coordinate space, validated exactly and
-    stored as the canonical sparse rows `s` of its tensor, s[i][j] = e_i e_j,
-    and the transpose rows, t[k][l] = s[l][k].  The public constructor takes
-    the dense tensor."""
+    stored as the canonical sparse rows `s` of its tensor, s[i][j] = e_i e_j.
+    The public constructor takes the dense tensor."""
 
-    __slots__ = ("dim", "s", "t")
+    __slots__ = ("dim", "s")
 
     def __init__(self, dim, tensor):
         self._set(dim, sparse_cube(dim, tensor, "pre-Lie"))
@@ -438,7 +439,6 @@ class PreLieProduct:
     def _set(self, dim, s):
         self.dim = dim
         self.s = s
-        self.t = tuple(zip(*s))
         bad = pre_lie_defect_tensor(dim, s)
         if bad is not None:
             raise NotPreLie(bad)
@@ -451,41 +451,22 @@ class PreLieProduct:
         return p
 
 
-def associator_form(acc, a, at, b, i, j, k):
-    """acc += A(a, b)(e_i, e_j, e_k) = (e_i e_j)e_k - e_i(e_j e_k) - (e_j e_i)e_k
-    + e_j(e_i e_k), a the outer and b the inner sparse product, at the transpose
-    rows of a.  A(p, p) is the pre-Lie identity; A(a, b) + A(b, a) its mixed term."""
-    _add_rows(acc, 1, b[i][j], at[k])
-    _add_rows(acc, -1, b[j][k], a[i])
-    _add_rows(acc, -1, b[j][i], at[k])
-    _add_rows(acc, 1, b[i][k], a[j])
-    return acc
-
-
-def _associator_triples(dim, a, b):
-    """The triples (i, j, k), i < j, that a term of A(a, b) reaches: b[u][v] has
-    an l with a[l][k] nonzero ({i, j} = {u, v}), or b[u][k] an l with a[x][l]
-    nonzero ({i, j} = {x, u}).  A vanishes at i = j and is skew in (i, j), and
-    on every other triple each term vanishes."""
-    out_of = [[k for k in range(dim) if a[l][k]] for l in range(dim)]
-    into = [[x for x in range(dim) if a[x][l]] for l in range(dim)]
-    found = set()
-    for u in range(dim):
-        for v in range(dim):
-            for l, _ in b[u][v]:
-                if u != v:
-                    found.update((min(u, v), max(u, v), k) for k in out_of[l])
-                found.update((min(x, u), max(x, u), v) for x in into[l] if x != u)
-    return found
+def _pre_lie_rows(p):
+    """The rows of the commutator algebra of a product p acting on a copy of the
+    space by left multiplication: on (e_i, e_j, f_k) the Jacobiator is minus the
+    associator (e_i e_j)e_k - e_i(e_j e_k) - (e_j e_i)e_k + e_j(e_i e_k)."""
+    d = len(p)
+    return block_rows(_bracket_rows(p), zero_rows(d, d), p, zero_rows(d, d))
 
 
 def pre_lie_defect_tensor(dim, p):
     """First basis triple violating the left pre-Lie identity, or None; p is sparse.
-    Only the reached triples are visited, sorted into the order of the full cube,
-    so the first violating triple of the cube is the one returned."""
-    pt = tuple(zip(*p))
-    return next((t for t in sorted(_associator_triples(dim, p, p))
-                 if any(associator_form({}, p, pt, p, *t).values())), None)
+    The reached triples (i, j, dim + k) of `_pre_lie_rows` are visited in the order
+    of the cube i < j, k, so its first violating triple is returned; the
+    commutator's own triples are skipped, since they may fail first."""
+    rows = _pre_lie_rows(p)
+    return next(((i, j, k - dim) for i, j, k in sorted(reached_triples(rows, rows))
+                 if j < dim <= k and any(cyclic_form({}, rows, rows, i, j, k).values())), None)
 
 
 def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
@@ -495,16 +476,14 @@ def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
 
 
 def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:
-    """The mixed identity A(p1, p2) + A(p2, p1) on all triples, cross-checked
-    against the sum product being pre-Lie."""
+    """The mixed pre-Lie identity, the mixed Jacobi term of the two `_pre_lie_rows`,
+    on all triples, cross-checked against the sum product being pre-Lie."""
     if p1.dim != p2.dim:
         raise DimensionMismatch("pre-Lie products on different spaces")
-    d = p1.dim
-    triples = _associator_triples(d, p1.s, p2.s) | _associator_triples(d, p2.s, p1.s)
-    direct = not any(any(associator_form(associator_form({}, p1.s, p1.t, p2.s, *t),
-                                         p2.s, p2.t, p1.s, *t).values())
-                     for t in triples)
-    sum_rows = tuple(tuple(_combine(a, 1, b) for a, b in zip(r1, r2))
+    d, a, b = p1.dim, _pre_lie_rows(p1.s), _pre_lie_rows(p2.s)
+    direct = not any(any(mixed_form(a, b, i, j, k).values())
+                     for i, j, k in reached_triples(a, b) | reached_triples(b, a) if j < d <= k)
+    sum_rows = tuple(tuple(_combine(x, 1, y) for x, y in zip(r1, r2))
                      for r1, r2 in zip(p1.s, p2.s))
     return oracle("pre-Lie compatibility", direct,
                   pre_lie_defect_tensor(d, sum_rows) is None, "identity={a} sum={b}")

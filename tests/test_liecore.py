@@ -5,17 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lieop import liecore
+from lieop import liecore, ooper
 from lieop.errors import (
-    JacobiViolation, NotIdeal, NotSubalgebra, OracleDisagreement, RepViolation,
+    DimensionMismatch, JacobiViolation, NotIdeal, NotSubalgebra, OracleDisagreement, RepViolation,
     SkewViolation,
 )
 from lieop.exactla import Matrix, vec_add, vec_scale, vec_zero
+from lieop.fixtures import H3_ADJ_T
 from lieop.liecore import (
     LieAlgebra, Representation, Subspace, adjoint, annihilator,
     coadjoint, contract, dual_rep, intersect, is_ideal, is_subalgebra, quotient,
     restrict_to_subalgebra, semidirect, sparse, trivial_rep,
 )
+from lieop.ooper import mr_reduce
 
 
 def ab(n):
@@ -185,6 +187,32 @@ def test_pivot_rows_read_a_vector_in_the_rref_basis():
             v = vec_add(v, vec_scale(xt, row))
         assert W.pivot_rows().shape() == (W.dim(), n)
         assert W.pivot_rows().apply(v) == tuple(x)
+
+
+@pytest.mark.parametrize("vectors", [[(1, 0, 0), (0, 1, 0, 5)], [(1, 0, 0), (0, 1, 0, 0)]])
+def test_span_refuses_vectors_of_another_length(vectors):
+    with pytest.raises(DimensionMismatch):
+        Subspace.span(3, vectors)
+
+
+def test_span_row_reduces_once(monkeypatch):
+    """span keeps the RREF rows it computed as the basis: 1 rref call for
+    span{e1, e2}, and 6 in a reduction of h3 by span{e3} beside the 3 that
+    build its arguments."""
+    calls = []
+    rref = liecore.rref
+    monkeypatch.setattr(liecore, "rref", lambda rows: calls.append(rows) or rref(rows))
+    W = Subspace.span(3, [e(3, 1), e(3, 0), vec_add(e(3, 0), e(3, 1))])
+    assert len(calls) == 1
+    monkeypatch.undo()
+    want = Subspace(3, [e(3, 0), e(3, 1)])
+    assert (W.basis, W.rref_rows, W.pivots, W.ambient_dim) == \
+        (want.basis, want.rref_rows, want.pivots, want.ambient_dim)
+    rep = adjoint(h3())
+    monkeypatch.setattr(liecore, "rref", lambda rows: calls.append(rows) or rref(rows))
+    calls.clear()
+    mr_reduce(rep, H3_ADJ_T, Subspace.full(3), Subspace(3, [e(3, 2)]), Subspace.full(3))
+    assert len(calls) == 3 + 6
 
 
 def test_annihilator():
@@ -406,15 +434,63 @@ def gl(n):
 
 def test_jacobi_check_visits_only_reached_triples(monkeypatch):
     """No triple of an abelian algebra, and 740 of the 4960 triples of the
-    dim-32 semidirect product of gl(4) on itself."""
-    rep = adjoint(gl(4))
+    dim-32 semidirect product of gl(4) on itself, which validates the adjoint
+    module as it is built."""
+    g = gl(4)
     calls = []
     form = liecore.cyclic_form
     monkeypatch.setattr(liecore, "cyclic_form", lambda *a: calls.append(a[3:]) or form(*a))
     ab(40)
     assert calls == []
-    assert semidirect(rep).dim == 32
+    rep = adjoint(g)
     assert len(calls) == len(set(calls)) == 740 and calls == sorted(calls)
+    assert semidirect(rep).dim == 32
+
+
+def _random_rows(rng, rows, cols, n, density, skew=False):
+    """Seeded canonical sparse rows of a rows x cols tensor of length-n vectors,
+    made skew on request."""
+    out = [[() for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        for j in range(i + 1 if skew else 0, cols):
+            if rng.random() < density:
+                out[i][j] = tuple((k, rng.choice((-2, -1, 1, Fraction(1, 2))))
+                                  for k in sorted(rng.sample(range(n), rng.randint(1, min(2, n)))))
+                if skew:
+                    out[j][i] = tuple((k, -v) for k, v in out[i][j])
+    return tuple(map(tuple, out))
+
+
+def test_reached_triples_omit_only_vanishing_triples():
+    """C(a, b) vanishes on every triple of distinct indices that reached_triples
+    omits: over seeded sparse skew tensors, and over the block rows of random
+    modules and pre-Lie products, whether or not they are valid."""
+    rng = random.Random(23)
+    omitted = nonzero = 0
+    for _ in range(300):
+        kind = rng.randrange(3)
+        if kind == 0:
+            d = rng.randint(3, 7)
+            b = _random_rows(rng, d, d, d, rng.choice((0.1, 0.3)), skew=True)
+            a = b if rng.random() < 0.5 else _random_rows(rng, d, d, d, 0.3, skew=True)
+        elif kind == 1:
+            g = rng.choice((aff1(), h3(), sl2(), ab(3)))
+            m = rng.randint(1, 3)
+            act = _random_rows(rng, g.dim, m, m, rng.choice((0.2, 0.5)))
+            a = b = liecore.block_rows(g.s, liecore.zero_rows(m, m), act,
+                                       liecore.zero_rows(m, g.dim))
+        else:
+            n = rng.randint(1, 4)
+            a = b = ooper._pre_lie_rows(_random_rows(rng, n, n, n, rng.choice((0.1, 0.3))))
+        reached = liecore.reached_triples(a, b)
+        for t in itertools.combinations(range(len(a)), 3):
+            value = any(liecore.cyclic_form({}, a, b, *t).values())
+            if t in reached:
+                nonzero += value
+            else:
+                assert not value, t
+                omitted += 1
+    assert omitted and nonzero
 
 
 def reference_rep_violation(g, mats):

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from lieop import onstruct, ooper
+from lieop import liecore, onstruct, ooper
 from lieop.cli import Workspace
 from lieop.errors import (
     DimensionMismatch, NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, Singular,
@@ -15,7 +15,8 @@ from lieop.exactla import Matrix, is_zero_vec, vec, vec_add, vec_sub
 from lieop.fixtures import bundle, h3_rep2
 from lieop.gcsholo import gcs_check_direct
 from lieop.liecore import (
-    LieAlgebra, _unit, adjoint, coadjoint, contract, dense, semidirect, sparse, zero_rows,
+    LieAlgebra, _unit, adjoint, coadjoint, contract, dense, semidirect, sparse, trivial_rep,
+    zero_rows,
 )
 from lieop.ooper import Bivector, is_o_operator, is_r_matrix
 from lieop.onstruct import (
@@ -219,6 +220,31 @@ def test_infinitesimal_deformation_matches_reference_loops():
     assert set(seen) == {(True, None), (False, "bracket1_skew"), (False, "two_cocycle"),
                          (False, "bracket1_jacobi"), (False, "action1_rep"),
                          (False, "mixed_module")}, seen
+
+
+def test_quadratic_identities_walk_no_triple_of_an_abelian_algebra(monkeypatch):
+    """Every reader of the cyclic form walks only the triples a nonzero constant
+    reaches, so on an abelian dim-40 algebra with a one-dimensional trivial
+    module none of them evaluates it; and the semi-direct product is the one
+    the module was validated with."""
+    g = LieAlgebra.from_rows(40, zero_rows(40, 40))
+    calls = []
+    form = liecore.cyclic_form
+    # raising=False: onstruct reads the form through liecore.mixed_form and
+    # binds no name of its own
+    for module in (liecore, ooper, onstruct):
+        monkeypatch.setattr(module, "cyclic_form", lambda *a: calls.append(a[3:]) or form(*a),
+                            raising=False)
+    rep = trivial_rep(g, 1)
+    ident = Matrix.identity(40)
+    assert ooper.pre_lie_from_o(adjoint(g), ident).dim == 40
+    assert trivial_deformation_from(rep, ident, Matrix.identity(1)).bracket1 == g.s
+    assert all(nijenhuis_power_props(g, ident, 3).values())
+    assert onstruct.mixed_jacobi_defect(40, g.s, g.s) is None
+    assert calls == []
+    validated = []
+    monkeypatch.setattr(LieAlgebra, "_validate", lambda self: validated.append(self))
+    assert semidirect(rep).dim == 41 and validated == []
 
 
 def test_trivial_deformation_from():

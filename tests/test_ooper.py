@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieop import ooper
+from lieop import liecore, ooper
 from lieop.errors import (
     DimensionMismatch, ImageEscapesH, NotAdmissible, NotCocycle, NotOOperator, NotPreLie,
     NotStable, Singular,
@@ -457,21 +457,32 @@ def test_pre_lie_defect_matches_reference_loop():
     assert min(seen.values()) > 0, seen
 
 
+def associator_form(acc, a, at, b, i, j, k):
+    """The retired associator form: acc += A(a, b)(e_i, e_j, e_k) =
+    (e_i e_j)e_k - e_i(e_j e_k) - (e_j e_i)e_k + e_j(e_i e_k), a the outer and
+    b the inner sparse product, at the transpose rows of a.  A(p, p) is the
+    pre-Lie identity; A(a, b) + A(b, a) its mixed term."""
+    liecore._add_rows(acc, 1, b[i][j], at[k])
+    liecore._add_rows(acc, -1, b[j][k], a[i])
+    liecore._add_rows(acc, -1, b[j][i], at[k])
+    liecore._add_rows(acc, 1, b[i][k], a[j])
+    return acc
+
+
 def reference_pre_lie_all_triples(dim, p):
     """The retired walk: the associator form on every triple i < j, k of the
     cube, in cube order; p is sparse."""
     pt = tuple(zip(*p))
     cube = ((i, j, k) for i in range(dim) for j in range(i + 1, dim) for k in range(dim))
-    return next((t for t in cube if any(ooper.associator_form({}, p, pt, p, *t).values())),
-                None)
+    return next((t for t in cube if any(associator_form({}, p, pt, p, *t).values())), None)
 
 
 def reference_mixed_all_triples(p1, p2):
     """The retired direct route of pre_lie_compatible: A(p1, p2) + A(p2, p1) on
     every triple i < j, k."""
-    d = p1.dim
-    return not any(any(ooper.associator_form(ooper.associator_form({}, p1.s, p1.t, p2.s, *t),
-                                             p2.s, p2.t, p1.s, *t).values())
+    d, t1, t2 = p1.dim, tuple(zip(*p1.s)), tuple(zip(*p2.s))
+    return not any(any(associator_form(associator_form({}, p1.s, t1, p2.s, *t),
+                                       p2.s, t2, p1.s, *t).values())
                    for t in itertools.product(range(d), repeat=3) if t[0] < t[1])
 
 
@@ -504,8 +515,8 @@ def test_pre_lie_walk_matches_the_all_triples_loop():
 def test_pre_lie_from_o_on_an_abelian_algebra_visits_no_triple(monkeypatch):
     g = LieAlgebra.from_rows(100, zero_rows(100, 100))
     calls = []
-    form = ooper.associator_form
-    monkeypatch.setattr(ooper, "associator_form", lambda *args: calls.append(args) or form(*args))
+    form = ooper.cyclic_form
+    monkeypatch.setattr(ooper, "cyclic_form", lambda *args: calls.append(args) or form(*args))
     assert pre_lie_from_o(adjoint(g), Matrix.identity(100)).dim == 100
     assert calls == []
 

@@ -167,9 +167,8 @@ def test_every_carrier_the_command_line_builds_is_canonical(monkeypatch):
                 assert all(0 <= i < x.source_dim for i in idx) and row, (idx, row)
             _assert_canonical((tuple(x.values.values()),), 1, len(x.values), x.target_dim)
         elif isinstance(x, PreLieProduct):
-            assert PreLieProduct.__slots__ == ("dim", "s", "t")
+            assert PreLieProduct.__slots__ == ("dim", "s")
             _assert_canonical(x.s, x.dim, x.dim, x.dim)
-            assert x.t == tuple(zip(*x.s))
         else:
             d, m = len(x.bracket1), len(x.action1[0])
             _assert_canonical(x.bracket1, d, d, d)
