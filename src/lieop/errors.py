@@ -160,6 +160,14 @@ def oracle(what, a, b, detail, **fields):
     raise OracleDisagreement(what, detail.format(a=a, b=b, **fields))
 
 
+def theorem(what, build, *args):
+    """build(*args), a carrier a theorem makes valid: its failure is a library bug."""
+    try:
+        return build(*args)
+    except (SkewViolation, JacobiViolation, RepViolation) as exc:
+        oracle(what, exc, None, "{a}")
+
+
 class WorkspaceError(LieOpError):
     def __init__(self, message, defects=None):
         super().__init__(message)

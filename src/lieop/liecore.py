@@ -13,16 +13,17 @@ built from rows: `block_rows` glues two algebras acting on each other (the
 semi-direct product, the twilled algebra, the lifted deformation), `adjoint`
 reuses the algebra's rows, `dual_rep` transposes them, and a subalgebra, a
 quotient, a twilled splitting and a reduction read theirs through `transport`.
-`contract` and the validators read rows only, so their work grows with the
-nonzero constants.  The identities quadratic in a bracket read one cyclic form,
-`cyclic_form`, on the triples `reached_triples` gives: C(a, b) sums
-a(e_u, b(e_v, e_w)) over the cyclic orders of a triple, C(s, s) is the
-Jacobiator (a module's is that of g + M, which it keeps) and C(a, b) + C(b, a)
-the mixed term of compatible brackets, Nijenhuis towers and module deformations.
-Every map that preserves a bilinear map is checked by one morphism form,
-`morphism_defect`.  All validators run exactly on every triple or pair a nonzero
-constant reaches; the rest vanish term by term, so an accepted object genuinely
-satisfies its axioms.
+The identities quadratic in a bracket read one cyclic form, `cyclic_form`, on
+the triples `reached_triples` gives: C(a, b) sums a(e_u, b(e_v, e_w)) over the
+cyclic orders of a triple, C(s, s) is the Jacobiator (a module's is that of
+g + M, which it keeps) and C(a, b) + C(b, a) the mixed term of compatible
+brackets, Nijenhuis towers and module deformations.  Every map that preserves a
+bilinear map is checked by one morphism form, `morphism_defect`.  Validators
+read rows only and walk the triples or pairs a nonzero constant reaches, and
+an algebra glued from validated blocks (a module's g + M, `twilled.join`) only
+those that meet both.  Five carriers a theorem makes valid walk nothing
+(`_by_theorem`): `adjoint`, `dual_rep`, `trivial_rep`, `twilled.twilled_new`
+and `twilled.swap`.
 """
 
 from __future__ import annotations
@@ -232,20 +233,29 @@ class LieAlgebra:
     __slots__ = ("dim", "s", "_adjoint")
 
     def __init__(self, dim, bracket):
-        self._set(dim, sparse_cube(dim, bracket, "bracket"))
+        self._set(dim, sparse_cube(dim, bracket, "bracket"))._validate()
 
     def _set(self, dim, s):
         self.dim = dim
         self.s = s
         self._adjoint = None
-        self._validate()
+        return self
 
     @classmethod
     def from_rows(cls, dim, s):
         """The algebra with the canonical rows s, validated like any other."""
-        g = cls.__new__(cls)
-        g._set(dim, s)
+        return cls._walked(0, dim, s)
+
+    @classmethod
+    def _walked(cls, split, dim, s):
+        g = cls.__new__(cls)._set(dim, s)
+        g._validate(split)
         return g
+
+    @classmethod
+    def _by_theorem(cls, dim, s):
+        """The algebra with the canonical rows s, Lie by a theorem; it walks nothing."""
+        return cls.__new__(cls)._set(dim, s)
 
     @staticmethod
     def from_brackets(dim, entries):
@@ -268,15 +278,16 @@ class LieAlgebra:
         """The dense structure tensor c[i][j] = [e_i, e_j], built on each read."""
         return dense(self.s, self.dim)
 
-    def _validate(self):
+    def _validate(self, split=0):
+        """Skew symmetry, then Jacobi on the reached triples, sorted.  split > 0
+        marks block_rows of two validated algebras: only i < split <= k can fail."""
         d, s = self.dim, self.s
-        for i in range(d):
+        for i in range(0 if split else d):
             for j in range(i, d):
                 if s[i][j] != _neg(s[j][i]):
-                    a, b = dict(s[i][j]), dict(s[j][i])
-                    k = min(k for k in a.keys() | b.keys() if a.get(k, 0) != -b.get(k, 0))
-                    raise SkewViolation(i, j, k)
-        for i, j, k in sorted(reached_triples(s, s)):
+                    raise SkewViolation(i, j, _combine(s[i][j], 1, s[j][i])[0][0])
+        triples = reached_triples(s, s)
+        for i, j, k in sorted(t for t in triples if not split or t[0] < split <= t[2]):
             if any(cyclic_form({}, s, s, i, j, k).values()):
                 raise JacobiViolation(i, j, k, self.jacobi_defect(i, j, k))
 
@@ -307,7 +318,7 @@ class Representation:
         for a in mats:
             if a.shape() != (dim_m, dim_m):
                 raise DimensionMismatch("action matrix shape mismatch")
-        self._set(algebra, dim_m, tuple(a.sparse_cols() for a in mats))
+        self._set(algebra, dim_m, tuple(a.sparse_cols() for a in mats))._validate()
 
     def _set(self, algebra, dim_m, s):
         self.algebra = algebra
@@ -315,14 +326,21 @@ class Representation:
         self.s = s
         self.by_col = tuple(tuple(sa[b] for sa in s) for b in range(dim_m))
         self._dual = None
-        self._validate()
+        self._semidirect = LieAlgebra.__new__(LieAlgebra)._set(algebra.dim + dim_m, block_rows(
+            algebra.s, zero_rows(dim_m, dim_m), s, zero_rows(dim_m, algebra.dim)))
+        return self
 
     @classmethod
     def from_rows(cls, algebra: LieAlgebra, dim_m, s):
         """The module with the canonical action rows s, validated like any other."""
-        rep = cls.__new__(cls)
-        rep._set(algebra, dim_m, s)
+        rep = cls.__new__(cls)._set(algebra, dim_m, s)
+        rep._validate()
         return rep
+
+    @classmethod
+    def _by_theorem(cls, algebra: LieAlgebra, dim_m, s):
+        """The module with the canonical rows s by a theorem; it walks nothing."""
+        return cls.__new__(cls)._set(algebra, dim_m, s)
 
     @property
     def t(self):
@@ -335,19 +353,16 @@ class Representation:
         return action_matrices(self.s, self.dim_m)
 
     def _validate(self):
-        """M is a module exactly when g + M is Lie: that algebra is validated and
-        kept.  It can only fail on a triple (e_i, e_j, f_b), reported on the pair
-        (i, j) with the defect rho_i rho_j - rho_j rho_i - rho([e_i, e_j]), whose
-        column b is the Jacobiator there."""
-        d, m = self.algebra.dim, self.dim_m
-        rows = block_rows(self.algebra.s, zero_rows(m, m), self.s, zero_rows(m, d))
+        """M is a module exactly when g + M, which it keeps, is Lie; only a triple
+        (e_i, e_j, f_b) can fail, reported on the pair (i, j) with the defect
+        rho_i rho_j - rho_j rho_i - rho([e_i, e_j]), the Jacobiators by column b."""
+        d, m, sd = self.algebra.dim, self.dim_m, self._semidirect
         try:
-            self._semidirect = LieAlgebra.from_rows(d + m, rows)
+            sd._validate(d)
         except JacobiViolation as exc:
             i, j, _ = exc.indices
-            cols = [cyclic_form({}, rows, rows, i, j, d + b) for b in range(m)]
             raise RepViolation(i, j, Matrix.from_cols(
-                [_dense({k - d: v for k, v in acc.items()}, m) for acc in cols])) from None
+                [sd.jacobi_defect(i, j, d + b)[d:] for b in range(m)])) from None
 
     def rho(self, x) -> Matrix:
         """Matrix of the action of the algebra element with coordinates x:
@@ -365,9 +380,9 @@ class Representation:
 
 
 def adjoint(g: LieAlgebra) -> Representation:
-    """The algebra acting on itself by ad_x = [x, -]: the rows of g as they are."""
+    """ad_x = [x, -], the rows of g as they are: a module since g is Jacobi."""
     if g._adjoint is None:
-        g._adjoint = Representation.from_rows(g, g.dim, g.s)
+        g._adjoint = Representation._by_theorem(g, g.dim, g.s)
     return g._adjoint
 
 
@@ -375,7 +390,7 @@ def dual_rep(rep: Representation) -> Representation:
     """Dual module: <x • a, m> = -<a, x • m>, so matrices are -rho^T."""
     if rep._dual is None:
         m = rep.dim_m
-        rep._dual = Representation.from_rows(
+        rep._dual = Representation._by_theorem(
             rep.algebra, m, tuple(tuple(_neg(row) for row in transpose_rows(sa, m))
                                   for sa in rep.s))
     return rep._dual
@@ -386,12 +401,12 @@ def coadjoint(g: LieAlgebra) -> Representation:
 
 
 def trivial_rep(g: LieAlgebra, dim_m) -> Representation:
-    return Representation.from_rows(g, dim_m, zero_rows(g.dim, dim_m))
+    return Representation._by_theorem(g, dim_m, zero_rows(g.dim, dim_m))
 
 
 def semidirect(rep: Representation) -> LieAlgebra:
     """Semi-direct product on g + M: [(x,m),(y,n)] = ([x,y], x•n - y•m), the
-    algebra that validated the module."""
+    algebra the module keeps."""
     return rep._semidirect
 
 

@@ -19,7 +19,7 @@ from itertools import combinations, product
 from .cohomology import Cochain, bracket_cochain, nr_bracket
 from .errors import (
     DimensionMismatch, NotAntisymmetric, NotCompatible,
-    NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, oracle,
+    NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, oracle, theorem,
 )
 from .exactla import Matrix, invert
 from .liecore import (
@@ -251,8 +251,9 @@ def _tilde_module(rep: Representation, N, S) -> Representation:
     """The module of tilde_action, for a pair already known to be a Nijenhuis
     structure, so N is Nijenhuis and [.,.]_N needs no second check."""
     g = rep.algebra
-    deformed = LieAlgebra.from_rows(g.dim, deformed_tensor(g.s, g.dim, N))
-    return Representation.from_rows(deformed, rep.dim_m, deformed_action(rep, N, -S))
+    deformed = theorem("tilde action", LieAlgebra.from_rows, g.dim, deformed_tensor(g.s, g.dim, N))
+    return theorem("tilde action", Representation.from_rows, deformed, rep.dim_m,
+                   deformed_action(rep, N, -S))
 
 
 def _brackets_agree(rep: Representation, T, N, deformed) -> bool:

@@ -30,7 +30,7 @@ from .cohomology import Cochain, is_cocycle
 from .errors import (
     DimensionMismatch, ImageEscapesH, NotAdmissible, NotAntisymmetric, NotCocycle,
     NotCompatible, NotIdeal, NotOOperator, NotPreLie, NotStable,
-    NotSubalgebra, QuotientError, Singular, oracle,
+    NotSubalgebra, QuotientError, Singular, oracle, theorem,
 )
 from .exactla import Matrix, column_space_equal, invert, is_zero_vec, kernel, q
 from .liecore import (
@@ -126,7 +126,8 @@ def induced_tensor(rep: Representation, T):
 
 def induced_lie(rep: Representation, T) -> LieAlgebra:
     """The Lie algebra M^T carried by the module of an O-operator."""
-    return LieAlgebra.from_rows(rep.dim_m, _bracket_rows(OOperator(rep, T).p))
+    return theorem("induced lie", LieAlgebra.from_rows, rep.dim_m,
+                   _bracket_rows(OOperator(rep, T).p))
 
 
 def graph_check(rep: Representation, T) -> bool:

@@ -1,10 +1,9 @@
 """Twilled Lie algebras (complementary pairs of subalgebras), the twilled
 algebra attached to an O-operator, and (strong) Maurer-Cartan solutions.
 
-`join` is the one builder: it glues two mutually acting algebras into their
-twilled algebra, and `twilled_from_o`, `swap` and `omega_structures` all go
-through it.  `twilled_new` is the one splitter: it reads the blocks and the
-two actions off an arbitrary algebra with a chosen pair of subalgebras.
+`join` is the one checking builder: it glues two mutually acting algebras into
+their twilled algebra, for `twilled_from_o` and `omega_structures`.  The one
+splitter `twilled_new` and `swap` walk nothing: a theorem makes them twilled.
 
 Maurer-Cartan residuals are always computed twice: once from the explicit
 bilinear formula, as its cocycle part and its quadratic part, and once through
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, one_cocycle_basis
-from .errors import DimensionMismatch, NotOOperator, NotStrongMC, NotSubalgebra, oracle
+from .errors import DimensionMismatch, NotOOperator, NotStrongMC, NotSubalgebra, oracle, theorem
 from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale
 from .liecore import (
     LieAlgebra, Representation, Subspace, _add_rows, _dense, _row, block_rows,
@@ -48,47 +47,48 @@ class TwilledLieAlgebra:
 def join(action1: Representation, action2: Representation) -> TwilledLieAlgebra:
     """The twilled algebra a + b of a acting on b (action1) and b acting on a
     (action2), with [x, u] = x .1 u - u .2 x.  The Jacobi check of the total is
-    the matched-pair check; the parts are the inputs themselves."""
+    the matched-pair check, on the triples that meet both parts."""
     a, b = action1.algebra, action2.algebra
     if action1.dim_m != b.dim or action2.dim_m != a.dim:
         raise DimensionMismatch("each algebra must act on the other")
-    total = LieAlgebra.from_rows(a.dim + b.dim, block_rows(a.s, b.s, action1.s, action2.s))
+    total = LieAlgebra._walked(a.dim, a.dim + b.dim, block_rows(a.s, b.s, action1.s, action2.s))
     return TwilledLieAlgebra(total, a.dim, b.dim, a, b, action1, action2)
 
 
 def twilled_new(total: LieAlgebra, a: Subspace, b: Subspace) -> TwilledLieAlgebra:
     """Split a Lie algebra along two complementary subalgebras, in the block
-    basis of a followed by b."""
+    basis of a followed by b: valid by theorem, so nothing is walked again."""
     check_complementary(total.dim, a, b)
     P = Matrix.from_cols(list(a.rref_rows) + list(b.rref_rows))
     da, db = a.dim(), b.dim()
     c = transport(total.s, P, P, invert(P))
-    for i in range(da):
-        for j in range(da):
-            if c[i][j] and c[i][j][-1][0] >= da:
-                raise NotSubalgebra(witness=(i, j), which="a")
-    for i in range(db):
-        for j in range(db):
-            if c[da + i][da + j] and c[da + i][da + j][0][0] < da:
-                raise NotSubalgebra(witness=(i, j), which="b")
+    for i, j in product(range(da), repeat=2):
+        if c[i][j] and c[i][j][-1][0] >= da:
+            raise NotSubalgebra(witness=(i, j), which="a")
+    for i, j in product(range(db), repeat=2):
+        if c[da + i][da + j] and c[da + i][da + j][0][0] < da:
+            raise NotSubalgebra(witness=(i, j), which="b")
 
     def b_part(row):
         return tuple((k - da, v) for k, v in row if k >= da)
 
-    a_alg = LieAlgebra.from_rows(da, tuple(c[i][:da] for i in range(da)))
-    b_alg = LieAlgebra.from_rows(db, tuple(tuple(b_part(row) for row in c[da + u][da:])
-                                           for u in range(db)))
+    a_alg = LieAlgebra._by_theorem(da, tuple(c[i][:da] for i in range(da)))
+    b_alg = LieAlgebra._by_theorem(db, tuple(tuple(b_part(row) for row in c[da + u][da:])
+                                             for u in range(db)))
     # [x, u] = x .1 u - u .2 x for x in a, u in b
     act1 = tuple(tuple(b_part(row) for row in c[i][da:]) for i in range(da))
     act2 = tuple(tuple(tuple((k, -v) for k, v in c[i][da + u] if k < da) for i in range(da))
                  for u in range(db))
-    return join(Representation.from_rows(a_alg, db, act1),
-                Representation.from_rows(b_alg, da, act2))
+    return TwilledLieAlgebra(LieAlgebra._by_theorem(total.dim, c), da, db, a_alg, b_alg,
+                             Representation._by_theorem(a_alg, db, act1),
+                             Representation._by_theorem(b_alg, da, act2))
 
 
 def swap(tw: TwilledLieAlgebra) -> TwilledLieAlgebra:
-    """The same twilled algebra with the two blocks exchanged."""
-    return join(tw.action2, tw.action1)
+    """The same twilled algebra with the two blocks exchanged; it walks nothing."""
+    a, b = tw.b_algebra, tw.a_algebra
+    total = LieAlgebra._by_theorem(tw.total.dim, block_rows(a.s, b.s, tw.action2.s, tw.action1.s))
+    return TwilledLieAlgebra(total, a.dim, b.dim, a, b, tw.action2, tw.action1)
 
 
 def bar_action(rep: Representation, T) -> Representation:
@@ -99,12 +99,12 @@ def bar_action(rep: Representation, T) -> Representation:
     gt, tcols = tuple(zip(*g.s)), T.sparse_cols()
     rows = tuple(tuple(_row(_add_rows(_add_rows({}, 1, tcols[j], gt[i]), 1, rep.s[i][j], tcols))
                        for i in range(g.dim)) for j in range(rep.dim_m))
-    return Representation.from_rows(mt, g.dim, rows)
+    return theorem("bar action", Representation.from_rows, mt, g.dim, rows)
 
 
 def twilled_from_o(rep: Representation, T) -> TwilledLieAlgebra:
     """The twilled algebra g joined with M^T along the bar action."""
-    return join(rep, bar_action(rep, T))
+    return theorem("twilled from o", join, rep, bar_action(rep, T))
 
 
 def cocycle_residual(tw: TwilledLieAlgebra, omega) -> dict:

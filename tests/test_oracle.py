@@ -11,6 +11,7 @@ import lieop
 from lieop import cli, errors, gcsholo, liecore, onstruct, ooper, twilled
 from lieop.cli import Workspace
 from lieop.errors import OracleDisagreement, oracle
+from lieop.exactla import Matrix
 from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_DEFORM_S, AFF1_N, H3_ADJ_T2, bundle_json
 from lieop.liecore import trivial_rep
 
@@ -225,3 +226,64 @@ def test_the_verdicts_that_reach_no_oracle(ws, monkeypatch):
         assert cli.check_entry(ws, entry)[0], entry.name
         reached[entry.kind] |= len(calls) > before
     assert {kind for kind, hit in reached.items() if not hit} == ONE_ROUTE | CARRIERS
+
+
+def _bundle_closure(objects, name, out=None):
+    """The bundle object `name` with every object it refers to."""
+    out = {} if out is None else out
+    if name not in out:
+        out[name] = objects[name]
+        for key, value in objects[name].items():
+            if key.endswith("_ref"):
+                _bundle_closure(objects, value, out)
+    return out
+
+
+def _gains_e0_at_01(p):
+    """The rows P of an O-product with e_0 added to P[0][1]; P - P^t stays skew."""
+    return ((p[0][0], liecore._combine(p[0][1], 1, ((0, 1),))) + p[0][2:],) + p[1:]
+
+
+def _negated(rows):
+    return tuple(tuple(liecore._neg(r) for r in row) for row in rows)
+
+
+# (derive kind, bundle object, module, row builder, its named mutation): each
+# carrier is valid by a theorem once the inputs passed their own checks
+THEOREM_MUTATIONS = {
+    "M^T bracket, P[0][1] gains e_0": (
+        "induced-lie", "sl2_coadj_T", ooper, "_bracket_rows",
+        lambda route: lambda p: route(_gains_e0_at_01(p))),
+    "bar action rows doubled": (
+        "twilled-from-o", "sl2_coadj_T", twilled, "_row",
+        lambda route: lambda acc: route({k: 2 * v for k, v in acc.items()})),
+    "matched pair, g acts by -rho": (
+        "twilled-from-o", "aff1_adj_T", twilled, "block_rows",
+        lambda route: lambda sa, sb, s1, s2: route(sa, sb, _negated(s1), s2)),
+    "tilde action, S transposed": (
+        "tilde-action", "aff1_ns", onstruct, "deformed_action",
+        lambda route: lambda rep, N, S: route(rep, N, S.transpose())),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(THEOREM_MUTATIONS))
+def test_a_theorem_carrier_that_fails_its_check_exits_3(tmp_path, monkeypatch, capsys, mutation):
+    """M^T, the bar module, the matched pair of twilled_from_o and the tilde
+    module are checked although a theorem says they pass: a failure there is a
+    library bug, not a refused input, so the command exits 3, not 2."""
+    kind, name, module, builder, mutate = THEOREM_MUTATIONS[mutation]
+    doc = tmp_path / "in.json"
+    doc.write_text(json.dumps({"objects": _bundle_closure(
+        json.loads(bundle_json())["objects"], name)}), encoding="utf-8")
+    argv = ["derive", kind, name, "--input", str(doc), "--output", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(module, builder, mutate(getattr(module, builder)))
+    assert cli.main(argv) == 3
+    assert "oracle disagreement" in capsys.readouterr().out
+
+
+def test_a_non_o_operator_is_refused_before_any_theorem_check(ws):
+    rep = ws.get("aff1_adj").value
+    for build in (ooper.induced_lie, twilled.bar_action, twilled.twilled_from_o):
+        with pytest.raises(errors.NotOOperator):
+            build(rep, Matrix.identity(2))

@@ -90,3 +90,21 @@ def test_sparse_kernels_name_no_dense_basis_vector_helper():
                  for node in ast.walk(func) if isinstance(node, (ast.Name, ast.Attribute))}
         found[name] = sorted(names & DENSE_BASIS_NAMES)
     assert found == {name: [] for _, name in SPARSE_KERNELS}
+
+
+# the functions that may call a private constructor
+BY_THEOREM_CALLERS = {"adjoint", "dual_rep", "trivial_rep", "twilled_new", "swap"}
+
+
+def test_only_the_theorem_carriers_call_the_private_constructor():
+    """No loader and no validating constructor can reach `_by_theorem`: its
+    callers are exactly the five carriers a theorem makes valid."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                if any(isinstance(node, ast.Attribute) and node.attr == "_by_theorem"
+                       for node in ast.walk(func)):
+                    callers.add(getattr(func, "name", "<lambda>"))
+    assert callers == BY_THEOREM_CALLERS
