@@ -17,7 +17,7 @@ from .liecore import (
 )
 from .cohomology import Cochain, ce_differential, derived_bracket, is_cocycle, nr_bracket
 from .ooper import (
-    Bivector, OOperator, are_compatible, gauge_iso_check, gauge_transform,
+    OOperator, are_compatible, bivector, gauge_iso_check, gauge_transform,
     graph_check, induced_lie, is_o_operator, is_r_matrix, lemma_r_equiv,
     mr_reduce, nijenhuis_from_pair, o_residual, pre_lie_compatible,
     pre_lie_from_o, r_sharp, schouten_self, structure_report,

@@ -32,7 +32,6 @@ from .errors import DimensionMismatch, LieOpError, OracleDisagreement, Workspace
 from .exactla import Matrix, is_zero_vec, parse_scalar, scalar_str, vec_add
 from .liecore import LieAlgebra, Representation, Subspace
 from .onstruct import DeformationData
-from .ooper import Bivector
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +141,8 @@ def brackets(ws, dims, key, x, n):
 
 
 def bivector(ws, dims, key, x, n):
-    """Bivector entries [i, j, r^{ij}] with i < j."""
-    return Bivector(dims[n], _table(key, x, dims[n], upper=True, skew=True, vector=False))
+    """The entries [i, j, r^{ij}], i < j, of a bivector, read as its antisymmetric matrix."""
+    return Matrix(_table(key, x, dims[n], upper=True, skew=True, vector=False), cols=dims[n])
 
 
 def triples(ws, dims, key, x, n):
@@ -185,7 +184,8 @@ DUMP = {
     matrices: lambda ms: [DUMP[matrix](m) for m in ms],
     vectors: lambda vs: [vector_to_json(v) for v in vs],
     brackets: lambda t: _dump_table(t, upper=True),
-    bivector: lambda r: [[i, j, scalar_str(v)] for (i, j), v in sorted(r.pairs().items())],
+    bivector: lambda r: [[i, j, scalar_str(v)] for i, row in enumerate(r.sparse_rows())
+                         for j, v in row if i < j],
     triples: lambda t: _dump_table(t, upper=False),
     skew_triples: lambda t: _dump_table(t, upper=False),
     values: lambda vals: [[list(i), vector_to_json(v)] for i, v in sorted(vals.items())],
@@ -255,7 +255,7 @@ _MAKE = {
     "subspace": (Subspace, lambda sub: (sub.ambient_dim, sub.basis)),
     "representation": (Representation, lambda rep: (rep.algebra, rep.dim_m, rep.action)),
     "linmap": (lambda m: m, lambda m: (m,)),
-    "bivector": (lambda g, dim, r: (g, r), lambda value: (value[0], value[1].dim, value[1])),
+    "bivector": (lambda g, dim, r: (g, r), lambda value: (value[0], value[1].rows, value[1])),
     "cochain": (cohomology.Cochain, lambda f: (f.degree, f.source_dim, f.target_dim,
                                                {idx: f.value(idx) for idx in f.values})),
     "deformation": (
@@ -662,8 +662,8 @@ def _suite_oracles(ws: Workspace, seed):
         return ooper.graph_check(rep, t) == ooper.is_o_operator(rep, t)
 
     def cybe(g):
-        r = Bivector.from_pairs(g.dim, {(i, j): rng.randint(-1, 1)
-                                        for i in range(g.dim) for j in range(i + 1, g.dim)})
+        r = ooper.bivector(g.dim, {(i, j): rng.randint(-1, 1)
+                                   for i in range(g.dim) for j in range(i + 1, g.dim)})
         return ooper.is_r_matrix(g, r) == ooper.is_o_operator(liecore.coadjoint(g),
                                                               ooper.r_sharp(r))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import DimensionMismatch, LieOpError
+from .errors import DimensionMismatch, LieOpError, oracle
 from .exactla import Matrix, _kernel_from_rref, rref_maps, vec
 from .liecore import (
     LieAlgebra, Representation, _add_rows, _combine, _dense, _nonzero, _row, block_rows,
@@ -263,14 +263,13 @@ def lift_to_total(P: Cochain, dim_a, dim_b) -> Cochain:
 
 
 def restrict_to_blocks(R: Cochain, dim_a, dim_b) -> Cochain:
-    """Inverse of lift_to_total on results of derived brackets."""
+    """Inverse of lift_to_total on derived brackets, whose values lie in b by a theorem."""
     out = {}
     for idx in sorted(R.values):
         if idx and idx[-1] >= dim_a:
             continue
         row = R.values[idx]
-        if row[0][0] < dim_a:
-            raise LieOpError("derived bracket value escapes the b block")
+        oracle("derived bracket", row[0][0] >= dim_a, True, "{idx} escapes the b block", idx=idx)
         out[idx] = tuple((k - dim_a, v) for k, v in row)
     return Cochain.from_rows(R.degree, dim_a, dim_b, out)
 

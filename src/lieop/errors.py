@@ -161,10 +161,11 @@ def oracle(what, a, b, detail, **fields):
 
 
 def theorem(what, build, *args):
-    """build(*args), a carrier a theorem makes valid: its failure is a library bug."""
+    """build(*args), a carrier a theorem makes valid from checked inputs: a refusal is a bug."""
     try:
         return build(*args)
-    except (SkewViolation, JacobiViolation, RepViolation) as exc:
+    except (SkewViolation, JacobiViolation, RepViolation, NotOOperator, NotONStructure,
+            NotPreLie, NotAntisymmetric, InvalidGCS) as exc:
         oracle(what, exc, None, "{a}")
 
 

@@ -236,7 +236,7 @@ def rref(rows):
 def rref_maps(rows, ncols):
     """Reduced row echelon form of rows given as {column: nonzero value} maps.
 
-    Returns (rref_rows, pivot_columns): dense tuples in pivot-column order,
+    Returns (rows, pivot_columns): dense tuples in pivot-column order,
     with zero rows dropped.  Beside the maps it keeps an index from each
     column to the rows that have it.  For each column in turn the pivot is
     the unpivoted row with the fewest nonzeros, the lowest row index on ties,

@@ -16,7 +16,7 @@ from .liecore import (
     LieAlgebra, Representation, action_matrices, adjoint, coadjoint, dense, trivial_rep,
 )
 from .onstruct import on_from_compatible_pair, trivial_deformation_from
-from .ooper import Bivector, bivector_from_sharp, pre_lie_from_o
+from .ooper import bivector, pre_lie_from_o, r_sharp
 from .twilled import twilled_from_o
 
 
@@ -114,7 +114,7 @@ def bundle() -> dict:
         objects[name] = emit("o_operator", rep_name, t)
 
     for g, dim, pair in (("aff1", 2, (0, 1)), ("h3", 3, (0, 2)), ("sl2", 3, (0, 1))):
-        objects[f"{g}_r"] = emit("bivector", g, dim, Bivector.from_pairs(dim, {pair: 1}))
+        objects[f"{g}_r"] = emit("bivector", g, dim, bivector(dim, {pair: 1}))
 
     objects["aff1_adj_B"] = emit("linmap", AFF1_ADJ_B)
     objects["aff1_coadj_B"] = emit("linmap", AFF1_COADJ_B)
@@ -133,7 +133,7 @@ def bundle() -> dict:
     objects["aff1_on_id"] = emit("on_structure", "aff1_adj", AFF1_ADJ_T,
                                  Matrix.identity(2), Matrix.identity(2))
 
-    objects["h3_pn"] = emit("pn_structure", "h3", Bivector.from_pairs(3, {(0, 2): 1}), H3_N)
+    objects["h3_pn"] = emit("pn_structure", "h3", bivector(3, {(0, 2): 1}), H3_N)
 
     prelie = pre_lie_from_o(reps["aff1_coadj"], AFF1_COADJ_T2)
     objects["aff1_prelie"] = emit("pre_lie", 2, dense(prelie.s, 2))
@@ -153,18 +153,17 @@ def bundle() -> dict:
     objects["aff1_gcs"] = emit("gcs_module", "aff1_coadj", zero2, AFF1_COADJ_T2, ROT, zero2)
     objects["ab2_gcs"] = emit("gcs_module", "ab2_triv2", ROT, zero2, zero2, -ROT)
 
-    r01 = Bivector.from_pairs(2, {(0, 1): 1})
+    r01 = bivector(2, {(0, 1): 1})
     objects["ab2_gcslie"] = emit("gcs_lie", "ab2", zero2, r01, r01)
-    r0 = Bivector.from_pairs(2, {})
-    objects["ab2_gcslie_cx"] = emit("gcs_lie", "ab2", ROT, r0, r0)
+    objects["ab2_gcslie_cx"] = emit("gcs_lie", "ab2", ROT, zero2, zero2)
 
     objects["ab2_cx"] = emit("complex_pair", "ab2_triv2", ROT, ROT)
     objects["aff1_cx"] = emit("complex_pair", "aff1_coadj", ROT, ROT)
 
     objects["ab2_holo_o"] = emit("holo_o", "ab2_triv2", ROT, ROT, ROT, Matrix.identity(2))
 
-    ri = bivector_from_sharp(HOLO4_SHARP_I)
-    rr = bivector_from_sharp(HOLO4_SHARP_I * J4.transpose())
+    ri = r_sharp(HOLO4_SHARP_I)
+    rr = r_sharp(HOLO4_SHARP_I * J4.transpose())
     objects["ab4_holo_r"] = emit("holo_r", "ab4", J4, rr, ri)
 
     objects["h3_center"] = emit("subspace", 3, [(0, 0, 1)])

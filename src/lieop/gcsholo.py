@@ -15,7 +15,9 @@ They share each identity's code with the single-tuple checks.
 Integrable = Nijenhuis on g x M: given J J = -id, the direct route checks J
 with `onstruct.is_nijenhuis` on the semi-direct product.  A complex structure
 is a Nijenhuis operator I with I^2 = -id, and a complex structure (I, I_M) on a
-module the Nijenhuis structure (I, -I_M) with I_M^2 = -id.
+module the Nijenhuis structure (I, -I_M) with I_M^2 = -id.  On a Lie algebra r
+and sigma are antisymmetric matrices, both read through `ooper.r_sharp`.  A GCS
+built from checked inputs is valid by a theorem (`errors.theorem`).
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from functools import partial
 from operator import mul
 
 from .errors import (
-    DimensionMismatch, InvalidGCS, NotAntisymmetric, NotComplexPair,
-    NotComplexStructure, oracle,
+    DimensionMismatch, InvalidGCS, NotComplexPair, NotComplexStructure, oracle, theorem,
 )
 from .exactla import Matrix, invert, vec_add, vec_sub
 from .liecore import (
@@ -36,7 +37,7 @@ from .liecore import (
 from .onstruct import (
     is_nijenhuis, is_on_structure, is_pn_structure, nijenhuis_structure_defect,
 )
-from .ooper import Bivector, OOperator, is_o_operator, r_sharp
+from .ooper import OOperator, is_o_operator, r_sharp
 
 
 def _rows(x, shape):
@@ -309,7 +310,7 @@ class GCSModule:
 
 def opposite_gcs(j: GCSModule) -> GCSModule:
     """(N, -T, -sigma, S): flips the off-diagonal blocks."""
-    return GCSModule(j.rep, j.N, -j.T, -j.sigma, j.S)
+    return theorem("opposite gcs", GCSModule, j.rep, j.N, -j.T, -j.sigma, j.S)
 
 
 def gcs_from_invertible_o(rep: Representation, T) -> GCSModule:
@@ -317,7 +318,7 @@ def gcs_from_invertible_o(rep: Representation, T) -> GCSModule:
     OOperator(rep, T)
     tinv = invert(T)
     d, m = rep.algebra.dim, rep.dim_m
-    return GCSModule(rep, Matrix.zeros(d), T, -tinv, Matrix.zeros(m))
+    return theorem("gcs from o", GCSModule, rep, Matrix.zeros(d), T, -tinv, Matrix.zeros(m))
 
 
 def is_complex_structure(g: LieAlgebra, I) -> bool:
@@ -353,7 +354,8 @@ def gcs_from_complex(rep: Representation, I, IM) -> GCSModule:
     if not is_module_complex_pair(rep, I, IM):
         raise NotComplexPair("input pair is not a module complex structure")
     d, m = rep.algebra.dim, rep.dim_m
-    return GCSModule(rep, I, Matrix.zeros(d, m), Matrix.zeros(m, d), -IM)
+    return theorem("gcs from complex", GCSModule, rep, I, Matrix.zeros(d, m),
+                   Matrix.zeros(m, d), -IM)
 
 
 def _pairing(u, v, d):
@@ -361,22 +363,16 @@ def _pairing(u, v, d):
     return sum(u[d + i] * v[i] for i in range(d)) + sum(v[d + i] * u[i] for i in range(d))
 
 
-def gcs_lie_check(g: LieAlgebra, N, r: Bivector, sigma2) -> bool:
-    """Generalized complex structure (N, r, sigma) on a Lie algebra.
+def gcs_lie_check(g: LieAlgebra, N, r: Matrix, sigma2: Matrix) -> bool:
+    """Generalized complex structure (N, r, sigma) on a Lie algebra; the sharp map
+    of r and the flat map of sigma are both read through `r_sharp`.
 
     The verdict is delegated to the coadjoint-module block check; when it
     passes, pairing orthogonality is re-verified independently and must hold.
     """
-    if isinstance(sigma2, Bivector):
-        sig = Matrix(sigma2.m)
-    else:
-        sig = sigma2
-        if not sig.is_antisymmetric():
-            raise NotAntisymmetric("sigma must be an antisymmetric 2-form")
-    if r.dim != g.dim or sig.shape() != (g.dim, g.dim):
+    sharp, flat = r_sharp(r), r_sharp(sigma2)
+    if sharp.shape() != (g.dim, g.dim) or flat.shape() != (g.dim, g.dim):
         raise DimensionMismatch("component dimensions do not match the algebra")
-    sharp = r_sharp(r)
-    flat = sig.transpose()
     co = coadjoint(g)
     verdict = gcs_check_direct(co, N, sharp, flat, N.transpose())
     if verdict:
@@ -404,13 +400,12 @@ def is_holomorphic_o(rep: Representation, J, JM, TR, TI) -> bool:
     return ok
 
 
-def is_holomorphic_r(g: LieAlgebra, J, rr: Bivector, ri: Bivector) -> bool:
+def is_holomorphic_r(g: LieAlgebra, J, rr: Matrix, ri: Matrix) -> bool:
     """PN-structure route vs generalized-complex route; both must agree."""
     if not is_complex_structure(g, J):
         raise NotComplexStructure("J is not a complex structure")
-    if rr.dim != g.dim or ri.dim != g.dim:
-        raise DimensionMismatch("bivector dimensions do not match the algebra")
-    sharp_identity = (r_sharp(rr) == r_sharp(ri) * J.transpose())
+    # the difference, unlike ==, refuses bivectors of two shapes
+    sharp_identity = (r_sharp(rr) - r_sharp(ri) * J.transpose()).is_zero()
     via_pn = is_pn_structure(g, ri, J) and sharp_identity
     zero_sigma = Matrix.zeros(g.dim)
     via_gcs = gcs_lie_check(g, J, ri, zero_sigma) and sharp_identity

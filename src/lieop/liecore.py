@@ -16,14 +16,16 @@ quotient, a twilled splitting and a reduction read theirs through `transport`.
 The identities quadratic in a bracket read one cyclic form, `cyclic_form`, on
 the triples `reached_triples` gives: C(a, b) sums a(e_u, b(e_v, e_w)) over the
 cyclic orders of a triple, C(s, s) is the Jacobiator (a module's is that of
-g + M, which it keeps) and C(a, b) + C(b, a) the mixed term of compatible
-brackets, Nijenhuis towers and module deformations.  Every map that preserves a
-bilinear map is checked by one morphism form, `morphism_defect`.  Validators
-read rows only and walk the triples or pairs a nonzero constant reaches, and
-an algebra glued from validated blocks (a module's g + M, `twilled.join`) only
-those that meet both.  Five carriers a theorem makes valid walk nothing
-(`_by_theorem`): `adjoint`, `dual_rep`, `trivial_rep`, `twilled.twilled_new`
-and `twilled.swap`.
+g + M, which `semidirect` builds on first read) and C(a, b) + C(b, a) the
+mixed term of compatible brackets, Nijenhuis towers and module deformations.
+Every map that preserves a bilinear map is checked by one morphism form,
+`morphism_defect`.  Validators read rows only and walk the triples or pairs a
+nonzero constant reaches, and an algebra glued from validated blocks (a
+module's g + M, `twilled.join`) builds and walks only those that meet both.
+Five carriers a theorem makes valid walk nothing (`_by_theorem`): `adjoint`,
+`dual_rep`, `trivial_rep`, `twilled.twilled_new` and `twilled.swap`; a
+subalgebra or quotient of checked inputs goes through `errors.theorem`.  A
+`Subspace` stores one basis, its RREF rows.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import combinations
 
 from .errors import (
     DimensionMismatch, JacobiViolation, NotComplementary, NotIdeal,
-    NotSubalgebra, RepViolation, SkewViolation, oracle,
+    NotSubalgebra, RepViolation, SkewViolation, oracle, theorem,
 )
 from .exactla import Matrix, is_zero_vec, kernel, q, rank, rref, vec, vec_zero
 
@@ -156,10 +158,16 @@ def reached_triples(a, b):
     of C(a, b) reaches: some l in the support of b[v][w] has a[u][l] nonzero.
     b must be skew, so the pairs v < w stand for both orders; on every other
     triple of distinct indices C(a, b) vanishes term by term."""
+    return _reached(a, b, 0)
+
+
+def _reached(a, b, split):
+    """reached_triples(a, b); with split > 0 only i < split <= k, a glued walk's."""
     d = len(a)
     reach = [[u for u in range(d) if a[u][l]] for l in range(d)]
     return {tuple(sorted((u, v, w))) for v in range(d) for w in range(v + 1, d)
-            for l, _ in b[v][w] for u in reach[l] if u != v and u != w}
+            for l, _ in b[v][w] for u in reach[l]
+            if u != v and u != w and (not split or v < split <= w or (u < split) != (v < split))}
 
 
 def contract(s, n, x, y):
@@ -286,8 +294,7 @@ class LieAlgebra:
             for j in range(i, d):
                 if s[i][j] != _neg(s[j][i]):
                     raise SkewViolation(i, j, _combine(s[i][j], 1, s[j][i])[0][0])
-        triples = reached_triples(s, s)
-        for i, j, k in sorted(t for t in triples if not split or t[0] < split <= t[2]):
+        for i, j, k in sorted(_reached(s, s, split)):
             if any(cyclic_form({}, s, s, i, j, k).values()):
                 raise JacobiViolation(i, j, k, self.jacobi_defect(i, j, k))
 
@@ -325,9 +332,7 @@ class Representation:
         self.dim_m = dim_m
         self.s = s
         self.by_col = tuple(tuple(sa[b] for sa in s) for b in range(dim_m))
-        self._dual = None
-        self._semidirect = LieAlgebra.__new__(LieAlgebra)._set(algebra.dim + dim_m, block_rows(
-            algebra.s, zero_rows(dim_m, dim_m), s, zero_rows(dim_m, algebra.dim)))
+        self._dual = self._semidirect = None
         return self
 
     @classmethod
@@ -353,10 +358,10 @@ class Representation:
         return action_matrices(self.s, self.dim_m)
 
     def _validate(self):
-        """M is a module exactly when g + M, which it keeps, is Lie; only a triple
+        """M is a module exactly when g + M is Lie; only a triple
         (e_i, e_j, f_b) can fail, reported on the pair (i, j) with the defect
         rho_i rho_j - rho_j rho_i - rho([e_i, e_j]), the Jacobiators by column b."""
-        d, m, sd = self.algebra.dim, self.dim_m, self._semidirect
+        d, m, sd = self.algebra.dim, self.dim_m, semidirect(self)
         try:
             sd._validate(d)
         except JacobiViolation as exc:
@@ -405,39 +410,39 @@ def trivial_rep(g: LieAlgebra, dim_m) -> Representation:
 
 
 def semidirect(rep: Representation) -> LieAlgebra:
-    """Semi-direct product on g + M: [(x,m),(y,n)] = ([x,y], x•n - y•m), the
-    algebra the module keeps."""
+    """Semi-direct product on g + M: [(x,m),(y,n)] = ([x,y], x•n - y•m), built
+    on first read and kept by the module."""
+    if rep._semidirect is None:
+        g, m = rep.algebra, rep.dim_m
+        rep._semidirect = LieAlgebra.__new__(LieAlgebra)._set(g.dim + m, block_rows(
+            g.s, zero_rows(m, m), rep.s, zero_rows(m, g.dim)))
     return rep._semidirect
 
 
 class Subspace:
-    """Subspace of a coordinate space, canonicalized by an RREF row basis."""
+    """Subspace of a coordinate space, stored as the RREF rows `basis` of the
+    vectors it is given, row-reduced once, and their pivot columns `pivots`;
+    `Subspace(n, vs)` refuses dependent vectors, `Subspace.span(n, vs)` not."""
 
-    __slots__ = ("ambient_dim", "basis", "rref_rows", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, basis):
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(vec(v) for v in basis)
-        for v in self.basis:
-            if len(v) != ambient_dim:
-                raise DimensionMismatch("basis vector length mismatch")
-        rows, pivots = rref(self.basis) if self.basis else ([], [])
-        if len(rows) != len(self.basis):
+        basis = tuple(basis)
+        if len(self._span(ambient_dim, basis).basis) != len(basis):
             raise DimensionMismatch("subspace basis is linearly dependent")
-        self.rref_rows = tuple(rows)
-        self.pivots = tuple(pivots)
 
-    @staticmethod
-    def span(ambient_dim, vectors):
-        """Span of arbitrary (possibly dependent) vectors, its RREF rows the basis."""
+    def _span(self, ambient_dim, vectors):
         vs = [vec(v) for v in vectors]
         if any(len(v) != ambient_dim for v in vs):
             raise DimensionMismatch("basis vector length mismatch")
         rows, pivots = rref(vs) if vs else ([], [])
-        W = Subspace.__new__(Subspace)
-        W.ambient_dim, W.pivots = ambient_dim, tuple(pivots)
-        W.basis = W.rref_rows = tuple(rows)
-        return W
+        self.ambient_dim, self.basis, self.pivots = ambient_dim, tuple(rows), tuple(pivots)
+        return self
+
+    @staticmethod
+    def span(ambient_dim, vectors):
+        """Span of arbitrary (possibly dependent) vectors."""
+        return Subspace.__new__(Subspace)._span(ambient_dim, vectors)
 
     @staticmethod
     def full(ambient_dim):
@@ -453,7 +458,7 @@ class Subspace:
     def reduce(self, v):
         """Residual of v after eliminating pivot coordinates against the RREF basis."""
         v = list(v)
-        for row, p in zip(self.rref_rows, self.pivots):
+        for row, p in zip(self.basis, self.pivots):
             f = v[p]
             if f:
                 for k, r in enumerate(row):
@@ -478,7 +483,7 @@ class Subspace:
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.rref_rows == other.rref_rows)
+                and self.basis == other.basis)
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim()})"
@@ -517,10 +522,9 @@ def restrict_to_subalgebra(g: LieAlgebra, W: Subspace):
     ok, witness = is_subalgebra(g, W)
     if not ok:
         raise NotSubalgebra(witness)
-    basis = list(W.rref_rows)
-    inclusion = Subspace(g.dim, basis).matrix()
-    return LieAlgebra.from_rows(len(basis), transport(g.s, inclusion, inclusion,
-                                                      W.pivot_rows())), basis
+    inclusion = W.matrix()
+    return theorem("subalgebra", LieAlgebra.from_rows, W.dim(),
+                   transport(g.s, inclusion, inclusion, W.pivot_rows())), list(W.basis)
 
 
 @dataclass
@@ -550,7 +554,8 @@ def quotient(h: LieAlgebra, W: Subspace) -> Quotient:
     projection = Matrix([[r[ci] for r in reduced] for ci in comp], cols=d)
     section = Matrix.from_cols([_unit(d, ci) for ci in comp]) \
         if k else Matrix([()] * d, cols=0)
-    alg = LieAlgebra.from_rows(k, transport(h.s, section, section, projection))
+    alg = theorem("quotient", LieAlgebra.from_rows, k,
+                  transport(h.s, section, section, projection))
     # W is an ideal, so the projection is a homomorphism
     oracle("quotient", morphism_defect(alg.s, projection, projection, projection,
                                        lambda i, j: h.s[i][j], combinations(range(d), 2)),

@@ -18,8 +18,8 @@ from itertools import combinations, product
 
 from .cohomology import Cochain, bracket_cochain, nr_bracket
 from .errors import (
-    DimensionMismatch, NotAntisymmetric, NotCompatible,
-    NotNijenhuis, NotNijenhuisStructure, NotONStructure, NotPN, oracle, theorem,
+    DimensionMismatch, NotCompatible, NotNijenhuis, NotNijenhuisStructure, NotONStructure,
+    NotPN, oracle, theorem,
 )
 from .exactla import Matrix, invert
 from .liecore import (
@@ -28,8 +28,8 @@ from .liecore import (
     sparse_cube, zero_rows,
 )
 from .ooper import (
-    Bivector, _bracket_rows, bivector_from_sharp, compatibility_defect, compatibility_oracle,
-    induced_tensor, is_o_operator, is_r_matrix, mixed_residual, o_product, r_sharp,
+    _bracket_rows, compatibility_defect, compatibility_oracle, induced_tensor, is_o_operator,
+    is_r_matrix, mixed_residual, o_product, r_sharp,
 )
 
 
@@ -83,7 +83,7 @@ def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
     ok, defect = is_nijenhuis(g, N)
     if not ok:
         raise NotNijenhuis(defect)
-    return LieAlgebra.from_rows(g.dim, deformed_tensor(g.s, g.dim, N))
+    return theorem("deformed bracket", LieAlgebra.from_rows, g.dim, deformed_tensor(g.s, g.dim, N))
 
 
 def mixed_jacobi_defect(dim, a, b):
@@ -339,10 +339,10 @@ def on_from_compatible_pair(rep: Representation, T1, T2) -> ONStructure:
     if not compatibility_oracle(rep, T1, T2, defects):
         raise NotCompatible(defects)
     t2inv = invert(T2)
-    return ONStructure(rep, T2, T1 * t2inv, t2inv * T1)
+    return theorem("on from compatible pair", ONStructure, rep, T2, T1 * t2inv, t2inv * T1)
 
 
-def is_pn_structure(g: LieAlgebra, r: Bivector, N) -> bool:
+def is_pn_structure(g: LieAlgebra, r: Matrix, N) -> bool:
     """Direct PN clauses against the coadjoint ON-structure characterization."""
     rsh = r_sharp(r)
     on, report = is_on_structure(coadjoint(g), rsh, N, N.transpose())
@@ -353,24 +353,21 @@ def is_pn_structure(g: LieAlgebra, r: Bivector, N) -> bool:
     return oracle("pn structure", direct, on, "direct={a} coadjoint_on={b}")
 
 
-def pn_hierarchy(g: LieAlgebra, r: Bivector, N, kmax: int):
-    """Bivectors r_k with (r_k)^sharp = N^k r^sharp, all classical r-matrices
-    and pairwise compatible."""
+def pn_hierarchy(g: LieAlgebra, r: Matrix, N, kmax: int):
+    """The bivectors r_k with (r_k)^sharp = N^k r^sharp (antisymmetric, as (r, N)
+    is PN), all classical r-matrices and pairwise compatible."""
     if not is_pn_structure(g, r, N):
         raise NotPN("input pair is not a PN-structure")
     out = []
     sharp = r_sharp(r)
     acc = Matrix.identity(g.dim)
     for k in range(kmax + 1):
-        mk = acc * sharp
-        if not mk.is_antisymmetric():
-            raise NotAntisymmetric(f"N^{k} r_sharp is not induced by a bivector")
-        rk = bivector_from_sharp(mk)
+        rk = theorem("pn hierarchy", r_sharp, acc * sharp)
         oracle("pn hierarchy", is_r_matrix(g, rk), True, "r_{k} is not an r-matrix", k=k)
         out.append(rk)
         acc = acc * N
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
-            oracle("pn hierarchy", is_r_matrix(g, out[i].add(out[j])), True,
+            oracle("pn hierarchy", is_r_matrix(g, out[i] + out[j]), True,
                    "r_{i} + r_{j} is not an r-matrix", i=i, j=j)
     return out

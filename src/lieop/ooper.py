@@ -10,11 +10,14 @@ failing one by `o_defect` (behind `is_o_operator`, `graph_oracle` and `OOperator
 and O(T1, T2) + O(T2, T1) the mixed term of compatible pairs; `OOperator` keeps
 P, so what is built from a validated operator reads it again.
 P is also the pre-Lie product of T, and P - P^t the bracket tensor of M^T
-(`induced_tensor`), which every bracket fact about M^T compares.  The Schouten
-square [r, r] is computed from its coordinate formula over the nonzero structure
-constants, not through the coadjoint module, so it stays an independent route
-to the r-matrix verdict.  The pre-Lie identity is the Jacobi identity of the
-commutator algebra acting by left multiplication (`_pre_lie_rows`).
+(`induced_tensor`), which every bracket fact about M^T compares.  A bivector is
+its antisymmetric Matrix r, r[i, j] = r^{ij} (`bivector`), read only through
+`schouten_self` or `r_sharp`, which refuse any other matrix.  The Schouten
+square [r, r] is computed from its coordinate formula over the nonzero
+structure constants, not through the coadjoint module, so it stays an
+independent route to the r-matrix verdict.  The pre-Lie identity is the Jacobi
+identity of the commutator algebra acting by left multiplication
+(`_pre_lie_rows`).
 
 Wherever an independent second route to the same verdict exists (graph
 subalgebra, coadjoint O-operator, sum-of-operators), both are computed and
@@ -170,78 +173,40 @@ def structure_report(rep: Representation, T) -> dict:
 # bivectors, the Schouten bracket, classical r-matrices
 # ---------------------------------------------------------------------------
 
-class Bivector:
-    """An element of wedge^2 g stored as its full antisymmetric matrix r^{ij}."""
-
-    __slots__ = ("dim", "m")
-
-    def __init__(self, dim, matrix):
-        rows = tuple(tuple(q(x) for x in row) for row in matrix)
-        if len(rows) != dim or any(len(r) != dim for r in rows):
-            raise DimensionMismatch("bivector matrix shape mismatch")
-        for i in range(dim):
-            for j in range(i, dim):
-                if rows[i][j] != -rows[j][i]:
-                    raise DimensionMismatch(f"bivector not antisymmetric at ({i},{j})")
-        self.dim = dim
-        self.m = rows
-
-    @staticmethod
-    def from_pairs(dim, pairs):
-        m = [[0] * dim for _ in range(dim)]
-        for (i, j), v in dict(pairs).items():
-            if not 0 <= i < j < dim:
-                raise DimensionMismatch(f"bivector entries need i < j, got ({i},{j})")
-            m[i][j] = q(v)
-            m[j][i] = -q(v)
-        return Bivector(dim, m)
-
-    def pairs(self):
-        return {(i, j): self.m[i][j]
-                for i in range(self.dim) for j in range(i + 1, self.dim)
-                if self.m[i][j]}
-
-    def add(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatch("bivector dimension mismatch")
-        return Bivector(self.dim, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.m, other.m)])
-
-    def scale(self, c):
-        return Bivector(self.dim, [[q(c * a) for a in r] for r in self.m])
-
-    def is_zero(self):
-        return all(a == 0 for r in self.m for a in r)
-
-    def __eq__(self, other):
-        return isinstance(other, Bivector) and self.dim == other.dim and self.m == other.m
-
-    def __repr__(self):
-        return f"Bivector(dim={self.dim}, {self.pairs()})"
+def bivector(dim, pairs) -> Matrix:
+    """The antisymmetric Matrix r of the bivector with r^{ij} = r[i, j] = -r[j, i]
+    for each ((i, j), r^{ij}) of `pairs`, i < j."""
+    m = [[0] * dim for _ in range(dim)]
+    for (i, j), v in dict(pairs).items():
+        if not 0 <= i < j < dim:
+            raise DimensionMismatch(f"bivector entries need i < j, got ({i},{j})")
+        m[i][j], m[j][i] = v, -v
+    return Matrix(m, cols=dim)
 
 
-def r_sharp(r: Bivector) -> Matrix:
-    """Matrix of a -> r(a, .) in the dual basis, i.e. the transpose of r^{ij}."""
-    return Matrix(list(zip(*r.m))) if r.dim else Matrix([])
+def _bivector_of(r: Matrix, dim) -> Matrix:
+    """r, if it is the antisymmetric dim x dim matrix of a bivector or a 2-form."""
+    if r.shape() != (dim, dim):
+        raise DimensionMismatch(f"matrix has shape {r.shape()}, wanted {(dim, dim)}")
+    if not r.is_antisymmetric():
+        raise NotAntisymmetric("matrix is not antisymmetric")
+    return r
 
 
-def bivector_from_sharp(M: Matrix) -> Bivector:
-    """Recover the bivector whose sharp map is M; M must be antisymmetric."""
-    if not M.is_antisymmetric():
-        raise NotAntisymmetric("sharp matrix is not antisymmetric")
-    return Bivector(M.rows, M.transpose().entries)
+def r_sharp(r: Matrix) -> Matrix:
+    """a -> r(a, .) in the dual basis, the transpose of r, which must be square and
+    antisymmetric; the transpose is its own inverse, so this also reads r from it."""
+    return _bivector_of(r, r.rows).transpose()
 
 
-def schouten_self(g: LieAlgebra, r: Bivector) -> dict:
+def schouten_self(g: LieAlgebra, r: Matrix) -> dict:
     """[r, r] in wedge^3 g as {increasing triple: coefficient}.
 
     [r, r]^{abc} = 2 (T^{abc} + T^{bca} + T^{cab}) with
     T^{xyz} = sum_{i,j} r^{xi} r^{yj} c_{ij}^z; only the nonzero structure
     constants and the nonzero entries of columns i and j of r are visited.
     """
-    if r.dim != g.dim:
-        raise DimensionMismatch("bivector lives on a different algebra")
-    cols = [[(x, row[i]) for x, row in enumerate(r.m) if row[i]] for i in range(r.dim)]
+    cols = _bivector_of(r, g.dim).sparse_cols()
     T = {}
     for i, si in enumerate(g.s):
         for j, sij in enumerate(si):
@@ -262,12 +227,12 @@ def schouten_self(g: LieAlgebra, r: Bivector) -> dict:
     return out
 
 
-def is_r_matrix(g: LieAlgebra, r: Bivector, square=None) -> bool:
+def is_r_matrix(g: LieAlgebra, r: Matrix, square=None) -> bool:
     """[r, r] = 0; square is schouten_self(g, r), computed here when not given."""
     return not (schouten_self(g, r) if square is None else square)
 
 
-def r_matrix_defect(g: LieAlgebra, r: Bivector):
+def r_matrix_defect(g: LieAlgebra, r: Matrix):
     """(CYBE verdict, sorted support of [r, r]) from one Schouten square, the
     verdict checked against r-sharp as a coadjoint O-operator."""
     square = schouten_self(g, r)
@@ -277,7 +242,7 @@ def r_matrix_defect(g: LieAlgebra, r: Bivector):
     return verdict, sorted(square)
 
 
-def lemma_r_equiv(g: LieAlgebra, r: Bivector) -> bool:
+def lemma_r_equiv(g: LieAlgebra, r: Matrix) -> bool:
     """CYBE via Schouten expansion vs r-sharp as a coadjoint O-operator."""
     return r_matrix_defect(g, r)[0]
 
@@ -350,36 +315,35 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
         for nvec in N.basis:
             if not N.contains(rep.act(y, nvec)):
                 raise NotStable((y, nvec))
-    eh = intersect(E, h)
-    hsub, in_h = Subspace(g.dim, h_basis), h.pivot_rows()
+    eh, in_h = intersect(E, h), h.pivot_rows()
     eh_in_h = Subspace(h_alg.dim, [in_h.apply(v) for v in eh.basis])
     try:
         qt = quotient(h_alg, eh_in_h)
     except NotIdeal as exc:
         raise QuotientError("E cap h is not an ideal of h") from exc
     A = intersect(annihilator(rep, eh), N)
-    module_basis = list(A.rref_rows)
-    for a in module_basis:
-        if not hsub.contains(T.apply(a)):
+    for a in A.basis:
+        if not h.contains(T.apply(a)):
             raise ImageEscapesH(a)
     # induced action of the quotient on A through lifts, read in A's basis
-    k, d = qt.algebra.dim, len(module_basis)
-    iota, lift = A.matrix(), hsub.matrix() * qt.section
+    k, d = qt.algebra.dim, A.dim()
+    iota, lift = A.matrix(), h.matrix() * qt.section
     rows = transport(rep.s, lift, iota, A.pivot_rows())
     # E cap h is an ideal of h, so h preserves its annihilator
     oracle("mr reduction", morphism_defect(rep.s, lift, iota, iota, lambda t, a: rows[t][a],
                                            product(range(k), range(d))),
            None, "induced action does not preserve the annihilator at {a}")
-    reduced_rep = Representation.from_rows(qt.algebra, d, rows)
+    # by the reduction theorem, A is a module of the quotient and T reduces to it
+    reduced_rep = theorem("mr reduction", Representation.from_rows, qt.algebra, d, rows)
     reduced_T = qt.projection * in_h * T * iota
-    reduced = OOperator(reduced_rep, reduced_T)
+    reduced = theorem("mr reduction", OOperator, reduced_rep, reduced_T)
     # defining property of reducibility: Tbar(m) . n = T(m) . n on A, the
     # pre-Lie products of Tbar and of T, the inclusion of A a morphism of them
     oracle("reduction action compatibility",
            morphism_defect(p, iota, iota, iota, lambda i, j: reduced.p[i][j],
                            product(range(d), range(d))),
            None, "pair ({a[0]},{a[1]})")
-    return MRReduction(h_alg, h_basis, qt, tuple(module_basis), reduced_rep, reduced_T)
+    return MRReduction(h_alg, h_basis, qt, A.basis, reduced_rep, reduced_T)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +437,7 @@ def pre_lie_defect_tensor(dim, p):
 def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
     """m box n = T(m) . n."""
     rows = tuple(tuple(_row(dict(pij)) for pij in pi) for pi in OOperator(rep, T).p)
-    return PreLieProduct.from_rows(rep.dim_m, rows)
+    return theorem("pre-lie from o", PreLieProduct.from_rows, rep.dim_m, rows)
 
 
 def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:

@@ -59,7 +59,7 @@ def twilled_new(total: LieAlgebra, a: Subspace, b: Subspace) -> TwilledLieAlgebr
     """Split a Lie algebra along two complementary subalgebras, in the block
     basis of a followed by b: valid by theorem, so nothing is walked again."""
     check_complementary(total.dim, a, b)
-    P = Matrix.from_cols(list(a.rref_rows) + list(b.rref_rows))
+    P = Matrix.from_cols(list(a.basis) + list(b.basis))
     da, db = a.dim(), b.dim()
     c = transport(total.s, P, P, invert(P))
     for i, j in product(range(da), repeat=2):
@@ -233,7 +233,7 @@ def on_from_strong_mc(rep: Representation, T, omega) -> ONStructure:
     ok, defects = strong_mc_check(tw, omega)
     if not ok:
         raise NotStrongMC(defects)
-    return ONStructure(rep, T, T * omega, omega * T)
+    return theorem("on from strong mc", ONStructure, rep, T, T * omega, omega * T)
 
 
 def strong_mc_from_on(rep: Representation, T, N, S) -> Matrix:

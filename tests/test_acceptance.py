@@ -26,7 +26,7 @@ from lieop.gcsholo import (
 from lieop.liecore import Subspace
 from lieop.onstruct import hierarchy, nijenhuis_power_props, on_from_compatible_pair
 from lieop.ooper import (
-    Bivector, are_compatible, gauge_iso_check, gauge_transform, graph_check,
+    are_compatible, bivector, gauge_iso_check, gauge_transform, graph_check,
     is_o_operator, lemma_r_equiv, mr_reduce,
 )
 from lieop.twilled import (
@@ -141,7 +141,7 @@ def test_criterion_03_cybe_oracle_exhaustive():
         g = ALGEBRAS[name]
         idx = [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)]
         for vals in itertools.product((-1, 0, 1), repeat=len(idx)):
-            r = Bivector.from_pairs(g.dim, dict(zip(idx, vals)))
+            r = bivector(g.dim, dict(zip(idx, vals)))
             lemma_r_equiv(g, r)  # raises OracleDisagreement on any mismatch
             cases += 1
     _line(3, cases == 3 + 3 + 27,
@@ -311,8 +311,8 @@ def test_criterion_11_holomorphic_equivalence():
     g2 = ALGEBRAS["ab2"]
     for j in (Matrix([[0, -1], [1, 0]]), Matrix([[0, 1], [-1, 0]])):
         for a, b in itertools.product((-1, 0, 1), repeat=2):
-            is_holomorphic_r(g2, j, Bivector.from_pairs(2, {(0, 1): a}),
-                             Bivector.from_pairs(2, {(0, 1): b}))
+            is_holomorphic_r(g2, j, bivector(2, {(0, 1): a}),
+                             bivector(2, {(0, 1): b}))
             runs += 1
     aff1 = ALGEBRAS["aff1"]
     js = []
@@ -324,8 +324,8 @@ def test_criterion_11_holomorphic_equivalence():
     rng = random.Random(404)
     for _ in range(120):
         j = js[rng.randrange(len(js))]
-        rr = Bivector.from_pairs(2, {(0, 1): rng.randint(-2, 2)})
-        ri = Bivector.from_pairs(2, {(0, 1): rng.randint(-2, 2)})
+        rr = bivector(2, {(0, 1): rng.randint(-2, 2)})
+        ri = bivector(2, {(0, 1): rng.randint(-2, 2)})
         is_holomorphic_r(aff1, j, rr, ri)  # raises if (ii) and (iii) disagree
         runs += 1
     _line(11, runs >= 118,

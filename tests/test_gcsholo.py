@@ -12,7 +12,7 @@ from lieop.liecore import (
     LieAlgebra, Subspace, adjoint, coadjoint, is_subalgebra, semidirect,
     trivial_rep,
 )
-from lieop.ooper import Bivector, bivector_from_sharp, o_residual
+from lieop.ooper import bivector, o_residual, r_sharp
 from lieop.gcsholo import (
     GCSModule, gcs_check_components, gcs_check_direct, gcs_components_grid,
     gcs_direct_grid, gcs_from_complex, gcs_from_invertible_o, gcs_lie_check,
@@ -156,11 +156,11 @@ def test_module_complex_pair_oracle_sweep():
 
 def test_gcs_lie_check():
     g = ab(2)
-    r = Bivector.from_pairs(2, {(0, 1): 1})
+    r = bivector(2, {(0, 1): 1})
     sig = Matrix([[0, 1], [-1, 0]])
     assert gcs_lie_check(g, Matrix.zeros(2), r, sig)
-    assert gcs_lie_check(g, K, Bivector.from_pairs(2, {}), Matrix.zeros(2))
-    assert not gcs_lie_check(g, Matrix.zeros(2), Bivector.from_pairs(2, {}),
+    assert gcs_lie_check(g, K, bivector(2, {}), Matrix.zeros(2))
+    assert not gcs_lie_check(g, Matrix.zeros(2), bivector(2, {}),
                              Matrix.zeros(2))
     # wrong scaling breaks J^2 = -id
     assert not gcs_lie_check(g, Matrix.zeros(2), r.scale(2), sig)
@@ -194,9 +194,9 @@ def test_holomorphic_o_clauses_are_independent():
 
 def test_holomorphic_r():
     g = aff1()
-    zero2 = Bivector.from_pairs(2, {})
+    zero2 = bivector(2, {})
     assert is_holomorphic_r(g, K, zero2, zero2)
-    assert not is_holomorphic_r(g, K, Bivector.from_pairs(2, {(0, 1): 1}), zero2)
+    assert not is_holomorphic_r(g, K, bivector(2, {(0, 1): 1}), zero2)
     with pytest.raises(NotComplexStructure):
         is_holomorphic_r(g, Matrix.identity(2), zero2, zero2)
 
@@ -206,8 +206,8 @@ def test_holomorphic_r_nontrivial_abelian4():
     j4 = Matrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
     assert is_complex_structure(g, j4)
     sharp_i = Matrix([[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]])
-    ri = bivector_from_sharp(sharp_i)
-    rr = bivector_from_sharp(sharp_i * j4.transpose())
+    ri = r_sharp(sharp_i)
+    rr = r_sharp(sharp_i * j4.transpose())
     assert is_holomorphic_r(g, j4, rr, ri)
     # breaking the sharp relation flips the verdict
     assert not is_holomorphic_r(g, j4, ri, ri)
@@ -219,8 +219,8 @@ def test_holomorphic_r_exhaustive_ab2():
     for j in js:
         assert is_complex_structure(g, j)
         for a, b in itertools.product((-1, 0, 1), repeat=2):
-            rr = Bivector.from_pairs(2, {(0, 1): a})
-            ri = Bivector.from_pairs(2, {(0, 1): b})
+            rr = bivector(2, {(0, 1): a})
+            ri = bivector(2, {(0, 1): b})
             verdict = is_holomorphic_r(g, j, rr, ri)
             # on ab2 the intertwining forces r_I = 0, hence r_R = 0
             assert verdict == (a == 0 and b == 0)

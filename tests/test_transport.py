@@ -52,7 +52,7 @@ def reference_restrict(g, W):
     ok, witness = is_subalgebra(g, W)
     if not ok:
         raise NotSubalgebra(witness)
-    basis = list(W.rref_rows)
+    basis = list(W.basis)
     return tuple(tuple(nonzero(solve(basis, g.bracket_vec(x, y))) for y in basis)
                  for x in basis), basis
 
@@ -76,7 +76,7 @@ def reference_quotient(h, W):
 def reference_twilled_rows(total, a, b):
     """The rows of the total in the block basis, and the same refusals."""
     check_complementary(total.dim, a, b)
-    basis = list(a.rref_rows) + list(b.rref_rows)
+    basis = list(a.basis) + list(b.basis)
     Pinv = invert(Matrix.from_cols(basis))
     da, db = a.dim(), b.dim()
     c = [[nonzero(Pinv.apply(total.bracket_vec(x, y))) for y in basis] for x in basis]

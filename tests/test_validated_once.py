@@ -98,10 +98,11 @@ def _negated(rows):
 ])
 def test_the_guard_sees_a_mutated_row_builder(monkeypatch, builder, mutate):
     """With the action glued in with the wrong sign, or the dual read without
-    its transpose, the adjoint and the coadjoint of gl(3) fail the guard."""
+    its transpose, the adjoint and the coadjoint of gl(3) fail the guard.  A
+    module builds its g + M when it is first read, so the run reads it."""
     g = gl(3)
     monkeypatch.setattr(liecore, builder, mutate(getattr(liecore, builder)))
-    built = _built_by_theorem(monkeypatch, lambda: coadjoint(g))
+    built = _built_by_theorem(monkeypatch, lambda: semidirect(coadjoint(g)))
     assert len(built) == 2
     with pytest.raises((AssertionError, JacobiViolation, RepViolation, SkewViolation)):
         _validate_fully(built)
