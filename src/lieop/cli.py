@@ -537,13 +537,12 @@ def _twilled(name, tw):
 
 
 def _reduce(op, h, e, n):
-    rep, t = op.value
-    red = ooper.mr_reduce(rep, t, h.value, e.value, n.value)
+    red = ooper.mr_reduce(*op.value, h.value, e.value, n.value)
     base = f"{op.name}__reduced"
     return {f"{base}_algebra": ("lie_algebra", red.quotient.algebra),
             f"{base}_rep": ("representation", red.reduced_rep),
             base: ("o_operator", (red.reduced_rep, red.reduced_T)),
-            f"{base}_module": ("subspace", Subspace(rep.dim_m, red.module_basis))}
+            f"{base}_module": ("subspace", red.module)}
 
 
 def _tilde_action(ns):

@@ -7,12 +7,13 @@ tuple as a canonical sparse row, in the format of `LieAlgebra.s`, and stores no
 zero value; evaluation elsewhere is the alternating extension.  Every builder
 here produces rows, and `Cochain.value` is the one dense read.  Evaluation on a
 vector accumulates only the entries of the values its nonzero coordinates
-reach.  The Chevalley-Eilenberg differential and the 1-cocycle system read the
-sparse rows of the bracket and the action, and the system is row-reduced as
-sparse rows.  The circle product, and with it the shuffle and derived brackets,
-pairs each nonzero coordinate of a value of one operand with the values of the
-other that take that coordinate as an argument, so its work follows the
-nonzeros rather than the index tuples of the output.
+reach.  The Chevalley-Eilenberg differential is coded once, as a walk from one
+value to the terms of d that the nonzero action and bracket rows reach: its sum
+over a cochain's values is `ce_differential`, its run on the unit cochains the
+sparse matrix `differential`, whose degree-1 kernel is the 1-cocycles.  The
+circle product, and with it the shuffle and derived brackets, pairs each
+nonzero coordinate of a value of one operand with the values of the other that
+take that coordinate as an argument, so its work follows the nonzeros too.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import DimensionMismatch, LieOpError, oracle
 from .exactla import Matrix, _kernel_from_rref, rref_maps, vec
 from .liecore import (
     LieAlgebra, Representation, _add_rows, _combine, _dense, _nonzero, _row, block_rows,
-    transpose_rows, zero_rows,
+    zero_rows,
 )
 
 
@@ -35,14 +36,6 @@ def _perm_sign(seq):
             if seq[a] > seq[b]:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-def _normalize(idxs):
-    """(sign, sorted tuple) of an index tuple, or (0, None) on repeats."""
-    if len(set(idxs)) != len(idxs):
-        return 0, None
-    order = tuple(sorted(idxs))
-    return _perm_sign(idxs), order
 
 
 class Cochain:
@@ -66,9 +59,7 @@ class Cochain:
         self._set(degree, source_dim, target_dim, rows)
 
     def _set(self, degree, source_dim, target_dim, rows):
-        self.degree = degree
-        self.source_dim = source_dim
-        self.target_dim = target_dim
+        self.degree, self.source_dim, self.target_dim = degree, source_dim, target_dim
         self.values = {idx: row for idx, row in rows.items() if row}
 
     @classmethod
@@ -79,10 +70,6 @@ class Cochain:
         return f
 
     @staticmethod
-    def zero(degree, source_dim, target_dim):
-        return Cochain(degree, source_dim, target_dim)
-
-    @staticmethod
     def from_linmap(M: Matrix):
         """A linear map as a degree-1 cochain."""
         return Cochain.from_rows(1, M.cols, M.rows,
@@ -91,16 +78,6 @@ class Cochain:
     def value(self, idx):
         """The value on an increasing index tuple as a dense vector."""
         return _dense(dict(self.values.get(tuple(idx), ())), self.target_dim)
-
-    def add_first(self, acc, scale, pairs, rest):
-        """acc += scale * (value on (x, e_{rest[0]}, ...)), for x given by its
-        nonzero (k, x_k) pairs."""
-        for k, xk in pairs:
-            sign, order = _normalize((k,) + rest)  # order is None on repeats
-            f = scale * sign * xk
-            for i, a in self.values.get(order, ()):
-                acc[i] = acc.get(i, 0) + f * a
-        return acc
 
     def _with(self, rows):
         return Cochain.from_rows(self.degree, self.source_dim, self.target_dim, rows)
@@ -136,30 +113,48 @@ class Cochain:
                 f"target={self.target_dim}, nonzero={len(self.values)})")
 
 
+def _reach(rep: Representation):
+    """k -> the (i, j, c), i < j, with c the e_k coordinate of [e_i, e_j]; b -> the
+    a with e_a . f_b != 0; and the sparse columns of the identity of M."""
+    g, m = rep.algebra, rep.dim_m
+    brackets = [[] for _ in range(g.dim)]
+    for i, j in combinations(range(g.dim), 2):
+        for k, c in g.s[i][j]:
+            brackets[k].append((i, j, c))
+    return (brackets, [[a for a in range(g.dim) if rep.s[a][b]] for b in range(m)],
+            tuple(((t, 1),) for t in range(m)))
+
+
+def _walk(rep: Representation, reach, idx, support):
+    """The terms (J, c, cols) of d f, c A f(e_idx) at the tuple J for A the map with
+    sparse columns cols, that f's value at idx, nonzero only at `support`, reaches:
+    x . f(idx) at J = idx + x for each x acting on `support`, and f([e_i, e_j], ..)
+    at J = idx - k + i + j for each k in idx that is a coordinate of [e_i, e_j]."""
+    brackets, acting, unit = reach
+    for x in {a for b in support for a in acting[b]}.difference(idx):
+        J = tuple(sorted(idx + (x,)))
+        yield J, -1 if J.index(x) % 2 else 1, rep.s[x]
+    for p, k in enumerate(idx):
+        rest = idx[:p] + idx[p + 1:]
+        for i, j, c in brackets[k]:
+            if i not in rest and j not in rest:
+                # (-1)^{a+b} for e_i, e_j at positions a, b of J; (-1)^p moves e_k first
+                J = tuple(sorted(rest + (i, j)))
+                yield J, -c if (J.index(i) + J.index(j) + p) % 2 else c, unit
+
+
 def ce_differential(rep: Representation, f: Cochain) -> Cochain:
     """(d f)(x_1..x_{n+1}) = sum_i (-1)^{i+1} x_i . f(..x_i^..)
-    + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..x_i^..x_j^..)."""
+    + sum_{i<j} (-1)^{i+j} f([x_i,x_j], ..x_i^..x_j^..), walked from f's values."""
     g = rep.algebra
     if f.source_dim != g.dim or f.target_dim != rep.dim_m:
         raise DimensionMismatch("cochain does not match the representation")
-    n = f.degree
-    out = {}
-    if n + 1 > g.dim:
-        return Cochain.zero(n + 1, g.dim, rep.dim_m)
-    for idx in combinations(range(g.dim), n + 1):
-        acc = {}
-        for a in range(n + 1):
-            _add_rows(acc, -1 if a % 2 else 1, f.values.get(idx[:a] + idx[a + 1:], ()),
-                      rep.s[idx[a]])
-        for a in range(n + 1):
-            for b in range(a + 1, n + 1):
-                br = g.s[idx[a]][idx[b]]
-                if br:
-                    rest = tuple(x for t, x in enumerate(idx) if t != a and t != b)
-                    # (-1)^{i+j} for 1-based i, j: even a+b in 0-based positions
-                    f.add_first(acc, -1 if (a + b) % 2 else 1, br, rest)
-        out[idx] = _row(acc)
-    return Cochain.from_rows(n + 1, g.dim, rep.dim_m, out)
+    reach, acc = _reach(rep), {}
+    for idx, v in f.values.items():
+        for J, c, cols in _walk(rep, reach, idx, [b for b, _ in v]):
+            _add_rows(acc.setdefault(J, {}), c, v, cols)
+    return Cochain.from_rows(f.degree + 1, g.dim, rep.dim_m,
+                             {J: _row(acc[J]) for J in sorted(acc)})
 
 
 def is_cocycle(rep: Representation, f: Cochain):
@@ -167,30 +162,33 @@ def is_cocycle(rep: Representation, f: Cochain):
     return d.is_zero(), d
 
 
+def differential(rep: Representation, n):
+    """The sparse rows {(J, t): {column: value}} of d: C^n -> C^{n+1}, where
+    column r C(dim, n) + u is f_r on the u-th increasing n-tuple: the walk runs
+    once per n-tuple, on every coordinate of the value there."""
+    reach, acc, m = _reach(rep), {}, rep.dim_m
+    subsets = list(combinations(range(rep.algebra.dim), n))
+    for u, idx in enumerate(subsets):
+        for J, c, cols in _walk(rep, reach, idx, range(m)):
+            for key, col in zip(range(u, m * len(subsets), len(subsets)), cols):
+                for t, w in col:
+                    row = acc.setdefault((J, t), {})
+                    row[key] = row.get(key, 0) + c * w
+    # an action term and a bracket term of one unit cochain can cancel
+    for jt in [jt for jt, row in acc.items() if 0 in row.values()]:
+        row = {key: x for key, x in acc.pop(jt).items() if x}
+        if row:
+            acc[jt] = row
+    return acc
+
+
 def one_cocycle_basis(rep: Representation):
-    """Basis of the space of 1-cocycles g -> M, as matrices."""
-    g = rep.algebra
-    d, m = g.dim, rep.dim_m
-    nvar = m * d
-    act_rows = [transpose_rows(sa, m) for sa in rep.s]  # act_rows[i][t]: row t of rho(e_i)
-    rows = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for t in range(m):
-                row = {}
-                for r, a in act_rows[i][t]:
-                    row[r * d + j] = row.get(r * d + j, 0) + a
-                for r, a in act_rows[j][t]:
-                    row[r * d + i] = row.get(r * d + i, 0) - a
-                for cidx, coeff in g.s[i][j]:
-                    row[t * d + cidx] = row.get(t * d + cidx, 0) - coeff
-                row = {k: x for k, x in row.items() if x}
-                if row:
-                    rows.append(row)
-    # the RREF of a row space is unique, so zero rows change nothing
-    red, pivots = rref_maps(rows, nvar)
-    basis = _kernel_from_rref(red, pivots, nvar)
-    return [Matrix([[v[r * d + c] for c in range(d)] for r in range(m)]) for v in basis]
+    """Basis of the space of 1-cocycles g -> M, as matrices: the kernel of
+    `differential(rep, 1)`, whose column r d + c is the entry (r, c)."""
+    d, nvar = rep.algebra.dim, rep.dim_m * rep.algebra.dim
+    red, pivots = rref_maps(list(differential(rep, 1).values()), nvar)
+    return [Matrix([v[r:r + d] for r in range(0, nvar, d)])
+            for v in _kernel_from_rref(red, pivots, nvar)]
 
 
 def _self_valued(P: Cochain):

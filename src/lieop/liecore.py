@@ -35,9 +35,9 @@ from itertools import combinations
 
 from .errors import (
     DimensionMismatch, JacobiViolation, NotComplementary, NotIdeal,
-    NotSubalgebra, RepViolation, SkewViolation, oracle, theorem,
+    NotSubalgebra, RepViolation, Singular, SkewViolation, oracle, theorem,
 )
-from .exactla import Matrix, is_zero_vec, kernel, q, rank, rref, vec, vec_zero
+from .exactla import Matrix, invert, is_zero_vec, kernel, q, rref, vec, vec_zero
 
 
 def _unit(n, i):
@@ -599,10 +599,13 @@ def direct_sum_map(A: Matrix, B: Matrix) -> Matrix:
 
 
 def check_complementary(total_dim, A: Subspace, B: Subspace):
+    """(P, P^-1) for P the block basis: A's basis, then B's, as columns."""
     if A.ambient_dim != total_dim or B.ambient_dim != total_dim:
         raise DimensionMismatch("subspace ambient mismatch")
     if A.dim() + B.dim() != total_dim:
         raise NotComplementary("dimensions do not add up to the total space")
-    M = Matrix(list(A.basis) + list(B.basis))
-    if rank(M) != total_dim:
-        raise NotComplementary("subspaces are not independent")
+    P = Matrix.from_cols(list(A.basis) + list(B.basis))
+    try:
+        return P, invert(P)
+    except Singular:
+        raise NotComplementary("subspaces are not independent") from None

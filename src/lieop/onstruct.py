@@ -28,8 +28,8 @@ from .liecore import (
     sparse_cube, zero_rows,
 )
 from .ooper import (
-    _bracket_rows, compatibility_defect, compatibility_oracle, induced_tensor, is_o_operator,
-    is_r_matrix, mixed_residual, o_product, r_sharp,
+    _bivector_of, _bracket_rows, compatibility_defect, compatibility_oracle, induced_tensor,
+    is_o_operator, is_r_matrix, mixed_residual, o_product, r_sharp,
 )
 
 
@@ -344,7 +344,7 @@ def on_from_compatible_pair(rep: Representation, T1, T2) -> ONStructure:
 
 def is_pn_structure(g: LieAlgebra, r: Matrix, N) -> bool:
     """Direct PN clauses against the coadjoint ON-structure characterization."""
-    rsh = r_sharp(r)
+    rsh = r_sharp(_bivector_of(r, g.dim))
     on, report = is_on_structure(coadjoint(g), rsh, N, N.transpose())
     # the intertwining and bracket clauses are the ON-structure's own; the
     # Nijenhuis clause is decided here by the Nijenhuis-Richardson coding

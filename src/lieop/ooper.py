@@ -294,7 +294,7 @@ class MRReduction:
     h_algebra: LieAlgebra
     h_basis: list
     quotient: object
-    module_basis: tuple      # basis of (E cap h)^0_N as ambient module vectors
+    module: Subspace         # (E cap h)^0_N in the ambient module
     reduced_rep: Representation
     reduced_T: Matrix
 
@@ -343,7 +343,7 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
            morphism_defect(p, iota, iota, iota, lambda i, j: reduced.p[i][j],
                            product(range(d), range(d))),
            None, "pair ({a[0]},{a[1]})")
-    return MRReduction(h_alg, h_basis, qt, A.basis, reduced_rep, reduced_T)
+    return MRReduction(h_alg, h_basis, qt, A, reduced_rep, reduced_T)
 
 
 # ---------------------------------------------------------------------------

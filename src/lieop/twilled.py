@@ -58,10 +58,9 @@ def join(action1: Representation, action2: Representation) -> TwilledLieAlgebra:
 def twilled_new(total: LieAlgebra, a: Subspace, b: Subspace) -> TwilledLieAlgebra:
     """Split a Lie algebra along two complementary subalgebras, in the block
     basis of a followed by b: valid by theorem, so nothing is walked again."""
-    check_complementary(total.dim, a, b)
-    P = Matrix.from_cols(list(a.basis) + list(b.basis))
+    P, Pinv = check_complementary(total.dim, a, b)
     da, db = a.dim(), b.dim()
-    c = transport(total.s, P, P, invert(P))
+    c = transport(total.s, P, P, Pinv)
     for i, j in product(range(da), repeat=2):
         if c[i][j] and c[i][j][-1][0] >= da:
             raise NotSubalgebra(witness=(i, j), which="a")

@@ -4,14 +4,17 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lieop import cli, cohomology
 from lieop.errors import DimensionMismatch, JacobiViolation
 from lieop.exactla import Matrix, is_zero_vec, kernel, q, vec_add, vec_scale, vec_zero
-from lieop.fixtures import standard_fixtures
-from lieop.liecore import LieAlgebra, _neg, adjoint, coadjoint, trivial_rep
+from lieop.fixtures import ab, bundle_json, standard_fixtures
+from lieop.liecore import LieAlgebra, _add_rows, _neg, _row, adjoint, coadjoint, trivial_rep
 from lieop.cohomology import (
     Cochain, _perm_sign, bracket_cochain, ce_differential, circle_product,
-    derived_bracket, is_cocycle, nr_bracket, one_cocycle_basis,
+    derived_bracket, differential, is_cocycle, nr_bracket, one_cocycle_basis,
 )
+
+from test_sparse_carriers import gl
 
 
 def aff1():
@@ -37,7 +40,7 @@ def random_cochain(rng, degree, source, target):
 
 def test_zero_and_degree_overflow():
     rep = adjoint(aff1())
-    z = Cochain.zero(1, 2, 2)
+    z = Cochain(1, 2, 2)
     assert ce_differential(rep, z).is_zero()
     top = random_cochain(random.Random(0), 2, 2, 2)
     assert ce_differential(rep, top).is_zero()  # degree 3 > dim 2
@@ -61,7 +64,7 @@ def test_identity_cochain_on_aff1():
 
 def test_cocycle_examples():
     rep = adjoint(aff1())
-    assert is_cocycle(rep, Cochain.zero(1, 2, 2))[0]
+    assert is_cocycle(rep, Cochain(1, 2, 2))[0]
     g = random_cochain(random.Random(1), 1, 2, 2)
     assert is_cocycle(rep, ce_differential(rep, g))[0]
 
@@ -79,7 +82,7 @@ def test_one_cocycle_basis_aff1_adjoint():
 def test_nr_with_zero_and_endomorphisms():
     g = sl2()
     mu = bracket_cochain(g.s)
-    assert nr_bracket(mu, Cochain.zero(2, 3, 3)).is_zero()
+    assert nr_bracket(mu, Cochain(2, 3, 3)).is_zero()
     A = Matrix([[1, 2, 0], [0, 1, 0], [3, 0, 0]])
     B = Matrix([[0, 1, 1], [1, 0, 0], [0, 0, 2]])
     br = nr_bracket(Cochain.from_linmap(A), Cochain.from_linmap(B))
@@ -143,7 +146,7 @@ def test_shape_guards():
     with pytest.raises(DimensionMismatch):
         Cochain(1, 2, 2, {(0, 1): (1, 0)})
     with pytest.raises(DimensionMismatch):
-        circle_product(Cochain.zero(1, 2, 2), Cochain.zero(1, 3, 3))
+        circle_product(Cochain(1, 2, 2), Cochain(1, 3, 3))
 
 
 # zero-heavy exact scalars, so drawn cochains and vectors are sparse
@@ -205,7 +208,7 @@ def reference_circle_product(P, Q):
     n = p + qdeg + 1
     out = {}
     if n > d:
-        return Cochain.zero(n, d, d)
+        return Cochain(n, d, d)
     positions = tuple(range(n))
     for idx in combinations(range(d), n):
         total = vec_zero(d)
@@ -228,7 +231,7 @@ def sparse_self_valued(draw, dim, degree):
     """A self-valued cochain with a few (possibly zero) values."""
     keys = list(combinations(range(dim), degree))
     if not keys:
-        return Cochain.zero(degree, dim, dim)
+        return Cochain(degree, dim, dim)
     vals = draw(st.dictionaries(
         st.sampled_from(keys), st.lists(sparse_scalars, min_size=dim, max_size=dim),
         max_size=4))
@@ -250,9 +253,9 @@ def _same_cochain(got, want):
 
 @settings(max_examples=300, deadline=None)
 @given(circle_operands())
-@example(ops=(Cochain.zero(1, 0, 0), Cochain.zero(3, 0, 0)))             # dim 0
-@example(ops=(Cochain.zero(2, 3, 3), Cochain(1, 3, 3, {(0,): (1, 0, 2)})))  # zero P
-@example(ops=(Cochain(2, 3, 3, {(0, 1): (0, 0, 1)}), Cochain.zero(2, 3, 3)))  # zero Q
+@example(ops=(Cochain(1, 0, 0), Cochain(3, 0, 0)))             # dim 0
+@example(ops=(Cochain(2, 3, 3), Cochain(1, 3, 3, {(0,): (1, 0, 2)})))  # zero P
+@example(ops=(Cochain(2, 3, 3, {(0, 1): (0, 0, 1)}), Cochain(2, 3, 3)))  # zero Q
 @example(ops=(Cochain(3, 4, 4, {(0, 1, 2): (1, 0, 0, 1)}),                 # n = 5 > d = 4
               Cochain(3, 4, 4, {(1, 2, 3): (1, 1, 0, 0)})))
 def test_circle_product_matches_all_index_reference(ops):
@@ -274,5 +277,159 @@ def test_derived_bracket_of_zero_mu2_on_a_large_split_is_zero():
     da = db = 32
     rng = random.Random(11)
     P = random_cochain(rng, 1, da, db)
-    got = derived_bracket(Cochain.zero(2, da + db, da + db), P, P, da, db)
-    assert got == Cochain.zero(2, da, db)
+    got = derived_bracket(Cochain(2, da + db, da + db), P, P, da, db)
+    assert got == Cochain(2, da, db)
+
+
+# --- the differential walk ---------------------------------------------------
+
+def reference_add_first(f, acc, scale, pairs, rest):
+    """acc += scale * (value of f on (x, e_{rest[0]}, ...)), for x given by its
+    nonzero (k, x_k) pairs."""
+    for k, xk in pairs:
+        idxs = (k,) + rest
+        if len(set(idxs)) != len(idxs):
+            continue
+        sign = scale * _perm_sign(idxs) * xk
+        for i, a in f.values.get(tuple(sorted(idxs)), ()):
+            acc[i] = acc.get(i, 0) + sign * a
+    return acc
+
+
+def reference_ce_differential(rep, f):
+    """d f at every (n+1)-subset of the basis, whatever f's support."""
+    g = rep.algebra
+    n = f.degree
+    out = {}
+    if n + 1 > g.dim:
+        return Cochain(n + 1, g.dim, rep.dim_m)
+    for idx in combinations(range(g.dim), n + 1):
+        acc = {}
+        for a in range(n + 1):
+            _add_rows(acc, -1 if a % 2 else 1, f.values.get(idx[:a] + idx[a + 1:], ()),
+                      rep.s[idx[a]])
+        for a in range(n + 1):
+            for b in range(a + 1, n + 1):
+                br = g.s[idx[a]][idx[b]]
+                if br:
+                    rest = tuple(x for t, x in enumerate(idx) if t != a and t != b)
+                    # (-1)^{i+j} for 1-based i, j: even a+b in 0-based positions
+                    reference_add_first(f, acc, -1 if (a + b) % 2 else 1, br, rest)
+        out[idx] = _row(acc)
+    return Cochain.from_rows(n + 1, g.dim, rep.dim_m, out)
+
+
+# every fixture module, plus gl(3) acting on itself and on its dual
+WALK_REPS = {**standard_fixtures()[1], "gl3_adj": adjoint(gl(3)), "gl3_coadj": coadjoint(gl(3))}
+
+
+def sparse_cochain(rng, degree, source, target):
+    """Up to three values, each with one or two nonzero coordinates."""
+    keys = list(combinations(range(source), degree))
+    vals = {}
+    for idx in rng.sample(keys, min(3, len(keys))):
+        v = [0] * target
+        for t in rng.sample(range(target), min(2, target)):
+            v[t] = rng.choice((-3, -1, 1, 2))
+        vals[idx] = v
+    return Cochain(degree, source, target, vals)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_REPS))
+def test_the_walk_matches_the_all_subset_reference(name):
+    rep, rng = WALK_REPS[name], random.Random(26)
+    d, m = rep.algebra.dim, rep.dim_m
+    for degree in range(min(d, 3) + 1):
+        for f in (sparse_cochain(rng, degree, d, m), random_cochain(rng, degree, d, m)):
+            _same_cochain(ce_differential(rep, f), reference_ce_differential(rep, f))
+
+
+def _by_column(rows):
+    cols = {}
+    for key, row in rows.items():
+        for col, x in row.items():
+            cols.setdefault(col, {})[key] = x
+    return cols
+
+
+@pytest.mark.parametrize("name", sorted(standard_fixtures()[1]))
+def test_the_differential_matrix_is_ce_differential_on_unit_cochains(name):
+    """Column r C(dim, n) + u of differential(rep, n) is d of the unit cochain
+    e_r on the u-th n-tuple, for n = 0, 1, 2."""
+    rep = standard_fixtures()[1][name]
+    d, m = rep.algebra.dim, rep.dim_m
+    for n in range(min(d, 2) + 1):
+        cols = _by_column(differential(rep, n))
+        subsets = list(combinations(range(d), n))
+        for r in range(m):
+            for u, idx in enumerate(subsets):
+                df = ce_differential(rep, Cochain.from_rows(n, d, m, {idx: ((r, 1),)}))
+                want = {(J, t): x for J, row in df.values.items() for t, x in row}
+                assert cols.pop(r * len(subsets) + u, {}) == want
+        assert cols == {}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_REPS))
+def test_d_squared_is_zero_as_a_sparse_product(name):
+    """differential(rep, n + 1) . differential(rep, n) = 0 for n = 0, 1: row
+    (J, t) of d on C^n is column t C(dim, n + 1) + u of d on C^{n + 1}, J the
+    u-th (n + 1)-tuple.  On gl(3) the two matrices meet."""
+    rep = WALK_REPS[name]
+    reached = 0
+    for n in (0, 1):
+        inner, outer = differential(rep, n), differential(rep, n + 1)
+        subsets = list(combinations(range(rep.algebra.dim), n + 1))
+        for row in outer.values():
+            acc = {}
+            for col, x in row.items():
+                for c, w in inner.get((subsets[col % len(subsets)], col // len(subsets)),
+                                      {}).items():
+                    acc[c] = acc.get(c, 0) + x * w
+                    reached += 1
+            assert not any(acc.values())
+    assert reached or not name.startswith("gl3")
+
+
+def test_d_of_a_one_entry_cochain_on_abelian_dim_80_walks_no_tuple(monkeypatch):
+    """The all-subset walk visits all C(80, 3) = 82,160 tuples here; this walk
+    runs once, on the one value, and yields no term on an abelian algebra with
+    a trivial module, and one term once [e_0, e_1] = e_3."""
+    walked, terms = [], []
+    walk = cohomology._walk
+
+    def counted(rep, reach, idx, support):
+        walked.append(idx)
+        for term in walk(rep, reach, idx, support):
+            terms.append(term[0])
+            yield term
+
+    monkeypatch.setattr(cohomology, "_walk", counted)
+    f = Cochain(2, 80, 1, {(3, 41): (1,)})
+    assert ce_differential(trivial_rep(ab(80), 1), f).is_zero()
+    assert (walked, terms) == ([(3, 41)], [])
+    e3 = tuple(int(k == 3) for k in range(80))
+    rep = trivial_rep(LieAlgebra.from_brackets(80, {(0, 1): e3}), 1)
+    # (d f)(e_0, e_1, e_41) = -f([e_0, e_1], e_41) = -f(e_3, e_41)
+    assert ce_differential(rep, f) == Cochain(3, 80, 1, {(0, 1, 41): (-1,)})
+    assert terms == [(0, 1, 41)]
+
+
+@pytest.mark.parametrize("dropped", ["action", "bracket"])
+def test_check_mc_exits_3_when_the_walk_drops_a_term(tmp_path, monkeypatch, capsys, dropped):
+    """d_CE of the aff1 MC solution needs both terms of the walk: without either,
+    its grid disagrees with the direct cocycle residual."""
+    path = tmp_path / "bundle.json"
+    path.write_text(bundle_json(), encoding="utf-8")
+    argv = ["check", "mc", "aff1_mc", "--input", str(path)]
+    assert cli.main(argv) == 0
+    walk = cohomology._walk
+
+    def mutated(rep, reach, idx, support):
+        # bracket terms carry the identity columns reach[2], action terms rep.s[x]
+        return (term for term in walk(rep, reach, idx, support)
+                if (term[2] is reach[2]) == (dropped == "action"))
+
+    capsys.readouterr()
+    monkeypatch.setattr(cohomology, "_walk", mutated)
+    assert cli.main(argv) == 3
+    assert "strong mc cocycle residual" in capsys.readouterr().out

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import lieop
-from lieop import liecore, ooper
-from lieop.cli import Workspace
+from lieop import exactla, liecore, ooper
+from lieop.cli import Workspace, run_derive
 from lieop.errors import DimensionMismatch, NotAntisymmetric
 from lieop.exactla import Matrix, rref
 from lieop.fixtures import (
@@ -22,6 +22,7 @@ from lieop.onstruct import is_pn_structure, pn_hierarchy
 from lieop.ooper import (
     bivector, is_r_matrix, lemma_r_equiv, mr_reduce, r_matrix_defect, r_sharp, schouten_self,
 )
+from lieop.twilled import twilled_new
 
 from test_sparse_carriers import gl
 
@@ -60,6 +61,14 @@ def test_every_bivector_reader_refuses_a_matrix_of_the_wrong_shape(reader):
     for bad in (bivector(n + 1, {(0, 1): 1}), Matrix.zeros(n, n + 1), Matrix.zeros(n - 1)):
         with pytest.raises(DimensionMismatch):
             read(bad)
+
+
+@pytest.mark.parametrize("reader", ["is_pn_structure", "pn_hierarchy"])
+def test_a_pn_pair_names_the_bivector_in_a_shape_error(reader):
+    """The bivector's shape is read before the coadjoint ON route, whose
+    operator check would name an operator instead."""
+    with pytest.raises(DimensionMismatch, match=r"^matrix has shape \(2, 2\), wanted \(3, 3\)$"):
+        READERS[reader][1](bivector(2, {(0, 1): 1}))
 
 
 def test_a_bivector_is_its_antisymmetric_matrix():
@@ -132,6 +141,23 @@ def test_a_reduction_row_reduces_four_times_and_a_restriction_none(monkeypatch):
     assert calls == []
     mr_reduce(rep, H3_ADJ_T, full, e3, full)
     assert len(calls) == 4
+
+
+def test_derive_reduce_emits_the_reduced_module_without_row_reducing_it_again(monkeypatch):
+    ws = Workspace.load([bundle()])
+    calls = _count_rref(monkeypatch)
+    new, _ = run_derive(ws, "reduce", ["h3_adj_T", "h3_full", "h3_center", "h3_full"])
+    assert len(calls) == 4
+    assert new["h3_adj_T__reduced_module"]["basis"] == [["1", "0", "0"], ["0", "1", "0"],
+                                                        ["0", "0", "1"]]
+
+
+def test_a_twilled_split_row_reduces_its_block_basis_once(monkeypatch):
+    calls = []
+    rref_ = exactla.rref
+    monkeypatch.setattr(exactla, "rref", lambda rows: calls.append(rows) or rref_(rows))
+    tw = twilled_new(h3(), Subspace(3, [(1, 0, 0), (0, 0, 1)]), Subspace(3, [(0, 1, 0)]))
+    assert (tw.dim_a, tw.dim_b, len(calls)) == (2, 1, 1)
 
 
 # --- work the modules skip ---------------------------------------------------

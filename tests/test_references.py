@@ -74,22 +74,33 @@ SPARSE_KERNELS = (("onstruct.py", "nijenhuis_structure_defect"),
                   ("twilled.py", "cocycle_residual"), ("ooper.py", "graph_check"),
                   ("liecore.py", "morphism_defect"), ("ooper.py", "gauge_iso_check"),
                   ("onstruct.py", "hierarchy"), ("twilled.py", "twilled_new"),
-                  ("liecore.py", "restrict_to_subalgebra"))
+                  ("liecore.py", "restrict_to_subalgebra"),
+                  ("cohomology.py", "ce_differential"), ("cohomology.py", "_walk"))
 DENSE_BASIS_NAMES = {"_unit", "act", "apply", "bracket_vec", "col", "coords"}
+
+
+def _names_in(filename, name):
+    """The names and attributes that the function `name` of `filename` reads."""
+    tree = ast.parse((SRC / filename).read_text(encoding="utf-8"))
+    (func,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(func) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
 def test_sparse_kernels_name_no_dense_basis_vector_helper():
     """These kernels read sparse rows through `_add_rows`: none of them names a
     helper that builds or applies a dense basis vector."""
-    found = {}
-    for filename, name in SPARSE_KERNELS:
-        tree = ast.parse((SRC / filename).read_text(encoding="utf-8"))
-        (func,) = [node for node in ast.walk(tree)
-                   if isinstance(node, ast.FunctionDef) and node.name == name]
-        names = {node.id if isinstance(node, ast.Name) else node.attr
-                 for node in ast.walk(func) if isinstance(node, (ast.Name, ast.Attribute))}
-        found[name] = sorted(names & DENSE_BASIS_NAMES)
+    found = {name: sorted(_names_in(filename, name) & DENSE_BASIS_NAMES)
+             for filename, name in SPARSE_KERNELS}
     assert found == {name: [] for _, name in SPARSE_KERNELS}
+
+
+def test_the_differential_walk_enumerates_no_subsets():
+    """d f is walked from f's values: neither `ce_differential` nor the walk
+    enumerates the (n+1)-subsets of the basis."""
+    for name in ("ce_differential", "_walk"):
+        assert "combinations" not in _names_in("cohomology.py", name), name
 
 
 # the functions that may call a private constructor

@@ -94,7 +94,7 @@ def reference_twilled_rows(total, a, b):
 def reference_reduction(rep, T, red):
     """The reduced action, acting on the module basis with lifts of the
     quotient basis and solving for coordinates, and the reduced operator."""
-    basis = list(red.module_basis)
+    basis = list(red.module.basis)
     lift = Subspace(rep.algebra.dim, red.h_basis).matrix()
     section = red.quotient.section
     rows = []
