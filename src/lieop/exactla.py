@@ -213,11 +213,6 @@ class Matrix:
             raise DimensionMismatch("hstack row mismatch")
         return Matrix([r1 + r2 for r1, r2 in zip(self.entries, other.entries)])
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack col mismatch")
-        return Matrix(self.entries + other.entries)
-
     def _same_shape(self, other):
         if self.shape() != other.shape():
             raise DimensionMismatch(f"{self.shape()} vs {other.shape()}")
@@ -322,11 +317,3 @@ def invert(A: Matrix) -> Matrix:
         raise Singular("matrix has nontrivial kernel")
     return Matrix([row[n:] for row in red])
 
-
-def column_space_equal(A: Matrix, B: Matrix) -> bool:
-    """Whether two matrices (same row count) have the same column span."""
-    ra = rank(A)
-    rb = rank(B)
-    if ra != rb:
-        return False
-    return rank(A.hstack(B)) == ra

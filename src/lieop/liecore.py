@@ -25,19 +25,21 @@ module's g + M, `twilled.join`) builds and walks only those that meet both.
 Five carriers a theorem makes valid walk nothing (`_by_theorem`): `adjoint`,
 `dual_rep`, `trivial_rep`, `twilled.twilled_new` and `twilled.swap`; a
 subalgebra or quotient of checked inputs goes through `errors.theorem`.  A
-`Subspace` stores one basis, its RREF rows.
+`Subspace` stores one basis, its RREF rows.  Membership in it is read off one
+map, `residual()`, which every closure check walks (`_first_outside`), and two
+images are equal exactly when their RREF bases are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (
     DimensionMismatch, JacobiViolation, NotComplementary, NotIdeal,
     NotSubalgebra, RepViolation, Singular, SkewViolation, oracle, theorem,
 )
-from .exactla import Matrix, invert, is_zero_vec, kernel, q, rref, vec, vec_zero
+from .exactla import Matrix, invert, kernel, q, rref, vec, vec_zero
 
 
 def _unit(n, i):
@@ -455,20 +457,6 @@ class Subspace:
     def dim(self):
         return len(self.basis)
 
-    def reduce(self, v):
-        """Residual of v after eliminating pivot coordinates against the RREF basis."""
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            f = v[p]
-            if f:
-                for k, r in enumerate(row):
-                    if r:
-                        v[k] -= f * r
-        return tuple(q(x) for x in v)
-
-    def contains(self, v) -> bool:
-        return is_zero_vec(self.reduce(v))
-
     def pivot_rows(self) -> Matrix:
         """The map reading a vector of the subspace in the RREF basis: row t
         picks the t-th pivot coordinate."""
@@ -480,6 +468,12 @@ class Subspace:
             return Matrix([()] * self.ambient_dim, cols=0)
         return Matrix.from_cols(list(self.basis))
 
+    def residual(self) -> Matrix:
+        """I - matrix() pivot_rows(), the one membership map: it sends v to v
+        minus its part in the subspace, so it is zero exactly there, and each
+        nonzero row is a functional that vanishes on the subspace."""
+        return Matrix.identity(self.ambient_dim) - self.matrix() * self.pivot_rows()
+
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
@@ -489,42 +483,38 @@ class Subspace:
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim()})"
 
 
+def _first_outside(W: Subspace, pairs, f):
+    """The first (x, y) of `pairs` with f(x, y) outside W, or None: the one
+    closure walk, reading membership off one residual map of W."""
+    r = W.residual()
+    return next(((x, y) for x, y in pairs if any(r.apply(f(x, y)))), None)
+
+
 def is_subalgebra(g: LieAlgebra, W: Subspace):
     """Whether [W, W] is contained in W; on failure also returns a witness pair."""
     if W.ambient_dim != g.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    for a in range(W.dim()):
-        for b in range(a + 1, W.dim()):
-            w1, w2 = W.basis[a], W.basis[b]
-            if not W.contains(g.bracket_vec(w1, w2)):
-                return False, (w1, w2)
-    return True, None
+    witness = _first_outside(W, combinations(W.basis, 2), g.bracket_vec)
+    return witness is None, witness
 
 
 def is_ideal(g: LieAlgebra, W: Subspace):
     """Whether [g, W] is contained in W."""
     if W.ambient_dim != g.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    for i in range(g.dim):
-        ei = _unit(g.dim, i)
-        for w in W.basis:
-            if not W.contains(g.bracket_vec(ei, w)):
-                return False, (ei, w)
-    return True, None
+    witness = _first_outside(W, product(Matrix.identity(g.dim).entries, W.basis), g.bracket_vec)
+    return witness is None, witness
 
 
 def restrict_to_subalgebra(g: LieAlgebra, W: Subspace):
-    """Lie algebra structure on a subalgebra in its RREF basis.
-
-    Returns (algebra, basis_vectors); basis_vectors[i] is the ambient vector
-    realizing the i-th basis element.
-    """
+    """Lie algebra structure on a subalgebra in its RREF basis: its i-th basis
+    vector is W.basis[i]."""
     ok, witness = is_subalgebra(g, W)
     if not ok:
         raise NotSubalgebra(witness)
     inclusion = W.matrix()
     return theorem("subalgebra", LieAlgebra.from_rows, W.dim(),
-                   transport(g.s, inclusion, inclusion, W.pivot_rows())), list(W.basis)
+                   transport(g.s, inclusion, inclusion, W.pivot_rows()))
 
 
 @dataclass
@@ -549,11 +539,9 @@ def quotient(h: LieAlgebra, W: Subspace) -> Quotient:
     d = h.dim
     comp = tuple(i for i in range(d) if i not in W.pivots)
     k = len(comp)
-    # pi(x) reads the complement coordinates of x reduced modulo W
-    reduced = [W.reduce(_unit(d, j)) for j in range(d)]
-    projection = Matrix([[r[ci] for r in reduced] for ci in comp], cols=d)
-    section = Matrix.from_cols([_unit(d, ci) for ci in comp]) \
-        if k else Matrix([()] * d, cols=0)
+    # pi(x) reads the complement coordinates of x minus its part in W
+    projection = Matrix([*map(W.residual().row, comp)], cols=d)
+    section = Matrix([[int(i == ci) for ci in comp] for i in range(d)], cols=k)
     alg = theorem("quotient", LieAlgebra.from_rows, k,
                   transport(h.s, section, section, projection))
     # W is an ideal, so the projection is a homomorphism
@@ -564,15 +552,13 @@ def quotient(h: LieAlgebra, W: Subspace) -> Quotient:
 
 
 def annihilator(rep: Representation, X: Subspace) -> Subspace:
-    """{n in M : x • n = 0 for all x in X}."""
+    """{n in M : x • n = 0 for all x in X}: the kernel of the rho(x) of X stacked."""
     if X.ambient_dim != rep.algebra.dim:
         raise DimensionMismatch("annihilator expects a subspace of the algebra")
-    if X.dim() == 0 or rep.dim_m == 0:
+    if not X.basis:
         return Subspace.full(rep.dim_m)
-    stacked = rep.rho(X.basis[0])
-    for x in X.basis[1:]:
-        stacked = stacked.vstack(rep.rho(x))
-    return Subspace(rep.dim_m, kernel(stacked))
+    stacked = [row for x in X.basis for row in rep.rho(x).entries]
+    return Subspace(rep.dim_m, kernel(Matrix(stacked, cols=rep.dim_m)))
 
 
 def intersect(W1: Subspace, W2: Subspace) -> Subspace:
@@ -581,8 +567,8 @@ def intersect(W1: Subspace, W2: Subspace) -> Subspace:
         raise DimensionMismatch("intersection of subspaces of different spaces")
     if W1.dim() == 0 or W2.dim() == 0:
         return Subspace.zero(W1.ambient_dim)
-    A = W1.matrix().hstack((-W2.matrix()))
     B1 = W1.matrix()
+    A = B1.hstack(-W2.matrix())
     return Subspace.span(W1.ambient_dim, [B1.apply(kv[:W1.dim()]) for kv in kernel(A)])
 
 

@@ -35,11 +35,11 @@ from .errors import (
     NotCompatible, NotIdeal, NotOOperator, NotPreLie, NotStable,
     NotSubalgebra, QuotientError, Singular, oracle, theorem,
 )
-from .exactla import Matrix, column_space_equal, invert, is_zero_vec, kernel, q
+from .exactla import Matrix, invert, is_zero_vec, kernel, q
 from .liecore import (
     LieAlgebra, Representation, Subspace, _add_rows, _combine, _dense, _row,
-    annihilator, block_rows, coadjoint, cyclic_form, intersect, is_ideal, is_subalgebra,
-    mixed_form, morphism_defect, quotient, reached_triples, restrict_to_subalgebra,
+    _first_outside, annihilator, block_rows, coadjoint, cyclic_form, intersect, is_ideal,
+    is_subalgebra, mixed_form, morphism_defect, quotient, reached_triples, restrict_to_subalgebra,
     semidirect, sparse_cube, transport, zero_rows,
 )
 
@@ -162,7 +162,7 @@ def structure_report(rep: Representation, T) -> dict:
     """Kernel-is-ideal and image-is-subalgebra flags for a valid O-operator."""
     mt = induced_lie(rep, T)
     ker = Subspace(rep.dim_m, kernel(T))
-    image = Subspace.span(rep.algebra.dim, [T.col(j) for j in range(rep.dim_m)])
+    image = Subspace.span(rep.algebra.dim, T.transpose().entries)
     return {
         "kernel_is_ideal_in_MT": is_ideal(mt, ker)[0],
         "image_is_subalgebra": is_subalgebra(rep.algebra, image)[0],
@@ -266,7 +266,8 @@ def _gauge(rep: Representation, T, B):
     tb = T * phi_inv
     p_b = o_product(rep, tb)
     oracle("gauge transform", is_o_operator(rep, tb, p_b), True, "T_B failed the O-identity")
-    oracle("gauge transform", column_space_equal(T, tb), True, "im(T_B) differs from im(T)")
+    im_tb, im_t = (Subspace.span(rep.algebra.dim, A.transpose().entries) for A in (tb, T))
+    oracle("gauge transform", im_tb == im_t, True, "im(T_B) differs from im(T)")
     return tb, phi, p, p_b
 
 
@@ -291,8 +292,7 @@ def gauge_iso_check(rep: Representation, T, B) -> bool:
 class MRReduction:
     """Everything produced by a successful reduction."""
 
-    h_algebra: LieAlgebra
-    h_basis: list
+    h_algebra: LieAlgebra    # h in its RREF basis h.basis
     quotient: object
     module: Subspace         # (E cap h)^0_N in the ambient module
     reduced_rep: Representation
@@ -302,19 +302,21 @@ class MRReduction:
 def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> MRReduction:
     """Reduce an O-operator to (E cap h)^0_N over h / (E cap h).
 
-    Every hypothesis is checked, in order: h subalgebra, N an h-submodule,
-    E cap h an ideal of h, and T((E cap h)^0_N) inside h.
+    Every hypothesis is checked, in order: N a subspace of the module, h a
+    subalgebra, N an h-submodule, E cap h an ideal of h, and T((E cap h)^0_N)
+    inside h.
     """
+    if N.ambient_dim != rep.dim_m:
+        raise DimensionMismatch(f"N lies in Q^{N.ambient_dim}, not in the module Q^{rep.dim_m}")
     g = rep.algebra
     p = OOperator(rep, T).p
     try:
-        h_alg, h_basis = restrict_to_subalgebra(g, h)
+        h_alg = restrict_to_subalgebra(g, h)
     except NotSubalgebra as exc:
         raise NotSubalgebra(exc.witness, which="h") from exc
-    for y in h_basis:
-        for nvec in N.basis:
-            if not N.contains(rep.act(y, nvec)):
-                raise NotStable((y, nvec))
+    witness = _first_outside(N, product(h.basis, N.basis), rep.act)
+    if witness:
+        raise NotStable(witness)
     eh, in_h = intersect(E, h), h.pivot_rows()
     eh_in_h = Subspace(h_alg.dim, [in_h.apply(v) for v in eh.basis])
     try:
@@ -322,8 +324,9 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
     except NotIdeal as exc:
         raise QuotientError("E cap h is not an ideal of h") from exc
     A = intersect(annihilator(rep, eh), N)
-    for a in A.basis:
-        if not h.contains(T.apply(a)):
+    escapes = (h.residual() * T * A.matrix()).sparse_cols()
+    for a, col in zip(A.basis, escapes):
+        if col:
             raise ImageEscapesH(a)
     # induced action of the quotient on A through lifts, read in A's basis
     k, d = qt.algebra.dim, A.dim()
@@ -343,7 +346,7 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
            morphism_defect(p, iota, iota, iota, lambda i, j: reduced.p[i][j],
                            product(range(d), range(d))),
            None, "pair ({a[0]},{a[1]})")
-    return MRReduction(h_alg, h_basis, qt, A, reduced_rep, reduced_T)
+    return MRReduction(h_alg, qt, A, reduced_rep, reduced_T)
 
 
 # ---------------------------------------------------------------------------

@@ -119,3 +119,17 @@ def test_only_the_theorem_carriers_call_the_private_constructor():
                        for node in ast.walk(func)):
                     callers.add(getattr(func, "name", "<lambda>"))
     assert callers == BY_THEOREM_CALLERS
+
+
+# the input checks that decide membership through the dense route
+CLOSURE_CHECKS = ("is_subalgebra", "is_ideal", "_first_outside")
+
+
+def test_input_checks_read_no_builder():
+    """The closure checks bracket and act through `bracket_vec` and `act`, never
+    through a builder: were they to read `transport`, the "subalgebra bracket"
+    mutation of `transport` in test_theorem_sites.py would be refused as a bad
+    input (exit 2) instead of exiting 3 as the library bug it is."""
+    found = {name: sorted(_names_in("liecore.py", name) & {"transport", "morphism_defect"})
+             for name in CLOSURE_CHECKS}
+    assert found == {name: [] for name in CLOSURE_CHECKS}
