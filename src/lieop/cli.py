@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 from . import cohomology, gcsholo, liecore, onstruct, ooper, twilled
 from .errors import DimensionMismatch, LieOpError, OracleDisagreement, WorkspaceError, oracle
-from .exactla import Matrix, is_zero_vec, parse_scalar, scalar_str, vec_add
-from .liecore import LieAlgebra, Representation, Subspace
+from .exactla import Matrix, is_zero_vec, parse_scalar, scalar_str, vec_add, vec_zero
+from .liecore import LieAlgebra, Representation, Subspace, _units
 from .onstruct import DeformationData
 
 
@@ -116,7 +116,7 @@ def _table(key, x, n, upper, skew, vector):
     """The n x n table of [i, j, c] items, c a length-n vector or a scalar.
     With `upper` each item needs i < j and each pair may appear once; with
     `skew` the item also sets [j][i] to -c."""
-    zero = (0,) * n if vector else 0
+    zero = vec_zero(n) if vector else 0
     t = [[zero] * n for _ in range(n)]
     seen = set()
     for i, j, c in _list(x, key):
@@ -244,7 +244,7 @@ KINDS = {
 def _unmake_twilled(tw):
     """A twilled value's total is in block coordinates, a first, so its halves
     are the identity rows split after dim_a."""
-    rows = Matrix.identity(tw.total.dim).entries
+    rows = _units(tw.total.dim)
     return tw.total, rows[:tw.dim_a], rows[tw.dim_a:]
 
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatch, LieOpError, oracle
-from .exactla import Matrix, _kernel_from_rref, rref_maps, vec
-from .liecore import (
-    LieAlgebra, Representation, _add_rows, _combine, _dense, _nonzero, _row, block_rows,
-    zero_rows,
+from .exactla import (
+    Matrix, _add_rows, _combine, _dense, _kernel_from_rref, _nonzero, _row, rref_maps, vec,
 )
+from .liecore import LieAlgebra, Representation, block_rows, zero_rows
 
 
 def _perm_sign(seq):
@@ -114,6 +113,13 @@ class Cochain:
 
 
 def _reach(rep: Representation):
+    """The table `_walk` reads, built on first read and kept by the module."""
+    if rep._reach is None:
+        rep._reach = _reach_table(rep)
+    return rep._reach
+
+
+def _reach_table(rep: Representation):
     """k -> the (i, j, c), i < j, with c the e_k coordinate of [e_i, e_j]; b -> the
     a with e_a . f_b != 0; and the sparse columns of the identity of M."""
     g, m = rep.algebra, rep.dim_m

@@ -3,12 +3,15 @@
 Scalars are Python ints or ``fractions.Fraction`` in lowest terms; the two mix
 freely and integer values are kept as ints so the common all-integer paths stay
 fast.  Everything is immutable after construction and all functions are pure.
-Matrices are stored dense, but `Matrix.apply` and matrix products skip zeros:
-they walk the nonzero `(index, value)` pairs of each column or row, built on
-first use.  Row reduction keeps its rows as {column: value} maps and reaches
-the rows to clear through a column index, so it touches only nonzeros; the
-RREF is unique, so outputs are reproducible byte for byte.  Integer strings
-parse straight through `int`.
+A sparse row is canonical: its nonzero `(index, value)` pairs, indices
+ascending, values normalised by `q`; two rows are equal exactly when the
+vectors are.  A `Matrix` stores only its shape and its canonical sparse
+columns, built in one pass over the input; every operation reads and writes
+columns, so matrix equality is column equality.  Its dense rows (`entries`)
+and its sparse rows are views, built on first read and kept.  Row reduction
+keeps its rows as {column: value} maps and reaches the rows to clear through a
+column index, so it touches only nonzeros; the RREF is unique, so outputs are
+reproducible byte for byte.  Integer strings parse straight through `int`.
 """
 
 from __future__ import annotations
@@ -72,97 +75,167 @@ def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
 
 
-class Matrix:
-    """Immutable dense matrix with exact rational entries (row-major)."""
+def _nonzero(v):
+    """The canonical row of a vector: its nonzero (k, q(v_k)) pairs."""
+    return tuple((k, q(x)) for k, x in enumerate(v) if x)
 
-    # _srows/_scols cache sparse_rows()/sparse_cols(), built on first use
-    __slots__ = ("rows", "cols", "entries", "_srows", "_scols")
+
+def _row(acc):
+    """The canonical row of a {coordinate: value} accumulator."""
+    return tuple((k, q(acc[k])) for k in sorted(acc) if acc[k])
+
+
+def _neg(row):
+    return tuple((k, -v) for k, v in row) if row else row
+
+
+def _combine(a, f, b):
+    """The canonical row of a + f b, for rows a and b."""
+    acc = dict(a)
+    for k, v in b:
+        acc[k] = acc.get(k, 0) + f * v
+    return _row(acc)
+
+
+def _add_rows(acc, scale, pairs, rows):
+    """acc += scale * sum of v * rows[l] over the (l, v) in pairs; rows are
+    sparse.  Returns acc."""
+    for l, v in pairs:
+        f = scale * v
+        for k, w in rows[l]:
+            acc[k] = acc.get(k, 0) + f * w
+    return acc
+
+
+def _dense(acc, n):
+    """The length-n vector of a {coordinate: value} accumulator, normalised."""
+    out = [0] * n
+    for k, v in acc.items():
+        out[k] = q(v)
+    return tuple(out)
+
+
+def transpose_rows(cols, n):
+    """The sparse rows of the n-row matrix with sparse columns `cols`:
+    out[t] holds the (r, v) with (t, v) in cols[r], r ascending."""
+    out = [[] for _ in range(n)]
+    for r, col in enumerate(cols):
+        for t, v in col:
+            out[t].append((r, v))
+    return tuple(map(tuple, out))
+
+
+class Matrix:
+    """Immutable matrix with exact rational entries, stored as its canonical
+    sparse columns: per column the nonzero (row, value) pairs, rows ascending.
+    The dense rows `entries` and the sparse rows are views, built on first read."""
+
+    __slots__ = ("rows", "cols", "_scols", "_entries", "_srows")
 
     def __init__(self, entries, cols=None):
-        rows = tuple(tuple(q(x) for x in row) for row in entries)
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else (cols or 0)
-        for row in rows:
-            if len(row) != self.cols:
+        scols, i = None, -1
+        for i, row in enumerate(entries):
+            if scols is None:
+                scols = [[] for _ in row]
+            elif len(row) != len(scols):
                 raise DimensionMismatch("ragged rows")
-        self.entries = rows
-        self._srows = self._scols = None
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    x = q(x)
+                if x:
+                    scols[j].append((i, x))
+        if scols is None:
+            scols = [()] * (cols or 0)
+        self._set(i + 1, len(scols), tuple(map(tuple, scols)))
+
+    def _set(self, rows, cols, scols):
+        self.rows, self.cols, self._scols = rows, cols, scols
+        self._entries = self._srows = None
+        return self
+
+    @staticmethod
+    def _of(rows, cols, scols):
+        """The rows x cols matrix with the canonical sparse columns scols."""
+        return Matrix.__new__(Matrix)._set(rows, cols, scols)
 
     @staticmethod
     def zeros(rows, cols=None):
         cols = rows if cols is None else cols
-        return Matrix([[0] * cols for _ in range(rows)], cols=cols)
+        return Matrix._of(rows, cols, ((),) * cols)
 
     @staticmethod
     def identity(n):
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._of(n, n, tuple(((i, 1),) for i in range(n)))
 
     @staticmethod
     def from_cols(cols):
-        if not cols:
-            return Matrix([])
-        if len(cols[0]) == 0:
-            return Matrix([], cols=len(cols))
-        return Matrix([[c[i] for c in cols] for i in range(len(cols[0]))])
+        n = len(cols[0]) if cols else 0
+        if any(len(c) != n for c in cols):
+            raise DimensionMismatch("ragged columns")
+        return Matrix._of(n, len(cols), tuple(map(_nonzero, cols)))
 
     @staticmethod
     def diag(values):
-        n = len(values)
-        return Matrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix._of(len(values), len(values),
+                          tuple(((i, x),) if x else () for i, x in enumerate(map(q, values))))
 
     def shape(self):
         return (self.rows, self.cols)
 
+    @property
+    def entries(self):
+        """The dense rows, a view built on first read."""
+        if self._entries is None:
+            out = [[0] * self.cols for _ in range(self.rows)]
+            for j, col in enumerate(self._scols):
+                for i, v in col:
+                    out[i][j] = v
+            self._entries = tuple(map(tuple, out))
+        return self._entries
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.col(j)[i]
 
     def row(self, i):
         return self.entries[i]
 
     def col(self, j):
-        return tuple(r[j] for r in self.entries)
+        return _dense(dict(self._scols[j]), self.rows)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return isinstance(other, Matrix) and self.shape() == other.shape() \
+            and self._scols == other._scols
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.rows, self.cols, self._scols))
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.entries]})"
 
     def __add__(self, other):
         self._same_shape(other)
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        return self._like(map(_combine, self._scols, (1,) * self.cols, other._scols))
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        return self._like(map(_combine, self._scols, (-1,) * self.cols, other._scols))
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.entries])
+        return self._like(map(_neg, self._scols))
 
     def scale(self, c):
         c = q(c)
-        return Matrix([[c * a for a in r] for r in self.entries])
+        return self._like(tuple((i, q(c * a)) for i, a in col) if c else ()
+                          for col in self._scols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape()} * {other.shape()}")
-            right = other.sparse_rows()
-            out = []
-            for row in self.entries:
-                acc = [0] * other.cols
-                for k, a in enumerate(row):
-                    if a:
-                        for j, b in right[k]:
-                            acc[j] += a * b
-                out.append(acc)
-            return Matrix(out, cols=other.cols)
+            a = self._scols
+            return Matrix._of(self.rows, other.cols,
+                              tuple(_row(_add_rows({}, 1, col, a)) for col in other._scols))
         return self.scale(other)
 
     def __rmul__(self, c):
@@ -173,53 +246,43 @@ class Matrix:
         if len(v) != self.cols:
             raise DimensionMismatch(f"{self.shape()} applied to vector of length {len(v)}")
         out = [0] * self.rows
-        scols = self.sparse_cols()
-        for k, x in enumerate(v):
+        for col, x in zip(self._scols, v):
             if x:
-                for i, a in scols[k]:
+                for i, a in col:
                     out[i] += a * x
         return tuple(out)
 
     def sparse_rows(self):
-        """Per row, the tuple of its nonzero (column, value) pairs."""
+        """Per row, the tuple of its nonzero (column, value) pairs, a view
+        built on first read."""
         if self._srows is None:
-            self._srows = _nonzeros(self.entries)
+            self._srows = transpose_rows(self._scols, self.rows)
         return self._srows
 
     def sparse_cols(self):
-        """Per column, the tuple of its nonzero (row, value) pairs."""
-        if self._scols is None:
-            self._scols = _nonzeros(self.col(j) for j in range(self.cols))
+        """Per column, the tuple of its nonzero (row, value) pairs: the stored form."""
         return self._scols
 
     def transpose(self):
-        if self.rows == 0:
-            return Matrix([()] * self.cols, cols=0)
-        if self.cols == 0:
-            return Matrix([], cols=self.rows)
-        return Matrix(list(zip(*self.entries)))
+        return Matrix._of(self.cols, self.rows, self.sparse_rows())
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
+        return not any(self._scols)
 
     def is_antisymmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self.entries[i][j] == -self.entries[j][i]
-                   for i in range(self.rows) for j in range(i, self.cols))
+        return self.rows == self.cols and self._scols == tuple(map(_neg, self.sparse_rows()))
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix([r1 + r2 for r1, r2 in zip(self.entries, other.entries)])
+        return Matrix._of(self.rows, self.cols + other.cols, self._scols + other._scols)
+
+    def _like(self, scols):
+        return Matrix._of(self.rows, self.cols, tuple(scols))
 
     def _same_shape(self, other):
         if self.shape() != other.shape():
             raise DimensionMismatch(f"{self.shape()} vs {other.shape()}")
-
-
-def _nonzeros(lines):
-    return tuple(tuple((k, a) for k, a in enumerate(line) if a) for line in lines)
 
 
 def rref(rows):
@@ -229,14 +292,17 @@ def rref(rows):
 
 
 def rref_maps(rows, ncols):
-    """Reduced row echelon form of rows given as {column: nonzero value} maps.
+    """Reduced row echelon form of rows given as {column: nonzero value} maps
+    or as their (column, value) pairs.
 
     Returns (rows, pivot_columns): dense tuples in pivot-column order,
     with zero rows dropped.  Beside the maps it keeps an index from each
     column to the rows that have it.  For each column in turn the pivot is
     the unpivoted row with the fewest nonzeros, the lowest row index on ties,
     and the column is cleared through the index from every other row, pivoted
-    or not.  The RREF of a row space is unique, so the pivot choice never
+    or not.  A pivot row is divided by its pivot without a Fraction when it
+    can be: negated for -1, by integer division when the pivot divides every
+    entry.  The RREF of a row space is unique, so the pivot choice never
     shows in the result.
     """
     m = [dict(row) for row in rows]
@@ -252,18 +318,22 @@ def rref_maps(rows, ncols):
         r = min(live, key=lambda i: (len(m[i]), i))
         row = m[r]
         p = row[c]
-        if p != 1:
+        if p == -1:
             for k, x in row.items():
-                row[k] = q(Fraction(x) / p)
+                row[k] = -x
+        elif p != 1:
+            exact = type(p) is int and all(type(x) is int and not x % p for x in row.values())
+            for k, x in row.items():
+                row[k] = x // p if exact else q(Fraction(x) / p)
         for i in list(at[c]):
             if i == r:
                 continue
             other = m[i]
             f = other[c]
             for k, b in row.items():
-                x = q(other.get(k, 0) - f * b)
+                x = other.get(k, 0) - f * b
                 if x:
-                    other[k] = x
+                    other[k] = x if type(x) is int else q(x)
                     at[k].add(i)
                 else:
                     del other[k]
@@ -283,7 +353,7 @@ def rref_maps(rows, ncols):
 
 
 def _kernel_from_rref(red, pivots, n):
-    free = [c for c in range(n) if c not in pivots]
+    free = sorted(set(range(n)).difference(pivots))
     basis = []
     for f in free:
         v = [0] * n
@@ -296,14 +366,11 @@ def _kernel_from_rref(red, pivots, n):
 
 def kernel(A: Matrix):
     """Basis of {v : A v = 0}, deterministic, possibly empty."""
-    red, pivots = rref(A.entries) if A.rows else ([], [])
-    return _kernel_from_rref(red, pivots, A.cols)
+    return _kernel_from_rref(*rref_maps(A.sparse_rows(), A.cols), A.cols)
 
 
 def rank(A: Matrix) -> int:
-    if A.rows == 0 or A.cols == 0:
-        return 0
-    return len(rref(A.entries)[0])
+    return len(rref_maps(A.sparse_rows(), A.cols)[0])
 
 
 def invert(A: Matrix) -> Matrix:
@@ -311,9 +378,7 @@ def invert(A: Matrix) -> Matrix:
     if A.rows != A.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n = A.rows
-    aug = [A.row(i) + tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    red, pivots = rref(aug)
+    red, pivots = rref_maps([r + ((n + i, 1),) for i, r in enumerate(A.sparse_rows())], 2 * n)
     if pivots[:n] != list(range(n)):
         raise Singular("matrix has nontrivial kernel")
     return Matrix([row[n:] for row in red])
-

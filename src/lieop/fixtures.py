@@ -13,7 +13,7 @@ import json
 from .cli import emit, lie_algebra_to_json, write
 from .exactla import Matrix
 from .liecore import (
-    LieAlgebra, Representation, action_matrices, adjoint, coadjoint, dense, trivial_rep,
+    LieAlgebra, Representation, _units, action_matrices, adjoint, coadjoint, dense, trivial_rep,
 )
 from .onstruct import on_from_compatible_pair, trivial_deformation_from
 from .ooper import bivector, pre_lie_from_o, r_sharp
@@ -169,7 +169,7 @@ def bundle() -> dict:
     objects["h3_center"] = emit("subspace", 3, [(0, 0, 1)])
     objects["h3_sub"] = emit("subspace", 3, [(1, 0, 0), (0, 0, 1)])
     objects["h3_submod"] = emit("subspace", 3, [(0, 1, 0), (0, 0, 1)])
-    objects["h3_full"] = emit("subspace", 3, Matrix.identity(3).entries)
+    objects["h3_full"] = emit("subspace", 3, _units(3))
     objects["h3_zero"] = emit("subspace", 3, [])
 
     objects["h3_cochain"] = emit("cochain", 2, 3, 3, {(0, 1): (0, 0, 1)})

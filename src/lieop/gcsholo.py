@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exactla import Matrix, invert, vec_add, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, _unit, coadjoint, contract,
+    LieAlgebra, Representation, _unit, _units, coadjoint, contract,
     direct_sum_map, semidirect,
 )
 from .onstruct import (
@@ -58,10 +58,6 @@ def _rows(x, shape):
         if len(row) != nc:
             raise DimensionMismatch(f"component has a row of length {len(row)}, wanted shape {shape}")
     return x
-
-
-def _units(n):
-    return [_unit(n, u) for u in range(n)]
 
 
 def _neg(rows):

@@ -39,33 +39,18 @@ from .errors import (
     DimensionMismatch, JacobiViolation, NotComplementary, NotIdeal,
     NotSubalgebra, RepViolation, Singular, SkewViolation, oracle, theorem,
 )
-from .exactla import Matrix, invert, kernel, q, rref, vec, vec_zero
+from .exactla import (
+    Matrix, _add_rows, _combine, _dense, _kernel_from_rref, _neg, _nonzero, _row, invert,
+    kernel, rref, rref_maps, transpose_rows, vec,
+)
 
 
 def _unit(n, i):
     return tuple(1 if k == i else 0 for k in range(n))
 
 
-def _nonzero(v):
-    """The canonical row of a vector: its nonzero (k, q(v_k)) pairs."""
-    return tuple((k, q(x)) for k, x in enumerate(v) if x)
-
-
-def _row(acc):
-    """The canonical row of a {coordinate: value} accumulator."""
-    return tuple((k, q(acc[k])) for k in sorted(acc) if acc[k])
-
-
-def _neg(row):
-    return tuple((k, -v) for k, v in row) if row else row
-
-
-def _combine(a, f, b):
-    """The canonical row of a + f b, for rows a and b."""
-    acc = dict(a)
-    for k, v in b:
-        acc[k] = acc.get(k, 0) + f * v
-    return _row(acc)
+def _units(n):
+    return [_unit(n, u) for u in range(n)]
 
 
 def sparse(t):
@@ -83,24 +68,6 @@ def sparse_cube(dim, t, what):
 def dense(s, n):
     """The tensor t of s = sparse(t), each entry a length-n vector."""
     return tuple(tuple(_dense(dict(sab), n) for sab in sa) for sa in s)
-
-
-def _dense(acc, n):
-    """The length-n vector of a {coordinate: value} accumulator, normalised."""
-    out = [0] * n
-    for k, v in acc.items():
-        out[k] = q(v)
-    return tuple(out)
-
-
-def _add_rows(acc, scale, pairs, rows):
-    """acc += scale * sum of v * rows[l] over the (l, v) in pairs; rows are
-    sparse.  Returns acc."""
-    for l, v in pairs:
-        f = scale * v
-        for k, w in rows[l]:
-            acc[k] = acc.get(k, 0) + f * w
-    return acc
 
 
 def morphism_defect(dst, A, B, C, src, pairs):
@@ -214,26 +181,9 @@ def block_rows(sa, sb, s1, s2):
                        for u in range(db))
 
 
-def transpose_rows(cols, n):
-    """The sparse rows of the n-row matrix with sparse columns `cols`:
-    out[t] holds the (r, v) with (t, v) in cols[r], r ascending."""
-    out = [[] for _ in range(n)]
-    for r, col in enumerate(cols):
-        for t, v in col:
-            out[t].append((r, v))
-    return tuple(map(tuple, out))
-
-
 def action_matrices(s, m):
     """One m x m Matrix per basis vector, with sparse columns s[i]."""
-    mats = []
-    for cols in s:
-        out = [[0] * m for _ in range(m)]
-        for b, col in enumerate(cols):
-            for r, v in col:
-                out[r][b] = v
-        mats.append(Matrix(out, cols=m))
-    return tuple(mats)
+    return tuple(Matrix._of(m, m, cols) for cols in s)
 
 
 class LieAlgebra:
@@ -318,7 +268,7 @@ class Representation:
     module basis vector, by_col[b][a] = s[a][b].  The public constructor takes
     one action matrix per basis vector."""
 
-    __slots__ = ("algebra", "dim_m", "s", "by_col", "_semidirect", "_dual")
+    __slots__ = ("algebra", "dim_m", "s", "by_col", "_semidirect", "_dual", "_reach")
 
     def __init__(self, algebra: LieAlgebra, dim_m, action):
         mats = tuple(a if isinstance(a, Matrix) else Matrix(a) for a in action)
@@ -334,7 +284,7 @@ class Representation:
         self.dim_m = dim_m
         self.s = s
         self.by_col = tuple(tuple(sa[b] for sa in s) for b in range(dim_m))
-        self._dual = self._semidirect = None
+        self._dual = self._semidirect = self._reach = None
         return self
 
     @classmethod
@@ -375,8 +325,8 @@ class Representation:
         """Matrix of the action of the algebra element with coordinates x:
         column b is the sum of x_i (e_i . f_b)."""
         xs = [(i, xi) for i, xi in enumerate(x) if xi]
-        return action_matrices(([_add_rows({}, 1, xs, rows).items() for rows in self.by_col],),
-                               self.dim_m)[0]
+        return Matrix._of(self.dim_m, self.dim_m,
+                          tuple(_row(_add_rows({}, 1, xs, rows)) for rows in self.by_col))
 
     def act(self, x, m):
         """x • m for coordinate vectors."""
@@ -448,7 +398,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim):
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim).entries)
+        return Subspace(ambient_dim, _units(ambient_dim))
 
     @staticmethod
     def zero(ambient_dim):
@@ -502,7 +452,7 @@ def is_ideal(g: LieAlgebra, W: Subspace):
     """Whether [g, W] is contained in W."""
     if W.ambient_dim != g.dim:
         raise DimensionMismatch("subspace ambient dimension mismatch")
-    witness = _first_outside(W, product(Matrix.identity(g.dim).entries, W.basis), g.bracket_vec)
+    witness = _first_outside(W, product(_units(g.dim), W.basis), g.bracket_vec)
     return witness is None, witness
 
 
@@ -557,8 +507,9 @@ def annihilator(rep: Representation, X: Subspace) -> Subspace:
         raise DimensionMismatch("annihilator expects a subspace of the algebra")
     if not X.basis:
         return Subspace.full(rep.dim_m)
-    stacked = [row for x in X.basis for row in rep.rho(x).entries]
-    return Subspace(rep.dim_m, kernel(Matrix(stacked, cols=rep.dim_m)))
+    m = rep.dim_m
+    stacked = [row for x in X.basis for row in rep.rho(x).sparse_rows()]
+    return Subspace(m, _kernel_from_rref(*rref_maps(stacked, m), m))
 
 
 def intersect(W1: Subspace, W2: Subspace) -> Subspace:
@@ -574,14 +525,9 @@ def intersect(W1: Subspace, W2: Subspace) -> Subspace:
 
 def direct_sum_map(A: Matrix, B: Matrix) -> Matrix:
     """Block diagonal map A (+) B."""
-    n1, m1 = A.shape()
-    n2, m2 = B.shape()
-    rows = []
-    for i in range(n1):
-        rows.append(A.row(i) + vec_zero(m2))
-    for i in range(n2):
-        rows.append(vec_zero(m1) + B.row(i))
-    return Matrix(rows, cols=m1 + m2)
+    n1, n2 = A.rows, B.rows
+    return Matrix._of(n1 + n2, A.cols + B.cols, A.sparse_cols() + tuple(
+        tuple((n1 + i, v) for i, v in col) for col in B.sparse_cols()))
 
 
 def check_complementary(total_dim, A: Subspace, B: Subspace):

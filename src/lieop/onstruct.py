@@ -21,11 +21,10 @@ from .errors import (
     DimensionMismatch, NotCompatible, NotNijenhuis, NotNijenhuisStructure, NotONStructure,
     NotPN, oracle, theorem,
 )
-from .exactla import Matrix, invert
+from .exactla import Matrix, _add_rows, _dense, _neg, _row, invert
 from .liecore import (
-    LieAlgebra, Representation, _add_rows, _dense, _neg, _row, block_rows, coadjoint,
-    direct_sum_map, dual_rep, mixed_form, morphism_defect, reached_triples, semidirect,
-    sparse_cube, zero_rows,
+    LieAlgebra, Representation, block_rows, coadjoint, direct_sum_map, dual_rep, mixed_form,
+    morphism_defect, reached_triples, semidirect, sparse_cube, zero_rows,
 )
 from .ooper import (
     _bivector_of, _bracket_rows, compatibility_defect, compatibility_oracle, induced_tensor,

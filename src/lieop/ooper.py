@@ -35,12 +35,11 @@ from .errors import (
     NotCompatible, NotIdeal, NotOOperator, NotPreLie, NotStable,
     NotSubalgebra, QuotientError, Singular, oracle, theorem,
 )
-from .exactla import Matrix, invert, is_zero_vec, kernel, q
+from .exactla import Matrix, _add_rows, _combine, _dense, _row, invert, is_zero_vec, kernel, q
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _add_rows, _combine, _dense, _row,
-    _first_outside, annihilator, block_rows, coadjoint, cyclic_form, intersect, is_ideal,
-    is_subalgebra, mixed_form, morphism_defect, quotient, reached_triples, restrict_to_subalgebra,
-    semidirect, sparse_cube, transport, zero_rows,
+    LieAlgebra, Representation, Subspace, _first_outside, annihilator, block_rows, coadjoint,
+    cyclic_form, intersect, is_ideal, is_subalgebra, mixed_form, morphism_defect, quotient,
+    reached_triples, restrict_to_subalgebra, semidirect, sparse_cube, transport, zero_rows,
 )
 
 
@@ -162,7 +161,7 @@ def structure_report(rep: Representation, T) -> dict:
     """Kernel-is-ideal and image-is-subalgebra flags for a valid O-operator."""
     mt = induced_lie(rep, T)
     ker = Subspace(rep.dim_m, kernel(T))
-    image = Subspace.span(rep.algebra.dim, T.transpose().entries)
+    image = Subspace.span(rep.algebra.dim, map(T.col, range(T.cols)))
     return {
         "kernel_is_ideal_in_MT": is_ideal(mt, ker)[0],
         "image_is_subalgebra": is_subalgebra(rep.algebra, image)[0],
@@ -176,12 +175,12 @@ def structure_report(rep: Representation, T) -> dict:
 def bivector(dim, pairs) -> Matrix:
     """The antisymmetric Matrix r of the bivector with r^{ij} = r[i, j] = -r[j, i]
     for each ((i, j), r^{ij}) of `pairs`, i < j."""
-    m = [[0] * dim for _ in range(dim)]
+    cols = [{} for _ in range(dim)]
     for (i, j), v in dict(pairs).items():
         if not 0 <= i < j < dim:
             raise DimensionMismatch(f"bivector entries need i < j, got ({i},{j})")
-        m[i][j], m[j][i] = v, -v
-    return Matrix(m, cols=dim)
+        cols[j][i], cols[i][j] = v, -v
+    return Matrix._of(dim, dim, tuple(map(_row, cols)))
 
 
 def _bivector_of(r: Matrix, dim) -> Matrix:
@@ -266,7 +265,7 @@ def _gauge(rep: Representation, T, B):
     tb = T * phi_inv
     p_b = o_product(rep, tb)
     oracle("gauge transform", is_o_operator(rep, tb, p_b), True, "T_B failed the O-identity")
-    im_tb, im_t = (Subspace.span(rep.algebra.dim, A.transpose().entries) for A in (tb, T))
+    im_tb, im_t = (Subspace.span(rep.algebra.dim, map(A.col, range(A.cols))) for A in (tb, T))
     oracle("gauge transform", im_tb == im_t, True, "im(T_B) differs from im(T)")
     return tb, phi, p, p_b
 
@@ -302,13 +301,15 @@ class MRReduction:
 def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> MRReduction:
     """Reduce an O-operator to (E cap h)^0_N over h / (E cap h).
 
-    Every hypothesis is checked, in order: N a subspace of the module, h a
-    subalgebra, N an h-submodule, E cap h an ideal of h, and T((E cap h)^0_N)
-    inside h.
+    Every hypothesis is checked, in order: N a subspace of the module, h and E
+    subspaces of the algebra, h a subalgebra, N an h-submodule, E cap h an
+    ideal of h, and T((E cap h)^0_N) inside h.
     """
-    if N.ambient_dim != rep.dim_m:
-        raise DimensionMismatch(f"N lies in Q^{N.ambient_dim}, not in the module Q^{rep.dim_m}")
     g = rep.algebra
+    for name, W, space, n in (("N", N, "module", rep.dim_m), ("h", h, "algebra", g.dim),
+                              ("E", E, "algebra", g.dim)):
+        if W.ambient_dim != n:
+            raise DimensionMismatch(f"{name} lies in Q^{W.ambient_dim}, not in the {space} Q^{n}")
     p = OOperator(rep, T).p
     try:
         h_alg = restrict_to_subalgebra(g, h)

@@ -21,10 +21,9 @@ from itertools import product
 
 from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, one_cocycle_basis
 from .errors import DimensionMismatch, NotOOperator, NotStrongMC, NotSubalgebra, oracle, theorem
-from .exactla import Matrix, invert, is_zero_vec, vec_add, vec_scale
+from .exactla import Matrix, _add_rows, _dense, _row, invert, is_zero_vec, vec_add, vec_scale
 from .liecore import (
-    LieAlgebra, Representation, Subspace, _add_rows, _dense, _row, block_rows,
-    check_complementary, transport,
+    LieAlgebra, Representation, Subspace, block_rows, check_complementary, transport,
 )
 from .onstruct import ONStructure
 from .ooper import induced_lie, is_o_operator, o_residual
@@ -181,9 +180,9 @@ def find_strong_mc(rep: Representation, T, coeffs=(-2, -1, 0, 1, 2), limit=None)
         for cf, base in zip(combo, basis):
             if cf:
                 omega = omega + base.scale(cf)
-        if omega.entries in seen:
+        if omega in seen:
             continue
-        seen.add(omega.entries)
+        seen.add(omega)
         if is_o_operator(tw.action2, omega):
             oracle("strong mc search", strong_mc_check(tw, omega)[0], True,
                    "filtered candidate failed the full check")

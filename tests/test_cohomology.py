@@ -433,3 +433,22 @@ def test_check_mc_exits_3_when_the_walk_drops_a_term(tmp_path, monkeypatch, caps
     monkeypatch.setattr(cohomology, "_walk", mutated)
     assert cli.main(argv) == 3
     assert "strong mc cocycle residual" in capsys.readouterr().out
+
+
+def test_a_module_builds_its_reach_table_once(monkeypatch):
+    """ce_differential and differential read one table per module, built on
+    the first call and kept by the module, however often they run."""
+    built = []
+    table = cohomology._reach_table
+    monkeypatch.setattr(cohomology, "_reach_table", lambda rep: built.append(rep) or table(rep))
+    reps = [adjoint(gl(3)), coadjoint(gl(3)), *standard_fixtures()[1].values()]
+    rng = random.Random(28)
+    for _ in range(3):
+        for rep in reps:
+            d, m = rep.algebra.dim, rep.dim_m
+            for n in (1, 2):
+                f = Cochain(n, d, m, {idx: [rng.randint(-1, 1) for _ in range(m)]
+                                      for idx in combinations(range(d), n)})
+                assert ce_differential(rep, f) == reference_ce_differential(rep, f)
+                differential(rep, n)
+    assert len(built) == len(reps) and all(a is b for a, b in zip(built, reps))

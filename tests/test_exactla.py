@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lieop.errors import Singular
-from lieop.exactla import Matrix, invert, kernel, parse_scalar, q, rank, rref, scalar_str
+from lieop.errors import DimensionMismatch, Singular
+from lieop.exactla import (
+    Matrix, invert, kernel, parse_scalar, q, rank, rref, rref_maps, scalar_str,
+)
 from lieop.liecore import Subspace
 
 
@@ -140,6 +143,10 @@ def sparse_rows(draw):
 @example(rows=[])                                        # 0 x n
 @example(rows=[(0, Fraction(3, 2), 0, 3)])               # 1 x n
 @example(rows=[(0, 0, 0), (0, 2, 0), (0, 0, 0)])         # zero rows and columns
+@example(rows=[(-1, 2, Fraction(1, 2)), (1, 1, 0)])      # pivot -1: the row is negated
+@example(rows=[(2, 4, -6), (1, 0, 1)])                   # pivot 2 divides every entry
+@example(rows=[(2, 3, 0), (0, 1, 1)])                    # pivot 2 does not divide 3
+@example(rows=[(-2, 4, Fraction(1, 3)), (0, -1, -1)])    # pivot -2 beside a Fraction
 def test_rref_matches_dense_gauss_jordan(rows):
     got = rref(rows)
     want = reference_rref(rows)
@@ -208,3 +215,198 @@ def _parsed_or_error(parse, s):
 def test_parse_scalar_matches_fraction_parsing(s):
     assert _parsed_or_error(parse_scalar, s) == \
         _parsed_or_error(lambda t: q(Fraction(t)), s)
+
+
+# --- the sparse-column Matrix against the retired dense one ------------------
+
+def _nonzeros(lines):
+    return tuple(tuple((k, a) for k, a in enumerate(line) if a) for line in lines)
+
+
+class DenseMatrix:
+    """The retired dense Matrix, kept as a reference: row-major tuples of
+    q-normalised entries, every operation a loop over every entry."""
+
+    def __init__(self, entries, cols=None):
+        rows = tuple(tuple(q(x) for x in row) for row in entries)
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else (cols or 0)
+        for row in rows:
+            if len(row) != self.cols:
+                raise DimensionMismatch("ragged rows")
+        self.entries = rows
+
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def col(self, j):
+        return tuple(r[j] for r in self.entries)
+
+    def sparse_rows(self):
+        return _nonzeros(self.entries)
+
+    def sparse_cols(self):
+        return _nonzeros(self.col(j) for j in range(self.cols))
+
+    def __eq__(self, other):
+        return self.shape() == other.shape() and self.entries == other.entries
+
+    def __repr__(self):
+        return f"Matrix({[list(r) for r in self.entries]})"
+
+    def __add__(self, other):
+        return DenseMatrix([[a + b for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.entries, other.entries)], cols=self.cols)
+
+    def __sub__(self, other):
+        return DenseMatrix([[a - b for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.entries, other.entries)], cols=self.cols)
+
+    def __neg__(self):
+        return DenseMatrix([[-a for a in r] for r in self.entries], cols=self.cols)
+
+    def scale(self, c):
+        return DenseMatrix([[q(c) * a for a in r] for r in self.entries], cols=self.cols)
+
+    def __mul__(self, other):
+        right = other.sparse_rows()
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+            out.append(acc)
+        return DenseMatrix(out, cols=other.cols)
+
+    def apply(self, v):
+        out = [0] * self.rows
+        scols = self.sparse_cols()
+        for k, x in enumerate(v):
+            if x:
+                for i, a in scols[k]:
+                    out[i] += a * x
+        return tuple(out)
+
+    def transpose(self):
+        return DenseMatrix([self.col(j) for j in range(self.cols)], cols=self.rows)
+
+    def is_zero(self):
+        return all(a == 0 for r in self.entries for a in r)
+
+    def is_antisymmetric(self):
+        return self.rows == self.cols and all(
+            self.entries[i][j] == -self.entries[j][i]
+            for i in range(self.rows) for j in range(i, self.cols))
+
+    def hstack(self, other):
+        return DenseMatrix([r1 + r2 for r1, r2 in zip(self.entries, other.entries)],
+                           cols=self.cols + other.cols)
+
+
+def _scalar(rng):
+    """Zero-heavy exact scalars, ints and Fractions, some that cancel to ints."""
+    return rng.choice((0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2)))
+
+
+def _pair(rng, rows, cols):
+    """(Matrix, DenseMatrix) of one seeded rows x cols draw."""
+    entries = [[_scalar(rng) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(entries, cols=cols), DenseMatrix(entries, cols=cols)
+
+
+def _agree(got, want):
+    """The same shape, the same values of the same types, and the same views."""
+    assert got.shape() == want.shape()
+    assert repr(got) == repr(want) and got.entries == want.entries
+    assert got.sparse_rows() == want.sparse_rows() and got.sparse_cols() == want.sparse_cols()
+    assert got.is_zero() == want.is_zero() and got.is_antisymmetric() == want.is_antisymmetric()
+    assert got == Matrix(want.entries, cols=want.cols)
+    assert hash(got) == hash(Matrix(want.entries, cols=want.cols))
+
+
+def test_sparse_matrix_matches_the_dense_reference():
+    """Seeded int and Fraction matrices of every shape up to 5 x 5, the 0 x n
+    and n x 0 ones included: each operation, each view and equality agree."""
+    rng = random.Random(28)
+    shapes = set()
+    for _ in range(400):
+        n, m, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        shapes.add((n, m))
+        (A, dA), (B, dB) = _pair(rng, n, m), _pair(rng, n, m)
+        (C, dC), (H, dH) = _pair(rng, m, k), _pair(rng, n, k)
+        c = _scalar(rng)
+        v = tuple(_scalar(rng) for _ in range(m))
+        cases = [(A, dA), (A + B, dA + dB), (A - B, dA - dB), (-A, -dA),
+                 (A.scale(c), dA.scale(c)), (c * A, dA.scale(c)), (A * C, dA * dC),
+                 (A.transpose(), dA.transpose()), (A.hstack(H), dA.hstack(dH))]
+        if n == m:  # symmetric and antisymmetric parts
+            cases += [(A + A.transpose(), dA + dA.transpose()),
+                      (A - A.transpose(), dA - dA.transpose())]
+        for got, want in cases:
+            _agree(got, want)
+        assert repr(A.apply(v)) == repr(dA.apply(v))
+        assert (A == B) == (dA == dB) and (A == B) <= (hash(A) == hash(B))
+        assert [A.col(j) for j in range(m)] == [dA.col(j) for j in range(m)]
+        assert [A[i, j] for i in range(n) for j in range(m)] == [x for r in dA.entries for x in r]
+    assert {(0, 3), (3, 0), (0, 0), (5, 5)} <= shapes
+    assert Matrix.zeros(0, 3) != Matrix.zeros(0, 2) and Matrix.zeros(3, 0) != Matrix.zeros(2, 0)
+
+
+def test_matrix_builders_match_the_dense_reference():
+    rng = random.Random(29)
+    for n in range(5):
+        values = [_scalar(rng) for _ in range(n)]
+        cols = [[_scalar(rng) for _ in range(3)] for _ in range(n)]
+        _agree(Matrix.zeros(n, 3), DenseMatrix([[0] * 3] * n, cols=3))
+        _agree(Matrix.zeros(3, n), DenseMatrix([[0] * n] * 3, cols=n))
+        _agree(Matrix.identity(n), DenseMatrix([[int(i == j) for j in range(n)] for i in range(n)]))
+        _agree(Matrix.diag(values),
+               DenseMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+        _agree(Matrix.from_cols(cols), DenseMatrix(list(zip(*cols)), cols=n) if n else
+               DenseMatrix([]))
+    with pytest.raises(DimensionMismatch):
+        Matrix([(1, 2), (3,)])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols([(1, 2), (3,)])
+    with pytest.raises(TypeError):
+        Matrix([(0, 0.0)])
+
+
+def _to_exact(x):
+    return q(Fraction(int(x.p), int(x.q)))
+
+
+def _sparse_rational(rng, rows, cols):
+    """A seeded rows x cols matrix, about two thirds zeros, of small rationals."""
+    return Matrix([[rng.choice((0, 0, 0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 4)))
+                    for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def test_row_reduction_matches_sympy():
+    """rref_maps, kernel, rank and invert against sympy over the rationals, on
+    seeded sparse rational matrices up to 20 x 20."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(30)
+    singular = 0
+    for t in range(60):
+        n, m = (rng.randint(1, 20), rng.randint(1, 20)) if t % 3 else (rng.randint(1, 12),) * 2
+        A = _sparse_rational(rng, n, m)
+        S = sympy.Matrix(A.rows, A.cols, [sympy.Rational(str(x)) for r in A.entries for x in r])
+        red, pivots = S.rref()
+        want = [tuple(_to_exact(x) for x in red.row(i)) for i in range(len(pivots))]
+        got_red, got_pivots = rref_maps(A.sparse_rows(), A.cols)
+        assert repr(got_red) == repr(want) and got_pivots == list(pivots)
+        assert rank(A) == S.rank()
+        assert kernel(A) == [tuple(_to_exact(x) for x in v) for v in S.nullspace()]
+        if n == m:
+            if S.det() == 0:
+                singular += 1
+                with pytest.raises(Singular):
+                    invert(A)
+            else:
+                inv = S.inv()
+                assert repr(invert(A)) == repr(Matrix(
+                    [[_to_exact(inv[i, j]) for j in range(n)] for i in range(n)]))
+    assert 0 < singular < 20

@@ -15,6 +15,8 @@ import random
 from collections import Counter
 from itertools import product
 
+import pytest
+
 from lieop.cli import Workspace, emit, main, run_derive
 from lieop.errors import (
     DimensionMismatch, ImageEscapesH, LieOpError, NotStable, NotSubalgebra, QuotientError,
@@ -219,21 +221,44 @@ def _sweep_workspace():
 
 def test_derive_reduce_refuses_every_mismatched_input():
     """Every (h, E, N) over 8 subspaces, for 3 operators: each run builds a
-    reduction or refuses its input, and an N outside the module is refused as
-    such, not as a failed stability check."""
+    reduction or refuses its input, and an N outside the module, then an h or
+    an E outside the algebra, is refused as such, not by a later check that
+    names another space or a failed hypothesis."""
     ws = Workspace.load([_sweep_workspace()])
     names = sorted(name for name, entry in ws.entries.items() if entry.kind == "subspace")
     assert len(names) == 8
     seen = Counter()
     for op in ("aff1_adj_T", "h3_adj_T", "sl2_coadj_T"):
         rep, _ = ws.get(op).value
+        d, m = rep.algebra.dim, rep.dim_m
         for h, E, N in product(names, repeat=3):
             ok, got = outcome(run_derive, ws, "reduce", [op, h, E, N])
-            if ws.get(N).value.ambient_dim != rep.dim_m:
-                assert got == (DimensionMismatch, f"N lies in Q^{ws.get(N).value.ambient_dim}, "
-                                                  f"not in the module Q^{rep.dim_m}")
-            seen[ok] += 1
+            a = {x: ws.get(name).value.ambient_dim for x, name in zip("hEN", (h, E, N))}
+            wrong = next((f"{x} lies in Q^{a[x]}, not in the {space} Q^{n}"
+                          for x, space, n in (("N", "module", m), ("h", "algebra", d),
+                                              ("E", "algebra", d)) if a[x] != n), None)
+            if wrong:
+                assert got == (DimensionMismatch, wrong)
+            else:
+                assert not ok or got[0] is not DimensionMismatch
+            seen[wrong.split()[0] if wrong else ok] += 1
     assert sum(seen.values()) == 1536 and seen[True] > 0
+    assert {"N", "h", "E"} <= set(seen)
+
+
+@pytest.mark.parametrize("h, E, which, where", [
+    ("h3_center", "S2", "h", "Q^3"),
+    ("S2", "h3_center", "E", "Q^3"),
+])
+def test_cli_refuses_an_h_or_an_e_from_another_space(tmp_path, capsys, h, E, which, where):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_sweep_workspace()), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = ["derive", "reduce", "aff1_adj_T", h, E, "S2",
+            "--input", str(path), "--output", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == f"error: {which} lies in {where}, not in the algebra Q^2\n"
+    assert not out.exists()
 
 
 def test_cli_refuses_an_n_from_another_space(tmp_path, capsys):

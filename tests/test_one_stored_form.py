@@ -1,16 +1,21 @@
-"""One stored form per value: a bivector is its antisymmetric Matrix, read only
+"""One stored form per value: a Matrix is its sparse columns, and no verdict
+builds its dense rows; a bivector is its antisymmetric Matrix, read only
 through `schouten_self` or `r_sharp`, which refuse any other matrix; a
 subspace keeps only its RREF basis; a module builds its g + M when something
 reads it; and a glued Jacobi walk builds only the triples it checks."""
 
+import json
 import random
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lieop
 from lieop import exactla, liecore, ooper
-from lieop.cli import Workspace, run_derive
+from lieop.cli import Workspace, check_entry, run_derive
+from lieop.cohomology import one_cocycle_basis
 from lieop.errors import DimensionMismatch, NotAntisymmetric
 from lieop.exactla import Matrix, rref
 from lieop.fixtures import (
@@ -22,7 +27,7 @@ from lieop.onstruct import is_pn_structure, pn_hierarchy
 from lieop.ooper import (
     bivector, is_r_matrix, lemma_r_equiv, mr_reduce, r_matrix_defect, r_sharp, schouten_self,
 )
-from lieop.twilled import twilled_new
+from lieop.twilled import mc_check, twilled_from_o, twilled_new
 
 from test_sparse_carriers import gl
 
@@ -96,6 +101,52 @@ def test_the_schouten_square_reads_the_cached_columns(monkeypatch):
     assert schouten_self(h3(), r) == {(0, 1, 2): 2}
 
 
+# --- matrices ----------------------------------------------------------------
+
+def _count_dense_views(monkeypatch):
+    """Every build of a Matrix's dense `entries` view, by the function that read it."""
+    built = []
+    view = Matrix.entries
+
+    def counted(m):
+        if m._entries is None:
+            built.append(sys._getframe(1).f_code.co_name)
+        return view.fget(m)
+    monkeypatch.setattr(Matrix, "entries", property(counted))
+    return built
+
+
+def test_a_fresh_matrix_has_not_built_its_dense_view():
+    A = Matrix([[1, 0], [Fraction(1, 2), -1]])
+    made = [A, Matrix([], cols=2), Matrix.zeros(2, 3), Matrix.identity(2), Matrix.diag((1, 0)),
+            Matrix.from_cols([(1, 2), (0, 3)]), A + A, A - A, -A, A.scale(3), A * A,
+            A.transpose(), A.hstack(A), adjoint(h3()).rho((1, 0, 2)), *adjoint(h3()).action]
+    assert all(m._entries is None for m in made)
+    assert A.entries == ((1, 0), (Fraction(1, 2), -1)) and A._entries is not None
+
+
+def test_the_gl3_verdicts_build_no_dense_matrix_view(monkeypatch):
+    """Loading a generated gl(3) workspace, checking each object, and building
+    its 1-cocycles, the twilled algebra of an O-operator and the MC verdict on a
+    sum of cocycles read only the sparse columns of every Matrix."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+    text = json.dumps(gen.gl_workspace(3, 1))
+    built = _count_dense_views(monkeypatch)
+    ws = Workspace.load([json.loads(text)])
+    verdicts = [check_entry(ws, entry)[0] for entry in ws.entries.values()]
+    adj = ws.get("gl_adj").value
+    basis = one_cocycle_basis(adj)
+    tw = twilled_from_o(adj, ws.get("T_centre").value[1])
+    omega = Matrix.zeros(9, 9)
+    for b in basis:
+        omega = omega + b
+    assert mc_check(tw, omega)[0] and len(basis) == 9 and True in verdicts and False in verdicts
+    assert built == []
+    Matrix.identity(2).entries  # the counter sees a build
+    assert built == ["test_the_gl3_verdicts_build_no_dense_matrix_view"]
+
+
 # --- subspaces ---------------------------------------------------------------
 
 def test_a_subspace_keeps_the_rref_of_its_vectors():
@@ -153,10 +204,11 @@ def test_derive_reduce_emits_the_reduced_module_without_row_reducing_it_again(mo
 
 
 def test_a_twilled_split_row_reduces_its_block_basis_once(monkeypatch):
+    a, b = Subspace(3, [(1, 0, 0), (0, 0, 1)]), Subspace(3, [(0, 1, 0)])
     calls = []
-    rref_ = exactla.rref
-    monkeypatch.setattr(exactla, "rref", lambda rows: calls.append(rows) or rref_(rows))
-    tw = twilled_new(h3(), Subspace(3, [(1, 0, 0), (0, 0, 1)]), Subspace(3, [(0, 1, 0)]))
+    rref_maps = exactla.rref_maps
+    monkeypatch.setattr(exactla, "rref_maps", lambda *args: calls.append(args) or rref_maps(*args))
+    tw = twilled_new(h3(), a, b)
     assert (tw.dim_a, tw.dim_b, len(calls)) == (2, 1, 1)
 
 
