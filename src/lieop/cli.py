@@ -96,9 +96,9 @@ def matrix(ws, dims, key, x, shape=""):
     """A matrix of shape (dims[shape[0]], dims[shape[1]]); any shape if "".  The
     string "0", most entries of a sparse operator, is read without parsing."""
     want = tuple(dims[c] for c in shape)
-    m = Matrix([[0 if a == "0" else parse_scalar(a) for a in _list(row, "matrix row")]
-                for row in _list(x, key)],
-               cols=want[1] if want else None)
+    rows = [[0 if a == "0" else parse_scalar(a) for a in _list(row, "matrix row")]
+            for row in _list(x, key)]
+    m = Matrix(rows, cols=want[1] if want and not rows else None)
     if want and m.shape() != want:
         raise WorkspaceError(f"matrix has shape {m.shape()}, expected {want}")
     return m

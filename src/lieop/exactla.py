@@ -22,12 +22,13 @@ from .errors import DimensionMismatch, Singular, WorkspaceError
 
 
 def q(x):
-    """Normalize a scalar: Fractions with denominator 1 become ints."""
+    """Normalize a scalar: Fractions with denominator 1 become ints; a bool is
+    not a scalar."""
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
-    if isinstance(x, int):
+    if isinstance(x, int) and type(x) is not bool:
         return x
     raise TypeError(f"not an exact scalar: {x!r}")
 
@@ -99,11 +100,15 @@ def _combine(a, f, b):
 
 def _add_rows(acc, scale, pairs, rows):
     """acc += scale * sum of v * rows[l] over the (l, v) in pairs; rows are
-    sparse.  Returns acc."""
+    sparse.  An empty rows[l] is skipped and a unit scale is not multiplied
+    in, so the work follows the nonzeros.  Returns acc."""
+    unit = scale == 1
     for l, v in pairs:
-        f = scale * v
-        for k, w in rows[l]:
-            acc[k] = acc.get(k, 0) + f * w
+        row = rows[l]
+        if row:
+            f = v if unit else scale * v
+            for k, w in row:
+                acc[k] = acc.get(k, 0) + f * w
     return acc
 
 
@@ -128,7 +133,8 @@ def transpose_rows(cols, n):
 class Matrix:
     """Immutable matrix with exact rational entries, stored as its canonical
     sparse columns: per column the nonzero (row, value) pairs, rows ascending.
-    The dense rows `entries` and the sparse rows are views, built on first read."""
+    The dense rows `entries` and the sparse rows are views, built on first read.
+    `cols` is the width of a matrix given no rows; given rows must have it."""
 
     __slots__ = ("rows", "cols", "_scols", "_entries", "_srows")
 
@@ -136,6 +142,8 @@ class Matrix:
         scols, i = None, -1
         for i, row in enumerate(entries):
             if scols is None:
+                if cols is not None and len(row) != cols:
+                    raise DimensionMismatch(f"row of length {len(row)}, wanted {cols} columns")
                 scols = [[] for _ in row]
             elif len(row) != len(scols):
                 raise DimensionMismatch("ragged rows")

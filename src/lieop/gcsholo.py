@@ -369,13 +369,15 @@ def gcs_lie_check(g: LieAlgebra, N, r: Matrix, sigma2: Matrix) -> bool:
     sharp, flat = r_sharp(r), r_sharp(sigma2)
     if sharp.shape() != (g.dim, g.dim) or flat.shape() != (g.dim, g.dim):
         raise DimensionMismatch("component dimensions do not match the algebra")
-    co = coadjoint(g)
-    verdict = gcs_check_direct(co, N, sharp, flat, N.transpose())
+    co, nt = coadjoint(g), N.transpose()
+    verdict = gcs_check_direct(co, N, sharp, flat, nt)
     if verdict:
+        # J = [[N, r-sharp], [sigma-flat, -N*]], glued column by column
         d = g.dim
-        rows = [N.row(i) + sharp.row(i) for i in range(d)]
-        rows += [flat.row(i) + tuple(-v for v in N.transpose().row(i)) for i in range(d)]
-        J = Matrix(rows, cols=2 * d)
+        J = Matrix._of(2 * d, 2 * d, tuple(
+            top + tuple((i + d, v) for i, v in bottom)
+            for top, bottom in zip(N.sparse_cols() + sharp.sparse_cols(),
+                                   flat.sparse_cols() + (-nt).sparse_cols())))
         orthogonal = all(_pairing(J.col(u), J.col(v), d)
                          == _pairing(_unit(2 * d, u), _unit(2 * d, v), d)
                          for u in range(2 * d) for v in range(u, 2 * d))

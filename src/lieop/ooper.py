@@ -4,11 +4,15 @@ transformations by 1-cocycles, Marsden-Ratiu style reduction, compatible
 pairs, and the associated pre-Lie products.
 
 The O-identity is coded once, as the form O(A, B)(m, n) = [Am, Bn] - A([m, n]^B)
-of `o_form`, read from the sparse rows P[i][j] = T(m_i) . m_j of `o_product`:
-O(T, T) is the O-identity, read on every pair by `o_residual` and up to the first
-failing one by `o_defect` (behind `is_o_operator`, `graph_oracle` and `OOperator`),
-and O(T1, T2) + O(T2, T1) the mixed term of compatible pairs; `OOperator` keeps
-P, so what is built from a validated operator reads it again.
+of `o_form`, read on the pair (m_i, m_j) from the two sparse entries P[i][j] and
+P[j][i] of P[i][j] = T(m_i) . m_j, each built by `_o_entry`.  O(T, T) is the
+O-identity, read on every pair by `o_residual` and up to the first failing one
+by `o_defect` (behind `is_o_operator`, `graph_oracle` and `OOperator`); given no
+table, they build the two entries of each pair they visit, so a rejection stops
+after those of its failing pair.  O(T1, T2) + O(T2, T1) is the mixed term of
+compatible pairs.  The whole table `o_product` is built only where P is kept
+and read again: `OOperator` keeps it, so what is built from a validated
+operator reads it again.
 P is also the pre-Lie product of T, and P - P^t the bracket tensor of M^T
 (`induced_tensor`), which every bracket fact about M^T compares.  A bivector is
 its antisymmetric Matrix r, r[i, j] = r^{ij} (`bivector`), read only through
@@ -43,48 +47,57 @@ from .liecore import (
 )
 
 
+def _o_entry(ti, rows):
+    """P[i][j] = T(m_i) . m_j as sparse pairs, for ti column i of T and rows the
+    action on m_j, `rep.by_col[j]`."""
+    return tuple((k, v) for k, v in _add_rows({}, 1, ti, rows).items() if v)
+
+
 def o_product(rep: Representation, T):
     """The sparse rows P[i][j] = T(m_i) . m_j, the pre-Lie product of T."""
     _check_t_shape(rep, T)
-    out = []
-    for ti in T.sparse_cols():
-        row = []
-        for rows in rep.by_col:
-            acc = {}
-            _add_rows(acc, 1, ti, rows)
-            row.append(tuple((k, v) for k, v in acc.items() if v))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(_o_entry(ti, rows) for rows in rep.by_col) for ti in T.sparse_cols())
 
 
-def o_form(acc, g, A, B, P_B, i, j):
-    """acc += O(A, B)(m_i, m_j) = [A m_i, B m_j] - A([m_i, m_j]^B), for P_B the
-    o_product of B.  O(T, T) is the O-identity of T; O(A, B) + O(B, A) is the
-    mixed term of that of A + B."""
+def o_form(acc, g, A, B, pij, pji, i, j):
+    """acc += O(A, B)(m_i, m_j) = [A m_i, B m_j] - A([m_i, m_j]^B), for pij and
+    pji the entries P_B[i][j] and P_B[j][i] of the o_product of B.  O(T, T) is
+    the O-identity of T; O(A, B) + O(B, A) is the mixed term of that of A + B."""
     a, bj = A.sparse_cols(), B.sparse_cols()[j]
     for k, v in a[i]:
         _add_rows(acc, v, bj, g.s[k])
-    _add_rows(acc, -1, P_B[i][j], a)
-    _add_rows(acc, 1, P_B[j][i], a)
+    _add_rows(acc, -1, pij, a)
+    _add_rows(acc, 1, pji, a)
     return acc
+
+
+def _o_identity(rep: Representation, T, p):
+    """(i, j, O(T, T)(m_i, m_j)) for each basis pair i < j in turn, its two
+    entries of P read from p when given, else built for the pair alone."""
+    _check_t_shape(rep, T)
+    g, tcols, by_col = rep.algebra, T.sparse_cols(), rep.by_col
+    for i, j in combinations(range(rep.dim_m), 2):
+        if p is None:
+            pij, pji = _o_entry(tcols[i], by_col[j]), _o_entry(tcols[j], by_col[i])
+        else:
+            pij, pji = p[i][j], p[j][i]
+        yield i, j, o_form({}, g, T, T, pij, pji, i, j)
 
 
 def o_residual(rep: Representation, T, p=None):
     """Defect [Tm, Tn] - T(Tm.n - Tn.m) for every basis pair m < n; p is the
-    o_product of T, built here when not given."""
-    g, p = rep.algebra, o_product(rep, T) if p is None else p
-    return {(i, j): _dense(o_form({}, g, T, T, p, i, j), g.dim)
-            for i, j in combinations(range(rep.dim_m), 2)}
+    o_product of T, read when given."""
+    n = rep.algebra.dim
+    return {(i, j): _dense(acc, n) for i, j, acc in _o_identity(rep, T, p)}
 
 
 def o_defect(rep: Representation, T, p=None):
     """The first basis pair (i, j), i < j, with O(T, T)(m_i, m_j) nonzero and
-    that vector, or None for an O-operator; p as in `o_residual`."""
-    g, p = rep.algebra, o_product(rep, T) if p is None else p
-    for i, j in combinations(range(rep.dim_m), 2):
-        acc = o_form({}, g, T, T, p, i, j)
+    that vector, or None for an O-operator; p as in `o_residual`.  Without p a
+    rejection builds only the entries of P up to its failing pair."""
+    for i, j, acc in _o_identity(rep, T, p):
         if any(acc.values()):
-            return (i, j), _dense(acc, g.dim)
+            return (i, j), _dense(acc, rep.algebra.dim)
     return None
 
 
@@ -357,9 +370,10 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
 def mixed_residual(rep: Representation, T1, T2, p1, p2):
     """O(T1, T2) + O(T2, T1) for every basis pair m < n: the mixed term of the
     O-identity of T1 + T2, for p1 and p2 the o_products of T1 and T2."""
-    g, m = rep.algebra, rep.dim_m
-    return {(i, j): _dense(o_form(o_form({}, g, T1, T2, p2, i, j), g, T2, T1, p1, i, j), g.dim)
-            for i in range(m) for j in range(i + 1, m)}
+    g = rep.algebra
+    return {(i, j): _dense(o_form(o_form({}, g, T1, T2, p2[i][j], p2[j][i], i, j),
+                                  g, T2, T1, p1[i][j], p1[j][i], i, j), g.dim)
+            for i, j in combinations(range(rep.dim_m), 2)}
 
 
 def compatibility_defect(rep: Representation, T1, T2):

@@ -117,14 +117,17 @@ def _write(tmp_path, objects, *bundle_names):
 def test_check_invalid_o_operator_prints_the_deciding_witness(bundle_file, tmp_path, capsys,
                                                               monkeypatch):
     """The witness is the first failing pair of the walk that decided the
-    verdict: no full residual and one pre-Lie product."""
+    verdict: no full residual, no pre-Lie product table, and only the two
+    entries P[0][1] and P[1][0] of the failing pair (0, 1)."""
     p = _write(tmp_path, {"aff1_adj_id": {"kind": "o_operator", "rep_ref": "aff1_adj",
                                           "matrix": [["1", "0"], ["0", "1"]]}})
     residuals = _count(monkeypatch, ooper, "o_residual")
     products = _count(monkeypatch, ooper, "o_product")
+    entries = _count(monkeypatch, ooper, "_o_entry")
     code, out = run(capsys, "check", "o-operator", "aff1_adj_id", "--input", bundle_file, p)
     assert code == 1 and out.endswith("invalid first defect at (0, 1): ['0', '-1']\n")
-    assert len(residuals) == 0 and len(products) == 1
+    assert len(residuals) == 0 and len(products) == 0
+    assert [ti for ti, _ in entries] == [((0, 1),), ((1, 1),)]
 
 
 def test_check_incompatible_pair_computes_the_mixed_residual_once(bundle_file, tmp_path,
@@ -427,6 +430,21 @@ def _load_error(tmp_path, capsys, objects, *extra_inputs):
     assert code == 2 and len(lines) == 2, out
     assert lines[0].startswith("error:")
     return lines[1]
+
+
+@pytest.mark.parametrize("matrix, shape", [
+    ([["1", "0", "0"], ["0", "1", "0"]], "(2, 3)"),
+    ([], "(0, 2)"),
+    ([["1"], ["0"]], "(2, 1)"),
+], ids=["wide", "no-rows", "narrow"])
+def test_a_misshaped_matrix_keeps_its_workspace_error(matrix, shape, bundle_file, tmp_path,
+                                                      capsys):
+    """A matrix of the wrong width is a WorkspaceError naming both shapes, not
+    the library's DimensionMismatch: `cli.matrix` gives Matrix its width only
+    when there are no rows."""
+    line = _load_error(tmp_path, capsys, {"t": {"kind": "o_operator", "rep_ref": "aff1_adj",
+                                                "matrix": matrix}}, bundle_file)
+    assert line == f"  t: WorkspaceError: matrix has shape {shape}, expected (2, 2)"
 
 
 @pytest.mark.parametrize("triple", [

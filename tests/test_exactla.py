@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lieop.errors import DimensionMismatch, Singular
 from lieop.exactla import (
-    Matrix, invert, kernel, parse_scalar, q, rank, rref, rref_maps, scalar_str,
+    Matrix, _add_rows, _dense, _nonzero, invert, kernel, parse_scalar, q, rank, rref, rref_maps,
+    scalar_str,
 )
 from lieop.liecore import Subspace
 
@@ -33,6 +34,26 @@ def test_scalar_normalization():
     assert parse_scalar("-7") == -7
     assert scalar_str(Fraction(-1, 3)) == "-1/3"
     assert scalar_str(Fraction(8, 4)) == "2"
+
+
+def test_a_bool_is_not_a_scalar():
+    """q refuses a bool after its int and Fraction fast paths, so a Matrix
+    cannot keep True as an entry and write it as "True"."""
+    for x in (True, False):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            q(x)
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            Matrix([[x, 0]])
+    assert q(1) == 1 and Matrix([[1, 0]]).entries == ((1, 0),)
+
+
+def test_a_given_width_must_match_the_rows():
+    """`cols` is the width of a matrix with no rows and must match given rows."""
+    assert Matrix([], cols=3).shape() == (0, 3)
+    assert Matrix([[1, 2]], cols=2).shape() == (1, 2)
+    for rows in ([[1, 2]], [[1, 2, 3, 4]], [[]]):
+        with pytest.raises(DimensionMismatch, match="wanted 3 columns"):
+            Matrix(rows, cols=3)
 
 
 def test_invert_examples():
@@ -410,3 +431,39 @@ def test_row_reduction_matches_sympy():
                 assert repr(invert(A)) == repr(Matrix(
                     [[_to_exact(inv[i, j]) for j in range(n)] for i in range(n)]))
     assert 0 < singular < 20
+
+
+def reference_add_rows(acc, scale, pairs, rows, n):
+    """acc + scale * sum of v * rows[l], as a dense length-n sum."""
+    out = [acc.get(k, 0) for k in range(n)]
+    for l, v in pairs:
+        row = dict(rows[l])
+        for k in range(n):
+            out[k] += scale * v * row.get(k, 0)
+    return tuple(map(q, out))
+
+
+@st.composite
+def add_rows_cases(draw):
+    """(acc, scale, pairs, rows, n): rows are canonical sparse rows of length n,
+    some of them empty, and pairs name rows by index."""
+    n = draw(st.integers(1, 5))
+    sparse = st.lists(st.just(0) | scalars, min_size=n, max_size=n).map(_nonzero)
+    rows = draw(st.lists(st.just(()) | sparse, min_size=1, max_size=5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), scalars), max_size=6))
+    acc = {k: v for k, v in enumerate(draw(st.lists(scalars, min_size=n, max_size=n))) if v}
+    return acc, draw(st.sampled_from((1, Fraction(1), -1, 0, Fraction(3, 2)))), pairs, rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(add_rows_cases())
+@example(case=({}, 1, [(0, 2), (1, 3)], [(), ((0, 1),)], 2))                 # an empty row
+@example(case=({0: 1}, Fraction(1), [(0, Fraction(1, 4))], [((0, 4), (1, 2))], 2))  # unit Fraction
+@example(case=({1: -1}, 0, [(0, 5)], [((1, 1),)], 2))                         # scale 0
+def test_add_rows_matches_the_dense_sum(case):
+    """The kernel skips empty rows and a unit scale; its sums are the dense ones."""
+    acc, scale, pairs, rows, n = case
+    want = reference_add_rows(acc, scale, pairs, rows, n)
+    got = dict(acc)
+    assert _add_rows(got, scale, pairs, rows) is got
+    assert _dense(got, n) == want

@@ -147,6 +147,19 @@ def test_the_gl3_verdicts_build_no_dense_matrix_view(monkeypatch):
     assert built == ["test_the_gl3_verdicts_build_no_dense_matrix_view"]
 
 
+def test_an_accepting_gcs_lie_check_glues_j_from_sparse_columns(monkeypatch):
+    """gcs_lie_check glues J = [[N, r-sharp], [sigma-flat, -N*]] from sparse
+    columns: on every accepted GCS on a Lie algebra of the bundle, and inside
+    the holomorphic r-matrix check, no dense view is built through `Matrix.row`;
+    the block route's `_rows` is the only reader left."""
+    ws = Workspace.load([bundle()])
+    built = _count_dense_views(monkeypatch)
+    checks = [gcs_lie_check(*e.value) for e in ws.entries.values() if e.kind == "gcs_lie"]
+    checks.append(is_holomorphic_r(*ws.get("ab4_holo_r", "holo_r").value))
+    assert checks == [True] * 3
+    assert set(built) <= {"_rows"}
+
+
 # --- subspaces ---------------------------------------------------------------
 
 def test_a_subspace_keeps_the_rref_of_its_vectors():

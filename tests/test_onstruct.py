@@ -407,9 +407,10 @@ def test_hierarchy_o_identity_count(monkeypatch):
 
 
 def test_hierarchy_builds_each_member_product_once(monkeypatch):
-    """hierarchy(h3_on, 6) builds 31 o_products: 3 in the ON check, one per
-    member T_0..T_6, read by every mixed residual and bracket, and one for each
-    of the 21 sums T_k + T_l of the compatibility oracle."""
+    """hierarchy(h3_on, 6) builds 10 o_products: 3 in the ON check and one per
+    member T_0..T_6, read by every mixed residual and bracket.  The 21 sums
+    T_k + T_l of the compatibility oracle build none: their O-identity reads
+    the two entries of each pair it visits."""
     args = Workspace.load([bundle()]).get("h3_on", "on_structure").value
     calls = []
     original = ooper.o_product
@@ -421,7 +422,7 @@ def test_hierarchy_builds_each_member_product_once(monkeypatch):
     monkeypatch.setattr(ooper, "o_product", counted)
     monkeypatch.setattr(onstruct, "o_product", counted)
     hierarchy(*args, 6)
-    assert len(calls) == 3 + 7 + 21 == 31
+    assert len(calls) == 3 + 7 == 10
 
 
 def test_pn_structure():

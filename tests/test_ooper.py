@@ -679,3 +679,74 @@ def test_coadjoint_o_residual_is_half_the_schouten_bracket(data):
     for (a, b), defect in residual.items():
         for c in range(n):
             assert defect[c] == Fraction(1, 2) * _signed_entry(br, a, b, c)
+
+
+def _first_nonzero(residual):
+    """The first (pair, vector) of a residual with a nonzero vector, or None."""
+    return next(((key, v) for key, v in residual.items() if not is_zero_vec(v)), None)
+
+
+# the entries of the int draws and of the Fraction draws
+DRAW_VALUES = ((-1, 1, 2), (-1, 1, 2, Fraction(1, 2), Fraction(-3, 4)))
+
+
+def test_per_pair_o_defect_matches_the_full_table_residual():
+    """o_defect builds the two entries of P of each pair it visits; its first
+    failing pair and witness are those of the full-table o_residual and of the
+    plain basis loop, on seeded int and Fraction draws over every bundle module
+    and the adjoint and coadjoint modules of gl(3)."""
+    ws = Workspace.load([bundle()])
+    reps = [e.value for e in ws.entries.values() if e.kind == "representation"]
+    reps += [adjoint(gl(3)), coadjoint(gl(3))]
+    rng = random.Random(29)
+    seen = set()
+    for rep in reps:
+        d, m = rep.algebra.dim, rep.dim_m
+        for draw in range(24):
+            values, density = DRAW_VALUES[draw % 2], rng.choice((0.05, 0.2, 0.6))
+            T = Matrix([[rng.choice(values) if rng.random() < density else 0
+                         for _ in range(m)] for _ in range(d)])
+            p = ooper.o_product(rep, T)
+            defect = ooper.o_defect(rep, T)
+            assert defect == _first_nonzero(o_residual(rep, T, p))
+            assert defect == _first_nonzero(reference_o_residual(rep, T))
+            assert o_residual(rep, T) == o_residual(rep, T, p)
+            seen.add("valid" if defect is None else "later pair" if defect[0] != (0, 1)
+                     else "first pair")
+            if any(type(v) is Fraction for col in T.sparse_cols() for _, v in col):
+                seen.add("fraction")
+    assert seen == {"valid", "first pair", "later pair", "fraction"}
+
+
+def test_o_defect_refuses_a_misshaped_operator_without_pairs():
+    """The shape check runs before the pair walk, so a module of dimension 0 or
+    1, which has no pairs, still refuses a T of the wrong shape."""
+    g = aff1()
+    for m in (0, 1):
+        rep = trivial_rep(g, m)
+        for T in (Matrix.zeros(3, m), Matrix.zeros(2, m + 1)):
+            for check in (ooper.o_defect, o_residual, is_o_operator):
+                with pytest.raises(DimensionMismatch):
+                    check(rep, T)
+        assert ooper.o_defect(rep, Matrix.zeros(2, m)) is None
+
+
+def test_the_o_identity_builds_only_the_entries_it_reads(monkeypatch):
+    """On h3's adjoint module the identity fails at pair (0, 1): the rejection
+    builds P[0][1] and P[1][0] only.  An O-operator's full pass builds the
+    m(m - 1) = 6 off-diagonal entries, each once, and no o_product table."""
+    rep = adjoint(h3())
+    entries, tables = [], []
+    entry, table = ooper._o_entry, ooper.o_product
+    monkeypatch.setattr(ooper, "_o_entry", lambda ti, rows: entries.append((ti, rows))
+                        or entry(ti, rows))
+    monkeypatch.setattr(ooper, "o_product", lambda *a: tables.append(a) or table(*a))
+    assert ooper.o_defect(rep, Matrix.identity(3))[0] == (0, 1)
+    cols = Matrix.identity(3).sparse_cols()
+    assert entries == [(cols[0], rep.by_col[1]), (cols[1], rep.by_col[0])]
+    entries.clear()
+    assert is_o_operator(rep, H3_T)
+    cols = H3_T.sparse_cols()
+    assert entries == [e for i, j in itertools.combinations(range(3), 2)
+                       for e in ((cols[i], rep.by_col[j]), (cols[j], rep.by_col[i]))]
+    assert len(entries) == 6 and tables == []

@@ -133,3 +133,15 @@ def test_input_checks_read_no_builder():
     found = {name: sorted(_names_in("liecore.py", name) & {"transport", "morphism_defect"})
              for name in CLOSURE_CHECKS}
     assert found == {name: [] for name in CLOSURE_CHECKS}
+
+
+# the walks of the O-identity, which build the entries of P a pair reads
+O_IDENTITY_WALKS = ("o_defect", "o_residual", "mixed_residual", "_o_identity")
+
+
+def test_the_o_identity_walks_build_no_product_table():
+    """The O-identity reads the two entries of P of each pair, built for the pair
+    or taken from a table a caller keeps: no walk names `o_product`, so a
+    rejection cannot go back to building all m^2 entries before its first pair."""
+    found = {name: "o_product" in _names_in("ooper.py", name) for name in O_IDENTITY_WALKS}
+    assert found == {name: False for name in O_IDENTITY_WALKS}
