@@ -120,6 +120,15 @@ def _dense(acc, n):
     return tuple(out)
 
 
+def dense_rows(cols, n):
+    """The dense rows of the n-row matrix with sparse columns `cols`."""
+    out = [[0] * len(cols) for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, v in col:
+            out[i][j] = v
+    return tuple(map(tuple, out))
+
+
 def transpose_rows(cols, n):
     """The sparse rows of the n-row matrix with sparse columns `cols`:
     out[t] holds the (r, v) with (t, v) in cols[r], r ascending."""
@@ -194,11 +203,7 @@ class Matrix:
     def entries(self):
         """The dense rows, a view built on first read."""
         if self._entries is None:
-            out = [[0] * self.cols for _ in range(self.rows)]
-            for j, col in enumerate(self._scols):
-                for i, v in col:
-                    out[i][j] = v
-            self._entries = tuple(map(tuple, out))
+            self._entries = dense_rows(self._scols, self.rows)
         return self._entries
 
     def __getitem__(self, ij):

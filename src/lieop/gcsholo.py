@@ -29,7 +29,7 @@ from operator import mul
 from .errors import (
     DimensionMismatch, InvalidGCS, NotComplexPair, NotComplexStructure, oracle, theorem,
 )
-from .exactla import Matrix, invert, vec_add, vec_sub
+from .exactla import Matrix, dense_rows, invert, vec_add, vec_sub
 from .liecore import (
     LieAlgebra, Representation, _unit, _units, coadjoint, contract,
     direct_sum_map, semidirect,
@@ -43,13 +43,14 @@ from .ooper import OOperator, is_o_operator, r_sharp
 def _rows(x, shape):
     """The rows of a block component, checked against its (rows, cols) shape.
 
-    A tuple is the fast path: its rows are used as they are, tuples or not.
+    A tuple is the fast path: its rows are used as they are, tuples or not; a
+    Matrix's rows are read off its sparse columns, not its dense view.
     """
     if type(x) is not tuple:
         if isinstance(x, Matrix):
             if x.shape() != shape:
                 raise DimensionMismatch(f"component has shape {x.shape()}, wanted {shape}")
-            return x.entries
+            return dense_rows(x.sparse_cols(), x.rows)
         x = tuple(tuple(row) for row in x)
     nr, nc = shape
     if len(x) != nr:

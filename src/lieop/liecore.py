@@ -13,11 +13,11 @@ built from rows: `block_rows` glues two algebras acting on each other (the
 semi-direct product, the twilled algebra, the lifted deformation), `adjoint`
 reuses the algebra's rows, `dual_rep` transposes them, and a subalgebra, a
 quotient, a twilled splitting and a reduction read theirs through `transport`.
-The identities quadratic in a bracket read one cyclic form, `cyclic_form`, on
-the triples `reached_triples` gives: C(a, b) sums a(e_u, b(e_v, e_w)) over the
-cyclic orders of a triple, C(s, s) is the Jacobiator (a module's is that of
-g + M, which `semidirect` builds on first read) and C(a, b) + C(b, a) the
-mixed term of compatible brackets, Nijenhuis towers and module deformations.
+The identities quadratic in a bracket read one pass, `cyclic_sums`, that adds
+each nonzero path of the cyclic form C(a, b) once into its triple: C(s, s) is
+the Jacobiator (a module's is that of g + M, which `semidirect` builds on first
+read), C(a, b) + C(b, a) the mixed term of compatible brackets, Nijenhuis towers
+and module deformations, and `first_defect` the least failing triple.
 Every map that preserves a bilinear map is checked by one morphism form,
 `morphism_defect`.  Validators read rows only and walk the triples or pairs a
 nonzero constant reaches, and an algebra glued from validated blocks (a
@@ -108,35 +108,35 @@ def transport(s, A, B, P):
     return tuple(out)
 
 
-def cyclic_form(acc, a, b, i, j, k):
-    """acc += C(a, b)(e_i, e_j, e_k), the sum of a(e_u, b(e_v, e_w)) over the
-    cyclic orders (u, v, w) of (i, j, k), for sparse tensors a and b.  C(s, s) is
-    the Jacobiator of s; C(a, b) + C(b, a) is the mixed term of that of a + b."""
-    for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-        _add_rows(acc, 1, b[v][w], a[u])
-    return acc
+def cyclic_sums(a, b, split=0, sums=None):
+    """C(a, b) as {(i, j, k): {t: value}} on the triples i < j < k a term
+    a(e_u, b(e_v, e_w)) reaches, summed over the cyclic orders (u, v, w); C(s, s)
+    is the Jacobiator, and two passes into one `sums` give C(a, b) + C(b, a).
+    Each nonzero path (v < w, (l, c) in b[v][w], u with a[u][l] nonzero) adds
+    c a[u][l] to its sorted triple, negated when v < u < w as b must be skew, so
+    every other triple vanishes.  split > 0 keeps only i < split <= k."""
+    sums = {} if sums is None else sums
+    reach = [[(u, au[l]) for u, au in enumerate(a) if au[l]] for l in range(len(a))]
+    for v, bv in enumerate(b):
+        for w in range(v + 1, len(b)):
+            for l, c in bv[w]:
+                for u, row in reach[l]:
+                    if u == v or u == w:
+                        continue
+                    key, f = (((u, v, w), c) if u < v else ((v, u, w), -c) if u < w
+                              else ((v, w, u), c))
+                    if split and not key[0] < split <= key[2]:
+                        continue
+                    acc = sums.setdefault(key, {})
+                    for t, x in row:
+                        acc[t] = acc.get(t, 0) + f * x
+    return sums
 
 
-def mixed_form(a, b, i, j, k):
-    """C(a, b) + C(b, a) on one basis triple, for sparse tensors a and b."""
-    return cyclic_form(cyclic_form({}, a, b, i, j, k), b, a, i, j, k)
-
-
-def reached_triples(a, b):
-    """The triples i < j < k of distinct indices that a term a(e_u, b(e_v, e_w))
-    of C(a, b) reaches: some l in the support of b[v][w] has a[u][l] nonzero.
-    b must be skew, so the pairs v < w stand for both orders; on every other
-    triple of distinct indices C(a, b) vanishes term by term."""
-    return _reached(a, b, 0)
-
-
-def _reached(a, b, split):
-    """reached_triples(a, b); with split > 0 only i < split <= k, a glued walk's."""
-    d = len(a)
-    reach = [[u for u in range(d) if a[u][l]] for l in range(d)]
-    return {tuple(sorted((u, v, w))) for v in range(d) for w in range(v + 1, d)
-            for l, _ in b[v][w] for u in reach[l]
-            if u != v and u != w and (not split or v < split <= w or (u < split) != (v < split))}
+def first_defect(sums, keep=None):
+    """The least triple of `cyclic_sums` whose sum is nonzero (among those keep
+    accepts), or None: the first failure of a walk over the sorted triples."""
+    return min(filter(keep, [t for t, acc in sums.items() if any(acc.values())]), default=None)
 
 
 def contract(s, n, x, y):
@@ -239,20 +239,17 @@ class LieAlgebra:
         return dense(self.s, self.dim)
 
     def _validate(self, split=0):
-        """Skew symmetry, then Jacobi on the reached triples, sorted.  split > 0
-        marks block_rows of two validated algebras: only i < split <= k can fail."""
+        """Skew symmetry, then Jacobi on the reached triples, the least failing one
+        with its sum.  split > 0 marks block_rows of two validated algebras."""
         d, s = self.dim, self.s
         for i in range(0 if split else d):
             for j in range(i, d):
                 if s[i][j] != _neg(s[j][i]):
                     raise SkewViolation(i, j, _combine(s[i][j], 1, s[j][i])[0][0])
-        for i, j, k in sorted(_reached(s, s, split)):
-            if any(cyclic_form({}, s, s, i, j, k).values()):
-                raise JacobiViolation(i, j, k, self.jacobi_defect(i, j, k))
-
-    def jacobi_defect(self, i, j, k):
-        """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]], that is C(s, s)."""
-        return _dense(cyclic_form({}, self.s, self.s, i, j, k), self.dim)
+        sums = cyclic_sums(s, s, split)
+        bad = first_defect(sums)
+        if bad is not None:
+            raise JacobiViolation(*bad, _dense(sums[bad], d))
 
     def bracket_vec(self, x, y):
         """[x, y] for coordinate vectors x, y."""
@@ -313,13 +310,12 @@ class Representation:
         """M is a module exactly when g + M is Lie; only a triple
         (e_i, e_j, f_b) can fail, reported on the pair (i, j) with the defect
         rho_i rho_j - rho_j rho_i - rho([e_i, e_j]), the Jacobiators by column b."""
-        d, m, sd = self.algebra.dim, self.dim_m, semidirect(self)
-        try:
-            sd._validate(d)
-        except JacobiViolation as exc:
-            i, j, _ = exc.indices
-            raise RepViolation(i, j, Matrix.from_cols(
-                [sd.jacobi_defect(i, j, d + b)[d:] for b in range(m)])) from None
+        d, m, sd = self.algebra.dim, self.dim_m, semidirect(self).s
+        sums = cyclic_sums(sd, sd, d)
+        bad = first_defect(sums)
+        if bad is not None:
+            raise RepViolation(*bad[:2], Matrix.from_cols(
+                [_dense(sums.get((*bad[:2], d + b), {}), d + m)[d:] for b in range(m)]))
 
     def rho(self, x) -> Matrix:
         """Matrix of the action of the algebra element with coordinates x:

@@ -23,8 +23,8 @@ from .errors import (
 )
 from .exactla import Matrix, _add_rows, _dense, _neg, _row, invert
 from .liecore import (
-    LieAlgebra, Representation, block_rows, coadjoint, direct_sum_map, dual_rep, mixed_form,
-    morphism_defect, reached_triples, semidirect, sparse_cube, zero_rows,
+    LieAlgebra, Representation, block_rows, coadjoint, cyclic_sums, direct_sum_map, dual_rep,
+    first_defect, morphism_defect, semidirect, sparse_cube, zero_rows,
 )
 from .ooper import (
     _bivector_of, _bracket_rows, compatibility_defect, compatibility_oracle, induced_tensor,
@@ -89,8 +89,7 @@ def mixed_jacobi_defect(dim, a, b):
     """First basis triple i < j < k where C(a, b) + C(b, a) is nonzero, or None,
     for the sparse rows a and b of skew bracket tensors: the mu lam term of the
     Jacobiator of mu a + lam b."""
-    triples = sorted(reached_triples(a, b) | reached_triples(b, a))
-    return next((t for t in triples if any(mixed_form(a, b, *t).values())), None)
+    return first_defect(cyclic_sums(b, a, sums=cyclic_sums(a, b)))
 
 
 def nijenhuis_power_props(g: LieAlgebra, N, kmax: int) -> dict:
@@ -155,14 +154,10 @@ def is_infinitesimal_deformation(rep: Representation, d: DeformationData):
         return False, "bracket1_skew"
     mu = semidirect(rep).s
     mu1 = block_rows(s1, zero_rows(m, m), d.action1, zero_rows(m, dim))
-    # the mixed term of (mu1, mu1) is 2 C(mu1, mu1); each reached set is built
-    # once and read by the two conditions on it, on triples in g or (x, y, m)
-    mixed, square = reached_triples(mu, mu1) | reached_triples(mu1, mu), reached_triples(mu1, mu1)
-    for name, a, b, triples, with_m in (("two_cocycle", mu, mu1, mixed, False),
-                                        ("bracket1_jacobi", mu1, mu1, square, False),
-                                        ("action1_rep", mu1, mu1, square, True),
-                                        ("mixed_module", mu, mu1, mixed, True)):
-        if any(any(mixed_form(a, b, *t).values()) for t in triples if (t[2] >= dim) == with_m):
+    mixed, square = cyclic_sums(mu1, mu, sums=cyclic_sums(mu, mu1)), cyclic_sums(mu1, mu1)
+    for name, sums, with_m in (("two_cocycle", mixed, False), ("bracket1_jacobi", square, False),
+                               ("action1_rep", square, True), ("mixed_module", mixed, True)):
+        if first_defect(sums, lambda t: (t[2] >= dim) == with_m) is not None:
             return False, name
     return True, None
 

@@ -42,8 +42,8 @@ from .errors import (
 from .exactla import Matrix, _add_rows, _combine, _dense, _row, invert, is_zero_vec, kernel, q
 from .liecore import (
     LieAlgebra, Representation, Subspace, _first_outside, annihilator, block_rows, coadjoint,
-    cyclic_form, intersect, is_ideal, is_subalgebra, mixed_form, morphism_defect, quotient,
-    reached_triples, restrict_to_subalgebra, semidirect, sparse_cube, transport, zero_rows,
+    cyclic_sums, first_defect, intersect, is_ideal, is_subalgebra, morphism_defect, quotient,
+    restrict_to_subalgebra, semidirect, sparse_cube, transport, zero_rows,
 )
 
 
@@ -444,12 +444,11 @@ def _pre_lie_rows(p):
 
 def pre_lie_defect_tensor(dim, p):
     """First basis triple violating the left pre-Lie identity, or None; p is sparse.
-    The reached triples (i, j, dim + k) of `_pre_lie_rows` are visited in the order
-    of the cube i < j, k, so its first violating triple is returned; the
-    commutator's own triples are skipped, since they may fail first."""
+    The least failing (i, j, dim + k) of a glued pass over `_pre_lie_rows` is the
+    first of the cube i < j, k; the commutator's own triples, which may fail, are skipped."""
     rows = _pre_lie_rows(p)
-    return next(((i, j, k - dim) for i, j, k in sorted(reached_triples(rows, rows))
-                 if j < dim <= k and any(cyclic_form({}, rows, rows, i, j, k).values())), None)
+    bad = first_defect(cyclic_sums(rows, rows, dim), lambda t: t[1] < dim)
+    return None if bad is None else (bad[0], bad[1], bad[2] - dim)
 
 
 def pre_lie_from_o(rep: Representation, T) -> PreLieProduct:
@@ -464,8 +463,7 @@ def pre_lie_compatible(p1: PreLieProduct, p2: PreLieProduct) -> bool:
     if p1.dim != p2.dim:
         raise DimensionMismatch("pre-Lie products on different spaces")
     d, a, b = p1.dim, _pre_lie_rows(p1.s), _pre_lie_rows(p2.s)
-    direct = not any(any(mixed_form(a, b, i, j, k).values())
-                     for i, j, k in reached_triples(a, b) | reached_triples(b, a) if j < d <= k)
+    direct = first_defect(cyclic_sums(b, a, d, cyclic_sums(a, b, d)), lambda t: t[1] < d) is None
     sum_rows = tuple(tuple(_combine(x, 1, y) for x, y in zip(r1, r2))
                      for r1, r2 in zip(p1.s, p2.s))
     return oracle("pre-Lie compatibility", direct,

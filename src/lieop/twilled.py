@@ -17,6 +17,7 @@ is the O-identity of Omega over the second action (b acting on a), so it is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, one_cocycle_basis
@@ -31,8 +32,8 @@ from .ooper import induced_lie, is_o_operator, o_residual
 
 @dataclass
 class TwilledLieAlgebra:
-    """A Lie algebra with a chosen splitting into two subalgebras, in block
-    coordinates (a first, b second), together with the two mutual actions."""
+    """A Lie algebra split into two subalgebras, in block coordinates (a first,
+    b second), with the two mutual actions; `mu2`, of the second, is kept."""
 
     total: LieAlgebra
     dim_a: int
@@ -41,6 +42,10 @@ class TwilledLieAlgebra:
     b_algebra: LieAlgebra
     action1: Representation   # a acting on b
     action2: Representation   # b acting on a
+
+    @cached_property
+    def mu2(self):
+        return build_mu2(self.dim_a, self.dim_b, self.b_algebra, self.action2)
 
 
 def join(action1: Representation, action2: Representation) -> TwilledLieAlgebra:
@@ -125,8 +130,7 @@ def _cohomology_grids(tw: TwilledLieAlgebra, omega: Matrix):
     """(d_CE Omega, [Omega, Omega]_{mu2}) as per-pair grids via cohomology."""
     oc = Cochain.from_linmap(omega)
     dce = ce_differential(tw.action1, oc)
-    mu2 = build_mu2(tw.dim_a, tw.dim_b, tw.b_algebra, tw.action2)
-    der = derived_bracket(mu2, oc, oc, tw.dim_a, tw.dim_b)
+    der = derived_bracket(tw.mu2, oc, oc, tw.dim_a, tw.dim_b)
     da = tw.dim_a
     grid_d = {(i, j): dce.value((i, j))
               for i in range(da) for j in range(i + 1, da)}

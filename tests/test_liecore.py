@@ -1,11 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lieop import liecore, ooper
+from lieop import liecore, onstruct, ooper
 from lieop.errors import (
     DimensionMismatch, JacobiViolation, NotIdeal, NotSubalgebra, OracleDisagreement, RepViolation,
     SkewViolation,
@@ -18,6 +19,7 @@ from lieop.liecore import (
     restrict_to_subalgebra, semidirect, sparse, trivial_rep,
 )
 from lieop.ooper import mr_reduce
+from test_onstruct import _random_deformation
 
 
 def ab(n):
@@ -374,6 +376,39 @@ def test_jacobi_witness_matches_reference_triple_loop(case):
     assert ei.value.defect == want[1]
 
 
+def reference_cyclic_form(acc, a, b, i, j, k):
+    """The retired per-triple form: acc += C(a, b)(e_i, e_j, e_k), the sum of
+    a(e_u, b(e_v, e_w)) over the cyclic orders (u, v, w) of (i, j, k), reading
+    b on each order as given, skew or not."""
+    for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+        liecore._add_rows(acc, 1, b[v][w], a[u])
+    return acc
+
+
+def reference_reached(a, b, split=0):
+    """The retired triple walk: the sorted triples of the paths v < w, l in
+    b[v][w], u with a[u][l] nonzero; with split > 0 only i < split <= k."""
+    d = len(a)
+    return {tuple(sorted((u, v, w))) for v in range(d) for w in range(v + 1, d)
+            for l, _ in b[v][w] for u in range(d)
+            if a[u][l] and u != v and u != w
+            and (not split or v < split <= w or (u < split) != (v < split))}
+
+
+def reference_walk(pairs, split=0, keep=lambda t: True):
+    """The retired sorted walk: the first reached triple that keep accepts where
+    the sum of the per-triple form over the (a, b) in pairs is nonzero, with
+    that sum, or None."""
+    for t in sorted(set().union(*(reference_reached(a, b, split) for a, b in pairs))):
+        if keep(t):
+            acc = {}
+            for a, b in pairs:
+                reference_cyclic_form(acc, a, b, *t)
+            if any(acc.values()):
+                return t, acc
+    return None
+
+
 def reference_jacobi_check(d, c):
     """The validator over every triple: the skew check, then the cyclic form on
     each i < j < k in order; raises as LieAlgebra does."""
@@ -384,7 +419,7 @@ def reference_jacobi_check(d, c):
                 k = next(k for k in range(d) if c[i][j][k] != -c[j][i][k])
                 raise SkewViolation(i, j, k)
     for i, j, k in itertools.combinations(range(d), 3):
-        acc = liecore.cyclic_form({}, s, s, i, j, k)
+        acc = reference_cyclic_form({}, s, s, i, j, k)
         if any(acc.values()):
             raise JacobiViolation(i, j, k, liecore._dense(acc, d))
 
@@ -392,7 +427,7 @@ def reference_jacobi_check(d, c):
 def _outcome(build):
     try:
         build()
-    except (SkewViolation, JacobiViolation) as exc:
+    except (SkewViolation, JacobiViolation, RepViolation) as exc:
         return type(exc).__name__, exc.indices, getattr(exc, "defect", None)
     return "valid"
 
@@ -439,15 +474,18 @@ def test_jacobi_check_visits_only_reached_triples(monkeypatch):
     less the 176 inside gl(4), whose Jacobi identity gl(4) passed.  adjoint(g)
     is a module because g is Lie, so it walks none."""
     g = gl(4)
-    calls = []
-    form = liecore.cyclic_form
-    monkeypatch.setattr(liecore, "cyclic_form", lambda *a: calls.append(a[3:]) or form(*a))
+    passes = []
+    kernel = liecore.cyclic_sums
+    monkeypatch.setattr(liecore, "cyclic_sums",
+                        lambda *a, **k: passes.append(kernel(*a, **k)) or passes[-1])
     ab(40)
-    assert calls == []
-    assert semidirect(adjoint(g)).dim == 32 and calls == []
+    assert passes == [{}]
+    passes.clear()
+    assert semidirect(adjoint(g)).dim == 32 and passes == []
     rep = Representation(g, 16, adjoint(g).action)
-    assert len(calls) == len(set(calls)) == 564 and calls == sorted(calls)
-    assert all(i < 16 <= k for i, _, k in calls)
+    (sums,) = passes
+    assert len(sums) == 564 and all(i < 16 <= k for i, _, k in sums)
+    assert not any(any(acc.values()) for acc in sums.values())
     assert semidirect(rep).s == semidirect(adjoint(g)).s
 
 
@@ -465,36 +503,142 @@ def _random_rows(rng, rows, cols, n, density, skew=False):
     return tuple(map(tuple, out))
 
 
+def _random_pair(rng, kind):
+    """Seeded sparse rows (a, b, split, source) for the walks: skew tensors
+    (kind 0), the block rows of a random module (g, m, action rows) on a small
+    algebra (1), or those of a random product p's commutator acting by left
+    multiplication (2).  A module's and a product's rows are glued at split =
+    the algebra's dimension."""
+    if kind == 0:
+        d = rng.randint(3, 7)
+        b = _random_rows(rng, d, d, d, rng.choice((0.1, 0.3)), skew=True)
+        a = b if rng.random() < 0.5 else _random_rows(rng, d, d, d, 0.3, skew=True)
+        return a, b, 0, None
+    if kind == 1:
+        g = rng.choice((aff1(), h3(), sl2(), ab(3)))
+        m = rng.randint(1, 3)
+        act = _random_rows(rng, g.dim, m, m, rng.choice((0.2, 0.5)))
+        a = liecore.block_rows(g.s, liecore.zero_rows(m, m), act, liecore.zero_rows(m, g.dim))
+        return a, a, g.dim, (g, m, act)
+    n = rng.randint(1, 4)
+    p = _random_rows(rng, n, n, n, rng.choice((0.1, 0.3)))
+    return ooper._pre_lie_rows(p), ooper._pre_lie_rows(p), n, p
+
+
 def test_reached_triples_omit_only_vanishing_triples():
-    """C(a, b) vanishes on every triple of distinct indices that reached_triples
-    omits: over seeded sparse skew tensors, and over the block rows of random
-    modules and pre-Lie products, whether or not they are valid."""
+    """C(a, b) vanishes on every triple of distinct indices that cyclic_sums
+    omits, and it keeps exactly the retired walk's reached triples: over
+    seeded sparse skew tensors, and over the block rows of random modules and
+    pre-Lie products, whether or not they are valid."""
     rng = random.Random(23)
     omitted = nonzero = 0
     for _ in range(300):
-        kind = rng.randrange(3)
-        if kind == 0:
-            d = rng.randint(3, 7)
-            b = _random_rows(rng, d, d, d, rng.choice((0.1, 0.3)), skew=True)
-            a = b if rng.random() < 0.5 else _random_rows(rng, d, d, d, 0.3, skew=True)
-        elif kind == 1:
-            g = rng.choice((aff1(), h3(), sl2(), ab(3)))
-            m = rng.randint(1, 3)
-            act = _random_rows(rng, g.dim, m, m, rng.choice((0.2, 0.5)))
-            a = b = liecore.block_rows(g.s, liecore.zero_rows(m, m), act,
-                                       liecore.zero_rows(m, g.dim))
-        else:
-            n = rng.randint(1, 4)
-            a = b = ooper._pre_lie_rows(_random_rows(rng, n, n, n, rng.choice((0.1, 0.3))))
-        reached = liecore.reached_triples(a, b)
+        a, b, _, _ = _random_pair(rng, rng.randrange(3))
+        sums = liecore.cyclic_sums(a, b)
+        assert set(sums) == reference_reached(a, b)
         for t in itertools.combinations(range(len(a)), 3):
-            value = any(liecore.cyclic_form({}, a, b, *t).values())
-            if t in reached:
+            value = any(reference_cyclic_form({}, a, b, *t).values())
+            if t in sums:
                 nonzero += value
             else:
                 assert not value, t
                 omitted += 1
     assert omitted and nonzero
+
+
+def test_cyclic_sums_match_the_retired_per_triple_form():
+    """One pass per Jacobiator sums what the per-triple form sums: on seeded
+    skew tensors, module block rows and `_pre_lie_rows`, whole and as glued
+    walks, alone and as mixed pairs, every triple of distinct indices reads the
+    same value, the keys are the retired walk's reached triples and every
+    omitted triple vanishes.  Each reader then gives the retired walk's verdict
+    and witness: the JacobiViolation and RepViolation indices and defect,
+    mixed_jacobi_defect, pre_lie_defect_tensor, pre_lie_compatible and the
+    condition is_infinitesimal_deformation names."""
+    rng = random.Random(30)
+    seen = Counter()
+    products = {}
+    for _ in range(400):
+        kind = rng.randrange(3)
+        a, b, glue, source = _random_pair(rng, kind)
+        d = len(a)
+        for x, y in ((a, b), (b, a)):
+            for split in {0, glue}:
+                sums = liecore.cyclic_sums(x, y, split)
+                assert set(sums) == reference_reached(x, y, split)
+                for t in itertools.combinations(range(d), 3):
+                    if not split or t[0] < split <= t[2]:
+                        want = liecore._dense(reference_cyclic_form({}, x, y, *t), d)
+                        assert repr(liecore._dense(sums.get(t, {}), d)) == repr(want), t
+        mixed = liecore.cyclic_sums(b, a, sums=liecore.cyclic_sums(a, b))
+        for t in itertools.combinations(range(d), 3):
+            ref = reference_cyclic_form(reference_cyclic_form({}, a, b, *t), b, a, *t)
+            assert liecore._dense(mixed.get(t, {}), d) == liecore._dense(ref, d)
+        if kind == 0:
+            want = reference_walk([(a, a)])
+            got = _outcome(lambda: LieAlgebra.from_rows(d, a))
+            assert got == (want and ("JacobiViolation", want[0], liecore._dense(want[1], d))
+                           or "valid")
+            want = reference_walk([(a, b), (b, a)])
+            assert onstruct.mixed_jacobi_defect(d, a, b) == (want and want[0])
+            seen["jacobi", want is None] += 1
+        elif kind == 1:
+            g, m, act = source
+            want = reference_walk([(a, a)], glue)
+            got = _outcome(lambda: Representation.from_rows(g, m, act))
+            if want is None:
+                assert got == "valid"
+            else:
+                (i, j, _), cols = want[0], []
+                for c in range(m):
+                    acc = reference_cyclic_form({}, a, a, i, j, glue + c)
+                    cols.append(liecore._dense(acc, d)[glue:])
+                assert got == ("RepViolation", (i, j), Matrix.from_cols(cols))
+            seen["module", want is None] += 1
+        else:
+            want = reference_walk([(a, a)], keep=lambda t: t[1] < glue <= t[2])
+            assert ooper.pre_lie_defect_tensor(glue, source) == (
+                want and (want[0][0], want[0][1], want[0][2] - glue))
+            if want is None:
+                product = ooper.PreLieProduct.from_rows(glue, source)
+                products.setdefault(glue, []).append((a, product))
+            seen["pre-lie", want is None] += 1
+    for n, found in products.items():
+        for (a, p1), (b, p2) in itertools.combinations(found[:10], 2):
+            want = reference_walk([(a, b), (b, a)], keep=lambda t: t[1] < n <= t[2])
+            assert ooper.pre_lie_compatible(p1, p2) == (want is None)
+            seen["compatible", want is None] += 1
+    reps = [adjoint(g) for g in (aff1(), h3(), sl2())] + [coadjoint(h3()), coadjoint(sl2())]
+    for _ in range(300):
+        rep = rng.choice(reps)
+        data = _random_deformation(rng, rep)
+        want = reference_deformation_walk(rep, data)
+        assert onstruct.is_infinitesimal_deformation(rep, data) == want
+        seen["deformation", want] += 1
+    for what in ("jacobi", "module", "pre-lie", "compatible"):
+        assert seen[what, True] and seen[what, False], seen
+    assert {w for (what, w) in seen if what == "deformation"} == {
+        (True, None), (False, "bracket1_skew"), (False, "two_cocycle"),
+        (False, "bracket1_jacobi"), (False, "action1_rep"), (False, "mixed_module")}, seen
+
+
+def reference_deformation_walk(rep, data):
+    """The retired walk of is_infinitesimal_deformation: the four conditions in
+    order, each a sorted walk of the per-triple form over its reached triples."""
+    dim, m, s1 = rep.algebra.dim, rep.dim_m, data.bracket1
+    if any(s1[i][j] != tuple((k, -v) for k, v in s1[j][i])
+           for i in range(dim) for j in range(dim)):
+        return False, "bracket1_skew"
+    mu = semidirect(rep).s
+    mu1 = liecore.block_rows(s1, liecore.zero_rows(m, m), data.action1,
+                             liecore.zero_rows(m, dim))
+    for name, pairs, with_m in (("two_cocycle", [(mu, mu1), (mu1, mu)], False),
+                                ("bracket1_jacobi", [(mu1, mu1), (mu1, mu1)], False),
+                                ("action1_rep", [(mu1, mu1), (mu1, mu1)], True),
+                                ("mixed_module", [(mu, mu1), (mu1, mu)], True)):
+        if reference_walk(pairs, keep=lambda t: (t[2] >= dim) == with_m):
+            return False, name
+    return True, None
 
 
 def reference_rep_violation(g, mats):

@@ -6,6 +6,7 @@ reads it; and a glued Jacobi walk builds only the triples it checks."""
 
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -150,14 +151,14 @@ def test_the_gl3_verdicts_build_no_dense_matrix_view(monkeypatch):
 def test_an_accepting_gcs_lie_check_glues_j_from_sparse_columns(monkeypatch):
     """gcs_lie_check glues J = [[N, r-sharp], [sigma-flat, -N*]] from sparse
     columns: on every accepted GCS on a Lie algebra of the bundle, and inside
-    the holomorphic r-matrix check, no dense view is built through `Matrix.row`;
-    the block route's `_rows` is the only reader left."""
+    the holomorphic r-matrix check, no dense view is built: the block route's
+    `_rows` reads the rows of N, r-sharp, sigma-flat and N* off their columns."""
     ws = Workspace.load([bundle()])
     built = _count_dense_views(monkeypatch)
     checks = [gcs_lie_check(*e.value) for e in ws.entries.values() if e.kind == "gcs_lie"]
     checks.append(is_holomorphic_r(*ws.get("ab4_holo_r", "holo_r").value))
     assert checks == [True] * 3
-    assert set(built) <= {"_rows"}
+    assert built == []
 
 
 # --- subspaces ---------------------------------------------------------------
@@ -246,19 +247,21 @@ def test_a_module_builds_its_semidirect_product_only_when_read(monkeypatch):
 
 
 def test_a_glued_walk_builds_only_the_triples_it_checks(monkeypatch):
-    """The module given by gl(4)'s adjoint matrices builds the 564 triples that
-    meet g and M, not the 740 reached ones, and walks each once."""
+    """The module given by gl(4)'s adjoint matrices builds, in one pass, the
+    564 triples that meet g and M, not the 740 reached ones, each with the
+    sum the whole walk gives it."""
     g = gl(4)
     built = []
-    reached = liecore._reached
-    monkeypatch.setattr(liecore, "_reached",
-                        lambda a, b, split: built.append(reached(a, b, split)) or built[-1])
+    kernel = liecore.cyclic_sums
+    monkeypatch.setattr(liecore, "cyclic_sums",
+                        lambda *a, **k: built.append(kernel(*a, **k)) or built[-1])
     rep = Representation(g, 16, adjoint(g).action)
-    (triples,) = built
-    assert len(triples) == 564 and all(i < 16 <= k for i, _, k in triples)
+    (sums,) = built
+    assert len(sums) == 564 and all(i < 16 <= k for i, _, k in sums)
     sd = liecore.semidirect(rep).s
-    assert triples == {t for t in liecore.reached_triples(sd, sd) if t[0] < 16 <= t[2]}
-    assert len(liecore.reached_triples(sd, sd)) == 740
+    whole = kernel(sd, sd)
+    assert len(whole) == 740
+    assert sums == {t: acc for t, acc in whole.items() if t[0] < 16 <= t[2]}
 
 
 def test_no_module_names_the_removed_forms():
@@ -266,5 +269,7 @@ def test_no_module_names_the_removed_forms():
     for path in src.glob("*.py"):
         text = path.read_text(encoding="utf-8")
         assert "Bivector" not in text and "rref_rows" not in text, path
+        assert not re.search(r"\b(reached_triples|cyclic_form|mixed_form|jacobi_defect)\b",
+                             text), path
     assert not hasattr(ooper, "Bivector") and not hasattr(ooper, "bivector_from_sharp")
     assert lieop.bivector is ooper.bivector and not hasattr(lieop, "Bivector")

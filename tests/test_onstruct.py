@@ -225,16 +225,14 @@ def test_infinitesimal_deformation_matches_reference_loops():
 def test_quadratic_identities_walk_no_triple_of_an_abelian_algebra(monkeypatch):
     """Every reader of the cyclic form walks only the triples a nonzero constant
     reaches, so on an abelian dim-40 algebra with a one-dimensional trivial
-    module none of them evaluates it; and the semi-direct product is the one
+    module every pass accumulates none; and the semi-direct product is the one
     the module was validated with."""
     g = LieAlgebra.from_rows(40, zero_rows(40, 40))
     calls = []
-    form = liecore.cyclic_form
-    # raising=False: onstruct reads the form through liecore.mixed_form and
-    # binds no name of its own
+    kernel = liecore.cyclic_sums
     for module in (liecore, ooper, onstruct):
-        monkeypatch.setattr(module, "cyclic_form", lambda *a: calls.append(a[3:]) or form(*a),
-                            raising=False)
+        monkeypatch.setattr(module, "cyclic_sums",
+                            lambda *a, **k: calls.extend(out := kernel(*a, **k)) or out)
     rep = trivial_rep(g, 1)
     ident = Matrix.identity(40)
     assert ooper.pre_lie_from_o(adjoint(g), ident).dim == 40
@@ -242,6 +240,7 @@ def test_quadratic_identities_walk_no_triple_of_an_abelian_algebra(monkeypatch):
     assert all(nijenhuis_power_props(g, ident, 3).values())
     assert onstruct.mixed_jacobi_defect(40, g.s, g.s) is None
     assert calls == []
+    assert onstruct.mixed_jacobi_defect(3, sl2().s, sl2().s) is None and (0, 1, 2) in calls
     validated = []
     monkeypatch.setattr(LieAlgebra, "_validate", lambda self: validated.append(self))
     assert semidirect(rep).dim == 41 and validated == []

@@ -126,6 +126,25 @@ def test_mc_trivial_cases():
         assert ok  # everything vanishes on an abelian pair with zero actions
 
 
+def test_a_twilled_algebra_builds_its_mu2_once(monkeypatch):
+    """mc_check and strong_mc_check on one twilled algebra, over accepted and
+    rejected candidates, build mu2 once, the cochain build_mu2 gives; another
+    algebra builds its own."""
+    built = []
+    build = twilled.build_mu2
+    monkeypatch.setattr(twilled, "build_mu2", lambda *a: built.append(a) or build(*a))
+    tw = twilled_from_o(adjoint(aff1()), AFF1_T)
+    verdicts = [(mc_check(tw, om)[0], strong_mc_check(tw, om)[0])
+                for om in (Matrix.zeros(2), Matrix([[1, 2], [0, -1]]))]
+    assert verdicts == [(True, True), (False, False)] and len(built) == 1
+    assert tw.mu2 is tw.mu2
+    assert tw.mu2.values == build(tw.dim_a, tw.dim_b, tw.b_algebra, tw.action2).values
+    other = twilled_from_o(adjoint(aff1()), AFF1_T)
+    assert "mu2" not in vars(other)
+    assert strong_mc_check(other, Matrix.zeros(2))[0]
+    assert len(built) == 2
+
+
 def test_mc_oracle_agreement_random():
     rep = adjoint(aff1())
     tw = twilled_from_o(rep, AFF1_T)
