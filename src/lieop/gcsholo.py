@@ -7,10 +7,15 @@ component identities) are an oracle pair, compared through `errors.oracle`.
 Both reject as early as the algebra allows: almost every tuple fails the
 g x g block of J^2 = -id, N^2 + T sigma = -id, which reads neither S nor
 the module action, so each route checks it first and stops at the first
-nonzero residual.  For sweeps with (N, T) fixed, `gcs_direct_grid` and
-`gcs_components_grid` run a route over every (sigma, S) of a product in one
-call: what reads only (N, T) runs once, the g x g block once per sigma.
-They share each identity's code with the single-tuple checks.
+nonzero residual.  Each single-tuple check keeps its last (N, T, sigma)
+prefix on the module (`_prefix`): the checked rows and that route's g x g
+verdict, read back by a call with the same N, T and sigma objects, which
+then checks only S.  Only frozen blocks are kept, a Matrix or a tuple of
+tuples; a block with list rows is read again on every call.  Exhaustive
+sweeps with (N, T) fixed go through `gcs_direct_grid` and
+`gcs_components_grid`, which run a route over every (sigma, S) of a product
+in one call: what reads only (N, T) runs once, the g x g block once per
+sigma.  They share each identity's code with the single-tuple checks.
 
 Integrable = Nijenhuis on g x M: given J J = -id, the direct route checks J
 with `onstruct.is_nijenhuis` on the semi-direct product.  A complex structure
@@ -107,16 +112,42 @@ def _direct_tail(sd, Nr, Tr, Gr, Sr):
     return is_nijenhuis(sd, Matrix(J))[0]
 
 
+def _frozen(x):
+    """A block the module may keep: a Matrix, or a tuple whose rows are tuples."""
+    return isinstance(x, Matrix) or (type(x) is tuple and all(type(row) is tuple for row in x))
+
+
+def _prefix(route, rep, N, T, sigma, S, kernel):
+    """([Nr, Tr, Gr, g x g verdict, slot], Sr): the checked rows of the four
+    blocks and the route's g x g verdict by kernel (_j_square_gg, or (53) by
+    _product_sum_is), the slot None until the route fills it.  The module
+    keeps the prefix of each route's last frozen (N, T, sigma) and returns it
+    for the same N, T, sigma and kernel objects; S is checked on every call,
+    before any verdict.
+    """
+    last, m = rep._gcs.get(route), rep.dim_m
+    if (last is not None and last[0] is N and last[1] is T and last[2] is sigma
+            and last[3] is kernel):
+        return last[4], _rows(S, (m, m))
+    d = rep.algebra.dim
+    Nr, Tr, Gr = _rows(N, (d, d)), _rows(T, (d, m)), _rows(sigma, (m, d))
+    Sr = _rows(S, (m, m))
+    holds = kernel(Nr, Tr, Gr, d) if route == "direct" else kernel(Nr, Nr, Tr, Gr, d, 1)
+    prefix = [Nr, Tr, Gr, holds, None]
+    if _frozen(N) and _frozen(T) and _frozen(sigma):
+        rep._gcs[route] = (N, T, sigma, kernel, prefix)
+    return prefix, Sr
+
+
 def gcs_check_direct(rep: Representation, N, T, sigma, S) -> bool:
     """J = [[N, T], [sigma, -S]] is almost complex and integrable on g + M.
 
-    The g x g block of J J, which does not read S, goes first; every check
-    stops at the first nonzero residual.
+    The g x g block of J J, which does not read S, goes first, decided once
+    per (N, T, sigma) prefix (see _prefix); every check stops at the first
+    nonzero residual.
     """
-    d, m = rep.algebra.dim, rep.dim_m
-    Nr, Tr = _rows(N, (d, d)), _rows(T, (d, m))
-    Gr, Sr = _rows(sigma, (m, d)), _rows(S, (m, m))
-    return _j_square_gg(Nr, Tr, Gr, d) and _direct_tail(semidirect(rep), Nr, Tr, Gr, Sr)
+    prefix, Sr = _prefix("direct", rep, N, T, sigma, S, _j_square_gg)
+    return prefix[3] and _direct_tail(semidirect(rep), *prefix[:3], Sr)
 
 
 def gcs_direct_grid(rep: Representation, N, T, sigmas, Ss) -> list:
@@ -248,17 +279,18 @@ def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
     report=True every identity runs, and the result is (verdict, the failed
     identities in that order).
     """
-    d, m = rep.algebra.dim, rep.dim_m
-    Nr, Tr = _rows(N, (d, d)), _rows(T, (d, m))
-    Gr, Sr = _rows(sigma, (m, d)), _rows(S, (m, m))
-    failed = []
-    # (53) N^2 + T sigma = -id: the g x g block, the cheapest rejector
-    if not _product_sum_is(Nr, Nr, Tr, Gr, d, 1):
-        if not report:
-            return False
-        failed.append(53)
-    ok = (_s_blocks(Nr, _neg(Nr), Tr, Gr, Sr, failed, report)
-          and _components_tail(_t_context(rep, Nr, Tr), Nr, Tr, Gr, Sr, failed, report))
+    # (53) N^2 + T sigma = -id: the g x g block, the cheapest rejector,
+    # decided once per (N, T, sigma) prefix
+    prefix, Sr = _prefix("components", rep, N, T, sigma, S, _product_sum_is)
+    Nr, Tr, Gr, holds53, context = prefix
+    if not (holds53 or report):
+        return False
+    failed = [] if holds53 else [53]
+    if context is None:
+        context = prefix[4] = (_neg(Nr), _t_context(rep, Nr, Tr))
+    negN, ctx = context
+    ok = (_s_blocks(Nr, negN, Tr, Gr, Sr, failed, report)
+          and _components_tail(ctx, Nr, Tr, Gr, Sr, failed, report))
     return (ok, failed) if report else ok
 
 

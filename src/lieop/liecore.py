@@ -265,7 +265,7 @@ class Representation:
     module basis vector, by_col[b][a] = s[a][b].  The public constructor takes
     one action matrix per basis vector."""
 
-    __slots__ = ("algebra", "dim_m", "s", "by_col", "_semidirect", "_dual", "_reach")
+    __slots__ = ("algebra", "dim_m", "s", "by_col", "_semidirect", "_dual", "_reach", "_gcs")
 
     def __init__(self, algebra: LieAlgebra, dim_m, action):
         mats = tuple(a if isinstance(a, Matrix) else Matrix(a) for a in action)
@@ -282,6 +282,8 @@ class Representation:
         self.s = s
         self.by_col = tuple(tuple(sa[b] for sa in s) for b in range(dim_m))
         self._dual = self._semidirect = self._reach = None
+        # the last (N, T, sigma) prefix of each GCS route, kept by gcsholo._prefix
+        self._gcs = {}
         return self
 
     @classmethod

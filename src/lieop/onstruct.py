@@ -85,7 +85,7 @@ def deformed_bracket(g: LieAlgebra, N) -> LieAlgebra:
     return theorem("deformed bracket", LieAlgebra.from_rows, g.dim, deformed_tensor(g.s, g.dim, N))
 
 
-def mixed_jacobi_defect(dim, a, b):
+def mixed_jacobi_defect(a, b):
     """First basis triple i < j < k where C(a, b) + C(b, a) is nonzero, or None,
     for the sparse rows a and b of skew bracket tensors: the mu lam term of the
     Jacobiator of mu a + lam b."""
@@ -113,7 +113,7 @@ def nijenhuis_power_props(g: LieAlgebra, N, kmax: int) -> dict:
             for k, l in pairs if k + l <= kmax),
         "combinations_jacobi": all(
             oracle("nijenhuis power combinations",
-                   mixed_jacobi_defect(g.dim, tensors[k], tensors[l]) is None,
+                   mixed_jacobi_defect(tensors[k], tensors[l]) is None,
                    nr_bracket(cochains[k], cochains[l]).is_zero(),
                    "k={k} l={l}: triples={a} nr={b}", k=k, l=l)
             for k, l in pairs if k < l),

@@ -165,6 +165,25 @@ def test_validate_weak_only_mc_runs_the_mc_routes_once(tmp_path, capsys, monkeyp
     assert len(calls) == 1
 
 
+def test_mc_solution_omega_is_read_in_the_rref_bases_of_its_twilled(tmp_path, capsys):
+    """An mc_solution's omega maps the RREF basis of its twilled's a_basis to
+    that of its b_basis, not the vectors the document gives.  With aff1_tw's
+    two bases given in reverse order, which leaves both RREF bases as they
+    are, the bundle's omega is still a strong solution, and omega moved into
+    the given bases is not a solution."""
+    objects = bundle()["objects"]
+    tw = objects["aff1_tw"]
+    omega = objects["aff1_mc"]["omega"]
+    moved = [row[::-1] for row in omega[::-1]]
+    p = _write(tmp_path, {
+        "aff1_tw": {**tw, "a_basis": tw["a_basis"][::-1], "b_basis": tw["b_basis"][::-1]},
+        **{name: {"kind": "mc_solution", "twilled_ref": "aff1_tw", "omega": w}
+           for name, w in (("unmoved", omega), ("moved", moved))}}, "aff1_tw_total")
+    code, out = run(capsys, "validate", "--input", p)
+    assert "unmoved [mc_solution] valid (strong)" in out
+    assert "moved [mc_solution] INVALID (not a Maurer-Cartan solution)" in out and code == 1
+
+
 def test_check_invalid_bivector_squares_it_once(bundle_file, tmp_path, capsys, monkeypatch):
     """The verdict and the printed support of [r, r] come from one Schouten square."""
     p = _write(tmp_path, {"bad_r": {"kind": "bivector", "algebra_ref": "sl2", "dim": 3,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lieop import gcsholo
 from lieop.errors import (
     DimensionMismatch, InvalidGCS, NotComplexPair, NotComplexStructure, NotOOperator, Singular,
 )
@@ -234,17 +235,25 @@ ROUTES = (gcs_check_direct, gcs_check_components,
           _grid_of_one(gcs_direct_grid), _grid_of_one(gcs_components_grid))
 
 _Z2 = ((0, 0), (0, 0))
+_ROT = ((0, -1), (1, 0))
 
 
-@pytest.mark.parametrize("blocks", [
-    (((0, -1), (1,)), _Z2, _Z2, _Z2),
-    (((0, -1), (1, 0, 5)), _Z2, _Z2, _Z2),
+@pytest.mark.parametrize("blocks,warm", [
+    ((((0, -1), (1,)), _Z2, _Z2, _Z2), False),
+    ((((0, -1), (1, 0, 5)), _Z2, _Z2, _Z2), False),
     # N = T = 0 fails the g x g block N^2 + T sigma = -id, which never reads S
-    (_Z2, _Z2, _Z2, ((0, -1), (1,))),
-], ids=["short-row", "long-row", "ragged-S-rejected-sigma"])
-def test_ragged_component_is_a_shape_error(blocks):
+    ((_Z2, _Z2, _Z2, ((0, -1), (1,))), False),
+    # the module keeps the (N, T, sigma) prefix of the warm call, whose g x g
+    # block fails or holds; S is read again all the same
+    ((_Z2, _Z2, _Z2, ((0, -1), (1,))), True),
+    ((_ROT, _Z2, _Z2, ((0, 1), (-1, 0, 0))), True),
+], ids=["short-row", "long-row", "ragged-S-rejected-sigma", "ragged-S-after-a-kept-rejection",
+        "ragged-S-after-a-kept-g-block"])
+def test_ragged_component_is_a_shape_error(blocks, warm):
     rep = adjoint(aff1())
     for route in ROUTES:
+        if warm:
+            route(rep, *blocks[:3], _Z2)
         with pytest.raises(DimensionMismatch):
             route(rep, *blocks)
 
@@ -272,6 +281,12 @@ def _as_input(rng, block, cols):
     if form == 1:
         return [list(row) for row in block]
     return tuple(list(row) for row in block) if form == 2 else block
+
+
+def _copy(rng, block, cols):
+    """An equal block that is a new object: a Matrix or a tuple of tuples."""
+    rows = block.entries if isinstance(block, Matrix) else block
+    return Matrix(rows, cols=cols) if rng.randrange(2) else tuple(tuple(row) for row in rows)
 
 
 def test_grids_match_the_single_tuple_checks():
@@ -311,8 +326,64 @@ def test_grids_match_the_single_tuple_checks():
                                  (gcs_components_grid, gcs_check_components)):
                 verdicts = grid(rep, N, T, sigmas, Ss)
                 assert verdicts == [single(rep, N, T, g, s) for g, s in pairs]
+                # equal but distinct blocks, in another form, read the same
+                assert verdicts == [single(rep, _copy(rng, N, d), _copy(rng, T, m),
+                                           _copy(rng, g, d), s) for g, s in pairs]
                 seen[grid].update(verdicts)
     assert all(verdicts == {True, False} for verdicts in seen.values())
+
+
+def test_a_kept_prefix_rereads_a_mutable_block_and_a_patched_kernel(monkeypatch):
+    """Only frozen blocks are kept: a tuple of lists mutated in place between
+    two calls is read again.  A kernel patched after a warm call is the one
+    the next call with the same objects runs."""
+    co = coadjoint(aff1())
+    j = gcs_from_invertible_o(co, TINV)
+    N, T, S = (x.entries for x in (j.N, j.T, j.S))
+    sigma = j.sigma.entries
+    for route in (gcs_check_direct, gcs_check_components):
+        # sigma = 0 fails the g x g block; its rows changed in place to those
+        # of the GCS's sigma pass it
+        rows = ([0, 0], [0, 0])
+        assert not route(co, N, T, rows, S)
+        rows[0][:], rows[1][:] = sigma
+        assert route(co, N, T, rows, S)
+        rows[0][:], rows[1][:] = [0, 0], [0, 0]
+        assert not route(co, N, T, rows, S)
+    for name, route in (("_j_square_gg", gcs_check_direct),
+                        ("_product_sum_is", gcs_check_components)):
+        assert route(co, N, T, sigma, S) and route(co, N, T, sigma, S)
+        calls = []
+        monkeypatch.setattr(gcsholo, name, lambda *args: calls.append(args) or False)
+        assert not route(co, N, T, sigma, S)
+        assert calls
+        monkeypatch.undo()
+        assert route(co, N, T, sigma, S)
+
+
+def test_a_slice_decides_each_g_block_once_per_sigma(monkeypatch):
+    """One (N, T) slice of the criterion-02 space, S innermost, through both
+    single-tuple routes: the g x g verdict of each route runs once per sigma,
+    81 times, not once per tuple, and the verdicts are the grids'."""
+    blocks = [(t[0:2], t[2:4]) for t in itertools.product((-1, 0, 1), repeat=4)]
+    # S blocks equal to the sigma blocks but other objects, so a (53) call,
+    # whose first two arguments are N's rows, is told from a (55) call
+    s_blocks = [tuple(list(b)) for b in blocks]
+    nb, tb = blocks[34], blocks[40]
+    rep = adjoint(aff1())
+    direct_calls, calls53 = [], []
+    j_square, product_sum = gcsholo._j_square_gg, gcsholo._product_sum_is
+    monkeypatch.setattr(gcsholo, "_j_square_gg",
+                        lambda *args: direct_calls.append(args[2]) or j_square(*args))
+    monkeypatch.setattr(gcsholo, "_product_sum_is", lambda *args: (
+        args[0] is nb and calls53.append(args[3])) or product_sum(*args))
+    direct = [gcs_check_direct(rep, nb, tb, g, s) for g in blocks for s in s_blocks]
+    comps = [gcs_check_components(rep, nb, tb, g, s) for g in blocks for s in s_blocks]
+    assert direct_calls == blocks and calls53 == blocks
+    monkeypatch.undo()
+    assert direct == gcs_direct_grid(rep, nb, tb, blocks, s_blocks)
+    assert comps == gcs_components_grid(rep, nb, tb, blocks, s_blocks)
+    assert direct.count(True) == comps.count(True) == 9
 
 
 def _module_complex_identity(rep, I, IM):

@@ -238,9 +238,9 @@ def test_quadratic_identities_walk_no_triple_of_an_abelian_algebra(monkeypatch):
     assert ooper.pre_lie_from_o(adjoint(g), ident).dim == 40
     assert trivial_deformation_from(rep, ident, Matrix.identity(1)).bracket1 == g.s
     assert all(nijenhuis_power_props(g, ident, 3).values())
-    assert onstruct.mixed_jacobi_defect(40, g.s, g.s) is None
+    assert onstruct.mixed_jacobi_defect(g.s, g.s) is None
     assert calls == []
-    assert onstruct.mixed_jacobi_defect(3, sl2().s, sl2().s) is None and (0, 1, 2) in calls
+    assert onstruct.mixed_jacobi_defect(sl2().s, sl2().s) is None and (0, 1, 2) in calls
     validated = []
     monkeypatch.setattr(LieAlgebra, "_validate", lambda self: validated.append(self))
     assert semidirect(rep).dim == 41 and validated == []
