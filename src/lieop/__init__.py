@@ -9,7 +9,7 @@ the real forms of holomorphic r-matrices and O-operators.
 """
 
 from .errors import LieOpError, OracleDisagreement, Singular
-from .exactla import Matrix, invert, kernel, rank
+from .exactla import Matrix, invert, kernel
 from .liecore import (
     LieAlgebra, Representation, Subspace, adjoint, annihilator,
     coadjoint, dual_rep, intersect, is_ideal, is_subalgebra, quotient,
@@ -17,10 +17,9 @@ from .liecore import (
 )
 from .cohomology import Cochain, ce_differential, derived_bracket, is_cocycle, nr_bracket
 from .ooper import (
-    OOperator, are_compatible, bivector, gauge_iso_check, gauge_transform,
-    graph_check, induced_lie, is_o_operator, is_r_matrix, lemma_r_equiv,
-    mr_reduce, nijenhuis_from_pair, o_residual, pre_lie_compatible,
-    pre_lie_from_o, r_sharp, schouten_self, structure_report,
+    OOperator, bivector, compatibility, gauge_transform, graph_check, induced_lie,
+    is_o_operator, is_r_matrix, lemma_r_equiv, mr_reduce, o_residual,
+    pre_lie_compatible, pre_lie_from_o, r_sharp, schouten_self, structure_report,
 )
 from .onstruct import (
     DeformationData, ONStructure, deformed_bracket, hierarchy,

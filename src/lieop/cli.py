@@ -277,9 +277,16 @@ def emit(kind, *field_values):
 def write(kind, value, names):
     """The JSON entry of a `kind` object from its value as Workspace._build
     makes it: the inverse of _build.  A reference field is written as the name
-    that `names` gives the id of the referenced value."""
+    that `names` gives the id of the referenced value, and one it names no
+    value of is refused."""
     fields = _MAKE[kind][1](value) if kind in _MAKE else value
-    return emit(kind, *(names[id(v)] if f.parse is ref else v
+
+    def name(f, v):
+        if id(v) not in names:
+            raise WorkspaceError(f"{kind} field {f.key!r} refers to an object with no name")
+        return names[id(v)]
+
+    return emit(kind, *(name(f, v) if f.parse is ref else v
                         for f, v in zip(KINDS[kind], fields, strict=True)))
 
 
@@ -482,8 +489,7 @@ def _compatible(op1, op2):
     (rep, t1), (rep2, t2) = op1, op2
     if rep is not rep2:
         raise WorkspaceError("compatible check needs operators over one module")
-    defects = ooper.compatibility_defect(rep, t1, t2)
-    verdict = ooper.compatibility_oracle(rep, t1, t2, defects)
+    verdict, defects = ooper.compatibility(rep, t1, t2)
     return verdict, "" if verdict else _first_defect(defects)
 
 

@@ -382,10 +382,6 @@ def kernel(A: Matrix):
     return _kernel_from_rref(*rref_maps(A.sparse_rows(), A.cols), A.cols)
 
 
-def rank(A: Matrix) -> int:
-    return len(rref_maps(A.sparse_rows(), A.cols)[0])
-
-
 def invert(A: Matrix) -> Matrix:
     """Exact inverse; raises Singular when the kernel is nontrivial."""
     if A.rows != A.cols:

@@ -173,7 +173,7 @@ def block_rows(sa, sb, s1, s2):
     da, db = len(sa), len(sb)
 
     def shift(row):
-        return tuple((da + k, v) for k, v in row)
+        return tuple((da + k, v) for k, v in row) if row else row
 
     top = tuple(sa[i] + tuple(_neg(s2[u][i]) + shift(s1[i][u]) for u in range(db))
                 for i in range(da))

@@ -27,7 +27,7 @@ from .liecore import (
     first_defect, morphism_defect, semidirect, sparse_cube, zero_rows,
 )
 from .ooper import (
-    _bivector_of, _bracket_rows, compatibility_defect, compatibility_oracle, induced_tensor,
+    _bivector_of, _bracket_rows, compatibility, compatibility_oracle, induced_tensor,
     is_o_operator, is_r_matrix, mixed_residual, o_product, r_sharp,
 )
 
@@ -329,8 +329,8 @@ def hierarchy(rep: Representation, T, N, S, kmax: int):
 
 def on_from_compatible_pair(rep: Representation, T1, T2) -> ONStructure:
     """(T2, T1 T2^{-1}, T2^{-1} T1) from a compatible pair with T2 invertible."""
-    defects = compatibility_defect(rep, T1, T2)
-    if not compatibility_oracle(rep, T1, T2, defects):
+    compatible, defects = compatibility(rep, T1, T2)
+    if not compatible:
         raise NotCompatible(defects)
     t2inv = invert(T2)
     return theorem("on from compatible pair", ONStructure, rep, T2, T1 * t2inv, t2inv * T1)

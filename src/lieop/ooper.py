@@ -10,7 +10,8 @@ O-identity, read on every pair by `o_residual` and up to the first failing one
 by `o_defect` (behind `is_o_operator`, `graph_oracle` and `OOperator`); given no
 table, they build the two entries of each pair they visit, so a rejection stops
 after those of its failing pair.  O(T1, T2) + O(T2, T1) is the mixed term of
-compatible pairs.  The whole table `o_product` is built only where P is kept
+compatible pairs, which `compatibility` reads from the kept products of two
+validated operators.  The whole table `o_product` is built only where P is kept
 and read again: `OOperator` keeps it, so what is built from a validated
 operator reads it again.
 P is also the pre-Lie product of T, and P - P^t the bracket tensor of M^T
@@ -36,7 +37,7 @@ from itertools import combinations, product
 from .cohomology import Cochain, is_cocycle
 from .errors import (
     DimensionMismatch, ImageEscapesH, NotAdmissible, NotAntisymmetric, NotCocycle,
-    NotCompatible, NotIdeal, NotOOperator, NotPreLie, NotStable,
+    NotIdeal, NotOOperator, NotPreLie, NotStable,
     NotSubalgebra, QuotientError, Singular, oracle, theorem,
 )
 from .exactla import Matrix, _add_rows, _combine, _dense, _row, invert, is_zero_vec, kernel, q
@@ -263,9 +264,11 @@ def lemma_r_equiv(g: LieAlgebra, r: Matrix) -> bool:
 # gauge transformations
 # ---------------------------------------------------------------------------
 
-def _gauge(rep: Representation, T, B):
-    """(T_B, phi = id + B T, o_product of T, o_product of T_B) for a T-admissible
-    1-cocycle B, with T_B checked to be an O-operator with the image of T."""
+def gauge_transform(rep: Representation, T, B) -> Matrix:
+    """T_B = T (id + B T)^{-1} for a T-admissible 1-cocycle B, checked to be an
+    O-operator with the image of T, and phi = id + BT to map [.,.]^T onto
+    [.,.]^{T_B}: phi [m, n]^T = [phi m, phi n]^{T_B}, read from the o_products
+    of T and T_B."""
     p = OOperator(rep, T).p
     ok, defect = is_cocycle(rep, Cochain.from_linmap(B))
     if not ok:
@@ -280,20 +283,12 @@ def _gauge(rep: Representation, T, B):
     oracle("gauge transform", is_o_operator(rep, tb, p_b), True, "T_B failed the O-identity")
     im_tb, im_t = (Subspace.span(rep.algebra.dim, map(A.col, range(A.cols))) for A in (tb, T))
     oracle("gauge transform", im_tb == im_t, True, "im(T_B) differs from im(T)")
-    return tb, phi, p, p_b
-
-
-def gauge_transform(rep: Representation, T, B) -> Matrix:
-    """T_B = T (id + B T)^{-1} for a T-admissible 1-cocycle B."""
-    return _gauge(rep, T, B)[0]
-
-
-def gauge_iso_check(rep: Representation, T, B) -> bool:
-    """phi = id + BT maps [.,.]^T onto [.,.]^{T_B}: phi [m, n]^T = [phi m, phi n]^{T_B}."""
-    _, phi, p, p_b = _gauge(rep, T, B)
     ct = _bracket_rows(p)
-    return morphism_defect(_bracket_rows(p_b), phi, phi, phi, lambda i, j: ct[i][j],
-                           combinations(range(rep.dim_m), 2)) is None
+    oracle("gauge transform", morphism_defect(_bracket_rows(p_b), phi, phi, phi,
+                                              lambda i, j: ct[i][j],
+                                              combinations(range(rep.dim_m), 2)),
+           None, "id + B T is no morphism [.,.]^T -> [.,.]^{{T_B}} at pair ({a[0]},{a[1]})")
+    return tb
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +299,6 @@ def gauge_iso_check(rep: Representation, T, B) -> bool:
 class MRReduction:
     """Everything produced by a successful reduction."""
 
-    h_algebra: LieAlgebra    # h in its RREF basis h.basis
     quotient: object
     module: Subspace         # (E cap h)^0_N in the ambient module
     reduced_rep: Representation
@@ -360,7 +354,7 @@ def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> 
            morphism_defect(p, iota, iota, iota, lambda i, j: reduced.p[i][j],
                            product(range(d), range(d))),
            None, "pair ({a[0]},{a[1]})")
-    return MRReduction(h_alg, qt, A, reduced_rep, reduced_T)
+    return MRReduction(qt, A, reduced_rep, reduced_T)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +370,6 @@ def mixed_residual(rep: Representation, T1, T2, p1, p2):
             for i, j in combinations(range(rep.dim_m), 2)}
 
 
-def compatibility_defect(rep: Representation, T1, T2):
-    """The mixed residual of two O-operators, each validated first."""
-    return mixed_residual(rep, T1, T2, OOperator(rep, T1).p, OOperator(rep, T2).p)
-
-
 def compatibility_oracle(rep: Representation, T1, T2, defects) -> bool:
     """The mixed residual `defects` of two O-operators against T1 + T2 being one;
     by polarization the sum decides every mu T1 + lam T2."""
@@ -388,21 +377,11 @@ def compatibility_oracle(rep: Representation, T1, T2, defects) -> bool:
     return oracle("compatibility", direct, is_o_operator(rep, T1 + T2), "identity={a} sum={b}")
 
 
-def are_compatible(rep: Representation, T1, T2) -> bool:
-    """Compatibility of two O-operators, validated first."""
-    return compatibility_oracle(rep, T1, T2, compatibility_defect(rep, T1, T2))
-
-
-def nijenhuis_from_pair(rep: Representation, T1, T2) -> Matrix:
-    """N = T1 T2^{-1} for a compatible pair with T2 invertible."""
-    defects = compatibility_defect(rep, T1, T2)
-    if not compatibility_oracle(rep, T1, T2, defects):
-        raise NotCompatible(defects)
-    n = T1 * invert(T2)
-    from .onstruct import is_nijenhuis
-    ok, defect = is_nijenhuis(rep.algebra, n)
-    oracle("nijenhuis from compatible pair", ok, True, "{defect}", defect=defect)
-    return n
+def compatibility(rep: Representation, T1, T2):
+    """(compatibility verdict, mixed residual) of two O-operators, each validated
+    first, the residual read from their kept o_products."""
+    defects = mixed_residual(rep, T1, T2, OOperator(rep, T1).p, OOperator(rep, T2).p)
+    return compatibility_oracle(rep, T1, T2, defects), defects
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from lieop import cli, gcsholo, ooper, twilled
 from lieop.cli import MAX_HIERARCHY_DEPTH, Workspace, build_report, main
-from lieop.errors import OracleDisagreement
+from lieop.errors import OracleDisagreement, WorkspaceError
 from lieop.fixtures import bundle, bundle_json
 
 
@@ -137,7 +137,7 @@ def test_check_incompatible_pair_computes_the_mixed_residual_once(bundle_file, t
                "matrix": [["0", "0", "-1"], ["0", "0", "-1"], ["0", "-1", "-1"]]},
         "t2": {"kind": "o_operator", "rep_ref": "h3_coadj",
                "matrix": [["0", "0", "-1"], ["0", "1", "1"], ["1", "-1", "1"]]}})
-    calls = _count(monkeypatch, ooper, "compatibility_defect")
+    calls = _count(monkeypatch, ooper, "mixed_residual")
     code, out = run(capsys, "check", "compatible", "t1", "t2", "--input", bundle_file, p)
     assert code == 1 and "first defect at (1, 2)" in out
     assert len(calls) == 1
@@ -669,6 +669,17 @@ def test_write_is_the_inverse_of_load():
             assert cli.write(entry.kind, entry.value, names) == doc["objects"][name], name
             kinds.add(entry.kind)
     assert kinds == set(cli.KINDS) - {"twilled"}
+
+
+@pytest.mark.parametrize("name", ["aff1_tw", "h3_tw"])
+def test_writing_a_loaded_twilled_entry_names_the_unnamed_reference(name):
+    """The total of a loaded twilled algebra is re-expressed, so no workspace
+    object holds it: writing the entry back is refused, naming the field."""
+    ws = Workspace.load([bundle()])
+    names = {id(entry.value): name for name, entry in ws.entries.items()}
+    entry = ws.entries[name]
+    with pytest.raises(WorkspaceError, match="twilled field 'total_ref' refers to an object"):
+        cli.write(entry.kind, entry.value, names)
 
 
 @pytest.mark.parametrize("name,code,detail", [

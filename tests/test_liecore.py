@@ -12,7 +12,8 @@ from lieop.errors import (
     SkewViolation,
 )
 from lieop.exactla import Matrix, vec_add, vec_scale, vec_zero
-from lieop.fixtures import H3_ADJ_T
+from lieop.cli import Workspace
+from lieop.fixtures import H3_ADJ_T, bundle
 from lieop.liecore import (
     LieAlgebra, Representation, Subspace, adjoint, annihilator,
     coadjoint, contract, dual_rep, intersect, is_ideal, is_subalgebra, quotient,
@@ -466,6 +467,38 @@ def gl(n):
             c[a * n + b][x * n + y][x * n + b] -= 1
     return LieAlgebra(d, c)
 
+
+
+def reference_block_rows(sa, sb, s1, s2):
+    """`liecore.block_rows` as first coded, shifting and negating every row,
+    the empty ones included."""
+    da, db = len(sa), len(sb)
+
+    def shift(row):
+        return tuple((da + k, v) for k, v in row)
+
+    def neg(row):
+        return tuple((k, -v) for k, v in row)
+
+    top = tuple(sa[i] + tuple(neg(s2[u][i]) + shift(s1[i][u]) for u in range(db))
+                for i in range(da))
+    return top + tuple(tuple(neg(top[i][da + u]) for i in range(da)) + tuple(map(shift, sb[u]))
+                       for u in range(db))
+
+
+def test_block_rows_match_the_reference_coding():
+    """The glued rows of every bundle module's g + M, of every bundle twilled
+    algebra's two halves and of gl(3) acting on itself are those of the
+    reference coding, which shifts every row."""
+    ws = Workspace.load([bundle()])
+    reps = [e.value for e in ws.entries.values() if e.kind == "representation"]
+    glued = [(rep.algebra.s, liecore.zero_rows(rep.dim_m, rep.dim_m), rep.s,
+              liecore.zero_rows(rep.dim_m, rep.algebra.dim)) for rep in [*reps, adjoint(gl(3))]]
+    glued += [(tw.a_algebra.s, tw.b_algebra.s, tw.action1.s, tw.action2.s)
+              for tw in (e.value for e in ws.entries.values() if e.kind == "twilled")]
+    assert len(glued) > len(reps) + 1
+    for args in glued:
+        assert liecore.block_rows(*args) == reference_block_rows(*args)
 
 def test_jacobi_check_visits_only_reached_triples(monkeypatch):
     """No triple of an abelian algebra, and 564 of the 4960 triples of the

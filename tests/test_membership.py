@@ -21,7 +21,7 @@ from lieop.cli import Workspace, emit, main, run_derive
 from lieop.errors import (
     DimensionMismatch, ImageEscapesH, LieOpError, NotStable, NotSubalgebra, QuotientError,
 )
-from lieop.exactla import Matrix, is_zero_vec, q, rank
+from lieop.exactla import Matrix, is_zero_vec, q, rref_maps
 from lieop.fixtures import bundle, standard_fixtures
 from lieop.liecore import (
     Subspace, annihilator, intersect, is_ideal, is_subalgebra, restrict_to_subalgebra,
@@ -75,6 +75,11 @@ def reference_is_ideal(g, W):
             if not reference_contains(W, g.bracket_vec(ei, w)):
                 return False, (ei, w)
     return True, None
+
+
+def rank(A):
+    """The number of pivots of the RREF of A."""
+    return len(rref_maps(A.sparse_rows(), A.cols)[1])
 
 
 def reference_column_space_equal(A, B):

@@ -348,7 +348,7 @@ def test_on_from_compatible_pair_trivial():
 def test_theorem_consequences_for_on():
     # T an O-operator for the tilde action over the deformed algebra,
     # N T an O-operator, T and N T compatible
-    from lieop.ooper import are_compatible, o_residual
+    from lieop.ooper import compatibility, o_residual
     from lieop.exactla import is_zero_vec
     cases = [
         (coadjoint(aff1()), on_from_compatible_pair(
@@ -362,7 +362,7 @@ def test_theorem_consequences_for_on():
         tilde = tilde_action(rep, on.N, on.S)
         assert all(is_zero_vec(v) for v in o_residual(tilde, on.T).values())
         assert is_o_operator(rep, on.N * on.T)
-        assert are_compatible(rep, on.T, on.N * on.T)
+        assert compatibility(rep, on.T, on.N * on.T)[0]
 
 
 def test_hierarchy_trivial_and_fixture():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lieop import liecore, ooper
 from lieop.errors import (
     DimensionMismatch, ImageEscapesH, NotAdmissible, NotCocycle, NotOOperator, NotPreLie,
-    NotStable, Singular,
+    NotCompatible, NotStable, Singular,
 )
 from lieop.cli import Workspace
 from lieop.exactla import Matrix, invert, is_zero_vec, vec_add, vec_sub
@@ -20,12 +20,12 @@ from lieop.liecore import (
 from lieop.cohomology import one_cocycle_basis
 from lieop.onstruct import _brackets_agree, deformed_tensor
 from lieop.ooper import (
-    OOperator, are_compatible, bivector,
-    compatibility_defect, gauge_iso_check, gauge_transform, graph_check,
+    OOperator, bivector, compatibility, gauge_transform, graph_check,
     graph_oracle, induced_lie, is_o_operator, is_r_matrix, lemma_r_equiv,
-    mr_reduce, nijenhuis_from_pair, o_residual, pre_lie_compatible,
+    mr_reduce, o_residual, pre_lie_compatible,
     pre_lie_from_o, r_sharp, schouten_self, structure_report,
 )
+from lieop.onstruct import on_from_compatible_pair
 
 
 def aff1():
@@ -184,19 +184,18 @@ def test_gauge_trivial_cases():
     B = Matrix([[0, 0], [1, 0]])
     assert (B * AFF1_T).is_zero() and not B.is_zero()
     assert gauge_transform(rep, AFF1_T, B) == AFF1_T
-    assert gauge_iso_check(rep, AFF1_T, B)
 
 
-def test_gauge_iso_check_reuses_the_two_o_products(monkeypatch):
-    """gauge_iso_check reads the O-products of T and T_B that the transform
-    built: one each."""
+def test_gauge_transform_reuses_the_two_o_products(monkeypatch):
+    """The isomorphism check of gauge_transform reads the O-products of T and
+    T_B that the transform built: one each."""
     ws = Workspace.load([bundle()])
     rep, t = ws.entries["aff1_adj_T"].value
     b = ws.entries["aff1_adj_B"].value
     calls = []
     product = ooper.o_product
     monkeypatch.setattr(ooper, "o_product", lambda *args: calls.append(args) or product(*args))
-    assert gauge_iso_check(rep, t, b)
+    gauge_transform(rep, t, b)
     assert len(calls) == 2
 
 
@@ -221,7 +220,6 @@ def test_gauge_cocycle_instances():
         except NotAdmissible:
             continue
         assert is_o_operator(rep, tb)
-        assert gauge_iso_check(rep, AFF1_T, B)
         found += 1
     assert found >= 5
 
@@ -289,15 +287,14 @@ def test_mr_reduce_hypothesis_failures():
 
 def test_compatibility_examples():
     rep = adjoint(aff1())
-    assert are_compatible(rep, AFF1_T, Matrix.zeros(2))
-    assert are_compatible(rep, AFF1_T, AFF1_T)
+    assert compatibility(rep, AFF1_T, Matrix.zeros(2))[0]
+    assert compatibility(rep, AFF1_T, AFF1_T)[0]
     co = coadjoint(aff1())
-    assert are_compatible(co, COADJ_T1, COADJ_T2)
-    defects = compatibility_defect(co, COADJ_T1, COADJ_T2)
-    assert all(is_zero_vec(v) for v in defects.values())
+    verdict, defects = compatibility(co, COADJ_T1, COADJ_T2)
+    assert verdict and all(is_zero_vec(v) for v in defects.values())
 
 
-def test_are_compatible_evaluates_each_o_identity_once(monkeypatch):
+def test_compatibility_evaluates_each_o_identity_once(monkeypatch):
     calls = []
     original = ooper.is_o_operator
 
@@ -306,7 +303,7 @@ def test_are_compatible_evaluates_each_o_identity_once(monkeypatch):
         return original(rep, T, *p)
 
     monkeypatch.setattr(ooper, "is_o_operator", counted)
-    assert are_compatible(coadjoint(aff1()), COADJ_T1, COADJ_T2)
+    assert compatibility(coadjoint(aff1()), COADJ_T1, COADJ_T2)[0]
     assert calls == [COADJ_T1, COADJ_T2, COADJ_T1 + COADJ_T2]
 
 
@@ -336,18 +333,26 @@ def test_incompatible_pair_exists():
     t1 = Matrix([[0, 0, -1], [0, 0, -1], [0, -1, -1]])
     t2 = Matrix([[0, 0, -1], [0, 1, 1], [1, -1, 1]])
     assert is_o_operator(co, t1) and is_o_operator(co, t2)
-    assert not are_compatible(co, t1, t2)
+    verdict, defects = compatibility(co, t1, t2)
+    assert not verdict and not all(is_zero_vec(v) for v in defects.values())
     assert not is_o_operator(co, t1 + t2)
 
 
 def test_nijenhuis_from_pair():
+    """N = T1 T2^{-1} of the ON-structure of a compatible pair, T2 invertible."""
     co = coadjoint(aff1())
-    assert nijenhuis_from_pair(co, Matrix.zeros(2), COADJ_T2).is_zero()
-    assert nijenhuis_from_pair(co, COADJ_T2, COADJ_T2) == Matrix.identity(2)
-    n = nijenhuis_from_pair(co, COADJ_T1, COADJ_T2)
+    assert on_from_compatible_pair(co, Matrix.zeros(2), COADJ_T2).N.is_zero()
+    assert on_from_compatible_pair(co, COADJ_T2, COADJ_T2).N == Matrix.identity(2)
+    n = on_from_compatible_pair(co, COADJ_T1, COADJ_T2).N
     assert n == COADJ_T1 * invert(COADJ_T2)
     with pytest.raises(Singular):
-        nijenhuis_from_pair(co, Matrix.zeros(2), COADJ_T1)
+        on_from_compatible_pair(co, Matrix.zeros(2), COADJ_T1)
+    h3co = coadjoint(h3())
+    t1 = Matrix([[0, 0, -1], [0, 0, -1], [0, -1, -1]])
+    t2 = Matrix([[0, 0, -1], [0, 1, 1], [1, -1, 1]])
+    invert(t2)  # T2 is invertible: the refusal is the pair's
+    with pytest.raises(NotCompatible):
+        on_from_compatible_pair(h3co, t1, t2)
 
 
 def test_invertible_pair_nijenhuis_equivalence():
@@ -369,7 +374,7 @@ def test_invertible_pair_nijenhuis_equivalence():
     rng.shuffle(pairs)
     both = 0
     for t1, t2 in pairs[:60]:
-        comp = are_compatible(rep, t1, t2)
+        comp = compatibility(rep, t1, t2)[0]
         nij = is_nijenhuis(g, t1 * invert(t2))[0]
         assert comp == nij
         both += comp

@@ -1,22 +1,35 @@
 """Every function and method of the package has a caller in the package or in
-the benchmark: a helper only the tests call is test code living in src/."""
+the benchmark: a helper only the tests call is test code living in src/.  An
+import is not a caller, so an export from the package alone does not count;
+the README's library entry points are the only functions allowed no caller."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import lieop
 
 SRC = Path(lieop.__file__).parent
 PERFBENCH = SRC.parents[1] / "perfbench"
-# `main` is a pyproject script and `write_bundle` is documented in the README
-ALLOWED = {"main", "write_bundle"}
+README = SRC.parents[1] / "README.md"
+API_HEADING = "## Library API beyond the command line\n"
+
+
+def readme_api():
+    """The dotted names of the bullets under the README's API heading."""
+    section = README.read_text(encoding="utf-8").split(API_HEADING, 1)[1].split("\n## ", 1)[0]
+    return [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
+
+
+# `main` is a pyproject script; the rest are the README's library entry points
+ALLOWED = {"main"} | {name.rpartition(".")[2] for name in readme_api()}
 
 
 class _Names(ast.NodeVisitor):
     """The functions defined in a module and the names it refers to outside the
-    body of a function of the same name.  An imported name counts, so an export
-    from the package is a reference, and so does a string constant, since the
-    benchmark patches functions by name."""
+    body of a function of the same name.  A string constant counts, since the
+    benchmark patches functions by name; an imported name does not."""
 
     def __init__(self):
         self.defined, self.used, self.inside = [], set(), []
@@ -39,9 +52,6 @@ class _Names(ast.NodeVisitor):
     def visit_Attribute(self, node):
         self._use(node.attr)
         self.generic_visit(node)
-
-    def visit_alias(self, node):
-        self._use(node.asname or node.name)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str):
@@ -69,10 +79,24 @@ def test_every_function_in_src_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_the_readme_api_names_functions_the_package_exports():
+    """Each README API entry is a function defined in src/ and reached from its
+    dotted name, `lieop.<name>` or `lieop.<module>.<name>`, so the allowance
+    above names only real entry points."""
+    defined = {name for _, name in _scan(sorted(SRC.glob("*.py")))[0]}
+    api = readme_api()
+    assert api
+    for dotted in api:
+        module, _, name = dotted.rpartition(".")
+        assert module.split(".")[0] == "lieop" and name in defined, dotted
+        func = getattr(importlib.import_module(module), name)
+        assert Path(inspect.getsourcefile(func)).parent == SRC, dotted
+
+
 # (module file, function): verdict kernels that read sparse rows only
 SPARSE_KERNELS = (("onstruct.py", "nijenhuis_structure_defect"),
                   ("twilled.py", "cocycle_residual"), ("ooper.py", "graph_check"),
-                  ("liecore.py", "morphism_defect"), ("ooper.py", "gauge_iso_check"),
+                  ("liecore.py", "morphism_defect"),
                   ("onstruct.py", "hierarchy"), ("twilled.py", "twilled_new"),
                   ("liecore.py", "restrict_to_subalgebra"),
                   ("cohomology.py", "ce_differential"), ("cohomology.py", "_walk"))

@@ -3,8 +3,10 @@ passed their own checks, treats a refusal of that carrier as a library bug: it
 goes through `errors.theorem`, so the command exits 3 (a library bug), not 2
 (a refused input).  Each derive kind that builds such a carrier runs with one
 named mutation of a builder it reads; without `errors.theorem` each mutated
-command would exit 2, as if the input were at fault.  Library constructions
-that no derive kind reaches are checked the same way in-process."""
+command would exit 2, as if the input were at fault.  `derive gauge` checks
+its carrier T_B through an oracle of its own, the isomorphism id + BT of the
+two brackets, so a mutation of that check exits 3 as well.  Library
+constructions that no derive kind reaches are checked the same way in-process."""
 
 import json
 
@@ -55,6 +57,9 @@ THEOREM_SITES = {
     "every pre-Lie product gains e_0": (
         ["pre-lie-from-o", "aff1_coadj_T2"], ooper, "_row",
         lambda route: lambda acc: route({**acc, 0: acc.get(0, 0) + 1})),
+    "id + BT no bracket morphism at (0, 1)": (
+        ["gauge", "aff1_adj_T", "aff1_adj_B"], ooper, "morphism_defect",
+        lambda route: lambda *args: (0, 1, (1,))),
 }
 
 
@@ -72,7 +77,7 @@ def doc_path(tmp_path_factory):
 def test_every_derive_kind_that_builds_a_theorem_carrier_is_covered():
     kinds = {argv[0] for argv, *_ in THEOREM_SITES.values()}
     assert kinds == {"deformed-bracket", "reduce", "on-from-pair", "on-from-mc", "mc-from-on",
-                     "gcs-from-o", "opposite-gcs", "pre-lie-from-o"}
+                     "gcs-from-o", "opposite-gcs", "pre-lie-from-o", "gauge"}
 
 
 @pytest.mark.parametrize("mutation", sorted(THEOREM_SITES))
