@@ -3,19 +3,23 @@ structures, and the real-form checks for holomorphic r-matrices and
 holomorphic O-operators.
 
 The two GCS checkers (block map on the semi-direct product vs the ten
-component identities) are an oracle pair, compared through `errors.oracle`.
-Both reject as early as the algebra allows: almost every tuple fails the
-g x g block of J^2 = -id, N^2 + T sigma = -id, which reads neither S nor
-the module action, so each route checks it first and stops at the first
-nonzero residual.  Each single-tuple check keeps its last (N, T, sigma)
-prefix on the module (`_prefix`): the checked rows and that route's g x g
-verdict, read back by a call with the same N, T and sigma objects, which
-then checks only S.  Only frozen blocks are kept, a Matrix or a tuple of
-tuples; a block with list rows is read again on every call.  Exhaustive
-sweeps with (N, T) fixed go through `gcs_direct_grid` and
-`gcs_components_grid`, which run a route over every (sigma, S) of a product
-in one call: what reads only (N, T) runs once, the g x g block once per
-sigma.  They share each identity's code with the single-tuple checks.
+component identities) are an oracle pair, compared only in `gcs_oracle`, which
+`check gcs` runs: one evaluation of each route gives the verdict and the
+failed identities.  Past (53) the components route is one lazy sequence of the
+identities that fail (`_failing`): its verdict stops at the first item, and
+the failed identities are the distinct items.  Both reject as early as the
+algebra allows: almost every tuple fails the g x g block of J^2 = -id,
+N^2 + T sigma = -id, which reads neither S nor the module action, so each
+route checks it first and stops at the first nonzero residual.  Each
+single-tuple check keeps its last (N, T, sigma) prefix on the module
+(`_prefix`): the checked rows and that route's g x g verdict, read back by a
+call with the same N, T and sigma objects, which then checks only S.  Only
+frozen blocks are kept, a Matrix or a tuple of tuples; a block with list rows
+is read again on every call.  Exhaustive sweeps with (N, T) fixed go through
+`gcs_direct_grid` and `gcs_components_grid`, which run a route over every
+(sigma, S) of a product in one call: what reads only (N, T) runs once, the
+g x g block once per sigma.  They share each identity's code with the
+single-tuple checks.
 
 Integrable = Nijenhuis on g x M: given J J = -id, the direct route checks J
 with `onstruct.is_nijenhuis` on the semi-direct product.  A complex structure
@@ -120,7 +124,7 @@ def _frozen(x):
 def _prefix(route, rep, N, T, sigma, S, kernel):
     """([Nr, Tr, Gr, g x g verdict, slot], Sr): the checked rows of the four
     blocks and the route's g x g verdict by kernel (_j_square_gg, or (53) by
-    _product_sum_is), the slot None until the route fills it.  The module
+    _product_sum_is), the slot None until _failing fills it.  The module
     keeps the prefix of each route's last frozen (N, T, sigma) and returns it
     for the same N, T, sigma and kernel objects; S is checked on every call,
     before any verdict.
@@ -188,27 +192,8 @@ def _product_sum_is(A, B, C, D, cols, eye):
     return True
 
 
-def _noted(failed, num, report):
-    """Notes identity num as failed; whether the check stops there."""
-    if num not in failed:
-        failed.append(num)
-    return not report
-
-
-def _s_blocks(Nr, negN, Tr, Gr, Sr, failed, report):
-    """(52) T S - N T = 0, (55) S^2 + sigma T = -id and (54) S sigma - sigma N
-    = 0, in that order: the identities of J J = -id that read S.  False when
-    the check stops."""
-    d, m = len(Nr), len(Sr)
-    for num, blocks in ((52, (Tr, Sr, negN, Tr, m, 0)), (55, (Sr, Sr, Gr, Tr, m, 1)),
-                        (54, (Sr, Gr, Gr, negN, d, 0))):
-        if not _product_sum_is(*blocks) and _noted(failed, num, report):
-            return False
-    return True
-
-
 def _t_context(rep, Nr, Tr):
-    """What (56)-(61) read from (rep, N, T) alone, with (56)
+    """What (52)-(61) read from (rep, N, T) alone: -N first, and last (56)
     T([m,n]^T) = [Tm, Tn] decided per basis pair i < j of M, where
     [m_i, m_j]^T = T(m_i) . m_j - T(m_j) . m_i."""
     g = rep.algebra
@@ -223,22 +208,35 @@ def _t_context(rep, Nr, Tr):
         for j in range(i + 1, m):
             mb = vec_sub(action(tcols[i], units_m[j]), action(tcols[j], units_m[i]))
             pairs.append((i, j, mb, _mat_vec(Tr, mb) == bracket(tcols[i], tcols[j])))
-    return bracket, action, list(zip(*Nr)), tcols, _units(d), units_m, pairs
+    return _neg(Nr), bracket, action, list(zip(*Nr)), tcols, _units(d), units_m, pairs
 
 
-def _components_tail(ctx, Nr, Tr, Gr, Sr, failed, report):
-    """(56)-(61), once (52)-(55) are decided; whether none failed."""
-    bracket, action, ncols, tcols, units_d, units_m, pairs = ctx
+def _failing(rep, prefix, Sr):
+    """The identities past (53) that fail, lazily, in the order (52), (55),
+    (54), (56), ..., (61): one item per failing entry, so the first item
+    decides the verdict and the distinct items name the failed identities.
+    prefix is the components route's (see _prefix); its slot keeps what the
+    identities read of (N, T) from their first read."""
+    Nr, Tr, Gr, _, ctx = prefix
+    if ctx is None:
+        ctx = prefix[4] = _t_context(rep, Nr, Tr)
+    negN, bracket, action, ncols, tcols, units_d, units_m, pairs = ctx
     d, m = len(units_d), len(units_m)
+    # (52) T S - N T = 0, (55) S^2 + sigma T = -id, (54) S sigma - sigma N = 0:
+    # the identities of J J = -id that read S
+    for num, blocks in ((52, (Tr, Sr, negN, Tr, m, 0)), (55, (Sr, Sr, Gr, Tr, m, 1)),
+                        (54, (Sr, Gr, Gr, negN, d, 0))):
+        if not _product_sum_is(*blocks):
+            yield num
     gcols = list(zip(*Gr)) or [()] * d
     scols = list(zip(*Sr))
     # (56) T([m,n]^T) = [Tm, Tn]; (57) S([m,n]^T) = Tm.Sn - Tn.Sm
     for i, j, mb, holds56 in pairs:
-        if not holds56 and _noted(failed, 56, report):
-            return False
+        if not holds56:
+            yield 56
         rhs = vec_sub(action(tcols[i], scols[j]), action(tcols[j], scols[i]))
-        if _mat_vec(Sr, mb) != rhs and _noted(failed, 57, report):
-            return False
+        if _mat_vec(Sr, mb) != rhs:
+            yield 57
     # (58), (59): one algebra and one module argument
     for a in range(d):
         nx, ex = ncols[a], units_d[a]
@@ -246,13 +244,13 @@ def _components_tail(ctx, Nr, Tr, Gr, Sr, failed, report):
             tm, em = tcols[b], units_m[b]
             inner = vec_sub(action(nx, em), action(ex, scols[b]))
             lhs58 = vec_sub(bracket(nx, tm), _mat_vec(Nr, bracket(ex, tm)))
-            if lhs58 != _mat_vec(Tr, inner) and _noted(failed, 58, report):
-                return False
+            if lhs58 != _mat_vec(Tr, inner):
+                yield 58
             lhs59 = vec_sub(_mat_vec(Gr, bracket(tm, ex)), action(tm, gcols[a]))
             rhs59 = vec_sub(vec_add(action(ex, em), action(nx, scols[b])),
                             _mat_vec(Sr, inner))
-            if lhs59 != rhs59 and _noted(failed, 59, report):
-                return False
+            if lhs59 != rhs59:
+                yield 59
     # (60), (61): two algebra arguments
     for a in range(d):
         for b in range(a + 1, d):
@@ -261,37 +259,25 @@ def _components_tail(ctx, Nr, Tr, Gr, Sr, failed, report):
             mixed = vec_add(bracket(nx, ey), bracket(ex, ny))
             sig_skew = vec_sub(action(ex, gcols[b]), action(ey, gcols[a]))
             lhs60 = vec_sub(vec_sub(bracket(nx, ny), bracket(ex, ey)), _mat_vec(Nr, mixed))
-            if lhs60 != _mat_vec(Tr, sig_skew) and _noted(failed, 60, report):
-                return False
+            if lhs60 != _mat_vec(Tr, sig_skew):
+                yield 60
             lhs61 = vec_sub(vec_sub(action(nx, gcols[b]), action(ny, gcols[a])),
                             _mat_vec(Gr, mixed))
-            if (lhs61 != tuple(-x for x in _mat_vec(Sr, sig_skew))
-                    and _noted(failed, 61, report)):
-                return False
-    return not failed
+            if lhs61 != tuple(-x for x in _mat_vec(Sr, sig_skew)):
+                yield 61
 
 
-def gcs_check_components(rep: Representation, N, T, sigma, S, report=False):
+def gcs_check_components(rep: Representation, N, T, sigma, S) -> bool:
     """The ten structure-component identities, numbered 52..61, checked in
-    the order (53), (52), (55), (54), (56), ..., (61).
+    the order (53), (52), (55), (54), (56), ..., (61); the verdict stops at
+    the first that fails.
 
-    Must give the same verdict as gcs_check_direct on every input.  With
-    report=True every identity runs, and the result is (verdict, the failed
-    identities in that order).
+    Must give the same verdict as gcs_check_direct on every input.
     """
     # (53) N^2 + T sigma = -id: the g x g block, the cheapest rejector,
     # decided once per (N, T, sigma) prefix
     prefix, Sr = _prefix("components", rep, N, T, sigma, S, _product_sum_is)
-    Nr, Tr, Gr, holds53, context = prefix
-    if not (holds53 or report):
-        return False
-    failed = [] if holds53 else [53]
-    if context is None:
-        context = prefix[4] = (_neg(Nr), _t_context(rep, Nr, Tr))
-    negN, ctx = context
-    ok = (_s_blocks(Nr, negN, Tr, Gr, Sr, failed, report)
-          and _components_tail(ctx, Nr, Tr, Gr, Sr, failed, report))
-    return (ok, failed) if report else ok
+    return prefix[3] and next(_failing(rep, prefix, Sr), None) is None
 
 
 def gcs_components_grid(rep: Representation, N, T, sigmas, Ss) -> list:
@@ -305,21 +291,23 @@ def gcs_components_grid(rep: Representation, N, T, sigmas, Ss) -> list:
     ctx = _t_context(rep, Nr, Tr)
     if not all(holds56 for *_, holds56 in ctx[-1]):
         return [False] * (len(Gs) * len(Srs))
-    negN = _neg(Nr)
     out = []
     for Gr in Gs:
         if _product_sum_is(Nr, Nr, Tr, Gr, d, 1):
-            out += [_s_blocks(Nr, negN, Tr, Gr, Sr, [], False)
-                    and _components_tail(ctx, Nr, Tr, Gr, Sr, [], False) for Sr in Srs]
+            prefix = [Nr, Tr, Gr, True, ctx]
+            out += [next(_failing(rep, prefix, Sr), None) is None for Sr in Srs]
         else:
             out += [False] * len(Srs)
     return out
 
 
-def gcs_oracle(rep: Representation, N, T, sigma, S) -> bool:
-    """Both GCS checks; raises if they ever disagree."""
-    return oracle("gcs characterization", gcs_check_direct(rep, N, T, sigma, S),
-                  gcs_check_components(rep, N, T, sigma, S), "direct={a} components={b}")
+def gcs_oracle(rep: Representation, N, T, sigma, S):
+    """(verdict, the identities that fail in check order) from one evaluation
+    of each GCS route; raises if the two verdicts disagree."""
+    prefix, Sr = _prefix("components", rep, N, T, sigma, S, _product_sum_is)
+    failed = ([] if prefix[3] else [53]) + list(dict.fromkeys(_failing(rep, prefix, Sr)))
+    return oracle("gcs characterization", gcs_check_direct(rep, N, T, sigma, S), not failed,
+                  "direct={a} components={b}"), failed
 
 
 @dataclass(frozen=True)

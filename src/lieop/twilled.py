@@ -21,7 +21,9 @@ from functools import cached_property
 from itertools import product
 
 from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, one_cocycle_basis
-from .errors import DimensionMismatch, NotOOperator, NotStrongMC, NotSubalgebra, oracle, theorem
+from .errors import (
+    DimensionMismatch, LieOpError, NotOOperator, NotStrongMC, NotSubalgebra, oracle, theorem,
+)
 from .exactla import Matrix, _add_rows, _dense, _row, invert, is_zero_vec, vec_add, vec_scale
 from .liecore import (
     LieAlgebra, Representation, Subspace, block_rows, check_complementary, transport,
@@ -171,12 +173,21 @@ def strong_mc_check(tw: TwilledLieAlgebra, omega):
     return verdict, defects
 
 
+# the most combinations `find_strong_mc` tries: an h3 operator's 5^6 = 15,625
+# take about a second, so a search stays within seconds
+MAX_MC_CANDIDATES = 10 ** 5
+
+
 def find_strong_mc(rep: Representation, T, coeffs=(-2, -1, 0, 1, 2), limit=None):
     """Strong Maurer-Cartan solutions on the twilled algebra of an O-operator,
     found by solving the linear cocycle equation and filtering the quadratic
-    one over small integer combinations of the kernel basis."""
-    tw = twilled_from_o(rep, T)
+    one over small integer combinations of the kernel basis.  A box of more
+    than MAX_MC_CANDIDATES combinations is refused before any is checked."""
     basis = one_cocycle_basis(rep)
+    if len(coeffs) ** len(basis) > MAX_MC_CANDIDATES:
+        raise LieOpError(f"{len(coeffs)}^{len(basis)} strong MC candidates exceed "
+                         f"the budget of {MAX_MC_CANDIDATES}")
+    tw = twilled_from_o(rep, T)
     found = []
     seen = set()
     for combo in product(coeffs, repeat=len(basis)):

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from lieop import cli, gcsholo, ooper, twilled
+from lieop import cli, cohomology, gcsholo, ooper, twilled
 from lieop.cli import MAX_HIERARCHY_DEPTH, Workspace, build_report, main
 from lieop.errors import OracleDisagreement, WorkspaceError
 from lieop.fixtures import bundle, bundle_json
+
+from test_oracle import _flip as _flipped
 
 
 @pytest.fixture(scope="module")
@@ -80,22 +82,15 @@ def test_check_invalid_gcs_runs_each_route_once(bundle_file, tmp_path, capsys, m
                               "t": entries(), "sigma": entries(), "s": entries()}}}
     p = tmp_path / "random_gcs.json"
     p.write_text(json.dumps(bad), encoding="utf-8")
-    calls = []
-    direct, components = gcsholo.gcs_check_direct, gcsholo.gcs_check_components
-
-    def counted_direct(*args):
-        calls.append("direct")
-        return direct(*args)
-
-    def counted_components(*args, report=False):
-        calls.append("components report" if report else "components")
-        return components(*args, report=report)
-
-    monkeypatch.setattr(gcsholo, "gcs_check_direct", counted_direct)
-    monkeypatch.setattr(gcsholo, "gcs_check_components", counted_components)
+    routes, sequences = [], []
+    prefix, failing = gcsholo._prefix, gcsholo._failing
+    monkeypatch.setattr(gcsholo, "_prefix",
+                        lambda route, *args: routes.append(route) or prefix(route, *args))
+    monkeypatch.setattr(gcsholo, "_failing",
+                        lambda *args: sequences.append(args) or failing(*args))
     code, out = run(capsys, "check", "gcs", "J0", "--input", bundle_file, str(p))
     assert code == 1 and "failed identities: [" in out
-    assert sorted(calls) == ["components report", "direct"]
+    assert sorted(routes) == ["components", "direct"] and len(sequences) == 1
 
 
 def _count(monkeypatch, module, name):
@@ -386,18 +381,61 @@ def _flip(monkeypatch, module, name):
     monkeypatch.setattr(module, name, lambda *args: not route(*args))
 
 
-@pytest.mark.parametrize("route,suite", [
-    ("graph_check", "o_operator_graph_oracle"),
-    ("is_r_matrix", "cybe_coadjoint_oracle"),
-])
-def test_report_suites_count_disagreements(route, suite, monkeypatch):
+def _without_bracket_terms(route):
+    """A Chevalley-Eilenberg walk that forgets the terms f([e_i, e_j], ..), so
+    the differential it gives no longer squares to zero."""
+    return lambda rep, reach, *args: (term for term in route(rep, reach, *args)
+                                      if term[2] is not reach[2])
+
+
+@pytest.mark.parametrize("module,route,mutate,what", [
+    (ooper, "graph_check", _flipped, "o-operator graph characterization"),
+    (ooper, "is_r_matrix", _flipped, "classical r-matrix characterization"),
+    (cohomology, "_walk", _without_bracket_terms, "ce differential squares to zero"),
+], ids=["graph_check", "is_r_matrix", "ce_differential"])
+def test_a_split_in_a_report_suite_exits_3(module, route, mutate, what, tmp_path, monkeypatch,
+                                           capsys):
+    """Each suite draw runs its routes through `errors.oracle`: on a workspace
+    of algebras and modules alone, whose objects decide nothing, a flipped
+    route or a differential without its bracket terms raises from the
+    suites, and `report` exits 3."""
     doc = json.loads(bundle_json())
     doc["objects"] = {n: raw for n, raw in doc["objects"].items()
                       if raw["kind"] in ("lie_algebra", "representation")}
     ws = Workspace.load([doc])
-    _flip(monkeypatch, ooper, route)
-    counts = build_report(ws)["suites"][suite]
-    assert counts["agree"] < counts["total"]
+    p = tmp_path / "modules.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(module, route, mutate(getattr(module, route)))
+    with pytest.raises(OracleDisagreement) as exc:
+        build_report(ws)
+    assert exc.value.what == what
+    code, out = run(capsys, "report", "--input", str(p))
+    assert code == 3 and out.startswith(f"error: oracle disagreement in {what}")
+
+
+def _o_form_without_pji(route):
+    """The O-form without its term A(P_B[j][i])."""
+    return lambda acc, g, A, B, pij, pji, i, j: route(acc, g, A, B, pij, (), i, j)
+
+
+def _walk_without_action_sign(route):
+    """A Chevalley-Eilenberg walk whose action terms x . f(..) all count +1."""
+    return lambda rep, reach, *args: ((J, 1 if cols is not reach[2] else c, cols)
+                                      for J, c, cols in route(rep, reach, *args))
+
+
+@pytest.mark.parametrize("command", ["validate", "report"])
+@pytest.mark.parametrize("module,route,mutate", [
+    (ooper, "o_form", _o_form_without_pji),
+    (cohomology, "_walk", _walk_without_action_sign),
+], ids=["o_form-without-pji", "walk-without-action-sign"])
+def test_a_kernel_mutation_the_suites_see_exits_3(command, module, route, mutate, bundle_file,
+                                                 monkeypatch, capsys):
+    """Two kernel mutations that leave every object of the shipped bundle
+    valid: the graph suite and the d(d f) suite each see theirs and exit 3."""
+    monkeypatch.setattr(module, route, mutate(getattr(module, route)))
+    code, out = run(capsys, command, "--input", bundle_file)
+    assert code == 3 and "oracle disagreement" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -48,12 +48,12 @@ def test_direct_examples():
 def test_components_match_direct_on_examples():
     co = coadjoint(aff1())
     j = gcs_from_invertible_o(co, TINV)
-    assert gcs_oracle(co, j.N, j.T, j.sigma, j.S)
+    assert gcs_oracle(co, j.N, j.T, j.sigma, j.S) == (True, [])
     z = Matrix.zeros(2)
-    assert gcs_oracle(co, z, z, z, z) is False
+    assert gcs_oracle(co, z, z, z, z)[0] is False
     triv = trivial_rep(ab(2), 2)
     T = Matrix([[1, 1], [0, 1]])
-    assert gcs_oracle(triv, z, T, -invert(T), z)
+    assert gcs_oracle(triv, z, T, -invert(T), z)[0] is True
 
 
 def test_identity56_certifies_o_operator_and_graph():
@@ -69,7 +69,7 @@ def test_identity56_certifies_o_operator_and_graph():
 def test_report_mode_names_failed_identities():
     co = coadjoint(aff1())
     z = Matrix.zeros(2)
-    ok, failed = gcs_check_components(co, z, z, z, z, report=True)
+    ok, failed = gcs_oracle(co, z, z, z, z)
     assert not ok and 53 in failed and 55 in failed
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from lieop import ooper, twilled
 from lieop.errors import (
-    NotComplementary, NotOOperator, NotStrongMC, NotSubalgebra,
+    LieOpError, NotComplementary, NotOOperator, NotStrongMC, NotSubalgebra,
 )
 from lieop.cli import Workspace
 from lieop.cohomology import one_cocycle_basis
 from lieop.exactla import Matrix, is_zero_vec, vec_add, vec_sub
-from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_ADJ_T, bundle, standard_fixtures
+from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_ADJ_T, ab, bundle, standard_fixtures
 from lieop.liecore import (
     LieAlgebra, Subspace, _unit, adjoint, coadjoint, semidirect, trivial_rep,
 )
@@ -244,6 +244,24 @@ def test_find_strong_mc_and_structures():
         assert bundle.big_bracket.dim == 4
         on = on_from_strong_mc(rep, AFF1_T, om)
         assert on.N == AFF1_T * om and on.S == om * AFF1_T
+
+
+def test_find_strong_mc_refuses_a_box_past_its_budget(monkeypatch):
+    """On the trivial module of ab(3) every one of the 9 maps is a 1-cocycle,
+    so T = 0 has 5^9 candidates: refused before any O-identity is read.  The
+    bundle's operators, h3's 5^6 among them, stay within the budget."""
+    ws = Workspace.load([bundle()])
+    dims = {len(one_cocycle_basis(e.value[0])) for e in ws.entries.values()
+            if e.kind == "o_operator"}
+    assert max(dims) == 6 and 5 ** 6 <= twilled.MAX_MC_CANDIDATES < 5 ** 9
+    rep = trivial_rep(ab(3), 3)
+    assert len(one_cocycle_basis(rep)) == 9
+    calls = []
+    for module in (ooper, twilled):
+        monkeypatch.setattr(module, "is_o_operator", lambda *args: calls.append(args))
+    with pytest.raises(LieOpError, match=r"^5\^9 strong MC candidates exceed the budget"):
+        find_strong_mc(rep, Matrix.zeros(3))
+    assert calls == []
 
 
 def test_omega_action_matches_reference_formula():
