@@ -8,8 +8,9 @@ splitter `twilled_new` and `swap` walk nothing: a theorem makes them twilled.
 Maurer-Cartan residuals are always computed twice: once from the explicit
 bilinear formula, as its cocycle part and its quadratic part, and once through
 the Chevalley-Eilenberg differential and the derived bracket.  `_mc_parts`
-compares each part with its grid through `errors.oracle`.  The quadratic part
-is the O-identity of Omega over the second action (b acting on a), so it is
+builds d_CE Omega and [Omega, Omega]_{mu2} as cochains and compares each part
+with their values through `errors.oracle`.  The quadratic part is the
+O-identity of Omega over the second action (b acting on a), so it is
 `ooper.o_residual` there, and the strong MC search filters with
 `ooper.is_o_operator`.
 """
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 
 from .cohomology import Cochain, build_mu2, ce_differential, derived_bracket, one_cocycle_basis
 from .errors import (
-    DimensionMismatch, LieOpError, NotOOperator, NotStrongMC, NotSubalgebra, oracle, theorem,
+    DimensionMismatch, LieOpError, NotStrongMC, NotSubalgebra, oracle, theorem,
 )
 from .exactla import Matrix, _add_rows, _dense, _row, invert, is_zero_vec, vec_add, vec_scale
 from .liecore import (
@@ -128,29 +129,18 @@ def cocycle_residual(tw: TwilledLieAlgebra, omega) -> dict:
     return out
 
 
-def _cohomology_grids(tw: TwilledLieAlgebra, omega: Matrix):
-    """(d_CE Omega, [Omega, Omega]_{mu2}) as per-pair grids via cohomology."""
-    oc = Cochain.from_linmap(omega)
-    dce = ce_differential(tw.action1, oc)
-    der = derived_bracket(tw.mu2, oc, oc, tw.dim_a, tw.dim_b)
-    da = tw.dim_a
-    grid_d = {(i, j): dce.value((i, j))
-              for i in range(da) for j in range(i + 1, da)}
-    grid_q = {(i, j): der.value((i, j))
-              for i in range(da) for j in range(i + 1, da)}
-    return grid_d, grid_q
-
-
 def _mc_parts(tw: TwilledLieAlgebra, omega):
     """(cocycle part, quadratic part) of the explicit residual per pair, each
-    oracle-checked against its cohomology grid: d_CE Omega and
+    oracle-checked against its cohomology cochain: d_CE Omega and
     [Omega, Omega]_{mu2} = 2 x quadratic part."""
     lin = cocycle_residual(tw, omega)
     quad = o_residual(tw.action2, omega)
-    grid_d, grid_q = _cohomology_grids(tw, omega)
+    oc = Cochain.from_linmap(omega)
+    dce = ce_differential(tw.action1, oc)
+    der = derived_bracket(tw.mu2, oc, oc, tw.dim_a, tw.dim_b)
     for key in lin:
-        oracle("strong mc cocycle residual", grid_d[key], lin[key], "pair {key}", key=key)
-        oracle("strong mc quadratic residual", grid_q[key], vec_scale(2, quad[key]),
+        oracle("strong mc cocycle residual", dce.value(key), lin[key], "pair {key}", key=key)
+        oracle("strong mc quadratic residual", der.value(key), vec_scale(2, quad[key]),
                "pair {key}", key=key)
     return lin, quad
 
@@ -182,28 +172,21 @@ def find_strong_mc(rep: Representation, T, coeffs=(-2, -1, 0, 1, 2), limit=None)
     """Strong Maurer-Cartan solutions on the twilled algebra of an O-operator,
     found by solving the linear cocycle equation and filtering the quadratic
     one over small integer combinations of the kernel basis.  A box of more
-    than MAX_MC_CANDIDATES combinations is refused before any is checked."""
+    than MAX_MC_CANDIDATES combinations of distinct coefficients is refused
+    before any is checked; the basis is independent, so no two are equal."""
     basis = one_cocycle_basis(rep)
+    coeffs = tuple(dict.fromkeys(coeffs))
     if len(coeffs) ** len(basis) > MAX_MC_CANDIDATES:
         raise LieOpError(f"{len(coeffs)}^{len(basis)} strong MC candidates exceed "
                          f"the budget of {MAX_MC_CANDIDATES}")
     tw = twilled_from_o(rep, T)
-    found = []
-    seen = set()
-    for combo in product(coeffs, repeat=len(basis)):
-        omega = Matrix.zeros(rep.dim_m, rep.algebra.dim)
-        for cf, base in zip(combo, basis):
-            if cf:
-                omega = omega + base.scale(cf)
-        if omega in seen:
-            continue
-        seen.add(omega)
-        if is_o_operator(tw.action2, omega):
-            oracle("strong mc search", strong_mc_check(tw, omega)[0], True,
-                   "filtered candidate failed the full check")
-            found.append(omega)
-            if limit is not None and len(found) >= limit:
-                break
+    zero = Matrix.zeros(rep.dim_m, rep.algebra.dim)
+    omegas = (sum((base.scale(cf) for cf, base in zip(combo, basis) if cf), zero)
+              for combo in product(coeffs, repeat=len(basis)))
+    found = list(islice((om for om in omegas if is_o_operator(tw.action2, om)), limit))
+    for omega in found:
+        oracle("strong mc search", strong_mc_check(tw, omega)[0], True,
+               "filtered candidate failed the full check")
     return found
 
 
@@ -218,19 +201,23 @@ class OmegaStructures:
     big_bracket: LieAlgebra
 
 
-def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
-    """The deformed algebra g^Omega, its module structure on M, and the big
-    bracket on g + M induced by a strong Maurer-Cartan solution: Omega is an
-    O-operator over the bar module, and its twilled algebra is M^T + g^Omega."""
+def _strong_mc_twilled(rep: Representation, T, omega) -> TwilledLieAlgebra:
+    """The twilled algebra of T, on which Omega must be a strong MC solution."""
     tw = twilled_from_o(rep, T)
     ok, defects = strong_mc_check(tw, omega)
     if not ok:
         raise NotStrongMC(defects)
+    return tw
+
+
+def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
+    """The deformed algebra g^Omega, its module structure on M, and the big
+    bracket on g + M induced by a strong Maurer-Cartan solution: Omega is an
+    O-operator over the bar module, and its twilled algebra is M^T + g^Omega."""
+    tw = _strong_mc_twilled(rep, T, omega)
     bar = tw.action2
-    try:  # induced_lie checks Omega's O-identity over M^T, once
-        swapped = twilled_from_o(bar, omega)
-    except NotOOperator:  # against the theorem's True, so the oracle raises
-        oracle("omega structures", False, True, "strong MC solution is not an O-operator over M^T")
+    # induced_lie checks Omega's O-identity over M^T, once
+    swapped = theorem("omega structures", twilled_from_o, bar, omega)
     g_omega, action_omega = swapped.b_algebra, swapped.action2
     big = swap(swapped).total
     oracle("omega structures", strong_mc_check(swapped, T)[0], True,
@@ -242,10 +229,7 @@ def omega_structures(rep: Representation, T, omega) -> OmegaStructures:
 
 def on_from_strong_mc(rep: Representation, T, omega) -> ONStructure:
     """(T, N = T Omega, S = Omega T) from a strong Maurer-Cartan solution."""
-    tw = twilled_from_o(rep, T)
-    ok, defects = strong_mc_check(tw, omega)
-    if not ok:
-        raise NotStrongMC(defects)
+    _strong_mc_twilled(rep, T, omega)
     return theorem("on from strong mc", ONStructure, rep, T, T * omega, omega * T)
 
 

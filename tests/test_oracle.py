@@ -10,6 +10,7 @@ import pytest
 import lieop
 from lieop import cli, errors, gcsholo, liecore, onstruct, ooper, twilled
 from lieop.cli import Workspace
+from lieop.cohomology import Cochain
 from lieop.errors import OracleDisagreement, oracle
 from lieop.exactla import Matrix
 from lieop.fixtures import AFF1_ADJ_OMEGA, AFF1_DEFORM_S, AFF1_N, H3_ADJ_T2, bundle_json
@@ -28,6 +29,17 @@ def _flip(route):
 def _shift(route):
     """A residual route whose every entry is off by one."""
     return lambda *args: {k: tuple(x + 1 for x in v) for k, v in route(*args).items()}
+
+
+def _shift_cochain(route):
+    """A cochain route whose value on (0, 1) is off by one at coordinate 0."""
+    def shifted(*args):
+        f = route(*args)
+        row = dict(f.values.get((0, 1), ()))
+        row[0] = row.get(0, 0) + 1
+        rows = {**f.values, (0, 1): tuple(sorted((k, v) for k, v in row.items() if v))}
+        return Cochain.from_rows(f.degree, f.source_dim, f.target_dim, rows)
+    return shifted
 
 
 def _trivial_module(route):
@@ -107,6 +119,10 @@ SITES = [
     (twilled, "cocycle_residual", _shift, _values("aff1_mc"), twilled.mc_check,
      "strong mc cocycle residual"),
     (twilled, "o_residual", _shift, _values("aff1_mc"), twilled.strong_mc_check,
+     "strong mc quadratic residual"),
+    (twilled, "ce_differential", _shift_cochain, _values("aff1_mc"), twilled.mc_check,
+     "strong mc cocycle residual"),
+    (twilled, "derived_bracket", _shift_cochain, _values("aff1_mc"), twilled.strong_mc_check,
      "strong mc quadratic residual"),
     (onstruct, "_tilde_module", _trivial_module, _values("h3_on"), onstruct.is_on_structure,
      "on structure"),

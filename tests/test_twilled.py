@@ -264,6 +264,24 @@ def test_find_strong_mc_refuses_a_box_past_its_budget(monkeypatch):
     assert calls == []
 
 
+def test_find_strong_mc_budget_counts_distinct_coefficients():
+    """Repeated coefficients are dropped before the budget check: 4 listed
+    but 2 distinct give 2^9 = 512 candidates on ab(3)'s trivial module, every
+    one a solution and no two equal, and a repeated coefficient changes no
+    list."""
+    sols = find_strong_mc(trivial_rep(ab(3), 3), Matrix.zeros(3), coeffs=(0, 0, 0, 1))
+    assert len(sols) == len(set(sols)) == 2 ** 9
+    rep, t = adjoint(aff1()), AFF1_ADJ_T
+    assert find_strong_mc(rep, t, coeffs=(0, 1, 1, -1)) == find_strong_mc(rep, t, coeffs=(0, 1, -1))
+
+
+def test_find_strong_mc_stops_at_its_limit():
+    rep = adjoint(aff1())
+    assert find_strong_mc(rep, AFF1_ADJ_T, limit=0) == []
+    two = find_strong_mc(rep, AFF1_ADJ_T, limit=2)
+    assert len(two) == 2 and two == find_strong_mc(rep, AFF1_ADJ_T)[:2]
+
+
 def test_omega_action_matches_reference_formula():
     _, reps, o_ops = standard_fixtures()
     nonzero = 0
@@ -310,7 +328,9 @@ def test_omega_structures_checks_omega_over_the_bar_module_once(monkeypatch):
     assert len(calls) == 1 and calls[0] is out.bar_rep
 
 
-def test_not_strong_mc_raises():
+def test_not_strong_mc_raises(monkeypatch):
+    """Both constructions refuse a map that is not a strong MC solution after
+    one strong check."""
     rep = adjoint(aff1())
     tw = twilled_from_o(rep, AFF1_T)
     rng = random.Random(2)
@@ -319,10 +339,14 @@ def test_not_strong_mc_raises():
         om = Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
         if not strong_mc_check(tw, om)[0]:
             bad = om
-    with pytest.raises(NotStrongMC):
-        omega_structures(rep, AFF1_T, bad)
-    with pytest.raises(NotStrongMC):
-        on_from_strong_mc(rep, AFF1_T, bad)
+    calls = []
+    check = twilled.strong_mc_check
+    monkeypatch.setattr(twilled, "strong_mc_check", lambda *a: calls.append(a) or check(*a))
+    for construction in (omega_structures, on_from_strong_mc):
+        calls.clear()
+        with pytest.raises(NotStrongMC):
+            construction(rep, AFF1_T, bad)
+        assert len(calls) == 1 and calls[0][1] == bad, construction.__name__
 
 
 def test_strong_mc_on_roundtrip():
