@@ -19,11 +19,9 @@ it must agree with it; and a missing or unknown key is an error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -298,12 +296,13 @@ def lie_algebra_to_json(g: LieAlgebra):
 # workspace
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Entry:
-    name: str
-    kind: str
-    raw: dict
-    value: object
+    """One loaded object: its name, kind, JSON entry and parsed value."""
+
+    __slots__ = ("name", "kind", "raw", "value")
+
+    def __init__(self, name: str, kind: str, raw: dict, value):
+        self.name, self.kind, self.raw, self.value = name, kind, raw, value
 
 
 class Workspace:
@@ -527,9 +526,9 @@ def _depth(arg):
 
 
 def _fields(x):
-    """A dataclass's field values in order, which is the KINDS order of the
-    kind it carries."""
-    return tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+    """A carrier's slot values in order, which is the KINDS order of the kind
+    it carries."""
+    return tuple(getattr(x, f) for f in type(x).__slots__)
 
 
 def _twilled(name, tw):
@@ -760,7 +759,8 @@ def _run(args):
         if args.command == "validate" and not getattr(exc, "structural", True):
             return 1
         return 2
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: a document nested past the JSON decoder's depth
         sys.stdout.write(f"error: {exc}\n")
         return 2
 

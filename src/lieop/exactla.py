@@ -16,6 +16,8 @@ reproducible byte for byte.  Integer strings parse straight through `int`.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import DimensionMismatch, Singular, WorkspaceError
@@ -33,16 +35,39 @@ def q(x):
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
+# a decimal in exponent notation, as `Fraction` reads it: integer digits,
+# fractional digits and the exponent
+_EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*(?:_\d+)*)(?:\.(\d*(?:_\d+)*))?"
+                       r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _check_exponent(s):
+    """Refuse exponent notation whose numerator or denominator, as `Fraction`
+    writes them out before reducing, has more digits than `int` reads from a
+    string: "1e30000000" would otherwise be expanded at length."""
+    m = _EXPONENT.fullmatch(s)
+    limit = sys.get_int_max_str_digits()
+    if m is None or not limit:
+        return
+    whole, frac, exp = (g.replace("_", "") for g in m.groups(""))
+    e = int(exp)
+    if max(len(whole) + len(frac) + e, 1 + len(frac) - e) > limit:
+        raise WorkspaceError(f"scalar {s[:40]!r} expands past {limit} digits")
+
+
 def parse_scalar(s):
-    """Parse "p" or "p/q" (or an int) into an exact scalar; floats and bools are refused."""
+    """Parse "p" or "p/q" (or an int) into an exact scalar; floats and bools are
+    refused, and so is exponent notation that expands past `int`'s digit limit."""
     if type(s) is bool or isinstance(s, float):
         raise WorkspaceError(f"scalar {s!r} is not an integer or a \"p/q\" string")
     if isinstance(s, int):
         return s
     if type(s) is str and s.isascii() and (s[1:] if s[:1] == "-" else s).isdecimal():
         return int(s)
+    s = str(s)
+    _check_exponent(s)
     try:
-        return q(Fraction(str(s)))
+        return q(Fraction(s))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar {s!r}") from None
 

@@ -31,7 +31,6 @@ built from checked inputs is valid by a theorem (`errors.theorem`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import mul
 
@@ -310,19 +309,15 @@ def gcs_oracle(rep: Representation, N, T, sigma, S):
                   "direct={a} components={b}"), failed
 
 
-@dataclass(frozen=True)
 class GCSModule:
     """A validated generalized complex structure on a module."""
 
-    rep: Representation
-    N: Matrix
-    T: Matrix
-    sigma: Matrix
-    S: Matrix
+    __slots__ = ("rep", "N", "T", "sigma", "S")
 
-    def __post_init__(self):
-        if not gcs_check_direct(self.rep, self.N, self.T, self.sigma, self.S):
+    def __init__(self, rep: Representation, N: Matrix, T: Matrix, sigma: Matrix, S: Matrix):
+        if not gcs_check_direct(rep, N, T, sigma, S):
             raise InvalidGCS("block map fails almost-complexity or integrability")
+        self.rep, self.N, self.T, self.sigma, self.S = rep, N, T, sigma, S
 
 
 def opposite_gcs(j: GCSModule) -> GCSModule:

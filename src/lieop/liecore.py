@@ -32,7 +32,6 @@ images are equal exactly when their RREF bases are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import (
@@ -465,14 +464,15 @@ def restrict_to_subalgebra(g: LieAlgebra, W: Subspace):
                    transport(g.s, inclusion, inclusion, W.pivot_rows()))
 
 
-@dataclass
 class Quotient:
     """A quotient Lie algebra with its projection and a chosen linear section."""
 
-    algebra: LieAlgebra
-    projection: Matrix
-    section: Matrix
-    complement: tuple
+    __slots__ = ("algebra", "projection", "section", "complement")
+
+    def __init__(self, algebra: LieAlgebra, projection: Matrix, section: Matrix,
+                 complement: tuple):
+        self.algebra, self.projection = algebra, projection
+        self.section, self.complement = section, complement
 
 
 def quotient(h: LieAlgebra, W: Subspace) -> Quotient:

@@ -13,7 +13,6 @@ conventions are the main hazard in this corner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .cohomology import Cochain, bracket_cochain, nr_bracket
@@ -120,7 +119,6 @@ def nijenhuis_power_props(g: LieAlgebra, N, kmax: int) -> dict:
     }
 
 
-@dataclass
 class DeformationData:
     """Linear coefficient of a one-parameter deformation of a module, as
     canonical sparse rows: bracket1[i][j] of [e_i, e_j]_1, in the format of
@@ -128,8 +126,10 @@ class DeformationData:
     Representation.s.  `build` takes the dense tensor and one matrix per basis
     vector."""
 
-    bracket1: tuple
-    action1: tuple
+    __slots__ = ("bracket1", "action1")
+
+    def __init__(self, bracket1: tuple, action1: tuple):
+        self.bracket1, self.action1 = bracket1, action1
 
     @staticmethod
     def build(dim, dim_m, bracket1, action1):
@@ -271,19 +271,16 @@ def is_on_structure(rep: Representation, T, N, S):
     return verdict, report
 
 
-@dataclass(frozen=True)
 class ONStructure:
     """A validated ON-structure (T, N, S) on a module."""
 
-    rep: Representation
-    T: Matrix
-    N: Matrix
-    S: Matrix
+    __slots__ = ("rep", "T", "N", "S")
 
-    def __post_init__(self):
-        ok, report = is_on_structure(self.rep, self.T, self.N, self.S)
+    def __init__(self, rep: Representation, T: Matrix, N: Matrix, S: Matrix):
+        ok, report = is_on_structure(rep, T, N, S)
         if not ok:
             raise NotONStructure(report)
+        self.rep, self.T, self.N, self.S = rep, T, N, S
 
 
 def hierarchy(rep: Representation, T, N, S, kmax: int):

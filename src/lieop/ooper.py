@@ -31,7 +31,6 @@ compared through `errors.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .cohomology import Cochain, is_cocycle
@@ -112,20 +111,17 @@ def _check_t_shape(rep, T):
             f"operator must map the module to the algebra, got {T.shape()}")
 
 
-@dataclass(frozen=True)
 class OOperator:
     """A validated O-operator T : M -> g with its o_product p, from which the
     O-identity was checked."""
 
-    rep: Representation
-    T: Matrix
-    p: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("rep", "T", "p")
 
-    def __post_init__(self):
-        p = o_product(self.rep, self.T)
-        if not is_o_operator(self.rep, self.T, p):
-            raise NotOOperator(o_residual(self.rep, self.T, p))
-        object.__setattr__(self, "p", p)
+    def __init__(self, rep: Representation, T: Matrix):
+        p = o_product(rep, T)
+        if not is_o_operator(rep, T, p):
+            raise NotOOperator(o_residual(rep, T, p))
+        self.rep, self.T, self.p = rep, T, p
 
 
 def _bracket_rows(p):
@@ -295,14 +291,16 @@ def gauge_transform(rep: Representation, T, B) -> Matrix:
 # reduction
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MRReduction:
-    """Everything produced by a successful reduction."""
+    """Everything produced by a successful reduction: the quotient algebra, the
+    module (E cap h)^0_N in the ambient module, and the reduced module and
+    operator on it."""
 
-    quotient: object
-    module: Subspace         # (E cap h)^0_N in the ambient module
-    reduced_rep: Representation
-    reduced_T: Matrix
+    __slots__ = ("quotient", "module", "reduced_rep", "reduced_T")
+
+    def __init__(self, quotient, module: Subspace, reduced_rep: Representation, reduced_T: Matrix):
+        self.quotient, self.module = quotient, module
+        self.reduced_rep, self.reduced_T = reduced_rep, reduced_T
 
 
 def mr_reduce(rep: Representation, T, h: Subspace, E: Subspace, N: Subspace) -> MRReduction:

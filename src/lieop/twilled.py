@@ -17,7 +17,6 @@ O-identity of Omega over the second action (b acting on a), so it is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
 
@@ -33,18 +32,16 @@ from .onstruct import ONStructure
 from .ooper import induced_lie, is_o_operator, o_residual
 
 
-@dataclass
 class TwilledLieAlgebra:
     """A Lie algebra split into two subalgebras, in block coordinates (a first,
-    b second), with the two mutual actions; `mu2`, of the second, is kept."""
+    b second), with the two mutual actions, action1 of a on b and action2 of
+    b on a; `mu2`, of the second, is kept."""
 
-    total: LieAlgebra
-    dim_a: int
-    dim_b: int
-    a_algebra: LieAlgebra
-    b_algebra: LieAlgebra
-    action1: Representation   # a acting on b
-    action2: Representation   # b acting on a
+    def __init__(self, total: LieAlgebra, dim_a: int, dim_b: int, a_algebra: LieAlgebra,
+                 b_algebra: LieAlgebra, action1: Representation, action2: Representation):
+        self.total, self.dim_a, self.dim_b = total, dim_a, dim_b
+        self.a_algebra, self.b_algebra = a_algebra, b_algebra
+        self.action1, self.action2 = action1, action2
 
     @cached_property
     def mu2(self):
@@ -173,7 +170,10 @@ def find_strong_mc(rep: Representation, T, coeffs=(-2, -1, 0, 1, 2), limit=None)
     found by solving the linear cocycle equation and filtering the quadratic
     one over small integer combinations of the kernel basis.  A box of more
     than MAX_MC_CANDIDATES combinations of distinct coefficients is refused
-    before any is checked; the basis is independent, so no two are equal."""
+    before any is checked; the basis is independent, so no two are equal.  A
+    `limit` that is neither None nor a non-negative integer is refused first."""
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise LieOpError(f"limit must be None or a non-negative integer, got {limit!r}")
     basis = one_cocycle_basis(rep)
     coeffs = tuple(dict.fromkeys(coeffs))
     if len(coeffs) ** len(basis) > MAX_MC_CANDIDATES:
@@ -190,15 +190,15 @@ def find_strong_mc(rep: Representation, T, coeffs=(-2, -1, 0, 1, 2), limit=None)
     return found
 
 
-@dataclass
 class OmegaStructures:
     """The structures induced by a strong Maurer-Cartan solution."""
 
-    twilled: TwilledLieAlgebra
-    bar_rep: Representation
-    g_omega: LieAlgebra
-    action_omega: Representation
-    big_bracket: LieAlgebra
+    __slots__ = ("twilled", "bar_rep", "g_omega", "action_omega", "big_bracket")
+
+    def __init__(self, twilled: TwilledLieAlgebra, bar_rep: Representation, g_omega: LieAlgebra,
+                 action_omega: Representation, big_bracket: LieAlgebra):
+        self.twilled, self.bar_rep, self.g_omega = twilled, bar_rep, g_omega
+        self.action_omega, self.big_bracket = action_omega, big_bracket
 
 
 def _strong_mc_twilled(rep: Representation, T, omega) -> TwilledLieAlgebra:

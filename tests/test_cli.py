@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -478,6 +479,18 @@ def test_json_float_and_bool_scalars_are_structural_errors(scalar, tmp_path, cap
     assert "is not an integer" in out
 
 
+def test_an_exponent_past_the_int_digit_limit_is_refused_at_once(tmp_path, capsys):
+    """A 12-byte scalar that `Fraction` would expand to 30,000,001 digits."""
+    doc = {"objects": {"g": {"kind": "lie_algebra", "dim": 1, "brackets": []},
+                       "n": {"kind": "nijenhuis", "algebra_ref": "g", "matrix": [["1e30000000"]]}}}
+    p = tmp_path / "exponent.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out = run(capsys, "validate", "--input", str(p))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out.startswith("error:") and "expands past" in out
+
+
 def _load_error(tmp_path, capsys, objects, *extra_inputs):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps({"objects": objects}), encoding="utf-8")
@@ -614,6 +627,17 @@ def test_input_that_is_not_utf8_is_an_error(tmp_path, capsys):
     code, out = run(capsys, "validate", "--input", str(p))
     assert code == 2
     assert out.startswith("error:") and out.count("\n") == 1
+
+
+def test_input_nested_past_the_decoder_depth_is_an_error(tmp_path, capsys):
+    depth = 100_000
+    p = tmp_path / "deep.json"
+    p.write_text('{"objects": {"g": {"kind": "lie_algebra", "dim": 1, "brackets": '
+                 + "[" * depth + "]" * depth + "}}}", encoding="utf-8")
+    for command in ("validate", "report"):
+        code, out = run(capsys, command, "--input", str(p))
+        assert code == 2
+        assert out.startswith("error:") and out.count("\n") == 1
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])

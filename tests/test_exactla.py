@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lieop.errors import DimensionMismatch, Singular
+from lieop.errors import DimensionMismatch, Singular, WorkspaceError
 from lieop.exactla import (
     Matrix, _add_rows, _dense, _nonzero, invert, kernel, parse_scalar, q, rref, rref_maps,
     scalar_str,
@@ -233,9 +234,22 @@ def _parsed_or_error(parse, s):
 @example(s="-")
 @example(s="--1")
 @example(s="")
+@example(s="1e5")
+@example(s="-2.5e-3")
 def test_parse_scalar_matches_fraction_parsing(s):
     assert _parsed_or_error(parse_scalar, s) == \
         _parsed_or_error(lambda t: q(Fraction(t)), s)
+
+
+def test_parse_scalar_refuses_exponents_past_the_int_digit_limit():
+    """A numerator or denominator of more digits than `int` reads from a
+    string is refused before it is expanded; at the limit it still parses."""
+    limit = sys.get_int_max_str_digits()
+    assert parse_scalar(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert parse_scalar(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    for s in (f"1e{limit}", f"1e-{limit}", "1e30000000", "-2.5E-30000000", f"1.5_0e{limit - 2}"):
+        with pytest.raises(WorkspaceError, match="expands past"):
+            parse_scalar(s)
 
 
 # --- the sparse-column Matrix against the retired dense one ------------------

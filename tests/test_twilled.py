@@ -282,6 +282,16 @@ def test_find_strong_mc_stops_at_its_limit():
     assert len(two) == 2 and two == find_strong_mc(rep, AFF1_ADJ_T)[:2]
 
 
+@pytest.mark.parametrize("limit", [-1, 1.5, "2", True])
+def test_find_strong_mc_refuses_a_bad_limit(monkeypatch, limit):
+    """A negative or non-integer limit is refused before any cocycle is solved."""
+    calls = []
+    monkeypatch.setattr(twilled, "one_cocycle_basis", lambda *args: calls.append(args))
+    with pytest.raises(LieOpError, match="^limit must be None or a non-negative integer"):
+        find_strong_mc(adjoint(aff1()), AFF1_ADJ_T, limit=limit)
+    assert calls == []
+
+
 def test_omega_action_matches_reference_formula():
     _, reps, o_ops = standard_fixtures()
     nonzero = 0
