@@ -12,14 +12,15 @@ algebra allows: almost every tuple fails the g x g block of J^2 = -id,
 N^2 + T sigma = -id, which reads neither S nor the module action, so each
 route checks it first and stops at the first nonzero residual.  Each
 single-tuple check keeps its last (N, T, sigma) prefix on the module
-(`_prefix`): the checked rows and that route's g x g verdict, read back by a
-call with the same N, T and sigma objects, which then checks only S.  Only
-frozen blocks are kept, a Matrix or a tuple of tuples; a block with list rows
-is read again on every call.  Exhaustive sweeps with (N, T) fixed go through
-`gcs_direct_grid` and `gcs_components_grid`, which run a route over every
-(sigma, S) of a product in one call: what reads only (N, T) runs once, the
-g x g block once per sigma.  They share each identity's code with the
-single-tuple checks.
+(`_prefix`): the checked rows and that route's g x g verdict.  A call with the
+same N, T and sigma objects tests the kept prefix in the check itself and
+reads only S, where a square tuple S (m rows of length m) is read as it is
+(`_square`).  Only frozen blocks are kept, a Matrix or a tuple of tuples; a
+block with list rows is read again on every call.  Exhaustive sweeps with
+(N, T) fixed go through `gcs_direct_grid` and `gcs_components_grid`, which run
+a route over every (sigma, S) of a product in one call: what reads only (N, T)
+runs once, the g x g block once per sigma.  They share each identity's code
+with the single-tuple checks.
 
 Integrable = Nijenhuis on g x M: given J J = -id, the direct route checks J
 with `onstruct.is_nijenhuis` on the semi-direct product.  A complex structure
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .exactla import Matrix, dense_rows, invert, vec_add, vec_sub
 from .liecore import (
-    LieAlgebra, Representation, _unit, _units, coadjoint, contract,
+    LieAlgebra, Representation, _units, coadjoint, contract,
     direct_sum_map, semidirect,
 )
 from .onstruct import (
@@ -67,6 +68,17 @@ def _rows(x, shape):
         if len(row) != nc:
             raise DimensionMismatch(f"component has a row of length {len(row)}, wanted shape {shape}")
     return x
+
+
+def _square(S, m):
+    """_rows(S, (m, m)); a tuple of m rows of length m is returned as it is."""
+    if type(S) is tuple and len(S) == m:
+        for row in S:
+            if len(row) != m:
+                break
+        else:
+            return S
+    return _rows(S, (m, m))
 
 
 def _neg(rows):
@@ -125,16 +137,17 @@ def _prefix(route, rep, N, T, sigma, S, kernel):
     blocks and the route's g x g verdict by kernel (_j_square_gg, or (53) by
     _product_sum_is), the slot None until _failing fills it.  The module
     keeps the prefix of each route's last frozen (N, T, sigma) and returns it
-    for the same N, T, sigma and kernel objects; S is checked on every call,
-    before any verdict.
+    for the same N, T, sigma and kernel objects, a test each single-tuple
+    check also makes itself before it calls here; S is checked on every
+    call, before any verdict.
     """
     last, m = rep._gcs.get(route), rep.dim_m
     if (last is not None and last[0] is N and last[1] is T and last[2] is sigma
             and last[3] is kernel):
-        return last[4], _rows(S, (m, m))
+        return last[4], _square(S, m)
     d = rep.algebra.dim
     Nr, Tr, Gr = _rows(N, (d, d)), _rows(T, (d, m)), _rows(sigma, (m, d))
-    Sr = _rows(S, (m, m))
+    Sr = _square(S, m)
     holds = kernel(Nr, Tr, Gr, d) if route == "direct" else kernel(Nr, Nr, Tr, Gr, d, 1)
     prefix = [Nr, Tr, Gr, holds, None]
     if _frozen(N) and _frozen(T) and _frozen(sigma):
@@ -146,10 +159,15 @@ def gcs_check_direct(rep: Representation, N, T, sigma, S) -> bool:
     """J = [[N, T], [sigma, -S]] is almost complex and integrable on g + M.
 
     The g x g block of J J, which does not read S, goes first, decided once
-    per (N, T, sigma) prefix (see _prefix); every check stops at the first
-    nonzero residual.
+    per (N, T, sigma) prefix (see _prefix), which a call with the kept
+    objects reads here; every check stops at the first nonzero residual.
     """
-    prefix, Sr = _prefix("direct", rep, N, T, sigma, S, _j_square_gg)
+    last = rep._gcs.get("direct")
+    if (last is not None and last[0] is N and last[1] is T and last[2] is sigma
+            and last[3] is _j_square_gg):
+        prefix, Sr = last[4], _square(S, rep.dim_m)
+    else:
+        prefix, Sr = _prefix("direct", rep, N, T, sigma, S, _j_square_gg)
     return prefix[3] and _direct_tail(semidirect(rep), *prefix[:3], Sr)
 
 
@@ -275,7 +293,12 @@ def gcs_check_components(rep: Representation, N, T, sigma, S) -> bool:
     """
     # (53) N^2 + T sigma = -id: the g x g block, the cheapest rejector,
     # decided once per (N, T, sigma) prefix
-    prefix, Sr = _prefix("components", rep, N, T, sigma, S, _product_sum_is)
+    last = rep._gcs.get("components")
+    if (last is not None and last[0] is N and last[1] is T and last[2] is sigma
+            and last[3] is _product_sum_is):
+        prefix, Sr = last[4], _square(S, rep.dim_m)
+    else:
+        prefix, Sr = _prefix("components", rep, N, T, sigma, S, _product_sum_is)
     return prefix[3] and next(_failing(rep, prefix, Sr), None) is None
 
 
@@ -394,8 +417,8 @@ def gcs_lie_check(g: LieAlgebra, N, r: Matrix, sigma2: Matrix) -> bool:
             top + tuple((i + d, v) for i, v in bottom)
             for top, bottom in zip(N.sparse_cols() + sharp.sparse_cols(),
                                    flat.sparse_cols() + (-nt).sparse_cols())))
-        orthogonal = all(_pairing(J.col(u), J.col(v), d)
-                         == _pairing(_unit(2 * d, u), _unit(2 * d, v), d)
+        cols, units = [J.col(u) for u in range(2 * d)], _units(2 * d)
+        orthogonal = all(_pairing(cols[u], cols[v], d) == _pairing(units[u], units[v], d)
                          for u in range(2 * d) for v in range(u, 2 * d))
         oracle("gcs on lie algebra", orthogonal, True,
                "block form passed but breaks the pairing")

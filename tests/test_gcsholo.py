@@ -1,16 +1,18 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from lieop import gcsholo
+from lieop.cli import Workspace
 from lieop.errors import (
     DimensionMismatch, InvalidGCS, NotComplexPair, NotComplexStructure, NotOOperator, Singular,
 )
 from lieop.exactla import Matrix, invert, is_zero_vec
-from lieop.fixtures import h3_rep2
+from lieop.fixtures import bundle_json, h3_rep2
 from lieop.liecore import (
-    LieAlgebra, Subspace, adjoint, coadjoint, is_subalgebra, semidirect,
+    LieAlgebra, Representation, Subspace, adjoint, coadjoint, is_subalgebra, semidirect,
     trivial_rep,
 )
 from lieop.ooper import bivector, o_residual, r_sharp
@@ -90,7 +92,6 @@ def test_oracle_agreement_rectangular_dims():
     for a in adj.action:
         rows = [list(a.row(0)) + [0], list(a.row(1)) + [0], [0, 0, 0]]
         mats.append(Matrix(rows))
-    from lieop.liecore import Representation
     rep = Representation(g, 3, mats)
     rng = random.Random(23)
     for _ in range(400):
@@ -233,6 +234,8 @@ def _grid_of_one(grid):
 
 ROUTES = (gcs_check_direct, gcs_check_components,
           _grid_of_one(gcs_direct_grid), _grid_of_one(gcs_components_grid))
+# the single-tuple routes, by the name of the prefix each keeps on the module
+KEEPS = {gcs_check_direct: "direct", gcs_check_components: "components"}
 
 _Z2 = ((0, 0), (0, 0))
 _ROT = ((0, -1), (1, 0))
@@ -247,15 +250,62 @@ _ROT = ((0, -1), (1, 0))
     # block fails or holds; S is read again all the same
     ((_Z2, _Z2, _Z2, ((0, -1), (1,))), True),
     ((_ROT, _Z2, _Z2, ((0, 1), (-1, 0, 0))), True),
+    # after a kept prefix, an S in any other form is checked against its shape
+    ((_ROT, _Z2, _Z2, Matrix.zeros(3)), True),
+    ((_Z2, _Z2, _Z2, Matrix.zeros(2, 3)), True),
+    ((_ROT, _Z2, _Z2, [[0, 1], [-1]]), True),
+    ((_Z2, _Z2, _Z2, [[0, 1], [-1, 0, 0]]), True),
+    ((_ROT, _Z2, _Z2, ((0, 1), (-1,))), True),
+    ((_ROT, _Z2, _Z2, ((0, 1), (-1, 0), (0, 0))), True),
 ], ids=["short-row", "long-row", "ragged-S-rejected-sigma", "ragged-S-after-a-kept-rejection",
-        "ragged-S-after-a-kept-g-block"])
+        "ragged-S-after-a-kept-g-block", "matrix-S-3x3-after-a-kept-g-block",
+        "matrix-S-2x3-after-a-kept-rejection", "ragged-list-S-after-a-kept-g-block",
+        "ragged-list-S-after-a-kept-rejection", "short-tuple-row-S-after-a-kept-g-block",
+        "three-row-tuple-S-after-a-kept-g-block"])
 def test_ragged_component_is_a_shape_error(blocks, warm):
     rep = adjoint(aff1())
     for route in ROUTES:
         if warm:
             route(rep, *blocks[:3], _Z2)
+            if route in KEEPS:
+                # the call below reads the kept prefix
+                assert all(a is b for a, b in zip(rep._gcs[KEEPS[route]], blocks[:3]))
         with pytest.raises(DimensionMismatch):
             route(rep, *blocks)
+
+
+def _fixed_form(form):
+    """An rng whose every draw is `form`, so _as_input makes that form."""
+    return type("FixedForm", (), {"randrange": lambda self, n: form})()
+
+
+def test_square_s_reads_what_rows_reads():
+    """gcsholo._square(S, m) returns _rows(S, (m, m)) for every form
+    _as_input makes, a tuple of tuples as it is, and refuses what _rows
+    refuses with the same message."""
+    rng = random.Random(36)
+    for m in range(4):
+        for form in range(4):
+            for _ in range(5):
+                S = _as_input(_fixed_form(form), _random_block(rng, m, m), m)
+                assert gcsholo._square(S, m) == gcsholo._rows(S, (m, m))
+                if form == 3:
+                    assert gcsholo._square(S, m) is S
+            # an extra row, and (m > 0, since rows carry the columns) an extra column
+            for rows, cols in [(m + 1, m)] + [(m, m + 1)] * (m > 0):
+                S = _as_input(_fixed_form(form), _random_block(rng, rows, cols), cols)
+                with pytest.raises(DimensionMismatch) as want:
+                    gcsholo._rows(S, (m, m))
+                with pytest.raises(DimensionMismatch) as got:
+                    gcsholo._square(S, m)
+                assert str(got.value) == str(want.value)
+            if m and form:
+                # a last row one entry short; a Matrix cannot be ragged
+                block = _random_block(rng, m - 1, m) + ((0,) * (m - 1),)
+                S = _as_input(_fixed_form(form), block, m)
+                with pytest.raises(DimensionMismatch) as got:
+                    gcsholo._square(S, m)
+                assert "a row of length" in str(got.value)
 
 
 def test_empty_blocks_on_a_zero_dim_algebra():
@@ -350,13 +400,16 @@ def test_a_kept_prefix_rereads_a_mutable_block_and_a_patched_kernel(monkeypatch)
         assert route(co, N, T, rows, S)
         rows[0][:], rows[1][:] = [0, 0], [0, 0]
         assert not route(co, N, T, rows, S)
-    for name, route in (("_j_square_gg", gcs_check_direct),
-                        ("_product_sum_is", gcs_check_components)):
+    # the kernel, and where its g x g call takes T's rows after N's
+    for name, route, t_at in (("_j_square_gg", gcs_check_direct, 1),
+                              ("_product_sum_is", gcs_check_components, 2)):
         assert route(co, N, T, sigma, S) and route(co, N, T, sigma, S)
         calls = []
         monkeypatch.setattr(gcsholo, name, lambda *args: calls.append(args) or False)
         assert not route(co, N, T, sigma, S)
-        assert calls
+        # the g x g block itself runs on the patched kernel, not only the
+        # identities past (53) that the components route also reads it for
+        assert any(args[0] is N and args[t_at] is T for args in calls)
         monkeypatch.undo()
         assert route(co, N, T, sigma, S)
 
@@ -364,15 +417,18 @@ def test_a_kept_prefix_rereads_a_mutable_block_and_a_patched_kernel(monkeypatch)
 def test_a_slice_decides_each_g_block_once_per_sigma(monkeypatch):
     """One (N, T) slice of the criterion-02 space, S innermost, through both
     single-tuple routes: the g x g verdict of each route runs once per sigma,
-    81 times, not once per tuple, and the verdicts are the grids'."""
+    81 times, not once per tuple, each route builds its prefix (_prefix) once
+    per sigma and reads it in the check on the other 80 calls, and the
+    verdicts are the grids'."""
     blocks = [(t[0:2], t[2:4]) for t in itertools.product((-1, 0, 1), repeat=4)]
     # S blocks equal to the sigma blocks but other objects, so a (53) call,
     # whose first two arguments are N's rows, is told from a (55) call
     s_blocks = [tuple(list(b)) for b in blocks]
     nb, tb = blocks[34], blocks[40]
     rep = adjoint(aff1())
-    direct_calls, calls53 = [], []
-    j_square, product_sum = gcsholo._j_square_gg, gcsholo._product_sum_is
+    direct_calls, calls53, built = [], [], []
+    j_square, product_sum, prefix = gcsholo._j_square_gg, gcsholo._product_sum_is, gcsholo._prefix
+    monkeypatch.setattr(gcsholo, "_prefix", lambda *args: built.append(args[0]) or prefix(*args))
     monkeypatch.setattr(gcsholo, "_j_square_gg",
                         lambda *args: direct_calls.append(args[2]) or j_square(*args))
     monkeypatch.setattr(gcsholo, "_product_sum_is", lambda *args: (
@@ -380,10 +436,50 @@ def test_a_slice_decides_each_g_block_once_per_sigma(monkeypatch):
     direct = [gcs_check_direct(rep, nb, tb, g, s) for g in blocks for s in s_blocks]
     comps = [gcs_check_components(rep, nb, tb, g, s) for g in blocks for s in s_blocks]
     assert direct_calls == blocks and calls53 == blocks
+    assert built == ["direct"] * len(blocks) + ["components"] * len(blocks)
     monkeypatch.undo()
     assert direct == gcs_direct_grid(rep, nb, tb, blocks, s_blocks)
     assert comps == gcs_components_grid(rep, nb, tb, blocks, s_blocks)
     assert direct.count(True) == comps.count(True) == 9
+
+
+def _perturbed(rng, blocks):
+    """The blocks with one entry of one of them moved by +-1, each block a new
+    Matrix or tuple of tuples, so a module may keep it."""
+    k = rng.randrange(4)
+    rows = [list(row) for row in blocks[k].entries]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[i][j] += rng.choice((-1, 1))
+    out = [_copy(rng, b, b.cols) for b in blocks]
+    out[k] = _copy(rng, Matrix(rows), len(rows[0]))
+    return out
+
+
+def test_a_warm_module_gives_the_oracle_of_a_fresh_one():
+    """gcs_oracle on a module whose kept prefixes come from earlier
+    single-tuple calls with the same N, T and sigma returns the (verdict,
+    failed identities) of a fresh module, on aff1_gcs, ab2_gcs and 50 seeded
+    one-entry perturbations of them."""
+    ws = Workspace.load([json.loads(bundle_json())])
+    known = [ws.get(name).value for name in ("aff1_gcs", "ab2_gcs")]
+    rng = random.Random(36)
+    cases = [tuple(v) for v in known] + [
+        (rep, *_perturbed(rng, blocks)) for rep, *blocks in
+        (known[rng.randrange(2)] for _ in range(50))]
+    seen = set()
+    for rep, N, T, sigma, S in cases:
+        fresh = Representation.from_rows(rep.algebra, rep.dim_m, rep.s)
+        want = gcs_oracle(fresh, N, T, sigma, S)
+        warm = Representation.from_rows(rep.algebra, rep.dim_m, rep.s)
+        other = _copy(rng, _random_block(rng, rep.dim_m, rep.dim_m), rep.dim_m)
+        for s in (other, S, other):
+            gcs_check_direct(warm, N, T, sigma, s)
+            gcs_check_components(warm, N, T, sigma, s)
+        assert all(a is b for route in KEEPS.values()
+                   for a, b in zip(warm._gcs[route], (N, T, sigma)))
+        assert gcs_oracle(warm, N, T, sigma, S) == want
+        seen.add(want[0])
+    assert seen == {True, False}
 
 
 def _module_complex_identity(rep, I, IM):
