@@ -7,7 +7,8 @@ import pytest
 from lieop import gcsholo
 from lieop.cli import Workspace
 from lieop.errors import (
-    DimensionMismatch, InvalidGCS, NotComplexPair, NotComplexStructure, NotOOperator, Singular,
+    DimensionMismatch, InvalidGCS, NotComplexPair, NotComplexStructure, NotOOperator,
+    OracleDisagreement, Singular,
 )
 from lieop.exactla import Matrix, invert, is_zero_vec
 from lieop.fixtures import bundle_json, h3_rep2
@@ -168,6 +169,45 @@ def test_gcs_lie_check():
     assert not gcs_lie_check(g, Matrix.zeros(2), r.scale(2), sig)
 
 
+def _gcs_lie_census():
+    """gcs_lie_check on every (N, r, sigma) with entries in {-1, 0, 1} on ab2
+    and aff1, 81 x 3 x 3 tuples each: {algebra name: verdicts}."""
+    bivectors = [bivector(2, {(0, 1): v}) for v in (-1, 0, 1)]
+    return {name: [gcs_lie_check(g, Matrix([f[0:2], f[2:4]]), r, sigma)
+                   for f in itertools.product((-1, 0, 1), repeat=4)
+                   for r, sigma in itertools.product(bivectors, repeat=2)]
+            for name, g in (("ab2", ab(2)), ("aff1", aff1()))}
+
+
+def test_gcs_lie_census_sees_both_verdicts():
+    """Both GCS routes run on every tuple through gcs_oracle and agree: 4
+    valid GCSs on each algebra, (+-K, 0, 0) and (0, r, r) for r = +-e0 ^ e1."""
+    census = _gcs_lie_census()
+    assert {name: v.count(True) for name, v in census.items()} == {"ab2": 4, "aff1": 4}
+    assert all(len(verdicts) == 729 and False in verdicts for verdicts in census.values())
+
+
+def test_gcs_lie_census_sees_a_direct_route_that_skips_j_squared(monkeypatch):
+    """With the J J = -id loop of _direct_tail skipped past the g x g block,
+    the direct route checks only integrability and passes 28 ab2 tuples; the
+    components route, run on every gcs_lie_check, overturns it."""
+    def integrability_only(sd, Nr, Tr, Gr, Sr):
+        J = [(*a, *b) for a, b in zip(Nr, Tr)]
+        J += [(*g, *(-v for v in s)) for g, s in zip(Gr, Sr)]
+        return gcsholo.is_nijenhuis(sd, Matrix(J))[0]
+
+    monkeypatch.setattr(gcsholo, "_direct_tail", integrability_only)
+    co = coadjoint(ab(2))
+    bivectors = [r_sharp(bivector(2, {(0, 1): v})) for v in (-1, 0, 1)]
+    Ns = [Matrix([f[0:2], f[2:4]]) for f in itertools.product((-1, 0, 1), repeat=4)]
+    passed = sum(gcs_check_direct(co, N, sharp, flat, N.transpose())
+                 for N in Ns for sharp, flat in itertools.product(bivectors, repeat=2))
+    assert passed == 28
+    with pytest.raises(OracleDisagreement) as exc:
+        _gcs_lie_census()
+    assert exc.value.what == "gcs characterization"
+
+
 def test_holomorphic_o():
     triv = trivial_rep(ab(2), 2)
     assert is_holomorphic_o(triv, K, K, Matrix.zeros(2), Matrix.zeros(2))
@@ -279,33 +319,36 @@ def _fixed_form(form):
     return type("FixedForm", (), {"randrange": lambda self, n: form})()
 
 
-def test_square_s_reads_what_rows_reads():
-    """gcsholo._square(S, m) returns _rows(S, (m, m)) for every form
-    _as_input makes, a tuple of tuples as it is, and refuses what _rows
-    refuses with the same message."""
+def test_rows_reads_every_input_form():
+    """gcsholo._rows(x, nr, nc) returns the rows of every form _as_input
+    makes, a tuple as it is, and refuses each wrong shape with its message."""
     rng = random.Random(36)
-    for m in range(4):
+    for nr, nc in itertools.product(range(4), repeat=2):
+        shape = f"({nr}, {nc})"
         for form in range(4):
-            for _ in range(5):
-                S = _as_input(_fixed_form(form), _random_block(rng, m, m), m)
-                assert gcsholo._square(S, m) == gcsholo._rows(S, (m, m))
-                if form == 3:
-                    assert gcsholo._square(S, m) is S
-            # an extra row, and (m > 0, since rows carry the columns) an extra column
-            for rows, cols in [(m + 1, m)] + [(m, m + 1)] * (m > 0):
-                S = _as_input(_fixed_form(form), _random_block(rng, rows, cols), cols)
-                with pytest.raises(DimensionMismatch) as want:
-                    gcsholo._rows(S, (m, m))
+            for _ in range(3):
+                block = _random_block(rng, nr, nc)
+                x = _as_input(_fixed_form(form), block, nc)
+                got = gcsholo._rows(x, nr, nc)
+                assert tuple(map(tuple, got)) == block
+                if form >= 2:
+                    assert got is x
+            # an extra row, and (nr > 0, since rows carry the columns) an extra column
+            for rows, cols in [(nr + 1, nc)] + [(nr, nc + 1)] * (nr > 0):
+                x = _as_input(_fixed_form(form), _random_block(rng, rows, cols), cols)
                 with pytest.raises(DimensionMismatch) as got:
-                    gcsholo._square(S, m)
-                assert str(got.value) == str(want.value)
-            if m and form:
+                    gcsholo._rows(x, nr, nc)
+                assert str(got.value) == (
+                    f"component has shape ({rows}, {cols}), wanted {shape}" if form == 0
+                    else f"component has {rows} rows, wanted shape {shape}" if rows > nr
+                    else f"component has a row of length {cols}, wanted shape {shape}")
+            if nr and nc and form:
                 # a last row one entry short; a Matrix cannot be ragged
-                block = _random_block(rng, m - 1, m) + ((0,) * (m - 1),)
-                S = _as_input(_fixed_form(form), block, m)
+                block = _random_block(rng, nr - 1, nc) + ((0,) * (nc - 1),)
                 with pytest.raises(DimensionMismatch) as got:
-                    gcsholo._square(S, m)
-                assert "a row of length" in str(got.value)
+                    gcsholo._rows(_as_input(_fixed_form(form), block, nc), nr, nc)
+                assert str(got.value) == (
+                    f"component has a row of length {nc - 1}, wanted shape {shape}")
 
 
 def test_empty_blocks_on_a_zero_dim_algebra():

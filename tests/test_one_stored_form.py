@@ -148,11 +148,11 @@ def test_the_gl3_verdicts_build_no_dense_matrix_view(monkeypatch):
     assert built == ["test_the_gl3_verdicts_build_no_dense_matrix_view"]
 
 
-def test_an_accepting_gcs_lie_check_glues_j_from_sparse_columns(monkeypatch):
-    """gcs_lie_check glues J = [[N, r-sharp], [sigma-flat, -N*]] from sparse
-    columns: on every accepted GCS on a Lie algebra of the bundle, and inside
-    the holomorphic r-matrix check, no dense view is built: the block route's
-    `_rows` reads the rows of N, r-sharp, sigma-flat and N* off their columns."""
+def test_the_accepting_gcs_lie_and_holo_r_checks_build_no_dense_view(monkeypatch):
+    """On every accepted GCS on a Lie algebra of the bundle, through both GCS
+    routes of gcs_oracle, and inside the holomorphic r-matrix check, no dense
+    view is built: `gcsholo._rows` reads the rows of N, r-sharp, sigma-flat and
+    N* off their columns."""
     ws = Workspace.load([bundle()])
     built = _count_dense_views(monkeypatch)
     checks = [gcs_lie_check(*e.value) for e in ws.entries.values() if e.kind == "gcs_lie"]

@@ -101,6 +101,8 @@ SITES = [
      "pn structure"),
     (gcsholo, "_failing", lambda route: lambda *args: iter((57,)), _values("aff1_gcs"),
      gcs_oracle, "gcs characterization"),
+    (gcsholo, "_failing", lambda route: lambda *args: iter((57,)), _values("ab2_gcslie"),
+     gcsholo.gcs_lie_check, "gcs characterization"),
     (gcsholo, "nijenhuis_structure_defect", _flip, _values("aff1_cx"),
      gcsholo.is_module_complex_pair, "module complex pair"),
     (gcsholo, "is_pn_structure", _flip, _values("ab4_holo_r"), gcsholo.is_holomorphic_r,
