@@ -10,10 +10,11 @@ vector accumulates only the entries of the values its nonzero coordinates
 reach.  The Chevalley-Eilenberg differential is coded once, as a walk from one
 value to the terms of d that the nonzero action and bracket rows reach: its sum
 over a cochain's values is `ce_differential`, its run on the unit cochains the
-sparse matrix `differential`, whose degree-1 kernel is the 1-cocycles.  The
-circle product, and with it the shuffle and derived brackets, pairs each
-nonzero coordinate of a value of one operand with the values of the other that
-take that coordinate as an argument, so its work follows the nonzeros too.
+sparse matrix `differential`, whose degree-1 kernel, read off the sparse pivot
+rows of its RREF, is the 1-cocycles.  The circle product, and with it the
+shuffle and derived brackets, pairs each nonzero coordinate of a value of one
+operand with the values of the other that take that coordinate as an
+argument, so its work follows the nonzeros too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 
 from .errors import DimensionMismatch, LieOpError, oracle
 from .exactla import (
-    Matrix, _add_rows, _combine, _dense, _kernel_from_rref, _nonzero, _row, rref_maps, vec,
+    Matrix, _add_rows, _combine, _dense, _kernel_from_rref, _nonzero, _row, _rref_sparse, vec,
 )
 from .liecore import LieAlgebra, Representation, block_rows, zero_rows
 
@@ -192,9 +193,8 @@ def one_cocycle_basis(rep: Representation):
     """Basis of the space of 1-cocycles g -> M, as matrices: the kernel of
     `differential(rep, 1)`, whose column r d + c is the entry (r, c)."""
     d, nvar = rep.algebra.dim, rep.dim_m * rep.algebra.dim
-    red, pivots = rref_maps(list(differential(rep, 1).values()), nvar)
     return [Matrix([v[r:r + d] for r in range(0, nvar, d)])
-            for v in _kernel_from_rref(red, pivots, nvar)]
+            for v in _kernel_from_rref(*_rref_sparse(differential(rep, 1).values()), nvar)]
 
 
 def _self_valued(P: Cochain):

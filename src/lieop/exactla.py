@@ -9,9 +9,11 @@ vectors are.  A `Matrix` stores only its shape and its canonical sparse
 columns, built in one pass over the input; every operation reads and writes
 columns, so matrix equality is column equality.  Its dense rows (`entries`)
 and its sparse rows are views, built on first read and kept.  Row reduction
-keeps its rows as {column: value} maps and reaches the rows to clear through a
-column index, so it touches only nonzeros; the RREF is unique, so outputs are
-reproducible byte for byte.  Integer strings parse straight through `int`.
+peels the rows with one nonzero first, each pinning its column, then reduces
+the rest row by row as {column: value} maps, clearing a new pivot from the
+earlier pivot rows through a column index, so it touches only nonzeros; the
+RREF is unique, so outputs are reproducible byte for byte.  Kernels are read
+off its sparse pivot rows.  Integer strings parse straight through `int`.
 """
 
 from __future__ import annotations
@@ -331,31 +333,47 @@ def rref(rows):
 
 def rref_maps(rows, ncols):
     """Reduced row echelon form of rows given as {column: nonzero value} maps
-    or as their (column, value) pairs.
+    or as their (column, value) pairs, as (rows, pivot_columns): dense tuples
+    in pivot-column order, zero rows dropped; the dense view of `_rref_sparse`."""
+    red, pivots = _rref_sparse(rows)
+    return [_dense({c: 1, **red[c]}, ncols) for c in pivots], pivots
 
-    Returns (rows, pivot_columns): dense tuples in pivot-column order,
-    with zero rows dropped.  Beside the maps it keeps an index from each
-    column to the rows that have it.  For each column in turn the pivot is
-    the unpivoted row with the fewest nonzeros, the lowest row index on ties,
-    and the column is cleared through the index from every other row, pivoted
-    or not.  A pivot row is divided by its pivot without a Fraction when it
-    can be: negated for -1, by integer division when the pivot divides every
-    entry.  The RREF of a row space is unique, so the pivot choice never
-    shows in the result.
-    """
-    m = [dict(row) for row in rows]
-    at = [set() for _ in range(ncols)]  # column -> rows with a nonzero there
-    for i, row in enumerate(m):
-        for k in row:
-            at[k].add(i)
-    pivots, order, done = [], [], set()
-    for c in range(ncols):
-        live = [i for i in at[c] if i not in done]
-        if not live:
+
+def _rref_sparse(rows):
+    """The RREF of `rref_maps`'s input as ({pivot: the rest of its row as a
+    {column: value} map}, pivots ascending); the caller's maps stay unchanged.
+
+    A row with one nonzero pins its column: unit rows are peeled and their
+    columns dropped from the other rows until no new one appears.  Each row
+    left is reduced by the pivot rows it meets; a remainder pivots on its
+    least column and is cleared from the earlier pivot rows through an index
+    from each column to the pivot rows that have it.  A pivot row is divided
+    by its pivot without a Fraction when it can be: negated for -1, by integer
+    division when the pivot divides every entry.  The RREF is unique, so the
+    order of the rows never shows in the result."""
+    red, rest = {}, [dict(row) for row in rows]
+    while True:
+        pinned = {c: {} for row in rest if len(row) == 1 for c in row}
+        if not pinned:
+            break
+        red.update(pinned)
+        rest = [row if row.keys().isdisjoint(pinned.keys()) else
+                {k: x for k, x in row.items() if k not in pinned}
+                for row in rest if len(row) > 1]
+    at = {}  # column -> pivots whose row has a nonzero there
+    for row in rest:
+        for c in row.keys() & red.keys():
+            f = row.pop(c)
+            for k, b in red[c].items():
+                x = row.get(k, 0) - f * b
+                if x:
+                    row[k] = x if type(x) is int else q(x)
+                else:
+                    del row[k]
+        if not row:
             continue
-        r = min(live, key=lambda i: (len(m[i]), i))
-        row = m[r]
-        p = row[c]
+        c = min(row)
+        p = row.pop(c)
         if p == -1:
             for k, x in row.items():
                 row[k] = -x
@@ -363,48 +381,43 @@ def rref_maps(rows, ncols):
             exact = type(p) is int and all(type(x) is int and not x % p for x in row.values())
             for k, x in row.items():
                 row[k] = x // p if exact else q(Fraction(x) / p)
-        for i in list(at[c]):
-            if i == r:
-                continue
-            other = m[i]
-            f = other[c]
+        for r in at.pop(c, ()):
+            other = red[r]
+            f = other.pop(c)
             for k, b in row.items():
                 x = other.get(k, 0) - f * b
                 if x:
                     other[k] = x if type(x) is int else q(x)
-                    at[k].add(i)
+                    at.setdefault(k, set()).add(r)
                 else:
                     del other[k]
-                    at[k].discard(i)
-        pivots.append(c)
-        order.append(r)
-        done.add(r)
-        if len(done) == len(m):
-            break
-    out = []
-    for r in order:
-        dense = [0] * ncols
-        for k, x in m[r].items():
-            dense[k] = q(x)
-        out.append(tuple(dense))
-    return out, pivots
+                    at[k].discard(r)
+        for k in row:
+            at.setdefault(k, set()).add(c)
+        red[c] = row
+    return red, sorted(red)
 
 
 def _kernel_from_rref(red, pivots, n):
-    free = sorted(set(range(n)).difference(pivots))
+    """The kernel basis read off `_rref_sparse`: per free column f, the vector
+    with v[f] = 1 and v[c] = -row_c[f] over the pivot rows that reach f."""
+    reach = {}
+    for c in pivots:
+        for k, x in red[c].items():
+            reach.setdefault(k, []).append((c, q(-x)))
     basis = []
-    for f in free:
+    for f in sorted(set(range(n)).difference(pivots)):
         v = [0] * n
         v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = q(-red[r][f])
+        for c, x in reach.get(f, ()):
+            v[c] = x
         basis.append(tuple(v))
     return basis
 
 
 def kernel(A: Matrix):
     """Basis of {v : A v = 0}, deterministic, possibly empty."""
-    return _kernel_from_rref(*rref_maps(A.sparse_rows(), A.cols), A.cols)
+    return _kernel_from_rref(*_rref_sparse(A.sparse_rows()), A.cols)
 
 
 def invert(A: Matrix) -> Matrix:

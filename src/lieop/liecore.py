@@ -40,7 +40,7 @@ from .errors import (
 )
 from .exactla import (
     Matrix, _add_rows, _combine, _dense, _kernel_from_rref, _neg, _nonzero, _row, invert,
-    kernel, rref, rref_maps, transpose_rows, vec,
+    _rref_sparse, kernel, rref, transpose_rows, vec,
 )
 
 
@@ -507,7 +507,7 @@ def annihilator(rep: Representation, X: Subspace) -> Subspace:
         return Subspace.full(rep.dim_m)
     m = rep.dim_m
     stacked = [row for x in X.basis for row in rep.rho(x).sparse_rows()]
-    return Subspace(m, _kernel_from_rref(*rref_maps(stacked, m), m))
+    return Subspace(m, _kernel_from_rref(*_rref_sparse(stacked), m))
 
 
 def intersect(W1: Subspace, W2: Subspace) -> Subspace:

@@ -188,6 +188,20 @@ def test_one_cocycle_basis_matches_kernel_of_full_system(name):
     assert [b.shape() for b in got] == [b.shape() for b in want]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("module", [adjoint, coadjoint])
+def test_one_cocycle_basis_of_gl_n(n, module):
+    """Z^1 of gl(n) in its adjoint and coadjoint modules: the reference
+    kernel, n^2 elements (Der(gl_n) = ad(sl_n) plus the trace maps, and the
+    coadjoint module is the adjoint one through the trace form), each a
+    1-cocycle."""
+    rep = module(gl(n))
+    got = one_cocycle_basis(rep)
+    assert repr(got) == repr(reference_cocycle_basis(rep))
+    assert len(got) == n * n
+    assert all(is_cocycle(rep, Cochain.from_linmap(b))[0] for b in got)
+
+
 def reference_eval_first(P, x, rest):
     """P(x, e_{rest[0]}, ...) as a vector: the alternating extension of P's
     values, summed over the coordinates of x."""

@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lieop.cohomology import differential
 from lieop.errors import DimensionMismatch, Singular, WorkspaceError
 from lieop.exactla import (
     Matrix, _add_rows, _dense, _nonzero, invert, kernel, parse_scalar, q, rref, rref_maps,
     scalar_str,
 )
-from lieop.liecore import Subspace
+from lieop.liecore import Subspace, adjoint
+
+from test_sparse_carriers import gl
 
 
 scalars = st.integers(-6, 6) | st.fractions(
@@ -444,6 +447,81 @@ def test_row_reduction_matches_sympy():
                 assert repr(invert(A)) == repr(Matrix(
                     [[_to_exact(inv[i, j]) for j in range(n)] for i in range(n)]))
     assert 0 < singular < 20
+
+
+def _unit_heavy_rows(rng, width):
+    """Seeded sparse rows over columns 0..width-1, most of them unit rows.
+    Unit rows of -1, 2 and 1/2 pin some columns, and some are repeated. A
+    chain of two-entry rows starts at the first pinned column, so each peel
+    leaves the next unit row. A row over two pinned columns empties out. A few
+    random rows follow. Columns outside `live` stay zero."""
+    live = rng.sample(range(width), rng.randint(2, width))
+    k = rng.randint(2, 3)
+    units, chain = live[:k], live[k:k + rng.randint(1, 4)]
+
+    def pick():
+        return rng.choice((-1, 2, Fraction(1, 2), 1, -3, Fraction(-2, 3)))
+
+    rows = [{c: rng.choice((-1, 2, Fraction(1, 2)))} for c in units]
+    rows += [{c: pick()} for c in rng.choices(units, k=rng.randint(1, 3))]
+    rows += [{a: pick(), b: pick()} for a, b in zip(units[:1] + chain, chain)]
+    rows.append({units[0]: pick(), units[1]: pick()})
+    for _ in range(rng.randint(0, 3)):
+        rows.append({c: pick() for c in rng.sample(live, rng.randint(2, min(4, len(live))))})
+    rng.shuffle(rows)
+    return rows, chain
+
+
+def test_unit_row_heavy_reduction_matches_sympy():
+    """rref_maps, kernel and invert against sympy on seeded matrices that are
+    mostly unit rows: repeated ones, chains where one peel makes the next unit
+    row, rows that peeling empties, zero columns, and ncols past the last
+    used column."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(38)
+    longest, wide, square = 0, 0, 0
+    for _ in range(80):
+        width = rng.randint(3, 10)
+        ncols = width + rng.choice((0, 0, 1, 3))
+        rows, chain = _unit_heavy_rows(rng, width)
+        longest, wide = max(longest, len(chain)), wide + (ncols > width)
+        dense = [[row.get(k, 0) for k in range(ncols)] for row in rows]
+        A = Matrix(dense, cols=ncols)
+        S = sympy.Matrix(A.rows, ncols, [sympy.Rational(str(x)) for r in dense for x in r])
+        red, pivots = S.rref()
+        want = [tuple(_to_exact(x) for x in red.row(i)) for i in range(len(pivots))]
+        assert repr(rref_maps(rows, ncols)) == repr((want, list(pivots)))
+        assert kernel(A) == [tuple(_to_exact(x) for x in v) for v in S.nullspace()]
+        if A.rows == ncols:
+            square += 1
+            if S.det() == 0:
+                with pytest.raises(Singular):
+                    invert(A)
+            else:
+                inv = S.inv()
+                assert repr(invert(A)) == repr(Matrix(
+                    [[_to_exact(inv[i, j]) for j in range(ncols)] for i in range(ncols)]))
+    assert longest >= 3 and wide >= 20 and square >= 3
+
+
+def test_rref_maps_input_contract():
+    """Maps and (column, value) pairs reduce alike, the caller's maps are left
+    as they were (`differential` hands its own dicts in), and no rows reduce
+    to ([], [])."""
+    rng = random.Random(39)
+    for _ in range(40):
+        width = rng.randint(3, 8)
+        rows, _ = _unit_heavy_rows(rng, width)
+        before = [dict(row) for row in rows]
+        pairs = [tuple(sorted(row.items())) for row in rows]
+        assert rref_maps(rows, width) == rref_maps(pairs, width)
+        assert rows == before and pairs == [tuple(sorted(row.items())) for row in before]
+    d1 = differential(adjoint(gl(3)), 1)
+    before = {key: dict(row) for key, row in d1.items()}
+    assert len(rref_maps(list(d1.values()), 81)[1]) == 81 - 9
+    assert d1 == before
+    for n in (0, 1, 5):
+        assert rref_maps([], n) == ([], [])
 
 
 def reference_add_rows(acc, scale, pairs, rows, n):
